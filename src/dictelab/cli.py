@@ -6,7 +6,8 @@ and compare all elaborations), decompose (compare direct vs composed
 target elaborations), meta (trace-check type safety, optionally fuzzing).
 
 Exit codes: 0 success, 1 parse/type error, 2 coherence or decomposition
-violation, 3 resource limit reached (fuel or enumeration truncation).
+violation, 3 resource limit reached (fuel, enumeration truncation, or a
+constraint left unresolved only because a cap cut its resolution).
 Setting the environment variable TCC_COLOR=0 disables styling.
 """
 
@@ -42,7 +43,6 @@ class CliConfig:
     fuel: int = 100_000
     format: str = "text"            # text | json
     contexts_dir: str | None = None
-    emit_degenerate_wrappers: bool = False
     seed: int = 0
     generate: int = 0
 
@@ -57,6 +57,19 @@ def _style(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dictelab",
@@ -67,16 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, help_):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="source program")
-        p.add_argument("--max-depth", type=int, default=32,
+        p.add_argument("--max-depth", type=_at_least(1), default=32,
                        help="constraint resolution depth limit")
-        p.add_argument("--max-elaborations", type=int, default=256,
+        p.add_argument("--max-elaborations", type=_at_least(1), default=256,
                        help="cap on enumerated elaborations")
-        p.add_argument("--fuel", type=int, default=100_000,
+        p.add_argument("--fuel", type=_at_least(0), default=100_000,
                        help="evaluation step budget")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--emit-degenerate-wrappers", action="store_true",
-                       help="kept for rule-shape fidelity; empty binder "
-                            "lists already print without wrappers")
         return p
 
     p = add("check", "typecheck and report the program type")
@@ -112,7 +122,6 @@ def parse_args(argv) -> CliConfig:
         max_depth=ns.max_depth, max_elaborations=ns.max_elaborations,
         fuel=ns.fuel, format=ns.format,
         contexts_dir=getattr(ns, "contexts_dir", None),
-        emit_degenerate_wrappers=ns.emit_degenerate_wrappers,
         seed=getattr(ns, "seed", 0),
         generate=getattr(ns, "generate", 0))
 
@@ -135,11 +144,19 @@ def _elaborations(cfg: CliConfig, result):
     return out
 
 
-def _emit_json(cfg: CliConfig, result, elaborations, results,
+def _truncated(result) -> bool:
+    return result.fd_truncated or result.tgt_truncated
+
+
+def _resource_exit(truncated: bool) -> int:
+    return EXIT_RESOURCE if truncated else EXIT_OK
+
+
+def _emit_json(cfg: CliConfig, main_type, elaborations, results,
                coherent: bool, truncated: bool):
     print(json.dumps({
         "program": cfg.input_path,
-        "type": S.pretty(result.main_type) if result else "",
+        "type": S.pretty(main_type),
         "elaborations": elaborations,
         "results": results,
         "coherent": coherent,
@@ -153,12 +170,12 @@ def cmd_check(cfg: CliConfig) -> int:
     classes = sum(1 for e in r.GC)
     instances = sum(1 for e in r.P)
     if cfg.format == "json":
-        _emit_json(cfg, r, [], [], True, r.fd_truncated or r.tgt_truncated)
+        _emit_json(cfg, r.main_type, [], [], True, _truncated(r))
     else:
         print(f"main : {S.pretty(r.main_type)}")
         print(f"{classes} class(es), {instances} instance(s), "
               f"{len(r.fd_elabs)} elaboration(s)")
-    return EXIT_OK
+    return _resource_exit(_truncated(r))
 
 
 def cmd_elaborate(cfg: CliConfig) -> int:
@@ -167,12 +184,11 @@ def cmd_elaborate(cfg: CliConfig) -> int:
     elabs = _elaborations(cfg, r)
     shown = elabs if cfg.all else elabs[:1]
     if cfg.format == "json":
-        _emit_json(cfg, r, shown, [], True,
-                   r.fd_truncated or r.tgt_truncated)
+        _emit_json(cfg, r.main_type, shown, [], True, _truncated(r))
     else:
         for t in shown:
             print(t)
-    return EXIT_OK
+    return _resource_exit(_truncated(r))
 
 
 def cmd_run(cfg: CliConfig) -> int:
@@ -188,11 +204,10 @@ def cmd_run(cfg: CliConfig) -> int:
         _, te = fd_core.fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
         value = S.pretty(target_core.tgt_eval(te, cfg.fuel))
     if cfg.format == "json":
-        _emit_json(cfg, r, [], [value], True,
-                   r.fd_truncated or r.tgt_truncated)
+        _emit_json(cfg, r.main_type, [], [value], True, _truncated(r))
     else:
         print(value)
-    return EXIT_OK
+    return _resource_exit(_truncated(r))
 
 
 def _load_contexts(cfg: CliConfig):
@@ -210,20 +225,17 @@ def cmd_coherence(cfg: CliConfig) -> int:
         p, cfg.limits, cfg.fuel, contexts=_load_contexts(cfg),
         program_name=cfg.input_path)
     if cfg.format == "json":
-        r = typecheck_program(p, cfg.limits)
-        elabs = _elaborations(cfg, r)
+        elabs = [S.pretty(te) for te in rep.composed]
         results = [rep.witness_value] * len(elabs) if rep.all_kleene_equal \
             else []
-        _emit_json(cfg, r, elabs, results, rep.all_kleene_equal,
+        _emit_json(cfg, rep.main_type, elabs, results, rep.all_kleene_equal,
                    rep.truncated)
     else:
         for line in harness.coherence_lines(rep):
             print(_style(line, "31") if "VIOLATION" in line else line)
     if not rep.all_kleene_equal:
         return EXIT_VIOLATION
-    if rep.truncated:
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _resource_exit(rep.truncated)
 
 
 def cmd_decompose(cfg: CliConfig) -> int:
@@ -231,17 +243,14 @@ def cmd_decompose(cfg: CliConfig) -> int:
     rep = harness.check_decomposition(p, cfg.limits,
                                       program_name=cfg.input_path)
     if cfg.format == "json":
-        r = typecheck_program(p, cfg.limits)
-        _emit_json(cfg, r, _elaborations(cfg, r), [], rep.equal,
-                   rep.truncated)
+        _emit_json(cfg, rep.main_type, [S.pretty(te) for te in rep.composed],
+                   [], rep.equal, rep.truncated)
     else:
         for line in harness.decomposition_lines(rep):
             print(line)
     if not rep.equal:
         return EXIT_VIOLATION
-    if rep.truncated:
-        return EXIT_RESOURCE
-    return EXIT_OK
+    return _resource_exit(rep.truncated)
 
 
 def cmd_meta(cfg: CliConfig) -> int:
@@ -261,7 +270,7 @@ def cmd_meta(cfg: CliConfig) -> int:
     all_ok = all(m.preservation_ok and m.progress_ok and m.fuel_ok
                  for m in reports)
     if cfg.format == "json":
-        _emit_json(cfg, r, [], [], all_ok,
+        _emit_json(cfg, r.main_type, [], [], all_ok,
                    any(not m.fuel_ok for m in reports))
     else:
         for i, m in enumerate(reports):
@@ -272,7 +281,7 @@ def cmd_meta(cfg: CliConfig) -> int:
         if any(not m.fuel_ok for m in reports):
             return EXIT_RESOURCE
         return EXIT_VIOLATION
-    return EXIT_OK
+    return _resource_exit(_truncated(r))
 
 
 _COMMANDS = {
@@ -294,7 +303,7 @@ def main(argv=None) -> int:
         return EXIT_TYPE_ERROR
     except SrcTypeError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
+        return EXIT_RESOURCE if err.kind == "resource" else EXIT_TYPE_ERROR
     except fd_core.FdTypeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TYPE_ERROR

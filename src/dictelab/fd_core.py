@@ -21,7 +21,8 @@ from .syntax import (
     TApp, TArrow, TBool, TForall, TLam, TLet, TProj, TRecord, TRecordTy,
     TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, subst, subst_fd_dvar, subst_fd_var, subst_type,
+    alpha_eq, dict_target_name, env_tyvars, rename_apart, subst,
+    subst_fd_dvar, subst_fd_var, subst_type,
 )
 from . import syntax as S
 
@@ -55,17 +56,9 @@ class FuelExhausted(Exception):
     pass
 
 
-def dict_target_name(dvar: str) -> str:
-    return "$d_" + dvar
-
-
 # ---------------------------------------------------------------------------
 # Types: well-formedness and elaboration to target types
 # ---------------------------------------------------------------------------
-
-def _tyvars_of(env) -> set[str]:
-    return {b.name for b in env if isinstance(b, TyVarBind)}
-
 
 def check_fd_type_wf(TC, tyvars: set[str], t: FdType):
     match t:
@@ -193,17 +186,6 @@ def unify_heads(q1: FdQ, q2: FdQ, vars: set[str]):
     return unify_fd_types(q1.arg, q2.arg, vars)
 
 
-def _rename_apart(binders, avoid):
-    taken = set(avoid) | set(binders)
-    mapping = {}
-    for b in binders:
-        if b in avoid:
-            b2 = S.avoid_name(b, taken)
-            taken.add(b2)
-            mapping[b] = ITyVar(b2)
-    return mapping
-
-
 # ---------------------------------------------------------------------------
 # Typechecking with simultaneous target elaboration
 # ---------------------------------------------------------------------------
@@ -234,7 +216,7 @@ class FdChecker:
                         return bind.ty, TVar(x)
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
-                check_fd_type_wf(self.TC, _tyvars_of(env), ty)
+                check_fd_type_wf(self.TC, env_tyvars(env), ty)
                 bty, tb = self.check_expr(env + (TermBind(x, ty),), body)
                 return IArrow(ty, bty), TLam(x, elab_fd_type(self.TC, ty), tb)
             case IApp(f, a):
@@ -250,7 +232,7 @@ class FdChecker:
                         f"expected {S.pretty(fty.left)}")
                 return fty.right, TApp(tf, ta)
             case IDLam(dv, q, body):
-                check_fd_q_wf(self.TC, _tyvars_of(env), q)
+                check_fd_q_wf(self.TC, env_tyvars(env), q)
                 bty, tb = self.check_expr(env + (DictBind(dv, q),), body)
                 return IQArrow(q, bty), TLam(dict_target_name(dv),
                                              elab_fd_q(self.TC, q), tb)
@@ -277,7 +259,7 @@ class FdChecker:
                     raise FdTypeError(
                         MISMATCH,
                         f"type applied to non-polymorphic type {S.pretty(fty)}")
-                check_fd_type_wf(self.TC, _tyvars_of(env), ty)
+                check_fd_type_wf(self.TC, env_tyvars(env), ty)
                 return (subst_type(fty.body, {fty.var: ty}),
                         TTyApp(tf, elab_fd_type(self.TC, ty)))
             case IMethod(d, m):
@@ -290,7 +272,7 @@ class FdChecker:
                 return (subst_type(entry.method_type, {entry.var: dq.arg}),
                         TProj(td, m))
             case ILet(x, ty, bound, body):
-                check_fd_type_wf(self.TC, _tyvars_of(env), ty)
+                check_fd_type_wf(self.TC, env_tyvars(env), ty)
                 bty, tb = self.check_expr(env, bound)
                 if not alpha_eq(bty, ty):
                     raise FdTypeError(
@@ -332,7 +314,7 @@ class FdChecker:
                         ARITY_MISMATCH,
                         f"{name!r} expects {len(sc.context)} dictionary "
                         f"arguments, got {len(dict_args)}")
-                tyvars = _tyvars_of(env)
+                tyvars = env_tyvars(env)
                 for ty in type_args:
                     check_fd_type_wf(self.TC, tyvars, ty)
                 inst = dict(zip(sc.binders, type_args))
@@ -461,7 +443,8 @@ def fd_env_wf(sigma, TC, TT):
         for other in sigma[:i]:
             if other.scheme.head.cls != sc.head.cls:
                 continue
-            renaming = _rename_apart(other.scheme.binders, binder_set)
+            renaming = {a: ITyVar(b) for a, b in
+                        rename_apart(other.scheme.binders, binder_set).items()}
             other_head = subst_type(other.scheme.head, renaming)
             vars = binder_set | {t.name for t in renaming.values()} \
                 | (set(other.scheme.binders) - set(renaming))

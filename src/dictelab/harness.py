@@ -22,7 +22,7 @@ from .source_typer import Limits, typecheck_program
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    SrcProgram, TermBind, alpha_eq, plug, subst_type,
+    SrcMono, SrcProgram, TermBind, TgtExpr, alpha_eq, plug, subst_type,
 )
 
 
@@ -34,6 +34,8 @@ class CoherenceReport:
     truncated: bool
     all_kleene_equal: bool
     witness_value: str
+    main_type: SrcMono
+    composed: tuple[TgtExpr, ...]   # composed target elaborations of p
     counterexample: tuple[str, str] | None = None
 
 
@@ -44,6 +46,8 @@ class DecompositionReport:
     count_direct: int
     count_composed: int
     truncated: bool
+    main_type: SrcMono
+    composed: tuple[TgtExpr, ...]
     only_direct: tuple[str, ...] = ()
     only_composed: tuple[str, ...] = ()
 
@@ -64,13 +68,16 @@ class MetaReport:
 def _program_results(p: SrcProgram, limits: Limits, fuel: int):
     """All observable values of p: the intermediate-pipeline values
     (elaborated into the target for comparability) interleaved with the
-    composed target values, then the direct target values."""
+    composed target values, then the direct target values. Also returns
+    the composed target elaborations."""
     r = typecheck_program(p, limits)
     values = []
+    composed = []
     for sigma, ie in r.fd_elabs:
         fd_env_wf(sigma, r.fd_class_env, ())
         checker = FdChecker(sigma, r.fd_class_env)
         _, te = checker.check_expr((), ie)
+        composed.append(te)
         v_fd = fd_eval(sigma, ie, fuel)
         _, te_of_value = checker.check_expr((), v_fd)
         values.append((f"fd value of {S.pretty(ie)}",
@@ -81,7 +88,7 @@ def _program_results(p: SrcProgram, limits: Limits, fuel: int):
         values.append((f"direct target {S.pretty(te)}",
                        target_core.tgt_eval(te, fuel)))
     truncated = r.fd_truncated or r.tgt_truncated
-    return r, values, truncated
+    return r, values, tuple(composed), truncated
 
 
 def check_coherence(p: SrcProgram, limits: Limits = Limits(),
@@ -90,13 +97,14 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
     programs = [p]
     for ctx in contexts or ():
         programs.append(SrcProgram(p.decls, plug(ctx, p.main)))
-    base_r = base_values = None
+    base_r = base_values = base_composed = None
     any_truncated = False
     for i, variant in enumerate(programs):
-        r, values, truncated = _program_results(variant, limits, fuel)
+        r, values, composed, truncated = _program_results(variant, limits,
+                                                          fuel)
         any_truncated |= truncated
         if i == 0:
-            base_r, base_values = r, values
+            base_r, base_values, base_composed = r, values, composed
         first_label, first_value = values[0]
         # All-against-first suffices: equality at a shared witness value.
         for label, value in values[1:]:
@@ -108,6 +116,8 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
                     truncated=any_truncated,
                     all_kleene_equal=False,
                     witness_value=S.pretty(first_value),
+                    main_type=base_r.main_type,
+                    composed=base_composed,
                     counterexample=(first_label, label))
     return CoherenceReport(
         program_name=program_name,
@@ -115,7 +125,9 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
         elab_count_tgt=len(base_r.tgt_elabs),
         truncated=any_truncated,
         all_kleene_equal=True,
-        witness_value=S.pretty(base_values[0][1]))
+        witness_value=S.pretty(base_values[0][1]),
+        main_type=base_r.main_type,
+        composed=base_composed)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +158,8 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
         count_direct=len(direct),
         count_composed=len(composed),
         truncated=r.fd_truncated or r.tgt_truncated,
+        main_type=r.main_type,
+        composed=tuple(composed),
         only_direct=tuple(only_direct),
         only_composed=tuple(only_composed))
 
@@ -344,17 +358,6 @@ def coherence_lines(rep: CoherenceReport) -> list[str]:
         lines.append(f"  first:  {rep.counterexample[0]}")
         lines.append(f"  differs: {rep.counterexample[1]}")
     return lines
-
-
-def coherence_json(rep: CoherenceReport, elaborations, results) -> dict:
-    return {
-        "program": rep.program_name,
-        "type": "Bool",
-        "elaborations": list(elaborations),
-        "results": list(results),
-        "coherent": rep.all_kleene_equal,
-        "truncated": rep.truncated,
-    }
 
 
 def decomposition_lines(rep: DecompositionReport) -> list[str]:

@@ -2,16 +2,22 @@
 
 All judgments of the surface language live here: superclass closure,
 unambiguity, one-way matching, constraint entailment, bidirectional term
-typing, class/instance/program typing and environment elaboration. Every
-elaborating judgment is implemented twice, as two independent code paths:
-one targeting the dictionary-passing intermediate language and one going
-directly to the record-based target. Keeping the paths separate makes the
-decomposition check in the harness a genuine cross-check.
+typing, class/instance/program typing and environment elaboration.
+
+The elaborating judgments `infer`, `check` and `entail` are written once
+and take a term builder: `FdBuilder` emits the dictionary-passing
+intermediate language, `TgtBuilder` goes directly to the record-based
+target. The builders are the only pipeline-specific code and share nothing,
+so the decomposition check in the harness stays a genuine cross-check. The
+typer runs once per builder: the intermediate pipeline picks an instance
+body once per method environment, the direct pipeline at every use.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 Enumeration order is fixed: local dictionary bindings in environment order
 before global instances in declaration order, context constraints resolved
-left to right, Cartesian products in that order.
+left to right, Cartesian products in that order. Every enumeration is lazy
+and pulls at most one alternative past `max_elaborations`, so the cap
+bounds the work, not only the output.
 """
 
 from __future__ import annotations
@@ -25,16 +31,19 @@ from .syntax import (
     SAnn, SApp, SArrow, SBool, SFalse, SHole, SLam, SLet, SMeth, STrue,
     STyVar, SVar,
     FdConstraintScheme, FdClassEntry, FdQ, MethodImpl,
-    DCon, DVar, IApp, IDApp, IDLam, ILam, ILet, IMethod, ITrue, IFalse,
-    ITyApp, ITyLam, IVar, FdExpr, FdType,
-    TApp, TFalse, TLam, TLet, TProj, TRecord, TRecordTy, TTrue, TTyApp,
-    TTyLam, TVar, TgtExpr, TgtType,
-    avoid_name, free_type_vars, subst_type,
+    DCon, DVar, IApp, IArrow, IBool, IDApp, IDLam, IForall, ILam, ILet,
+    IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar, FdExpr,
+    TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
+    TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
+    dict_target_name, env_tyvars, free_type_vars, rename_apart, subst_type,
 )
 from . import syntax as S
 
 
 class SrcTypeError(Exception):
+    """A rejected program. Kind "resource" marks a constraint left
+    unresolved only because the depth or elaboration cap cut its search."""
+
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
@@ -44,14 +53,6 @@ class SrcTypeError(Exception):
 class Limits:
     max_depth: int = 32
     max_elaborations: int = 256
-
-
-@dataclass(frozen=True)
-class ElabSet:
-    """All elaborations of one judgment, in derivation-tree DFS order."""
-    ty: SrcMono
-    alternatives: tuple
-    truncated: bool = False
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,6 @@ class InstEntry:
         return self.scheme.head.cls
 
 
-ClassEnv = tuple  # of ClassEntry
-ProgramCtx = tuple  # of InstEntry
-
-
-def dict_target_name(dvar: str) -> str:
-    # Dictionary variables live in their own namespace; the reserved prefix
-    # keeps them from colliding with source term variables in the target.
-    return "$d_" + dvar
-
-
 # ---------------------------------------------------------------------------
 # Environments
 # ---------------------------------------------------------------------------
@@ -118,10 +109,6 @@ def lookup_term(env, name: str) -> SrcScheme:
         if isinstance(bind, TermBind) and bind.name == name:
             return bind.ty
     raise SrcTypeError("unbound", f"unbound variable {name!r}")
-
-
-def env_tyvars(env) -> set[str]:
-    return {b.name for b in env if isinstance(b, TyVarBind)}
 
 
 def env_dicts(env) -> list[DictBind]:
@@ -216,20 +203,8 @@ def unify_mono(t1: SrcMono, t2: SrcMono, vars: set[str]):
     return subst if go(t1, t2) else None
 
 
-def _rename_apart(binders, avoid):
-    """Deterministically rename binders away from avoid; returns mapping."""
-    taken = set(avoid) | set(binders)
-    mapping = {}
-    for b in binders:
-        if b in avoid:
-            b2 = avoid_name(b, taken)
-            taken.add(b2)
-            mapping[b] = b2
-    return mapping
-
-
 # ---------------------------------------------------------------------------
-# Type elaboration (both backends)
+# Type elaboration
 # ---------------------------------------------------------------------------
 
 def _check_mono_wf(GC, tyvars: set[str], t: SrcMono):
@@ -238,92 +213,169 @@ def _check_mono_wf(GC, tyvars: set[str], t: SrcMono):
             raise SrcTypeError("unbound", f"unbound type variable {a!r}")
 
 
-def elab_mono_fd(GC, tyvars: set[str], t: SrcMono) -> FdType:
+def elab_mono(b, tyvars: set[str], t: SrcMono):
     match t:
         case SBool():
-            return S.IBool()
+            return b.bool_ty
         case STyVar(a):
             if a not in tyvars:
                 raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-            return S.ITyVar(a)
+            return b.ty_var(a)
         case SArrow(l, r):
-            return S.IArrow(elab_mono_fd(GC, tyvars, l),
-                            elab_mono_fd(GC, tyvars, r))
+            return b.arrow_ty(elab_mono(b, tyvars, l), elab_mono(b, tyvars, r))
     raise TypeError(t)
 
 
-def elab_q_fd(GC, tyvars: set[str], q: SrcConstraint) -> FdQ:
-    lookup_class(GC, q.cls)
-    return FdQ(q.cls, elab_mono_fd(GC, tyvars, q.arg))
-
-
-def elab_type_fd(GC, env, s: SrcScheme | SrcMono) -> FdType:
+def elab_type(b, GC, env, s: SrcScheme | SrcMono):
     if isinstance(s, SrcMono):
         s = SrcScheme((), (), s)
     tyvars = env_tyvars(env) | set(s.binders)
-    ty = elab_mono_fd(GC, tyvars, s.head)
+    ty = elab_mono(b, tyvars, s.head)
     for q in reversed(s.context):
-        ty = S.IQArrow(elab_q_fd(GC, tyvars, q), ty)
+        ty = b.qual_ty(b.constraint(GC, tyvars, q), ty)
     for a in reversed(s.binders):
-        ty = S.IForall(a, ty)
-    return ty
-
-
-def elab_mono_tgt(GC, tyvars: set[str], t: SrcMono) -> TgtType:
-    match t:
-        case SBool():
-            return S.TBool()
-        case STyVar(a):
-            if a not in tyvars:
-                raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-            return S.TTyVar(a)
-        case SArrow(l, r):
-            return S.TArrow(elab_mono_tgt(GC, tyvars, l),
-                            elab_mono_tgt(GC, tyvars, r))
-    raise TypeError(t)
-
-
-def elab_q_tgt(GC, tyvars: set[str], q: SrcConstraint) -> TgtType:
-    """A class constraint becomes the single-field record of its method."""
-    entry = lookup_class(GC, q.cls)
-    method_ty = elab_type_tgt(GC, (TyVarBind(entry.var),), entry.scheme)
-    arg = elab_mono_tgt(GC, tyvars, q.arg)
-    return TRecordTy(((entry.method,
-                       subst_type(method_ty, {entry.var: arg})),))
-
-
-def elab_type_tgt(GC, env, s: SrcScheme | SrcMono) -> TgtType:
-    if isinstance(s, SrcMono):
-        s = SrcScheme((), (), s)
-    tyvars = env_tyvars(env) | set(s.binders)
-    ty = elab_mono_tgt(GC, tyvars, s.head)
-    for q in reversed(s.context):
-        ty = S.TArrow(elab_q_tgt(GC, tyvars, q), ty)
-    for a in reversed(s.binders):
-        ty = S.TForall(a, ty)
+        ty = b.forall_ty(a, ty)
     return ty
 
 
 # ---------------------------------------------------------------------------
-# Constraint entailment (both backends)
+# Term builders: the only pipeline-specific code
 # ---------------------------------------------------------------------------
+
+class FdBuilder:
+    """Intermediate-language terms. Dictionaries are first-class values:
+    local ones are dictionary variables, global ones are instance
+    constructors applied to types and dictionaries, and a method call
+    selects from one. Instance bodies are chosen per method environment
+    (see `elab_env`), not here."""
+    bool_ty, ty_var, arrow_ty = IBool(), ITyVar, IArrow
+    qual_ty, forall_ty = IQArrow, IForall
+    true, false = ITrue(), IFalse()
+    app, lam, let, var, method = IApp, ILam, ILet, IVar, IMethod
+    ty_lam, ty_app, dict_lam, dict_app = ITyLam, ITyApp, IDLam, IDApp
+    local_dict = DVar
+
+    @staticmethod
+    def constraint(GC, tyvars: set[str], q: SrcConstraint) -> FdQ:
+        lookup_class(GC, q.cls)
+        return FdQ(q.cls, elab_mono(FdBuilder, tyvars, q.arg))
+
+    @staticmethod
+    def instance(GC, entry: InstEntry, types, arg_lists):
+        """The dictionaries of `entry`, one per context resolution, and
+        whether they are cut."""
+        return (DCon(entry.con, types, tuple(ds)) for ds in arg_lists), False
+
+
+class TgtBuilder:
+    """Target terms. A dictionary is a record with one field per method, a
+    method call is a projection, and a dictionary variable becomes a term
+    variable with a reserved prefix. An instance is expanded over its body
+    elaborations at every use."""
+    bool_ty, ty_var, arrow_ty = TBool(), TTyVar, TArrow
+    qual_ty, forall_ty = TArrow, TForall
+    true, false = TTrue(), TFalse()
+    app, lam, let, var, method = TApp, TLam, TLet, TVar, TProj
+    ty_lam, ty_app, dict_app = TTyLam, TTyApp, TApp
+
+    @staticmethod
+    def constraint(GC, tyvars: set[str], q: SrcConstraint) -> TgtType:
+        """A class constraint becomes the single-field record of its
+        method."""
+        entry = lookup_class(GC, q.cls)
+        method_ty = elab_type(TgtBuilder, GC, (TyVarBind(entry.var),),
+                              entry.scheme)
+        arg = elab_mono(TgtBuilder, tyvars, q.arg)
+        return TRecordTy(((entry.method,
+                           subst_type(method_ty, {entry.var: arg})),))
+
+    @staticmethod
+    def local_dict(dvar: str):
+        return TVar(dict_target_name(dvar))
+
+    @staticmethod
+    def dict_lam(dvar: str, qty: TgtType, body):
+        return TLam(dict_target_name(dvar), qty, body)
+
+    @staticmethod
+    def instance(GC, entry: InstEntry, types, arg_lists):
+        """For each body elaboration of `entry`, its record abstracted over
+        the instance binders and context and applied to each context
+        resolution; cut if the body elaborations were."""
+        def records():
+            inst_vars = set(entry.scheme.binders)
+            meth_vars = inst_vars | set(entry.meth_binders)
+            meth_qtys = [TgtBuilder.constraint(GC, meth_vars, q)
+                         for q in entry.meth_ctx]
+            ctx_qtys = [TgtBuilder.constraint(GC, inst_vars, q)
+                        for q in entry.scheme.context]
+            for body in entry.body_tgt:
+                field = _abstract(TgtBuilder, entry.meth_binders,
+                                  entry.meth_dvars, meth_qtys, body)
+                wrapper = _abstract(TgtBuilder, entry.scheme.binders,
+                                    entry.ctx_dvars, ctx_qtys,
+                                    TRecord(((entry.method, field),)))
+                for args in arg_lists:
+                    yield _instantiate(TgtBuilder, wrapper, types, args)
+        return records(), entry.truncated
+
+
+def _abstract(b, binders, dvars, qtys, body):
+    """Abstract body over the dictionaries dvars of elaborated constraint
+    types qtys, then over binders."""
+    for dv, qty in zip(reversed(dvars), reversed(qtys)):
+        body = b.dict_lam(dv, qty, body)
+    for a in reversed(binders):
+        body = b.ty_lam(a, body)
+    return body
+
+
+def _instantiate(b, head, types, dicts):
+    """Apply head to elaborated types, then to dictionaries."""
+    for ty in types:
+        head = b.ty_app(head, ty)
+    for d in dicts:
+        head = b.dict_app(head, d)
+    return head
+
+
+# ---------------------------------------------------------------------------
+# Constraint entailment
+# ---------------------------------------------------------------------------
+
+def _cap(items, limits: Limits, truncated: bool = False):
+    """The first max_elaborations items of an iterable and whether the
+    enumeration was cut; pulls at most one item more than it keeps."""
+    out = list(itertools.islice(items, limits.max_elaborations + 1))
+    if len(out) > limits.max_elaborations:
+        return out[:limits.max_elaborations], True
+    return out, truncated
+
+
+def _unresolved(truncated: bool, message: str) -> SrcTypeError:
+    """The error for an empty resolution: a resource error when a cap cut
+    the search, since a larger cap might find one."""
+    if truncated:
+        return SrcTypeError("resource",
+                            f"{message} (resolution limit reached)")
+    return SrcTypeError("unsatisfiable", message)
+
 
 def _dedup_alpha(items):
-    out = []
+    seen = []
     for x in items:
-        if not any(S.alpha_eq(x, y) for y in out):
-            out.append(x)
-    return out
+        if not any(S.alpha_eq(x, y) for y in seen):
+            seen.append(x)
+            yield x
 
 
 def _instance_matches(P, q: SrcConstraint):
     """Instances whose head matches q, with the matched types per binder."""
-    found = []
     for entry in P:
         sc = entry.scheme
         if sc.head.cls != q.cls:
             continue
-        renaming = _rename_apart(sc.binders, set(free_type_vars(q.arg)))
+        renaming = rename_apart(sc.binders, set(free_type_vars(q.arg)))
         binders = tuple(renaming.get(b, b) for b in sc.binders)
         mono_renaming = {a: STyVar(b) for a, b in renaming.items()}
         head_arg = subst_type(sc.head.arg, mono_renaming)
@@ -335,107 +387,47 @@ def _instance_matches(P, q: SrcConstraint):
         ctx = tuple(subst_type(subst_type(c, mono_renaming),
                                dict(zip(binders, type_args)))
                     for c in sc.context)
-        found.append((entry, type_args, ctx))
-    return found
+        yield entry, type_args, ctx
 
 
-def entail_fd(P, GC, env, q: SrcConstraint, limits: Limits, depth: int = 0):
-    """All resolutions of q as first-class dictionaries, DFS order."""
+def entail(b, P, GC, env, q: SrcConstraint, limits: Limits, depth: int = 0):
+    """All resolutions of q as dictionaries built by b, in DFS order."""
     if depth >= limits.max_depth:
         return [], True
     truncated = False
-    out = []
-    for bind in env_dicts(env):
-        if bind.q == q:
-            out.append(DVar(bind.name))
-    tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
-    for entry, type_args, ctx in _instance_matches(P, q):
-        arg_lists, t = _entail_many(entail_fd, P, GC, env, ctx, limits, depth + 1)
-        truncated |= t
-        fd_types = tuple(elab_mono_fd(GC, tyvars, t_) for t_ in type_args)
-        for dicts in arg_lists:
-            out.append(DCon(entry.con, fd_types, tuple(dicts)))
-    out = _dedup_alpha(out)
-    if len(out) > limits.max_elaborations:
-        out = out[:limits.max_elaborations]
-        truncated = True
-    return out, truncated
+
+    def resolutions():
+        nonlocal truncated
+        for bind in env_dicts(env):
+            if bind.q == q:
+                yield b.local_dict(bind.name)
+        tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
+        for entry, type_args, ctx in _instance_matches(P, q):
+            arg_lists, t = _entail_all(b, P, GC, env, ctx, limits, depth + 1)
+            types = tuple(elab_mono(b, tyvars, ty) for ty in type_args)
+            dicts, t_bodies = b.instance(GC, entry, types, arg_lists)
+            truncated |= t | t_bodies
+            yield from dicts
+
+    out, cut = _cap(_dedup_alpha(resolutions()), limits)
+    return out, cut or truncated
 
 
-def entail_tgt(P, GC, env, q: SrcConstraint, limits: Limits, depth: int = 0):
-    """All resolutions of q as target record expressions, DFS order."""
-    if depth >= limits.max_depth:
-        return [], True
-    truncated = False
-    out = []
-    for bind in env_dicts(env):
-        if bind.q == q:
-            out.append(TVar(dict_target_name(bind.name)))
-    tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
-    for entry, type_args, ctx in _instance_matches(P, q):
-        arg_lists, t = _entail_many(entail_tgt, P, GC, env, ctx, limits, depth + 1)
-        truncated |= t
-        tgt_types = tuple(elab_mono_tgt(GC, tyvars, t_) for t_ in type_args)
-        truncated |= entry.truncated
-        for body in entry.body_tgt:
-            record = TRecord(((entry.method,
-                               _wrap_method_tgt(GC, entry, body)),))
-            wrapper = _wrap_instance_tgt(GC, entry, record)
-            for args in arg_lists:
-                te = wrapper
-                for ty in tgt_types:
-                    te = TTyApp(te, ty)
-                for a in args:
-                    te = TApp(te, a)
-                out.append(te)
-    out = _dedup_alpha(out)
-    if len(out) > limits.max_elaborations:
-        out = out[:limits.max_elaborations]
-        truncated = True
-    return out, truncated
-
-
-def _entail_many(entail, P, GC, env, qs, limits, depth):
+def _entail_all(b, P, GC, env, qs, limits, depth):
     """Resolve a constraint list left to right; Cartesian product."""
     lists = []
     truncated = False
     for q in qs:
-        alts, t = entail(P, GC, env, q, limits, depth)
+        alts, t = entail(b, P, GC, env, q, limits, depth)
         truncated |= t
         if not alts:
             return [], truncated
         lists.append(alts)
-    product = list(itertools.product(*lists)) if lists else [()]
-    if len(product) > limits.max_elaborations:
-        product = product[:limits.max_elaborations]
-        truncated = True
-    return product, truncated
-
-
-def _wrap_method_tgt(GC, entry: InstEntry, body: TgtExpr) -> TgtExpr:
-    """Wrap an instance body in the method scheme's own binders/constraints."""
-    tyvars = set(entry.scheme.binders) | set(entry.meth_binders)
-    te = body
-    for dv, q in zip(reversed(entry.meth_dvars), reversed(entry.meth_ctx)):
-        te = TLam(dict_target_name(dv), elab_q_tgt(GC, tyvars, q), te)
-    for b in reversed(entry.meth_binders):
-        te = TTyLam(b, te)
-    return te
-
-
-def _wrap_instance_tgt(GC, entry: InstEntry, record: TgtExpr) -> TgtExpr:
-    """Abstract the record over the instance binders and (closed) context."""
-    tyvars = set(entry.scheme.binders)
-    te = record
-    for dv, q in zip(reversed(entry.ctx_dvars), reversed(entry.scheme.context)):
-        te = TLam(dict_target_name(dv), elab_q_tgt(GC, tyvars, q), te)
-    for b in reversed(entry.scheme.binders):
-        te = TTyLam(b, te)
-    return te
+    return _cap(itertools.product(*lists), limits, truncated)
 
 
 # ---------------------------------------------------------------------------
-# Bidirectional term typing with elaboration to the intermediate language
+# Bidirectional term typing with elaboration
 # ---------------------------------------------------------------------------
 
 def _check_no_method_shadow(GC, name: str):
@@ -448,32 +440,27 @@ def _let_dict_vars(name: str, qs) -> tuple[str, ...]:
     return tuple(f"δ{name}{i}" for i in range(1, len(qs) + 1))
 
 
-def _cap(alts, limits, truncated):
-    if len(alts) > limits.max_elaborations:
-        return alts[:limits.max_elaborations], True
-    return alts, truncated
-
-
-def infer_fd(P, GC, env, e: SrcExpr, limits: Limits):
-    """Returns (type, alternatives, truncated)."""
+def infer(b, P, GC, env, e: SrcExpr, limits: Limits):
+    """Returns (type, alternatives built by b, truncated)."""
     match e:
         case STrue():
-            return SBool(), [ITrue()], False
+            return SBool(), [b.true], False
         case SFalse():
-            return SBool(), [IFalse()], False
+            return SBool(), [b.false], False
         case SApp(f, a):
-            fty, falts, t1 = infer_fd(P, GC, env, f, limits)
+            fty, falts, t1 = infer(b, P, GC, env, f, limits)
             if not isinstance(fty, SArrow):
                 raise SrcTypeError(
                     "mismatch",
                     f"applied a non-function of type {S.pretty(fty)}")
-            aalts, t2 = check_fd(P, GC, env, a, fty.left, limits)
-            alts = [IApp(x, y) for x, y in itertools.product(falts, aalts)]
-            alts, trunc = _cap(alts, limits, t1 | t2)
+            aalts, t2 = check(b, P, GC, env, a, fty.left, limits)
+            alts, trunc = _cap(
+                itertools.starmap(b.app, itertools.product(falts, aalts)),
+                limits, t1 | t2)
             return fty.right, alts, trunc
         case SAnn(inner, ty):
             _check_mono_wf(GC, env_tyvars(env), ty)
-            alts, t = check_fd(P, GC, env, inner, ty, limits)
+            alts, t = check(b, P, GC, env, inner, ty, limits)
             return ty, alts, t
         case SLet(x, sch, bound, body):
             _check_no_method_shadow(GC, x)
@@ -482,27 +469,24 @@ def infer_fd(P, GC, env, e: SrcExpr, limits: Limits):
                     "ambiguous",
                     f"ambiguous type scheme for {x!r}: not every bound "
                     f"variable occurs in the head of the type")
-            elab_type_fd(GC, env, sch)  # well-formedness
+            elab_type(b, GC, env, sch)  # well-formedness
             closed = closure(GC, sch.context)
             dvars = _let_dict_vars(x, closed)
             env1 = (tuple(env)
                     + tuple(TyVarBind(a) for a in sch.binders)
                     + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            balts, t1 = check_fd(P, GC, env1, bound, sch.head, limits)
+            balts, t1 = check(b, P, GC, env1, bound, sch.head, limits)
             closed_scheme = SrcScheme(sch.binders, closed, sch.head)
             env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, alts2, t2 = infer_fd(P, GC, env2, body, limits)
-            tyvars1 = env_tyvars(env1)
-            bound_ty = elab_type_fd(GC, env, closed_scheme)
-            out = []
-            for ib, ie2 in itertools.product(balts, alts2):
-                wrapped = ib
-                for dv, q in zip(reversed(dvars), reversed(closed)):
-                    wrapped = IDLam(dv, elab_q_fd(GC, tyvars1, q), wrapped)
-                for a in reversed(sch.binders):
-                    wrapped = ITyLam(a, wrapped)
-                out.append(ILet(x, bound_ty, wrapped, ie2))
-            out, trunc = _cap(out, limits, t1 | t2)
+            bty, alts2, t2 = infer(b, P, GC, env2, body, limits)
+            bound_ty = elab_type(b, GC, env, closed_scheme)
+            qtys = [b.constraint(GC, env_tyvars(env1), q) for q in closed]
+            wrapped = [_abstract(b, sch.binders, dvars, qtys, e1)
+                       for e1 in balts]
+            out, trunc = _cap(
+                (b.let(x, bound_ty, e1, e2)
+                 for e1, e2 in itertools.product(wrapped, alts2)),
+                limits, t1 | t2)
             return bty, out, trunc
         case SVar(name) | SMeth(name):
             raise SrcTypeError(
@@ -516,8 +500,8 @@ def infer_fd(P, GC, env, e: SrcExpr, limits: Limits):
     raise TypeError(e)
 
 
-def check_fd(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
-    """Returns (alternatives, truncated)."""
+def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
+    """Returns (alternatives built by b, truncated)."""
     match e:
         case SVar(name):
             sch = _freshen_scheme(lookup_term(env, name),
@@ -527,25 +511,18 @@ def check_fd(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                 raise SrcTypeError(
                     "mismatch",
                     f"{name!r} cannot be used at type {S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            type_args = [sigma[b] for b in sch.binders]
-            arg_lists, truncated = _entail_many(
-                entail_fd, P, GC, env,
+            arg_lists, truncated = _entail_all(
+                b, P, GC, env,
                 [subst_type(q, sigma) for q in sch.context], limits, 0)
             if not arg_lists:
-                raise SrcTypeError(
-                    "unsatisfiable",
+                raise _unresolved(
+                    truncated,
                     f"cannot satisfy the constraints of {name!r} at "
                     f"{S.pretty(ty)}")
-            out = []
-            for dicts in arg_lists:
-                ie: FdExpr = IVar(name)
-                for t in type_args:
-                    ie = ITyApp(ie, elab_mono_fd(GC, tyvars, t))
-                for d in dicts:
-                    ie = IDApp(ie, d)
-                out.append(ie)
-            return _cap(out, limits, truncated)
+            tyvars = env_tyvars(env) | set(free_type_vars(ty))
+            types = [elab_mono(b, tyvars, sigma[a]) for a in sch.binders]
+            return ([_instantiate(b, b.var(name), types, ds)
+                     for ds in arg_lists], truncated)
         case SMeth(name):
             entry = lookup_method(GC, name)
             full = SrcScheme((entry.var,) + entry.scheme.binders,
@@ -560,30 +537,23 @@ def check_fd(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                 raise SrcTypeError(
                     "mismatch",
                     f"method {name!r} cannot be used at type {S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
             class_q = SrcConstraint(entry.cls, sigma[class_var])
-            d_alts, t0 = entail_fd(P, GC, env, class_q, limits, 0)
+            d_alts, t0 = entail(b, P, GC, env, class_q, limits)
             if not d_alts:
-                raise SrcTypeError(
-                    "unsatisfiable",
-                    f"cannot resolve {S.pretty(class_q)} for method {name!r}")
-            arg_lists, t1 = _entail_many(
-                entail_fd, P, GC, env,
+                raise _unresolved(
+                    t0, f"cannot resolve {S.pretty(class_q)} for method "
+                        f"{name!r}")
+            arg_lists, t1 = _entail_all(
+                b, P, GC, env,
                 [subst_type(q, sigma) for q in full.context], limits, 0)
             if not arg_lists:
-                raise SrcTypeError(
-                    "unsatisfiable",
-                    f"cannot satisfy the constraints of method {name!r}")
-            out = []
-            for d in d_alts:
-                for dicts in arg_lists:
-                    ie: FdExpr = IMethod(d, name)
-                    for b in meth_binders:
-                        ie = ITyApp(ie, elab_mono_fd(GC, tyvars, sigma[b]))
-                    for dd in dicts:
-                        ie = IDApp(ie, dd)
-                    out.append(ie)
-            return _cap(out, limits, t0 | t1)
+                raise _unresolved(
+                    t1, f"cannot satisfy the constraints of method {name!r}")
+            tyvars = env_tyvars(env) | set(free_type_vars(ty))
+            types = [elab_mono(b, tyvars, sigma[a]) for a in meth_binders]
+            return _cap((_instantiate(b, b.method(d, name), types, ds)
+                         for d in d_alts for ds in arg_lists),
+                        limits, t0 | t1)
         case SLam(x, body):
             _check_no_method_shadow(GC, x)
             if not isinstance(ty, SArrow):
@@ -591,11 +561,11 @@ def check_fd(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"lambda checked against non-function type {S.pretty(ty)}")
             env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            alts, truncated = check_fd(P, GC, env1, body, ty.right, limits)
-            arg_ty = elab_mono_fd(GC, env_tyvars(env), ty.left)
-            return [ILam(x, arg_ty, b) for b in alts], truncated
+            alts, truncated = check(b, P, GC, env1, body, ty.right, limits)
+            arg_ty = elab_mono(b, env_tyvars(env), ty.left)
+            return [b.lam(x, arg_ty, e1) for e1 in alts], truncated
         case _:
-            ity, alts, truncated = infer_fd(P, GC, env, e, limits)
+            ity, alts, truncated = infer(b, P, GC, env, e, limits)
             if ity != ty:
                 raise SrcTypeError(
                     "mismatch",
@@ -604,164 +574,13 @@ def check_fd(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
 
 
 def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
-    renaming = _rename_apart(sch.binders, avoid)
+    renaming = rename_apart(sch.binders, avoid)
     if not renaming:
         return sch
     mono_renaming = {a: STyVar(b) for a, b in renaming.items()}
     return SrcScheme(tuple(renaming.get(b, b) for b in sch.binders),
                      tuple(subst_type(q, mono_renaming) for q in sch.context),
                      subst_type(sch.head, mono_renaming))
-
-
-# ---------------------------------------------------------------------------
-# Bidirectional term typing with direct elaboration to the target
-# ---------------------------------------------------------------------------
-
-def infer_tgt(P, GC, env, e: SrcExpr, limits: Limits):
-    match e:
-        case STrue():
-            return SBool(), [TTrue()], False
-        case SFalse():
-            return SBool(), [TFalse()], False
-        case SApp(f, a):
-            fty, falts, t1 = infer_tgt(P, GC, env, f, limits)
-            if not isinstance(fty, SArrow):
-                raise SrcTypeError(
-                    "mismatch",
-                    f"applied a non-function of type {S.pretty(fty)}")
-            aalts, t2 = check_tgt(P, GC, env, a, fty.left, limits)
-            alts = [TApp(x, y) for x, y in itertools.product(falts, aalts)]
-            alts, trunc = _cap(alts, limits, t1 | t2)
-            return fty.right, alts, trunc
-        case SAnn(inner, ty):
-            _check_mono_wf(GC, env_tyvars(env), ty)
-            alts, t = check_tgt(P, GC, env, inner, ty, limits)
-            return ty, alts, t
-        case SLet(x, sch, bound, body):
-            _check_no_method_shadow(GC, x)
-            if not unambig_scheme(sch):
-                raise SrcTypeError(
-                    "ambiguous",
-                    f"ambiguous type scheme for {x!r}: not every bound "
-                    f"variable occurs in the head of the type")
-            elab_type_tgt(GC, env, sch)
-            closed = closure(GC, sch.context)
-            dvars = _let_dict_vars(x, closed)
-            env1 = (tuple(env)
-                    + tuple(TyVarBind(a) for a in sch.binders)
-                    + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            balts, t1 = check_tgt(P, GC, env1, bound, sch.head, limits)
-            closed_scheme = SrcScheme(sch.binders, closed, sch.head)
-            env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, alts2, t2 = infer_tgt(P, GC, env2, body, limits)
-            tyvars1 = env_tyvars(env1)
-            bound_ty = elab_type_tgt(GC, env, closed_scheme)
-            out = []
-            for tb, te2 in itertools.product(balts, alts2):
-                wrapped = tb
-                for dv, q in zip(reversed(dvars), reversed(closed)):
-                    wrapped = TLam(dict_target_name(dv),
-                                   elab_q_tgt(GC, tyvars1, q), wrapped)
-                for a in reversed(sch.binders):
-                    wrapped = TTyLam(a, wrapped)
-                out.append(TLet(x, bound_ty, wrapped, te2))
-            out, trunc = _cap(out, limits, t1 | t2)
-            return bty, out, trunc
-        case SVar(name) | SMeth(name):
-            raise SrcTypeError(
-                "not-inferable",
-                f"head {name!r} not inferable - annotate its use")
-        case SLam():
-            raise SrcTypeError(
-                "not-inferable", "cannot infer a lambda - annotate it")
-        case SHole():
-            raise SrcTypeError("not-inferable", "hole outside a context file")
-    raise TypeError(e)
-
-
-def check_tgt(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
-    match e:
-        case SVar(name):
-            sch = _freshen_scheme(lookup_term(env, name),
-                                  set(free_type_vars(ty)))
-            sigma = match_mono(sch.head, set(sch.binders), ty)
-            if sigma is None:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"{name!r} cannot be used at type {S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            arg_lists, truncated = _entail_many(
-                entail_tgt, P, GC, env,
-                [subst_type(q, sigma) for q in sch.context], limits, 0)
-            if not arg_lists:
-                raise SrcTypeError(
-                    "unsatisfiable",
-                    f"cannot satisfy the constraints of {name!r} at "
-                    f"{S.pretty(ty)}")
-            out = []
-            for args in arg_lists:
-                te: TgtExpr = TVar(name)
-                for b in sch.binders:
-                    te = TTyApp(te, elab_mono_tgt(GC, tyvars, sigma[b]))
-                for a in args:
-                    te = TApp(te, a)
-                out.append(te)
-            return _cap(out, limits, truncated)
-        case SMeth(name):
-            entry = lookup_method(GC, name)
-            full = SrcScheme((entry.var,) + entry.scheme.binders,
-                             entry.scheme.context, entry.scheme.head)
-            if not unambig_scheme(full):
-                raise SrcTypeError(
-                    "ambiguous", f"ambiguous method scheme for {name!r}")
-            full = _freshen_scheme(full, set(free_type_vars(ty)))
-            class_var, meth_binders = full.binders[0], full.binders[1:]
-            sigma = match_mono(full.head, set(full.binders), ty)
-            if sigma is None:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"method {name!r} cannot be used at type {S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            class_q = SrcConstraint(entry.cls, sigma[class_var])
-            d_alts, t0 = entail_tgt(P, GC, env, class_q, limits, 0)
-            if not d_alts:
-                raise SrcTypeError(
-                    "unsatisfiable",
-                    f"cannot resolve {S.pretty(class_q)} for method {name!r}")
-            arg_lists, t1 = _entail_many(
-                entail_tgt, P, GC, env,
-                [subst_type(q, sigma) for q in full.context], limits, 0)
-            if not arg_lists:
-                raise SrcTypeError(
-                    "unsatisfiable",
-                    f"cannot satisfy the constraints of method {name!r}")
-            out = []
-            for d in d_alts:
-                for args in arg_lists:
-                    te: TgtExpr = TProj(d, name)
-                    for b in meth_binders:
-                        te = TTyApp(te, elab_mono_tgt(GC, tyvars, sigma[b]))
-                    for a in args:
-                        te = TApp(te, a)
-                    out.append(te)
-            return _cap(out, limits, t0 | t1)
-        case SLam(x, body):
-            _check_no_method_shadow(GC, x)
-            if not isinstance(ty, SArrow):
-                raise SrcTypeError(
-                    "mismatch",
-                    f"lambda checked against non-function type {S.pretty(ty)}")
-            env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            alts, truncated = check_tgt(P, GC, env1, body, ty.right, limits)
-            arg_ty = elab_mono_tgt(GC, env_tyvars(env), ty.left)
-            return [TLam(x, arg_ty, b) for b in alts], truncated
-        case _:
-            ity, alts, truncated = infer_tgt(P, GC, env, e, limits)
-            if ity != ty:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"inferred {S.pretty(ity)} but expected {S.pretty(ty)}")
-            return alts, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +619,7 @@ def typecheck_class(GC, d: ClassDecl) -> ClassEntry:
         raise SrcTypeError(
             "duplicate", f"method scheme rebinds the class variable {d.var!r}")
     # Well-scopedness of the method type under the class variable.
-    elab_type_fd(GC, (TyVarBind(d.var),), d.method_scheme)
+    elab_type(FdBuilder, GC, (TyVarBind(d.var),), d.method_scheme)
     head_fvs = set(free_type_vars(d.method_scheme.head))
     missing = ({d.var} | set(d.method_scheme.binders)) - head_fvs
     if missing:
@@ -821,7 +640,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
     binders = tuple(free_type_vars(d.head))
     tyvar_env = tuple(TyVarBind(b) for b in binders)
     for q in d.context:
-        elab_q_fd(GC, set(binders), q)  # well-scoped, class declared
+        FdBuilder.constraint(GC, set(binders), q)  # well-scoped, declared
     closed = closure(GC, d.context)
     con = f"D{len(P) + 1}_{d.cls}"
     head_q = SrcConstraint(d.cls, d.head)
@@ -833,7 +652,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
     for other in P:
         if other.cls != d.cls:
             continue
-        renaming = _rename_apart(other.scheme.binders, set(binders))
+        renaming = rename_apart(other.scheme.binders, set(binders))
         other_head = subst_type(other.scheme.head.arg,
                                 {a: STyVar(b) for a, b in renaming.items()})
         vars = set(binders) | {renaming.get(b, b)
@@ -862,19 +681,20 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                          for dv, q in zip(meth_dvars, meth_ctx)))
     # Superclass constraints of the class must hold at the instance type.
     for sup in cls.superclasses:
-        alts, _ = entail_fd(P, GC, local_env,
-                            SrcConstraint(sup, d.head), limits)
+        alts, truncated = entail(FdBuilder, P, GC, local_env,
+                                 SrcConstraint(sup, d.head), limits)
         if not alts:
-            raise SrcTypeError(
-                "unsatisfiable",
+            raise _unresolved(
+                truncated,
                 f"superclass {sup!r} of {d.cls!r} is not derivable at "
                 f"{S.pretty(d.head)}")
     body = resolve_names(GC, d.body)
-    body_fd, t1 = check_fd(P, GC, local_env, body, meth_head, limits)
-    body_tgt, t2 = check_tgt(P, GC, local_env, body, meth_head, limits)
+    body_fd, t1 = check(FdBuilder, P, GC, local_env, body, meth_head, limits)
+    body_tgt, t2 = check(TgtBuilder, P, GC, local_env, body, meth_head,
+                         limits)
     if not body_fd or not body_tgt:
-        raise SrcTypeError(
-            "unsatisfiable", f"instance body for {con!r} has no elaboration")
+        raise _unresolved(
+            t1 | t2, f"instance body for {con!r} has no elaboration")
     return InstEntry(con=con, scheme=scheme, method=d.method,
                      local_env=local_env, body=body,
                      ctx_dvars=ctx_dvars, meth_binders=meth_sch.binders,
@@ -891,81 +711,45 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
 def elab_class_env(GC) -> tuple[FdClassEntry, ...]:
     return tuple(
         FdClassEntry(entry.method, entry.cls, entry.var,
-                     elab_type_fd(GC, (TyVarBind(entry.var),), entry.scheme))
+                     elab_type(FdBuilder, GC, (TyVarBind(entry.var),),
+                               entry.scheme))
         for entry in GC)
 
 
-def elab_typing_env(GC, env) -> tuple:
-    out = []
-    for bind in env:
-        if isinstance(bind, TermBind):
-            out.append(TermBind(bind.name, elab_type_fd(GC, env, bind.ty)))
-        elif isinstance(bind, TyVarBind):
-            out.append(bind)
-        else:
-            out.append(DictBind(bind.name,
-                                elab_q_fd(GC, env_tyvars(env), bind.q)))
-    return tuple(out)
-
-
 def _wrap_impl_fd(GC, entry: InstEntry, body: FdExpr) -> FdExpr:
-    tyvars = set(entry.scheme.binders) | set(entry.meth_binders)
-    ie = body
-    for dv, q in zip(reversed(entry.meth_dvars), reversed(entry.meth_ctx)):
-        ie = IDLam(dv, elab_q_fd(GC, tyvars, q), ie)
-    for b in reversed(entry.meth_binders):
-        ie = ITyLam(b, ie)
-    inst_tyvars = set(entry.scheme.binders)
-    for dv, q in zip(reversed(entry.ctx_dvars), reversed(entry.scheme.context)):
-        ie = IDLam(dv, elab_q_fd(GC, inst_tyvars, q), ie)
-    for b in reversed(entry.scheme.binders):
-        ie = ITyLam(b, ie)
-    return ie
+    """Abstract a body over the method's, then the instance's, binders and
+    dictionaries."""
+    inst_vars = set(entry.scheme.binders)
+    meth_vars = inst_vars | set(entry.meth_binders)
+    meth_qtys = [FdBuilder.constraint(GC, meth_vars, q)
+                 for q in entry.meth_ctx]
+    ctx_qtys = [FdBuilder.constraint(GC, inst_vars, q)
+                for q in entry.scheme.context]
+    ie = _abstract(FdBuilder, entry.meth_binders, entry.meth_dvars,
+                   meth_qtys, body)
+    return _abstract(FdBuilder, entry.scheme.binders, entry.ctx_dvars,
+                     ctx_qtys, ie)
 
 
 def elab_constraint_scheme_fd(GC, sc: SrcConstraintScheme) -> FdConstraintScheme:
     tyvars = set(sc.binders)
     return FdConstraintScheme(
         sc.binders,
-        tuple(elab_q_fd(GC, tyvars, q) for q in sc.context),
-        elab_q_fd(GC, tyvars, sc.head))
+        tuple(FdBuilder.constraint(GC, tyvars, q) for q in sc.context),
+        FdBuilder.constraint(GC, tyvars, sc.head))
 
 
-def elab_env(P, GC, env, limits: Limits):
-    """All method-environment variants plus the deterministic class and
-    typing environments. Variants differ only in instance-body choices."""
-    TC = elab_class_env(GC)
-    TT = elab_typing_env(GC, env)
-    per_entry = []
-    truncated = False
-    for entry in P:
-        truncated |= entry.truncated
-        impls = [MethodImpl(entry.con,
-                            elab_constraint_scheme_fd(GC, entry.scheme),
-                            entry.method,
-                            _wrap_impl_fd(GC, entry, body))
-                 for body in entry.body_fd]
-        per_entry.append(impls)
-    variants = [tuple(combo) for combo in itertools.product(*per_entry)] \
-        if per_entry else [()]
-    if len(variants) > limits.max_elaborations:
-        variants = variants[:limits.max_elaborations]
-        truncated = True
-    return variants, TC, TT, truncated
-
-
-def elab_env_tgt(P, GC, env) -> tuple:
-    """Deterministic target environment translation."""
-    out = []
-    for bind in env:
-        if isinstance(bind, TermBind):
-            out.append(TermBind(bind.name, elab_type_tgt(GC, env, bind.ty)))
-        elif isinstance(bind, TyVarBind):
-            out.append(bind)
-        else:
-            out.append(TermBind(dict_target_name(bind.name),
-                                elab_q_tgt(GC, env_tyvars(env), bind.q)))
-    return tuple(out)
+def elab_env(P, GC, limits: Limits):
+    """All method-environment variants plus the class environment.
+    Variants differ only in instance-body choices."""
+    per_entry = [[MethodImpl(entry.con,
+                             elab_constraint_scheme_fd(GC, entry.scheme),
+                             entry.method, _wrap_impl_fd(GC, entry, body))
+                  for body in entry.body_fd]
+                 for entry in P]
+    variants, truncated = _cap(itertools.product(*per_entry), limits,
+                               any(entry.truncated for entry in P))
+    return variants, elab_class_env(GC), truncated
 
 
 # ---------------------------------------------------------------------------
@@ -995,21 +779,13 @@ def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult
         else:
             P = P + (typecheck_instance(P, GC, d, limits),)
     main = resolve_names(GC, p.main)
-    fd_ty, fd_main, t_fd = infer_fd(P, GC, (), main, limits)
-    tgt_ty, tgt_main, t_tgt = infer_tgt(P, GC, (), main, limits)
-    if fd_ty != tgt_ty:
-        raise SrcTypeError(
-            "mismatch",
-            "the two elaboration pipelines disagree on the program type: "
-            f"{S.pretty(fd_ty)} vs {S.pretty(tgt_ty)}")
-    sigmas, TC, _, t_env = elab_env(P, GC, (), limits)
-    fd_elabs = tuple((sigma, ie)
-                     for sigma in sigmas for ie in fd_main)
-    truncated = t_fd | t_env
-    if len(fd_elabs) > limits.max_elaborations:
-        fd_elabs = fd_elabs[:limits.max_elaborations]
-        truncated = True
+    main_type, fd_main, t_fd = infer(FdBuilder, P, GC, (), main, limits)
+    _, tgt_main, t_tgt = infer(TgtBuilder, P, GC, (), main, limits)
+    sigmas, TC, t_env = elab_env(P, GC, limits)
+    fd_elabs, truncated = _cap(((sigma, ie)
+                                for sigma in sigmas for ie in fd_main),
+                               limits, t_fd | t_env)
     return ProgramResult(
-        main_type=fd_ty, GC=GC, P=P,
-        fd_elabs=fd_elabs, fd_class_env=TC, fd_truncated=truncated,
+        main_type=main_type, GC=GC, P=P,
+        fd_elabs=tuple(fd_elabs), fd_class_env=TC, fd_truncated=truncated,
         tgt_elabs=tuple(tgt_main), tgt_truncated=t_tgt)

@@ -286,10 +286,6 @@ class MethodImpl:
     impl: FdExpr
 
 
-# The method environment is an ordered tuple of MethodImpl entries; the order
-# matters because constructor implementations may only use earlier entries.
-MethodEnv = tuple
-
 
 @dataclass(frozen=True)
 class FdClassEntry:
@@ -429,25 +425,24 @@ class DictBind:
     q: object
 
 
+def env_tyvars(env) -> set[str]:
+    """The type variables an environment binds."""
+    return {b.name for b in env if isinstance(b, TyVarBind)}
+
+
+def dict_target_name(dvar: str) -> str:
+    """The target term variable of a dictionary variable.
+
+    Dictionary variables live in their own namespace; the reserved prefix
+    keeps them from colliding with source term variables in the target.
+    Both pipelines must name dictionaries alike for decomposition to hold.
+    """
+    return "$d_" + dvar
+
+
 # ---------------------------------------------------------------------------
 # Fresh names
 # ---------------------------------------------------------------------------
-
-class FreshSupply:
-    """Deterministic per-namespace name supply.
-
-    Namespaces keep term, type and dictionary variables apart. Two runs that
-    perform the same traversal draw the same names.
-    """
-
-    def __init__(self):
-        self._counters: dict[str, int] = {}
-
-    def fresh(self, namespace: str, base: str = "") -> str:
-        n = self._counters.get(namespace, 0) + 1
-        self._counters[namespace] = n
-        return f"{base or namespace}{n}"
-
 
 def avoid_name(base: str, taken) -> str:
     """Smallest primed variant of base not in taken."""
@@ -455,6 +450,18 @@ def avoid_name(base: str, taken) -> str:
     while candidate in taken:
         candidate += "'"
     return candidate
+
+
+def rename_apart(binders, avoid) -> dict[str, str]:
+    """Deterministically rename the binders in avoid; returns the mapping."""
+    taken = set(avoid) | set(binders)
+    mapping = {}
+    for b in binders:
+        if b in avoid:
+            b2 = avoid_name(b, taken)
+            taken.add(b2)
+            mapping[b] = b2
+    return mapping
 
 
 # ---------------------------------------------------------------------------

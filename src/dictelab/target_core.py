@@ -15,7 +15,7 @@ from .syntax import (
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, subst_tgt_var, subst_type,
+    alpha_eq, env_tyvars, subst_tgt_var, subst_type,
 )
 from . import syntax as S
 from .fd_core import FuelExhausted
@@ -27,10 +27,6 @@ class TgtTypeError(Exception):
 
     def __str__(self):
         return self.detail
-
-
-def _tyvars_of(env) -> set[str]:
-    return {b.name for b in env if isinstance(b, TyVarBind)}
 
 
 def check_tgt_type_wf(tyvars: set[str], t: TgtType):
@@ -62,7 +58,7 @@ def tgt_typecheck(env, e: TgtExpr) -> TgtType:
                     return bind.ty
             raise TgtTypeError(f"unbound variable {x!r}")
         case TLam(x, ty, body):
-            check_tgt_type_wf(_tyvars_of(env), ty)
+            check_tgt_type_wf(env_tyvars(env), ty)
             bty = tgt_typecheck(tuple(env) + (TermBind(x, ty),), body)
             return TArrow(ty, bty)
         case TApp(f, a):
@@ -84,7 +80,7 @@ def tgt_typecheck(env, e: TgtExpr) -> TgtType:
             if not isinstance(fty, TForall):
                 raise TgtTypeError(
                     f"type applied to non-polymorphic type {S.pretty(fty)}")
-            check_tgt_type_wf(_tyvars_of(env), ty)
+            check_tgt_type_wf(env_tyvars(env), ty)
             return subst_type(fty.body, {fty.var: ty})
         case TRecord(fields):
             labels = [l for l, _ in fields]
@@ -102,7 +98,7 @@ def tgt_typecheck(env, e: TgtExpr) -> TgtType:
                     return ty
             raise TgtTypeError(f"record has no field {label!r}")
         case TLet(x, ty, bound, body):
-            check_tgt_type_wf(_tyvars_of(env), ty)
+            check_tgt_type_wf(env_tyvars(env), ty)
             bty = tgt_typecheck(env, bound)
             if not alpha_eq(bty, ty):
                 raise TgtTypeError(

@@ -29,6 +29,45 @@ def corpus_result(name: str):
     return typecheck_program(corpus_program(name), Limits())
 
 
+# Ladder programs, as the benchmark builds them (perfbench/workloads.py)
+# with fixed names.
+
+EQ = ("class Eq a where { eq : a -> a -> Bool };\n"
+      "instance Eq Bool where { eq = \\x. \\y. True };\n")
+
+
+def flex_source(n: int) -> str:
+    """n nested flexible lets: 2^n elaborations."""
+    lets = "".join(f"let f{i} : Eq Bool => Bool -> Bool = "
+                   f"\\n. (eq :: Bool -> Bool -> Bool) n n in\n"
+                   for i in range(n))
+    main_ = "True"
+    for i in range(n):
+        main_ = f"(f{i} :: Bool -> Bool) ({main_})"
+    return EQ + lets + main_
+
+
+def wide_source(k: int) -> str:
+    """A caller with 15 local Eq Bool dictionaries calls g : (Eq Bool x k)."""
+    need = ", ".join(["Eq Bool"] * k)
+    local = ", ".join(["Eq Bool"] * 15)
+    return (EQ
+            + f"let f : ({need}) => Bool -> Bool = \\n. n in\n"
+            + f"let g : ({local}) => Bool -> Bool = "
+              f"\\n. (f :: Bool -> Bool) n in\n"
+            + "(g :: Bool -> Bool) True")
+
+
+def tower_source(d: int) -> str:
+    """Eq at a function type nested d deep: one elaboration."""
+    t = "Bool"
+    for _ in range(d):
+        t = f"({t} -> {t})"
+    return (EQ
+            + "instance Eq a => Eq (a -> a) where { eq = \\n. \\f. True };\n"
+            + f"(eq :: {t} -> {t} -> Bool)")
+
+
 def corpus_contexts():
     return [parse_context(p.read_text())
             for p in sorted((CORPUS / "contexts").glob("*.ctx"))]

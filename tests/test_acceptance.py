@@ -20,8 +20,8 @@ from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, generate_fd_term)
 from dictelab.parser import parse_program
 from dictelab.reader import read_fixture
-from dictelab.source_typer import (Limits, SrcTypeError, closure,
-                                   elab_type_fd, typecheck_program)
+from dictelab.source_typer import (FdBuilder, Limits, SrcTypeError, closure,
+                                   elab_type, typecheck_program)
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl, SrcConstraint)
 from dictelab.target_core import kleene_eq, tgt_eval
@@ -115,7 +115,7 @@ def test_criterion_6_semantic_preservation():
 def test_criterion_7_elaborations_welltyped_at_translated_type():
     for name in POSITIVE:
         r = corpus_result(name)
-        expected = elab_type_fd(r.GC, (), r.main_type)
+        expected = elab_type(FdBuilder, r.GC, (), r.main_type)
         for sigma, ie in r.fd_elabs:
             ty, _ = fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
             assert S.alpha_eq(ty, expected), name

@@ -102,6 +102,40 @@ def test_run_fuel_limit(capsys):
 
 
 # ---------------------------------------------------------------------------
+# Resource limits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cmd", ["check", "elaborate", "run", "meta"])
+def test_truncated_enumeration_prints_then_exits_3(capsys, cmd):
+    code, out, _ = run_cli(capsys, cmd, src("P3"), "--max-elaborations", "1")
+    _, full, _ = run_cli(capsys, cmd, src("P3"))
+    assert code == 3
+    if cmd == "check":
+        assert out == "main : Bool\n1 class(es), 1 instance(s), " \
+                      "1 elaboration(s)\n"
+    else:  # the kept elaborations print as without the cap
+        assert out and full.startswith(out)
+
+
+def test_cap_emptied_resolution_exits_3(capsys):
+    code, out, err = run_cli(capsys, "check", src("P4"), "--max-depth", "1")
+    assert code == 3 and out == ""
+    assert "resolution limit" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--max-elaborations", "0"),
+                                        ("--max-elaborations", "-1"),
+                                        ("--max-depth", "0"),
+                                        ("--fuel", "-1"),
+                                        ("--fuel", "x")])
+def test_out_of_range_limits_are_rejected(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", src("P1"), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # coherence / decompose / meta
 # ---------------------------------------------------------------------------
 

@@ -25,12 +25,9 @@ import pytest
 
 from dictelab.cli import main
 
-from conftest import corpus_text
+from conftest import corpus_text, flex_source, tower_source, wide_source
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-
-EQ = ("class Eq a where { eq : a -> a -> Bool };\n"
-      "instance Eq Bool where { eq = \\x. \\y. True };\n")
 
 ORD = ("class Eq a where { eq : a -> a -> Bool }; "
        "class Ord a where { le : a -> a -> Bool }; "
@@ -38,37 +35,6 @@ ORD = ("class Eq a where { eq : a -> a -> Bool }; "
        "instance Eq Bool => Ord Bool where "
        "{ le = \\x. \\y. (eq :: Bool -> Bool -> Bool) x y };\n")
 LE = "(le :: Bool -> Bool -> Bool)"
-
-
-def flex_source(n: int) -> str:
-    """n nested flexible lets: 2^n elaborations."""
-    lets = "".join(f"let f{i} : Eq Bool => Bool -> Bool = "
-                   f"\\n. (eq :: Bool -> Bool -> Bool) n n in\n"
-                   for i in range(n))
-    main_ = "True"
-    for i in range(n):
-        main_ = f"(f{i} :: Bool -> Bool) ({main_})"
-    return EQ + lets + main_
-
-
-def wide_source(k: int) -> str:
-    """A caller with 15 local Eq Bool dictionaries calls g : (Eq Bool x k)."""
-    need = ", ".join(["Eq Bool"] * k)
-    local = ", ".join(["Eq Bool"] * 15)
-    return (EQ
-            + f"let f : ({need}) => Bool -> Bool = \\n. n in\n"
-            + f"let g : ({local}) => Bool -> Bool = "
-              f"\\n. (f :: Bool -> Bool) n in\n"
-            + "(g :: Bool -> Bool) True")
-
-
-def tower_source(d: int) -> str:
-    """Eq at a function type nested d deep: one elaboration."""
-    t = "Bool"
-    for _ in range(d):
-        t = f"({t} -> {t})"
-    return (EQ + "instance Eq a => Eq (a -> a) where { eq = \\n. \\f. True };\n"
-            + f"(eq :: {t} -> {t} -> Bool)")
 
 
 def programs() -> dict[str, tuple[str, list[str]]]:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dictelab import syntax as S
+from dictelab import source_typer, syntax as S
 from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, closed_dicts, coherence_lines,
                               decomposition_lines, generate_fd_term,
@@ -61,6 +61,25 @@ def test_decomposition_counts_match_typechecker():
     r = corpus_result("P2")
     rep = check_decomposition(corpus_program("P2"))
     assert rep.count_composed == len(r.fd_elabs) == 2
+
+
+# Mutation checks: a wrong dictionary from either builder must break the
+# commuting square. In P3 the let body resolves Eq Bool through its local
+# dictionary or through the global instance.
+
+def test_decomposition_catches_wrong_intermediate_dictionary(monkeypatch):
+    monkeypatch.setattr(source_typer.FdBuilder, "local_dict",
+                        lambda dvar: S.DCon("D1_Eq", (), ()))
+    rep = check_decomposition(corpus_program("P3"))
+    assert not rep.equal
+
+
+def test_decomposition_catches_wrong_target_dictionary(monkeypatch):
+    never = S.TLam("x", S.TBool(), S.TLam("y", S.TBool(), S.TFalse()))
+    monkeypatch.setattr(source_typer.TgtBuilder, "local_dict",
+                        lambda dvar: S.TRecord((("eq", never),)))
+    rep = check_decomposition(corpus_program("P3"))
+    assert not rep.equal
 
 
 def test_decomposition_report_lines():

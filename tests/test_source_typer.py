@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,17 +10,16 @@ from hypothesis import strategies as st
 from dictelab import fd_core, syntax as S
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
-    ClassEntry, Limits, SrcTypeError, check_fd, check_tgt, closure,
-    elab_type_fd, elab_type_tgt, entail_fd, entail_tgt, infer_fd, infer_tgt,
-    match_mono, typecheck_class, typecheck_instance, typecheck_program,
-    unambig_constraint, unambig_scheme, unify_mono,
+    ClassEntry, FdBuilder, Limits, SrcTypeError, TgtBuilder, check, closure,
+    elab_type, entail, infer, match_mono, typecheck_class, typecheck_instance,
+    typecheck_program, unambig_constraint, unambig_scheme, unify_mono,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
     SrcConstraintScheme, SrcScheme, TyVarBind,
 )
 
-from conftest import POSITIVE, corpus_program, corpus_result
+from conftest import POSITIVE, corpus_program, corpus_result, wide_source
 from strategies import src_mono
 
 LIMITS = Limits()
@@ -199,22 +199,22 @@ EQ_SCHEME = SrcScheme(("a",), (SrcConstraint("Eq", STyVar("a")),),
 
 
 def test_elab_type_fd():
-    out = elab_type_fd(GC_EQ, (), EQ_SCHEME)
+    out = elab_type(FdBuilder, GC_EQ, (), EQ_SCHEME)
     assert S.pretty(out) == "forall a. [Eq a] -> a -> Bool"
 
 
 def test_elab_type_tgt():
-    out = elab_type_tgt(GC_EQ, (), EQ_SCHEME)
+    out = elab_type(TgtBuilder, GC_EQ, (), EQ_SCHEME)
     assert S.pretty(out) == "forall a. {eq : a -> a -> Bool} -> a -> Bool"
 
 
 def test_elab_type_bool():
-    assert elab_type_fd(GC_EQ, (), SBool()) == S.IBool()
+    assert elab_type(FdBuilder, GC_EQ, (), SBool()) == S.IBool()
 
 
 def test_elab_type_unbound_var():
     with pytest.raises(SrcTypeError):
-        elab_type_fd(GC_EQ, (), STyVar("z"))
+        elab_type(FdBuilder, GC_EQ, (), STyVar("z"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,8 @@ def _eq_instances():
 def test_entail_local_before_instance():
     P, GC = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, truncated = entail_fd(P, GC, env, SrcConstraint("Eq", SBool()), LIMITS)
+    out, truncated = entail(FdBuilder, P, GC, env,
+                            SrcConstraint("Eq", SBool()), LIMITS)
     assert not truncated
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
@@ -243,28 +244,30 @@ def test_entail_local_before_instance():
 def test_entail_recursive_instance():
     P, GC = _eq_instances()
     want = SrcConstraint("Eq", SArrow(SBool(), SBool()))
-    out, _ = entail_fd(P, GC, (), want, LIMITS)
+    out, _ = entail(FdBuilder, P, GC, (), want, LIMITS)
     assert out == [DCon("D2_Eq", (S.IBool(),), (DCon("D1_Eq", (), ()),))]
 
 
 def test_entail_unsatisfiable_is_empty():
     P, GC = _eq_instances()
     env = (TyVarBind("b"),)
-    out, truncated = entail_fd(P, GC, env, SrcConstraint("Eq", STyVar("b")),
-                               LIMITS)
+    out, truncated = entail(FdBuilder, P, GC, env,
+                            SrcConstraint("Eq", STyVar("b")), LIMITS)
     assert out == [] and not truncated
 
 
 def test_entail_tgt_local_uses_reserved_prefix():
     P, GC = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, _ = entail_tgt(P, GC, env, SrcConstraint("Eq", SBool()), LIMITS)
+    out, _ = entail(TgtBuilder, P, GC, env, SrcConstraint("Eq", SBool()),
+                    LIMITS)
     assert out[0] == S.TVar("$d_d")
 
 
 def test_entail_tgt_zero_arity_instance_is_bare_record():
     P, GC = _eq_instances()
-    out, _ = entail_tgt(P, GC, (), SrcConstraint("Eq", SBool()), LIMITS)
+    out, _ = entail(TgtBuilder, P, GC, (), SrcConstraint("Eq", SBool()),
+                    LIMITS)
     (rec,) = out
     assert isinstance(rec, S.TRecord)
     assert rec.fields[0][0] == "eq"
@@ -280,8 +283,8 @@ def test_entail_fd_and_tgt_agree_on_size():
         ((TyVarBind("b"),), SrcConstraint("Eq", STyVar("b"))),
     ]
     for env, q in queries:
-        fd, _ = entail_fd(P, GC, env, q, LIMITS)
-        tgt, _ = entail_tgt(P, GC, env, q, LIMITS)
+        fd, _ = entail(FdBuilder, P, GC, env, q, LIMITS)
+        tgt, _ = entail(TgtBuilder, P, GC, env, q, LIMITS)
         assert len(fd) == len(tgt)
 
 
@@ -294,9 +297,44 @@ def test_entail_depth_limit_truncates_self_support():
         "instance Eq a => Eq a where { eq = \\x. \\y. True };\n"
         "True")
     r = typecheck_program(p, Limits(max_depth=8))
-    out, truncated = entail_fd(r.P, r.GC, (), SrcConstraint("Eq", SBool()),
-                               Limits(max_depth=8))
+    out, truncated = entail(FdBuilder, r.P, r.GC, (),
+                            SrcConstraint("Eq", SBool()), Limits(max_depth=8))
     assert out == [] and truncated
+
+
+def test_cap_emptied_resolution_is_a_resource_error():
+    # Eq (Bool -> Bool) needs Eq Bool one level down, past max_depth=1.
+    with pytest.raises(SrcTypeError) as exc:
+        typecheck_program(corpus_program("P4"), Limits(max_depth=1))
+    assert exc.value.kind == "resource"
+
+
+def test_cap_emptied_superclass_is_a_resource_error():
+    p = parse_program(
+        "class Base a where { base : a -> Bool };\n"
+        "class Base a => Sub a where { sub : a -> Bool };\n"
+        "instance Base Bool where { base = \\x. True };\n"
+        "instance Base a => Base (a -> a) where { base = \\f. True };\n"
+        "instance Sub (Bool -> Bool) where { sub = \\f. True };\n"
+        "True")
+    assert len(typecheck_program(p).P) == 3
+    with pytest.raises(SrcTypeError) as exc:
+        typecheck_program(p, Limits(max_depth=1))
+    assert exc.value.kind == "resource"
+
+
+def test_cap_bounds_the_work_on_a_wide_product():
+    # 16^6 resolutions of g's six constraints; only 257 may be pulled.
+    program = parse_program(wide_source(6))
+    tracemalloc.start()
+    try:
+        r = typecheck_program(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(r.fd_elabs) == len(r.tgt_elabs) == 256
+    assert r.fd_truncated and r.tgt_truncated
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +342,36 @@ def test_entail_depth_limit_truncates_self_support():
 # ---------------------------------------------------------------------------
 
 def test_infer_true():
-    ty, alts, truncated = infer_fd((), (), (), S.STrue(), LIMITS)
+    ty, alts, truncated = infer(FdBuilder, (), (), (), S.STrue(), LIMITS)
     assert ty == SBool() and alts == [S.ITrue()] and not truncated
 
 
 def test_check_method_against_local_dict():
     P, GC = _eq_instances()
     env = (TyVarBind("a"), DictBind("d", SrcConstraint("Eq", STyVar("a"))))
-    alts, _ = check_fd(P, GC, env, S.SMeth("eq"),
-                       SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())),
-                       LIMITS)
+    alts, _ = check(FdBuilder, P, GC, env, S.SMeth("eq"),
+                    SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())),
+                    LIMITS)
     assert alts == [S.IMethod(DVar("d"), "eq")]
 
 
 def test_method_not_inferable():
     P, GC = _eq_instances()
     with pytest.raises(SrcTypeError) as exc:
-        infer_fd(P, GC, (), S.SMeth("eq"), LIMITS)
+        infer(FdBuilder, P, GC, (), S.SMeth("eq"), LIMITS)
     assert exc.value.kind == "not-inferable"
 
 
 def test_lambda_not_inferable():
     with pytest.raises(SrcTypeError) as exc:
-        infer_fd((), (), (), S.SLam("x", S.SVar("x")), LIMITS)
+        infer(FdBuilder, (), (), (), S.SLam("x", S.SVar("x")), LIMITS)
     assert exc.value.kind == "not-inferable"
 
 
 def test_check_inf_requires_syntactic_equality():
     with pytest.raises(SrcTypeError) as exc:
-        check_fd((), (), (), S.STrue(), SArrow(SBool(), SBool()), LIMITS)
+        check(FdBuilder, (), (), (), S.STrue(), SArrow(SBool(), SBool()),
+              LIMITS)
     assert exc.value.kind == "mismatch"
 
 
@@ -340,8 +379,8 @@ def test_unsatisfiable_constraint_at_use_site():
     P, GC = _eq_instances()
     env = (TyVarBind("b"),)
     with pytest.raises(SrcTypeError) as exc:
-        check_fd(P, GC, env, S.SMeth("eq"),
-                 SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())), LIMITS)
+        check(FdBuilder, P, GC, env, S.SMeth("eq"),
+              SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())), LIMITS)
     assert exc.value.kind == "unsatisfiable"
 
 
@@ -350,7 +389,7 @@ def test_let_rejects_ambiguous_scheme():
     e = parse_expr("let f : forall a. Eq a => Bool -> Bool = \\x. x "
                    "in (f :: Bool -> Bool) True")
     with pytest.raises(SrcTypeError) as exc:
-        infer_fd(P, GC, (), e, LIMITS)
+        infer(FdBuilder, P, GC, (), e, LIMITS)
     assert exc.value.kind == "ambiguous"
 
 
@@ -360,14 +399,15 @@ def test_method_name_cannot_be_rebound():
                 "let eq : Bool = True in (eq :: Bool)"]:
         with pytest.raises(SrcTypeError) as exc:
             e = parse_expr(src)
-            check_fd(P, GC, (), e, SArrow(SBool(), SBool()), LIMITS) \
-                if src.startswith("(\\") else infer_fd(P, GC, (), e, LIMITS)
+            check(FdBuilder, P, GC, (), e, SArrow(SBool(), SBool()),
+                  LIMITS) if src.startswith("(\\") \
+                else infer(FdBuilder, P, GC, (), e, LIMITS)
         assert exc.value.kind == "shadow"
 
 
 def test_both_backends_infer_same_type():
     for name in POSITIVE:
-        r = corpus_result(name)  # typecheck_program already cross-checks
+        r = corpus_result(name)
         assert r.main_type == SBool()
 
 
@@ -457,7 +497,7 @@ def test_corpus_elaboration_counts(name, count):
 @pytest.mark.parametrize("name", POSITIVE)
 def test_every_fd_elaboration_typechecks_at_elaborated_source_type(name):
     r = corpus_result(name)
-    expected = elab_type_fd(r.GC, (), r.main_type)
+    expected = elab_type(FdBuilder, r.GC, (), r.main_type)
     for sigma, ie in r.fd_elabs:
         ty, _ = fd_core.fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
         assert S.alpha_eq(ty, expected)

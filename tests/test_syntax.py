@@ -191,20 +191,6 @@ def test_count_holes():
 # Fresh names
 # ---------------------------------------------------------------------------
 
-def test_fresh_supply_deterministic():
-    s1, s2 = S.FreshSupply(), S.FreshSupply()
-    names1 = [s1.fresh("tv", "x") for _ in range(3)]
-    names2 = [s2.fresh("tv", "x") for _ in range(3)]
-    assert names1 == names2 == ["x1", "x2", "x3"]
-
-
-def test_fresh_supply_namespaces_independent():
-    s = S.FreshSupply()
-    assert s.fresh("tv", "x") == "x1"
-    assert s.fresh("ty", "a") == "a1"
-    assert s.fresh("tv", "x") == "x2"
-
-
 def test_avoid_name():
     assert S.avoid_name("x", {"x", "x'"}) == "x''"
     assert S.avoid_name("x", set()) == "x"
