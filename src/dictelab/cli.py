@@ -5,9 +5,10 @@ either stage), run (evaluate the first elaboration), coherence (enumerate
 and compare all elaborations), decompose (compare direct vs composed
 target elaborations), meta (trace-check type safety, optionally fuzzing).
 
-Exit codes: 0 success, 1 parse/type error, 2 coherence or decomposition
-violation, 3 resource limit reached (fuel, enumeration truncation, or a
-constraint left unresolved only because a cap cut its resolution).
+Exit codes: 0 success, 1 parse/type error or unreadable input, 2 coherence
+or decomposition violation, 3 resource limit reached (fuel, enumeration
+truncation, input nested too deeply, or a constraint left unresolved only
+because a cap cut its resolution).
 Setting the environment variable TCC_COLOR=0 disables styling.
 """
 
@@ -137,11 +138,8 @@ def _elaborations(cfg: CliConfig, result):
         return [S.pretty(ie) for _, ie in result.fd_elabs]
     if cfg.mode == "direct":
         return [S.pretty(te) for te in result.tgt_elabs]
-    out = []
-    for sigma, ie in result.fd_elabs:
-        _, te = fd_core.fd_typecheck_expr(sigma, result.fd_class_env, (), ie)
-        out.append(S.pretty(te))
-    return out
+    return [S.pretty(checker.check_expr((), ie)[1])
+            for _, checker, ie in harness.composed_checkers(result)]
 
 
 def _truncated(result) -> bool:
@@ -200,8 +198,8 @@ def cmd_run(cfg: CliConfig) -> int:
     elif cfg.mode == "direct":
         value = S.pretty(target_core.tgt_eval(r.tgt_elabs[0], cfg.fuel))
     else:
-        sigma, ie = r.fd_elabs[0]
-        _, te = fd_core.fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
+        _, checker, ie = next(harness.composed_checkers(r))
+        _, te = checker.check_expr((), ie)
         value = S.pretty(target_core.tgt_eval(te, cfg.fuel))
     if cfg.format == "json":
         _emit_json(cfg, r.main_type, [], [value], True, _truncated(r))
@@ -213,8 +211,12 @@ def cmd_run(cfg: CliConfig) -> int:
 def _load_contexts(cfg: CliConfig):
     if not cfg.contexts_dir:
         return None
+    directory = Path(cfg.contexts_dir)
+    if not directory.is_dir():
+        raise NotADirectoryError(
+            f"contexts directory {cfg.contexts_dir!r} is not a directory")
     ctxs = []
-    for path in sorted(Path(cfg.contexts_dir).glob("*.ctx")):
+    for path in sorted(directory.glob("*.ctx")):
         ctxs.append(parse_context(path.read_text()))
     return ctxs
 
@@ -316,6 +318,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TYPE_ERROR
+    except RecursionError:
+        print("error: input nested too deeply to process", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from .syntax import (
     TApp, TArrow, TBool, TForall, TLam, TLet, TProj, TRecord, TRecordTy,
     TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, dict_target_name, env_tyvars, rename_apart, subst,
-    subst_fd_dvar, subst_fd_var, subst_type,
+    alpha_eq, dict_target_name, env_tyvars, rename_apart, subst_fd_dvar,
+    subst_fd_var, subst_type,
 )
 from . import syntax as S
 
@@ -132,58 +132,6 @@ def elab_fd_env(TC, TT) -> tuple:
             out.append(TermBind(dict_target_name(bind.name),
                                 elab_fd_q(TC, bind.q)))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Head unification (for the non-overlap check)
-# ---------------------------------------------------------------------------
-
-def unify_fd_types(t1: FdType, t2: FdType, vars: set[str]):
-    """First-order MGU over vars with occurs check; None if not unifiable."""
-    out: dict[str, FdType] = {}
-
-    def resolve(t):
-        while isinstance(t, ITyVar) and t.name in out:
-            t = out[t.name]
-        return t
-
-    def occurs(a, t):
-        t = resolve(t)
-        match t:
-            case ITyVar(b):
-                return a == b
-            case IArrow(l, r):
-                return occurs(a, l) or occurs(a, r)
-        return False
-
-    def go(x, y) -> bool:
-        x, y = resolve(x), resolve(y)
-        match x, y:
-            case ITyVar(a), _ if a in vars:
-                if x == y:
-                    return True
-                if occurs(a, y):
-                    return False
-                out[a] = y
-                return True
-            case _, ITyVar(b) if b in vars:
-                return go(y, x)
-            case IBool(), IBool():
-                return True
-            case ITyVar(a), ITyVar(b):
-                return a == b
-            case IArrow(l1, r1), IArrow(l2, r2):
-                return go(l1, l2) and go(r1, r2)
-        return False
-
-    return out if go(t1, t2) else None
-
-
-def unify_heads(q1: FdQ, q2: FdQ, vars: set[str]):
-    """Unify two constraint heads; the callers rename binders apart first."""
-    if q1.cls != q2.cls:
-        return None
-    return unify_fd_types(q1.arg, q2.arg, vars)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +359,9 @@ def fd_typecheck_dict(sigma, TC, TT, d: FdDict) -> tuple[FdQ, TgtExpr]:
 # Environment well-formedness
 # ---------------------------------------------------------------------------
 
-def fd_env_wf(sigma, TC, TT):
-    """Raises FdTypeError when the environments are ill-formed."""
+def fd_env_wf(sigma, TC, TT=()) -> FdChecker:
+    """Raises FdTypeError when the environments are ill-formed; otherwise
+    returns a checker for sigma that has checked every implementation."""
     methods = [entry.method for entry in TC]
     classes = [entry.cls for entry in TC]
     if len(set(methods)) != len(methods) or len(set(classes)) != len(classes):
@@ -422,6 +371,7 @@ def fd_env_wf(sigma, TC, TT):
     cons = [entry.con for entry in sigma]
     if len(set(cons)) != len(cons):
         raise FdTypeError(AMBIGUITY, "duplicate dictionary constructor")
+    checker = FdChecker(sigma, TC)
     for i, entry in enumerate(sigma):
         sc = entry.scheme
         cls = lookup_class_by_name(TC, sc.head.cls)
@@ -448,13 +398,13 @@ def fd_env_wf(sigma, TC, TT):
             other_head = subst_type(other.scheme.head, renaming)
             vars = binder_set | {t.name for t in renaming.values()} \
                 | (set(other.scheme.binders) - set(renaming))
-            if unify_heads(sc.head, other_head, vars) is not None:
+            if S.unify(sc.head, other_head, vars) is not None:
                 raise FdTypeError(
                     OVERLAP,
                     f"overlapping instances {other.con!r} and {entry.con!r} "
                     f"for class {sc.head.cls!r}")
         # Implementation typechecks in the strict prefix.
-        FdChecker(sigma, TC)._check_impl(i)
+        checker._check_impl(i)
     # Typing environment bindings.
     tyvars: set[str] = set()
     term_names: set[str] = set()
@@ -474,6 +424,7 @@ def fd_env_wf(sigma, TC, TT):
                                   f"duplicate dictionary binding {bind.name!r}")
             dict_names.add(bind.name)
             check_fd_q_wf(TC, tyvars, bind.q)
+    return checker
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from . import fd_core, syntax as S, target_core
-from .fd_core import FdChecker, FuelExhausted, fd_env_wf, fd_eval, fd_step, is_fd_value
+from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
 from .source_typer import Limits, typecheck_program
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
@@ -65,6 +65,17 @@ class MetaReport:
 # Coherence
 # ---------------------------------------------------------------------------
 
+def composed_checkers(r, make=FdChecker):
+    """Each intermediate elaboration of r as (sigma, checker, ie), with one
+    checker per method environment, made by make(sigma, TC). Consecutive
+    elaborations share their sigma object."""
+    sigma = checker = None
+    for s, ie in r.fd_elabs:
+        if s is not sigma:
+            sigma, checker = s, make(s, r.fd_class_env)
+        yield sigma, checker, ie
+
+
 def _program_results(p: SrcProgram, limits: Limits, fuel: int):
     """All observable values of p: the intermediate-pipeline values
     (elaborated into the target for comparability) interleaved with the
@@ -73,9 +84,7 @@ def _program_results(p: SrcProgram, limits: Limits, fuel: int):
     r = typecheck_program(p, limits)
     values = []
     composed = []
-    for sigma, ie in r.fd_elabs:
-        fd_env_wf(sigma, r.fd_class_env, ())
-        checker = FdChecker(sigma, r.fd_class_env)
+    for sigma, checker, ie in composed_checkers(r, fd_env_wf):
         _, te = checker.check_expr((), ie)
         composed.append(te)
         v_fd = fd_eval(sigma, ie, fuel)
@@ -137,10 +146,8 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
 def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
                         program_name: str = "") -> DecompositionReport:
     r = typecheck_program(p, limits)
-    composed = []
-    for sigma, ie in r.fd_elabs:
-        _, te = fd_core.fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
-        composed.append(te)
+    composed = [checker.check_expr((), ie)[1]
+                for _, checker, ie in composed_checkers(r)]
     direct = list(r.tgt_elabs)
     remaining = list(composed)
     only_direct = []

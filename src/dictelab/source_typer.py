@@ -1,8 +1,10 @@
 """Typing and elaboration of the surface language.
 
 All judgments of the surface language live here: superclass closure,
-unambiguity, one-way matching, constraint entailment, bidirectional term
-typing, class/instance/program typing and environment elaboration.
+unambiguity, constraint entailment, bidirectional term typing,
+class/instance/program typing and environment elaboration. Matching an
+instance head or a scheme against a type is `syntax.unify` with the
+pattern's binders renamed apart from the type.
 
 The elaborating judgments `infer`, `check` and `entail` are written once
 and take a term builder: `FdBuilder` emits the dictionary-passing
@@ -116,7 +118,7 @@ def env_dicts(env) -> list[DictBind]:
 
 
 # ---------------------------------------------------------------------------
-# Closure, unambiguity, matching
+# Closure and unambiguity
 # ---------------------------------------------------------------------------
 
 def closure(GC, qs) -> tuple[SrcConstraint, ...]:
@@ -138,69 +140,6 @@ def unambig_scheme(s: SrcScheme) -> bool:
 def unambig_constraint(c: SrcConstraintScheme) -> bool:
     head_fvs = set(free_type_vars(c.head.arg))
     return all(b in head_fvs for b in c.binders)
-
-
-def match_mono(pattern: SrcMono, vars: set[str], target: SrcMono):
-    """One-way first-order matching; None signals failure."""
-    subst: dict[str, SrcMono] = {}
-
-    def go(p, t) -> bool:
-        match p, t:
-            case STyVar(a), _ if a in vars:
-                if a in subst:
-                    return subst[a] == t
-                subst[a] = t
-                return True
-            case SBool(), SBool():
-                return True
-            case STyVar(a), STyVar(b):
-                return a == b
-            case SArrow(p1, p2), SArrow(t1, t2):
-                return go(p1, t1) and go(p2, t2)
-        return False
-
-    return subst if go(pattern, target) else None
-
-
-def unify_mono(t1: SrcMono, t2: SrcMono, vars: set[str]):
-    """Most general unifier over vars, first-order with occurs check."""
-    subst: dict[str, SrcMono] = {}
-
-    def resolve(t):
-        while isinstance(t, STyVar) and t.name in subst:
-            t = subst[t.name]
-        return t
-
-    def occurs(a, t):
-        t = resolve(t)
-        match t:
-            case STyVar(b):
-                return a == b
-            case SArrow(l, r):
-                return occurs(a, l) or occurs(a, r)
-        return False
-
-    def go(x, y) -> bool:
-        x, y = resolve(x), resolve(y)
-        match x, y:
-            case STyVar(a), _ if a in vars:
-                if x == y:
-                    return True
-                if occurs(a, y):
-                    return False
-                subst[a] = y
-                return True
-            case _, STyVar(b) if b in vars:
-                return go(y, x)
-            case SBool(), SBool():
-                return True
-            case STyVar(a), STyVar(b):
-                return a == b
-            case SArrow(l1, r1), SArrow(l2, r2):
-                return go(l1, l2) and go(r1, r2)
-        return False
-
-    return subst if go(t1, t2) else None
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +318,7 @@ def _instance_matches(P, q: SrcConstraint):
         binders = tuple(renaming.get(b, b) for b in sc.binders)
         mono_renaming = {a: STyVar(b) for a, b in renaming.items()}
         head_arg = subst_type(sc.head.arg, mono_renaming)
-        sigma = match_mono(head_arg, set(binders), q.arg)
+        sigma = S.unify(head_arg, q.arg, set(binders))
         if sigma is None:
             continue
         # All binders occur in the head (unambiguity), so sigma is total.
@@ -506,7 +445,7 @@ def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
         case SVar(name):
             sch = _freshen_scheme(lookup_term(env, name),
                                   set(free_type_vars(ty)))
-            sigma = match_mono(sch.head, set(sch.binders), ty)
+            sigma = S.unify(sch.head, ty, set(sch.binders))
             if sigma is None:
                 raise SrcTypeError(
                     "mismatch",
@@ -532,7 +471,7 @@ def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "ambiguous", f"ambiguous method scheme for {name!r}")
             full = _freshen_scheme(full, set(free_type_vars(ty)))
             class_var, meth_binders = full.binders[0], full.binders[1:]
-            sigma = match_mono(full.head, set(full.binders), ty)
+            sigma = S.unify(full.head, ty, set(full.binders))
             if sigma is None:
                 raise SrcTypeError(
                     "mismatch",
@@ -587,25 +526,11 @@ def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
 # Declarations
 # ---------------------------------------------------------------------------
 
-def resolve_names(GC, e: SrcExpr, bound: frozenset = frozenset()) -> SrcExpr:
-    """Reclassify variables naming declared methods as method references."""
-    match e:
-        case SVar(name):
-            if name not in bound and lookup_method(GC, name) is not None:
-                return SMeth(name)
-            return e
-        case SLam(x, body):
-            return SLam(x, resolve_names(GC, body, bound | {x}))
-        case SLet(x, sch, b1, b2):
-            return SLet(x, sch, resolve_names(GC, b1, bound),
-                        resolve_names(GC, b2, bound | {x}))
-        case SApp(f, a):
-            return SApp(resolve_names(GC, f, bound),
-                        resolve_names(GC, a, bound))
-        case SAnn(inner, ty):
-            return SAnn(resolve_names(GC, inner, bound), ty)
-        case _:
-            return e
+def resolve_names(GC, e: SrcExpr) -> SrcExpr:
+    """Reclassify free variables naming declared methods as method
+    references."""
+    return S.subst(e, "sv", {entry.method: SMeth(entry.method)
+                             for entry in GC})
 
 
 def typecheck_class(GC, d: ClassDecl) -> ClassEntry:
@@ -657,7 +582,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                                 {a: STyVar(b) for a, b in renaming.items()})
         vars = set(binders) | {renaming.get(b, b)
                                for b in other.scheme.binders}
-        if unify_mono(d.head, other_head, vars) is not None:
+        if S.unify(d.head, other_head, vars) is not None:
             raise SrcTypeError(
                 "overlap",
                 f"overlapping instances for class {d.cls!r}: "

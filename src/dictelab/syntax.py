@@ -2,16 +2,18 @@
 
 Three term languages live here: the surface language with type classes, the
 intermediate language with first-class dictionaries, and the record-based
-System F target. All nodes are immutable dataclasses. A single generic
-traversal engine (driven by per-class binder metadata) provides free
-variables, capture-avoiding substitution and alpha equivalence for every
-sort of variable in every language.
+System F target. All nodes are immutable dataclasses. One binding table,
+built at import, records each node class's fields, variable sort, binder
+and binder scope. Free variables, capture-avoiding substitution, alpha
+equivalence, first-order unification and context plugging read only that
+table, for every sort of variable in every language.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+import itertools
+from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +467,7 @@ def rename_apart(binders, avoid) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Generic traversal engine
+# The binding table
 #
 # Variable sorts:
 #   sa - source type variables      sv - source term variables
@@ -480,11 +482,7 @@ _VAR_SORT = {
     TTyVar: "ta", TVar: "tv",
 }
 
-_VAR_CLASS = {
-    "sa": STyVar, "sv": SVar,
-    "ic": ITyVar, "iv": IVar, "id": DVar,
-    "ta": TTyVar, "tv": TVar,
-}
+_VAR_CLASS = {sort: cls for cls, sort in _VAR_SORT.items()}
 
 # cls -> (binder_field, sort, fields in the binder's scope)
 _BINDERS = {
@@ -504,174 +502,239 @@ _BINDERS = {
     TForall: ("var", "ta", ("body",)),
 }
 
-_NODE_BASES = (SrcMono, SrcConstraint, SrcScheme, SrcConstraintScheme, SrcExpr,
-               FdType, FdQ, FdConstraintScheme, FdDict, FdExpr,
-               TgtType, TgtExpr)
+# Node base -> the type-variable sort of its language.
+_TYPE_SORT = {
+    SrcMono: "sa", SrcConstraint: "sa", SrcScheme: "sa",
+    SrcConstraintScheme: "sa", SrcExpr: "sa",
+    FdType: "ic", FdQ: "ic", FdConstraintScheme: "ic", FdDict: "ic",
+    FdExpr: "ic",
+    TgtType: "ta", TgtExpr: "ta",
+}
 
 
-def _is_node(x) -> bool:
-    return isinstance(x, _NODE_BASES)
+class _Shape(NamedTuple):
+    fields: tuple[str, ...]     # every field, in declaration order
+    parts: tuple[str, ...]      # the fields other than the binder field
+    var: str | None             # the sort of a variable class
+    binder: str | None          # the field holding the bound name(s)
+    bsort: str | None           # the sort of the bound name(s)
+    scope: frozenset[str]       # the fields the binder scopes over
+    tsort: str                  # the type-variable sort of the language
 
 
-def _binder_names(node):
-    field, _, _ = _BINDERS[type(node)]
-    value = getattr(node, field)
-    return (value,) if isinstance(value, str) else tuple(value)
+def _shape(cls, tsort: str) -> _Shape:
+    names = tuple(f.name for f in fields(cls))
+    binder, bsort, scope = _BINDERS.get(cls, (None, None, ()))
+    return _Shape(names, tuple(n for n in names if n != binder),
+                  _VAR_SORT.get(cls), binder, bsort, frozenset(scope), tsort)
+
+
+# Every AST class -> its shape. Anything else (names, labels) is an atom.
+_SHAPES = {cls: _shape(cls, tsort)
+           for base, tsort in _TYPE_SORT.items()
+           for cls in (base, *base.__subclasses__()) if is_dataclass(cls)}
+
+
+def _bound_names(node, shape: _Shape) -> tuple[str, ...]:
+    value = getattr(node, shape.binder)
+    return (value,) if isinstance(value, str) else value
 
 
 def free_vars(node, sort: str) -> list[str]:
     """Free variables of the given sort, first occurrence order, no dups."""
-    out: list[str] = []
+    out: dict[str, None] = {}
 
-    def go(x, bound: frozenset):
-        if isinstance(x, tuple):
+    def go(x, bound):
+        if type(x) is tuple:
             for item in x:
                 go(item, bound)
             return
-        if not _is_node(x):
+        shape = _SHAPES.get(type(x))
+        if shape is None:
             return
-        cls = type(x)
-        if cls in _VAR_SORT and _VAR_SORT[cls] == sort:
-            if x.name not in bound and x.name not in out:
-                out.append(x.name)
+        if shape.var is not None:
+            if shape.var == sort and x.name not in bound:
+                out[x.name] = None
             return
-        spec = _BINDERS.get(cls)
-        if spec is not None and spec[1] == sort:
-            _, _, scope = spec
-            inner = bound | set(_binder_names(x))
-            for f in fields(x):
-                if f.name == spec[0]:
-                    continue
-                go(getattr(x, f.name), inner if f.name in scope else bound)
-            return
-        for f in fields(x):
-            go(getattr(x, f.name), bound)
+        inner = bound
+        if shape.bsort == sort:
+            inner = bound | set(_bound_names(x, shape))
+        for f in shape.parts:
+            go(getattr(x, f), inner if f in shape.scope else bound)
 
     go(node, frozenset())
-    return out
+    return list(out)
 
 
 def subst(node, sort: str, mapping: dict):
-    """Simultaneous capture-avoiding substitution of variables of one sort."""
+    """Simultaneous capture-avoiding substitution of variables of one sort.
+
+    A binder is renamed only when it would capture a free variable of the
+    mapping's range. It then takes its smallest primed variant that is free
+    neither in its scope nor in the mapping.
+    """
     if not mapping:
         return node
-
-    def range_fvs(m):
-        taken = set()
-        for v in m.values():
-            taken.update(free_vars(v, sort))
-        return taken
+    range_fvs = {k: set(free_vars(v, sort)) for k, v in mapping.items()}
+    every_fv = set().union(*range_fvs.values())
 
     def go(x, m):
         if not m:
             return x
-        if isinstance(x, tuple):
-            return tuple(go(item, m) for item in x)
-        if not _is_node(x):
+        if type(x) is tuple:
+            return tuple([go(item, m) for item in x])
+        shape = _SHAPES.get(type(x))
+        if shape is None:
             return x
-        cls = type(x)
-        if cls in _VAR_SORT and _VAR_SORT[cls] == sort:
-            return m.get(x.name, x)
-        spec = _BINDERS.get(cls)
-        if spec is not None and spec[1] == sort:
-            bfield, _, scope = spec
-            names = _binder_names(x)
+        if shape.var is not None:
+            return m.get(x.name, x) if shape.var == sort else x
+        if shape.bsort != sort:
+            return type(x)(*[go(getattr(x, f), m) for f in shape.fields])
+        names = _bound_names(x, shape)
+        inner = m
+        if any(n in m for n in names):
             inner = {k: v for k, v in m.items() if k not in names}
-            # Rename binders that would capture a free variable of the range.
-            clash = range_fvs(inner)
-            renames = {}
-            taken = set(names) | clash | set(inner)
-            for sf in scope:
-                taken.update(free_vars(getattr(x, sf), sort))
-            new_names = []
-            for n in names:
-                if n in clash:
-                    n2 = avoid_name(n, taken)
-                    taken.add(n2)
-                    renames[n] = _VAR_CLASS[sort](n2)
-                    new_names.append(n2)
-                else:
-                    new_names.append(n)
-            kwargs = {}
-            for f in fields(x):
-                v = getattr(x, f.name)
-                if f.name == bfield:
-                    kwargs[f.name] = (new_names[0] if isinstance(v, str)
-                                      else tuple(new_names))
-                elif f.name in scope:
-                    if renames:
-                        v = go(v, renames)
-                    kwargs[f.name] = go(v, inner)
-                else:
-                    kwargs[f.name] = go(v, m)
-            return cls(**kwargs)
-        return cls(**{f.name: go(getattr(x, f.name), m) for f in fields(x)})
+        new_names, renames = names, None
+        if any(n in every_fv for n in names):
+            clash = set().union(*(range_fvs[k] for k in inner))
+            if any(n in clash for n in names):
+                new_names, renames = _rename_binders(x, shape, sort, clash,
+                                                     inner)
+        values = []
+        for f in shape.fields:
+            v = getattr(x, f)
+            if f == shape.binder:
+                v = new_names[0] if isinstance(v, str) else new_names
+            elif f in shape.scope:
+                if renames:
+                    v = subst(v, sort, renames)
+                v = go(v, inner)
+            else:
+                v = go(v, m)
+            values.append(v)
+        return type(x)(*values)
 
-    return go(node, dict(mapping))
+    return go(node, mapping)
+
+
+def _rename_binders(node, shape: _Shape, sort: str, clash: set, avoid):
+    """The binder names of node with each one in clash renamed apart from
+    clash, avoid and the free variables of its scope; also the renaming to
+    apply to the scope."""
+    names = _bound_names(node, shape)
+    taken = set(names) | clash | set(avoid)
+    for f in shape.scope:
+        taken.update(free_vars(getattr(node, f), sort))
+    new_names, renames = [], {}
+    for n in names:
+        if n in clash:
+            n2 = avoid_name(n, taken)
+            taken.add(n2)
+            renames[n] = _VAR_CLASS[sort](n2)
+            n = n2
+        new_names.append(n)
+    return tuple(new_names), renames
 
 
 def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables."""
-    counter = [0]
+    counter = itertools.count()
 
     def go(x, y, env1, env2):
-        if isinstance(x, tuple) or isinstance(y, tuple):
-            if not (isinstance(x, tuple) and isinstance(y, tuple)):
-                return False
-            return len(x) == len(y) and all(
-                go(p, q, env1, env2) for p, q in zip(x, y))
-        if not _is_node(x) or not _is_node(y):
-            return x == y
         cls = type(x)
         if cls is not type(y):
             return False
-        if cls in _VAR_SORT:
-            sort = _VAR_SORT[cls]
-            i = env1.get((sort, x.name))
-            j = env2.get((sort, y.name))
+        if cls is tuple:
+            return len(x) == len(y) and all(
+                go(p, q, env1, env2) for p, q in zip(x, y))
+        shape = _SHAPES.get(cls)
+        if shape is None:
+            return x == y
+        if shape.var is not None:
+            i = env1.get((shape.var, x.name))
+            j = env2.get((shape.var, y.name))
             if i is None and j is None:
                 return x.name == y.name
             return i is not None and i == j
-        spec = _BINDERS.get(cls)
-        if spec is not None:
-            bfield, sort, scope = spec
-            nx, ny = _binder_names(x), _binder_names(y)
+        inner1, inner2 = env1, env2
+        if shape.binder is not None:
+            nx, ny = _bound_names(x, shape), _bound_names(y, shape)
             if len(nx) != len(ny):
                 return False
             inner1, inner2 = dict(env1), dict(env2)
             for n1, n2 in zip(nx, ny):
-                idx = counter[0]
-                counter[0] += 1
-                inner1[(sort, n1)] = idx
-                inner2[(sort, n2)] = idx
-            for f in fields(x):
-                if f.name == bfield:
-                    continue
-                e1 = inner1 if f.name in scope else env1
-                e2 = inner2 if f.name in scope else env2
-                if not go(getattr(x, f.name), getattr(y, f.name), e1, e2):
-                    return False
-            return True
-        return all(go(getattr(x, f.name), getattr(y, f.name), env1, env2)
-                   for f in fields(x))
+                idx = next(counter)
+                inner1[(shape.bsort, n1)] = idx
+                inner2[(shape.bsort, n2)] = idx
+        for f in shape.parts:
+            scoped = f in shape.scope
+            if not go(getattr(x, f), getattr(y, f),
+                      inner1 if scoped else env1, inner2 if scoped else env2):
+                return False
+        return True
 
     return go(a, b, {}, {})
 
 
+def unify(t1, t2, vars: set[str]):
+    """Most general unifier of t1 and t2 over the type variables in vars.
+
+    First-order with occurs check. The result is triangular (a variable's
+    value may mention variables bound after it), or None when t1 and t2 do
+    not unify. Other variables are rigid, and a node with a binder unifies
+    only with an alpha-equal one. When t2 shares no variable with vars this
+    is one-way matching, and every value is a subterm of t2.
+    """
+    var = _VAR_CLASS[_type_sort_of(t1)]
+    out: dict = {}
+
+    def resolve(t):
+        while type(t) is var and t.name in out:
+            t = out[t.name]
+        return t
+
+    def occurs(a: str, t) -> bool:
+        t = resolve(t)
+        if type(t) is var:
+            return t.name == a
+        if type(t) is tuple:
+            return any(occurs(a, u) for u in t)
+        shape = _SHAPES.get(type(t))
+        return shape is not None and any(occurs(a, getattr(t, f))
+                                         for f in shape.parts)
+
+    def go(x, y) -> bool:
+        x, y = resolve(x), resolve(y)
+        if type(x) is var and x.name in vars:
+            if x == y:
+                return True
+            if occurs(x.name, y):
+                return False
+            out[x.name] = y
+            return True
+        if type(y) is var and y.name in vars:
+            return go(y, x)
+        if type(x) is not type(y):
+            return False
+        if type(x) is tuple:
+            return len(x) == len(y) and all(map(go, x, y))
+        shape = _SHAPES.get(type(x))
+        if shape is None or shape.var is not None:
+            return x == y
+        if shape.binder is not None:
+            return alpha_eq(x, y)
+        return all(go(getattr(x, f), getattr(y, f)) for f in shape.parts)
+
+    return out if go(t1, t2) else None
+
+
 # Friendly wrappers -----------------------------------------------------------
 
-_TYPE_SORT = [(SrcMono, "sa"), (SrcConstraint, "sa"), (SrcScheme, "sa"),
-              (SrcConstraintScheme, "sa"),
-              (FdType, "ic"), (FdQ, "ic"), (FdConstraintScheme, "ic"),
-              (FdDict, "ic"), (FdExpr, "ic"),
-              (TgtType, "ta"), (TgtExpr, "ta")]
-
-
 def _type_sort_of(node) -> str:
-    for base, sort in _TYPE_SORT:
-        if isinstance(node, base):
-            return sort
-    raise TypeError(f"no type-variable sort for {type(node).__name__}")
+    shape = _SHAPES.get(type(node))
+    if shape is None:
+        raise TypeError(f"no type-variable sort for {type(node).__name__}")
+    return shape.tsort
 
 
 def subst_type(node, mapping: dict):
@@ -701,27 +764,22 @@ def subst_tgt_var(e: TgtExpr, name: str, by: TgtExpr) -> TgtExpr:
 # ---------------------------------------------------------------------------
 
 def count_holes(ctx: SrcExpr) -> int:
-    if isinstance(ctx, SHole):
+    if type(ctx) is SHole:
         return 1
-    if not _is_node(ctx):
+    shape = _SHAPES.get(type(ctx))
+    if shape is None:
         return 0
-    total = 0
-    for f in fields(ctx):
-        v = getattr(ctx, f.name)
-        if isinstance(v, SrcExpr):
-            total += count_holes(v)
-    return total
+    return sum(count_holes(getattr(ctx, f)) for f in shape.parts)
 
 
 def plug(ctx: SrcExpr, e: SrcExpr) -> SrcExpr:
     """Replace the unique hole by e verbatim; plugging may capture."""
-    if isinstance(ctx, SHole):
+    if type(ctx) is SHole:
         return e
-    kwargs = {}
-    for f in fields(ctx):
-        v = getattr(ctx, f.name)
-        kwargs[f.name] = plug(v, e) if isinstance(v, SrcExpr) else v
-    return type(ctx)(**kwargs)
+    shape = _SHAPES.get(type(ctx))
+    if shape is None:
+        return ctx
+    return type(ctx)(*[plug(getattr(ctx, f), e) for f in shape.fields])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .syntax import (
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
-    TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
+    TRecordTy, TTrue, TTyApp, TTyLam, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, env_tyvars, subst_tgt_var, subst_type,
+    alpha_eq, env_tyvars, free_type_vars, subst_tgt_var, subst_type,
 )
 from . import syntax as S
 from .fd_core import FuelExhausted
@@ -30,22 +30,9 @@ class TgtTypeError(Exception):
 
 
 def check_tgt_type_wf(tyvars: set[str], t: TgtType):
-    match t:
-        case TBool():
-            pass
-        case TTyVar(a):
-            if a not in tyvars:
-                raise TgtTypeError(f"unbound type variable {a!r}")
-        case TArrow(l, r):
-            check_tgt_type_wf(tyvars, l)
-            check_tgt_type_wf(tyvars, r)
-        case TForall(a, body):
-            check_tgt_type_wf(tyvars | {a}, body)
-        case TRecordTy(fields):
-            for _, ty in fields:
-                check_tgt_type_wf(tyvars, ty)
-        case _:
-            raise TypeError(t)
+    for a in free_type_vars(t):
+        if a not in tyvars:
+            raise TgtTypeError(f"unbound type variable {a!r}")
 
 
 def tgt_typecheck(env, e: TgtExpr) -> TgtType:

@@ -152,6 +152,39 @@ def test_coherence_with_contexts(capsys):
     assert code == 0 and "Kleene-equal" in out
 
 
+@pytest.mark.parametrize("where", ["contxts", "P2.src"])
+def test_coherence_rejects_contexts_path_that_is_no_directory(capsys, where):
+    # A misspelt path, or a file, must not probe zero contexts and pass.
+    code, out, err = run_cli(capsys, "coherence", src("P2"),
+                             "--contexts-dir", str(CORPUS / where))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "not a directory" in err
+
+
+def _nested_applications(depth: int) -> str:
+    e = "True"
+    for _ in range(depth):
+        e = f"((\\x. x :: Bool -> Bool) {e})"
+    return e
+
+
+DEEP_INPUTS = {
+    "parentheses": "(" * 3000 + "True" + ")" * 3000,
+    "applications": _nested_applications(600),
+}
+
+
+@pytest.mark.parametrize("cmd", ["check", "coherence"])
+@pytest.mark.parametrize("shape", sorted(DEEP_INPUTS))
+def test_deep_input_is_a_resource_error(capsys, tmp_path, cmd, shape):
+    path = tmp_path / "deep.src"
+    path.write_text(DEEP_INPUTS[shape])
+    code, _, err = run_cli(capsys, cmd, str(path))
+    assert code == 3
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("name", POSITIVE)
 def test_decompose_exit_ok(capsys, name):
     code, out, _ = run_cli(capsys, "decompose", src(name))

@@ -8,7 +8,6 @@ from dictelab.fd_core import (
     PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
     elab_fd_env, elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, fd_typecheck_dict, fd_typecheck_expr, is_fd_value,
-    unify_fd_types, unify_heads,
 )
 from dictelab.reader import read_fd_dict, read_fd_expr, read_fd_type
 from dictelab.syntax import (
@@ -41,29 +40,29 @@ SIGMA_EQ = (
 # ---------------------------------------------------------------------------
 
 def test_unify_heads_variable_against_ground():
-    out = unify_heads(FdQ("Eq", ITyVar("b")), FdQ("Eq", IBool()), {"b"})
+    out = S.unify(FdQ("Eq", ITyVar("b")), FdQ("Eq", IBool()), {"b"})
     assert out == {"b": IBool()}
 
 
 def test_unify_heads_structural():
-    out = unify_heads(FdQ("Eq", IArrow(ITyVar("a"), ITyVar("b"))),
-                      FdQ("Eq", IArrow(IBool(), IBool())), {"a", "b"})
+    out = S.unify(FdQ("Eq", IArrow(ITyVar("a"), ITyVar("b"))),
+                  FdQ("Eq", IArrow(IBool(), IBool())), {"a", "b"})
     assert out == {"a": IBool(), "b": IBool()}
 
 
 def test_unify_heads_clash():
-    assert unify_heads(FdQ("Eq", IBool()),
-                       FdQ("Eq", IArrow(IBool(), IBool())), set()) is None
+    assert S.unify(FdQ("Eq", IBool()),
+                   FdQ("Eq", IArrow(IBool(), IBool())), set()) is None
 
 
 def test_unify_heads_different_classes():
-    assert unify_heads(FdQ("Eq", ITyVar("a")), FdQ("Ord", ITyVar("a")),
-                       {"a"}) is None
+    assert S.unify(FdQ("Eq", ITyVar("a")), FdQ("Ord", ITyVar("a")),
+                   {"a"}) is None
 
 
 def test_unify_types_occurs_check():
-    assert unify_fd_types(ITyVar("a"), IArrow(ITyVar("a"), IBool()),
-                          {"a"}) is None
+    assert S.unify(ITyVar("a"), IArrow(ITyVar("a"), IBool()),
+                   {"a"}) is None
 
 
 # ---------------------------------------------------------------------------

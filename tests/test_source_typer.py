@@ -11,8 +11,8 @@ from dictelab import fd_core, syntax as S
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
     ClassEntry, FdBuilder, Limits, SrcTypeError, TgtBuilder, check, closure,
-    elab_type, entail, infer, match_mono, typecheck_class, typecheck_instance,
-    typecheck_program, unambig_constraint, unambig_scheme, unify_mono,
+    elab_type, entail, infer, typecheck_class, typecheck_instance,
+    typecheck_program, unambig_constraint, unambig_scheme,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
@@ -141,20 +141,20 @@ def test_unambig_constraint():
 # ---------------------------------------------------------------------------
 
 def test_match_simple():
-    out = match_mono(SArrow(STyVar("a"), STyVar("a")), {"a"},
-                     SArrow(SBool(), SBool()))
+    out = S.unify(SArrow(STyVar("a"), STyVar("a")),
+                  SArrow(SBool(), SBool()), {"a"})
     assert out == {"a": SBool()}
 
 
 def test_match_two_vars():
     target = SArrow(SBool(), SArrow(SBool(), SBool()))
-    out = match_mono(SArrow(STyVar("a"), STyVar("b")), {"a", "b"}, target)
+    out = S.unify(SArrow(STyVar("a"), STyVar("b")), target, {"a", "b"})
     assert out == {"a": SBool(), "b": SArrow(SBool(), SBool())}
 
 
 def test_match_inconsistent():
     target = SArrow(SBool(), SArrow(SBool(), SBool()))
-    assert match_mono(SArrow(STyVar("a"), STyVar("a")), {"a"}, target) is None
+    assert S.unify(SArrow(STyVar("a"), STyVar("a")), target, {"a"}) is None
 
 
 @given(src_mono, st.dictionaries(st.sampled_from(["a", "b"]),
@@ -167,7 +167,7 @@ def test_match_recovers_substitution(pattern, sigma):
     target = S.subst_type(pattern, sigma)
     if set(S.free_type_vars(target)) & vars:
         return  # precondition: target has no matchable vars left
-    out = match_mono(pattern, vars, target)
+    out = S.unify(pattern, target, vars)
     assert out is not None
     relevant = {a: t for a, t in sigma.items()
                 if a in set(S.free_type_vars(pattern)) & vars}
@@ -177,15 +177,15 @@ def test_match_recovers_substitution(pattern, sigma):
 
 
 def test_unify_mono():
-    assert unify_mono(SBool(), STyVar("b"), {"b"}) == {"b": SBool()}
-    out = unify_mono(SArrow(STyVar("a"), SBool()),
-                     SArrow(SBool(), STyVar("b")), {"a", "b"})
+    assert S.unify(SBool(), STyVar("b"), {"b"}) == {"b": SBool()}
+    out = S.unify(SArrow(STyVar("a"), SBool()),
+                  SArrow(SBool(), STyVar("b")), {"a", "b"})
     assert out == {"a": SBool(), "b": SBool()}
-    assert unify_mono(SBool(), SArrow(STyVar("b"), STyVar("b")), {"b"}) is None
+    assert S.unify(SBool(), SArrow(STyVar("b"), STyVar("b")), {"b"}) is None
 
 
 def test_unify_occurs_check():
-    assert unify_mono(STyVar("a"), SArrow(STyVar("a"), SBool()), {"a"}) is None
+    assert S.unify(STyVar("a"), SArrow(STyVar("a"), SBool()), {"a"}) is None
 
 
 # ---------------------------------------------------------------------------
