@@ -127,9 +127,19 @@ def parse_args(argv) -> CliConfig:
         generate=getattr(ns, "generate", 0))
 
 
+class _FileParseError(Exception):
+    """A parse error, prefixed with the path of the file it is in."""
+
+
+def _parse_file(path, parse):
+    try:
+        return parse(Path(path).read_text())
+    except ParseError as err:
+        raise _FileParseError(f"{path}:{err}") from err
+
+
 def _load_program(cfg: CliConfig):
-    text = Path(cfg.input_path).read_text()
-    return parse_program(text)
+    return _parse_file(cfg.input_path, parse_program)
 
 
 def _elaborations(cfg: CliConfig, result):
@@ -217,7 +227,7 @@ def _load_contexts(cfg: CliConfig):
             f"contexts directory {cfg.contexts_dir!r} is not a directory")
     ctxs = []
     for path in sorted(directory.glob("*.ctx")):
-        ctxs.append(parse_context(path.read_text()))
+        ctxs.append(_parse_file(path, parse_context))
     return ctxs
 
 
@@ -300,8 +310,8 @@ def main(argv=None) -> int:
     cfg = parse_args(argv)
     try:
         return _COMMANDS[cfg.command](cfg)
-    except ParseError as err:
-        print(f"{cfg.input_path}:{err}", file=sys.stderr)
+    except _FileParseError as err:
+        print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR
     except SrcTypeError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,7 +7,10 @@ against the strict prefix of the method environment (an instance may only
 use instances declared before it), while evaluation of a method projection
 uses the full environment.
 
-Evaluation is substitution-based call-by-name small-step, metered by fuel.
+Evaluation is call-by-name and metered by fuel: `fd_step` is the
+substitution-based small-step semantics, whose traces `check_metatheory`
+walks, and `fd_eval` reaches the same value, in the same number of steps,
+with an environment machine.
 """
 
 from __future__ import annotations
@@ -347,14 +350,6 @@ def expected_impl_type(TC, entry) -> FdType:
     return ty
 
 
-def fd_typecheck_expr(sigma, TC, TT, e: FdExpr) -> tuple[FdType, TgtExpr]:
-    return FdChecker(sigma, TC).check_expr(tuple(TT), e)
-
-
-def fd_typecheck_dict(sigma, TC, TT, d: FdDict) -> tuple[FdQ, TgtExpr]:
-    return FdChecker(sigma, TC).check_dict(tuple(TT), d)
-
-
 # ---------------------------------------------------------------------------
 # Environment well-formedness
 # ---------------------------------------------------------------------------
@@ -428,7 +423,7 @@ def fd_env_wf(sigma, TC, TT=()) -> FdChecker:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (call-by-name, substitution-based, small-step)
+# Evaluation (call-by-name): small-step for traces, a machine for values
 # ---------------------------------------------------------------------------
 
 def is_fd_value(e: FdExpr) -> bool:
@@ -482,11 +477,92 @@ def fd_step(sigma, e: FdExpr):
     raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
 
 
+# A stack frame of the machine, by the application node it stands for: the
+# abstraction it waits for, the sort that abstraction binds, and how a stuck
+# application is reported.
+_FD_FRAMES = {
+    IApp: (ILam, "iv", "stuck application"),
+    ITyApp: (ITyLam, "ic", "stuck type application"),
+    IDApp: (IDLam, "id", "stuck dictionary application"),
+}
+# Read-back order: types, then dictionaries, then terms. A value read back
+# for one sort has no variable of a later sort, so later passes keep it.
+_FD_SORTS = ("ic", "id", "iv")
+
+
+def spend_fuel(fuel: int) -> int:
+    """The fuel left after one reduction step."""
+    if fuel <= 0:
+        raise FuelExhausted()
+    return fuel - 1
+
+
 def fd_eval(sigma, e: FdExpr, fuel: int) -> FdExpr:
+    """The value e reaches by leftmost call-by-name reduction in at most
+    fuel steps.
+
+    A Krivine-style environment machine. Its state is the current term, an
+    environment mapping term, dictionary and type variables to unevaluated
+    closures (term, environment), and a stack of argument frames. Closures
+    are never updated, so the machine takes exactly the reductions `fd_step`
+    takes: beta, type beta, dictionary beta, let and method unfolding each
+    cost one unit of fuel, and a stuck term raises the error `fd_step`
+    raises. The final closure is read back with one substitution per sort;
+    on a closed e every substituted value is closed, so the result is `==`
+    to the small-step value.
+    """
+    env: dict = {}
+    stack = []
     while True:
-        if is_fd_value(e):
-            return e
-        if fuel <= 0:
-            raise FuelExhausted()
-        e = fd_step(sigma, e)
-        fuel -= 1
+        kind = type(e)
+        if kind is IApp or kind is IDApp:
+            stack.append((kind, e.arg, env))
+            e = e.fun
+        elif kind is ITyApp:
+            stack.append((kind, e.ty, env))
+            e = e.fun
+        elif kind is IVar:
+            closure = env.get(("iv", e.name))
+            if closure is None:
+                spend_fuel(fuel)
+                raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
+            e, env = closure
+        elif kind is ILet:
+            fuel = spend_fuel(fuel)
+            env = {**env, ("iv", e.name): (e.bound, env)}
+            e = e.body
+        elif kind is IMethod:
+            d, denv = e.dict, env
+            while type(d) is DVar:
+                closure = denv.get(("id", d.name))
+                if closure is None:
+                    spend_fuel(fuel)
+                    raise FdTypeError(STUCK,
+                                      f"free dictionary variable {d.name!r}")
+                d, denv = closure
+            fuel = spend_fuel(fuel)
+            # Method lookup uses the full environment, unlike constructor
+            # typing which sees only the prefix.
+            entry = next((x for x in sigma if x.con == d.name), None)
+            if entry is None:
+                raise FdTypeError(UNKNOWN_CONSTRUCTOR,
+                                  f"unknown constructor {d.name!r} at runtime")
+            # The implementation applied to the type arguments, then to the
+            # dictionary arguments: the first type argument ends on top.
+            stack.extend((IDApp, a, denv) for a in reversed(d.dict_args))
+            stack.extend((ITyApp, t, denv) for t in reversed(d.type_args))
+            e, env = entry.impl, {}
+        elif not stack:
+            return S.read_back(e, env, _FD_SORTS)
+        else:
+            frame, arg, aenv = stack[-1]
+            lam, sort, what = _FD_FRAMES[frame]
+            if kind is not lam:
+                spend_fuel(fuel)
+                stuck = frame(S.read_back(e, env, _FD_SORTS),
+                              S.read_back(arg, aenv, _FD_SORTS))
+                raise FdTypeError(STUCK, f"{what} {S.pretty(stuck)}")
+            fuel = spend_fuel(fuel)
+            stack.pop()
+            env = {**env, (sort, e.param): (arg, aenv)}
+            e = e.body

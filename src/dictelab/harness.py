@@ -79,8 +79,9 @@ def composed_checkers(r, make=FdChecker):
 def _program_results(p: SrcProgram, limits: Limits, fuel: int):
     """All observable values of p: the intermediate-pipeline values
     (elaborated into the target for comparability) interleaved with the
-    composed target values, then the direct target values. Also returns
-    the composed target elaborations."""
+    composed target values, then the direct target values. Each value comes
+    as (origin, elaboration, value); `_label` prints the first two. Also
+    returns the composed target elaborations."""
     r = typecheck_program(p, limits)
     values = []
     composed = []
@@ -89,15 +90,18 @@ def _program_results(p: SrcProgram, limits: Limits, fuel: int):
         composed.append(te)
         v_fd = fd_eval(sigma, ie, fuel)
         _, te_of_value = checker.check_expr((), v_fd)
-        values.append((f"fd value of {S.pretty(ie)}",
+        values.append(("fd value of", ie,
                        target_core.tgt_eval(te_of_value, fuel)))
-        values.append((f"composed target of {S.pretty(ie)}",
+        values.append(("composed target of", ie,
                        target_core.tgt_eval(te, fuel)))
     for te in r.tgt_elabs:
-        values.append((f"direct target {S.pretty(te)}",
-                       target_core.tgt_eval(te, fuel)))
+        values.append(("direct target", te, target_core.tgt_eval(te, fuel)))
     truncated = r.fd_truncated or r.tgt_truncated
     return r, values, tuple(composed), truncated
+
+
+def _label(origin: str, elaboration) -> str:
+    return f"{origin} {S.pretty(elaboration)}"
 
 
 def check_coherence(p: SrcProgram, limits: Limits = Limits(),
@@ -114,9 +118,9 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
         any_truncated |= truncated
         if i == 0:
             base_r, base_values, base_composed = r, values, composed
-        first_label, first_value = values[0]
+        first_origin, first_elab, first_value = values[0]
         # All-against-first suffices: equality at a shared witness value.
-        for label, value in values[1:]:
+        for origin, elab, value in values[1:]:
             if not alpha_eq(value, first_value):
                 return CoherenceReport(
                     program_name=program_name,
@@ -127,14 +131,15 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
                     witness_value=S.pretty(first_value),
                     main_type=base_r.main_type,
                     composed=base_composed,
-                    counterexample=(first_label, label))
+                    counterexample=(_label(first_origin, first_elab),
+                                    _label(origin, elab)))
     return CoherenceReport(
         program_name=program_name,
         elab_count_fd=len(base_r.fd_elabs),
         elab_count_tgt=len(base_r.tgt_elabs),
         truncated=any_truncated,
         all_kleene_equal=True,
-        witness_value=S.pretty(base_values[0][1]),
+        witness_value=S.pretty(base_values[0][2]),
         main_type=base_r.main_type,
         composed=base_composed)
 
@@ -245,15 +250,16 @@ def closed_dicts(sigma, TC, max_rounds: int = 3):
     return found
 
 
-def _method_type_at(TC, q: FdQ):
-    entry = fd_core.lookup_class_by_name(TC, q.cls)
-    return entry.method, subst_type(entry.method_type, {entry.var: q.arg})
-
-
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed."""
     rng = random.Random(seed)
     dicts = closed_dicts(sigma, TC)
+    # The method call of each closed dictionary, with its type.
+    calls = []
+    for q, d in dicts:
+        entry = fd_core.lookup_class_by_name(TC, q.cls)
+        calls.append((IMethod(d, entry.method),
+                      subst_type(entry.method_type, {entry.var: q.arg})))
 
     def gen_type(depth: int):
         if depth <= 0:
@@ -286,11 +292,9 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
         if isinstance(ty, IBool):
             atoms.append(ITrue())
             atoms.append(IFalse())
-        for q, d in dicts:
-            _, mt = _method_type_at(TC, q)
-            if alpha_eq(mt, ty):
-                m, _ = _method_type_at(TC, q)
-                atoms.append(IMethod(d, m))
+        for call, call_ty in calls:
+            if alpha_eq(call_ty, ty):
+                atoms.append(call)
         intro = None
         match ty:
             case IArrow(l, r):

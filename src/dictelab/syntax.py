@@ -759,6 +759,27 @@ def subst_tgt_var(e: TgtExpr, name: str, by: TgtExpr) -> TgtExpr:
     return subst(e, "tv", {name: by})
 
 
+def read_back(node, env: dict, sorts: tuple[str, ...]):
+    """The term an evaluator closure stands for.
+
+    env maps (sort, name) to a closure (node, env) of the variable's
+    unevaluated value. Each free variable the environment binds is replaced
+    by its closure's read-back term, with one subst per sort in the given
+    order; a value read back for one sort must have no variable of a later
+    sort.
+    """
+    if not env:
+        return node
+    for sort in sorts:
+        mapping = {}
+        for name in free_vars(node, sort):
+            closure = env.get((sort, name))
+            if closure is not None:
+                mapping[name] = read_back(*closure, sorts)
+        node = subst(node, sort, mapping)
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Context plugging
 # ---------------------------------------------------------------------------

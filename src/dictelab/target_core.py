@@ -1,10 +1,12 @@
 """The target language: System F with records.
 
-Standard syntax-directed typechecker and a substitution-based call-by-name
-small-step evaluator. Record literals are values regardless of their field
-expressions; projection extracts the (unevaluated) field once the literal
-is exposed. Kleene equivalence compares the values two closed terms reach
-within a fuel budget.
+Standard syntax-directed typechecker and a call-by-name environment
+machine metered by fuel, which reaches the value of the leftmost
+call-by-name small-step semantics in the same number of steps (the
+small-step reference is kept in the tests). Record literals are values
+regardless of their field expressions; projection extracts the
+(unevaluated) field once the literal is exposed. Kleene equivalence
+compares the values two closed terms reach within a fuel budget.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from .syntax import (
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TTyApp, TTyLam, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, env_tyvars, free_type_vars, subst_tgt_var, subst_type,
+    alpha_eq, env_tyvars, free_type_vars, read_back, subst_type,
 )
 from . import syntax as S
-from .fd_core import FuelExhausted
+from .fd_core import spend_fuel
 
 
 @dataclass
@@ -96,56 +98,75 @@ def tgt_typecheck(env, e: TgtExpr) -> TgtType:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: a call-by-name environment machine
 # ---------------------------------------------------------------------------
 
-def is_tgt_value(e: TgtExpr) -> bool:
-    # Record literals are values even with unevaluated fields.
-    return isinstance(e, (TTrue, TFalse, TLam, TTyLam, TRecord))
-
-
-def tgt_step(e: TgtExpr):
-    """One leftmost call-by-name step, or None when e is a value."""
-    match e:
-        case TApp(TLam(x, _, body), a):
-            return subst_tgt_var(body, x, a)
-        case TApp(f, a):
-            f2 = tgt_step(f)
-            if f2 is None:
-                raise TgtTypeError(f"stuck application {S.pretty(e)}")
-            return TApp(f2, a)
-        case TTyApp(TTyLam(a, body), ty):
-            return subst_type(body, {a: ty})
-        case TTyApp(f, ty):
-            f2 = tgt_step(f)
-            if f2 is None:
-                raise TgtTypeError(f"stuck type application {S.pretty(e)}")
-            return TTyApp(f2, ty)
-        case TProj(TRecord(fields), label):
-            for l, x in fields:
-                if l == label:
-                    return x
-            raise TgtTypeError(f"record has no field {label!r}")
-        case TProj(inner, label):
-            i2 = tgt_step(inner)
-            if i2 is None:
-                raise TgtTypeError(f"stuck projection {S.pretty(e)}")
-            return TProj(i2, label)
-        case TLet(x, _, bound, body):
-            return subst_tgt_var(body, x, bound)
-        case _ if is_tgt_value(e):
-            return None
-    raise TgtTypeError(f"stuck term {S.pretty(e)}")
+# A stack frame of the machine, by the node it stands for: the abstraction
+# an application frame waits for and the sort it binds, and how a stuck
+# frame is reported.
+_TGT_FRAMES = {
+    TApp: (TLam, "tv", "stuck application"),
+    TTyApp: (TTyLam, "ta", "stuck type application"),
+    TProj: (TRecord, None, "stuck projection"),
+}
+_TGT_SORTS = ("ta", "tv")
 
 
 def tgt_eval(e: TgtExpr, fuel: int) -> TgtExpr:
+    """The value e reaches by leftmost call-by-name reduction in at most
+    fuel steps.
+
+    The environment machine of `fd_core.fd_eval` for the target: term and
+    type variables map to unevaluated closures, and the stack holds
+    argument, type-argument and projection frames. Record literals are
+    values regardless of their fields; a projection takes the unevaluated
+    field. Beta, type beta, let and projection each cost one unit of fuel,
+    the steps of the small-step semantics, and the final closure is read
+    back with one substitution per sort.
+    """
+    env: dict = {}
+    stack = []
     while True:
-        if is_tgt_value(e):
-            return e
-        if fuel <= 0:
-            raise FuelExhausted()
-        e = tgt_step(e)
-        fuel -= 1
+        kind = type(e)
+        if kind is TApp:
+            stack.append((kind, e.arg, env))
+            e = e.fun
+        elif kind is TTyApp:
+            stack.append((kind, e.ty, env))
+            e = e.fun
+        elif kind is TProj:
+            stack.append((kind, e.label, None))
+            e = e.expr
+        elif kind is TVar:
+            closure = env.get(("tv", e.name))
+            if closure is None:
+                spend_fuel(fuel)
+                raise TgtTypeError(f"stuck term {S.pretty(e)}")
+            e, env = closure
+        elif kind is TLet:
+            fuel = spend_fuel(fuel)
+            env = {**env, ("tv", e.name): (e.bound, env)}
+            e = e.body
+        elif not stack:
+            return read_back(e, env, _TGT_SORTS)
+        else:
+            frame, arg, aenv = stack[-1]
+            lam, sort, what = _TGT_FRAMES[frame]
+            if kind is not lam:
+                spend_fuel(fuel)
+                stuck = frame(read_back(e, env, _TGT_SORTS),
+                              arg if aenv is None
+                              else read_back(arg, aenv, _TGT_SORTS))
+                raise TgtTypeError(f"{what} {S.pretty(stuck)}")
+            fuel = spend_fuel(fuel)
+            stack.pop()
+            if frame is TProj:
+                e = next((x for l, x in e.fields if l == arg), None)
+                if e is None:
+                    raise TgtTypeError(f"record has no field {arg!r}")
+            else:
+                env = {**env, (sort, e.param): (arg, aenv)}
+                e = e.body
 
 
 def kleene_eq(e1: TgtExpr, e2: TgtExpr, fuel: int) -> bool:

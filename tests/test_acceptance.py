@@ -14,8 +14,8 @@ import random
 import pytest
 
 from dictelab import syntax as S
-from dictelab.fd_core import (FdTypeError, FuelExhausted, OVERLAP,
-                              fd_env_wf, fd_eval, fd_typecheck_expr)
+from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
+                              OVERLAP, fd_env_wf, fd_eval)
 from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, generate_fd_term)
 from dictelab.parser import parse_program
@@ -104,9 +104,10 @@ def test_criterion_6_semantic_preservation():
     for name in POSITIVE:
         r = corpus_result(name)
         for sigma, ie in r.fd_elabs:
-            _, te = fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
+            checker = FdChecker(sigma, r.fd_class_env)
+            _, te = checker.check_expr((), ie)
             v = fd_eval(sigma, ie, FUEL)
-            _, te_of_value = fd_typecheck_expr(sigma, r.fd_class_env, (), v)
+            _, te_of_value = checker.check_expr((), v)
             assert kleene_eq(te_of_value, te, FUEL), name
     passed(6, "elaborating the evaluated term and evaluating the elaborated "
               "term meet at the same value")
@@ -117,7 +118,7 @@ def test_criterion_7_elaborations_welltyped_at_translated_type():
         r = corpus_result(name)
         expected = elab_type(FdBuilder, r.GC, (), r.main_type)
         for sigma, ie in r.fd_elabs:
-            ty, _ = fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
+            ty, _ = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
             assert S.alpha_eq(ty, expected), name
     passed(7, "each intermediate elaboration typechecks at the translation "
               "of the program type")

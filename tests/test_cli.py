@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from dictelab import syntax as S
 from dictelab.cli import main
+from dictelab.fd_core import fd_step, is_fd_value
+from dictelab.harness import composed_checkers
 
-from conftest import CORPUS, NEGATIVE, POSITIVE
+from conftest import CORPUS, NEGATIVE, POSITIVE, corpus_result
+from reference_eval import is_tgt_value, run_small_step, tgt_step
 
 
 @pytest.fixture(autouse=True)
@@ -101,6 +105,36 @@ def test_run_fuel_limit(capsys):
     assert code == 3 and "fuel" in err
 
 
+def _reference_steps(stage: list[str]) -> int:
+    """Small-step count of the elaboration `run` evaluates on P2."""
+    r = corpus_result("P2")
+    if stage == ["--stage", "fd"]:
+        sigma, ie = r.fd_elabs[0]
+        n, value, _ = run_small_step(lambda e: fd_step(sigma, e),
+                                     is_fd_value, ie, 100_000)
+    else:
+        if stage == ["--mode", "direct"]:
+            te = r.tgt_elabs[0]
+        else:
+            _, checker, ie = next(composed_checkers(r))
+            te = checker.check_expr((), ie)[1]
+        n, value, _ = run_small_step(tgt_step, is_tgt_value, te, 100_000)
+    assert S.pretty(value) == "True"
+    return n
+
+
+@pytest.mark.parametrize("stage", [["--stage", "fd"], ["--mode", "direct"],
+                                   ["--mode", "composed"]])
+def test_run_fuel_counts_reduction_steps(capsys, stage):
+    n = _reference_steps(stage)
+    code, out, err = run_cli(capsys, "run", src("P2"), *stage,
+                             "--fuel", str(n))
+    assert (code, out, err) == (0, "True\n", "")
+    code, out, err = run_cli(capsys, "run", src("P2"), *stage,
+                             "--fuel", str(n - 1))
+    assert (code, out, err) == (3, "", "error: fuel exhausted\n")
+
+
 # ---------------------------------------------------------------------------
 # Resource limits
 # ---------------------------------------------------------------------------
@@ -159,6 +193,15 @@ def test_coherence_rejects_contexts_path_that_is_no_directory(capsys, where):
                              "--contexts-dir", str(CORPUS / where))
     assert code == 1 and out == ""
     assert err.startswith("error:") and "not a directory" in err
+
+
+def test_context_parse_error_names_the_context_file(capsys, tmp_path):
+    bad = tmp_path / "bad.ctx"
+    bad.write_text("let f : Bool = [] in (")
+    code, out, err = run_cli(capsys, "coherence", src("P2"),
+                             "--contexts-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{bad}:1:")
 
 
 def _nested_applications(depth: int) -> str:

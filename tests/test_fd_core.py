@@ -7,7 +7,7 @@ from dictelab.fd_core import (
     FdChecker, FdTypeError, FuelExhausted, MISMATCH, OVERLAP,
     PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
     elab_fd_env, elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
-    fd_eval, fd_step, fd_typecheck_dict, fd_typecheck_expr, is_fd_value,
+    fd_eval, fd_step, is_fd_value,
 )
 from dictelab.reader import read_fd_dict, read_fd_expr, read_fd_type
 from dictelab.syntax import (
@@ -147,10 +147,10 @@ def test_implementation_may_only_use_earlier_entries():
 
 def test_dropping_a_referenced_entry_breaks_dictionaries():
     d = read_fd_dict("D2_Eq @Bool [D1_Eq]")
-    q, _ = fd_typecheck_dict(SIGMA_EQ, TC_EQ, (), d)
+    q, _ = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), d)
     assert q == FdQ("Eq", IArrow(IBool(), IBool()))
     with pytest.raises(FdTypeError) as exc:
-        fd_typecheck_dict(SIGMA_EQ[1:], TC_EQ, (), d)
+        FdChecker(SIGMA_EQ[1:], TC_EQ).check_dict((), d)
     assert exc.value.kind == UNKNOWN_CONSTRUCTOR
 
 
@@ -159,53 +159,53 @@ def test_dropping_a_referenced_entry_breaks_dictionaries():
 # ---------------------------------------------------------------------------
 
 def test_method_projection_instantiates_class_variable():
-    ty, _ = fd_typecheck_expr(SIGMA_EQ, TC_EQ, (),
-                              read_fd_expr("[D1_Eq].eq"))
+    ty, _ = FdChecker(SIGMA_EQ, TC_EQ).check_expr(
+        (), read_fd_expr("[D1_Eq].eq"))
     assert S.pretty(ty) == "Bool -> Bool -> Bool"
 
 
 def test_method_projection_through_local_dict():
     tt = (S.TyVarBind("b"), DictBind("d", FdQ("Eq", ITyVar("b"))),)
-    ty, te = fd_typecheck_expr(SIGMA_EQ, TC_EQ, tt,
-                               read_fd_expr("[d].eq"))
+    ty, te = FdChecker(SIGMA_EQ, TC_EQ).check_expr(tt,
+                                                   read_fd_expr("[d].eq"))
     assert S.pretty(ty) == "b -> b -> Bool"
     assert te == S.TProj(S.TVar("$d_d"), "eq")
 
 
 def test_dictionary_abstraction_and_application():
     e = read_fd_expr("(\\d : [Eq Bool]. [d].eq) [D1_Eq] True True")
-    ty, _ = fd_typecheck_expr(SIGMA_EQ, TC_EQ, (), e)
+    ty, _ = FdChecker(SIGMA_EQ, TC_EQ).check_expr((), e)
     assert ty == IBool()
 
 
 def test_type_application():
     e = read_fd_expr("(/\\a. \\x : a. x) @Bool")
-    ty, _ = fd_typecheck_expr((), (), (), e)
+    ty, _ = FdChecker((), ()).check_expr((), e)
     assert ty == IArrow(IBool(), IBool())
 
 
 def test_application_of_non_function_is_mismatch():
     with pytest.raises(FdTypeError) as exc:
-        fd_typecheck_expr((), (), (), read_fd_expr("True True"))
+        FdChecker((), ()).check_expr((), read_fd_expr("True True"))
     assert exc.value.kind == MISMATCH
 
 
 def test_unbound_variable():
     with pytest.raises(FdTypeError) as exc:
-        fd_typecheck_expr((), (), (), read_fd_expr("x"))
+        FdChecker((), ()).check_expr((), read_fd_expr("x"))
     assert exc.value.kind == UNBOUND_VAR
 
 
 def test_unbound_dict_variable():
     with pytest.raises(FdTypeError) as exc:
-        fd_typecheck_dict(SIGMA_EQ, TC_EQ, (), read_fd_dict("d"))
+        FdChecker(SIGMA_EQ, TC_EQ).check_dict((), read_fd_dict("d"))
     assert exc.value.kind == UNBOUND_DICT
 
 
 def test_argument_type_must_match():
     e = read_fd_expr("(\\f : Bool -> Bool. True) True")
     with pytest.raises(FdTypeError) as exc:
-        fd_typecheck_expr((), (), (), e)
+        FdChecker((), ()).check_expr((), e)
     assert exc.value.kind == MISMATCH
 
 
@@ -214,13 +214,13 @@ def test_argument_type_must_match():
 # ---------------------------------------------------------------------------
 
 def test_ground_dictionary_elaborates_to_record():
-    _, te = fd_typecheck_dict(SIGMA_EQ, TC_EQ, (), read_fd_dict("D1_Eq"))
+    _, te = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), read_fd_dict("D1_Eq"))
     assert S.pretty(te) == "{eq = \\x : Bool. \\y : Bool. True}"
 
 
 def test_nested_dictionary_applies_wrapper():
-    _, te = fd_typecheck_dict(SIGMA_EQ, TC_EQ, (),
-                              read_fd_dict("D2_Eq @Bool [D1_Eq]"))
+    _, te = FdChecker(SIGMA_EQ, TC_EQ).check_dict(
+        (), read_fd_dict("D2_Eq @Bool [D1_Eq]"))
     # outer record abstraction applied to the type and the inner record
     assert isinstance(te, S.TApp)
     assert isinstance(te.fun, S.TTyApp)
@@ -288,13 +288,13 @@ def test_fuel_exhaustion():
 def test_evaluation_preserves_types_along_the_trace():
     r = corpus_result("P1")
     sigma, e = r.fd_elabs[0]
-    ty0, _ = fd_typecheck_expr(sigma, r.fd_class_env, (), e)
+    ty0, _ = FdChecker(sigma, r.fd_class_env).check_expr((), e)
     for _ in range(1000):
         nxt = fd_step(sigma, e)
         if nxt is None:
             assert is_fd_value(e)
             break
-        ty, _ = fd_typecheck_expr(sigma, r.fd_class_env, (), nxt)
+        ty, _ = FdChecker(sigma, r.fd_class_env).check_expr((), nxt)
         assert S.alpha_eq(ty, ty0)
         e = nxt
     else:

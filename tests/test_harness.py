@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from dictelab import source_typer, syntax as S
@@ -82,6 +84,24 @@ def test_decomposition_catches_wrong_target_dictionary(monkeypatch):
     assert not rep.equal
 
 
+def test_coherence_violation_names_both_elaborations(monkeypatch):
+    # A wrong local dictionary in the direct pipeline makes one direct
+    # target evaluate to False; the report names it and the first value.
+    never = S.TLam("x", S.TBool(), S.TLam("y", S.TBool(), S.TFalse()))
+    monkeypatch.setattr(source_typer.TgtBuilder, "local_dict",
+                        lambda dvar: S.TRecord((("eq", never),)))
+    rep = check_coherence(corpus_program("P3"), program_name="P3")
+    assert not rep.all_kleene_equal
+    assert rep.counterexample == (
+        "fd value of let isz : [Eq Bool] -> Bool -> Bool = "
+        "\\δisz1 : [Eq Bool]. \\n : Bool. [δisz1].eq n n "
+        "in isz [D1_Eq] True",
+        "direct target let isz : {eq : Bool -> Bool -> Bool} -> "
+        "Bool -> Bool = \\$d_δisz1 : {eq : Bool -> Bool -> Bool}. "
+        "\\n : Bool. {eq = \\x : Bool. \\y : Bool. False}.eq n n "
+        "in isz {eq = \\x : Bool. \\y : Bool. True} True")
+
+
 def test_decomposition_report_lines():
     rep = check_decomposition(corpus_program("P1"), program_name="P1")
     assert any("equal" in ln for ln in decomposition_lines(rep))
@@ -160,6 +180,21 @@ def test_generated_terms_vary_across_seeds():
     sigma, tc = _p2_env()
     terms = {generate_fd_term(seed, 8, sigma, tc) for seed in range(30)}
     assert len(terms) > 5
+
+
+def test_generated_terms_are_pinned():
+    # The generator's output for a fixed seed range, recorded before its
+    # method calls were computed once per term instead of at every node.
+    h = hashlib.sha256()
+    for name in ("P2", "P4"):
+        r = corpus_result(name)
+        sigma = r.fd_elabs[0][0]
+        for size in (4, 6):
+            for seed in range(200):
+                e = generate_fd_term(seed, size, sigma, r.fd_class_env)
+                h.update((S.pretty(e) + "\n").encode())
+    assert h.hexdigest() == ("4b2d4b7eee15c52092b2741eec5278b3"
+                             "bee4272746816654fbc18f57a9ab434c")
 
 
 @pytest.mark.parametrize("seed", range(50))

@@ -499,7 +499,7 @@ def test_every_fd_elaboration_typechecks_at_elaborated_source_type(name):
     r = corpus_result(name)
     expected = elab_type(FdBuilder, r.GC, (), r.main_type)
     for sigma, ie in r.fd_elabs:
-        ty, _ = fd_core.fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
+        ty, _ = fd_core.FdChecker(sigma, r.fd_class_env).check_expr((), ie)
         assert S.alpha_eq(ty, expected)
 
 

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given
 
 from dictelab import syntax as S
-from dictelab.fd_core import (FdTypeError, FuelExhausted, OVERLAP,
-                              elab_fd_type, fd_env_wf)
+from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
+                              OVERLAP, elab_fd_type, fd_env_wf)
 from dictelab.reader import read_fixture, read_tgt_expr, read_tgt_type
 from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
     TBool, TermBind, TRecord, TRecordTy, TTrue,
 )
-from dictelab.target_core import (TgtTypeError, is_tgt_value, kleene_eq,
-                                  tgt_eval, tgt_step, tgt_typecheck)
+from dictelab.target_core import (TgtTypeError, kleene_eq, tgt_eval,
+                                  tgt_typecheck)
 
 from conftest import POSITIVE, corpus_result, corpus_text
+from reference_eval import is_tgt_value, tgt_step
 from strategies import tgt_term
 
 
@@ -175,10 +176,9 @@ def test_analogous_method_environment_is_rejected_upstream():
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_translated_elaborations_typecheck_at_translated_type(name):
-    from dictelab.fd_core import fd_typecheck_expr
     r = corpus_result(name)
     for sigma, ie in r.fd_elabs:
-        fd_ty, te = fd_typecheck_expr(sigma, r.fd_class_env, (), ie)
+        fd_ty, te = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
         assert S.alpha_eq(tgt_typecheck((), te),
                           elab_fd_type(r.fd_class_env, fd_ty))
 
