@@ -7,6 +7,12 @@ against the strict prefix of the method environment (an instance may only
 use instances declared before it), while evaluation of a method projection
 uses the full environment.
 
+This second translation step is deterministic: one term under one typing
+environment always gets the same type and the same target term. The
+enumerator shares subterms between elaborations, so a checker translates
+each shared (node, environment) pair once and reuses the result by object
+identity (hash-consing's idea, applied to results instead of nodes).
+
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
 walks, and `fd_eval` reaches the same value, in the same number of steps,
@@ -124,19 +130,6 @@ def elab_fd_q(TC, q: FdQ) -> TgtType:
                        subst_type(method_tt, {entry.var: elab_fd_type(TC, q.arg)})),))
 
 
-def elab_fd_env(TC, TT) -> tuple:
-    out = []
-    for bind in TT:
-        if isinstance(bind, TermBind):
-            out.append(TermBind(bind.name, elab_fd_type(TC, bind.ty)))
-        elif isinstance(bind, TyVarBind):
-            out.append(bind)
-        else:
-            out.append(TermBind(dict_target_name(bind.name),
-                                elab_fd_q(TC, bind.q)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Typechecking with simultaneous target elaboration
 # ---------------------------------------------------------------------------
@@ -146,16 +139,68 @@ class FdChecker:
 
     Constructor implementations are re-checked against the strict prefix of
     the environment at first use; results are memoized per constructor.
+
+    Checking is deterministic, so the checker translates each shared
+    subterm once. `check_expr`, through which all recursion goes, is
+    memoized on the identities of the node and of the environment; every
+    entry keeps both alive, so an identity is never reused while its entry
+    exists. Environments are extended through `_extend`, which returns one
+    tuple object per (parent environment, binding), so equal environments
+    built here are the same object and share entries. Type translations are
+    memoized by the type. Errors are never memoized. `collect` bounds the
+    memo of a checker reused over a stream of terms.
     """
 
     def __init__(self, sigma, TC):
         self.sigma = tuple(sigma)
         self.TC = tuple(TC)
         self._impl_memo: dict[str, TgtExpr] = {}
+        self._elabs: dict = {}      # FdType or FdQ -> TgtType
+        # (id(node), id(env)) -> (node, env, result) and
+        # (id(env), binding) -> (env, extended env); each with the entries
+        # used before the last collect() in a second generation.
+        self._memo: dict = {}
+        self._envs: dict = {}
+        self._old_memo: dict = {}
+        self._old_envs: dict = {}
+
+    def collect(self):
+        """Forget every memo entry not used since the previous collect().
+
+        Walking an evaluation trace, collect after each step: the checker
+        then keeps alive what the last two steps share, not every step."""
+        self._old_memo, self._memo = self._memo, {}
+        self._old_envs, self._envs = self._envs, {}
+
+    def _extend(self, env, bind):
+        key = (id(env), bind)
+        hit = self._envs.get(key)
+        if hit is None:
+            hit = self._old_envs.pop(key, None) or (env, env + (bind,))
+            self._envs[key] = hit
+        return hit[1]
+
+    def _elab(self, t) -> TgtType:
+        """The target type of an intermediate type or dictionary type."""
+        out = self._elabs.get(t)
+        if out is None:
+            elab = elab_fd_q if type(t) is FdQ else elab_fd_type
+            out = self._elabs[t] = elab(self.TC, t)
+        return out
 
     # -- expressions --------------------------------------------------------
 
     def check_expr(self, env, e: FdExpr) -> tuple[FdType, TgtExpr]:
+        key = (id(e), id(env))
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._old_memo.pop(key, None)
+            if hit is None:
+                hit = (e, env, self._infer(env, e))
+            self._memo[key] = hit
+        return hit[2]
+
+    def _infer(self, env, e: FdExpr) -> tuple[FdType, TgtExpr]:
         match e:
             case ITrue():
                 return IBool(), TTrue()
@@ -168,8 +213,9 @@ class FdChecker:
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
                 check_fd_type_wf(self.TC, env_tyvars(env), ty)
-                bty, tb = self.check_expr(env + (TermBind(x, ty),), body)
-                return IArrow(ty, bty), TLam(x, elab_fd_type(self.TC, ty), tb)
+                bty, tb = self.check_expr(self._extend(env, TermBind(x, ty)),
+                                          body)
+                return IArrow(ty, bty), TLam(x, self._elab(ty), tb)
             case IApp(f, a):
                 fty, tf = self.check_expr(env, f)
                 if not isinstance(fty, IArrow):
@@ -184,9 +230,10 @@ class FdChecker:
                 return fty.right, TApp(tf, ta)
             case IDLam(dv, q, body):
                 check_fd_q_wf(self.TC, env_tyvars(env), q)
-                bty, tb = self.check_expr(env + (DictBind(dv, q),), body)
+                bty, tb = self.check_expr(self._extend(env, DictBind(dv, q)),
+                                          body)
                 return IQArrow(q, bty), TLam(dict_target_name(dv),
-                                             elab_fd_q(self.TC, q), tb)
+                                             self._elab(q), tb)
             case IDApp(f, d):
                 fty, tf = self.check_expr(env, f)
                 if not isinstance(fty, IQArrow):
@@ -202,7 +249,8 @@ class FdChecker:
                         f"expected {S.pretty(fty.q)}")
                 return fty.result, TApp(tf, td)
             case ITyLam(a, body):
-                bty, tb = self.check_expr(env + (TyVarBind(a),), body)
+                bty, tb = self.check_expr(self._extend(env, TyVarBind(a)),
+                                          body)
                 return IForall(a, bty), TTyLam(a, tb)
             case ITyApp(f, ty):
                 fty, tf = self.check_expr(env, f)
@@ -212,7 +260,7 @@ class FdChecker:
                         f"type applied to non-polymorphic type {S.pretty(fty)}")
                 check_fd_type_wf(self.TC, env_tyvars(env), ty)
                 return (subst_type(fty.body, {fty.var: ty}),
-                        TTyApp(tf, elab_fd_type(self.TC, ty)))
+                        TTyApp(tf, self._elab(ty)))
             case IMethod(d, m):
                 dq, td = self.check_dict(env, d)
                 entry = lookup_class_by_method(self.TC, m)
@@ -230,8 +278,9 @@ class FdChecker:
                         MISMATCH,
                         f"let binding has type {S.pretty(bty)}, "
                         f"annotated {S.pretty(ty)}")
-                rty, tb2 = self.check_expr(env + (TermBind(x, ty),), body)
-                return rty, TLet(x, elab_fd_type(self.TC, ty), tb, tb2)
+                rty, tb2 = self.check_expr(self._extend(env, TermBind(x, ty)),
+                                           body)
+                return rty, TLet(x, self._elab(ty), tb, tb2)
         raise TypeError(e)
 
     # -- dictionaries -------------------------------------------------------
@@ -282,7 +331,7 @@ class FdChecker:
                 te_impl = self._check_impl(index)
                 te = self._wrap_record(entry, te_impl)
                 for ty in type_args:
-                    te = TTyApp(te, elab_fd_type(self.TC, ty))
+                    te = TTyApp(te, self._elab(ty))
                 for ta in arg_tes:
                     te = TApp(te, ta)
                 return subst_type(sc.head, inst), te
@@ -296,6 +345,7 @@ class FdChecker:
             return self._impl_memo[entry.con]
         prefix = FdChecker(self.sigma[:index], self.TC)
         prefix._impl_memo = self._impl_memo  # share across constructors
+        prefix._elabs = self._elabs
         try:
             ity, te = prefix.check_expr((), entry.impl)
         except FdTypeError as err:

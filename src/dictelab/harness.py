@@ -198,6 +198,7 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
             return MetaReport(steps, True, False, True, S.pretty(current))
         if nxt is None:
             return MetaReport(steps, True, False, True, S.pretty(current))
+        checker.collect()
         try:
             ty, _ = checker.check_expr((), nxt)
         except fd_core.FdTypeError as err:

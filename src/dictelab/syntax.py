@@ -569,14 +569,23 @@ def free_vars(node, sort: str) -> list[str]:
 def subst(node, sort: str, mapping: dict):
     """Simultaneous capture-avoiding substitution of variables of one sort.
 
-    A binder is renamed only when it would capture a free variable of the
-    mapping's range. It then takes its smallest primed variant that is free
-    neither in its scope nor in the mapping.
+    A binder, of any sort, is renamed only when it would capture a free
+    variable of its own sort in the mapping's range. It then takes its
+    smallest primed variant that is free neither in its scope nor in the
+    mapping. The range's free variables of each sort are computed once per
+    call, when the first binder of that sort is met.
     """
     if not mapping:
         return node
-    range_fvs = {k: set(free_vars(v, sort)) for k, v in mapping.items()}
-    every_fv = set().union(*range_fvs.values())
+    by_sort: dict = {}
+
+    def range_fvs(bsort):
+        """Each range value's free variables of sort bsort, and all of them."""
+        out = by_sort.get(bsort)
+        if out is None:
+            each = {k: set(free_vars(v, bsort)) for k, v in mapping.items()}
+            out = by_sort[bsort] = (each, set().union(*each.values()))
+        return out
 
     def go(x, m):
         if not m:
@@ -588,18 +597,20 @@ def subst(node, sort: str, mapping: dict):
             return x
         if shape.var is not None:
             return m.get(x.name, x) if shape.var == sort else x
-        if shape.bsort != sort:
+        bsort = shape.bsort
+        if bsort is None:
             return type(x)(*[go(getattr(x, f), m) for f in shape.fields])
         names = _bound_names(x, shape)
         inner = m
-        if any(n in m for n in names):
+        if bsort == sort and any(n in m for n in names):
             inner = {k: v for k, v in m.items() if k not in names}
         new_names, renames = names, None
+        each, every_fv = range_fvs(bsort)
         if any(n in every_fv for n in names):
-            clash = set().union(*(range_fvs[k] for k in inner))
+            clash = set().union(*(each[k] for k in inner))
             if any(n in clash for n in names):
-                new_names, renames = _rename_binders(x, shape, sort, clash,
-                                                     inner)
+                new_names, renames = _rename_binders(
+                    x, shape, clash, inner if bsort == sort else ())
         values = []
         for f in shape.fields:
             v = getattr(x, f)
@@ -607,7 +618,7 @@ def subst(node, sort: str, mapping: dict):
                 v = new_names[0] if isinstance(v, str) else new_names
             elif f in shape.scope:
                 if renames:
-                    v = subst(v, sort, renames)
+                    v = subst(v, bsort, renames)
                 v = go(v, inner)
             else:
                 v = go(v, m)
@@ -617,10 +628,11 @@ def subst(node, sort: str, mapping: dict):
     return go(node, mapping)
 
 
-def _rename_binders(node, shape: _Shape, sort: str, clash: set, avoid):
+def _rename_binders(node, shape: _Shape, clash: set, avoid):
     """The binder names of node with each one in clash renamed apart from
     clash, avoid and the free variables of its scope; also the renaming to
     apply to the scope."""
+    sort = shape.bsort
     names = _bound_names(node, shape)
     taken = set(names) | clash | set(avoid)
     for f in shape.scope:

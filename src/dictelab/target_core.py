@@ -5,8 +5,7 @@ machine metered by fuel, which reaches the value of the leftmost
 call-by-name small-step semantics in the same number of steps (the
 small-step reference is kept in the tests). Record literals are values
 regardless of their field expressions; projection extracts the
-(unevaluated) field once the literal is exposed. Kleene equivalence
-compares the values two closed terms reach within a fuel budget.
+(unevaluated) field once the literal is exposed.
 """
 
 from __future__ import annotations
@@ -167,8 +166,3 @@ def tgt_eval(e: TgtExpr, fuel: int) -> TgtExpr:
             else:
                 env = {**env, (sort, e.param): (arg, aenv)}
                 e = e.body
-
-
-def kleene_eq(e1: TgtExpr, e2: TgtExpr, fuel: int) -> bool:
-    """Both terms evaluate within fuel to alpha-equal values."""
-    return alpha_eq(tgt_eval(e1, fuel), tgt_eval(e2, fuel))

@@ -75,10 +75,10 @@ def subst(node, sort: str, mapping: dict):
     if not mapping:
         return node
 
-    def range_fvs(m):
+    def range_fvs(m, bsort):
         taken = set()
         for v in m.values():
-            taken.update(free_vars(v, sort))
+            taken.update(free_vars(v, bsort))
         return taken
 
     def go(x, m):
@@ -92,21 +92,27 @@ def subst(node, sort: str, mapping: dict):
         if cls in _VAR_SORT and _VAR_SORT[cls] == sort:
             return m.get(x.name, x)
         spec = _BINDERS.get(cls)
-        if spec is not None and spec[1] == sort:
-            bfield, _, scope = spec
+        if spec is not None:
+            # A binder of any sort is renamed when it would capture a free
+            # variable of its own sort in the range.
+            bfield, bsort, scope = spec
             names = _binder_names(x)
-            inner = {k: v for k, v in m.items() if k not in names}
-            clash = range_fvs(inner)
+            inner = m
+            if bsort == sort:
+                inner = {k: v for k, v in m.items() if k not in names}
+            clash = range_fvs(inner, bsort)
             renames = {}
-            taken = set(names) | clash | set(inner)
+            taken = set(names) | clash
+            if bsort == sort:
+                taken |= set(inner)
             for sf in scope:
-                taken.update(free_vars(getattr(x, sf), sort))
+                taken.update(free_vars(getattr(x, sf), bsort))
             new_names = []
             for n in names:
                 if n in clash:
                     n2 = avoid_name(n, taken)
                     taken.add(n2)
-                    renames[n] = _VAR_CLASS[sort](n2)
+                    renames[n] = _VAR_CLASS[bsort](n2)
                     new_names.append(n2)
                 else:
                     new_names.append(n)
@@ -118,7 +124,7 @@ def subst(node, sort: str, mapping: dict):
                                       else tuple(new_names))
                 elif f.name in scope:
                     if renames:
-                        v = go(v, renames)
+                        v = subst(v, bsort, renames)
                     kwargs[f.name] = go(v, inner)
                 else:
                     kwargs[f.name] = go(v, m)

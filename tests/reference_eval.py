@@ -5,7 +5,7 @@ machines. `run_small_step` is the substitution-based small-step loop they
 replaced, for either language: leftmost call-by-name, one `fd_step` or
 `tgt_step` per unit of fuel. `fd_step` stays in the package because
 `check_metatheory` walks its traces; `tgt_step` lives here because nothing
-else needs it.
+else needs it. `kleene_eq` is the tests' observation of two target terms.
 
 On a term with no binder named like one of its free variables of the same
 sort (every closed term, in particular) the machines must agree with this
@@ -21,7 +21,7 @@ from dictelab.syntax import (
     TApp, TFalse, TLam, TLet, TProj, TRecord, TTrue, TTyApp, TTyLam,
     subst_tgt_var, subst_type,
 )
-from dictelab.target_core import TgtTypeError
+from dictelab.target_core import TgtTypeError, tgt_eval
 
 
 def is_tgt_value(e) -> bool:
@@ -74,3 +74,8 @@ def run_small_step(step, is_value, e, limit: int):
         except (FdTypeError, TgtTypeError) as err:
             return n, None, err
     return None, None, None
+
+
+def kleene_eq(e1, e2, fuel: int) -> bool:
+    """Both target terms evaluate within fuel to alpha-equal values."""
+    return S.alpha_eq(tgt_eval(e1, fuel), tgt_eval(e2, fuel))

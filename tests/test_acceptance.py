@@ -24,9 +24,10 @@ from dictelab.source_typer import (FdBuilder, Limits, SrcTypeError, closure,
                                    elab_type, typecheck_program)
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl, SrcConstraint)
-from dictelab.target_core import kleene_eq, tgt_eval
+from dictelab.target_core import tgt_eval
 
 from conftest import POSITIVE, corpus_program, corpus_result, corpus_text
+from reference_eval import kleene_eq
 from test_source_typer import _class, closure_oracle, random_class_dag
 
 FUEL = 100_000

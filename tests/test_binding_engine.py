@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import reference_binding as ref
 from dictelab import syntax as S
 from dictelab.parser import parse_context
+from dictelab.reader import read_fd_expr
 from dictelab.source_typer import ClassEntry, resolve_names
 
 from conftest import corpus_result
@@ -80,6 +81,24 @@ def test_subst_renames_a_capturing_binder_like_the_reference():
     out = S.subst(e, "sv", mapping)
     assert out == ref.subst(e, "sv", mapping)
     assert out.param == "x''"
+
+
+# A binder of another sort is renamed when the range has a free variable of
+# its sort under its name.
+CROSS_SORT = [
+    ("\\d : [Eq Bool]. x", "[d].eq", "\\d' : [Eq Bool]. [d].eq"),
+    ("/\\a. x", "\\y : a. y", "/\\a'. \\y : a. y"),
+    ("\\y : Bool. x", "[d].eq", "\\y : Bool. [d].eq"),
+]
+
+
+@pytest.mark.parametrize("body,value,expected", CROSS_SORT)
+def test_subst_renames_a_capturing_binder_of_another_sort(body, value,
+                                                          expected):
+    e, mapping = read_fd_expr(body), {"x": read_fd_expr(value)}
+    out = S.subst(e, "iv", mapping)
+    assert S.pretty(out) == expected
+    assert out == ref.subst(e, "iv", mapping)
 
 
 LETS = [

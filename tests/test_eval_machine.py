@@ -8,9 +8,8 @@ message on a stuck term.
 
 Exactness holds on every term none of whose binders is named like one of
 its free variables of the same sort, closed terms in particular. Elsewhere
-small-step substitution may rename or, across sorts, capture (it avoids
-capture only within the sort it substitutes), while the machine's closures
-keep every variable's meaning. The open Hypothesis terms are therefore
+small-step substitution may rename a binder, while the machine's closures
+keep every name. The open Hypothesis terms are therefore
 compared after renaming their free variables apart; the raw terms must
 still end in a value or a documented error.
 """
@@ -170,6 +169,9 @@ def test_tgt_machine_agrees_on_open_terms(e):
     "(/\\a. \\x : a. x) @Bool True True",
     "[D2 @Bool @(Bool -> Bool) [D1] [D4]].eq",
     "(\\x : Bool. [D3].eq) True",
+    # The free d of the argument must not be captured by the dictionary
+    # binder: small-step renames the binder and gets stuck like the machine.
+    "(\\x : Bool. \\d : [Eq Bool]. x) [d].eq [D1] True True",
 ])
 def test_fd_machine_agrees_on_edge_cases(text):
     assert_fd_agrees(SIGMA, read_fd_expr(text))

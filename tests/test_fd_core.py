@@ -6,13 +6,13 @@ from dictelab import syntax as S
 from dictelab.fd_core import (
     FdChecker, FdTypeError, FuelExhausted, MISMATCH, OVERLAP,
     PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
-    elab_fd_env, elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
+    elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, is_fd_value,
 )
 from dictelab.reader import read_fd_dict, read_fd_expr, read_fd_type
 from dictelab.syntax import (
     DictBind, FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar,
-    MethodImpl, TermBind,
+    MethodImpl,
 )
 
 from conftest import POSITIVE, corpus_result
@@ -78,14 +78,6 @@ def test_elab_fd_type_replaces_constraints_with_records():
 def test_elab_fd_q_is_single_method_record():
     out = elab_fd_q(TC_EQ, FdQ("Eq", IBool()))
     assert S.pretty(out) == "{eq : Bool -> Bool -> Bool}"
-
-
-def test_elab_fd_env_renames_dict_binders():
-    tt = (DictBind("d", FdQ("Eq", IBool())),)
-    (bind,) = elab_fd_env(TC_EQ, tt)
-    assert isinstance(bind, TermBind)
-    assert bind.name == "$d_d"
-    assert S.pretty(bind.ty) == "{eq : Bool -> Bool -> Bool}"
 
 
 def test_expected_impl_type_instantiates_head():

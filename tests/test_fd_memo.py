@@ -1,0 +1,182 @@
+"""The memo of `fd_core.FdChecker` against checking without sharing.
+
+A checker translates each (node, environment) pair once and reuses the
+result wherever the node object occurs again under the same environment.
+The reference is the same checker on a copy of the term rebuilt node by
+node, so that no two positions share an object and the memo never hits
+across positions: types and targets must be `==`, and an ill-typed term
+must raise the same error class, kind and message.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import fields, is_dataclass
+
+import pytest
+
+from dictelab.fd_core import FdChecker, FdTypeError, fd_step, is_fd_value
+from dictelab.harness import (check_metatheory, composed_checkers,
+                              generate_fd_term)
+from dictelab.parser import parse_program
+from dictelab.source_typer import typecheck_program
+from dictelab.syntax import (
+    DictBind, FdExpr, IApp, IArrow, IBool, IDLam, ILam, ILet, ITrue, ITyLam,
+    IVar, TermBind, TyVarBind,
+)
+
+from conftest import (POSITIVE, corpus_result, flex_source, tower_source,
+                      wide_source)
+
+
+def rebuild(x):
+    """A copy of x in which no object occurs twice."""
+    if type(x) is tuple:
+        return tuple(rebuild(item) for item in x)
+    if is_dataclass(x):
+        return type(x)(*[rebuild(getattr(x, f.name)) for f in fields(x)])
+    return x
+
+
+def outcome(checker, e):
+    try:
+        return checker.check_expr((), e)
+    except FdTypeError as err:
+        return type(err), err.kind, str(err)
+
+
+def assert_same_as_unshared(checker, sigma, TC, e):
+    """checker (shared with earlier terms) agrees with a fresh checker on
+    an unshared copy of e."""
+    fresh = FdChecker(rebuild(sigma), rebuild(TC))
+    assert outcome(checker, e) == outcome(fresh, rebuild(e))
+
+
+def _programs():
+    out = {name: corpus_result(name) for name in POSITIVE}
+    for n in range(1, 6):
+        out[f"flex{n}"] = typecheck_program(parse_program(flex_source(n)))
+    for k in range(1, 4):
+        out[f"wide{k}"] = typecheck_program(parse_program(wide_source(k)))
+    for d in range(1, 9):
+        out[f"tower{d}"] = typecheck_program(parse_program(tower_source(d)))
+    return out
+
+
+PROGRAMS = _programs()
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_shared_checker_agrees_on_elaborations(name):
+    r = PROGRAMS[name]
+    for sigma, checker, ie in composed_checkers(r):
+        assert_same_as_unshared(checker, sigma, r.fd_class_env, ie)
+
+
+@pytest.mark.parametrize("name", ["P2", "P4"])
+@pytest.mark.parametrize("size", [4, 6])
+def test_shared_checker_agrees_on_generated_terms(name, size):
+    r = corpus_result(name)
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    checker = FdChecker(sigma, TC)
+    for seed in range(200):
+        e = generate_fd_term(seed, size, sigma, TC)
+        assert_same_as_unshared(checker, sigma, TC, e)
+        # Ill-typed: e applied to itself, after e is in the memo.
+        assert_same_as_unshared(checker, sigma, TC, IApp(e, e))
+
+
+def test_a_shared_node_is_checked_per_environment():
+    x = IVar("x")
+    fun = IArrow(IBool(), IBool())
+    checker = FdChecker((), ())
+    assert checker.check_expr((TermBind("x", IBool()),), x)[0] == IBool()
+    assert checker.check_expr((TermBind("x", fun),), x)[0] == fun
+    assert checker.check_expr((), ILam("x", IBool(), x))[0] == \
+        IArrow(IBool(), IBool())
+    assert checker.check_expr((), ILam("x", fun, x))[0] == IArrow(fun, fun)
+    with pytest.raises(FdTypeError):
+        checker.check_expr((), x)
+
+
+def _binding(e):
+    """What e binds in its body, as the typing rules extend environments."""
+    match e:
+        case ILam(x, ty, _) | ILet(x, ty, _, _):
+            return TermBind(x, ty)
+        case IDLam(dv, q, _):
+            return DictBind(dv, q)
+        case ITyLam(a, _):
+            return TyVarBind(a)
+    return None
+
+
+def _check_sites(e, env, out) -> int:
+    """Add each (node, environment) pair at which e's tree is checked to
+    out; returns the number of nodes in the tree."""
+    out.add((id(e), env))
+    bind = _binding(e)
+    size = 1
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, FdExpr):
+            inner = env + (bind,) if f.name == "body" and bind else env
+            size += _check_sites(child, inner, out)
+    return size
+
+
+def test_each_node_and_environment_is_checked_once(monkeypatch):
+    bodies = []     # the checker of each uncached check
+    infer = FdChecker._infer
+
+    def counted(self, env, e):
+        bodies.append(self)
+        return infer(self, env, e)
+
+    monkeypatch.setattr(FdChecker, "_infer", counted)
+    r = PROGRAMS["flex5"]
+    checkers, pairs, nodes = [], set(), 0
+    for sigma, checker, ie in composed_checkers(r):
+        checker.check_expr((), ie)
+        sites = set()
+        nodes += _check_sites(ie, (), sites)
+        pairs |= {(id(checker), *site) for site in sites}
+        checkers.append(checker)
+    # Implementations are checked by prefix checkers; leave those out.
+    own = sum(1 for c in bodies if any(c is k for k in checkers))
+    assert own <= len(pairs) < nodes
+
+
+def _doubling_chain(k):
+    """(twice (twice ... (twice id))) True, twice nested k deep, with
+    twice = \\f : Bool -> Bool. \\x : Bool. f (f x): a trace of thousands
+    of steps over small terms."""
+    b = IBool()
+    twice = ILam("f", IArrow(b, b),
+                 ILam("x", b, IApp(IVar("f"), IApp(IVar("f"), IVar("x")))))
+    fun = ILam("b", b, IVar("b"))
+    for _ in range(k):
+        fun = IApp(twice, fun)
+    return IApp(fun, ITrue())
+
+
+def test_trace_checking_keeps_a_bounded_memo():
+    e = _doubling_chain(9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = [e]
+        while not is_fd_value(trace[-1]):
+            trace.append(fd_step((), trace[-1]))
+        every_step = tracemalloc.get_traced_memory()[0] - base
+        steps = len(trace) - 1
+        del trace
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = check_metatheory((), (), e)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.steps_checked == steps > 1000
+    assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
+    assert peak < every_step / 3

@@ -11,11 +11,10 @@ from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
     TBool, TermBind, TRecord, TRecordTy, TTrue,
 )
-from dictelab.target_core import (TgtTypeError, kleene_eq, tgt_eval,
-                                  tgt_typecheck)
+from dictelab.target_core import TgtTypeError, tgt_eval, tgt_typecheck
 
 from conftest import POSITIVE, corpus_result, corpus_text
-from reference_eval import is_tgt_value, tgt_step
+from reference_eval import is_tgt_value, kleene_eq, tgt_step
 from strategies import tgt_term
 
 
