@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dictelab.harness import (check_coherence, check_decomposition,
                               coherence_lines, decomposition_lines)
 from dictelab.parser import ParseError, parse_context, parse_program
-from dictelab.source_typer import SrcTypeError, typecheck_program
+from dictelab.source_typer import SrcTypeError
 
 DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / "tests" / "corpus"
 
@@ -33,13 +33,12 @@ def main() -> int:
         print(f"== {path.name} ==")
         try:
             program = parse_program(path.read_text())
-            typecheck_program(program)
+            coh = check_coherence(program, fuel=args.fuel, contexts=contexts,
+                                  program_name=path.stem)
         except (ParseError, SrcTypeError) as err:
             print(f"rejected: {err}")
             print()
             continue
-        coh = check_coherence(program, fuel=args.fuel, contexts=contexts,
-                              program_name=path.stem)
         for line in coherence_lines(coh):
             print(line)
         dec = check_decomposition(program, program_name=path.stem)

@@ -152,10 +152,6 @@ def _elaborations(cfg: CliConfig, result):
             for _, checker, ie in harness.composed_checkers(result)]
 
 
-def _truncated(result) -> bool:
-    return result.fd_truncated or result.tgt_truncated
-
-
 def _resource_exit(truncated: bool) -> int:
     return EXIT_RESOURCE if truncated else EXIT_OK
 
@@ -178,12 +174,12 @@ def cmd_check(cfg: CliConfig) -> int:
     classes = sum(1 for e in r.GC)
     instances = sum(1 for e in r.P)
     if cfg.format == "json":
-        _emit_json(cfg, r.main_type, [], [], True, _truncated(r))
+        _emit_json(cfg, r.main_type, [], [], True, r.fd_truncated)
     else:
         print(f"main : {S.pretty(r.main_type)}")
         print(f"{classes} class(es), {instances} instance(s), "
               f"{len(r.fd_elabs)} elaboration(s)")
-    return _resource_exit(_truncated(r))
+    return _resource_exit(r.fd_truncated)
 
 
 def cmd_elaborate(cfg: CliConfig) -> int:
@@ -192,11 +188,11 @@ def cmd_elaborate(cfg: CliConfig) -> int:
     elabs = _elaborations(cfg, r)
     shown = elabs if cfg.all else elabs[:1]
     if cfg.format == "json":
-        _emit_json(cfg, r.main_type, shown, [], True, _truncated(r))
+        _emit_json(cfg, r.main_type, shown, [], True, r.fd_truncated)
     else:
         for t in shown:
             print(t)
-    return _resource_exit(_truncated(r))
+    return _resource_exit(r.fd_truncated)
 
 
 def cmd_run(cfg: CliConfig) -> int:
@@ -212,10 +208,10 @@ def cmd_run(cfg: CliConfig) -> int:
         _, te = checker.check_expr((), ie)
         value = S.pretty(target_core.tgt_eval(te, cfg.fuel))
     if cfg.format == "json":
-        _emit_json(cfg, r.main_type, [], [value], True, _truncated(r))
+        _emit_json(cfg, r.main_type, [], [value], True, r.fd_truncated)
     else:
         print(value)
-    return _resource_exit(_truncated(r))
+    return _resource_exit(r.fd_truncated)
 
 
 def _load_contexts(cfg: CliConfig):
@@ -293,7 +289,7 @@ def cmd_meta(cfg: CliConfig) -> int:
         if any(not m.fuel_ok for m in reports):
             return EXIT_RESOURCE
         return EXIT_VIOLATION
-    return _resource_exit(_truncated(r))
+    return _resource_exit(r.fd_truncated)
 
 
 _COMMANDS = {

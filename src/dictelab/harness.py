@@ -1,11 +1,11 @@
 """Executable checks over whole programs.
 
-Coherence: enumerate every elaboration of a program along both pipelines,
-evaluate them all, and require Kleene-equal results. Decomposition: the
-direct target elaborations must equal (modulo alpha) the targets obtained
-by elaborating through the intermediate language. Metatheory: walk
-evaluation traces re-typechecking every step, and fuzz the intermediate
-typechecker/evaluator with seeded type-directed term generation.
+Coherence: evaluate every elaboration along both pipelines and require
+Kleene-equal results. Decomposition: one commuting square per derivation D
+and method environment Σ, direct(D, Σ) ≡α composed(fd(D, Σ)), pair by pair.
+Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
+intermediate typechecker/evaluator with seeded type-directed term
+generation.
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -40,6 +40,15 @@ class CoherenceReport:
 
 
 @dataclass(frozen=True)
+class Mismatch:
+    """A derivation whose two target translations differ, pretty-printed."""
+    derivation: str
+    variant: int        # index of its method environment among the variants
+    direct: str
+    composed: str
+
+
+@dataclass(frozen=True)
 class DecompositionReport:
     program_name: str
     equal: bool
@@ -48,8 +57,7 @@ class DecompositionReport:
     truncated: bool
     main_type: SrcMono
     composed: tuple[TgtExpr, ...]
-    only_direct: tuple[str, ...] = ()
-    only_composed: tuple[str, ...] = ()
+    mismatches: tuple[Mismatch, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,7 @@ def _program_results(p: SrcProgram, limits: Limits, fuel: int):
                        target_core.tgt_eval(te, fuel)))
     for te in r.tgt_elabs:
         values.append(("direct target", te, target_core.tgt_eval(te, fuel)))
-    truncated = r.fd_truncated or r.tgt_truncated
-    return r, values, tuple(composed), truncated
+    return r, values, tuple(composed), r.fd_truncated
 
 
 def _label(origin: str, elaboration) -> str:
@@ -151,29 +158,26 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
 def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
                         program_name: str = "") -> DecompositionReport:
     r = typecheck_program(p, limits)
-    composed = [checker.check_expr((), ie)[1]
-                for _, checker, ie in composed_checkers(r)]
-    direct = list(r.tgt_elabs)
-    remaining = list(composed)
-    only_direct = []
-    for te in direct:
-        for i, other in enumerate(remaining):
-            if alpha_eq(te, other):
-                del remaining[i]
-                break
-        else:
-            only_direct.append(S.pretty(te))
-    only_composed = [S.pretty(te) for te in remaining]
+    composed = []
+    mismatches = []
+    variant, sigma = -1, None
+    for (s, checker, ie), direct in zip(composed_checkers(r), r.tgt_elabs):
+        if s is not sigma:
+            variant, sigma = variant + 1, s
+        te = checker.check_expr((), ie)[1]
+        composed.append(te)
+        if not alpha_eq(direct, te):
+            mismatches.append(Mismatch(S.pretty(ie), variant,
+                                       S.pretty(direct), S.pretty(te)))
     return DecompositionReport(
         program_name=program_name,
-        equal=not only_direct and not only_composed,
-        count_direct=len(direct),
+        equal=not mismatches,
+        count_direct=len(r.tgt_elabs),
         count_composed=len(composed),
-        truncated=r.fd_truncated or r.tgt_truncated,
+        truncated=r.fd_truncated,
         main_type=r.main_type,
         composed=tuple(composed),
-        only_direct=tuple(only_direct),
-        only_composed=tuple(only_composed))
+        mismatches=tuple(mismatches))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +384,11 @@ def decomposition_lines(rep: DecompositionReport) -> list[str]:
         f"truncated: {str(rep.truncated).lower()}",
         f"equal modulo alpha: {str(rep.equal).lower()}",
     ]
-    for t in rep.only_direct:
-        lines.append(f"  only direct: {t}")
-    for t in rep.only_composed:
-        lines.append(f"  only composed: {t}")
+    for m in rep.mismatches:
+        lines.append(f"  derivation: {m.derivation} "
+                     f"(method environment {m.variant})")
+        lines.append(f"    direct:   {m.direct}")
+        lines.append(f"    composed: {m.composed}")
     return lines
 
 

@@ -6,13 +6,14 @@ class/instance/program typing and environment elaboration. Matching an
 instance head or a scheme against a type is `syntax.unify` with the
 pattern's binders renamed apart from the type.
 
-The elaborating judgments `infer`, `check` and `entail` are written once
-and take a term builder: `FdBuilder` emits the dictionary-passing
-intermediate language, `TgtBuilder` goes directly to the record-based
-target. The builders are the only pipeline-specific code and share nothing,
-so the decomposition check in the harness stays a genuine cross-check. The
-typer runs once per builder: the intermediate pipeline picks an instance
-body once per method environment, the direct pipeline at every use.
+The elaborating judgments `infer`, `check` and `entail` run once per
+program and emit the intermediate language, whose dictionaries are
+first-order and binder-free: an elaboration is its resolution derivation.
+A method environment Σ fixes one body per instance for the whole program.
+Under Σ, each derivation is translated to the target twice: through the
+intermediate language (`fd_core.FdChecker`) and directly here
+(`DirectTranslator`, which shares no code with `fd_core`), so the
+decomposition check in the harness stays a genuine cross-check.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 Enumeration order is fixed: local dictionary bindings in environment order
@@ -32,11 +33,11 @@ from .syntax import (
     SrcExpr, SrcMono, SrcProgram, SrcScheme, TermBind, TyVarBind,
     SAnn, SApp, SArrow, SBool, SFalse, SHole, SLam, SLet, SMeth, STrue,
     STyVar, SVar,
-    FdConstraintScheme, FdClassEntry, FdQ, MethodImpl,
+    FdConstraintScheme, FdClassEntry, FdQ, FdType, MethodImpl,
     DCon, DVar, IApp, IArrow, IBool, IDApp, IDLam, IForall, ILam, ILet,
     IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar, FdExpr,
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
-    TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
+    TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr,
     dict_target_name, env_tyvars, free_type_vars, rename_apart, subst_type,
 )
 from . import syntax as S
@@ -71,16 +72,13 @@ class InstEntry:
     con: str
     scheme: SrcConstraintScheme        # forall fv(head). closed ctx => C head
     method: str
-    local_env: tuple
-    body: SrcExpr
-    # Derived data fixed at declaration time (used by both backends):
+    # Derived data fixed at declaration time (used by both translations):
+    fd_scheme: FdConstraintScheme      # scheme, elaborated
     ctx_dvars: tuple[str, ...]         # aligned with scheme.context
     meth_binders: tuple[str, ...]
-    meth_ctx: tuple[SrcConstraint, ...]
+    meth_qtys: tuple[FdQ, ...]         # elaborated method context
     meth_dvars: tuple[str, ...]
-    meth_head: SrcMono                 # method head at the instance type
     body_fd: tuple[FdExpr, ...]        # elaborations of body, fixed prefix
-    body_tgt: tuple[TgtExpr, ...]
     truncated: bool = False
 
     @property
@@ -146,135 +144,52 @@ def unambig_constraint(c: SrcConstraintScheme) -> bool:
 # Type elaboration
 # ---------------------------------------------------------------------------
 
-def _check_mono_wf(GC, tyvars: set[str], t: SrcMono):
-    for a in free_type_vars(t):
-        if a not in tyvars:
-            raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-
-
-def elab_mono(b, tyvars: set[str], t: SrcMono):
+def elab_mono(tyvars: set[str], t: SrcMono) -> FdType:
     match t:
         case SBool():
-            return b.bool_ty
+            return IBool()
         case STyVar(a):
             if a not in tyvars:
                 raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-            return b.ty_var(a)
+            return ITyVar(a)
         case SArrow(l, r):
-            return b.arrow_ty(elab_mono(b, tyvars, l), elab_mono(b, tyvars, r))
+            return IArrow(elab_mono(tyvars, l), elab_mono(tyvars, r))
     raise TypeError(t)
 
 
-def elab_type(b, GC, env, s: SrcScheme | SrcMono):
+def elab_constraint(GC, tyvars: set[str], q: SrcConstraint) -> FdQ:
+    lookup_class(GC, q.cls)
+    return FdQ(q.cls, elab_mono(tyvars, q.arg))
+
+
+def elab_type(GC, env, s: SrcScheme | SrcMono) -> FdType:
     if isinstance(s, SrcMono):
         s = SrcScheme((), (), s)
     tyvars = env_tyvars(env) | set(s.binders)
-    ty = elab_mono(b, tyvars, s.head)
+    ty = elab_mono(tyvars, s.head)
     for q in reversed(s.context):
-        ty = b.qual_ty(b.constraint(GC, tyvars, q), ty)
+        ty = IQArrow(elab_constraint(GC, tyvars, q), ty)
     for a in reversed(s.binders):
-        ty = b.forall_ty(a, ty)
+        ty = IForall(a, ty)
     return ty
 
 
-# ---------------------------------------------------------------------------
-# Term builders: the only pipeline-specific code
-# ---------------------------------------------------------------------------
-
-class FdBuilder:
-    """Intermediate-language terms. Dictionaries are first-class values:
-    local ones are dictionary variables, global ones are instance
-    constructors applied to types and dictionaries, and a method call
-    selects from one. Instance bodies are chosen per method environment
-    (see `elab_env`), not here."""
-    bool_ty, ty_var, arrow_ty = IBool(), ITyVar, IArrow
-    qual_ty, forall_ty = IQArrow, IForall
-    true, false = ITrue(), IFalse()
-    app, lam, let, var, method = IApp, ILam, ILet, IVar, IMethod
-    ty_lam, ty_app, dict_lam, dict_app = ITyLam, ITyApp, IDLam, IDApp
-    local_dict = DVar
-
-    @staticmethod
-    def constraint(GC, tyvars: set[str], q: SrcConstraint) -> FdQ:
-        lookup_class(GC, q.cls)
-        return FdQ(q.cls, elab_mono(FdBuilder, tyvars, q.arg))
-
-    @staticmethod
-    def instance(GC, entry: InstEntry, types, arg_lists):
-        """The dictionaries of `entry`, one per context resolution, and
-        whether they are cut."""
-        return (DCon(entry.con, types, tuple(ds)) for ds in arg_lists), False
-
-
-class TgtBuilder:
-    """Target terms. A dictionary is a record with one field per method, a
-    method call is a projection, and a dictionary variable becomes a term
-    variable with a reserved prefix. An instance is expanded over its body
-    elaborations at every use."""
-    bool_ty, ty_var, arrow_ty = TBool(), TTyVar, TArrow
-    qual_ty, forall_ty = TArrow, TForall
-    true, false = TTrue(), TFalse()
-    app, lam, let, var, method = TApp, TLam, TLet, TVar, TProj
-    ty_lam, ty_app, dict_app = TTyLam, TTyApp, TApp
-
-    @staticmethod
-    def constraint(GC, tyvars: set[str], q: SrcConstraint) -> TgtType:
-        """A class constraint becomes the single-field record of its
-        method."""
-        entry = lookup_class(GC, q.cls)
-        method_ty = elab_type(TgtBuilder, GC, (TyVarBind(entry.var),),
-                              entry.scheme)
-        arg = elab_mono(TgtBuilder, tyvars, q.arg)
-        return TRecordTy(((entry.method,
-                           subst_type(method_ty, {entry.var: arg})),))
-
-    @staticmethod
-    def local_dict(dvar: str):
-        return TVar(dict_target_name(dvar))
-
-    @staticmethod
-    def dict_lam(dvar: str, qty: TgtType, body):
-        return TLam(dict_target_name(dvar), qty, body)
-
-    @staticmethod
-    def instance(GC, entry: InstEntry, types, arg_lists):
-        """For each body elaboration of `entry`, its record abstracted over
-        the instance binders and context and applied to each context
-        resolution; cut if the body elaborations were."""
-        def records():
-            inst_vars = set(entry.scheme.binders)
-            meth_vars = inst_vars | set(entry.meth_binders)
-            meth_qtys = [TgtBuilder.constraint(GC, meth_vars, q)
-                         for q in entry.meth_ctx]
-            ctx_qtys = [TgtBuilder.constraint(GC, inst_vars, q)
-                        for q in entry.scheme.context]
-            for body in entry.body_tgt:
-                field = _abstract(TgtBuilder, entry.meth_binders,
-                                  entry.meth_dvars, meth_qtys, body)
-                wrapper = _abstract(TgtBuilder, entry.scheme.binders,
-                                    entry.ctx_dvars, ctx_qtys,
-                                    TRecord(((entry.method, field),)))
-                for args in arg_lists:
-                    yield _instantiate(TgtBuilder, wrapper, types, args)
-        return records(), entry.truncated
-
-
-def _abstract(b, binders, dvars, qtys, body):
-    """Abstract body over the dictionaries dvars of elaborated constraint
-    types qtys, then over binders."""
+def _abstract(binders, dvars, qtys, body: FdExpr) -> FdExpr:
+    """Abstract body over the dictionaries dvars of constraint types qtys,
+    then over binders."""
     for dv, qty in zip(reversed(dvars), reversed(qtys)):
-        body = b.dict_lam(dv, qty, body)
+        body = IDLam(dv, qty, body)
     for a in reversed(binders):
-        body = b.ty_lam(a, body)
+        body = ITyLam(a, body)
     return body
 
 
-def _instantiate(b, head, types, dicts):
-    """Apply head to elaborated types, then to dictionaries."""
+def _instantiate(head: FdExpr, types, dicts) -> FdExpr:
+    """Apply head to types, then to dictionaries."""
     for ty in types:
-        head = b.ty_app(head, ty)
+        head = ITyApp(head, ty)
     for d in dicts:
-        head = b.dict_app(head, d)
+        head = IDApp(head, d)
     return head
 
 
@@ -300,11 +215,13 @@ def _unresolved(truncated: bool, message: str) -> SrcTypeError:
     return SrcTypeError("unsatisfiable", message)
 
 
-def _dedup_alpha(items):
-    seen = []
+def _dedup(items):
+    """items without repeats, in order. Dictionaries have no binders, so
+    `==` is alpha-equivalence on them."""
+    seen = set()
     for x in items:
-        if not any(S.alpha_eq(x, y) for y in seen):
-            seen.append(x)
+        if x not in seen:
+            seen.add(x)
             yield x
 
 
@@ -329,8 +246,8 @@ def _instance_matches(P, q: SrcConstraint):
         yield entry, type_args, ctx
 
 
-def entail(b, P, GC, env, q: SrcConstraint, limits: Limits, depth: int = 0):
-    """All resolutions of q as dictionaries built by b, in DFS order."""
+def entail(P, env, q: SrcConstraint, limits: Limits, depth: int = 0):
+    """All resolutions of q as dictionaries, in DFS order."""
     if depth >= limits.max_depth:
         return [], True
     truncated = False
@@ -339,25 +256,25 @@ def entail(b, P, GC, env, q: SrcConstraint, limits: Limits, depth: int = 0):
         nonlocal truncated
         for bind in env_dicts(env):
             if bind.q == q:
-                yield b.local_dict(bind.name)
+                yield DVar(bind.name)
         tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
         for entry, type_args, ctx in _instance_matches(P, q):
-            arg_lists, t = _entail_all(b, P, GC, env, ctx, limits, depth + 1)
-            types = tuple(elab_mono(b, tyvars, ty) for ty in type_args)
-            dicts, t_bodies = b.instance(GC, entry, types, arg_lists)
-            truncated |= t | t_bodies
-            yield from dicts
+            arg_lists, t = _entail_all(P, env, ctx, limits, depth + 1)
+            types = tuple(elab_mono(tyvars, ty) for ty in type_args)
+            truncated |= t
+            for ds in arg_lists:
+                yield DCon(entry.con, types, tuple(ds))
 
-    out, cut = _cap(_dedup_alpha(resolutions()), limits)
+    out, cut = _cap(_dedup(resolutions()), limits)
     return out, cut or truncated
 
 
-def _entail_all(b, P, GC, env, qs, limits, depth):
+def _entail_all(P, env, qs, limits, depth):
     """Resolve a constraint list left to right; Cartesian product."""
     lists = []
     truncated = False
     for q in qs:
-        alts, t = entail(b, P, GC, env, q, limits, depth)
+        alts, t = entail(P, env, q, limits, depth)
         truncated |= t
         if not alts:
             return [], truncated
@@ -379,27 +296,27 @@ def _let_dict_vars(name: str, qs) -> tuple[str, ...]:
     return tuple(f"δ{name}{i}" for i in range(1, len(qs) + 1))
 
 
-def infer(b, P, GC, env, e: SrcExpr, limits: Limits):
-    """Returns (type, alternatives built by b, truncated)."""
+def infer(P, GC, env, e: SrcExpr, limits: Limits):
+    """Returns (type, elaborations, truncated)."""
     match e:
         case STrue():
-            return SBool(), [b.true], False
+            return SBool(), [ITrue()], False
         case SFalse():
-            return SBool(), [b.false], False
+            return SBool(), [IFalse()], False
         case SApp(f, a):
-            fty, falts, t1 = infer(b, P, GC, env, f, limits)
+            fty, falts, t1 = infer(P, GC, env, f, limits)
             if not isinstance(fty, SArrow):
                 raise SrcTypeError(
                     "mismatch",
                     f"applied a non-function of type {S.pretty(fty)}")
-            aalts, t2 = check(b, P, GC, env, a, fty.left, limits)
+            aalts, t2 = check(P, GC, env, a, fty.left, limits)
             alts, trunc = _cap(
-                itertools.starmap(b.app, itertools.product(falts, aalts)),
+                itertools.starmap(IApp, itertools.product(falts, aalts)),
                 limits, t1 | t2)
             return fty.right, alts, trunc
         case SAnn(inner, ty):
-            _check_mono_wf(GC, env_tyvars(env), ty)
-            alts, t = check(b, P, GC, env, inner, ty, limits)
+            elab_mono(env_tyvars(env), ty)  # well-formedness
+            alts, t = check(P, GC, env, inner, ty, limits)
             return ty, alts, t
         case SLet(x, sch, bound, body):
             _check_no_method_shadow(GC, x)
@@ -408,22 +325,22 @@ def infer(b, P, GC, env, e: SrcExpr, limits: Limits):
                     "ambiguous",
                     f"ambiguous type scheme for {x!r}: not every bound "
                     f"variable occurs in the head of the type")
-            elab_type(b, GC, env, sch)  # well-formedness
+            elab_type(GC, env, sch)  # well-formedness
             closed = closure(GC, sch.context)
             dvars = _let_dict_vars(x, closed)
             env1 = (tuple(env)
                     + tuple(TyVarBind(a) for a in sch.binders)
                     + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            balts, t1 = check(b, P, GC, env1, bound, sch.head, limits)
+            balts, t1 = check(P, GC, env1, bound, sch.head, limits)
             closed_scheme = SrcScheme(sch.binders, closed, sch.head)
             env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, alts2, t2 = infer(b, P, GC, env2, body, limits)
-            bound_ty = elab_type(b, GC, env, closed_scheme)
-            qtys = [b.constraint(GC, env_tyvars(env1), q) for q in closed]
-            wrapped = [_abstract(b, sch.binders, dvars, qtys, e1)
+            bty, alts2, t2 = infer(P, GC, env2, body, limits)
+            bound_ty = elab_type(GC, env, closed_scheme)
+            qtys = [elab_constraint(GC, env_tyvars(env1), q) for q in closed]
+            wrapped = [_abstract(sch.binders, dvars, qtys, e1)
                        for e1 in balts]
             out, trunc = _cap(
-                (b.let(x, bound_ty, e1, e2)
+                (ILet(x, bound_ty, e1, e2)
                  for e1, e2 in itertools.product(wrapped, alts2)),
                 limits, t1 | t2)
             return bty, out, trunc
@@ -439,8 +356,8 @@ def infer(b, P, GC, env, e: SrcExpr, limits: Limits):
     raise TypeError(e)
 
 
-def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
-    """Returns (alternatives built by b, truncated)."""
+def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
+    """Returns (elaborations, truncated)."""
     match e:
         case SVar(name):
             sch = _freshen_scheme(lookup_term(env, name),
@@ -451,16 +368,15 @@ def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"{name!r} cannot be used at type {S.pretty(ty)}")
             arg_lists, truncated = _entail_all(
-                b, P, GC, env,
-                [subst_type(q, sigma) for q in sch.context], limits, 0)
+                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0)
             if not arg_lists:
                 raise _unresolved(
                     truncated,
                     f"cannot satisfy the constraints of {name!r} at "
                     f"{S.pretty(ty)}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            types = [elab_mono(b, tyvars, sigma[a]) for a in sch.binders]
-            return ([_instantiate(b, b.var(name), types, ds)
+            types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
+            return ([_instantiate(IVar(name), types, ds)
                      for ds in arg_lists], truncated)
         case SMeth(name):
             entry = lookup_method(GC, name)
@@ -477,20 +393,19 @@ def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"method {name!r} cannot be used at type {S.pretty(ty)}")
             class_q = SrcConstraint(entry.cls, sigma[class_var])
-            d_alts, t0 = entail(b, P, GC, env, class_q, limits)
+            d_alts, t0 = entail(P, env, class_q, limits)
             if not d_alts:
                 raise _unresolved(
                     t0, f"cannot resolve {S.pretty(class_q)} for method "
                         f"{name!r}")
             arg_lists, t1 = _entail_all(
-                b, P, GC, env,
-                [subst_type(q, sigma) for q in full.context], limits, 0)
+                P, env, [subst_type(q, sigma) for q in full.context], limits, 0)
             if not arg_lists:
                 raise _unresolved(
                     t1, f"cannot satisfy the constraints of method {name!r}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            types = [elab_mono(b, tyvars, sigma[a]) for a in meth_binders]
-            return _cap((_instantiate(b, b.method(d, name), types, ds)
+            types = [elab_mono(tyvars, sigma[a]) for a in meth_binders]
+            return _cap((_instantiate(IMethod(d, name), types, ds)
                          for d in d_alts for ds in arg_lists),
                         limits, t0 | t1)
         case SLam(x, body):
@@ -500,11 +415,11 @@ def check(b, P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"lambda checked against non-function type {S.pretty(ty)}")
             env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            alts, truncated = check(b, P, GC, env1, body, ty.right, limits)
-            arg_ty = elab_mono(b, env_tyvars(env), ty.left)
-            return [b.lam(x, arg_ty, e1) for e1 in alts], truncated
+            alts, truncated = check(P, GC, env1, body, ty.right, limits)
+            arg_ty = elab_mono(env_tyvars(env), ty.left)
+            return [ILam(x, arg_ty, e1) for e1 in alts], truncated
         case _:
-            ity, alts, truncated = infer(b, P, GC, env, e, limits)
+            ity, alts, truncated = infer(P, GC, env, e, limits)
             if ity != ty:
                 raise SrcTypeError(
                     "mismatch",
@@ -544,7 +459,7 @@ def typecheck_class(GC, d: ClassDecl) -> ClassEntry:
         raise SrcTypeError(
             "duplicate", f"method scheme rebinds the class variable {d.var!r}")
     # Well-scopedness of the method type under the class variable.
-    elab_type(FdBuilder, GC, (TyVarBind(d.var),), d.method_scheme)
+    elab_type(GC, (TyVarBind(d.var),), d.method_scheme)
     head_fvs = set(free_type_vars(d.method_scheme.head))
     missing = ({d.var} | set(d.method_scheme.binders)) - head_fvs
     if missing:
@@ -565,7 +480,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
     binders = tuple(free_type_vars(d.head))
     tyvar_env = tuple(TyVarBind(b) for b in binders)
     for q in d.context:
-        FdBuilder.constraint(GC, set(binders), q)  # well-scoped, declared
+        elab_constraint(GC, set(binders), q)  # well-scoped, declared
     closed = closure(GC, d.context)
     con = f"D{len(P) + 1}_{d.cls}"
     head_q = SrcConstraint(d.cls, d.head)
@@ -606,27 +521,29 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                          for dv, q in zip(meth_dvars, meth_ctx)))
     # Superclass constraints of the class must hold at the instance type.
     for sup in cls.superclasses:
-        alts, truncated = entail(FdBuilder, P, GC, local_env,
-                                 SrcConstraint(sup, d.head), limits)
+        alts, truncated = entail(P, local_env, SrcConstraint(sup, d.head),
+                                 limits)
         if not alts:
             raise _unresolved(
                 truncated,
                 f"superclass {sup!r} of {d.cls!r} is not derivable at "
                 f"{S.pretty(d.head)}")
     body = resolve_names(GC, d.body)
-    body_fd, t1 = check(FdBuilder, P, GC, local_env, body, meth_head, limits)
-    body_tgt, t2 = check(TgtBuilder, P, GC, local_env, body, meth_head,
-                         limits)
-    if not body_fd or not body_tgt:
+    body_fd, truncated = check(P, GC, local_env, body, meth_head, limits)
+    if not body_fd:
         raise _unresolved(
-            t1 | t2, f"instance body for {con!r} has no elaboration")
+            truncated, f"instance body for {con!r} has no elaboration")
+    fd_scheme = FdConstraintScheme(
+        binders, tuple(elab_constraint(GC, set(binders), q) for q in closed),
+        elab_constraint(GC, set(binders), head_q))
+    meth_vars = set(binders) | set(meth_sch.binders)
     return InstEntry(con=con, scheme=scheme, method=d.method,
-                     local_env=local_env, body=body,
-                     ctx_dvars=ctx_dvars, meth_binders=meth_sch.binders,
-                     meth_ctx=meth_ctx, meth_dvars=meth_dvars,
-                     meth_head=meth_head,
-                     body_fd=tuple(body_fd), body_tgt=tuple(body_tgt),
-                     truncated=t1 | t2)
+                     fd_scheme=fd_scheme, ctx_dvars=ctx_dvars,
+                     meth_binders=meth_sch.binders,
+                     meth_qtys=tuple(elab_constraint(GC, meth_vars, q)
+                                     for q in meth_ctx),
+                     meth_dvars=meth_dvars,
+                     body_fd=tuple(body_fd), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -636,45 +553,108 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
 def elab_class_env(GC) -> tuple[FdClassEntry, ...]:
     return tuple(
         FdClassEntry(entry.method, entry.cls, entry.var,
-                     elab_type(FdBuilder, GC, (TyVarBind(entry.var),),
-                               entry.scheme))
+                     elab_type(GC, (TyVarBind(entry.var),), entry.scheme))
         for entry in GC)
 
 
-def _wrap_impl_fd(GC, entry: InstEntry, body: FdExpr) -> FdExpr:
-    """Abstract a body over the method's, then the instance's, binders and
+def _method_impl(entry: InstEntry, body: FdExpr) -> MethodImpl:
+    """The method-environment entry of an instance with the given body,
+    abstracted over the method's, then the instance's, binders and
     dictionaries."""
-    inst_vars = set(entry.scheme.binders)
-    meth_vars = inst_vars | set(entry.meth_binders)
-    meth_qtys = [FdBuilder.constraint(GC, meth_vars, q)
-                 for q in entry.meth_ctx]
-    ctx_qtys = [FdBuilder.constraint(GC, inst_vars, q)
-                for q in entry.scheme.context]
-    ie = _abstract(FdBuilder, entry.meth_binders, entry.meth_dvars,
-                   meth_qtys, body)
-    return _abstract(FdBuilder, entry.scheme.binders, entry.ctx_dvars,
-                     ctx_qtys, ie)
+    sc = entry.fd_scheme
+    impl = _abstract(entry.meth_binders, entry.meth_dvars, entry.meth_qtys,
+                     body)
+    return MethodImpl(entry.con, sc, entry.method,
+                      _abstract(sc.binders, entry.ctx_dvars, sc.context, impl))
 
 
-def elab_constraint_scheme_fd(GC, sc: SrcConstraintScheme) -> FdConstraintScheme:
-    tyvars = set(sc.binders)
-    return FdConstraintScheme(
-        sc.binders,
-        tuple(FdBuilder.constraint(GC, tyvars, q) for q in sc.context),
-        FdBuilder.constraint(GC, tyvars, sc.head))
+# ---------------------------------------------------------------------------
+# Direct translation to the target
+# ---------------------------------------------------------------------------
 
+class DirectTranslator:
+    """The direct translation of derivations to the target, under the
+    method environment that picks `bodies`, one per instance of P.
 
-def elab_env(P, GC, limits: Limits):
-    """All method-environment variants plus the class environment.
-    Variants differ only in instance-body choices."""
-    per_entry = [[MethodImpl(entry.con,
-                             elab_constraint_scheme_fd(GC, entry.scheme),
-                             entry.method, _wrap_impl_fd(GC, entry, body))
-                  for body in entry.body_fd]
-                 for entry in P]
-    variants, truncated = _cap(itertools.product(*per_entry), limits,
-                               any(entry.truncated for entry in P))
-    return variants, elab_class_env(GC), truncated
+    A dictionary becomes its instance's record, built from the typed
+    declaration; a method call becomes a projection and a dictionary
+    variable a term variable with a reserved prefix. Translation is
+    structural, so each result is memoized by the identity of its node,
+    and the entry keeps the node alive.
+    """
+
+    def __init__(self, TC, P, bodies):
+        self.classes = {entry.cls: entry for entry in TC}
+        self.instances = {e.con: (e, body) for e, body in zip(P, bodies)}
+        self._memo: dict = {}       # id(node) -> (node, translation)
+
+    def __call__(self, node):
+        hit = self._memo.get(id(node))
+        if hit is None:
+            hit = self._memo[id(node)] = (node, self._translate(node))
+        return hit[1]
+
+    def dict_var(self, dv: str) -> TgtExpr:
+        return TVar(dict_target_name(dv))
+
+    def _translate(self, node):
+        tr = self
+        match node:     # the most frequent nodes first
+            case IDLam(dv, q, body):
+                return TLam(dict_target_name(dv), tr(q), tr(body))
+            case IDApp(f, a) | IApp(f, a):
+                return TApp(tr(f), tr(a))
+            case ILet(x, ty, bound, body):
+                return TLet(x, tr(ty), tr(bound), tr(body))
+            case ILam(x, ty, body):
+                return TLam(x, tr(ty), tr(body))
+            case IVar(x):
+                return TVar(x)
+            case ITrue():
+                return TTrue()
+            case IFalse():
+                return TFalse()
+            case ITyLam(a, body):
+                return TTyLam(a, tr(body))
+            case ITyApp(f, ty):
+                return TTyApp(tr(f), tr(ty))
+            case IMethod(d, m):
+                return TProj(tr(d), m)
+            case DVar(dv):
+                return self.dict_var(dv)
+            case DCon(con, types, dicts):
+                entry, body = self.instances[con]
+                sc = entry.fd_scheme
+                field = self._abstract(entry.meth_binders, entry.meth_dvars,
+                                       entry.meth_qtys, tr(body))
+                out = self._abstract(sc.binders, entry.ctx_dvars, sc.context,
+                                     TRecord(((entry.method, field),)))
+                for ty in types:
+                    out = TTyApp(out, tr(ty))
+                for d in dicts:
+                    out = TApp(out, tr(d))
+                return out
+            case IBool():
+                return TBool()
+            case ITyVar(a):
+                return TTyVar(a)
+            case IArrow(l, r) | IQArrow(l, r):
+                return TArrow(tr(l), tr(r))
+            case IForall(a, body):
+                return TForall(a, tr(body))
+            case FdQ(cls, arg):
+                # The record type of the class's method at arg.
+                c = self.classes[cls]
+                return TRecordTy(((c.method, subst_type(
+                    tr(c.method_type), {c.var: tr(arg)})),))
+        raise TypeError(node)
+
+    def _abstract(self, binders, dvars, qtys, body: TgtExpr) -> TgtExpr:
+        for dv, qty in zip(reversed(dvars), reversed(qtys)):
+            body = TLam(dict_target_name(dv), self(qty), body)
+        for a in reversed(binders):
+            body = TTyLam(a, body)
+        return body
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +666,16 @@ class ProgramResult:
     main_type: SrcMono
     GC: tuple
     P: tuple
-    # Composed pipeline: (method environment variant, main elaboration).
+    # (method environment variant, main elaboration) pairs, variant-major.
     fd_elabs: tuple
     fd_class_env: tuple
     fd_truncated: bool
-    # Direct pipeline.
+    # The direct target translation of each pair of fd_elabs, in order.
     tgt_elabs: tuple
-    tgt_truncated: bool
+
+    @property
+    def tgt_truncated(self) -> bool:
+        return self.fd_truncated
 
 
 def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult:
@@ -704,13 +687,21 @@ def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult
         else:
             P = P + (typecheck_instance(P, GC, d, limits),)
     main = resolve_names(GC, p.main)
-    main_type, fd_main, t_fd = infer(FdBuilder, P, GC, (), main, limits)
-    _, tgt_main, t_tgt = infer(TgtBuilder, P, GC, (), main, limits)
-    sigmas, TC, t_env = elab_env(P, GC, limits)
-    fd_elabs, truncated = _cap(((sigma, ie)
-                                for sigma in sigmas for ie in fd_main),
-                               limits, t_fd | t_env)
+    main_type, fd_main, t_fd = infer(P, GC, (), main, limits)
+    TC = elab_class_env(GC)
+    # Method environments differ only in their choice of instance bodies.
+    choices, t_env = _cap(itertools.product(*(e.body_fd for e in P)),
+                          limits, any(e.truncated for e in P))
+
+    def elaborations():
+        for bodies in choices:
+            sigma = tuple(map(_method_impl, P, bodies))
+            direct = DirectTranslator(TC, P, bodies)
+            for ie in fd_main:
+                yield (sigma, ie), direct(ie)
+
+    pairs, truncated = _cap(elaborations(), limits, t_fd | t_env)
     return ProgramResult(
         main_type=main_type, GC=GC, P=P,
-        fd_elabs=tuple(fd_elabs), fd_class_env=TC, fd_truncated=truncated,
-        tgt_elabs=tuple(tgt_main), tgt_truncated=t_tgt)
+        fd_elabs=tuple(pair for pair, _ in pairs), fd_class_env=TC,
+        fd_truncated=truncated, tgt_elabs=tuple(te for _, te in pairs))

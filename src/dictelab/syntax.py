@@ -650,6 +650,8 @@ def _rename_binders(node, shape: _Shape, clash: set, avoid):
 
 def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables."""
+    if a is b or a == b:    # equal terms are alpha-equal
+        return True
     counter = itertools.count()
 
     def go(x, y, env1, env2):
@@ -765,10 +767,6 @@ def subst_fd_var(e: FdExpr, name: str, by: FdExpr) -> FdExpr:
 
 def subst_fd_dvar(e, name: str, by: FdDict):
     return subst(e, "id", {name: by})
-
-
-def subst_tgt_var(e: TgtExpr, name: str, by: TgtExpr) -> TgtExpr:
-    return subst(e, "tv", {name: by})
 
 
 def read_back(node, env: dict, sorts: tuple[str, ...]):

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import re
 
-from .syntax import (
+from dictelab.syntax import (
     DCon, DVar, FdDict, FdExpr, FdQ, FdType,
     IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall, ILam, ILet,
     IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
 )
-from .parser import ParseError
+from dictelab.parser import ParseError
 
 
 _TOKEN_RE = re.compile(r"""

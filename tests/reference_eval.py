@@ -5,7 +5,8 @@ machines. `run_small_step` is the substitution-based small-step loop they
 replaced, for either language: leftmost call-by-name, one `fd_step` or
 `tgt_step` per unit of fuel. `fd_step` stays in the package because
 `check_metatheory` walks its traces; `tgt_step` lives here because nothing
-else needs it. `kleene_eq` is the tests' observation of two target terms.
+else needs it, as does `subst_tgt_var`, its substitution. `kleene_eq` is
+the tests' observation of two target terms.
 
 On a term with no binder named like one of its free variables of the same
 sort (every closed term, in particular) the machines must agree with this
@@ -19,9 +20,13 @@ from dictelab import syntax as S
 from dictelab.fd_core import FdTypeError
 from dictelab.syntax import (
     TApp, TFalse, TLam, TLet, TProj, TRecord, TTrue, TTyApp, TTyLam,
-    subst_tgt_var, subst_type,
+    TgtExpr, subst_type,
 )
 from dictelab.target_core import TgtTypeError, tgt_eval
+
+
+def subst_tgt_var(e: TgtExpr, name: str, by: TgtExpr) -> TgtExpr:
+    return S.subst(e, "tv", {name: by})
 
 
 def is_tgt_value(e) -> bool:

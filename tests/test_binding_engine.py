@@ -9,6 +9,7 @@ get the same names, and free-variable lists come in the same order.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 import reference_binding as ref
 from dictelab import syntax as S
 from dictelab.parser import parse_context
-from dictelab.reader import read_fd_expr
 from dictelab.source_typer import ClassEntry, resolve_names
 
 from conftest import corpus_result
+from reader import read_fd_expr
 from strategies import (
     CLASSES, DVARS, FD_NAMES, SRC_NAMES, TMVARS, TYVARS, fd_constraint_scheme,
     fd_dict, fd_mono, fd_qual_type, fd_term, fd_type, src_expr, src_mono,
@@ -72,6 +73,18 @@ def test_engine_agrees_with_reference(lang, sort, data):
     t2 = data.draw(st.one_of(terms, st.just(out),
                              st.just(ref.rename_bound(out))))
     assert S.alpha_eq(t1, t2) == ref.alpha_eq(t1, t2)
+
+
+@pytest.mark.parametrize("lang", LANGUAGES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_alpha_eq_agrees_on_an_equal_copy(lang, data):
+    # alpha_eq answers `==` terms without walking them; a copy rebuilt node
+    # by node is `==` without being the same object.
+    t1 = data.draw(LANGUAGES[lang][0])
+    t2 = copy.deepcopy(t1)
+    assert t2 == t1 and t2 is not t1
+    assert S.alpha_eq(t1, t2) and ref.alpha_eq(t1, t2)
 
 
 def test_subst_renames_a_capturing_binder_like_the_reference():

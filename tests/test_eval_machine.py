@@ -24,12 +24,12 @@ from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted, fd_eval,
                               fd_step, is_fd_value)
 from dictelab.harness import generate_fd_term
 from dictelab.parser import parse_program
-from dictelab.reader import read_fd_expr
 from dictelab.source_typer import typecheck_program
 from dictelab.syntax import FdConstraintScheme, FdQ, IBool, MethodImpl
 from dictelab.target_core import TgtTypeError, tgt_eval
 
 from conftest import POSITIVE, corpus_result, flex_source, tower_source
+from reader import read_fd_expr
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 from strategies import fd_term, tgt_let_term
 

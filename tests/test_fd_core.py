@@ -9,13 +9,13 @@ from dictelab.fd_core import (
     elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, is_fd_value,
 )
-from dictelab.reader import read_fd_dict, read_fd_expr, read_fd_type
 from dictelab.syntax import (
     DictBind, FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar,
     MethodImpl,
 )
 
 from conftest import POSITIVE, corpus_result
+from reader import read_fd_dict, read_fd_expr, read_fd_type
 
 TC_EQ = (FdClassEntry("eq", "Eq", "a",
                       IArrow(ITyVar("a"), IArrow(ITyVar("a"), IBool()))),)

@@ -2,10 +2,11 @@
 
 `golden_cli.json` records the stdout and exit code of `dictelab.cli.main`
 for every subcommand over the corpus, small rungs of the benchmark
-ladders and three programs whose two pipelines pick instance bodies at
-different granularities. Every program is written to a scratch directory
-under a fixed relative name, so the recorded output does not depend on
-where the repository lives.
+ladders and three programs (b0-b2) whose instance body has two
+elaborations, so each method environment must fix one of them for the
+whole program in both translations. Every program is written to a scratch
+directory under a fixed relative name, so the recorded output does not
+depend on where the repository lives.
 
 Re-record (only when a change of output is intended):
 

@@ -4,18 +4,19 @@ import hashlib
 
 import pytest
 
-from dictelab import source_typer, syntax as S
+from dictelab import fd_core, source_typer, syntax as S
 from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, closed_dicts, coherence_lines,
                               decomposition_lines, generate_fd_term,
                               meta_lines)
 from dictelab.parser import parse_program
-from dictelab.reader import read_fd_expr
 from dictelab.source_typer import Limits
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
 from conftest import POSITIVE, corpus_contexts, corpus_program, corpus_result
+from reader import read_fd_expr
+from test_golden_cli import programs
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,7 @@ def test_direct_and_composed_elaborations_coincide(name):
     rep = check_decomposition(corpus_program(name), program_name=name)
     assert rep.equal
     assert rep.count_direct == rep.count_composed
-    assert rep.only_direct == () and rep.only_composed == ()
+    assert rep.mismatches == ()
 
 
 def test_decomposition_counts_match_typechecker():
@@ -65,31 +66,95 @@ def test_decomposition_counts_match_typechecker():
     assert rep.count_composed == len(r.fd_elabs) == 2
 
 
-# Mutation checks: a wrong dictionary from either builder must break the
-# commuting square. In P3 the let body resolves Eq Bool through its local
-# dictionary or through the global instance.
+@pytest.mark.parametrize("name", ["b0.src", "b2.src"])
+def test_decomposition_fixes_one_body_per_instance(name):
+    # Ord's body resolves Eq Bool two ways. Each method environment fixes
+    # one of them for the whole program, in both translations.
+    rep = check_decomposition(parse_program(programs()[name][0]))
+    assert rep.equal and rep.mismatches == ()
+    assert rep.count_direct == rep.count_composed == 2
 
-def test_decomposition_catches_wrong_intermediate_dictionary(monkeypatch):
-    monkeypatch.setattr(source_typer.FdBuilder, "local_dict",
-                        lambda dvar: S.DCon("D1_Eq", (), ()))
+
+def test_decomposition_abstracts_a_record_over_its_context_in_order():
+    # Two context dictionaries: both translations must abstract and apply
+    # them in the order of the instance context.
+    rep = check_decomposition(parse_program(
+        "class Eq a where { eq : a -> a -> Bool };\n"
+        "class Ord a where { le : a -> a -> Bool };\n"
+        "class Both a where { both : a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "instance Ord Bool where { le = \\x. \\y. False };\n"
+        "instance (Eq a, Ord a) => Both (a -> a) where "
+        "{ both = \\f. True };\n"
+        "(both :: (Bool -> Bool) -> Bool) (\\x. x)"))
+    assert rep.equal and rep.count_direct == 1
+
+
+# Mutation checks: a wrong dictionary-variable rule in either translation
+# must break the commuting square, and the report must name the derivation.
+# In P3 the let body resolves Eq Bool through its local dictionary or
+# through the global instance.
+
+NEVER = S.TRecord((("eq", S.TLam("x", S.TBool(),
+                                  S.TLam("y", S.TBool(), S.TFalse()))),))
+P3_LOCAL = ("let isz : [Eq Bool] -> Bool -> Bool = "
+            "\\δisz1 : [Eq Bool]. \\n : Bool. [δisz1].eq n n "
+            "in isz [D1_Eq] True")
+
+
+def _assert_the_square_breaks_at_the_local_dictionary():
     rep = check_decomposition(corpus_program("P3"))
     assert not rep.equal
+    (m,) = rep.mismatches
+    assert m.derivation == P3_LOCAL and m.variant == 0
+    assert m.direct != m.composed
+    lines = decomposition_lines(rep)
+    assert f"  derivation: {P3_LOCAL} (method environment 0)" in lines
+
+
+def _break_direct_dictionary_variables(monkeypatch):
+    monkeypatch.setattr(source_typer.DirectTranslator, "dict_var",
+                        lambda self, dv: NEVER)
+
+
+def test_decomposition_catches_wrong_intermediate_dictionary(monkeypatch):
+    # The bug is in FdChecker's translation of a dictionary variable.
+    check_dict = fd_core.FdChecker.check_dict
+
+    def wrong(self, env, d):
+        q, td = check_dict(self, env, d)
+        return (q, NEVER) if isinstance(d, S.DVar) else (q, td)
+    monkeypatch.setattr(fd_core.FdChecker, "check_dict", wrong)
+    _assert_the_square_breaks_at_the_local_dictionary()
 
 
 def test_decomposition_catches_wrong_target_dictionary(monkeypatch):
-    never = S.TLam("x", S.TBool(), S.TLam("y", S.TBool(), S.TFalse()))
-    monkeypatch.setattr(source_typer.TgtBuilder, "local_dict",
-                        lambda dvar: S.TRecord((("eq", never),)))
-    rep = check_decomposition(corpus_program("P3"))
-    assert not rep.equal
+    _break_direct_dictionary_variables(monkeypatch)
+    _assert_the_square_breaks_at_the_local_dictionary()
+
+
+def test_decomposition_names_the_method_environment_of_a_mismatch(
+        monkeypatch):
+    # Ord's body calls eq twice, each through the local dictionary or the
+    # global instance: four method environments, and only the last one
+    # uses no dictionary variable.
+    _break_direct_dictionary_variables(monkeypatch)
+    eq = "(eq :: Bool -> Bool -> Bool)"
+    rep = check_decomposition(parse_program(
+        "class Eq a where { eq : a -> a -> Bool };\n"
+        "class Ord a where { le : a -> a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "instance Eq Bool => Ord Bool where "
+        f"{{ le = \\x. \\y. {eq} ({eq} x y) y }};\n"
+        "(le :: Bool -> Bool -> Bool) True True"))
+    assert rep.count_direct == rep.count_composed == 4
+    assert [m.variant for m in rep.mismatches] == [0, 1, 2]
 
 
 def test_coherence_violation_names_both_elaborations(monkeypatch):
-    # A wrong local dictionary in the direct pipeline makes one direct
+    # A wrong local dictionary in the direct translation makes one direct
     # target evaluate to False; the report names it and the first value.
-    never = S.TLam("x", S.TBool(), S.TLam("y", S.TBool(), S.TFalse()))
-    monkeypatch.setattr(source_typer.TgtBuilder, "local_dict",
-                        lambda dvar: S.TRecord((("eq", never),)))
+    _break_direct_dictionary_variables(monkeypatch)
     rep = check_coherence(corpus_program("P3"), program_name="P3")
     assert not rep.all_kleene_equal
     assert rep.counterexample == (

@@ -5,10 +5,10 @@ from hypothesis import given
 
 from dictelab import syntax as S
 from dictelab.parser import ParseError
-from dictelab.reader import (read_fd_dict, read_fd_expr, read_fd_type,
-                             read_sections, read_tgt_expr, read_tgt_type)
 
 from conftest import POSITIVE, corpus_result
+from reader import (read_fd_dict, read_fd_expr, read_fd_type, read_sections,
+                    read_tgt_expr, read_tgt_type)
 from strategies import fd_type, tgt_type
 
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dictelab import fd_core, syntax as S
+from dictelab import fd_core, source_typer, syntax as S
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
-    ClassEntry, FdBuilder, Limits, SrcTypeError, TgtBuilder, check, closure,
-    elab_type, entail, infer, typecheck_class, typecheck_instance,
-    typecheck_program, unambig_constraint, unambig_scheme,
+    ClassEntry, DirectTranslator, Limits, SrcTypeError, check, closure,
+    elab_class_env, elab_type, entail, infer, typecheck_class,
+    typecheck_instance, typecheck_program, unambig_constraint, unambig_scheme,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
@@ -199,22 +199,23 @@ EQ_SCHEME = SrcScheme(("a",), (SrcConstraint("Eq", STyVar("a")),),
 
 
 def test_elab_type_fd():
-    out = elab_type(FdBuilder, GC_EQ, (), EQ_SCHEME)
+    out = elab_type(GC_EQ, (), EQ_SCHEME)
     assert S.pretty(out) == "forall a. [Eq a] -> a -> Bool"
 
 
 def test_elab_type_tgt():
-    out = elab_type(TgtBuilder, GC_EQ, (), EQ_SCHEME)
+    out = DirectTranslator(elab_class_env(GC_EQ), (), ())(
+        elab_type(GC_EQ, (), EQ_SCHEME))
     assert S.pretty(out) == "forall a. {eq : a -> a -> Bool} -> a -> Bool"
 
 
 def test_elab_type_bool():
-    assert elab_type(FdBuilder, GC_EQ, (), SBool()) == S.IBool()
+    assert elab_type(GC_EQ, (), SBool()) == S.IBool()
 
 
 def test_elab_type_unbound_var():
     with pytest.raises(SrcTypeError):
-        elab_type(FdBuilder, GC_EQ, (), STyVar("z"))
+        elab_type(GC_EQ, (), STyVar("z"))
 
 
 # ---------------------------------------------------------------------------
@@ -233,59 +234,79 @@ def _eq_instances():
 
 
 def test_entail_local_before_instance():
-    P, GC = _eq_instances()
+    P, _ = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, truncated = entail(FdBuilder, P, GC, env,
-                            SrcConstraint("Eq", SBool()), LIMITS)
+    out, truncated = entail(P, env, SrcConstraint("Eq", SBool()), LIMITS)
     assert not truncated
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
 
 def test_entail_recursive_instance():
-    P, GC = _eq_instances()
+    P, _ = _eq_instances()
     want = SrcConstraint("Eq", SArrow(SBool(), SBool()))
-    out, _ = entail(FdBuilder, P, GC, (), want, LIMITS)
+    out, _ = entail(P, (), want, LIMITS)
     assert out == [DCon("D2_Eq", (S.IBool(),), (DCon("D1_Eq", (), ()),))]
 
 
 def test_entail_unsatisfiable_is_empty():
-    P, GC = _eq_instances()
+    P, _ = _eq_instances()
     env = (TyVarBind("b"),)
-    out, truncated = entail(FdBuilder, P, GC, env,
-                            SrcConstraint("Eq", STyVar("b")), LIMITS)
+    out, truncated = entail(P, env, SrcConstraint("Eq", STyVar("b")), LIMITS)
     assert out == [] and not truncated
+
+
+def test_entail_resolves_a_shadowed_dictionary_once():
+    # An inner let dictionary shadows an outer one of the same name: both
+    # bindings give the same derivation.
+    P, _ = _eq_instances()
+    bind = DictBind("d", SrcConstraint("Eq", SBool()))
+    out, _ = entail(P, (bind, bind), SrcConstraint("Eq", SBool()), LIMITS)
+    assert out == [DVar("d"), DCon("D1_Eq", (), ())]
+
+
+def test_direct_translation_translates_each_node_once(monkeypatch):
+    nodes = []
+    translate = DirectTranslator._translate
+
+    def recorded(self, node):
+        nodes.append(node)
+        return translate(self, node)
+    monkeypatch.setattr(DirectTranslator, "_translate", recorded)
+    r = typecheck_program(parse_program(wide_source(3)))
+    assert len({id(n) for n in nodes}) == len(nodes)
+    # The 256 targets share most of their nodes.
+    assert len(nodes) * 10 < sum(map(_size, r.tgt_elabs))
+
+
+def _size(node) -> int:
+    """The number of node occurrences in a term."""
+    if isinstance(node, tuple):
+        return sum(map(_size, node))
+    if isinstance(node, str):
+        return 0
+    return 1 + sum(map(_size, vars(node).values()))
+
+
+def _direct(P, GC):
+    """The direct translator under the first body of every instance."""
+    return DirectTranslator(elab_class_env(GC), P,
+                            tuple(entry.body_fd[0] for entry in P))
 
 
 def test_entail_tgt_local_uses_reserved_prefix():
     P, GC = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, _ = entail(TgtBuilder, P, GC, env, SrcConstraint("Eq", SBool()),
-                    LIMITS)
-    assert out[0] == S.TVar("$d_d")
+    out, _ = entail(P, env, SrcConstraint("Eq", SBool()), LIMITS)
+    assert _direct(P, GC)(out[0]) == S.TVar("$d_d")
 
 
 def test_entail_tgt_zero_arity_instance_is_bare_record():
     P, GC = _eq_instances()
-    out, _ = entail(TgtBuilder, P, GC, (), SrcConstraint("Eq", SBool()),
-                    LIMITS)
-    (rec,) = out
+    out, _ = entail(P, (), SrcConstraint("Eq", SBool()), LIMITS)
+    (d,) = out
+    rec = _direct(P, GC)(d)
     assert isinstance(rec, S.TRecord)
     assert rec.fields[0][0] == "eq"
-
-
-def test_entail_fd_and_tgt_agree_on_size():
-    P, GC = _eq_instances()
-    queries = [
-        ((), SrcConstraint("Eq", SBool())),
-        ((DictBind("d", SrcConstraint("Eq", SBool())),),
-         SrcConstraint("Eq", SBool())),
-        ((), SrcConstraint("Eq", SArrow(SBool(), SBool()))),
-        ((TyVarBind("b"),), SrcConstraint("Eq", STyVar("b"))),
-    ]
-    for env, q in queries:
-        fd, _ = entail(FdBuilder, P, GC, env, q, LIMITS)
-        tgt, _ = entail(TgtBuilder, P, GC, env, q, LIMITS)
-        assert len(fd) == len(tgt)
 
 
 def test_entail_depth_limit_truncates_self_support():
@@ -297,8 +318,8 @@ def test_entail_depth_limit_truncates_self_support():
         "instance Eq a => Eq a where { eq = \\x. \\y. True };\n"
         "True")
     r = typecheck_program(p, Limits(max_depth=8))
-    out, truncated = entail(FdBuilder, r.P, r.GC, (),
-                            SrcConstraint("Eq", SBool()), Limits(max_depth=8))
+    out, truncated = entail(r.P, (), SrcConstraint("Eq", SBool()),
+                            Limits(max_depth=8))
     assert out == [] and truncated
 
 
@@ -342,14 +363,14 @@ def test_cap_bounds_the_work_on_a_wide_product():
 # ---------------------------------------------------------------------------
 
 def test_infer_true():
-    ty, alts, truncated = infer(FdBuilder, (), (), (), S.STrue(), LIMITS)
+    ty, alts, truncated = infer((), (), (), S.STrue(), LIMITS)
     assert ty == SBool() and alts == [S.ITrue()] and not truncated
 
 
 def test_check_method_against_local_dict():
     P, GC = _eq_instances()
     env = (TyVarBind("a"), DictBind("d", SrcConstraint("Eq", STyVar("a"))))
-    alts, _ = check(FdBuilder, P, GC, env, S.SMeth("eq"),
+    alts, _ = check(P, GC, env, S.SMeth("eq"),
                     SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())),
                     LIMITS)
     assert alts == [S.IMethod(DVar("d"), "eq")]
@@ -358,19 +379,19 @@ def test_check_method_against_local_dict():
 def test_method_not_inferable():
     P, GC = _eq_instances()
     with pytest.raises(SrcTypeError) as exc:
-        infer(FdBuilder, P, GC, (), S.SMeth("eq"), LIMITS)
+        infer(P, GC, (), S.SMeth("eq"), LIMITS)
     assert exc.value.kind == "not-inferable"
 
 
 def test_lambda_not_inferable():
     with pytest.raises(SrcTypeError) as exc:
-        infer(FdBuilder, (), (), (), S.SLam("x", S.SVar("x")), LIMITS)
+        infer((), (), (), S.SLam("x", S.SVar("x")), LIMITS)
     assert exc.value.kind == "not-inferable"
 
 
 def test_check_inf_requires_syntactic_equality():
     with pytest.raises(SrcTypeError) as exc:
-        check(FdBuilder, (), (), (), S.STrue(), SArrow(SBool(), SBool()),
+        check((), (), (), S.STrue(), SArrow(SBool(), SBool()),
               LIMITS)
     assert exc.value.kind == "mismatch"
 
@@ -379,7 +400,7 @@ def test_unsatisfiable_constraint_at_use_site():
     P, GC = _eq_instances()
     env = (TyVarBind("b"),)
     with pytest.raises(SrcTypeError) as exc:
-        check(FdBuilder, P, GC, env, S.SMeth("eq"),
+        check(P, GC, env, S.SMeth("eq"),
               SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())), LIMITS)
     assert exc.value.kind == "unsatisfiable"
 
@@ -389,7 +410,7 @@ def test_let_rejects_ambiguous_scheme():
     e = parse_expr("let f : forall a. Eq a => Bool -> Bool = \\x. x "
                    "in (f :: Bool -> Bool) True")
     with pytest.raises(SrcTypeError) as exc:
-        infer(FdBuilder, P, GC, (), e, LIMITS)
+        infer(P, GC, (), e, LIMITS)
     assert exc.value.kind == "ambiguous"
 
 
@@ -399,9 +420,9 @@ def test_method_name_cannot_be_rebound():
                 "let eq : Bool = True in (eq :: Bool)"]:
         with pytest.raises(SrcTypeError) as exc:
             e = parse_expr(src)
-            check(FdBuilder, P, GC, (), e, SArrow(SBool(), SBool()),
+            check(P, GC, (), e, SArrow(SBool(), SBool()),
                   LIMITS) if src.startswith("(\\") \
-                else infer(FdBuilder, P, GC, (), e, LIMITS)
+                else infer(P, GC, (), e, LIMITS)
         assert exc.value.kind == "shadow"
 
 
@@ -495,9 +516,34 @@ def test_corpus_elaboration_counts(name, count):
 
 
 @pytest.mark.parametrize("name", POSITIVE)
+def test_the_typer_runs_once_per_program(name, monkeypatch):
+    # Counts top-level calls only: a call made inside an open one is the
+    # typer's own recursion.
+    calls = {"infer": 0, "check": 0}
+    depth = [0]
+
+    def counted(fname):
+        fn = getattr(source_typer, fname)
+
+        def wrapper(*args, **kwargs):
+            calls[fname] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(source_typer, fname, wrapper)
+
+    counted("infer")
+    counted("check")
+    r = typecheck_program(corpus_program(name))
+    assert calls == {"infer": 1, "check": len(r.P)}
+
+
+@pytest.mark.parametrize("name", POSITIVE)
 def test_every_fd_elaboration_typechecks_at_elaborated_source_type(name):
     r = corpus_result(name)
-    expected = elab_type(FdBuilder, r.GC, (), r.main_type)
+    expected = elab_type(r.GC, (), r.main_type)
     for sigma, ie in r.fd_elabs:
         ty, _ = fd_core.FdChecker(sigma, r.fd_class_env).check_expr((), ie)
         assert S.alpha_eq(ty, expected)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dictelab import syntax as S
 from dictelab.parser import parse_expr
 
+from reference_eval import subst_tgt_var
 from strategies import TYVARS, fd_type, src_mono, tgt_term, tgt_type, type_mapping
 
 
@@ -140,7 +141,7 @@ def test_alpha_eq_transitive(e1, e2, e3):
 def test_alpha_eq_invariant_under_renaming(e, fresh):
     wrapped = S.TLam("z", S.TBool(), e)
     renamed = S.TLam(fresh, S.TBool(),
-                     S.subst_tgt_var(e, "z", S.TVar(fresh)))
+                     subst_tgt_var(e, "z", S.TVar(fresh)))
     if fresh not in S.free_vars(e, "tv"):
         assert S.alpha_eq(wrapped, renamed)
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from dictelab import syntax as S
 from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
                               OVERLAP, elab_fd_type, fd_env_wf)
-from dictelab.reader import read_fixture, read_tgt_expr, read_tgt_type
 from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
     TBool, TermBind, TRecord, TRecordTy, TTrue,
@@ -14,6 +13,7 @@ from dictelab.syntax import (
 from dictelab.target_core import TgtTypeError, tgt_eval, tgt_typecheck
 
 from conftest import POSITIVE, corpus_result, corpus_text
+from reader import read_fixture, read_tgt_expr, read_tgt_type
 from reference_eval import is_tgt_value, kleene_eq, tgt_step
 from strategies import tgt_term
 
