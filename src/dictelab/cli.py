@@ -15,10 +15,10 @@ Setting the environment variable TCC_COLOR=0 disables styling.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fd_core, harness, syntax as S, target_core
@@ -30,26 +30,6 @@ EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input_path: str
-    stage: str = "target"           # fd | target
-    mode: str = "composed"          # direct | composed
-    all: bool = False
-    max_depth: int = 32
-    max_elaborations: int = 256
-    fuel: int = 100_000
-    format: str = "text"            # text | json
-    contexts_dir: str | None = None
-    seed: int = 0
-    generate: int = 0
-
-    @property
-    def limits(self) -> Limits:
-        return Limits(self.max_depth, self.max_elaborations)
 
 
 def _style(text: str, code: str) -> str:
@@ -78,8 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "in a small language with type classes.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
+    def add(name, help_, func):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
         p.add_argument("file", help="source program")
         p.add_argument("--max-depth", type=_at_least(1), default=32,
                        help="constraint resolution depth limit")
@@ -90,41 +71,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         return p
 
-    p = add("check", "typecheck and report the program type")
-    p = add("elaborate", "print elaborations")
+    p = add("check", "typecheck and report the program type", cmd_check)
+    p = add("elaborate", "print elaborations", cmd_elaborate)
     p.add_argument("--stage", choices=["fd", "target"], default="target")
     p.add_argument("--mode", choices=["direct", "composed"],
                    default="composed")
     p.add_argument("--all", action="store_true",
                    help="print every elaboration, not just the first")
-    p = add("run", "evaluate the first elaboration")
+    p = add("run", "evaluate the first elaboration", cmd_run)
     p.add_argument("--stage", choices=["fd", "target"], default="target")
     p.add_argument("--mode", choices=["direct", "composed"],
                    default="composed")
-    p = add("coherence", "evaluate all elaborations and compare results")
+    p = add("coherence", "evaluate all elaborations and compare results",
+            cmd_coherence)
     p.add_argument("--contexts-dir",
                    help="directory of *.ctx files with one-hole contexts")
-    p = add("decompose", "compare direct and composed target elaborations")
-    p = add("meta", "trace-check type safety of every elaboration")
+    p = add("decompose", "compare direct and composed target elaborations",
+            cmd_decompose)
+    p = add("meta", "trace-check type safety of every elaboration",
+            cmd_meta)
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for generated terms")
     p.add_argument("--generate", type=int, default=0,
                    help="additionally check this many generated terms")
     return ap
-
-
-def parse_args(argv) -> CliConfig:
-    ns = _build_parser().parse_args(argv)
-    return CliConfig(
-        command=ns.command, input_path=ns.file,
-        stage=getattr(ns, "stage", "target"),
-        mode=getattr(ns, "mode", "composed"),
-        all=getattr(ns, "all", False),
-        max_depth=ns.max_depth, max_elaborations=ns.max_elaborations,
-        fuel=ns.fuel, format=ns.format,
-        contexts_dir=getattr(ns, "contexts_dir", None),
-        seed=getattr(ns, "seed", 0),
-        generate=getattr(ns, "generate", 0))
 
 
 class _FileParseError(Exception):
@@ -138,28 +108,31 @@ def _parse_file(path, parse):
         raise _FileParseError(f"{path}:{err}") from err
 
 
-def _load_program(cfg: CliConfig):
-    return _parse_file(cfg.input_path, parse_program)
+def _load_program(ns):
+    return _parse_file(ns.file, parse_program)
 
 
-def _elaborations(cfg: CliConfig, result):
-    """Pretty-printed elaborations at the configured stage/mode."""
-    if cfg.stage == "fd":
-        return [S.pretty(ie) for _, ie in result.fd_elabs]
-    if cfg.mode == "direct":
-        return [S.pretty(te) for te in result.tgt_elabs]
-    return [S.pretty(checker.check_expr((), ie)[1])
-            for _, checker, ie in harness.composed_checkers(result)]
+def _elaborations(ns, result):
+    """Pretty-printed elaborations at the chosen stage and mode: all of
+    them with --all, else the first."""
+    if ns.stage == "fd":
+        terms = (ie for _, ie in result.fd_elabs)
+    elif ns.mode == "direct":
+        terms = result.tgt_elabs
+    else:
+        terms = (sq.composed for sq in harness.squares(result))
+    return [S.pretty(t)
+            for t in itertools.islice(terms, None if ns.all else 1)]
 
 
 def _resource_exit(truncated: bool) -> int:
     return EXIT_RESOURCE if truncated else EXIT_OK
 
 
-def _emit_json(cfg: CliConfig, main_type, elaborations, results,
+def _emit_json(ns, main_type, elaborations, results,
                coherent: bool, truncated: bool):
     print(json.dumps({
-        "program": cfg.input_path,
+        "program": ns.file,
         "type": S.pretty(main_type),
         "elaborations": elaborations,
         "results": results,
@@ -168,75 +141,70 @@ def _emit_json(cfg: CliConfig, main_type, elaborations, results,
     }, ensure_ascii=False, indent=2))
 
 
-def cmd_check(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
-    r = typecheck_program(p, cfg.limits)
-    classes = sum(1 for e in r.GC)
-    instances = sum(1 for e in r.P)
-    if cfg.format == "json":
-        _emit_json(cfg, r.main_type, [], [], True, r.fd_truncated)
+def cmd_check(ns, limits: Limits) -> int:
+    p = _load_program(ns)
+    r = typecheck_program(p, limits)
+    if ns.format == "json":
+        _emit_json(ns, r.main_type, [], [], True, r.fd_truncated)
     else:
         print(f"main : {S.pretty(r.main_type)}")
-        print(f"{classes} class(es), {instances} instance(s), "
+        print(f"{len(r.GC)} class(es), {len(r.P)} instance(s), "
               f"{len(r.fd_elabs)} elaboration(s)")
     return _resource_exit(r.fd_truncated)
 
 
-def cmd_elaborate(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
-    r = typecheck_program(p, cfg.limits)
-    elabs = _elaborations(cfg, r)
-    shown = elabs if cfg.all else elabs[:1]
-    if cfg.format == "json":
-        _emit_json(cfg, r.main_type, shown, [], True, r.fd_truncated)
+def cmd_elaborate(ns, limits: Limits) -> int:
+    p = _load_program(ns)
+    r = typecheck_program(p, limits)
+    shown = _elaborations(ns, r)
+    if ns.format == "json":
+        _emit_json(ns, r.main_type, shown, [], True, r.fd_truncated)
     else:
         for t in shown:
             print(t)
     return _resource_exit(r.fd_truncated)
 
 
-def cmd_run(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
-    r = typecheck_program(p, cfg.limits)
-    if cfg.stage == "fd":
+def cmd_run(ns, limits: Limits) -> int:
+    p = _load_program(ns)
+    r = typecheck_program(p, limits)
+    if ns.stage == "fd":
         sigma, ie = r.fd_elabs[0]
-        value = S.pretty(fd_core.fd_eval(sigma, ie, cfg.fuel))
-    elif cfg.mode == "direct":
-        value = S.pretty(target_core.tgt_eval(r.tgt_elabs[0], cfg.fuel))
+        value = S.pretty(fd_core.fd_eval(sigma, ie, ns.fuel))
     else:
-        _, checker, ie = next(harness.composed_checkers(r))
-        _, te = checker.check_expr((), ie)
-        value = S.pretty(target_core.tgt_eval(te, cfg.fuel))
-    if cfg.format == "json":
-        _emit_json(cfg, r.main_type, [], [value], True, r.fd_truncated)
+        te = r.tgt_elabs[0] if ns.mode == "direct" \
+            else next(harness.squares(r)).composed
+        value = S.pretty(target_core.tgt_eval(te, ns.fuel))
+    if ns.format == "json":
+        _emit_json(ns, r.main_type, [], [value], True, r.fd_truncated)
     else:
         print(value)
     return _resource_exit(r.fd_truncated)
 
 
-def _load_contexts(cfg: CliConfig):
-    if not cfg.contexts_dir:
+def _load_contexts(ns):
+    if not ns.contexts_dir:
         return None
-    directory = Path(cfg.contexts_dir)
+    directory = Path(ns.contexts_dir)
     if not directory.is_dir():
         raise NotADirectoryError(
-            f"contexts directory {cfg.contexts_dir!r} is not a directory")
+            f"contexts directory {ns.contexts_dir!r} is not a directory")
     ctxs = []
     for path in sorted(directory.glob("*.ctx")):
         ctxs.append(_parse_file(path, parse_context))
     return ctxs
 
 
-def cmd_coherence(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
+def cmd_coherence(ns, limits: Limits) -> int:
+    p = _load_program(ns)
     rep = harness.check_coherence(
-        p, cfg.limits, cfg.fuel, contexts=_load_contexts(cfg),
-        program_name=cfg.input_path)
-    if cfg.format == "json":
+        p, limits, ns.fuel, contexts=_load_contexts(ns),
+        program_name=ns.file)
+    if ns.format == "json":
         elabs = [S.pretty(te) for te in rep.composed]
         results = [rep.witness_value] * len(elabs) if rep.all_kleene_equal \
             else []
-        _emit_json(cfg, rep.main_type, elabs, results, rep.all_kleene_equal,
+        _emit_json(ns, rep.main_type, elabs, results, rep.all_kleene_equal,
                    rep.truncated)
     else:
         for line in harness.coherence_lines(rep):
@@ -246,12 +214,11 @@ def cmd_coherence(cfg: CliConfig) -> int:
     return _resource_exit(rep.truncated)
 
 
-def cmd_decompose(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
-    rep = harness.check_decomposition(p, cfg.limits,
-                                      program_name=cfg.input_path)
-    if cfg.format == "json":
-        _emit_json(cfg, rep.main_type, [S.pretty(te) for te in rep.composed],
+def cmd_decompose(ns, limits: Limits) -> int:
+    p = _load_program(ns)
+    rep = harness.check_decomposition(p, limits, program_name=ns.file)
+    if ns.format == "json":
+        _emit_json(ns, rep.main_type, [S.pretty(te) for te in rep.composed],
                    [], rep.equal, rep.truncated)
     else:
         for line in harness.decomposition_lines(rep):
@@ -261,25 +228,24 @@ def cmd_decompose(cfg: CliConfig) -> int:
     return _resource_exit(rep.truncated)
 
 
-def cmd_meta(cfg: CliConfig) -> int:
-    p = _load_program(cfg)
-    r = typecheck_program(p, cfg.limits)
+def cmd_meta(ns, limits: Limits) -> int:
+    p = _load_program(ns)
+    r = typecheck_program(p, limits)
     reports = []
     for sigma, ie in r.fd_elabs:
         reports.append(harness.check_metatheory(
-            sigma, r.fd_class_env, ie, cfg.fuel))
+            sigma, r.fd_class_env, ie, ns.fuel))
     if r.fd_elabs:
         sigma, _ = r.fd_elabs[0]
-        for i in range(cfg.generate):
-            e = harness.generate_fd_term(cfg.seed + i, 4, sigma,
+        for i in range(ns.generate):
+            e = harness.generate_fd_term(ns.seed + i, 4, sigma,
                                          r.fd_class_env)
             reports.append(harness.check_metatheory(
-                sigma, r.fd_class_env, e, cfg.fuel))
+                sigma, r.fd_class_env, e, ns.fuel))
     all_ok = all(m.preservation_ok and m.progress_ok and m.fuel_ok
                  for m in reports)
-    if cfg.format == "json":
-        _emit_json(cfg, r.main_type, [], [], all_ok,
-                   any(not m.fuel_ok for m in reports))
+    if ns.format == "json":
+        _emit_json(ns, r.main_type, [], [], all_ok, r.fd_truncated)
     else:
         for i, m in enumerate(reports):
             print(f"-- elaboration {i}")
@@ -292,38 +258,23 @@ def cmd_meta(cfg: CliConfig) -> int:
     return _resource_exit(r.fd_truncated)
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "elaborate": cmd_elaborate,
-    "run": cmd_run,
-    "coherence": cmd_coherence,
-    "decompose": cmd_decompose,
-    "meta": cmd_meta,
-}
-
-
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
+    ns = _build_parser().parse_args(argv)
+    limits = Limits(ns.max_depth, ns.max_elaborations)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return ns.func(ns, limits)
     except _FileParseError as err:
         print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR
     except SrcTypeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE if err.kind == "resource" else EXIT_TYPE_ERROR
-    except fd_core.FdTypeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
-    except target_core.TgtTypeError as err:
+    except (fd_core.FdTypeError, target_core.TgtTypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TYPE_ERROR
     except FuelExhausted:
         print("error: fuel exhausted", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TYPE_ERROR
     except RecursionError:
         print("error: input nested too deeply to process", file=sys.stderr)
         return EXIT_RESOURCE

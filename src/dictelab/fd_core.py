@@ -54,11 +54,9 @@ STUCK = "Stuck"
 class FdTypeError(Exception):
     kind: str
     detail: str
-    location: tuple = ()
 
     def __str__(self):
-        where = "/".join(map(str, self.location))
-        return f"{self.kind}: {self.detail}" + (f" (at {where})" if where else "")
+        return f"{self.kind}: {self.detail}"
 
 
 class FuelExhausted(Exception):
@@ -404,7 +402,7 @@ def expected_impl_type(TC, entry) -> FdType:
 # Environment well-formedness
 # ---------------------------------------------------------------------------
 
-def fd_env_wf(sigma, TC, TT=()) -> FdChecker:
+def fd_env_wf(sigma, TC) -> FdChecker:
     """Raises FdTypeError when the environments are ill-formed; otherwise
     returns a checker for sigma that has checked every implementation."""
     methods = [entry.method for entry in TC]
@@ -450,25 +448,6 @@ def fd_env_wf(sigma, TC, TT=()) -> FdChecker:
                     f"for class {sc.head.cls!r}")
         # Implementation typechecks in the strict prefix.
         checker._check_impl(i)
-    # Typing environment bindings.
-    tyvars: set[str] = set()
-    term_names: set[str] = set()
-    dict_names: set[str] = set()
-    for bind in TT:
-        if isinstance(bind, TyVarBind):
-            tyvars.add(bind.name)
-        elif isinstance(bind, TermBind):
-            if bind.name in term_names:
-                raise FdTypeError(AMBIGUITY,
-                                  f"duplicate term binding {bind.name!r}")
-            term_names.add(bind.name)
-            check_fd_type_wf(TC, tyvars, bind.ty)
-        else:
-            if bind.name in dict_names:
-                raise FdTypeError(AMBIGUITY,
-                                  f"duplicate dictionary binding {bind.name!r}")
-            dict_names.add(bind.name)
-            check_fd_q_wf(TC, tyvars, bind.q)
     return checker
 
 

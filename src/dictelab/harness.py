@@ -1,8 +1,10 @@
 """Executable checks over whole programs.
 
+`squares` yields one commuting square per derivation D and method
+environment Σ, direct(D, Σ) and composed(fd(D, Σ)), with one validated
+checker per Σ; every check and command reads both translations from it.
 Coherence: evaluate every elaboration along both pipelines and require
-Kleene-equal results. Decomposition: one commuting square per derivation D
-and method environment Σ, direct(D, Σ) ≡α composed(fd(D, Σ)), pair by pair.
+Kleene-equal results. Decomposition: direct ≡α composed, square by square.
 Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
 intermediate typechecker/evaluator with seeded type-directed term
 generation.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fd_core, syntax as S, target_core
 from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
@@ -70,85 +73,97 @@ class MetaReport:
 
 
 # ---------------------------------------------------------------------------
+# The commuting square
+# ---------------------------------------------------------------------------
+
+class Square(NamedTuple):
+    """Both target translations of one derivation under one method
+    environment: direct(D, Σ) and composed(fd(D, Σ))."""
+    variant: int        # index of sigma among the method environments
+    sigma: tuple
+    checker: FdChecker  # the checker of sigma, which fd_env_wf validated
+    derivation: FdExpr
+    direct: TgtExpr
+    composed: TgtExpr
+
+
+def squares(r):
+    """The square of each elaboration of r, lazily and in order. Each
+    method environment is validated once and gets one checker; consecutive
+    elaborations share their sigma object."""
+    variant, sigma = -1, None
+    for (s, ie), direct in zip(r.fd_elabs, r.tgt_elabs):
+        if s is not sigma:
+            variant, sigma = variant + 1, s
+            checker = fd_env_wf(sigma, r.fd_class_env)
+        yield Square(variant, sigma, checker, ie, direct,
+                     checker.check_expr((), ie)[1])
+
+
+# ---------------------------------------------------------------------------
 # Coherence
 # ---------------------------------------------------------------------------
 
-def composed_checkers(r, make=FdChecker):
-    """Each intermediate elaboration of r as (sigma, checker, ie), with one
-    checker per method environment, made by make(sigma, TC). Consecutive
-    elaborations share their sigma object."""
-    sigma = checker = None
-    for s, ie in r.fd_elabs:
-        if s is not sigma:
-            sigma, checker = s, make(s, r.fd_class_env)
-        yield sigma, checker, ie
-
-
-def _program_results(p: SrcProgram, limits: Limits, fuel: int):
-    """All observable values of p: the intermediate-pipeline values
+def _program_values(r, fuel: int):
+    """All observable values of r: the intermediate-pipeline values
     (elaborated into the target for comparability) interleaved with the
     composed target values, then the direct target values. Each value comes
-    as (origin, elaboration, value); `_label` prints the first two. Also
-    returns the composed target elaborations."""
-    r = typecheck_program(p, limits)
+    as (origin, elaboration, value). Also returns the composed target
+    elaborations."""
+    sqs = []
     values = []
-    composed = []
-    for sigma, checker, ie in composed_checkers(r, fd_env_wf):
-        _, te = checker.check_expr((), ie)
-        composed.append(te)
-        v_fd = fd_eval(sigma, ie, fuel)
-        _, te_of_value = checker.check_expr((), v_fd)
-        values.append(("fd value of", ie,
+    for sq in squares(r):
+        sqs.append(sq)
+        v_fd = fd_eval(sq.sigma, sq.derivation, fuel)
+        _, te_of_value = sq.checker.check_expr((), v_fd)
+        values.append(("fd value of", sq.derivation,
                        target_core.tgt_eval(te_of_value, fuel)))
-        values.append(("composed target of", ie,
-                       target_core.tgt_eval(te, fuel)))
-    for te in r.tgt_elabs:
-        values.append(("direct target", te, target_core.tgt_eval(te, fuel)))
-    return r, values, tuple(composed), r.fd_truncated
+        values.append(("composed target of", sq.derivation,
+                       target_core.tgt_eval(sq.composed, fuel)))
+    for sq in sqs:
+        values.append(("direct target", sq.direct,
+                       target_core.tgt_eval(sq.direct, fuel)))
+    return values, tuple(sq.composed for sq in sqs)
 
 
-def _label(origin: str, elaboration) -> str:
-    return f"{origin} {S.pretty(elaboration)}"
+def _first_difference(values):
+    """The origins and elaborations, printed, of the first value and of the
+    first value that differs from it, or None. All-against-first suffices:
+    equality at a shared witness value."""
+    first = values[0]
+    for other in values[1:]:
+        if not alpha_eq(other[2], first[2]):
+            return tuple(f"{origin} {S.pretty(elab)}"
+                         for origin, elab, _ in (first, other))
+    return None
 
 
 def check_coherence(p: SrcProgram, limits: Limits = Limits(),
                     fuel: int = 100_000, contexts=None,
                     program_name: str = "") -> CoherenceReport:
-    programs = [p]
-    for ctx in contexts or ():
-        programs.append(SrcProgram(p.decls, plug(ctx, p.main)))
-    base_r = base_values = base_composed = None
-    any_truncated = False
+    programs = [p, *(SrcProgram(p.decls, plug(ctx, p.main))
+                     for ctx in contexts or ())]
+    truncated = False
     for i, variant in enumerate(programs):
-        r, values, composed, truncated = _program_results(variant, limits,
-                                                          fuel)
-        any_truncated |= truncated
+        r = typecheck_program(variant, limits)
+        truncated |= r.fd_truncated
+        values, composed = _program_values(r, fuel)
         if i == 0:
-            base_r, base_values, base_composed = r, values, composed
-        first_origin, first_elab, first_value = values[0]
-        # All-against-first suffices: equality at a shared witness value.
-        for origin, elab, value in values[1:]:
-            if not alpha_eq(value, first_value):
-                return CoherenceReport(
-                    program_name=program_name,
-                    elab_count_fd=len(base_r.fd_elabs),
-                    elab_count_tgt=len(base_r.tgt_elabs),
-                    truncated=any_truncated,
-                    all_kleene_equal=False,
-                    witness_value=S.pretty(first_value),
-                    main_type=base_r.main_type,
-                    composed=base_composed,
-                    counterexample=(_label(first_origin, first_elab),
-                                    _label(origin, elab)))
+            base, base_composed, witness = r, composed, values[0][2]
+        counterexample = _first_difference(values)
+        if counterexample:
+            witness = values[0][2]
+            break
     return CoherenceReport(
         program_name=program_name,
-        elab_count_fd=len(base_r.fd_elabs),
-        elab_count_tgt=len(base_r.tgt_elabs),
-        truncated=any_truncated,
-        all_kleene_equal=True,
-        witness_value=S.pretty(base_values[0][2]),
-        main_type=base_r.main_type,
-        composed=base_composed)
+        elab_count_fd=len(base.fd_elabs),
+        elab_count_tgt=len(base.tgt_elabs),
+        truncated=truncated,
+        all_kleene_equal=counterexample is None,
+        witness_value=S.pretty(witness),
+        main_type=base.main_type,
+        composed=base_composed,
+        counterexample=counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +173,20 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
 def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
                         program_name: str = "") -> DecompositionReport:
     r = typecheck_program(p, limits)
-    composed = []
-    mismatches = []
-    variant, sigma = -1, None
-    for (s, checker, ie), direct in zip(composed_checkers(r), r.tgt_elabs):
-        if s is not sigma:
-            variant, sigma = variant + 1, s
-        te = checker.check_expr((), ie)[1]
-        composed.append(te)
-        if not alpha_eq(direct, te):
-            mismatches.append(Mismatch(S.pretty(ie), variant,
-                                       S.pretty(direct), S.pretty(te)))
+    sqs = list(squares(r))
+    mismatches = tuple(
+        Mismatch(S.pretty(sq.derivation), sq.variant,
+                 S.pretty(sq.direct), S.pretty(sq.composed))
+        for sq in sqs if not alpha_eq(sq.direct, sq.composed))
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
         count_direct=len(r.tgt_elabs),
-        count_composed=len(composed),
+        count_composed=len(sqs),
         truncated=r.fd_truncated,
         main_type=r.main_type,
-        composed=tuple(composed),
-        mismatches=tuple(mismatches))
+        composed=tuple(sq.composed for sq in sqs),
+        mismatches=mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +228,15 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
 # Type-directed term generation
 # ---------------------------------------------------------------------------
 
-def closed_dicts(sigma, TC, max_rounds: int = 3):
+def closed_dicts(sigma):
     """Closed dictionary values derivable from the method environment.
 
     Polymorphic instance binders are instantiated at Bool; contexts are
-    resolved against dictionaries found in earlier rounds.
+    resolved against dictionaries found in earlier rounds, of which there
+    are at most three.
     """
     found: list[tuple[FdQ, DCon]] = []
-    for _ in range(max_rounds):
+    for _ in range(3):
         new = []
         for entry in sigma:
             sc = entry.scheme
@@ -258,7 +268,7 @@ def closed_dicts(sigma, TC, max_rounds: int = 3):
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed."""
     rng = random.Random(seed)
-    dicts = closed_dicts(sigma, TC)
+    dicts = closed_dicts(sigma)
     # The method call of each closed dictionary, with its type.
     calls = []
     for q, d in dicts:

@@ -232,7 +232,7 @@ class _Parser:
 
     # -- declarations --------------------------------------------------------
 
-    def super_context(self, class_var_tok_required: bool = True):
+    def super_context(self):
         # superclass items are bare class names applied to the class variable
         if self.at("sym", "("):
             self.advance()

@@ -137,7 +137,7 @@ def test_criterion_8_overlap_rejected_but_target_can_discriminate():
              MethodImpl("D2_Base", scheme, "base",
                         S.ILam("x", IBool(), S.IFalse())))
     with pytest.raises(FdTypeError) as fd_exc:
-        fd_env_wf(sigma, tc, ())
+        fd_env_wf(sigma, tc)
     assert fd_exc.value.kind == OVERLAP
     # The target itself happily tells the two dictionaries apart.
     f = read_fixture(corpus_text("D1"))

@@ -7,7 +7,7 @@ import pytest
 from dictelab import syntax as S
 from dictelab.cli import main
 from dictelab.fd_core import fd_step, is_fd_value
-from dictelab.harness import composed_checkers
+from dictelab.harness import squares
 
 from conftest import CORPUS, NEGATIVE, POSITIVE, corpus_result
 from reference_eval import is_tgt_value, run_small_step, tgt_step
@@ -116,8 +116,7 @@ def _reference_steps(stage: list[str]) -> int:
         if stage == ["--mode", "direct"]:
             te = r.tgt_elabs[0]
         else:
-            _, checker, ie = next(composed_checkers(r))
-            te = checker.check_expr((), ie)[1]
+            te = next(squares(r)).composed
         n, value, _ = run_small_step(tgt_step, is_tgt_value, te, 100_000)
     assert S.pretty(value) == "True"
     return n
@@ -139,12 +138,22 @@ def test_run_fuel_counts_reduction_steps(capsys, stage):
 # Resource limits
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cmd", ["check", "elaborate", "run", "meta"])
-def test_truncated_enumeration_prints_then_exits_3(capsys, cmd):
-    code, out, _ = run_cli(capsys, cmd, src("P3"), "--max-elaborations", "1")
-    _, full, _ = run_cli(capsys, cmd, src("P3"))
+COMMANDS = ["check", "elaborate", "run", "coherence", "decompose", "meta"]
+
+
+@pytest.mark.parametrize(
+    "cmd,fmt",
+    [pytest.param(c, "text", id=c) for c in ["check", "elaborate", "run",
+                                             "meta"]]
+    + [pytest.param(c, "json", id=f"{c}-json") for c in COMMANDS])
+def test_truncated_enumeration_prints_then_exits_3(capsys, cmd, fmt):
+    code, out, _ = run_cli(capsys, cmd, src("P3"), "--max-elaborations", "1",
+                           "--format", fmt)
+    _, full, _ = run_cli(capsys, cmd, src("P3"), "--format", fmt)
     assert code == 3
-    if cmd == "check":
+    if fmt == "json":
+        assert json.loads(out)["truncated"] is True
+    elif cmd == "check":
         assert out == "main : Bool\n1 class(es), 1 instance(s), " \
                       "1 elaboration(s)\n"
     else:  # the kept elaborations print as without the cap
@@ -257,8 +266,7 @@ SCHEMA_KEYS = {"program", "type", "elaborations", "results", "coherent",
                "truncated"}
 
 
-@pytest.mark.parametrize("cmd", ["check", "elaborate", "run", "coherence",
-                                 "decompose", "meta"])
+@pytest.mark.parametrize("cmd", COMMANDS)
 def test_json_schema(capsys, cmd):
     code, out, _ = run_cli(capsys, cmd, src("P1"), "--format", "json")
     assert code == 0

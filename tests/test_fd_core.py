@@ -91,14 +91,14 @@ def test_expected_impl_type_instantiates_head():
 # ---------------------------------------------------------------------------
 
 def test_fixture_environment_is_well_formed():
-    fd_env_wf(SIGMA_EQ, TC_EQ, ())
+    fd_env_wf(SIGMA_EQ, TC_EQ)
 
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_corpus_environments_are_well_formed(name):
     r = corpus_result(name)
     for sigma, _ in r.fd_elabs:
-        fd_env_wf(sigma, r.fd_class_env, ())
+        fd_env_wf(sigma, r.fd_class_env)
 
 
 def test_duplicate_ground_heads_overlap():
@@ -106,7 +106,7 @@ def test_duplicate_ground_heads_overlap():
         MethodImpl("D3_Eq", SIGMA_EQ[0].scheme, "eq",
                    read_fd_expr("\\x : Bool. \\y : Bool. False")),)
     with pytest.raises(FdTypeError) as exc:
-        fd_env_wf(dup, TC_EQ, ())
+        fd_env_wf(dup, TC_EQ)
     assert exc.value.kind == OVERLAP
 
 
@@ -122,7 +122,7 @@ def test_observably_different_copies_still_overlap():
                    read_fd_expr("\\x : Bool. True")),
     )
     with pytest.raises(FdTypeError) as exc:
-        fd_env_wf(sigma, tc, ())
+        fd_env_wf(sigma, tc)
     assert exc.value.kind == OVERLAP
 
 
@@ -133,7 +133,7 @@ def test_implementation_may_only_use_earlier_entries():
     sigma = (MethodImpl("D1_Eq", SIGMA_EQ[0].scheme, "eq", fwd),) \
         + SIGMA_EQ[1:]
     with pytest.raises(FdTypeError) as exc:
-        fd_env_wf(sigma, TC_EQ, ())
+        fd_env_wf(sigma, TC_EQ)
     assert exc.value.kind == PREFIX_VIOLATION
 
 

@@ -16,8 +16,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from dictelab.fd_core import FdChecker, FdTypeError, fd_step, is_fd_value
-from dictelab.harness import (check_metatheory, composed_checkers,
-                              generate_fd_term)
+from dictelab.harness import check_metatheory, generate_fd_term, squares
 from dictelab.parser import parse_program
 from dictelab.source_typer import typecheck_program
 from dictelab.syntax import (
@@ -69,8 +68,9 @@ PROGRAMS = _programs()
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_shared_checker_agrees_on_elaborations(name):
     r = PROGRAMS[name]
-    for sigma, checker, ie in composed_checkers(r):
-        assert_same_as_unshared(checker, sigma, r.fd_class_env, ie)
+    for sq in squares(r):
+        assert_same_as_unshared(sq.checker, sq.sigma, r.fd_class_env,
+                                sq.derivation)
 
 
 @pytest.mark.parametrize("name", ["P2", "P4"])
@@ -136,12 +136,11 @@ def test_each_node_and_environment_is_checked_once(monkeypatch):
     monkeypatch.setattr(FdChecker, "_infer", counted)
     r = PROGRAMS["flex5"]
     checkers, pairs, nodes = [], set(), 0
-    for sigma, checker, ie in composed_checkers(r):
-        checker.check_expr((), ie)
+    for sq in squares(r):
         sites = set()
-        nodes += _check_sites(ie, (), sites)
-        pairs |= {(id(checker), *site) for site in sites}
-        checkers.append(checker)
+        nodes += _check_sites(sq.derivation, (), sites)
+        pairs |= {(id(sq.checker), *site) for site in sites}
+        checkers.append(sq.checker)
     # Implementations are checked by prefix checkers; leave those out.
     own = sum(1 for c in bodies if any(c is k for k in checkers))
     assert own <= len(pairs) < nodes

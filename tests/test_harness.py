@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from dictelab import fd_core, source_typer, syntax as S
+from dictelab import fd_core, harness, source_typer, syntax as S
 from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, closed_dicts, coherence_lines,
                               decomposition_lines, generate_fd_term,
@@ -133,22 +133,45 @@ def test_decomposition_catches_wrong_target_dictionary(monkeypatch):
     _assert_the_square_breaks_at_the_local_dictionary()
 
 
+# Ord's body calls eq twice, each through the local dictionary or the
+# global instance: four method environments, and only the last one uses no
+# dictionary variable.
+EQ_CALL = "(eq :: Bool -> Bool -> Bool)"
+FOUR_SIGMAS = (
+    "class Eq a where { eq : a -> a -> Bool };\n"
+    "class Ord a where { le : a -> a -> Bool };\n"
+    "instance Eq Bool where { eq = \\x. \\y. True };\n"
+    "instance Eq Bool => Ord Bool where "
+    f"{{ le = \\x. \\y. {EQ_CALL} ({EQ_CALL} x y) y }};\n"
+    "(le :: Bool -> Bool -> Bool) True True")
+
+
 def test_decomposition_names_the_method_environment_of_a_mismatch(
         monkeypatch):
-    # Ord's body calls eq twice, each through the local dictionary or the
-    # global instance: four method environments, and only the last one
-    # uses no dictionary variable.
     _break_direct_dictionary_variables(monkeypatch)
-    eq = "(eq :: Bool -> Bool -> Bool)"
-    rep = check_decomposition(parse_program(
-        "class Eq a where { eq : a -> a -> Bool };\n"
-        "class Ord a where { le : a -> a -> Bool };\n"
-        "instance Eq Bool where { eq = \\x. \\y. True };\n"
-        "instance Eq Bool => Ord Bool where "
-        f"{{ le = \\x. \\y. {eq} ({eq} x y) y }};\n"
-        "(le :: Bool -> Bool -> Bool) True True"))
+    rep = check_decomposition(parse_program(FOUR_SIGMAS))
     assert rep.count_direct == rep.count_composed == 4
     assert [m.variant for m in rep.mismatches] == [0, 1, 2]
+
+
+def test_each_method_environment_is_validated_once(monkeypatch):
+    calls = []
+    env_wf = harness.fd_env_wf
+
+    def counted(sigma, TC):
+        calls.append(sigma)
+        return env_wf(sigma, TC)
+    monkeypatch.setattr(harness, "fd_env_wf", counted)
+    rep = check_decomposition(parse_program(FOUR_SIGMAS))
+    assert rep.equal and rep.count_composed == 4
+    assert len(calls) == len({id(sigma) for sigma in calls}) == 4
+
+
+@pytest.mark.parametrize("name", POSITIVE + ["b0.src", "b2.src"])
+def test_coherence_and_decomposition_share_the_composed_targets(name):
+    p = corpus_program(name) if name in POSITIVE \
+        else parse_program(programs()[name][0])
+    assert check_coherence(p).composed == check_decomposition(p).composed
 
 
 def test_coherence_violation_names_both_elaborations(monkeypatch):
@@ -227,8 +250,8 @@ def _p2_env():
 
 
 def test_closed_dicts_cover_ground_instances():
-    sigma, tc = _p2_env()
-    dicts = closed_dicts(sigma, tc)
+    sigma, _ = _p2_env()
+    dicts = closed_dicts(sigma)
     names = {d.name for _, d in dicts if isinstance(d, S.DCon)}
     assert {e.con for e in sigma} <= names
 

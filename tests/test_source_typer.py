@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -556,3 +558,18 @@ def test_alternatives_pairwise_non_alpha_equivalent(name):
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             assert not S.alpha_eq(terms[i], terms[j])
+
+
+def test_the_typer_imports_neither_translation_of_the_intermediate_language():
+    # The decomposition square compares DirectTranslator with the
+    # translation in fd_core; it is a cross-check only while they share
+    # no code.
+    tree = ast.parse(Path(source_typer.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    modules = {part for name in imported for part in name.split(".")}
+    assert imported and not modules & {"fd_core", "target_core"}

@@ -165,7 +165,7 @@ def test_analogous_method_environment_is_rejected_upstream():
                    S.ILam("x", IBool(), S.IFalse())),
     )
     with pytest.raises(FdTypeError) as exc:
-        fd_env_wf(sigma, tc, ())
+        fd_env_wf(sigma, tc)
     assert exc.value.kind == OVERLAP
 
 
