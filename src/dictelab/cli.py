@@ -92,20 +92,26 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd_meta)
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for generated terms")
-    p.add_argument("--generate", type=int, default=0,
+    p.add_argument("--generate", type=_at_least(0), default=0,
                    help="additionally check this many generated terms")
     return ap
 
 
-class _FileParseError(Exception):
-    """A parse error, prefixed with the path of the file it is in."""
+class _InputError(Exception):
+    """An input file that is not UTF-8 text or does not parse; the message
+    names the file."""
 
 
 def _parse_file(path, parse):
     try:
-        return parse(Path(path).read_text())
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise _InputError(f"error: {path}: not UTF-8 text ({err.reason} "
+                          f"at byte {err.start})") from err
+    try:
+        return parse(text)
     except ParseError as err:
-        raise _FileParseError(f"{path}:{err}") from err
+        raise _InputError(f"{path}:{err}") from err
 
 
 def _load_program(ns):
@@ -263,7 +269,7 @@ def main(argv=None) -> int:
     limits = Limits(ns.max_depth, ns.max_elaborations)
     try:
         return ns.func(ns, limits)
-    except _FileParseError as err:
+    except _InputError as err:
         print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR
     except SrcTypeError as err:

@@ -16,7 +16,6 @@ observations plus user-supplied finite context sets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import fd_core, syntax as S, target_core
@@ -25,11 +24,12 @@ from .source_typer import Limits, typecheck_program
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    SrcMono, SrcProgram, TermBind, TgtExpr, alpha_eq, plug, subst_type,
+    SrcMono, SrcProgram, TermBind, TgtExpr, alpha_eq, frozen, plug,
+    subst_type,
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class CoherenceReport:
     program_name: str
     elab_count_fd: int
@@ -42,7 +42,7 @@ class CoherenceReport:
     counterexample: tuple[str, str] | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Mismatch:
     """A derivation whose two target translations differ, pretty-printed."""
     derivation: str
@@ -51,7 +51,7 @@ class Mismatch:
     composed: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DecompositionReport:
     program_name: str
     equal: bool
@@ -63,7 +63,7 @@ class DecompositionReport:
     mismatches: tuple[Mismatch, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class MetaReport:
     steps_checked: int
     preservation_ok: bool

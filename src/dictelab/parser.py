@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .syntax import (SArrow, SBool, SApp, SAnn, SFalse, SHole, SLam, SLet,
                      STrue, STyVar, SVar, SrcConstraint, SrcExpr, SrcMono,
-                     SrcProgram, SrcScheme, ClassDecl, InstDecl, count_holes)
+                     SrcProgram, SrcScheme, ClassDecl, InstDecl, count_holes,
+                     frozen)
 
 
 @dataclass
@@ -39,7 +40,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
+@frozen
 class Token:
     kind: str  # 'conid' | 'varid' | 'kw' | 'sym' | 'hole' | 'eof'
     text: str

@@ -26,7 +26,6 @@ bounds the work, not only the output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .syntax import (
     ClassDecl, DictBind, InstDecl, SrcConstraint, SrcConstraintScheme,
@@ -38,7 +37,8 @@ from .syntax import (
     IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar, FdExpr,
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr,
-    dict_target_name, env_tyvars, free_type_vars, rename_apart, subst_type,
+    dict_target_name, env_tyvars, free_type_vars, frozen, rename_apart,
+    subst_type,
 )
 from . import syntax as S
 
@@ -52,13 +52,13 @@ class SrcTypeError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
+@frozen
 class Limits:
     max_depth: int = 32
     max_elaborations: int = 256
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassEntry:
     method: str
     superclasses: tuple[str, ...]
@@ -67,7 +67,7 @@ class ClassEntry:
     scheme: SrcScheme
 
 
-@dataclass(frozen=True)
+@frozen
 class InstEntry:
     con: str
     scheme: SrcConstraintScheme        # forall fv(head). closed ctx => C head
@@ -661,7 +661,7 @@ class DirectTranslator:
 # Whole programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class ProgramResult:
     main_type: SrcMono
     GC: tuple

@@ -2,18 +2,84 @@
 
 Three term languages live here: the surface language with type classes, the
 intermediate language with first-class dictionaries, and the record-based
-System F target. All nodes are immutable dataclasses. One binding table,
-built at import, records each node class's fields, variable sort, binder
-and binder scope. Free variables, capture-avoiding substitution, alpha
-equivalence, first-order unification and context plugging read only that
-table, for every sort of variable in every language.
+System F target. All nodes are immutable dataclasses built by `frozen`,
+which generates the methods `@dataclass(frozen=True)` generates but
+compiles them in one `exec` per class, not six: importing the CLI takes
+most of a short run, and compiling the node classes' methods took most of
+the import. One binding table, built at import, records each node class's
+fields, variable sort, binder and binder scope. Free variables,
+capture-avoiding substitution, alpha equivalence, first-order unification
+and context plugging read only that table, for every sort of variable in
+every language.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import (FrozenInstanceError, MISSING, dataclass, fields,
+                         is_dataclass)
 from typing import NamedTuple
+
+
+# ---------------------------------------------------------------------------
+# Frozen dataclasses, compiled in one exec per class
+# ---------------------------------------------------------------------------
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls):
+    """`@dataclass(frozen=True)` for a class that nothing subclasses.
+
+    `dataclass` still collects the fields, so `fields`, `is_dataclass` and
+    `__match_args__` are unchanged. `__init__` (defaults and
+    `__post_init__` included), `__eq__`, `__hash__` and `__repr__` are the
+    code `dataclass` generates for a frozen class, compiled together.
+    """
+    doc = cls.__doc__
+    cls.__doc__ = cls.__name__      # keeps dataclass from building a doc
+    dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    names = [f.name for f in fs]
+    ns = {"_setattr": object.__setattr__}
+    params, signature = ["self"], []
+    for f in fs:
+        signature.append(f"{f.name}: {f.type!r}")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            ns[f"_dflt_{f.name}"] = f.default
+            params.append(f"{f.name}=_dflt_{f.name}")
+            signature[-1] += f" = {f.default!r}"
+    init = [f"  _setattr(self,{n!r},{n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        init.append("  self.__post_init__()")
+    own = "".join(f"self.{n}," for n in names)
+    other = "".join(f"other.{n}," for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    exec(f"def __init__({','.join(params)}):\n"
+         + ("\n".join(init) or "  pass") + "\n"
+         "def __eq__(self, other):\n"
+         "  if other.__class__ is self.__class__:\n"
+         f"    return ({own})==({other})\n"
+         "  return NotImplemented\n"
+         "def __hash__(self):\n"
+         f"  return hash(({own}))\n"
+         "def __repr__(self):\n"
+         f'  return self.__class__.__qualname__ + f"({shown})"\n', ns)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        fn = ns[name]
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(signature)})"
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -24,29 +90,29 @@ class SrcMono:
     """Base class for source monotypes."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SBool(SrcMono):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class STyVar(SrcMono):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SArrow(SrcMono):
     left: SrcMono
     right: SrcMono
 
 
-@dataclass(frozen=True)
+@frozen
 class SrcConstraint:
     cls: str
     arg: SrcMono
 
 
-@dataclass(frozen=True)
+@frozen
 class SrcScheme:
     """Flattened type scheme: forall binders. context => head."""
     binders: tuple[str, ...]
@@ -54,7 +120,7 @@ class SrcScheme:
     head: SrcMono
 
 
-@dataclass(frozen=True)
+@frozen
 class SrcConstraintScheme:
     binders: tuple[str, ...]
     context: tuple[SrcConstraint, ...]
@@ -65,40 +131,40 @@ class SrcExpr:
     """Base class for source expressions (and expression contexts)."""
 
 
-@dataclass(frozen=True)
+@frozen
 class STrue(SrcExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class SFalse(SrcExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class SVar(SrcExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SMeth(SrcExpr):
     # Produced by name resolution; the parser always emits SVar.
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SLam(SrcExpr):
     param: str
     body: SrcExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class SApp(SrcExpr):
     fun: SrcExpr
     arg: SrcExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class SLet(SrcExpr):
     # Non-recursive: name scopes over body only.
     name: str
@@ -107,19 +173,19 @@ class SLet(SrcExpr):
     body: SrcExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class SAnn(SrcExpr):
     expr: SrcExpr
     ty: SrcMono
 
 
-@dataclass(frozen=True)
+@frozen
 class SHole(SrcExpr):
     # Only legal inside expression contexts.
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ClassDecl:
     superclasses: tuple[str, ...]
     name: str
@@ -128,7 +194,7 @@ class ClassDecl:
     method_scheme: SrcScheme
 
 
-@dataclass(frozen=True)
+@frozen
 class InstDecl:
     context: tuple[SrcConstraint, ...]
     cls: str
@@ -137,7 +203,7 @@ class InstDecl:
     body: SrcExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class SrcProgram:
     decls: tuple[object, ...]
     main: SrcExpr
@@ -151,41 +217,41 @@ class FdType:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class IBool(FdType):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ITyVar(FdType):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class IArrow(FdType):
     left: FdType
     right: FdType
 
 
-@dataclass(frozen=True)
+@frozen
 class FdQ:
     cls: str
     arg: FdType
 
 
-@dataclass(frozen=True)
+@frozen
 class IQArrow(FdType):
     q: FdQ
     result: FdType
 
 
-@dataclass(frozen=True)
+@frozen
 class IForall(FdType):
     var: str
     body: FdType
 
 
-@dataclass(frozen=True)
+@frozen
 class FdConstraintScheme:
     binders: tuple[str, ...]
     context: tuple[FdQ, ...]
@@ -196,12 +262,12 @@ class FdDict:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class DVar(FdDict):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DCon(FdDict):
     name: str
     type_args: tuple[FdType, ...]
@@ -212,66 +278,66 @@ class FdExpr:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class ITrue(FdExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class IFalse(FdExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class IVar(FdExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class ILam(FdExpr):
     param: str
     ty: FdType
     body: FdExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class IApp(FdExpr):
     fun: FdExpr
     arg: FdExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class IDLam(FdExpr):
     param: str
     q: FdQ
     body: FdExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class IDApp(FdExpr):
     fun: FdExpr
     arg: FdDict
 
 
-@dataclass(frozen=True)
+@frozen
 class ITyLam(FdExpr):
     param: str
     body: FdExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class ITyApp(FdExpr):
     fun: FdExpr
     ty: FdType
 
 
-@dataclass(frozen=True)
+@frozen
 class IMethod(FdExpr):
     dict: FdDict
     method: str
 
 
-@dataclass(frozen=True)
+@frozen
 class ILet(FdExpr):
     name: str
     ty: FdType
@@ -279,7 +345,7 @@ class ILet(FdExpr):
     body: FdExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class MethodImpl:
     """One entry of the global method environment."""
     con: str
@@ -289,7 +355,7 @@ class MethodImpl:
 
 
 
-@dataclass(frozen=True)
+@frozen
 class FdClassEntry:
     method: str
     cls: str
@@ -305,29 +371,29 @@ class TgtType:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TBool(TgtType):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TTyVar(TgtType):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class TArrow(TgtType):
     left: TgtType
     right: TgtType
 
 
-@dataclass(frozen=True)
+@frozen
 class TForall(TgtType):
     var: str
     body: TgtType
 
 
-@dataclass(frozen=True)
+@frozen
 class TRecordTy(TgtType):
     # Label -> type, kept sorted by label: records are label-indexed.
     fields: tuple[tuple[str, TgtType], ...]
@@ -342,47 +408,47 @@ class TgtExpr:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TTrue(TgtExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TFalse(TgtExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class TVar(TgtExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class TLam(TgtExpr):
     param: str
     ty: TgtType
     body: TgtExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class TApp(TgtExpr):
     fun: TgtExpr
     arg: TgtExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class TTyLam(TgtExpr):
     param: str
     body: TgtExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class TTyApp(TgtExpr):
     fun: TgtExpr
     ty: TgtType
 
 
-@dataclass(frozen=True)
+@frozen
 class TRecord(TgtExpr):
     fields: tuple[tuple[str, TgtExpr], ...]
 
@@ -392,13 +458,13 @@ class TRecord(TgtExpr):
             tuple(sorted(self.fields, key=lambda kv: kv[0])))
 
 
-@dataclass(frozen=True)
+@frozen
 class TProj(TgtExpr):
     expr: TgtExpr
     label: str
 
 
-@dataclass(frozen=True)
+@frozen
 class TLet(TgtExpr):
     name: str
     ty: TgtType
@@ -410,18 +476,18 @@ class TLet(TgtExpr):
 # Typing-environment building blocks (shared shape across languages)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class TermBind:
     name: str
     ty: object
 
 
-@dataclass(frozen=True)
+@frozen
 class TyVarBind:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class DictBind:
     name: str
     q: object

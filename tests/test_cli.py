@@ -67,6 +67,28 @@ def test_parse_error_reports_position(capsys):
         bad.unlink()
 
 
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+def test_program_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    bad = tmp_path / "f.src"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte " \
+                  f"at byte 0)\n"
+
+
+def test_context_file_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    bad = tmp_path / "bad.ctx"
+    bad.write_bytes(NOT_UTF8)
+    code, out, err = run_cli(capsys, "coherence", src("P2"),
+                             "--contexts-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # elaborate / run
 # ---------------------------------------------------------------------------
@@ -176,6 +198,14 @@ def test_out_of_range_limits_are_rejected(capsys, flag, value):
         main(["check", src("P1"), flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_out_of_range_generate_count_is_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["meta", src("P1"), "--generate", value])
+    assert exc.value.code == 2
+    assert "--generate" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

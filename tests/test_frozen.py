@@ -1,0 +1,249 @@
+"""`syntax.frozen` against `@dataclass(frozen=True)`.
+
+Every class `frozen` builds is compared with a twin made by
+`dataclasses.make_dataclass(..., frozen=True)` from the same fields: the
+twin runs the code the standard library generates, so equality, hashing,
+`repr`, construction, copying and immutability must agree with it.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import os
+import subprocess
+import sys
+from dataclasses import MISSING, FrozenInstanceError, fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dictelab
+from dictelab import harness, parser, source_typer, syntax as S
+from dictelab.cli import main  # noqa: F401  (every module is imported)
+
+import strategies
+from conftest import POSITIVE, corpus_program, corpus_result, corpus_text
+
+SRC = Path(dictelab.__file__).resolve().parent.parent
+
+
+def _frozen_classes():
+    """Every dataclass of the package except the mutable exceptions."""
+    out = []
+    for module in (S, parser, source_typer, harness):
+        for v in vars(module).values():
+            if isinstance(v, type) and v.__module__ == module.__name__ \
+                    and dataclasses.is_dataclass(v) \
+                    and not issubclass(v, Exception):
+                out.append(v)
+    return out
+
+
+CLASSES = _frozen_classes()
+
+
+def _twin_class(cls):
+    spec = [(f.name, f.type) if f.default is MISSING
+            else (f.name, f.type, dataclasses.field(default=f.default))
+            for f in fields(cls)]
+    namespace = {"__post_init__": cls.__post_init__} \
+        if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
+                                      namespace=namespace)
+
+
+TWINS = {cls: _twin_class(cls) for cls in CLASSES}
+
+
+def twin(x):
+    """x with every node, however deep, replaced by its twin's instance."""
+    if type(x) is tuple:
+        return tuple(map(twin, x))
+    t = TWINS.get(type(x))
+    if t is None:
+        return x
+    return t(*[twin(getattr(x, f.name)) for f in fields(x)])
+
+
+def test_every_converted_class_is_covered():
+    assert set(S._SHAPES) <= set(CLASSES)
+    outside = {c.__name__ for c in CLASSES if c.__module__ != S.__name__}
+    assert outside == {"Token", "Limits", "ClassEntry", "InstEntry",
+                       "ProgramResult", "CoherenceReport", "Mismatch",
+                       "DecompositionReport", "MetaReport"}
+
+
+# Field values: names, small atoms, real terms of the three languages from
+# tests/strategies.py, and tuples of them. A dataclass does not check its
+# field types, so any class may hold any of them.
+TERMS = st.one_of(
+    strategies.src_mono, strategies.src_constraint, strategies.src_scheme,
+    strategies.src_expr, strategies.fd_type, strategies.fd_q,
+    strategies.fd_qual_type, strategies.fd_constraint_scheme,
+    strategies.fd_dict, strategies.fd_term, strategies.tgt_type,
+    strategies.tgt_let_term)
+ATOMS = st.one_of(st.sampled_from(["a", "b"]), st.integers(0, 1),
+                  st.booleans(), st.none())
+VALUES = st.one_of(ATOMS, TERMS,
+                   st.lists(st.one_of(ATOMS, TERMS), max_size=2).map(tuple))
+RECORD_FIELDS = st.lists(st.tuples(st.sampled_from(["g", "f", "h"]), VALUES),
+                         max_size=3).map(tuple)
+
+
+def _field_values(cls):
+    if hasattr(cls, "__post_init__"):      # the records sort (label, value)
+        return st.tuples(RECORD_FIELDS)
+    return st.tuples(*[VALUES] * len(fields(cls)))
+
+
+def _same_arity(cls):
+    n = len(fields(cls))
+    return [c for c in CLASSES if c is not cls and len(fields(c)) == n
+            and not hasattr(c, "__post_init__")]
+
+
+def _name(cls):
+    return cls.__name__
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_methods_agree_with_the_twin(cls, data):
+    xs = data.draw(_field_values(cls))
+    ys = data.draw(st.one_of(st.just(copy.deepcopy(xs)),
+                             _field_values(cls)))
+    a, b = cls(*xs), cls(*ys)
+    ta, tb = twin(a), twin(b)
+    assert type(ta) is TWINS[cls]
+    assert (a == b) is (ta == tb)
+    assert (a != b) is (ta != tb)
+    assert (b == a) is (tb == ta)
+    assert hash(a) == hash(ta)
+    assert repr(a) == repr(ta)
+    # An equal copy is equal and hashes alike; a twin is another class.
+    c = cls(*copy.deepcopy(xs))
+    assert a == c and not a != c and hash(a) == hash(c)
+    assert a != ta and not a == ta
+    # Keyword construction.
+    names = [f.name for f in fields(cls)]
+    assert cls(**dict(zip(names, xs))) == a
+    # A node of another class never equals it, whatever its fields.
+    for other in _same_arity(cls):
+        o = other(*xs)
+        assert a != o and o != a and not a == o
+
+
+@pytest.mark.parametrize("cls", [c for c in CLASSES if any(
+    f.default is not MISSING for f in fields(c))], ids=_name)
+def test_defaults_agree_with_the_twin(cls):
+    required = [f"v{i}" for i, f in enumerate(fields(cls))
+                if f.default is MISSING]
+    a, ta = cls(*required), TWINS[cls](*required)
+    assert repr(a) == repr(ta) and hash(a) == hash(ta)
+    for f in fields(cls):
+        assert getattr(a, f.name) == getattr(ta, f.name)
+    names = [f.name for f in fields(cls)][:len(required)]
+    assert cls(**dict(zip(names, required))) == a
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+def test_introspection_agrees_with_the_twin(cls):
+    t = TWINS[cls]
+    assert dataclasses.is_dataclass(cls)
+    assert [(f.name, f.type, f.default) for f in fields(cls)] == \
+        [(f.name, f.type, f.default) for f in fields(t)]
+    assert cls.__match_args__ == t.__match_args__
+    if cls.__doc__.startswith(cls.__name__ + "("):     # no docstring
+        assert cls.__doc__ == t.__doc__
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_instances_are_frozen_and_copy(cls, data):
+    xs = data.draw(_field_values(cls))
+    a, ta = cls(*xs), twin(cls(*xs))
+    for name in [f.name for f in fields(cls)] + ["extra"]:
+        for obj in (a, ta):
+            with pytest.raises(FrozenInstanceError) as assign:
+                setattr(obj, name, 1)
+            with pytest.raises(FrozenInstanceError) as delete:
+                delattr(obj, name)
+            if obj is a:
+                messages = str(assign.value), str(delete.value)
+        assert (str(assign.value), str(delete.value)) == messages
+    assert repr(a) == repr(ta)
+    d = copy.deepcopy(a)
+    assert d == a and hash(d) == hash(a) and repr(d) == repr(a)
+    assert type(d) is cls and copy.copy(a) == a
+
+
+@pytest.mark.parametrize("cls", [S.TRecord, S.TRecordTy], ids=_name)
+def test_records_sort_their_fields(cls):
+    r = cls((("g", S.TTrue()), ("f", S.TBool()), ("a", S.TVar("x"))))
+    assert [label for label, _ in r.fields] == ["a", "f", "g"]
+    assert r == cls((("a", S.TVar("x")), ("g", S.TTrue()),
+                     ("f", S.TBool())))
+    assert copy.deepcopy(r).fields == r.fields
+    assert cls(fields=r.fields[::-1]) == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERMS, TERMS)
+def test_whole_terms_agree_with_their_twins(a, b):
+    ta, tb = twin(a), twin(b)
+    assert (a == b) is (ta == tb)
+    assert hash(a) == hash(ta) and repr(a) == repr(ta)
+    assert twin(copy.deepcopy(a)) == ta
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_real_results_agree_with_their_twins(name):
+    p = corpus_program(name)
+    r = corpus_result(name)
+    sigma, ie = r.fd_elabs[0]
+    values = [p, r, *r.GC, *r.P, *parser.tokenize(corpus_text(name)),
+              harness.check_coherence(p), harness.check_decomposition(p),
+              harness.check_metatheory(sigma, r.fd_class_env, ie, 1000)]
+    for v in values:
+        assert repr(v) == repr(twin(v))
+        assert hash(v) == hash(twin(v))
+        assert copy.deepcopy(v) == v
+
+
+# Counts every `exec` made while `dictelab.cli` is imported: module bodies
+# and dataclass method compilation. `@dataclass(frozen=True)` costs six per
+# class; `frozen` costs one.
+COUNT_EXECS = """
+import builtins, dataclasses, sys
+calls = 0
+real = builtins.exec
+def counting(*args, **kwargs):
+    global calls
+    calls += 1
+    return real(*args, **kwargs)
+builtins.exec = counting
+import dictelab.cli
+builtins.exec = real
+classes = {v for name, m in list(sys.modules.items())
+           if name.partition(".")[0] == "dictelab"
+           for v in vars(m).values()
+           if isinstance(v, type) and v.__module__ == name
+           and dataclasses.is_dataclass(v)}
+print(calls, len(classes))
+"""
+
+
+def test_importing_the_cli_makes_few_exec_calls():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", COUNT_EXECS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    calls, classes = map(int, out.split())
+    assert classes >= len(CLASSES)
+    assert calls < 2 * classes, (calls, classes)
