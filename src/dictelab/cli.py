@@ -265,6 +265,9 @@ def cmd_meta(ns, limits: Limits) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):
+        # Dictionary names are not ASCII; print them escaped, not fail.
+        sys.stdout.reconfigure(errors="backslashreplace")
     ns = _build_parser().parse_args(argv)
     limits = Limits(ns.max_depth, ns.max_elaborations)
     try:

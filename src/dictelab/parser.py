@@ -150,11 +150,11 @@ class _Parser:
             return tuple(items)
         return (self.constraint(),)
 
-    def _looks_like_context(self) -> bool:
-        # Look ahead for "=>" after a candidate constraint list.
+    def _looks_like_context(self, parse) -> bool:
+        # Look ahead for "=>" after what parse reads; consumes nothing.
         save = self.pos
         try:
-            self.constraint_list()
+            parse()
             ok = self.at("sym", "=>")
         except ParseError:
             ok = False
@@ -170,7 +170,7 @@ class _Parser:
                 binders.append(self.advance().text)
             self.expect("sym", ".")
         context: tuple[SrcConstraint, ...] = ()
-        if self._looks_like_context():
+        if self._looks_like_context(self.constraint_list):
             context = self.constraint_list()
             self.expect("sym", "=>")
         if len(set(binders)) != len(binders):
@@ -250,20 +250,10 @@ class _Parser:
         var_tok = self.expect("varid")
         return (cls, var_tok.text, var_tok)
 
-    def _looks_like_super_context(self) -> bool:
-        save = self.pos
-        try:
-            self.super_context()
-            ok = self.at("sym", "=>")
-        except ParseError:
-            ok = False
-        self.pos = save
-        return ok
-
     def class_decl(self) -> ClassDecl:
         self.expect("kw", "class")
         supers = []
-        if self._looks_like_super_context():
+        if self._looks_like_context(self.super_context):
             supers = self.super_context()
             self.expect("sym", "=>")
         name = self.expect("conid").text
@@ -284,7 +274,7 @@ class _Parser:
     def inst_decl(self) -> InstDecl:
         self.expect("kw", "instance")
         context: tuple[SrcConstraint, ...] = ()
-        if self._looks_like_context():
+        if self._looks_like_context(self.constraint_list):
             context = self.constraint_list()
             self.expect("sym", "=>")
         cls = self.expect("conid").text

@@ -10,14 +10,18 @@ the import. One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
-every language.
+every language. One notation table gives each node class its binding level
+and its printed form over its fields; `pretty` is one walker over it that
+adds the parentheses precedence needs, for all three languages.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import (FrozenInstanceError, MISSING, dataclass, fields,
                          is_dataclass)
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 
@@ -881,227 +885,138 @@ def plug(ctx: SrcExpr, e: SrcExpr) -> SrcExpr:
 
 # ---------------------------------------------------------------------------
 # Pretty printing
+#
+# One table gives each node class its binding level (0 binders and arrows,
+# 1 applications, 2 atoms) and its notation, a format string over its
+# fields: "{f}" prints field f at level 0, "{f:L}" at least at level L, so
+# the walker parenthesises a child that binds more loosely; a name field
+# prints verbatim. "{f:NOTE*SEP}" prints the items of tuple field f, each by
+# the notation NOTE ("{}" is the item, "{0}" its first part), separated by
+# SEP. Schemes and programs keep functions: their layout is conditional.
 # ---------------------------------------------------------------------------
 
-def _parens(s: str, need: bool) -> str:
-    return f"({s})" if need else s
+def _context(items: list[str]) -> str:
+    """A context before "=>": nothing, one item, or a parenthesised list."""
+    if not items:
+        return ""
+    text = ", ".join(items)
+    return (f"({text})" if len(items) > 1 else text) + " => "
 
 
-def pretty_src_mono(t: SrcMono, atom: bool = False) -> str:
-    match t:
-        case SBool():
-            return "Bool"
-        case STyVar(name):
-            return name
-        case SArrow(l, r):
-            s = f"{pretty_src_mono(l, atom=True)} -> {pretty_src_mono(r)}"
-            return _parens(s, atom)
-    raise TypeError(t)
+def _show_scheme(s: SrcScheme) -> str:
+    binders = f"forall {' '.join(s.binders)}. " if s.binders else ""
+    return binders + _context([_show(q) for q in s.context]) + _show(s.head)
 
 
-def pretty_src_constraint(q: SrcConstraint) -> str:
-    return f"{q.cls} {pretty_src_mono(q.arg, atom=True)}"
-
-
-def pretty_src_scheme(s: SrcScheme) -> str:
-    parts = []
-    if s.binders:
-        parts.append("forall " + " ".join(s.binders) + ".")
-    if s.context:
-        ctx = ", ".join(pretty_src_constraint(q) for q in s.context)
-        if len(s.context) > 1:
-            ctx = f"({ctx})"
-        parts.append(ctx + " =>")
-    parts.append(pretty_src_mono(s.head))
-    return " ".join(parts)
-
-
-def pretty_src_expr(e: SrcExpr, prec: int = 0) -> str:
-    # prec 0 = open, 1 = application operand position
-    match e:
-        case STrue():
-            return "True"
-        case SFalse():
-            return "False"
-        case SVar(name) | SMeth(name):
-            return name
-        case SHole():
-            return "[]"
-        case SLam(x, body):
-            return _parens(f"\\{x}. {pretty_src_expr(body)}", prec > 0)
-        case SLet(x, sch, bound, body):
-            s = (f"let {x} : {pretty_src_scheme(sch)} = "
-                 f"{pretty_src_expr(bound)} in {pretty_src_expr(body)}")
-            return _parens(s, prec > 0)
-        case SApp(f, a):
-            s = f"{pretty_src_expr(f, 1)} {pretty_src_expr(a, 2)}"
-            return _parens(s, prec > 1)
-        case SAnn(inner, ty):
-            return f"({pretty_src_expr(inner)} :: {pretty_src_mono(ty)})"
-    raise TypeError(e)
-
-
-def pretty_src_program(p: SrcProgram) -> str:
+def _show_program(p: SrcProgram) -> str:
     lines = []
     for d in p.decls:
         if isinstance(d, ClassDecl):
-            sup = ""
-            if d.superclasses:
-                items = ", ".join(f"{s} {d.var}" for s in d.superclasses)
-                if len(d.superclasses) > 1:
-                    items = f"({items})"
-                sup = f"{items} => "
+            sup = _context([f"{s} {d.var}" for s in d.superclasses])
             lines.append(f"class {sup}{d.name} {d.var} where "
-                         f"{{ {d.method} : {pretty_src_scheme(d.method_scheme)} }};")
+                         f"{{ {d.method} : {_show(d.method_scheme)} }};")
         else:
-            ctx = ""
-            if d.context:
-                items = ", ".join(pretty_src_constraint(q) for q in d.context)
-                if len(d.context) > 1:
-                    items = f"({items})"
-                ctx = f"{items} => "
-            lines.append(f"instance {ctx}{d.cls} {pretty_src_mono(d.head, atom=True)} "
-                         f"where {{ {d.method} = {pretty_src_expr(d.body)} }};")
-    lines.append(pretty_src_expr(p.main))
+            ctx = _context([_show(q) for q in d.context])
+            lines.append(f"instance {ctx}{d.cls} {_show(d.head, 2)} "
+                         f"where {{ {d.method} = {_show(d.body)} }};")
+    lines.append(_show(p.main))
     return "\n".join(lines)
 
 
-def pretty_fd_type(t: FdType, atom: bool = False) -> str:
-    match t:
-        case IBool():
-            return "Bool"
-        case ITyVar(name):
-            return name
-        case IArrow(l, r):
-            return _parens(f"{pretty_fd_type(l, atom=True)} -> {pretty_fd_type(r)}",
-                           atom)
-        case IQArrow(q, r):
-            return _parens(f"{pretty_fd_q(q)} -> {pretty_fd_type(r)}", atom)
-        case IForall(a, body):
-            return _parens(f"forall {a}. {pretty_fd_type(body)}", atom)
-    raise TypeError(t)
+_NOTATION = {
+    # Shared by the languages
+    **dict.fromkeys((SBool, IBool, TBool), (2, "Bool")),
+    **dict.fromkeys((STrue, ITrue, TTrue), (2, "True")),
+    **dict.fromkeys((SFalse, IFalse, TFalse), (2, "False")),
+    **dict.fromkeys((STyVar, SVar, SMeth, ITyVar, IVar, DVar, TTyVar, TVar),
+                    (2, "{name}")),
+    **dict.fromkeys((SArrow, IArrow, TArrow), (0, "{left:2} -> {right}")),
+    **dict.fromkeys((IForall, TForall), (0, "forall {var}. {body}")),
+    **dict.fromkeys((ILam, TLam), (0, r"\{param} : {ty}. {body}")),
+    **dict.fromkeys((ITyLam, TTyLam), (0, r"/\{param}. {body}")),
+    **dict.fromkeys((ILet, TLet),
+                    (0, "let {name} : {ty} = {bound} in {body}")),
+    **dict.fromkeys((SApp, IApp, TApp), (1, "{fun:1} {arg:2}")),
+    **dict.fromkeys((ITyApp, TTyApp), (1, "{fun:1} @{ty:2}")),
+    # Source
+    SrcConstraint: (1, "{cls} {arg:2}"),
+    SrcScheme: (0, _show_scheme),
+    SHole: (2, "[]"),
+    SLam: (0, r"\{param}. {body}"),
+    SLet: (0, "let {name} : {scheme} = {bound} in {body}"),
+    SAnn: (2, "({expr} :: {ty})"),
+    SrcProgram: (0, _show_program),
+    # Intermediate
+    IQArrow: (0, "{q} -> {result}"),
+    FdQ: (2, "[{cls} {arg:2}]"),
+    DCon: (1, "{name}{type_args: @{:2}*}{dict_args: [{}]*}"),
+    IDLam: (0, r"\{param} : {q}. {body}"),
+    IDApp: (1, "{fun:1} [{arg}]"),
+    IMethod: (2, "[{dict}].{method}"),
+    # Target
+    TRecordTy: (2, "{{{fields:{0} : {1}*, }}}"),
+    TRecord: (2, "{{{fields:{0} = {1}*, }}}"),
+    TProj: (2, "{expr:2}.{label}"),
+}
 
 
-def pretty_fd_q(q: FdQ) -> str:
-    return f"[{q.cls} {pretty_fd_type(q.arg, atom=True)}]"
+def _compile(notation: str) -> tuple:
+    """A notation as pieces (literal, getter, level, items): the literal
+    comes before the field the getter reads; items is None or, for a tuple
+    field, its separator and its items' compiled notation."""
+    pieces = []
+    for literal, name, spec, _ in string.Formatter().parse(notation):
+        if name is None:
+            pieces.append((literal, None, 0, None))
+            continue
+        if not name:
+            get = _itself
+        elif name.isdigit():
+            get = itemgetter(int(name))
+        else:
+            get = attrgetter(name)
+        if "*" in spec:
+            note, sep = spec.rsplit("*", 1)
+            pieces.append((literal, get, 0, (sep, (2, _compile(note)))))
+        else:
+            pieces.append((literal, get, int(spec or 0), None))
+    return tuple(pieces)
 
 
-def pretty_fd_dict(d: FdDict) -> str:
-    match d:
-        case DVar(name):
-            return name
-        case DCon(name, tys, dicts):
-            parts = [name]
-            parts += [f"@{pretty_fd_type(t, atom=True)}" for t in tys]
-            parts += [f"[{pretty_fd_dict(x)}]" for x in dicts]
-            return " ".join(parts)
-    raise TypeError(d)
+def _itself(x):
+    return x
 
 
-def pretty_fd_expr(e: FdExpr, prec: int = 0) -> str:
-    match e:
-        case ITrue():
-            return "True"
-        case IFalse():
-            return "False"
-        case IVar(name):
-            return name
-        case ILam(x, ty, body):
-            return _parens(f"\\{x} : {pretty_fd_type(ty)}. {pretty_fd_expr(body)}",
-                           prec > 0)
-        case IDLam(dv, q, body):
-            return _parens(f"\\{dv} : {pretty_fd_q(q)}. {pretty_fd_expr(body)}",
-                           prec > 0)
-        case ITyLam(a, body):
-            return _parens(f"/\\{a}. {pretty_fd_expr(body)}", prec > 0)
-        case ILet(x, ty, bound, body):
-            s = (f"let {x} : {pretty_fd_type(ty)} = {pretty_fd_expr(bound)} "
-                 f"in {pretty_fd_expr(body)}")
-            return _parens(s, prec > 0)
-        case IApp(f, a):
-            return _parens(f"{pretty_fd_expr(f, 1)} {pretty_fd_expr(a, 2)}",
-                           prec > 1)
-        case ITyApp(f, ty):
-            return _parens(f"{pretty_fd_expr(f, 1)} @{pretty_fd_type(ty, atom=True)}",
-                           prec > 1)
-        case IDApp(f, d):
-            return _parens(f"{pretty_fd_expr(f, 1)} [{pretty_fd_dict(d)}]",
-                           prec > 1)
-        case IMethod(d, m):
-            return f"[{pretty_fd_dict(d)}].{m}"
-    raise TypeError(e)
+_TABLE = {cls: (level, _compile(n) if isinstance(n, str) else n)
+          for cls, (level, n) in _NOTATION.items()}
 
 
-def pretty_tgt_type(t: TgtType, atom: bool = False) -> str:
-    match t:
-        case TBool():
-            return "Bool"
-        case TTyVar(name):
-            return name
-        case TArrow(l, r):
-            return _parens(f"{pretty_tgt_type(l, atom=True)} -> {pretty_tgt_type(r)}",
-                           atom)
-        case TForall(a, body):
-            return _parens(f"forall {a}. {pretty_tgt_type(body)}", atom)
-        case TRecordTy(fs):
-            inner = ", ".join(f"{l} : {pretty_tgt_type(ty)}" for l, ty in fs)
-            return "{" + inner + "}"
-    raise TypeError(t)
-
-
-def pretty_tgt_expr(e: TgtExpr, prec: int = 0) -> str:
-    match e:
-        case TTrue():
-            return "True"
-        case TFalse():
-            return "False"
-        case TVar(name):
-            return name
-        case TLam(x, ty, body):
-            return _parens(f"\\{x} : {pretty_tgt_type(ty)}. {pretty_tgt_expr(body)}",
-                           prec > 0)
-        case TTyLam(a, body):
-            return _parens(f"/\\{a}. {pretty_tgt_expr(body)}", prec > 0)
-        case TLet(x, ty, bound, body):
-            s = (f"let {x} : {pretty_tgt_type(ty)} = {pretty_tgt_expr(bound)} "
-                 f"in {pretty_tgt_expr(body)}")
-            return _parens(s, prec > 0)
-        case TApp(f, a):
-            return _parens(f"{pretty_tgt_expr(f, 1)} {pretty_tgt_expr(a, 2)}",
-                           prec > 1)
-        case TTyApp(f, ty):
-            return _parens(f"{pretty_tgt_expr(f, 1)} @{pretty_tgt_type(ty, atom=True)}",
-                           prec > 1)
-        case TRecord(fs):
-            inner = ", ".join(f"{l} = {pretty_tgt_expr(x)}" for l, x in fs)
-            return "{" + inner + "}"
-        case TProj(inner, label):
-            return f"{pretty_tgt_expr(inner, 2)}.{label}"
-    raise TypeError(e)
+def _show(x, need: int = 0, note=None) -> str:
+    """x printed by its notation (or by note), in parentheses when it binds
+    more loosely than level need."""
+    level, pieces = note or _TABLE[type(x)]
+    if type(pieces) is not tuple:
+        text = pieces(x)
+    else:
+        out = []
+        for literal, get, at, items in pieces:
+            out.append(literal)
+            if get is None:
+                continue
+            v = get(x)
+            if items is not None:
+                sep, item = items
+                out.append(sep.join([_show(e, 0, item) for e in v]))
+            elif type(v) is str:
+                out.append(v)
+            else:
+                out.append(_show(v, at))
+        text = "".join(out)
+    return f"({text})" if level < need else text
 
 
 def pretty(x) -> str:
-    """Dispatching pretty printer for any AST node."""
-    if isinstance(x, SrcProgram):
-        return pretty_src_program(x)
-    if isinstance(x, SrcMono):
-        return pretty_src_mono(x)
-    if isinstance(x, SrcScheme):
-        return pretty_src_scheme(x)
-    if isinstance(x, SrcConstraint):
-        return pretty_src_constraint(x)
-    if isinstance(x, SrcExpr):
-        return pretty_src_expr(x)
-    if isinstance(x, FdType):
-        return pretty_fd_type(x)
-    if isinstance(x, FdQ):
-        return pretty_fd_q(x)
-    if isinstance(x, FdDict):
-        return pretty_fd_dict(x)
-    if isinstance(x, FdExpr):
-        return pretty_fd_expr(x)
-    if isinstance(x, TgtType):
-        return pretty_tgt_type(x)
-    if isinstance(x, TgtExpr):
-        return pretty_tgt_expr(x)
-    raise TypeError(f"cannot pretty-print {type(x).__name__}")
+    """Pretty printer for any node of the three languages."""
+    if type(x) not in _TABLE:
+        raise TypeError(f"cannot pretty-print {type(x).__name__}")
+    return _show(x)

@@ -1,12 +1,13 @@
 """Readers for the printed forms of the intermediate and target languages.
 
-These exist for tests and fixtures: the pretty printers for both core
-languages round-trip through the parsers here, and hand-written target
-fixtures (plain text files) are loaded with them. The token syntax is the
-printers' output syntax: "/\\" for type abstraction, "@T" for type
-application, "[...]" for dictionaries and constraint types, "{...}" for
-records. Names may contain "$" (reserved dictionary prefix) and
-non-ASCII letters (generated dictionary variables).
+These exist for tests and fixtures: `syntax.pretty` output for both core
+languages round-trips through the parsers here, and hand-written target
+fixtures (plain text files) are loaded with them. They are written by hand,
+not from the printer's notation table, so the round trips cross-check it.
+The token syntax is the printer's output syntax: "/\\" for type
+abstraction, "@T" for type application, "[...]" for dictionaries and
+constraint types, "{...}" for records. Names may contain "$" (reserved
+dictionary prefix) and non-ASCII letters (generated dictionary variables).
 
 In types, "." only ever follows a quantifier binder, so greedy type
 parsing inside lambda annotations is unambiguous.
@@ -171,10 +172,16 @@ class _FdReader(_Reader):
             x = self.expect("ident")
             self.expect("sym", ":")
             if self.at("sym", "["):
+                # "]" then "." ends a dictionary lambda's constraint;
+                # "]" then "->" starts a dictionary-arrow annotation.
                 q = self.q()
-                self.expect("sym", ".")
-                return IDLam(x, q, self.expr())
-            ty = self.type_()
+                if self.at("sym", "."):
+                    self.advance()
+                    return IDLam(x, q, self.expr())
+                self.expect("sym", "->")
+                ty = IQArrow(q, self.type_())
+            else:
+                ty = self.type_()
             self.expect("sym", ".")
             return ILam(x, ty, self.expr())
         if self.at("sym", "/\\"):

@@ -75,24 +75,35 @@ src_scheme = st.builds(
     st.lists(src_constraint, max_size=2).map(tuple),
     src_mono)
 
-src_expr = st.recursive(
-    st.one_of(st.just(S.STrue()), st.just(S.SFalse()),
-              st.sampled_from(SRC_NAMES).map(S.SVar),
-              st.sampled_from(METHODS).map(S.SMeth)),
-    lambda exprs: st.one_of(
-        st.builds(S.SLam, st.sampled_from(SRC_NAMES), exprs),
-        st.builds(S.SApp, exprs, exprs),
-        st.builds(S.SLet, st.sampled_from(SRC_NAMES), src_scheme, exprs,
-                  exprs),
-        st.builds(S.SAnn, exprs, src_mono)),
-    max_leaves=10)
+_src_leaves = [st.just(S.STrue()), st.just(S.SFalse()),
+               st.sampled_from(SRC_NAMES).map(S.SVar)]
+
+
+def _src_exprs(leaves):
+    return st.recursive(
+        st.one_of(leaves),
+        lambda exprs: st.one_of(
+            st.builds(S.SLam, st.sampled_from(SRC_NAMES), exprs),
+            st.builds(S.SApp, exprs, exprs),
+            st.builds(S.SLet, st.sampled_from(SRC_NAMES), src_scheme, exprs,
+                      exprs),
+            st.builds(S.SAnn, exprs, src_mono)),
+        max_leaves=10)
+
+
+src_expr = _src_exprs(
+    [*_src_leaves, st.sampled_from(METHODS).map(S.SMeth)])
+
+# What the parser yields: names are SVar, never the resolved SMeth.
+parsed_src_expr = _src_exprs(_src_leaves)
 
 fd_q = st.builds(S.FdQ, st.sampled_from(CLASSES), fd_type)
 
-# Intermediate types with dictionary arrows.
+# Intermediate types with dictionary arrows, also left of an arrow.
 fd_qual_type = st.deferred(lambda: st.one_of(
     fd_type,
     st.builds(S.IQArrow, fd_q, fd_qual_type),
+    st.builds(S.IArrow, fd_qual_type, fd_qual_type),
     st.builds(S.IForall, st.sampled_from(TYVARS), fd_qual_type),
 ))
 

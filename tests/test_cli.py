@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,15 @@ def test_deep_input_is_a_resource_error(capsys, tmp_path, cmd, shape):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("stage", ["fd", "target"])
+def test_deep_input_within_the_limits_is_printed(capsys, tmp_path, stage):
+    path = tmp_path / "deep.src"
+    path.write_text(_nested_applications(250))
+    code, out, err = run_cli(capsys, "elaborate", str(path), "--stage", stage)
+    assert code == 0 and err == ""
+    assert out.count("(\\x : Bool. x) ") == 250
+
+
 @pytest.mark.parametrize("name", POSITIVE)
 def test_decompose_exit_ok(capsys, name):
     code, out, _ = run_cli(capsys, "decompose", src(name))
@@ -324,3 +337,23 @@ def test_stdout_byte_identical_across_runs(capsys, cmd):
     outs = {run_cli(capsys, cmd, src("P2"), "--format", "json")[1]
             for _ in range(3)}
     assert len(outs) == 1
+
+
+# ---------------------------------------------------------------------------
+# Output encoding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ascii_stdout_escapes_what_it_cannot_encode(fmt):
+    # Generated dictionary variables are named with a non-ASCII letter.
+    env = dict(os.environ, PYTHONIOENCODING="ascii", TCC_COLOR="0")
+    source = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(source), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dictelab.cli", "elaborate", src("P3"),
+         "--stage", "fd", "--format", fmt],
+        env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert b"\\u03b4" in proc.stdout

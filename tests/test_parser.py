@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from dictelab import syntax as S
 from dictelab.parser import (ParseError, parse_context, parse_expr,
                              parse_program)
 
 from conftest import NEGATIVE, POSITIVE, corpus_program, corpus_text
+from strategies import parsed_src_expr
 
 
 def test_bare_true_program():
@@ -141,6 +143,12 @@ def test_corpus_pretty_reparse_identity(name):
     p = corpus_program(name)
     again = parse_program(S.pretty(p))
     assert S.alpha_eq(again, p)
+
+
+@settings(max_examples=300)
+@given(parsed_src_expr)
+def test_pretty_expression_reparse_identity(e):
+    assert parse_expr(S.pretty(e)) == e
 
 
 def test_grammar_coverage_over_corpus():

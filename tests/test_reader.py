@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from dictelab import syntax as S
 from dictelab.parser import ParseError
@@ -9,7 +9,7 @@ from dictelab.parser import ParseError
 from conftest import POSITIVE, corpus_result
 from reader import (read_fd_dict, read_fd_expr, read_fd_type, read_sections,
                     read_tgt_expr, read_tgt_type)
-from strategies import fd_type, tgt_type
+from strategies import fd_term, fd_type, tgt_let_term, tgt_type
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,13 @@ def test_read_fd_expr_dict_lambda():
                         S.IMethod(S.DVar("d"), "eq"))
 
 
+def test_read_fd_expr_lambda_over_a_dictionary_arrow():
+    # "]" then "->" is an annotation, not a dictionary lambda's constraint.
+    e = read_fd_expr("\\x : [Eq Bool] -> Bool. True")
+    assert e == S.ILam("x", S.IQArrow(S.FdQ("Eq", S.IBool()), S.IBool()),
+                       S.ITrue())
+
+
 def test_read_tgt_expr_record_and_projection():
     e = read_tgt_expr("({eq = True}).eq")
     assert e == S.TProj(S.TRecord((("eq", S.TTrue()),)), "eq")
@@ -88,6 +95,18 @@ def test_fd_type_roundtrip(t):
 @given(tgt_type)
 def test_tgt_type_roundtrip(t):
     assert read_tgt_type(S.pretty(t)) == t
+
+
+@settings(max_examples=300)
+@given(fd_term)
+def test_fd_term_roundtrip(t):
+    assert read_fd_expr(S.pretty(t)) == t
+
+
+@settings(max_examples=300)
+@given(tgt_let_term)
+def test_tgt_term_roundtrip(t):
+    assert read_tgt_expr(S.pretty(t)) == t
 
 
 @pytest.mark.parametrize("name", POSITIVE)
