@@ -145,7 +145,9 @@ class FdChecker:
     exists. Environments are extended through `_extend`, which returns one
     tuple object per (parent environment, binding), so equal environments
     built here are the same object and share entries. Type translations are
-    memoized by the type. Errors are never memoized. `collect` bounds the
+    memoized by the type, and the result types of type applications by the
+    polymorphic type and its argument, so a trace instantiates each
+    polymorphic type once. Errors are never memoized. `collect` bounds the
     memo of a checker reused over a stream of terms.
     """
 
@@ -154,6 +156,7 @@ class FdChecker:
         self.TC = tuple(TC)
         self._impl_memo: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
+        self._insts: dict = {}      # (IForall, FdType) -> FdType
         # (id(node), id(env)) -> (node, env, result) and
         # (id(env), binding) -> (env, extended env); each with the entries
         # used before the last collect() in a second generation.
@@ -257,8 +260,11 @@ class FdChecker:
                         MISMATCH,
                         f"type applied to non-polymorphic type {S.pretty(fty)}")
                 check_fd_type_wf(self.TC, env_tyvars(env), ty)
-                return (subst_type(fty.body, {fty.var: ty}),
-                        TTyApp(tf, self._elab(ty)))
+                rty = self._insts.get((fty, ty))
+                if rty is None:
+                    rty = self._insts[fty, ty] = subst_type(fty.body,
+                                                            {fty.var: ty})
+                return rty, TTyApp(tf, self._elab(ty))
             case IMethod(d, m):
                 dq, td = self.check_dict(env, d)
                 entry = lookup_class_by_method(self.TC, m)
@@ -344,6 +350,7 @@ class FdChecker:
         prefix = FdChecker(self.sigma[:index], self.TC)
         prefix._impl_memo = self._impl_memo  # share across constructors
         prefix._elabs = self._elabs
+        prefix._insts = self._insts
         try:
             ity, te = prefix.check_expr((), entry.impl)
         except FdTypeError as err:

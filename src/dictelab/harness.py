@@ -197,9 +197,8 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
     checker = FdChecker(sigma, TC)
     try:
         ty0, _ = checker.check_expr((), e)
-    except fd_core.FdTypeError as err:
-        return MetaReport(0, False, False, False,
-                          f"{S.pretty(e)} : {err}")
+    except fd_core.FdTypeError as err:   # a violation before any step
+        return MetaReport(0, False, False, True, f"{S.pretty(e)} : {err}")
     steps = 0
     current = e
     while not is_fd_value(current):

@@ -612,7 +612,12 @@ def _bound_names(node, shape: _Shape) -> tuple[str, ...]:
 
 def free_vars(node, sort: str) -> list[str]:
     """Free variables of the given sort, first occurrence order, no dups."""
-    out: dict[str, None] = {}
+    return list(_free_by_sort(node).get(sort, ()))
+
+
+def _free_by_sort(node) -> dict[str, dict[str, None]]:
+    """Free variables of every sort, in one walk: sort -> ordered names."""
+    out: dict[str, dict[str, None]] = {}
 
     def go(x, bound):
         if type(x) is tuple:
@@ -623,17 +628,17 @@ def free_vars(node, sort: str) -> list[str]:
         if shape is None:
             return
         if shape.var is not None:
-            if shape.var == sort and x.name not in bound:
-                out[x.name] = None
+            if (shape.var, x.name) not in bound:
+                out.setdefault(shape.var, {})[x.name] = None
             return
         inner = bound
-        if shape.bsort == sort:
-            inner = bound | set(_bound_names(x, shape))
+        if shape.binder is not None:
+            inner = bound | {(shape.bsort, n) for n in _bound_names(x, shape)}
         for f in shape.parts:
             go(getattr(x, f), inner if f in shape.scope else bound)
 
     go(node, frozenset())
-    return list(out)
+    return out
 
 
 def subst(node, sort: str, mapping: dict):
@@ -642,22 +647,16 @@ def subst(node, sort: str, mapping: dict):
     A binder, of any sort, is renamed only when it would capture a free
     variable of its own sort in the mapping's range. It then takes its
     smallest primed variant that is free neither in its scope nor in the
-    mapping. The range's free variables of each sort are computed once per
-    call, when the first binder of that sort is met.
+    mapping. The range's free variables of every sort are computed in one
+    walk of each range value, when the first binder is met.
     """
     if not mapping:
         return node
-    by_sort: dict = {}
-
-    def range_fvs(bsort):
-        """Each range value's free variables of sort bsort, and all of them."""
-        out = by_sort.get(bsort)
-        if out is None:
-            each = {k: set(free_vars(v, bsort)) for k, v in mapping.items()}
-            out = by_sort[bsort] = (each, set().union(*each.values()))
-        return out
+    # Range key -> sort -> free names, and sort -> all of them.
+    range_fvs = every = None
 
     def go(x, m):
+        nonlocal range_fvs, every
         if not m:
             return x
         if type(x) is tuple:
@@ -675,9 +674,15 @@ def subst(node, sort: str, mapping: dict):
         if bsort == sort and any(n in m for n in names):
             inner = {k: v for k, v in m.items() if k not in names}
         new_names, renames = names, None
-        each, every_fv = range_fvs(bsort)
-        if any(n in every_fv for n in names):
-            clash = set().union(*(each[k] for k in inner))
+        if range_fvs is None:
+            range_fvs = {k: _free_by_sort(v) for k, v in mapping.items()}
+            every = {}
+            for fvs in range_fvs.values():
+                for s, ns in fvs.items():
+                    every.setdefault(s, set()).update(ns)
+        some_fv = every.get(bsort)
+        if some_fv and any(n in some_fv for n in names):
+            clash = set().union(*(range_fvs[k].get(bsort, ()) for k in inner))
             if any(n in clash for n in names):
                 new_names, renames = _rename_binders(
                     x, shape, clash, inner if bsort == sort else ())
@@ -719,9 +724,19 @@ def _rename_binders(node, shape: _Shape, clash: set, avoid):
 
 
 def alpha_eq(a, b) -> bool:
-    """Equality up to consistent renaming of bound variables."""
-    if a is b or a == b:    # equal terms are alpha-equal
+    """Equality up to consistent renaming of bound variables.
+
+    Nodes of different classes are never alpha-equal, and equal nodes
+    always are; only the rest take the renaming walk."""
+    if a is b:
         return True
+    if type(a) is not type(b):
+        return False
+    return a == b or _alpha_walk(a, b)
+
+
+def _alpha_walk(a, b) -> bool:
+    """alpha_eq's walk, which renames bound variables apart as it goes."""
     counter = itertools.count()
 
     def go(x, y, env1, env2):

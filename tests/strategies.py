@@ -144,3 +144,23 @@ tgt_let_term = st.deferred(lambda: st.one_of(
              max_size=2, unique_by=lambda kv: kv[0])
       .map(lambda fs: S.TRecord(tuple(fs))),
 ))
+
+# Range values free in every variable sort of their language, so that a
+# binder of each sort can capture them.
+open_src_term = st.builds(
+    lambda x, a, e: S.SAnn(S.SApp(S.SVar(x), e), S.STyVar(a)),
+    st.sampled_from(SRC_NAMES), st.sampled_from(TYVARS), src_expr)
+
+open_fd_term = st.builds(
+    lambda x, d, a, e: S.IApp(
+        S.ITyApp(S.IDApp(S.IVar(x), S.DVar(d)), S.ITyVar(a)), e),
+    st.sampled_from(FD_NAMES), st.sampled_from(DVARS),
+    st.sampled_from(TYVARS), fd_term)
+
+open_fd_dict = st.builds(
+    lambda d, a, e: S.DCon("D1", (S.ITyVar(a),), (S.DVar(d), e)),
+    st.sampled_from(DVARS), st.sampled_from(TYVARS), fd_dict)
+
+open_tgt_term = st.builds(
+    lambda x, a, e: S.TApp(S.TTyApp(S.TVar(x), S.TTyVar(a)), e),
+    st.sampled_from(TMVARS), st.sampled_from(TYVARS), tgt_let_term)

@@ -25,7 +25,8 @@ from conftest import corpus_result
 from reader import read_fd_expr
 from strategies import (
     CLASSES, DVARS, FD_NAMES, SRC_NAMES, TMVARS, TYVARS, fd_constraint_scheme,
-    fd_dict, fd_mono, fd_qual_type, fd_term, fd_type, src_expr, src_mono,
+    fd_dict, fd_mono, fd_qual_type, fd_term, fd_type, open_fd_dict,
+    open_fd_term, open_src_term, open_tgt_term, src_expr, src_mono,
     src_scheme, tgt_let_term, tgt_type,
 )
 
@@ -85,6 +86,68 @@ def test_alpha_eq_agrees_on_an_equal_copy(lang, data):
     t2 = copy.deepcopy(t1)
     assert t2 == t1 and t2 is not t1
     assert S.alpha_eq(t1, t2) and ref.alpha_eq(t1, t2)
+
+
+# Nodes of different classes with the same fields.
+OTHER_CLASS = [
+    (S.IVar("x"), S.TVar("x")),
+    (S.IVar("x"), S.DVar("x")),
+    (S.TVar("x"), S.DVar("x")),
+    (S.IArrow(S.IBool(), S.IBool()), S.TArrow(S.IBool(), S.IBool())),
+    (S.IArrow(S.ITyVar("a"), S.IBool()), S.TArrow(S.TTyVar("a"), S.TBool())),
+    (S.IForall("a", S.ITyVar("a")), S.TForall("a", S.ITyVar("a"))),
+    (S.IForall("a", S.ITyVar("a")), S.TForall("b", S.TTyVar("b"))),
+]
+
+
+@pytest.mark.parametrize("a,b", OTHER_CLASS)
+def test_alpha_eq_rejects_another_class_like_the_reference(a, b):
+    assert S.alpha_eq(a, b) is S.alpha_eq(b, a) is False
+    assert ref.alpha_eq(a, b) is ref.alpha_eq(b, a) is False
+
+
+# (language, sort) -> range values free in every sort of the language.
+OPEN_RANGES = {
+    ("src", "sv"): open_src_term,
+    ("fd", "iv"): open_fd_term,
+    ("fd", "id"): open_fd_dict,
+    ("tgt", "tv"): open_tgt_term,
+}
+
+
+@pytest.mark.parametrize("lang,sort", OPEN_RANGES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_subst_of_open_range_values_agrees_with_reference(lang, sort, data):
+    names = LANGUAGES[lang][1][sort][0]
+    t = data.draw(LANGUAGES[lang][0])
+    mapping = data.draw(st.dictionaries(st.sampled_from(names),
+                                        OPEN_RANGES[lang, sort],
+                                        min_size=1, max_size=2))
+    assert S.subst(t, sort, mapping) == ref.subst(t, sort, mapping)
+
+
+# The range value y [d] @a is free in all three intermediate sorts; each
+# binder that would capture it is renamed, and the rest are not.
+OPEN_RANGE_CASES = [
+    ("\\y : Bool. x", "\\y' : Bool. y [d] @a"),
+    ("\\d : [Eq Bool]. x", "\\d' : [Eq Bool]. y [d] @a"),
+    ("/\\a. x", "/\\a'. y [d] @a"),
+    ("let y : Bool = True in x", "let y' : Bool = True in y [d] @a"),
+    ("\\y : Bool. \\d : [Eq Bool]. /\\a. x y [d] @a",
+     "\\y' : Bool. \\d' : [Eq Bool]. /\\a'. y [d] @a y' [d'] @a'"),
+    ("\\z : Bool. \\dd : [Eq Bool]. /\\b. x",
+     "\\z : Bool. \\dd : [Eq Bool]. /\\b. y [d] @a"),
+]
+
+
+@pytest.mark.parametrize("body,expected", OPEN_RANGE_CASES)
+def test_subst_renames_each_sort_of_binder_like_the_reference(body,
+                                                              expected):
+    e, mapping = read_fd_expr(body), {"x": read_fd_expr("y [d] @a")}
+    out = S.subst(e, "iv", mapping)
+    assert S.pretty(out) == expected
+    assert out == ref.subst(e, "iv", mapping)
 
 
 def test_subst_renames_a_capturing_binder_like_the_reference():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import syntax as S
+from dictelab import harness, syntax as S
 from dictelab.cli import main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
@@ -299,6 +299,16 @@ def test_meta_with_generated_terms(capsys):
                            "--seed", "7")
     assert code == 0
     assert out.count("-- elaboration") == 6
+
+
+def test_meta_exits_2_on_an_ill_typed_start_term(capsys, monkeypatch):
+    # A violation before the first step spends no fuel: exit 2, not 3.
+    monkeypatch.setattr(harness, "generate_fd_term",
+                        lambda *_: S.IApp(S.ITrue(), S.ITrue()))
+    code, out, _ = run_cli(capsys, "meta", src("P1"), "--generate", "1")
+    assert code == 2
+    assert "preservation: FAILED" in out
+    assert "EXHAUSTED" not in out
 
 
 # ---------------------------------------------------------------------------

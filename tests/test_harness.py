@@ -210,11 +210,22 @@ def test_corpus_traces_are_safe(name):
 
 
 def test_metatheory_reports_fuel_exhaustion():
-    omega = S.IApp(S.ILam("x", IBool(), S.IApp(S.IVar("x"), S.IVar("x"))),
-                   S.ILam("x", IBool(), S.IApp(S.IVar("x"), S.IVar("x"))))
-    # ill-typed, so the checker flags it before stepping
-    rep = check_metatheory((), (), omega, fuel=20)
-    assert not (rep.preservation_ok and rep.progress_ok and rep.fuel_ok)
+    # Well-typed terms terminate, so only a fuel of 0 runs out.
+    e = S.IApp(S.ILam("x", IBool(), S.IVar("x")), S.ITrue())
+    rep = check_metatheory((), (), e, fuel=0)
+    assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
+            rep.fuel_ok) == (0, True, True, False)
+    assert check_metatheory((), (), e, fuel=1).fuel_ok
+
+
+def test_metatheory_reports_an_ill_typed_start_term_as_a_violation():
+    # No step is taken, so no fuel is spent: the verdict is a violation,
+    # not a resource limit.
+    rep = check_metatheory((), (), S.IApp(S.ITrue(), S.ITrue()))
+    assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
+            rep.fuel_ok) == (0, False, False, True)
+    assert "fuel: ok" in meta_lines(rep)
+    assert rep.failing_term.startswith("True True : ")
 
 
 def test_metatheory_catches_a_type_breaking_implementation():
@@ -283,6 +294,67 @@ def test_generated_terms_are_pinned():
                 h.update((S.pretty(e) + "\n").encode())
     assert h.hexdigest() == ("4b2d4b7eee15c52092b2741eec5278b3"
                              "bee4272746816654fbc18f57a9ab434c")
+
+
+def _fuzz_work():
+    """The benchmark's fuzz work: each generated term with its report."""
+    for name in ("P2", "P4"):
+        r = corpus_result(name)
+        sigma = r.fd_elabs[0][0]
+        for size in (4, 6):
+            for seed in range(100):
+                e = generate_fd_term(seed, size, sigma, r.fd_class_env)
+                yield e, check_metatheory(sigma, r.fd_class_env, e)
+
+
+def test_fuzz_work_is_pinned():
+    # The terms checked and the length of each checked trace, recorded
+    # before subst, alpha_eq and the checker took their fast paths: a
+    # speed-up must not come from checking other terms or shorter traces.
+    h = hashlib.sha256()
+    steps = 0
+    for e, rep in _fuzz_work():
+        assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
+        h.update(f"{S.pretty(e)}\n{rep.steps_checked}\n".encode())
+        steps += rep.steps_checked
+    assert steps == 1396
+    assert h.hexdigest() == ("7211cb315511aebb2dda291709551f55"
+                             "0f9d9987f8fb6bbca51e0d312ee12d94")
+
+
+def test_fuzz_work_walks_each_range_value_once(monkeypatch):
+    # Work counts, not times: every subst call walks each of its range
+    # values at most once, and alpha_eq leaves nodes of different classes
+    # before its renaming walk.
+    frames, walks, renaming_walks = [], [0], []
+    subst, free_by_sort, alpha_walk = S.subst, S._free_by_sort, S._alpha_walk
+
+    def counted_subst(node, sort, mapping):
+        frames.append({})
+        try:
+            return subst(node, sort, mapping)
+        finally:
+            seen = frames.pop()
+            for v in mapping.values():
+                assert seen.get(id(v), 0) <= 1, S.pretty(v)
+
+    def counted_free_by_sort(node):
+        if frames:
+            frames[-1][id(node)] = frames[-1].get(id(node), 0) + 1
+            walks[0] += 1
+        return free_by_sort(node)
+
+    def counted_alpha_walk(a, b):
+        renaming_walks.append((type(a), type(b)))
+        return alpha_walk(a, b)
+
+    monkeypatch.setattr(S, "subst", counted_subst)
+    monkeypatch.setattr(S, "_free_by_sort", counted_free_by_sort)
+    monkeypatch.setattr(S, "_alpha_walk", counted_alpha_walk)
+    for _ in _fuzz_work():
+        pass
+    assert walks[0] > 0 and renaming_walks
+    assert all(a is b for a, b in renaming_walks)
 
 
 @pytest.mark.parametrize("seed", range(50))
