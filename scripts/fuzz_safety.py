@@ -16,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from dictelab.cli import at_least
 from dictelab.harness import check_metatheory, generate_fd_term
 from dictelab.parser import parse_program
 from dictelab.source_typer import typecheck_program
@@ -28,13 +29,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--program", type=Path, default=DEFAULT_PROGRAM,
                     help="source program supplying classes and instances")
-    ap.add_argument("--count", type=int, default=1000)
+    ap.add_argument("--count", type=at_least(0), default=1000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--size", type=int, default=6)
-    ap.add_argument("--fuel", type=int, default=100_000)
+    ap.add_argument("--fuel", type=at_least(0), default=100_000)
     args = ap.parse_args()
 
-    r = typecheck_program(parse_program(args.program.read_text()))
+    r = typecheck_program(
+        parse_program(args.program.read_text(encoding="utf-8")))
     sigma, _ = r.fd_elabs[0]
     steps = 0
     failures = []

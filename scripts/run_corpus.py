@@ -1,6 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the corpus: coherence + decomposition report for every program.
 
+Each program is typed once, and both reports read that typing; each corpus
+context is typed around the main against the program's declarations.
+Exit 1 when a program violates coherence or decomposition, or runs out of
+fuel.
+
 Usage: python3 scripts/run_corpus.py [--corpus DIR] [--fuel N]
 """
 
@@ -12,10 +17,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dictelab.harness import (check_coherence, check_decomposition,
-                              coherence_lines, decomposition_lines)
+from dictelab.cli import at_least
+from dictelab.fd_core import FuelExhausted
+from dictelab.harness import (coherence_lines, coherence_report,
+                              decomposition_lines, decomposition_report)
 from dictelab.parser import ParseError, parse_context, parse_program
-from dictelab.source_typer import SrcTypeError
+from dictelab.source_typer import SrcTypeError, typecheck_program
 
 DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / "tests" / "corpus"
 
@@ -23,32 +30,39 @@ DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / "tests" / "corpus"
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--corpus", type=Path, default=DEFAULT_CORPUS)
-    ap.add_argument("--fuel", type=int, default=100_000)
+    ap.add_argument("--fuel", type=at_least(0), default=100_000)
     args = ap.parse_args()
 
-    contexts = [parse_context(p.read_text())
+    contexts = [(p.name, parse_context(p.read_text(encoding="utf-8")))
                 for p in sorted((args.corpus / "contexts").glob("*.ctx"))]
     failures = 0
     for path in sorted(args.corpus.glob("*.src")):
         print(f"== {path.name} ==")
         try:
-            program = parse_program(path.read_text())
-            coh = check_coherence(program, fuel=args.fuel, contexts=contexts,
-                                  program_name=path.stem)
+            r = typecheck_program(
+                parse_program(path.read_text(encoding="utf-8")))
+            coh = coherence_report(r, args.fuel, contexts, path.stem)
         except (ParseError, SrcTypeError) as err:
             print(f"rejected: {err}")
             print()
             continue
+        except FuelExhausted:
+            print(f"fuel exhausted: coherence needs more than {args.fuel} "
+                  f"steps")
+            failures += 1
+            print()
+            continue
         for line in coherence_lines(coh):
             print(line)
-        dec = check_decomposition(program, program_name=path.stem)
+        dec = decomposition_report(r, path.stem)
         for line in decomposition_lines(dec):
             print(line)
         if not coh.all_kleene_equal or not dec.equal:
             failures += 1
         print()
     if failures:
-        print(f"{failures} program(s) violated coherence or decomposition")
+        print(f"{failures} program(s) violated coherence or decomposition "
+              f"or ran out of fuel")
         return 1
     print("all accepted programs coherent; pipelines agree")
     return 0

@@ -38,7 +38,7 @@ def _style(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-def _at_least(low: int):
+def at_least(low: int):
     """An argparse type: an integer no smaller than low."""
     def parse(text: str) -> int:
         try:
@@ -62,11 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         p.add_argument("file", help="source program")
-        p.add_argument("--max-depth", type=_at_least(1), default=32,
+        p.add_argument("--max-depth", type=at_least(1), default=32,
                        help="constraint resolution depth limit")
-        p.add_argument("--max-elaborations", type=_at_least(1), default=256,
+        p.add_argument("--max-elaborations", type=at_least(1), default=256,
                        help="cap on enumerated elaborations")
-        p.add_argument("--fuel", type=_at_least(0), default=100_000,
+        p.add_argument("--fuel", type=at_least(0), default=100_000,
                        help="evaluation step budget")
         p.add_argument("--format", choices=["text", "json"], default="text")
         return p
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd_meta)
     p.add_argument("--seed", type=int, default=0,
                    help="base seed for generated terms")
-    p.add_argument("--generate", type=_at_least(0), default=0,
+    p.add_argument("--generate", type=at_least(0), default=0,
                    help="additionally check this many generated terms")
     return ap
 
@@ -114,19 +114,13 @@ def _parse_file(path, parse):
         raise _InputError(f"{path}:{err}") from err
 
 
-def _load_program(ns):
-    return _parse_file(ns.file, parse_program)
-
-
 def _elaborations(ns, result):
     """Pretty-printed elaborations at the chosen stage and mode: all of
     them with --all, else the first."""
     if ns.stage == "fd":
         terms = (ie for _, ie in result.fd_elabs)
-    elif ns.mode == "direct":
-        terms = result.tgt_elabs
     else:
-        terms = (sq.composed for sq in harness.squares(result))
+        terms = (getattr(sq, ns.mode) for sq in harness.squares(result))
     return [S.pretty(t)
             for t in itertools.islice(terms, None if ns.all else 1)]
 
@@ -147,9 +141,7 @@ def _emit_json(ns, main_type, elaborations, results,
     }, ensure_ascii=False, indent=2))
 
 
-def cmd_check(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    r = typecheck_program(p, limits)
+def cmd_check(ns, r) -> int:
     if ns.format == "json":
         _emit_json(ns, r.main_type, [], [], True, r.fd_truncated)
     else:
@@ -159,9 +151,7 @@ def cmd_check(ns, limits: Limits) -> int:
     return _resource_exit(r.fd_truncated)
 
 
-def cmd_elaborate(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    r = typecheck_program(p, limits)
+def cmd_elaborate(ns, r) -> int:
     shown = _elaborations(ns, r)
     if ns.format == "json":
         _emit_json(ns, r.main_type, shown, [], True, r.fd_truncated)
@@ -171,15 +161,12 @@ def cmd_elaborate(ns, limits: Limits) -> int:
     return _resource_exit(r.fd_truncated)
 
 
-def cmd_run(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    r = typecheck_program(p, limits)
+def cmd_run(ns, r) -> int:
     if ns.stage == "fd":
         sigma, ie = r.fd_elabs[0]
         value = S.pretty(fd_core.fd_eval(sigma, ie, ns.fuel))
     else:
-        te = r.tgt_elabs[0] if ns.mode == "direct" \
-            else next(harness.squares(r)).composed
+        te = getattr(next(harness.squares(r)), ns.mode)
         value = S.pretty(target_core.tgt_eval(te, ns.fuel))
     if ns.format == "json":
         _emit_json(ns, r.main_type, [], [value], True, r.fd_truncated)
@@ -189,23 +176,19 @@ def cmd_run(ns, limits: Limits) -> int:
 
 
 def _load_contexts(ns):
-    if not ns.contexts_dir:
-        return None
+    """The (path, context) pairs of the contexts directory, if any."""
+    if not getattr(ns, "contexts_dir", None):
+        return []
     directory = Path(ns.contexts_dir)
     if not directory.is_dir():
         raise NotADirectoryError(
             f"contexts directory {ns.contexts_dir!r} is not a directory")
-    ctxs = []
-    for path in sorted(directory.glob("*.ctx")):
-        ctxs.append(_parse_file(path, parse_context))
-    return ctxs
+    return [(path, _parse_file(path, parse_context))
+            for path in sorted(directory.glob("*.ctx"))]
 
 
-def cmd_coherence(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    rep = harness.check_coherence(
-        p, limits, ns.fuel, contexts=_load_contexts(ns),
-        program_name=ns.file)
+def cmd_coherence(ns, r) -> int:
+    rep = harness.coherence_report(r, ns.fuel, ns.contexts, ns.file)
     if ns.format == "json":
         elabs = [S.pretty(te) for te in rep.composed]
         results = [rep.witness_value] * len(elabs) if rep.all_kleene_equal \
@@ -220,9 +203,8 @@ def cmd_coherence(ns, limits: Limits) -> int:
     return _resource_exit(rep.truncated)
 
 
-def cmd_decompose(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    rep = harness.check_decomposition(p, limits, program_name=ns.file)
+def cmd_decompose(ns, r) -> int:
+    rep = harness.decomposition_report(r, ns.file)
     if ns.format == "json":
         _emit_json(ns, rep.main_type, [S.pretty(te) for te in rep.composed],
                    [], rep.equal, rep.truncated)
@@ -234,13 +216,9 @@ def cmd_decompose(ns, limits: Limits) -> int:
     return _resource_exit(rep.truncated)
 
 
-def cmd_meta(ns, limits: Limits) -> int:
-    p = _load_program(ns)
-    r = typecheck_program(p, limits)
-    reports = []
-    for sigma, ie in r.fd_elabs:
-        reports.append(harness.check_metatheory(
-            sigma, r.fd_class_env, ie, ns.fuel))
+def cmd_meta(ns, r) -> int:
+    reports = [harness.check_metatheory(sigma, r.fd_class_env, ie, ns.fuel)
+               for sigma, ie in r.fd_elabs]
     if r.fd_elabs:
         sigma, _ = r.fd_elabs[0]
         for i in range(ns.generate):
@@ -258,9 +236,8 @@ def cmd_meta(ns, limits: Limits) -> int:
             for line in harness.meta_lines(m):
                 print(line)
     if not all_ok:
-        if any(not m.fuel_ok for m in reports):
-            return EXIT_RESOURCE
-        return EXIT_VIOLATION
+        return EXIT_RESOURCE if any(not m.fuel_ok for m in reports) \
+            else EXIT_VIOLATION
     return _resource_exit(r.fd_truncated)
 
 
@@ -269,9 +246,11 @@ def main(argv=None) -> int:
         # Dictionary names are not ASCII; print them escaped, not fail.
         sys.stdout.reconfigure(errors="backslashreplace")
     ns = _build_parser().parse_args(argv)
-    limits = Limits(ns.max_depth, ns.max_elaborations)
     try:
-        return ns.func(ns, limits)
+        p = _parse_file(ns.file, parse_program)
+        ns.contexts = _load_contexts(ns)    # read before the program is typed
+        return ns.func(ns, typecheck_program(
+            p, Limits(ns.max_depth, ns.max_elaborations)))
     except _InputError as err:
         print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR

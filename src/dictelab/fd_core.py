@@ -298,11 +298,8 @@ class FdChecker:
                 raise FdTypeError(UNBOUND_DICT,
                                   f"unbound dictionary variable {dv!r}")
             case DCon(name, type_args, dict_args):
-                index = None
-                for i, entry in enumerate(self.sigma):
-                    if entry.con == name:
-                        index = i
-                        break
+                index = next((i for i, entry in enumerate(self.sigma)
+                              if entry.con == name), None)
                 if index is None:
                     raise FdTypeError(UNKNOWN_CONSTRUCTOR,
                                       f"unknown dictionary constructor {name!r}")
@@ -376,20 +373,16 @@ class FdChecker:
         dictionary constructor's translation is the same spine closing over
         {method = body} instead. Zero binders yield the bare record.
         """
-        sc = entry.scheme
         spine = []
-        te = te_impl
-        for _ in sc.binders:
-            assert isinstance(te, TTyLam)
-            spine.append(("ty", te.param, None))
-            te = te.body
-        for _ in sc.context:
-            assert isinstance(te, TLam)
-            spine.append(("tm", te.param, te.ty))
-            te = te.body
-        out: TgtExpr = TRecord(((entry.method, te),))
-        for kind, name, ty in reversed(spine):
-            out = TLam(name, ty, out) if kind == "tm" else TTyLam(name, out)
+        for kind in ([TTyLam] * len(entry.scheme.binders)
+                     + [TLam] * len(entry.scheme.context)):
+            assert type(te_impl) is kind
+            spine.append(te_impl)
+            te_impl = te_impl.body
+        out: TgtExpr = TRecord(((entry.method, te_impl),))
+        for b in reversed(spine):
+            out = TLam(b.param, b.ty, out) if type(b) is TLam \
+                else TTyLam(b.param, out)
         return out
 
 

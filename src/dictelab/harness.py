@@ -1,8 +1,11 @@
 """Executable checks over whole programs.
 
 `squares` yields one commuting square per derivation D and method
-environment Σ, direct(D, Σ) and composed(fd(D, Σ)), with one validated
+environment Σ, direct(D, Σ) and composed(fd(D, Σ)). It builds both corners
+when the square is read, with one `DirectTranslator` and one validated
 checker per Σ; every check and command reads both translations from it.
+The reports take a typed program, so a caller that wants both types it
+once.
 Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed, square by square.
 Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
@@ -20,7 +23,8 @@ from typing import NamedTuple
 
 from . import fd_core, syntax as S, target_core
 from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
-from .source_typer import Limits, typecheck_program
+from .source_typer import (DirectTranslator, Limits, SrcTypeError,
+                           typecheck_main, typecheck_program)
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
@@ -89,14 +93,16 @@ class Square(NamedTuple):
 
 def squares(r):
     """The square of each elaboration of r, lazily and in order. Each
-    method environment is validated once and gets one checker; consecutive
-    elaborations share their sigma object."""
+    method environment is validated once and gets one checker and one
+    direct translator; consecutive elaborations share their sigma object."""
     variant, sigma = -1, None
-    for (s, ie), direct in zip(r.fd_elabs, r.tgt_elabs):
+    for s, ie in r.fd_elabs:
         if s is not sigma:
-            variant, sigma = variant + 1, s
+            variant += 1
+            sigma, bodies = r.decls.variants[variant]
             checker = fd_env_wf(sigma, r.fd_class_env)
-        yield Square(variant, sigma, checker, ie, direct,
+            direct = DirectTranslator(r.fd_class_env, r.P, bodies)
+        yield Square(variant, sigma, checker, ie, direct(ie),
                      checker.check_expr((), ie)[1])
 
 
@@ -138,30 +144,38 @@ def _first_difference(values):
     return None
 
 
-def check_coherence(p: SrcProgram, limits: Limits = Limits(),
-                    fuel: int = 100_000, contexts=None,
-                    program_name: str = "") -> CoherenceReport:
-    programs = [p, *(SrcProgram(p.decls, plug(ctx, p.main))
-                     for ctx in contexts or ())]
+def coherence_report(r, fuel: int = 100_000, contexts=(),
+                     program_name: str = "") -> CoherenceReport:
+    """Coherence of the typed program r and of its main plugged into each
+    of contexts, (name, context) pairs typed against r's declarations one
+    at a time until a counterexample."""
+    def programs():
+        yield r
+        for name, ctx in contexts:
+            try:
+                plugged = typecheck_main(r.decls, plug(ctx, r.main))
+            except SrcTypeError as err:     # blame the context, not r.main
+                raise SrcTypeError(err.kind, f"{name}: {err}") from err
+            yield plugged
+
     truncated = False
-    for i, variant in enumerate(programs):
-        r = typecheck_program(variant, limits)
-        truncated |= r.fd_truncated
-        values, composed = _program_values(r, fuel)
+    for i, variant in enumerate(programs()):
+        truncated |= variant.fd_truncated
+        values, composed = _program_values(variant, fuel)
         if i == 0:
-            base, base_composed, witness = r, composed, values[0][2]
+            base_composed, witness = composed, values[0][2]
         counterexample = _first_difference(values)
         if counterexample:
             witness = values[0][2]
             break
     return CoherenceReport(
         program_name=program_name,
-        elab_count_fd=len(base.fd_elabs),
-        elab_count_tgt=len(base.tgt_elabs),
+        elab_count_fd=len(r.fd_elabs),
+        elab_count_tgt=len(base_composed),
         truncated=truncated,
         all_kleene_equal=counterexample is None,
         witness_value=S.pretty(witness),
-        main_type=base.main_type,
+        main_type=r.main_type,
         composed=base_composed,
         counterexample=counterexample)
 
@@ -170,9 +184,8 @@ def check_coherence(p: SrcProgram, limits: Limits = Limits(),
 # Decomposition
 # ---------------------------------------------------------------------------
 
-def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
-                        program_name: str = "") -> DecompositionReport:
-    r = typecheck_program(p, limits)
+def decomposition_report(r, program_name: str = "") -> DecompositionReport:
+    """Decomposition of the typed program r."""
     sqs = list(squares(r))
     mismatches = tuple(
         Mismatch(S.pretty(sq.derivation), sq.variant,
@@ -181,12 +194,24 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
-        count_direct=len(r.tgt_elabs),
+        count_direct=len(sqs),
         count_composed=len(sqs),
         truncated=r.fd_truncated,
         main_type=r.main_type,
         composed=tuple(sq.composed for sq in sqs),
         mismatches=mismatches)
+
+
+def check_coherence(p: SrcProgram, limits: Limits = Limits(),
+                    fuel: int = 100_000, contexts=(),
+                    program_name: str = "") -> CoherenceReport:
+    return coherence_report(typecheck_program(p, limits), fuel, contexts,
+                            program_name)
+
+
+def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
+                        program_name: str = "") -> DecompositionReport:
+    return decomposition_report(typecheck_program(p, limits), program_name)
 
 
 # ---------------------------------------------------------------------------

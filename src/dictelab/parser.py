@@ -55,19 +55,12 @@ def tokenize(text: str) -> list[Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(line, col, f"unexpected character {text[pos]!r}")
-        lexeme = m.group(0)
-        if m.lastgroup == "ident":
-            if lexeme in _KEYWORDS:
-                kind = "kw"
-            elif lexeme[0].isupper():
-                kind = "conid"
-            else:
-                kind = "varid"
+        lexeme, kind = m.group(0), m.lastgroup
+        if kind == "ident":
+            kind = ("kw" if lexeme in _KEYWORDS
+                    else "conid" if lexeme[0].isupper() else "varid")
+        if kind != "ws":
             tokens.append(Token(kind, lexeme, line, col))
-        elif m.lastgroup == "sym":
-            tokens.append(Token("sym", lexeme, line, col))
-        elif m.lastgroup == "hole":
-            tokens.append(Token("hole", lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -138,17 +131,20 @@ class _Parser:
             self.fail("Bool is not a class name")
         return SrcConstraint(cls, self.atype())
 
-    def constraint_list(self) -> tuple[SrcConstraint, ...]:
-        # Either a single constraint or a parenthesized comma list.
-        if self.at("sym", "("):
+    def item_list(self, item) -> list:
+        """One item, or a parenthesized comma list of them."""
+        if not self.at("sym", "("):
+            return [item()]
+        self.advance()
+        items = [item()]
+        while self.at("sym", ","):
             self.advance()
-            items = [self.constraint()]
-            while self.at("sym", ","):
-                self.advance()
-                items.append(self.constraint())
-            self.expect("sym", ")")
-            return tuple(items)
-        return (self.constraint(),)
+            items.append(item())
+        self.expect("sym", ")")
+        return items
+
+    def constraint_list(self) -> tuple[SrcConstraint, ...]:
+        return tuple(self.item_list(self.constraint))
 
     def _looks_like_context(self, parse) -> bool:
         # Look ahead for "=>" after what parse reads; consumes nothing.
@@ -235,15 +231,7 @@ class _Parser:
 
     def super_context(self):
         # superclass items are bare class names applied to the class variable
-        if self.at("sym", "("):
-            self.advance()
-            items = [self._super_item()]
-            while self.at("sym", ","):
-                self.advance()
-                items.append(self._super_item())
-            self.expect("sym", ")")
-            return items
-        return [self._super_item()]
+        return self.item_list(self._super_item)
 
     def _super_item(self):
         cls = self.expect("conid").text
@@ -304,17 +292,15 @@ def parse_program(text: str) -> SrcProgram:
     return _Parser(text, allow_hole=False).program()
 
 
-def parse_expr(text: str) -> SrcExpr:
-    p = _Parser(text, allow_hole=False)
+def parse_expr(text: str, allow_hole: bool = False) -> SrcExpr:
+    p = _Parser(text, allow_hole)
     e = p.expr()
     p.expect("eof")
     return e
 
 
 def parse_context(text: str) -> SrcExpr:
-    p = _Parser(text, allow_hole=True)
-    e = p.expr()
-    p.expect("eof")
+    e = parse_expr(text, allow_hole=True)
     n = count_holes(e)
     if n != 1:
         raise ParseError(1, 1, f"context must contain exactly one hole, found {n}")

@@ -6,14 +6,15 @@ class/instance/program typing and environment elaboration. Matching an
 instance head or a scheme against a type is `syntax.unify` with the
 pattern's binders renamed apart from the type.
 
-The elaborating judgments `infer`, `check` and `entail` run once per
-program and emit the intermediate language, whose dictionaries are
-first-order and binder-free: an elaboration is its resolution derivation.
-A method environment Σ fixes one body per instance for the whole program.
-Under Σ, each derivation is translated to the target twice: through the
-intermediate language (`fd_core.FdChecker`) and directly here
-(`DirectTranslator`, which shares no code with `fd_core`), so the
-decomposition check in the harness stays a genuine cross-check.
+The declarations of a program are typed once, and its main expression, or
+a context plugged around it, against them. The elaborating judgments
+`infer`, `check` and `entail` emit the intermediate language, whose
+dictionaries are first-order and binder-free: an elaboration is its
+resolution derivation. A method environment Σ fixes one body per instance
+for the whole program. The typer's output holds derivations only;
+`harness.squares` translates them under Σ directly (`DirectTranslator`,
+which shares no code with `fd_core`) and through the intermediate
+language (`fd_core.FdChecker`), so decomposition stays a cross-check.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 Enumeration order is fixed: local dictionary bindings in environment order
@@ -25,6 +26,7 @@ bounds the work, not only the output.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .syntax import (
@@ -109,10 +111,6 @@ def lookup_term(env, name: str) -> SrcScheme:
         if isinstance(bind, TermBind) and bind.name == name:
             return bind.ty
     raise SrcTypeError("unbound", f"unbound variable {name!r}")
-
-
-def env_dicts(env) -> list[DictBind]:
-    return [b for b in env if isinstance(b, DictBind)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,8 @@ def entail(P, env, q: SrcConstraint, limits: Limits, depth: int = 0):
 
     def resolutions():
         nonlocal truncated
-        for bind in env_dicts(env):
-            if bind.q == q:
+        for bind in env:
+            if isinstance(bind, DictBind) and bind.q == q:
                 yield DVar(bind.name)
         tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
         for entry, type_args, ctx in _instance_matches(P, q):
@@ -580,19 +578,21 @@ class DirectTranslator:
     declaration; a method call becomes a projection and a dictionary
     variable a term variable with a reserved prefix. Translation is
     structural, so each result is memoized by the identity of its node,
-    and the entry keeps the node alive.
+    which the translator keeps alive.
     """
 
     def __init__(self, TC, P, bodies):
         self.classes = {entry.cls: entry for entry in TC}
         self.instances = {e.con: (e, body) for e, body in zip(P, bodies)}
-        self._memo: dict = {}       # id(node) -> (node, translation)
+        self._memo: dict = {}       # id(node) -> translation
+        self._nodes: list = []      # the nodes of _memo, kept alive
 
     def __call__(self, node):
-        hit = self._memo.get(id(node))
-        if hit is None:
-            hit = self._memo[id(node)] = (node, self._translate(node))
-        return hit[1]
+        out = self._memo.get(id(node))
+        if out is None:
+            out = self._memo[id(node)] = self._translate(node)
+            self._nodes.append(node)
+        return out
 
     def dict_var(self, dv: str) -> TgtExpr:
         return TVar(dict_target_name(dv))
@@ -662,46 +662,63 @@ class DirectTranslator:
 # ---------------------------------------------------------------------------
 
 @frozen
-class ProgramResult:
-    main_type: SrcMono
+class Declarations:
+    """A program's typed classes and instances, the class environment TC,
+    and (Σ, the instance bodies it picks) per method environment."""
     GC: tuple
     P: tuple
+    TC: tuple
+    variants: tuple
+    truncated: bool
+    limits: Limits
+
+
+@frozen
+class ProgramResult:
+    main_type: SrcMono
+    main: SrcExpr       # with method names resolved
+    decls: Declarations
     # (method environment variant, main elaboration) pairs, variant-major.
     fd_elabs: tuple
-    fd_class_env: tuple
     fd_truncated: bool
-    # The direct target translation of each pair of fd_elabs, in order.
-    tgt_elabs: tuple
 
-    @property
-    def tgt_truncated(self) -> bool:
-        return self.fd_truncated
+    GC = property(lambda self: self.decls.GC)
+    P = property(lambda self: self.decls.P)
+    fd_class_env = property(lambda self: self.decls.TC)
+    tgt_truncated = property(lambda self: self.fd_truncated)
+
+    @functools.cached_property
+    def tgt_elabs(self) -> tuple:
+        """The direct target of each pair of fd_elabs, translated once."""
+        direct = {id(sigma): DirectTranslator(self.decls.TC, self.P, bodies)
+                  for sigma, bodies in self.decls.variants}
+        return tuple(direct[id(sigma)](ie) for sigma, ie in self.fd_elabs)
 
 
-def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult:
+def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
     GC: tuple = ()
     P: tuple = ()
-    for d in p.decls:
+    for d in decls:
         if isinstance(d, ClassDecl):
             GC = GC + (typecheck_class(GC, d),)
         else:
             P = P + (typecheck_instance(P, GC, d, limits),)
-    main = resolve_names(GC, p.main)
-    main_type, fd_main, t_fd = infer(P, GC, (), main, limits)
-    TC = elab_class_env(GC)
     # Method environments differ only in their choice of instance bodies.
-    choices, t_env = _cap(itertools.product(*(e.body_fd for e in P)),
-                          limits, any(e.truncated for e in P))
+    choices, truncated = _cap(itertools.product(*(e.body_fd for e in P)),
+                              limits, any(e.truncated for e in P))
+    variants = tuple((tuple(map(_method_impl, P, bodies)), bodies)
+                     for bodies in choices)
+    return Declarations(GC, P, elab_class_env(GC), variants, truncated, limits)
 
-    def elaborations():
-        for bodies in choices:
-            sigma = tuple(map(_method_impl, P, bodies))
-            direct = DirectTranslator(TC, P, bodies)
-            for ie in fd_main:
-                yield (sigma, ie), direct(ie)
 
-    pairs, truncated = _cap(elaborations(), limits, t_fd | t_env)
-    return ProgramResult(
-        main_type=main_type, GC=GC, P=P,
-        fd_elabs=tuple(pair for pair, _ in pairs), fd_class_env=TC,
-        fd_truncated=truncated, tgt_elabs=tuple(te for _, te in pairs))
+def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:
+    main = resolve_names(decls.GC, main)
+    main_type, fd_main, t = infer(decls.P, decls.GC, (), main, decls.limits)
+    pairs, truncated = _cap(((sigma, ie) for sigma, _ in decls.variants
+                             for ie in fd_main),
+                            decls.limits, t | decls.truncated)
+    return ProgramResult(main_type, main, decls, tuple(pairs), truncated)
+
+
+def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult:
+    return typecheck_main(typecheck_declarations(p.decls, limits), p.main)

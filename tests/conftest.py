@@ -68,8 +68,22 @@ def tower_source(d: int) -> str:
             + f"(eq :: {t} -> {t} -> Bool)")
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of each call of owner.name, which keeps
+    working, until the test ends."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def corpus_contexts():
-    return [parse_context(p.read_text())
+    """The corpus contexts as (file name, context) pairs."""
+    return [(p.name, parse_context(p.read_text()))
             for p in sorted((CORPUS / "contexts").glob("*.ctx"))]
 
 

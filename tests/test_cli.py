@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import harness, syntax as S
+from dictelab import harness, source_typer, syntax as S
 from dictelab.cli import main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
 
-from conftest import CORPUS, NEGATIVE, POSITIVE, corpus_result
+from conftest import CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
 
@@ -245,6 +245,57 @@ def test_context_parse_error_names_the_context_file(capsys, tmp_path):
                              "--contexts-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert err.startswith(f"{bad}:1:")
+
+
+def test_ill_typed_context_names_the_context_file(capsys, tmp_path):
+    bad = tmp_path / "bad.ctx"
+    bad.write_text("let w : Bool -> Bool = [] in True")
+    code, out, err = run_cli(capsys, "coherence", src("P2"),
+                             "--contexts-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: inferred Bool but expected Bool -> Bool\n"
+
+
+def test_ill_typed_program_keeps_its_unprefixed_message(capsys, tmp_path):
+    bad = tmp_path / "bad.src"
+    bad.write_text("(True :: Bool -> Bool)")
+    code, out, err = run_cli(capsys, "coherence", str(bad),
+                             "--contexts-dir", str(CORPUS / "contexts"))
+    assert code == 1 and out == ""
+    assert err == "error: inferred Bool but expected Bool -> Bool\n"
+
+
+# ---------------------------------------------------------------------------
+# One analysis per invocation: counted calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("copies", [None, 0, 1, 5])
+def test_coherence_types_each_instance_once_whatever_the_contexts(
+        capsys, monkeypatch, tmp_path, copies):
+    # None: the corpus contexts; else that many copies of one context.
+    contexts = CORPUS / "contexts"
+    if copies is not None:
+        for i in range(copies):
+            (tmp_path / f"c{i}.ctx").write_text(
+                (contexts / "apply_id.ctx").read_text())
+        contexts = tmp_path
+    calls = count_calls(monkeypatch, source_typer, "typecheck_instance")
+    code, out, _ = run_cli(capsys, "coherence", src("P2"),
+                           "--contexts-dir", str(contexts))
+    assert code == 0 and "Kleene-equal" in out
+    assert len(calls) == len(corpus_result("P2").P) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["meta"], ["meta", "--generate", "3"],
+    ["elaborate", "--stage", "fd", "--all"], ["run", "--stage", "fd"],
+])
+def test_commands_that_read_no_target_translate_nothing_directly(
+        capsys, monkeypatch, argv):
+    calls = count_calls(monkeypatch, source_typer.DirectTranslator,
+                        "_translate")
+    code, _, _ = run_cli(capsys, argv[0], src("P2"), *argv[1:])
+    assert code == 0 and calls == []
 
 
 def _nested_applications(depth: int) -> str:

@@ -4,9 +4,11 @@
 for every subcommand over the corpus, small rungs of the benchmark
 ladders and three programs (b0-b2) whose instance body has two
 elaborations, so each method environment must fix one of them for the
-whole program in both translations. Every program is written to a scratch
-directory under a fixed relative name, so the recorded output does not
-depend on where the repository lives.
+whole program in both translations. The corpus programs and b0-b2 are
+also checked for coherence under the corpus contexts. Every program, and
+the contexts directory, is written to a scratch directory under a fixed
+relative name, so the recorded output does not depend on where the
+repository lives.
 
 Re-record (only when a change of output is intended):
 
@@ -19,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -26,7 +29,7 @@ import pytest
 
 from dictelab.cli import main
 
-from conftest import corpus_text, flex_source, tower_source, wide_source
+from conftest import CORPUS, corpus_text, flex_source, tower_source, wide_source
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -69,14 +72,24 @@ COMMANDS = [
 ]
 
 
+CONTEXT_PROGRAMS = ("P1", "P2", "P3", "P4", "N1", "N2", "b0", "b1", "b2")
+CONTEXT_COMMANDS = [
+    ["coherence", "--contexts-dir", "contexts"],
+    ["coherence", "--contexts-dir", "contexts", "--format", "json"],
+]
+
+
 def argvs() -> list[list[str]]:
-    return [[cmd[0], name, *cmd[1:], *flags]
-            for name, (_, flags) in programs().items() for cmd in COMMANDS]
+    return ([[cmd[0], name, *cmd[1:], *flags]
+             for name, (_, flags) in programs().items() for cmd in COMMANDS]
+            + [[cmd[0], f"{name}.src", *cmd[1:]]
+               for name in CONTEXT_PROGRAMS for cmd in CONTEXT_COMMANDS])
 
 
 def write_programs(directory: Path):
     for name, (text, _) in programs().items():
         (directory / name).write_text(text)
+    shutil.copytree(CORPUS / "contexts", directory / "contexts")
 
 
 def record() -> list[dict]:

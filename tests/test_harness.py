@@ -14,7 +14,8 @@ from dictelab.source_typer import Limits
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
-from conftest import POSITIVE, corpus_contexts, corpus_program, corpus_result
+from conftest import (POSITIVE, corpus_contexts, corpus_program,
+                      corpus_result, count_calls)
 from reader import read_fd_expr
 from test_golden_cli import programs
 
@@ -46,6 +47,16 @@ def test_coherence_report_lines_are_stable():
     lines = coherence_lines(rep)
     assert lines == coherence_lines(rep)
     assert any("Kleene-equal" in ln for ln in lines)
+
+
+def test_both_reports_read_one_typing(monkeypatch):
+    # Contexts retype only the plugged main, never the declarations.
+    calls = count_calls(monkeypatch, source_typer, "typecheck_instance")
+    r = source_typer.typecheck_program(corpus_program("P2"))
+    coh = harness.coherence_report(r, contexts=corpus_contexts() * 3)
+    dec = harness.decomposition_report(r)
+    assert coh.all_kleene_equal and dec.equal
+    assert len(calls) == len(r.P) == 3
 
 
 # ---------------------------------------------------------------------------

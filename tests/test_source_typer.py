@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dictelab import fd_core, source_typer, syntax as S
+from dictelab.harness import squares
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
     ClassEntry, DirectTranslator, Limits, SrcTypeError, check, closure,
@@ -21,7 +22,8 @@ from dictelab.syntax import (
     SrcConstraintScheme, SrcScheme, TyVarBind,
 )
 
-from conftest import POSITIVE, corpus_program, corpus_result, wide_source
+from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
+                      wide_source)
 from strategies import src_mono
 
 LIMITS = Limits()
@@ -275,9 +277,22 @@ def test_direct_translation_translates_each_node_once(monkeypatch):
         return translate(self, node)
     monkeypatch.setattr(DirectTranslator, "_translate", recorded)
     r = typecheck_program(parse_program(wide_source(3)))
+    direct = [sq.direct for sq in squares(r)]
+    assert len(direct) == 256 and nodes
     assert len({id(n) for n in nodes}) == len(nodes)
     # The 256 targets share most of their nodes.
-    assert len(nodes) * 10 < sum(map(_size, r.tgt_elabs))
+    assert len(nodes) * 10 < sum(map(_size, direct))
+
+
+def test_direct_targets_are_translated_once_per_result(monkeypatch):
+    # tgt_elabs translates at its first read only, and nothing before.
+    nodes = count_calls(monkeypatch, DirectTranslator, "_translate")
+    r = typecheck_program(parse_program(wide_source(3)))
+    assert nodes == []
+    first = r.tgt_elabs
+    translated = len(nodes)
+    assert r.tgt_elabs is first and len(nodes) == translated > 0
+    assert list(first) == [sq.direct for sq in squares(r)]
 
 
 def _size(node) -> int:
