@@ -3,7 +3,8 @@
 
 Generates closed well-typed terms over a corpus program's method
 environment and walks each evaluation trace, re-typechecking after every
-step.
+step. A program that cannot be read, does not parse or does not type ends
+in one `error: <path>: ...` line on stderr and exit 1.
 
 Usage: python3 scripts/fuzz_safety.py [--count N] [--seed N] [--size N]
 """
@@ -18,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dictelab.cli import at_least
 from dictelab.harness import check_metatheory, generate_fd_term
-from dictelab.parser import parse_program
-from dictelab.source_typer import typecheck_program
+from dictelab.parser import ParseError, parse_program
+from dictelab.source_typer import SrcTypeError, typecheck_program
 
 DEFAULT_PROGRAM = (Path(__file__).resolve().parent.parent
                    / "tests" / "corpus" / "P2.src")
@@ -31,12 +32,16 @@ def main() -> int:
                     help="source program supplying classes and instances")
     ap.add_argument("--count", type=at_least(0), default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--size", type=int, default=6)
+    ap.add_argument("--size", type=at_least(0), default=6)
     ap.add_argument("--fuel", type=at_least(0), default=100_000)
     args = ap.parse_args()
 
-    r = typecheck_program(
-        parse_program(args.program.read_text(encoding="utf-8")))
+    try:
+        r = typecheck_program(
+            parse_program(args.program.read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, ParseError, SrcTypeError) as err:
+        print(f"error: {args.program}: {err}", file=sys.stderr)
+        return 1
     sigma, _ = r.fd_elabs[0]
     steps = 0
     failures = []

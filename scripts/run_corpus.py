@@ -3,8 +3,10 @@
 
 Each program is typed once, and both reports read that typing; each corpus
 context is typed around the main against the program's declarations.
-Exit 1 when a program violates coherence or decomposition, or runs out of
-fuel.
+A program that is not UTF-8, does not parse or does not type is reported
+as rejected. Exit 1 when a program violates coherence or decomposition, or
+runs out of fuel, and with one `error: <path>: ...` line on stderr when a
+context is not UTF-8 or does not parse.
 
 Usage: python3 scripts/run_corpus.py [--corpus DIR] [--fuel N]
 """
@@ -33,8 +35,14 @@ def main() -> int:
     ap.add_argument("--fuel", type=at_least(0), default=100_000)
     args = ap.parse_args()
 
-    contexts = [(p.name, parse_context(p.read_text(encoding="utf-8")))
-                for p in sorted((args.corpus / "contexts").glob("*.ctx"))]
+    contexts = []
+    for path in sorted((args.corpus / "contexts").glob("*.ctx")):
+        try:
+            contexts.append(
+                (path.name, parse_context(path.read_text(encoding="utf-8"))))
+        except (UnicodeDecodeError, ParseError) as err:
+            print(f"error: {path}: {err}", file=sys.stderr)
+            return 1
     failures = 0
     for path in sorted(args.corpus.glob("*.src")):
         print(f"== {path.name} ==")
@@ -42,7 +50,7 @@ def main() -> int:
             r = typecheck_program(
                 parse_program(path.read_text(encoding="utf-8")))
             coh = coherence_report(r, args.fuel, contexts, path.stem)
-        except (ParseError, SrcTypeError) as err:
+        except (UnicodeDecodeError, ParseError, SrcTypeError) as err:
             print(f"rejected: {err}")
             print()
             continue

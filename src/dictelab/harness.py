@@ -2,10 +2,10 @@
 
 `squares` yields one commuting square per derivation D and method
 environment Σ, direct(D, Σ) and composed(fd(D, Σ)). It builds both corners
-when the square is read, with one `DirectTranslator` and one validated
-checker per Σ; every check and command reads both translations from it.
-The reports take a typed program, so a caller that wants both types it
-once.
+when the square is read; every check and command reads both translations
+from it. Each Σ's direct translator and `fd_env_wf`-validated checker are
+built once and kept by the `Declarations`, which both reports and every
+coherence context share: the reports take a typed program.
 Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed, square by square.
 Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from . import fd_core, syntax as S, target_core
 from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
-from .source_typer import (DirectTranslator, Limits, SrcTypeError,
-                           typecheck_main, typecheck_program)
+from .source_typer import (Limits, SrcTypeError, typecheck_main,
+                           typecheck_program)
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
@@ -92,16 +92,17 @@ class Square(NamedTuple):
 
 
 def squares(r):
-    """The square of each elaboration of r, lazily and in order. Each
-    method environment is validated once and gets one checker and one
-    direct translator; consecutive elaborations share their sigma object."""
+    """The square of each elaboration of r, lazily and in order;
+    consecutive elaborations share their sigma object. The checker and the
+    direct translator of each Σ are r.decls's, built at the first square
+    of Σ that any result typed against r.decls reads."""
     variant, sigma = -1, None
     for s, ie in r.fd_elabs:
         if s is not sigma:
-            variant += 1
-            sigma, bodies = r.decls.variants[variant]
-            checker = fd_env_wf(sigma, r.fd_class_env)
-            direct = DirectTranslator(r.fd_class_env, r.P, bodies)
+            variant, sigma = variant + 1, s
+            checker = r.decls.once(("checker", id(sigma)),
+                                   lambda: fd_env_wf(sigma, r.fd_class_env))
+            direct = r.decls.direct(sigma)
         yield Square(variant, sigma, checker, ie, direct(ie),
                      checker.check_expr((), ie)[1])
 

@@ -664,13 +664,32 @@ class DirectTranslator:
 @frozen
 class Declarations:
     """A program's typed classes and instances, the class environment TC,
-    and (Σ, the instance bodies it picks) per method environment."""
+    and (Σ, the instance bodies it picks) per method environment. They own
+    each Σ's `direct` translator and validated checker (`harness.squares`),
+    built at first use and shared by every result typed against them."""
     GC: tuple
     P: tuple
     TC: tuple
     variants: tuple
     truncated: bool
     limits: Limits
+
+    def once(self, key, build):
+        """build(), called at the first use of key only. The memo is no
+        field, so equality, hash and repr ignore it, and copies leave it
+        out: the translators' memos are keyed by id()."""
+        memo = self.__dict__.setdefault("_once", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_once"}
+
+    def direct(self, sigma) -> DirectTranslator:
+        """The direct translator of sigma, one of the method environments."""
+        return self.once(("direct", id(sigma)), lambda: DirectTranslator(
+            self.TC, self.P, next(b for s, b in self.variants if s is sigma)))
 
 
 @frozen
@@ -690,9 +709,8 @@ class ProgramResult:
     @functools.cached_property
     def tgt_elabs(self) -> tuple:
         """The direct target of each pair of fd_elabs, translated once."""
-        direct = {id(sigma): DirectTranslator(self.decls.TC, self.P, bodies)
-                  for sigma, bodies in self.decls.variants}
-        return tuple(direct[id(sigma)](ie) for sigma, ie in self.fd_elabs)
+        return tuple(self.decls.direct(sigma)(ie)
+                     for sigma, ie in self.fd_elabs)
 
 
 def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:

@@ -12,8 +12,10 @@ from dictelab import harness, source_typer, syntax as S
 from dictelab.cli import main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
+from dictelab.parser import parse_program
 
 from conftest import CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result
+from test_harness import FOUR_SIGMAS
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
 
@@ -294,8 +296,24 @@ def test_commands_that_read_no_target_translate_nothing_directly(
         capsys, monkeypatch, argv):
     calls = count_calls(monkeypatch, source_typer.DirectTranslator,
                         "_translate")
+    validated = count_calls(monkeypatch, harness, "fd_env_wf")
     code, _, _ = run_cli(capsys, argv[0], src("P2"), *argv[1:])
-    assert code == 0 and calls == []
+    assert code == 0 and calls == [] and validated == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"], ["run", "--mode", "direct"], ["elaborate"],
+    ["elaborate", "--mode", "direct"],
+])
+def test_commands_that_read_the_first_square_validate_only_its_sigma(
+        capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "four.src"
+    path.write_text(FOUR_SIGMAS)
+    validated = count_calls(monkeypatch, harness, "fd_env_wf")
+    code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+    r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
+    assert code == 0 and len(r.decls.variants) == 4
+    assert [sigma for sigma, _ in validated] == [r.decls.variants[0][0]]
 
 
 def _nested_applications(depth: int) -> str:

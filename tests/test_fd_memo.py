@@ -134,7 +134,8 @@ def test_each_node_and_environment_is_checked_once(monkeypatch):
         return infer(self, env, e)
 
     monkeypatch.setattr(FdChecker, "_infer", counted)
-    r = PROGRAMS["flex5"]
+    # Typed afresh: PROGRAMS["flex5"] keeps the checkers earlier tests used.
+    r = typecheck_program(parse_program(flex_source(5)))
     checkers, pairs, nodes = [], set(), 0
     for sq in squares(r):
         sites = set()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import pytest
@@ -176,6 +177,41 @@ def test_each_method_environment_is_validated_once(monkeypatch):
     rep = check_decomposition(parse_program(FOUR_SIGMAS))
     assert rep.equal and rep.count_composed == 4
     assert len(calls) == len({id(sigma) for sigma in calls}) == 4
+
+
+def test_both_reports_and_every_context_share_each_checker(monkeypatch):
+    calls = count_calls(monkeypatch, harness, "fd_env_wf")
+    r = source_typer.typecheck_program(corpus_program("P2"))
+    harness.coherence_report(r, contexts=corpus_contexts())
+    harness.decomposition_report(r)
+    assert [sigma for sigma, _ in calls] == \
+        [sigma for sigma, _ in r.decls.variants]
+
+
+def test_decomposition_after_coherence_translates_nothing(monkeypatch):
+    r = source_typer.typecheck_program(corpus_program("P2"))
+    coh = harness.coherence_report(r, contexts=corpus_contexts())
+    nodes = count_calls(monkeypatch, source_typer.DirectTranslator,
+                        "_translate")
+    checked = count_calls(monkeypatch, fd_core.FdChecker, "_infer")
+    dec = harness.decomposition_report(r)
+    assert dec.equal and dec.composed == coh.composed
+    assert nodes == [] and checked == []
+
+
+def test_a_copy_of_a_typed_program_leaves_the_translators_behind():
+    # The translators' memos are keyed by id(); a copy starts afresh, and
+    # neither equality nor hashing sees them.
+    r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
+    fresh = copy.deepcopy(r)
+    read = list(harness.squares(r))
+    assert vars(r.decls).keys() - vars(fresh.decls).keys() == {"_once"}
+    assert "_once" not in vars(copy.deepcopy(r).decls)
+    assert "_once" not in vars(copy.copy(r.decls))
+    assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
+    assert [(sq.variant, sq.direct, sq.composed)
+            for sq in harness.squares(fresh)] == \
+        [(sq.variant, sq.direct, sq.composed) for sq in read]
 
 
 @pytest.mark.parametrize("name", POSITIVE + ["b0.src", "b2.src"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import source_typer
+from dictelab import harness, source_typer
 from dictelab.parser import ParseError, parse_program
 
 from conftest import CORPUS, count_calls
@@ -50,7 +50,7 @@ def test_run_corpus_reports_exhausted_fuel_as_a_failure():
 
 @pytest.mark.parametrize("script,flag", [
     ("run_corpus.py", "--fuel"), ("fuzz_safety.py", "--count"),
-    ("fuzz_safety.py", "--fuel"),
+    ("fuzz_safety.py", "--fuel"), ("fuzz_safety.py", "--size"),
 ])
 def test_scripts_reject_negative_counts(script, flag):
     proc = run_script(script, flag, "-3")
@@ -75,12 +75,15 @@ def test_run_corpus_reads_utf8_whatever_the_locale(tmp_path):
 
 def test_run_corpus_types_each_program_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, source_typer, "typecheck_instance")
+    sigmas = 0
     for path in sorted(CORPUS.glob("*.src")):
         try:
-            source_typer.typecheck_program(parse_program(path.read_text()))
+            r = source_typer.typecheck_program(parse_program(path.read_text()))
+            sigmas += len(r.decls.variants)
         except (ParseError, source_typer.SrcTypeError):
             pass
     once, calls[:] = len(calls), []
+    validated = count_calls(monkeypatch, harness, "fd_env_wf")
     spec = importlib.util.spec_from_file_location(
         "run_corpus", SCRIPTS / "run_corpus.py")
     module = importlib.util.module_from_spec(spec)
@@ -89,6 +92,52 @@ def test_run_corpus_types_each_program_once(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["run_corpus.py"])
     assert module.main() == 0
     assert once > 0 and len(calls) == once
+    assert sigmas > 0 and len(validated) == sigmas
+
+
+BAD_INPUTS = {      # what is wrong -> file contents
+    "malformed": b"(\\x. x :: ",
+    "no_hole": b"True",
+    "not_utf8": "-- \xe9\n[]".encode("latin-1"),
+}
+
+
+def _one_error_line(proc, path):
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+def test_run_corpus_names_a_bad_context(tmp_path, bad):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "contexts" / f"{bad}.ctx"
+    path.write_bytes(BAD_INPUTS[bad])
+    proc = run_script("run_corpus.py", "--corpus", str(tmp_path / "corpus"))
+    _one_error_line(proc, path)
+
+
+def test_run_corpus_rejects_a_program_that_is_not_utf8(tmp_path):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    (tmp_path / "corpus" / "Z.src").write_bytes(BAD_INPUTS["not_utf8"])
+    proc = run_script("run_corpus.py", "--corpus", str(tmp_path / "corpus"))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    at = lines.index("== Z.src ==")
+    assert lines[at + 1].startswith("rejected: ")
+    assert "utf-8" in lines[at + 1]
+
+
+@pytest.mark.parametrize("bad", ["ill_typed", "malformed", "not_utf8"])
+def test_fuzz_safety_names_a_program_it_cannot_use(tmp_path, bad):
+    if bad == "ill_typed":      # N1 has overlapping instances
+        path = CORPUS / "N1.src"
+    else:
+        path = tmp_path / f"{bad}.src"
+        path.write_bytes(BAD_INPUTS[bad])
+    proc = run_script("fuzz_safety.py", "--program", str(path))
+    _one_error_line(proc, path)
 
 
 def test_benchmark_self_test_passes():

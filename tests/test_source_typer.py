@@ -285,7 +285,8 @@ def test_direct_translation_translates_each_node_once(monkeypatch):
 
 
 def test_direct_targets_are_translated_once_per_result(monkeypatch):
-    # tgt_elabs translates at its first read only, and nothing before.
+    # tgt_elabs translates at its first read only, and nothing before;
+    # squares then reads the same translator.
     nodes = count_calls(monkeypatch, DirectTranslator, "_translate")
     r = typecheck_program(parse_program(wide_source(3)))
     assert nodes == []
@@ -293,6 +294,7 @@ def test_direct_targets_are_translated_once_per_result(monkeypatch):
     translated = len(nodes)
     assert r.tgt_elabs is first and len(nodes) == translated > 0
     assert list(first) == [sq.direct for sq in squares(r)]
+    assert len(nodes) == translated
 
 
 def _size(node) -> int:
