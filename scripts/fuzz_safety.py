@@ -4,7 +4,8 @@
 Generates closed well-typed terms over a corpus program's method
 environment and walks each evaluation trace, re-typechecking after every
 step. A program that cannot be read, does not parse or does not type ends
-in one `error: <path>: ...` line on stderr and exit 1.
+in one `error: <path>: ...` line on stderr and exit 1; one nested too
+deeply to process, as in the CLI, in such a line and exit 3.
 
 Usage: python3 scripts/fuzz_safety.py [--count N] [--seed N] [--size N]
 """
@@ -42,6 +43,10 @@ def main() -> int:
     except (OSError, UnicodeDecodeError, ParseError, SrcTypeError) as err:
         print(f"error: {args.program}: {err}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(f"error: {args.program}: input nested too deeply to process",
+              file=sys.stderr)
+        return 3
     sigma, _ = r.fd_elabs[0]
     steps = 0
     failures = []

@@ -4,9 +4,10 @@
 Each program is typed once, and both reports read that typing; each corpus
 context is typed around the main against the program's declarations.
 A program that is not UTF-8, does not parse or does not type is reported
-as rejected. Exit 1 when a program violates coherence or decomposition, or
-runs out of fuel, and with one `error: <path>: ...` line on stderr when a
-context is not UTF-8 or does not parse.
+as rejected. Exit 1 when a program violates coherence or decomposition,
+runs out of fuel or is nested too deeply to process, and with one
+`error: <path>: ...` line on stderr when a context is not UTF-8 or does
+not parse.
 
 Usage: python3 scripts/run_corpus.py [--corpus DIR] [--fuel N]
 """
@@ -50,6 +51,8 @@ def main() -> int:
             r = typecheck_program(
                 parse_program(path.read_text(encoding="utf-8")))
             coh = coherence_report(r, args.fuel, contexts, path.stem)
+            dec = decomposition_report(r, path.stem)
+            lines = [*coherence_lines(coh), *decomposition_lines(dec)]
         except (UnicodeDecodeError, ParseError, SrcTypeError) as err:
             print(f"rejected: {err}")
             print()
@@ -60,17 +63,19 @@ def main() -> int:
             failures += 1
             print()
             continue
-        for line in coherence_lines(coh):
-            print(line)
-        dec = decomposition_report(r, path.stem)
-        for line in decomposition_lines(dec):
+        except RecursionError:
+            print("input nested too deeply to process")
+            failures += 1
+            print()
+            continue
+        for line in lines:
             print(line)
         if not coh.all_kleene_equal or not dec.equal:
             failures += 1
         print()
     if failures:
-        print(f"{failures} program(s) violated coherence or decomposition "
-              f"or ran out of fuel")
+        print(f"{failures} program(s) violated coherence or decomposition, "
+              f"ran out of fuel or were nested too deeply")
         return 1
     print("all accepted programs coherent; pipelines agree")
     return 0

@@ -111,7 +111,7 @@ def _parse_file(path, parse):
     try:
         return parse(text)
     except ParseError as err:
-        raise _InputError(f"{path}:{err}") from err
+        raise _InputError(f"error: {path}:{err}") from err
 
 
 def _elaborations(ns, result):

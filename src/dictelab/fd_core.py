@@ -21,8 +21,6 @@ with an environment machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     DCon, DVar, DictBind, FdClassEntry, FdDict, FdExpr, FdQ, FdType,
     IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall, ILam, ILet,
@@ -50,10 +48,10 @@ PREFIX_VIOLATION = "PrefixViolation"
 STUCK = "Stuck"
 
 
-@dataclass
 class FdTypeError(Exception):
-    kind: str
-    detail: str
+    def __init__(self, kind: str, detail: str):
+        super().__init__(kind, detail)
+        self.kind, self.detail = kind, detail
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
@@ -144,7 +142,8 @@ class FdChecker:
     entry keeps both alive, so an identity is never reused while its entry
     exists. Environments are extended through `_extend`, which returns one
     tuple object per (parent environment, binding), so equal environments
-    built here are the same object and share entries. Type translations are
+    built here are the same object and share entries; the type variables
+    each environment binds are kept beside it. Type translations are
     memoized by the type, and the result types of type applications by the
     polymorphic type and its argument, so a trace instantiates each
     polymorphic type once. Errors are never memoized. `collect` bounds the
@@ -157,9 +156,10 @@ class FdChecker:
         self._impl_memo: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
         self._insts: dict = {}      # (IForall, FdType) -> FdType
-        # (id(node), id(env)) -> (node, env, result) and
-        # (id(env), binding) -> (env, extended env); each with the entries
-        # used before the last collect() in a second generation.
+        # (id(node), id(env)) -> (node, env, result),
+        # (id(env), binding) -> (env, extended env) and
+        # id(env) -> (env, the type variables env binds); each with the
+        # entries used before the last collect() in a second generation.
         self._memo: dict = {}
         self._envs: dict = {}
         self._old_memo: dict = {}
@@ -179,6 +179,13 @@ class FdChecker:
         if hit is None:
             hit = self._old_envs.pop(key, None) or (env, env + (bind,))
             self._envs[key] = hit
+        return hit[1]
+
+    def _tyvars(self, env) -> set[str]:
+        hit = self._envs.get(id(env))
+        if hit is None:
+            hit = self._old_envs.pop(id(env), None) or (env, env_tyvars(env))
+            self._envs[id(env)] = hit
         return hit[1]
 
     def _elab(self, t) -> TgtType:
@@ -213,7 +220,7 @@ class FdChecker:
                         return bind.ty, TVar(x)
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
-                check_fd_type_wf(self.TC, env_tyvars(env), ty)
+                check_fd_type_wf(self.TC, self._tyvars(env), ty)
                 bty, tb = self.check_expr(self._extend(env, TermBind(x, ty)),
                                           body)
                 return IArrow(ty, bty), TLam(x, self._elab(ty), tb)
@@ -230,7 +237,7 @@ class FdChecker:
                         f"expected {S.pretty(fty.left)}")
                 return fty.right, TApp(tf, ta)
             case IDLam(dv, q, body):
-                check_fd_q_wf(self.TC, env_tyvars(env), q)
+                check_fd_q_wf(self.TC, self._tyvars(env), q)
                 bty, tb = self.check_expr(self._extend(env, DictBind(dv, q)),
                                           body)
                 return IQArrow(q, bty), TLam(dict_target_name(dv),
@@ -259,7 +266,7 @@ class FdChecker:
                     raise FdTypeError(
                         MISMATCH,
                         f"type applied to non-polymorphic type {S.pretty(fty)}")
-                check_fd_type_wf(self.TC, env_tyvars(env), ty)
+                check_fd_type_wf(self.TC, self._tyvars(env), ty)
                 rty = self._insts.get((fty, ty))
                 if rty is None:
                     rty = self._insts[fty, ty] = subst_type(fty.body,
@@ -275,7 +282,7 @@ class FdChecker:
                 return (subst_type(entry.method_type, {entry.var: dq.arg}),
                         TProj(td, m))
             case ILet(x, ty, bound, body):
-                check_fd_type_wf(self.TC, env_tyvars(env), ty)
+                check_fd_type_wf(self.TC, self._tyvars(env), ty)
                 bty, tb = self.check_expr(env, bound)
                 if not alpha_eq(bty, ty):
                     raise FdTypeError(
@@ -315,7 +322,7 @@ class FdChecker:
                         ARITY_MISMATCH,
                         f"{name!r} expects {len(sc.context)} dictionary "
                         f"arguments, got {len(dict_args)}")
-                tyvars = env_tyvars(env)
+                tyvars = self._tyvars(env)
                 for ty in type_args:
                     check_fd_type_wf(self.TC, tyvars, ty)
                 inst = dict(zip(sc.binders, type_args))

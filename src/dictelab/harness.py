@@ -19,7 +19,7 @@ observations plus user-supplied finite context sets.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import fd_core, syntax as S, target_core
 from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
@@ -80,15 +80,11 @@ class MetaReport:
 # The commuting square
 # ---------------------------------------------------------------------------
 
-class Square(NamedTuple):
-    """Both target translations of one derivation under one method
-    environment: direct(D, Σ) and composed(fd(D, Σ))."""
-    variant: int        # index of sigma among the method environments
-    sigma: tuple
-    checker: FdChecker  # the checker of sigma, which fd_env_wf validated
-    derivation: FdExpr
-    direct: TgtExpr
-    composed: TgtExpr
+Square = namedtuple("Square",
+                    "variant sigma checker derivation direct composed")
+Square.__doc__ = """Both target translations of one derivation under one
+method environment: direct(D, Σ) and composed(fd(D, Σ)). variant indexes
+sigma among them; checker is sigma's, which fd_env_wf validated."""
 
 
 def squares(r):

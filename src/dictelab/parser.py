@@ -8,7 +8,6 @@ only legal in context files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .syntax import (SArrow, SBool, SApp, SAnn, SFalse, SHole, SLam, SLet,
                      STrue, STyVar, SVar, SrcConstraint, SrcExpr, SrcMono,
@@ -16,12 +15,11 @@ from .syntax import (SArrow, SBool, SApp, SAnn, SFalse, SHole, SLam, SLet,
                      frozen)
 
 
-@dataclass
 class ParseError(Exception):
-    line: int
-    column: int
-    message: str
-    expected: list[str] = field(default_factory=list)
+    def __init__(self, line, column, message, expected=None):
+        super().__init__(line, column, message)
+        self.line, self.column, self.message = line, column, message
+        self.expected = [] if expected is None else expected
 
     def __str__(self):
         s = f"{self.line}:{self.column}: {self.message}"

@@ -2,11 +2,11 @@
 
 Three term languages live here: the surface language with type classes, the
 intermediate language with first-class dictionaries, and the record-based
-System F target. All nodes are immutable dataclasses built by `frozen`,
-which generates the methods `@dataclass(frozen=True)` generates but
-compiles them in one `exec` per class, not six: importing the CLI takes
-most of a short run, and compiling the node classes' methods took most of
-the import. One binding table, built at import, records each node class's
+System F target. All nodes are immutable record classes built by `frozen`,
+which reads their fields from their annotations and compiles their methods
+in one `exec` per class: importing the CLI takes most of a short run, and
+`dataclasses` (which imports `inspect`) took much of the import. One
+binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
@@ -19,47 +19,47 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import (FrozenInstanceError, MISSING, dataclass, fields,
-                         is_dataclass)
+from collections import namedtuple
 from operator import attrgetter, itemgetter
-from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
-# Frozen dataclasses, compiled in one exec per class
+# Frozen record classes, compiled in one exec per class
 # ---------------------------------------------------------------------------
 
 def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def frozen(cls):
-    """`@dataclass(frozen=True)` for a class that nothing subclasses.
+    """`@dataclass(frozen=True)` for a class that nothing subclasses,
+    importing `dataclasses` only to raise its `FrozenInstanceError`.
 
-    `dataclass` still collects the fields, so `fields`, `is_dataclass` and
-    `__match_args__` are unchanged. `__init__` (defaults and
-    `__post_init__` included), `__eq__`, `__hash__` and `__repr__` are the
-    code `dataclass` generates for a frozen class, compiled together.
+    The fields are the class's own annotations, in order, and
+    `__match_args__` names them; a value the class body gives one is its
+    default. `__init__` (defaults and `__post_init__` included), `__eq__`,
+    `__hash__` and `__repr__` are the code `dataclass` generates for a
+    frozen class, compiled together.
     """
-    doc = cls.__doc__
-    cls.__doc__ = cls.__name__      # keeps dataclass from building a doc
-    dataclass(init=False, repr=False, eq=False)(cls)
-    fs = fields(cls)
-    names = [f.name for f in fs]
+    body = vars(cls)
+    annotations = body.get("__annotations__", {})
+    names = tuple(annotations)
     ns = {"_setattr": object.__setattr__}
     params, signature = ["self"], []
-    for f in fs:
-        signature.append(f"{f.name}: {f.type!r}")
-        if f.default is MISSING:
-            params.append(f.name)
+    for n, ty in annotations.items():
+        signature.append(f"{n}: {ty!r}")
+        if n not in body:
+            params.append(n)
         else:
-            ns[f"_dflt_{f.name}"] = f.default
-            params.append(f"{f.name}=_dflt_{f.name}")
-            signature[-1] += f" = {f.default!r}"
+            ns[f"_dflt_{n}"] = body[n]
+            params.append(f"{n}=_dflt_{n}")
+            signature[-1] += f" = {body[n]!r}"
     init = [f"  _setattr(self,{n!r},{n})" for n in names]
     if hasattr(cls, "__post_init__"):
         init.append("  self.__post_init__()")
@@ -80,9 +80,11 @@ def frozen(cls):
         fn = ns[name]
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
+    cls.__match_args__ = names
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
-    cls.__doc__ = doc or f"{cls.__name__}({', '.join(signature)})"
+    if not cls.__doc__:
+        cls.__doc__ = f"{cls.__name__}({', '.join(signature)})"
     return cls
 
 
@@ -582,18 +584,15 @@ _TYPE_SORT = {
 }
 
 
-class _Shape(NamedTuple):
-    fields: tuple[str, ...]     # every field, in declaration order
-    parts: tuple[str, ...]      # the fields other than the binder field
-    var: str | None             # the sort of a variable class
-    binder: str | None          # the field holding the bound name(s)
-    bsort: str | None           # the sort of the bound name(s)
-    scope: frozenset[str]       # the fields the binder scopes over
-    tsort: str                  # the type-variable sort of the language
+# fields: every field, in declaration order; parts: the fields other than
+# the binder field; var: the sort of a variable class; binder: the field
+# holding the bound name(s); bsort: their sort; scope: the fields the binder
+# scopes over; tsort: the type-variable sort of the language.
+_Shape = namedtuple("_Shape", "fields parts var binder bsort scope tsort")
 
 
 def _shape(cls, tsort: str) -> _Shape:
-    names = tuple(f.name for f in fields(cls))
+    names = cls.__match_args__
     binder, bsort, scope = _BINDERS.get(cls, (None, None, ()))
     return _Shape(names, tuple(n for n in names if n != binder),
                   _VAR_SORT.get(cls), binder, bsort, frozenset(scope), tsort)
@@ -602,7 +601,8 @@ def _shape(cls, tsort: str) -> _Shape:
 # Every AST class -> its shape. Anything else (names, labels) is an atom.
 _SHAPES = {cls: _shape(cls, tsort)
            for base, tsort in _TYPE_SORT.items()
-           for cls in (base, *base.__subclasses__()) if is_dataclass(cls)}
+           for cls in (base, *base.__subclasses__())
+           if hasattr(cls, "__match_args__")}
 
 
 def _bound_names(node, shape: _Shape) -> tuple[str, ...]:

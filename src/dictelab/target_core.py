@@ -10,8 +10,6 @@ regardless of their field expressions; projection extracts the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TTyApp, TTyLam, TVar, TgtExpr, TgtType,
@@ -22,9 +20,10 @@ from . import syntax as S
 from .fd_core import spend_fuel
 
 
-@dataclass
 class TgtTypeError(Exception):
-    detail: str
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail = detail
 
     def __str__(self):
         return self.detail

@@ -3,8 +3,8 @@
 These are the reflective free-variable, substitution and alpha-equivalence
 walks that `dictelab.syntax` replaced with its binding table, and the
 hand-written unifiers and name-resolution walk that `syntax.unify` and
-`syntax.subst` replaced. They rediscover each node's fields with
-`dataclasses.fields` on every visit and share only the binder declarations
+`syntax.subst` replaced. They rediscover each node's fields from
+its `__match_args__` on every visit and share only the binder declarations
 (`_BINDERS`, `_VAR_SORT`) with the code under test. `rename_bound` builds
 alpha-variants for the alpha-equivalence tests.
 """
@@ -12,7 +12,6 @@ alpha-variants for the alpha-equivalence tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields
 
 from dictelab import syntax as S
 from dictelab.source_typer import lookup_method
@@ -59,13 +58,13 @@ def free_vars(node, sort: str) -> list[str]:
         if spec is not None and spec[1] == sort:
             _, _, scope = spec
             inner = bound | set(_binder_names(x))
-            for f in fields(x):
-                if f.name == spec[0]:
+            for f in x.__match_args__:
+                if f == spec[0]:
                     continue
-                go(getattr(x, f.name), inner if f.name in scope else bound)
+                go(getattr(x, f), inner if f in scope else bound)
             return
-        for f in fields(x):
-            go(getattr(x, f.name), bound)
+        for f in x.__match_args__:
+            go(getattr(x, f), bound)
 
     go(node, frozenset())
     return out
@@ -117,19 +116,19 @@ def subst(node, sort: str, mapping: dict):
                 else:
                     new_names.append(n)
             kwargs = {}
-            for f in fields(x):
-                v = getattr(x, f.name)
-                if f.name == bfield:
-                    kwargs[f.name] = (new_names[0] if isinstance(v, str)
-                                      else tuple(new_names))
-                elif f.name in scope:
+            for f in x.__match_args__:
+                v = getattr(x, f)
+                if f == bfield:
+                    kwargs[f] = (new_names[0] if isinstance(v, str)
+                                 else tuple(new_names))
+                elif f in scope:
                     if renames:
                         v = subst(v, bsort, renames)
-                    kwargs[f.name] = go(v, inner)
+                    kwargs[f] = go(v, inner)
                 else:
-                    kwargs[f.name] = go(v, m)
+                    kwargs[f] = go(v, m)
             return cls(**kwargs)
-        return cls(**{f.name: go(getattr(x, f.name), m) for f in fields(x)})
+        return cls(**{f: go(getattr(x, f), m) for f in x.__match_args__})
 
     return go(node, dict(mapping))
 
@@ -167,16 +166,16 @@ def alpha_eq(a, b) -> bool:
                 counter[0] += 1
                 inner1[(sort, n1)] = idx
                 inner2[(sort, n2)] = idx
-            for f in fields(x):
-                if f.name == bfield:
+            for f in x.__match_args__:
+                if f == bfield:
                     continue
-                e1 = inner1 if f.name in scope else env1
-                e2 = inner2 if f.name in scope else env2
-                if not go(getattr(x, f.name), getattr(y, f.name), e1, e2):
+                e1 = inner1 if f in scope else env1
+                e2 = inner2 if f in scope else env2
+                if not go(getattr(x, f), getattr(y, f), e1, e2):
                     return False
             return True
-        return all(go(getattr(x, f.name), getattr(y, f.name), env1, env2)
-                   for f in fields(x))
+        return all(go(getattr(x, f), getattr(y, f), env1, env2)
+                   for f in x.__match_args__)
 
     return go(a, b, {}, {})
 
@@ -190,7 +189,7 @@ def rename_bound(node):
             return tuple(go(item) for item in x)
         if not _is_node(x):
             return x
-        kwargs = {f.name: go(getattr(x, f.name)) for f in fields(x)}
+        kwargs = {f: go(getattr(x, f)) for f in x.__match_args__}
         spec = _BINDERS.get(type(x))
         if spec is not None:
             bfield, sort, scope = spec

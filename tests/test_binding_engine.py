@@ -10,7 +10,6 @@ get the same names, and free-variable lists come in the same order.
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import pytest
 from hypothesis import assume, given, settings
@@ -253,8 +252,8 @@ CONTAINERS = {S.ClassDecl, S.InstDecl, S.SrcProgram, S.MethodImpl,
 
 def test_every_ast_class_has_a_table_entry():
     defined = {c for c in vars(S).values()
-               if isinstance(c, type) and dataclasses.is_dataclass(c)
-               and c.__module__ == S.__name__}
+               if isinstance(c, type) and hasattr(c, "__match_args__")
+               and not issubclass(c, tuple) and c.__module__ == S.__name__}
     assert defined - CONTAINERS == set(S._SHAPES)
 
     def subclasses(base):
@@ -264,15 +263,15 @@ def test_every_ast_class_has_a_table_entry():
 
     for base in S._TYPE_SORT:
         for cls in subclasses(base):
-            if dataclasses.is_dataclass(cls):
+            if hasattr(cls, "__match_args__"):
                 assert cls in S._SHAPES, cls.__name__
 
 
 def test_table_entries_name_real_fields():
     for cls, shape in S._SHAPES.items():
-        assert shape.fields == tuple(f.name for f in dataclasses.fields(cls))
+        assert shape.fields == tuple(cls.__annotations__)
     for cls, (binder, sort, scope) in S._BINDERS.items():
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = set(cls.__match_args__)
         assert binder in names, cls.__name__
         assert set(scope) <= names - {binder}, cls.__name__
         assert sort in S._VAR_CLASS
@@ -280,15 +279,27 @@ def test_table_entries_name_real_fields():
         assert S._SHAPES[cls].fields == ("name",)
 
 
-def test_traversals_never_reflect(monkeypatch):
-    def fail(*_):
-        raise AssertionError("dataclasses.fields called during a traversal")
+class _ClassPatternsOnly:
+    """`__match_args__` that a class pattern may read from the class but
+    a walk over an instance's fields may not."""
 
+    def __init__(self, names):
+        self.names = names
+
+    def __get__(self, obj, owner=None):
+        if obj is not None:
+            raise AssertionError("a node's fields read during a traversal")
+        return self.names
+
+
+def test_traversals_never_reflect(monkeypatch):
     r = corpus_result("P2")
     sigma, ie = r.fd_elabs[0]
     te = r.tgt_elabs[0]
     ctx = parse_context("let f : Bool = [] in (f :: Bool)")
-    monkeypatch.setattr(S, "fields", fail)
+    for cls in S._SHAPES:
+        monkeypatch.setattr(cls, "__match_args__",
+                            _ClassPatternsOnly(cls.__match_args__))
     S.alpha_eq(S.subst(te, "tv", {"x": S.TTrue()}), te)
     S.free_vars(ie, "iv")
     S.free_type_vars(sigma[0].impl)

@@ -246,7 +246,15 @@ def test_context_parse_error_names_the_context_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "coherence", src("P2"),
                              "--contexts-dir", str(tmp_path))
     assert code == 1 and out == ""
-    assert err.startswith(f"{bad}:1:")
+    assert err.startswith(f"error: {bad}:1:")
+
+
+def test_program_parse_error_names_the_program_file(capsys, tmp_path):
+    bad = tmp_path / "bad.src"
+    bad.write_text("(True")
+    code, out, err = run_cli(capsys, "check", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}:1:")
 
 
 def test_ill_typed_context_names_the_context_file(capsys, tmp_path):

@@ -11,7 +11,6 @@ must raise the same error class, kind and message.
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -32,8 +31,8 @@ def rebuild(x):
     """A copy of x in which no object occurs twice."""
     if type(x) is tuple:
         return tuple(rebuild(item) for item in x)
-    if is_dataclass(x):
-        return type(x)(*[rebuild(getattr(x, f.name)) for f in fields(x)])
+    if hasattr(x, "__match_args__"):
+        return type(x)(*[rebuild(getattr(x, f)) for f in x.__match_args__])
     return x
 
 
@@ -117,10 +116,10 @@ def _check_sites(e, env, out) -> int:
     out.add((id(e), env))
     bind = _binding(e)
     size = 1
-    for f in fields(e):
-        child = getattr(e, f.name)
+    for f in e.__match_args__:
+        child = getattr(e, f)
         if isinstance(child, FdExpr):
-            inner = env + (bind,) if f.name == "body" and bind else env
+            inner = env + (bind,) if f == "body" and bind else env
             size += _check_sites(child, inner, out)
     return size
 

@@ -3,7 +3,9 @@
 Every class `frozen` builds is compared with a twin made by
 `dataclasses.make_dataclass(..., frozen=True)` from the same fields: the
 twin runs the code the standard library generates, so equality, hashing,
-`repr`, construction, copying and immutability must agree with it.
+`repr`, construction, copying and immutability must agree with it. The
+classes `frozen` builds are no dataclasses: their fields are read from
+`__match_args__`, the annotations and the class body.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
@@ -31,24 +34,34 @@ SRC = Path(dictelab.__file__).resolve().parent.parent
 
 
 def _frozen_classes():
-    """Every dataclass of the package except the mutable exceptions."""
+    """Every class of the package that `frozen` built: those that name
+    their fields in `__match_args__`, less the namedtuples, which do too."""
     out = []
     for module in (S, parser, source_typer, harness):
         for v in vars(module).values():
             if isinstance(v, type) and v.__module__ == module.__name__ \
-                    and dataclasses.is_dataclass(v) \
-                    and not issubclass(v, Exception):
+                    and hasattr(v, "__match_args__") \
+                    and not issubclass(v, tuple):
                 out.append(v)
     return out
 
 
 CLASSES = _frozen_classes()
 
+Field = namedtuple("Field", "name type default")
+
+
+def node_fields(cls):
+    """What `dataclasses.fields` would list for cls: each field's name,
+    annotation and default (MISSING if none)."""
+    return [Field(n, cls.__annotations__[n], vars(cls).get(n, MISSING))
+            for n in cls.__match_args__]
+
 
 def _twin_class(cls):
     spec = [(f.name, f.type) if f.default is MISSING
             else (f.name, f.type, dataclasses.field(default=f.default))
-            for f in fields(cls)]
+            for f in node_fields(cls)]
     namespace = {"__post_init__": cls.__post_init__} \
         if hasattr(cls, "__post_init__") else {}
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
@@ -65,7 +78,7 @@ def twin(x):
     t = TWINS.get(type(x))
     if t is None:
         return x
-    return t(*[twin(getattr(x, f.name)) for f in fields(x)])
+    return t(*[twin(getattr(x, f)) for f in x.__match_args__])
 
 
 def test_every_converted_class_is_covered():
@@ -96,12 +109,12 @@ RECORD_FIELDS = st.lists(st.tuples(st.sampled_from(["g", "f", "h"]), VALUES),
 def _field_values(cls):
     if hasattr(cls, "__post_init__"):      # the records sort (label, value)
         return st.tuples(RECORD_FIELDS)
-    return st.tuples(*[VALUES] * len(fields(cls)))
+    return st.tuples(*[VALUES] * len(cls.__match_args__))
 
 
 def _same_arity(cls):
-    n = len(fields(cls))
-    return [c for c in CLASSES if c is not cls and len(fields(c)) == n
+    n = len(cls.__match_args__)
+    return [c for c in CLASSES if c is not cls and len(c.__match_args__) == n
             and not hasattr(c, "__post_init__")]
 
 
@@ -129,7 +142,7 @@ def test_methods_agree_with_the_twin(cls, data):
     assert a == c and not a != c and hash(a) == hash(c)
     assert a != ta and not a == ta
     # Keyword construction.
-    names = [f.name for f in fields(cls)]
+    names = cls.__match_args__
     assert cls(**dict(zip(names, xs))) == a
     # A node of another class never equals it, whatever its fields.
     for other in _same_arity(cls):
@@ -138,23 +151,23 @@ def test_methods_agree_with_the_twin(cls, data):
 
 
 @pytest.mark.parametrize("cls", [c for c in CLASSES if any(
-    f.default is not MISSING for f in fields(c))], ids=_name)
+    f.default is not MISSING for f in node_fields(c))], ids=_name)
 def test_defaults_agree_with_the_twin(cls):
-    required = [f"v{i}" for i, f in enumerate(fields(cls))
+    required = [f"v{i}" for i, f in enumerate(node_fields(cls))
                 if f.default is MISSING]
     a, ta = cls(*required), TWINS[cls](*required)
     assert repr(a) == repr(ta) and hash(a) == hash(ta)
-    for f in fields(cls):
-        assert getattr(a, f.name) == getattr(ta, f.name)
-    names = [f.name for f in fields(cls)][:len(required)]
+    for f in cls.__match_args__:
+        assert getattr(a, f) == getattr(ta, f)
+    names = cls.__match_args__[:len(required)]
     assert cls(**dict(zip(names, required))) == a
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
 def test_introspection_agrees_with_the_twin(cls):
     t = TWINS[cls]
-    assert dataclasses.is_dataclass(cls)
-    assert [(f.name, f.type, f.default) for f in fields(cls)] == \
+    assert not dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(t)
+    assert [(f.name, f.type, f.default) for f in node_fields(cls)] == \
         [(f.name, f.type, f.default) for f in fields(t)]
     assert cls.__match_args__ == t.__match_args__
     if cls.__doc__.startswith(cls.__name__ + "("):     # no docstring
@@ -167,7 +180,7 @@ def test_introspection_agrees_with_the_twin(cls):
 def test_instances_are_frozen_and_copy(cls, data):
     xs = data.draw(_field_values(cls))
     a, ta = cls(*xs), twin(cls(*xs))
-    for name in [f.name for f in fields(cls)] + ["extra"]:
+    for name in [*cls.__match_args__, "extra"]:
         for obj in (a, ta):
             with pytest.raises(FrozenInstanceError) as assign:
                 setattr(obj, name, 1)
@@ -216,10 +229,10 @@ def test_real_results_agree_with_their_twins(name):
 
 
 # Counts every `exec` made while `dictelab.cli` is imported: module bodies
-# and dataclass method compilation. `@dataclass(frozen=True)` costs six per
-# class; `frozen` costs one.
+# and method compilation. `@dataclass(frozen=True)` costs six per class;
+# `frozen` costs one.
 COUNT_EXECS = """
-import builtins, dataclasses, sys
+import builtins, sys
 calls = 0
 real = builtins.exec
 def counting(*args, **kwargs):
@@ -233,17 +246,30 @@ classes = {v for name, m in list(sys.modules.items())
            if name.partition(".")[0] == "dictelab"
            for v in vars(m).values()
            if isinstance(v, type) and v.__module__ == name
-           and dataclasses.is_dataclass(v)}
+           and hasattr(v, "__match_args__") and not issubclass(v, tuple)}
 print(calls, len(classes))
 """
 
 
-def test_importing_the_cli_makes_few_exec_calls():
+def _run_with_src(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    out = subprocess.run([sys.executable, "-c", COUNT_EXECS], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_makes_few_exec_calls():
+    out = _run_with_src("-c", COUNT_EXECS)
     calls, classes = map(int, out.split())
     assert classes >= len(CLASSES)
     assert calls < 2 * classes, (calls, classes)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # Each costs start-up time in every dictelab process; `-S` keeps
+    # site-packages from importing them first.
+    out = _run_with_src("-S", "-c", "import sys, dictelab.cli; print(sorted("
+                        "{'dataclasses', 'inspect', 'typing'} & set("
+                        "sys.modules)))")
+    assert out == "[]\n"

@@ -404,6 +404,21 @@ def test_fuzz_work_walks_each_range_value_once(monkeypatch):
     assert all(a is b for a, b in renaming_walks)
 
 
+def test_fuzz_work_builds_each_environments_type_variables_once(
+        monkeypatch):
+    # Work counts: a checker keeps the type variables of each environment
+    # it builds beside it, so no binder rebuilds them. An environment that
+    # binds something is built by one checker's `_extend`; the empty one is
+    # the root of every checker.
+    built = count_calls(monkeypatch, fd_core, "env_tyvars")  # keeps each
+    checkers = count_calls(monkeypatch, fd_core.FdChecker, "__init__")
+    for _ in _fuzz_work():
+        pass
+    bound = [env for (env,) in built if env]
+    assert bound and len({id(env) for env in bound}) == len(bound)
+    assert len(built) - len(bound) <= len(checkers)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_generated_terms_are_well_typed_and_safe(seed):
     sigma, tc = _p2_env()

@@ -157,16 +157,14 @@ def test_grammar_coverage_over_corpus():
 
     def walk(e):
         seen.add(type(e).__name__)
-        import dataclasses
-        if dataclasses.is_dataclass(e):
-            for f in dataclasses.fields(e):
-                v = getattr(e, f.name)
-                if isinstance(v, tuple):
-                    for item in v:
-                        if dataclasses.is_dataclass(item):
-                            walk(item)
-                elif dataclasses.is_dataclass(v):
-                    walk(v)
+        for f in getattr(e, "__match_args__", ()):
+            v = getattr(e, f)
+            if isinstance(v, tuple):
+                for item in v:
+                    if hasattr(item, "__match_args__"):
+                        walk(item)
+            elif hasattr(v, "__match_args__"):
+                walk(v)
 
     for name in POSITIVE + NEGATIVE:
         walk(corpus_program(name))

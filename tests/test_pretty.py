@@ -8,7 +8,6 @@ and the test readers are in `test_parser.py` and `test_reader.py`.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import re
 import sys
@@ -66,7 +65,7 @@ def test_every_printable_class_has_a_notation():
                   for n in re.findall(r"isinstance\(x, (\w+)\)", source))
     assert len(bases) == 11
     printable = {c for c in vars(S).values()
-                 if isinstance(c, type) and dataclasses.is_dataclass(c)
+                 if isinstance(c, type) and hasattr(c, "__match_args__")
                  and issubclass(c, bases)}
     assert printable == set(S._NOTATION)
 

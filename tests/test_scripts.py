@@ -140,6 +140,30 @@ def test_fuzz_safety_names_a_program_it_cannot_use(tmp_path, bad):
     _one_error_line(proc, path)
 
 
+DEEP = "(" * 3000 + "True" + ")" * 3000    # deeper than the recursion limit
+
+
+def test_fuzz_safety_names_a_program_nested_too_deeply(tmp_path):
+    path = tmp_path / "D.src"
+    path.write_text(DEEP)
+    proc = run_script("fuzz_safety.py", "--program", str(path))
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr == \
+        f"error: {path}: input nested too deeply to process\n"
+
+
+def test_run_corpus_counts_a_program_nested_too_deeply_as_a_failure(tmp_path):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    (tmp_path / "corpus" / "D.src").write_text(DEEP)
+    proc = run_script("run_corpus.py", "--corpus", str(tmp_path / "corpus"))
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    at = lines.index("== D.src ==")
+    assert lines[at + 1:at + 3] == ["input nested too deeply to process", ""]
+    assert lines[at + 3] == "== N1.src =="      # the sweep carries on
+    assert lines[-1].startswith("1 program(s) ")
+
+
 def test_benchmark_self_test_passes():
     # Fails when a refactor renames an entry point the benchmark hooks,
     # such as `FdChecker.check_expr`.
