@@ -40,7 +40,10 @@ def main() -> int:
     try:
         r = typecheck_program(
             parse_program(args.program.read_text(encoding="utf-8")))
-    except (OSError, UnicodeDecodeError, ParseError, SrcTypeError) as err:
+    except OSError as err:
+        print(f"error: {args.program}: {err.strerror}", file=sys.stderr)
+        return 1
+    except (UnicodeDecodeError, ParseError, SrcTypeError) as err:
         print(f"error: {args.program}: {err}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -5,9 +5,10 @@ Each program is typed once, and both reports read that typing; each corpus
 context is typed around the main against the program's declarations.
 A program that is not UTF-8, does not parse or does not type is reported
 as rejected. Exit 1 when a program violates coherence or decomposition,
-runs out of fuel or is nested too deeply to process, and with one
-`error: <path>: ...` line on stderr when a context is not UTF-8 or does
-not parse.
+runs out of fuel, is nested too deeply to process or cannot be read (one
+`error: <path>: ...` line on stderr; the sweep goes on), and with one
+such line when the corpus is no directory, holds no `*.src` program, or
+a context cannot be read, is not UTF-8 or does not parse.
 
 Usage: python3 scripts/run_corpus.py [--corpus DIR] [--fuel N]
 """
@@ -36,16 +37,25 @@ def main() -> int:
     ap.add_argument("--fuel", type=at_least(0), default=100_000)
     args = ap.parse_args()
 
+    programs = sorted(args.corpus.glob("*.src"))
+    if not programs:
+        reason = "no *.src program in it" if args.corpus.is_dir() \
+            else "not a directory"
+        print(f"error: {args.corpus}: {reason}", file=sys.stderr)
+        return 1
     contexts = []
     for path in sorted((args.corpus / "contexts").glob("*.ctx")):
         try:
             contexts.append(
                 (path.name, parse_context(path.read_text(encoding="utf-8"))))
+        except OSError as err:
+            print(f"error: {path}: {err.strerror}", file=sys.stderr)
+            return 1
         except (UnicodeDecodeError, ParseError) as err:
             print(f"error: {path}: {err}", file=sys.stderr)
             return 1
     failures = 0
-    for path in sorted(args.corpus.glob("*.src")):
+    for path in programs:
         print(f"== {path.name} ==")
         try:
             r = typecheck_program(
@@ -53,6 +63,11 @@ def main() -> int:
             coh = coherence_report(r, args.fuel, contexts, path.stem)
             dec = decomposition_report(r, path.stem)
             lines = [*coherence_lines(coh), *decomposition_lines(dec)]
+        except OSError as err:
+            print(f"error: {path}: {err.strerror}", file=sys.stderr)
+            failures += 1
+            print()
+            continue
         except (UnicodeDecodeError, ParseError, SrcTypeError) as err:
             print(f"rejected: {err}")
             print()
@@ -75,7 +90,7 @@ def main() -> int:
         print()
     if failures:
         print(f"{failures} program(s) violated coherence or decomposition, "
-              f"ran out of fuel or were nested too deeply")
+              f"ran out of fuel, were nested too deeply or could not be read")
         return 1
     print("all accepted programs coherent; pipelines agree")
     return 0

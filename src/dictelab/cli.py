@@ -98,13 +98,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _InputError(Exception):
-    """An input file that is not UTF-8 text or does not parse; the message
-    names the file."""
+    """An input file that cannot be read, is not UTF-8 text or does not
+    parse; the message names the file."""
 
 
 def _parse_file(path, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise _InputError(f"error: {path}: {err.strerror}") from err
     except UnicodeDecodeError as err:
         raise _InputError(f"error: {path}: not UTF-8 text ({err.reason} "
                           f"at byte {err.start})") from err
@@ -181,8 +183,7 @@ def _load_contexts(ns):
         return []
     directory = Path(ns.contexts_dir)
     if not directory.is_dir():
-        raise NotADirectoryError(
-            f"contexts directory {ns.contexts_dir!r} is not a directory")
+        raise _InputError(f"error: {ns.contexts_dir}: not a directory")
     return [(path, _parse_file(path, parse_context))
             for path in sorted(directory.glob("*.ctx"))]
 

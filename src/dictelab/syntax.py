@@ -3,10 +3,9 @@
 Three term languages live here: the surface language with type classes, the
 intermediate language with first-class dictionaries, and the record-based
 System F target. All nodes are immutable record classes built by `frozen`,
-which reads their fields from their annotations and compiles their methods
-in one `exec` per class: importing the CLI takes most of a short run, and
-`dataclasses` (which imports `inspect`) took much of the import. One
-binding table, built at import, records each node class's
+which reads their fields from their annotations and compiles the methods
+of each shape of fields once, since importing the CLI takes much of a
+short run. One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
@@ -21,10 +20,11 @@ import itertools
 import string
 from collections import namedtuple
 from operator import attrgetter, itemgetter
+from types import FunctionType
 
 
 # ---------------------------------------------------------------------------
-# Frozen record classes, compiled in one exec per class
+# Frozen record classes, compiled once per shape
 # ---------------------------------------------------------------------------
 
 def _frozen_setattr(self, name, value):
@@ -37,54 +37,73 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def frozen(cls):
-    """`@dataclass(frozen=True)` for a class that nothing subclasses,
-    importing `dataclasses` only to raise its `FrozenInstanceError`.
+def _frozen_repr(self):
+    return self.__class__.__qualname__ + "(" + ", ".join(
+        f"{n}={getattr(self, n)!r}" for n in self.__match_args__) + ")"
 
-    The fields are the class's own annotations, in order, and
-    `__match_args__` names them; a value the class body gives one is its
-    default. `__init__` (defaults and `__post_init__` included), `__eq__`,
-    `__hash__` and `__repr__` are the code `dataclass` generates for a
-    frozen class, compiled together.
-    """
-    body = vars(cls)
-    annotations = body.get("__annotations__", {})
-    names = tuple(annotations)
-    ns = {"_setattr": object.__setattr__}
-    params, signature = ["self"], []
-    for n, ty in annotations.items():
-        signature.append(f"{n}: {ty!r}")
-        if n not in body:
-            params.append(n)
-        else:
-            ns[f"_dflt_{n}"] = body[n]
-            params.append(f"{n}=_dflt_{n}")
-            signature[-1] += f" = {body[n]!r}"
+
+# The globals of every compiled method, and the code of `__init__`,
+# `__eq__` and `__hash__` for each shape: (field names, whether the class
+# has a `__post_init__`).
+_FROZEN_GLOBALS = {"_setattr": object.__setattr__}
+_FROZEN_CODE = {}
+
+
+def _frozen_code(names, post_init) -> tuple:
     init = [f"  _setattr(self,{n!r},{n})" for n in names]
-    if hasattr(cls, "__post_init__"):
+    if post_init:
         init.append("  self.__post_init__()")
     own = "".join(f"self.{n}," for n in names)
     other = "".join(f"other.{n}," for n in names)
-    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    exec(f"def __init__({','.join(params)}):\n"
+    ns = {}
+    exec(f"def __init__({','.join(('self', *names))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
          "  if other.__class__ is self.__class__:\n"
          f"    return ({own})==({other})\n"
          "  return NotImplemented\n"
          "def __hash__(self):\n"
-         f"  return hash(({own}))\n"
-         "def __repr__(self):\n"
-         f'  return self.__class__.__qualname__ + f"({shown})"\n', ns)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        fn = ns[name]
+         f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
+    return tuple(ns[m].__code__ for m in ("__init__", "__eq__", "__hash__"))
+
+
+def frozen(cls):
+    """`@dataclass(frozen=True)` for a class that nothing subclasses,
+    importing `dataclasses` only to raise its `FrozenInstanceError`.
+
+    The fields are the class's own annotations, in order, and
+    `__match_args__` names them; a value the class body gives one is its
+    default. `__init__` (defaults and `__post_init__` included), `__eq__`
+    and `__hash__` are the code `dataclass` generates for a frozen class,
+    compiled in one `exec` per shape (field names and `__post_init__`),
+    so classes of one shape share source but not code objects: each
+    class gets copies, because Python specializes attribute access per
+    code object. `__repr__` is one function over `__match_args__`.
+    """
+    body = vars(cls)
+    annotations = body.get("__annotations__", {})
+    names = tuple(annotations)
+    defaults = tuple(body[n] for n in names if n in body)
+    if any(n not in body for n in names[len(names) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: field without default after one "
+                        f"with a default")
+    shape = names, hasattr(cls, "__post_init__")
+    if shape not in _FROZEN_CODE:
+        _FROZEN_CODE[shape] = _frozen_code(*shape)
+    for name, c, dflt in zip(("__init__", "__eq__", "__hash__"),
+                             _FROZEN_CODE[shape],
+                             (defaults or None, None, None)):
+        fn = FunctionType(c.replace(), _FROZEN_GLOBALS, name, dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
+    cls.__repr__ = _frozen_repr
     cls.__match_args__ = names
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     if not cls.__doc__:
-        cls.__doc__ = f"{cls.__name__}({', '.join(signature)})"
+        cls.__doc__ = f"{cls.__name__}(" + ", ".join(
+            f"{n}: {ty!r}" + (f" = {body[n]!r}" if n in body else "")
+            for n, ty in annotations.items()) + ")"
     return cls
 
 

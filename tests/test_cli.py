@@ -62,6 +62,25 @@ def test_missing_file_is_an_error(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "context"])
+def test_unreadable_input_names_the_path_once(capsys, tmp_path, case):
+    # error: <path>: <strerror>, the wording of the other input errors.
+    program, extra = src("P2"), []
+    if case == "missing":
+        program = path = str(tmp_path / "no-such-file.src")
+        reason = "No such file or directory"
+    elif case == "directory":
+        program = path = str(tmp_path)
+        reason = "Is a directory"
+    else:
+        (tmp_path / "x.ctx").mkdir()
+        path, reason = str(tmp_path / "x.ctx"), "Is a directory"
+        extra = ["--contexts-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, "coherence", program, *extra)
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {reason}\n"
+
+
 def test_parse_error_reports_position(capsys):
     bad = CORPUS / ".." / "bad_tmp.src"
     bad.write_text("class where")

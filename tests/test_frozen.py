@@ -228,17 +228,61 @@ def test_real_results_agree_with_their_twins(name):
         assert copy.deepcopy(v) == v
 
 
-# Counts every `exec` made while `dictelab.cli` is imported: module bodies
-# and method compilation. `@dataclass(frozen=True)` costs six per class;
-# `frozen` costs one.
+def _shape(cls):
+    return cls.__match_args__, hasattr(cls, "__post_init__")
+
+
+SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
+                        if sum(_shape(d) == _shape(c) for d in CLASSES) > 1})
+
+
+@pytest.mark.parametrize("shape", SHARED_SHAPES,
+                         ids=lambda s: ",".join(s[0]) + "+post" * s[1])
+def test_classes_of_one_shape_share_no_code_object(shape):
+    # Python specializes attribute access per code object, so classes
+    # that shared one would share (and keep undoing) one specialization.
+    group = [c for c in CLASSES if _shape(c) == shape]
+    assert len(group) > 1
+    for method in ("__init__", "__eq__", "__hash__"):
+        codes = [vars(c)[method].__code__ for c in group]
+        assert len({id(code) for code in codes}) == len(group), method
+        assert all(code == codes[0] for code in codes), method
+
+
+def test_shapes_are_compiled_once():
+    assert set(S._FROZEN_CODE) == {_shape(c) for c in CLASSES}
+    assert _shape(S.SArrow) == _shape(S.IArrow) == _shape(S.TArrow)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+def test_each_method_names_its_own_class(cls):
+    for method in ("__init__", "__eq__", "__hash__"):
+        fn = vars(cls)[method]
+        assert fn.__qualname__ == f"{cls.__qualname__}.{method}"
+        assert fn.__name__ == method
+
+
+def test_limits_keep_their_defaults():
+    assert source_typer.Limits() == source_typer.Limits(32, 256)
+    assert source_typer.Limits(max_elaborations=2) == \
+        source_typer.Limits(32, 2)
+    assert source_typer.Limits.__init__.__defaults__ == (32, 256)
+    assert S.SArrow.__init__.__defaults__ is None
+
+
+# Counts the `exec` calls that compile source text while `dictelab.cli` is
+# imported (module bodies are exec'd as code objects), and the distinct
+# shapes of the classes `frozen` built: field names and `__post_init__`.
+# `@dataclass(frozen=True)` compiles six strings per class, `frozen` one
+# per shape.
 COUNT_EXECS = """
 import builtins, sys
 calls = 0
 real = builtins.exec
-def counting(*args, **kwargs):
+def counting(source, *args, **kwargs):
     global calls
-    calls += 1
-    return real(*args, **kwargs)
+    calls += isinstance(source, str)
+    return real(source, *args, **kwargs)
 builtins.exec = counting
 import dictelab.cli
 builtins.exec = real
@@ -247,7 +291,8 @@ classes = {v for name, m in list(sys.modules.items())
            for v in vars(m).values()
            if isinstance(v, type) and v.__module__ == name
            and hasattr(v, "__match_args__") and not issubclass(v, tuple)}
-print(calls, len(classes))
+shapes = {(c.__match_args__, hasattr(c, "__post_init__")) for c in classes}
+print(calls, len(classes), len(shapes))
 """
 
 
@@ -261,9 +306,10 @@ def _run_with_src(*args):
 
 def test_importing_the_cli_makes_few_exec_calls():
     out = _run_with_src("-c", COUNT_EXECS)
-    calls, classes = map(int, out.split())
+    calls, classes, shapes = map(int, out.split())
     assert classes >= len(CLASSES)
-    assert calls < 2 * classes, (calls, classes)
+    assert shapes < classes
+    assert calls == shapes, (calls, shapes)
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():

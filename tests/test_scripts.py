@@ -164,6 +164,52 @@ def test_run_corpus_counts_a_program_nested_too_deeply_as_a_failure(tmp_path):
     assert lines[-1].startswith("1 program(s) ")
 
 
+def test_fuzz_safety_names_a_missing_program_once(tmp_path):
+    path = tmp_path / "no-such-file.src"
+    proc = run_script("fuzz_safety.py", "--program", str(path))
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr == f"error: {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("case", ["missing", "file", "empty", "no_src"])
+def test_run_corpus_refuses_an_empty_sweep(tmp_path, case):
+    # A sweep over no program must not pass.
+    corpus = tmp_path / "corpus"
+    if case == "file":
+        corpus.write_text("")
+    elif case != "missing":
+        corpus.mkdir()
+    if case == "no_src":
+        shutil.copytree(CORPUS / "contexts", corpus / "contexts")
+        (corpus / "P1.txt").write_text((CORPUS / "P1.src").read_text())
+    proc = run_script("run_corpus.py", "--corpus", str(corpus))
+    _one_error_line(proc, corpus)
+
+
+def test_run_corpus_counts_an_unreadable_program_as_a_failure(tmp_path):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "A.src"
+    path.mkdir()
+    proc = run_script("run_corpus.py", "--corpus", str(tmp_path / "corpus"))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr == f"error: {path}: Is a directory\n"
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["== A.src ==", "", "== N1.src =="]  # carries on
+    assert [line for line in lines if line.startswith("== ")] == [
+        f"== {name}.src ==" for name in ("A", "N1", "N2", "P1", "P2", "P3",
+                                         "P4")]
+    assert lines[-1].startswith("1 program(s) ")
+
+
+def test_run_corpus_names_a_context_it_cannot_read(tmp_path):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "contexts" / "x.ctx"
+    path.mkdir()
+    proc = run_script("run_corpus.py", "--corpus", str(tmp_path / "corpus"))
+    _one_error_line(proc, path)
+    assert proc.stderr == f"error: {path}: Is a directory\n"
+
+
 def test_benchmark_self_test_passes():
     # Fails when a refactor renames an entry point the benchmark hooks,
     # such as `FdChecker.check_expr`.
