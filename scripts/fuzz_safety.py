@@ -5,7 +5,8 @@ Generates closed well-typed terms over a corpus program's method
 environment and walks each evaluation trace, re-typechecking after every
 step. A program that cannot be read, does not parse or does not type ends
 in one `error: <path>: ...` line on stderr and exit 1; one nested too
-deeply to process, as in the CLI, in such a line and exit 3.
+deeply to process, as in the CLI, in such a line and exit 3. A standard
+output closed early (`| head`) ends in exit 141 with no message.
 
 Usage: python3 scripts/fuzz_safety.py [--count N] [--seed N] [--size N]
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dictelab.cli import at_least
+from dictelab.cli import at_least, guard_stdout
 from dictelab.harness import check_metatheory, generate_fd_term
 from dictelab.parser import ParseError, parse_program
 from dictelab.source_typer import SrcTypeError, typecheck_program
@@ -69,4 +70,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard_stdout(main))

@@ -8,7 +8,8 @@ as rejected. Exit 1 when a program violates coherence or decomposition,
 runs out of fuel, is nested too deeply to process or cannot be read (one
 `error: <path>: ...` line on stderr; the sweep goes on), and with one
 such line when the corpus is no directory, holds no `*.src` program, or
-a context cannot be read, is not UTF-8 or does not parse.
+a context cannot be read, is not UTF-8 or does not parse. A standard
+output closed early (`| head`) ends in exit 141 with no message.
 
 Usage: python3 scripts/run_corpus.py [--corpus DIR] [--fuel N]
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dictelab.cli import at_least
+from dictelab.cli import at_least, guard_stdout
 from dictelab.fd_core import FuelExhausted
 from dictelab.harness import (coherence_lines, coherence_report,
                               decomposition_lines, decomposition_report)
@@ -97,4 +98,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard_stdout(main))

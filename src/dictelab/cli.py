@@ -8,7 +8,8 @@ target elaborations), meta (trace-check type safety, optionally fuzzing).
 Exit codes: 0 success, 1 parse/type error or unreadable input, 2 coherence
 or decomposition violation, 3 resource limit reached (fuel, enumeration
 truncation, input nested too deeply, or a constraint left unresolved only
-because a cap cut its resolution).
+because a cap cut its resolution), 141 (128 + SIGPIPE) standard output
+closed before all of it was written, with no message.
 Setting the environment variable TCC_COLOR=0 disables styling.
 """
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 128 + 13    # SIGPIPE: standard output was closed early
 
 
 def _style(text: str, code: str) -> str:
@@ -49,6 +51,28 @@ def at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}")
         return value
     return parse
+
+
+def guard_stdout(run, *args) -> int:
+    """The exit code of run(*args), its output flushed; EXIT_PIPE, with no
+    message, when standard output is closed before all of it is written
+    (`| head`)."""
+    try:
+        try:
+            return run(*args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes standard output once more at exit: point it at the
+        # null device, so that flush meets no closed pipe either.
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:             # not a file, as under a test's capture
+            return EXIT_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +274,7 @@ def main(argv=None) -> int:
     try:
         p = _parse_file(ns.file, parse_program)
         ns.contexts = _load_contexts(ns)    # read before the program is typed
-        return ns.func(ns, typecheck_program(
+        return guard_stdout(ns.func, ns, typecheck_program(
             p, Limits(ns.max_depth, ns.max_elaborations)))
     except _InputError as err:
         print(err, file=sys.stderr)

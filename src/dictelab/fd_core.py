@@ -133,21 +133,27 @@ def elab_fd_q(TC, q: FdQ) -> TgtType:
 class FdChecker:
     """Typechecker for one fixed method environment.
 
-    Constructor implementations are re-checked against the strict prefix of
-    the environment at first use; results are memoized per constructor.
+    Checking is deterministic, so results are memoized at two levels.
 
-    Checking is deterministic, so the checker translates each shared
-    subterm once. `check_expr`, through which all recursion goes, is
-    memoized on the identities of the node and of the environment; every
+    Per Σ, shared by every checker `child` makes, the prefix checkers of
+    implementations among them: each constructor's implementation, checked
+    against the strict prefix of the environment at first use
+    (`_impl_memo`), and type translations, by the type (`_elabs`). Both
+    are bounded by the environment and the types it is used at.
+
+    Per checker, one per term of a stream: `check_expr`, through which all
+    recursion goes, is memoized on the identities of the node and of the
+    environment (`_memo`), so a shared subterm is translated once; every
     entry keeps both alive, so an identity is never reused while its entry
     exists. Environments are extended through `_extend`, which returns one
     tuple object per (parent environment, binding), so equal environments
     built here are the same object and share entries; the type variables
-    each environment binds are kept beside it. Type translations are
-    memoized by the type, and the result types of type applications by the
-    polymorphic type and its argument, so a trace instantiates each
-    polymorphic type once. Errors are never memoized. `collect` bounds the
-    memo of a checker reused over a stream of terms.
+    each environment binds are kept beside it (`_envs`). `collect` bounds
+    these two while a trace is walked. The result types of type
+    applications are memoized by the polymorphic type and its argument
+    (`_insts`), so a trace instantiates each polymorphic type once; these
+    keys are the term's own types, so the memo ends with the checker.
+    Errors are never memoized.
     """
 
     def __init__(self, sigma, TC):
@@ -164,6 +170,14 @@ class FdChecker:
         self._envs: dict = {}
         self._old_memo: dict = {}
         self._old_envs: dict = {}
+
+    def child(self, sigma=None) -> FdChecker:
+        """A checker for sigma, by default this one's, that shares this
+        checker's per-Σ memos and starts with empty per-term memos. sigma
+        must be a prefix of this checker's environment."""
+        out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
+        out._impl_memo, out._elabs = self._impl_memo, self._elabs
+        return out
 
     def collect(self):
         """Forget every memo entry not used since the previous collect().
@@ -351,10 +365,7 @@ class FdChecker:
         entry = self.sigma[index]
         if entry.con in self._impl_memo:
             return self._impl_memo[entry.con]
-        prefix = FdChecker(self.sigma[:index], self.TC)
-        prefix._impl_memo = self._impl_memo  # share across constructors
-        prefix._elabs = self._elabs
-        prefix._insts = self._insts
+        prefix = self.child(self.sigma[:index])
         try:
             ity, te = prefix.check_expr((), entry.impl)
         except FdTypeError as err:

@@ -10,7 +10,12 @@ Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed, square by square.
 Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
 intermediate typechecker/evaluator with seeded type-directed term
-generation.
+generation. A stream of terms over one Σ shares that Σ's state: the per-Σ
+memos of one base checker (checked implementations and type translations;
+see `FdChecker`) and the generator's closed dictionaries. Each term gets
+its own checker, whose per-term memos (checked nodes, built environments
+and type instantiations) start empty. The few most recent environments
+are kept, by the identity of (sigma, TC).
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -212,11 +217,61 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
 
 
 # ---------------------------------------------------------------------------
+# Per-Σ state of a stream of terms
+# ---------------------------------------------------------------------------
+
+class _Environment:
+    """What the terms checked or generated over one method environment
+    share: a base checker, never used itself, whose children check the
+    terms, and the closed dictionaries with their method calls, derived at
+    the first term generated."""
+
+    __slots__ = ("sigma", "TC", "checker", "_generators")
+
+    def __init__(self, sigma, TC):
+        self.sigma, self.TC = sigma, TC
+        self.checker = FdChecker(sigma, TC)
+        self._generators = None
+
+    def generators(self):
+        """The closed dictionaries of sigma, and the method call of each
+        with its type."""
+        if self._generators is None:
+            dicts = closed_dicts(self.sigma)
+            calls = []
+            for q, d in dicts:
+                entry = fd_core.lookup_class_by_name(self.TC, q.cls)
+                calls.append((IMethod(d, entry.method),
+                              subst_type(entry.method_type,
+                                         {entry.var: q.arg})))
+            self._generators = dicts, calls
+        return self._generators
+
+
+# The most recent environments by (id(sigma), id(TC)), least recently used
+# first. Each entry holds its sigma and TC, so neither identity is reused
+# while the entry exists; both are read as immutable.
+_ENVIRONMENTS: dict = {}
+_ENVIRONMENTS_KEPT = 4
+
+
+def _environment(sigma, TC) -> _Environment:
+    key = (id(sigma), id(TC))
+    env = _ENVIRONMENTS.pop(key, None)
+    if env is None:
+        env = _Environment(sigma, TC)
+        if len(_ENVIRONMENTS) >= _ENVIRONMENTS_KEPT:
+            del _ENVIRONMENTS[next(iter(_ENVIRONMENTS))]
+    _ENVIRONMENTS[key] = env
+    return env
+
+
+# ---------------------------------------------------------------------------
 # Metatheory: trace walking
 # ---------------------------------------------------------------------------
 
 def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
-    checker = FdChecker(sigma, TC)
+    checker = _environment(sigma, TC).checker.child()
     try:
         ty0, _ = checker.check_expr((), e)
     except fd_core.FdTypeError as err:   # a violation before any step
@@ -289,13 +344,7 @@ def closed_dicts(sigma):
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed."""
     rng = random.Random(seed)
-    dicts = closed_dicts(sigma)
-    # The method call of each closed dictionary, with its type.
-    calls = []
-    for q, d in dicts:
-        entry = fd_core.lookup_class_by_name(TC, q.cls)
-        calls.append((IMethod(d, entry.method),
-                      subst_type(entry.method_type, {entry.var: q.arg})))
+    dicts, calls = _environment(sigma, TC).generators()
 
     def gen_type(depth: int):
         if depth <= 0:

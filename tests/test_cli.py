@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dictelab import harness, source_typer, syntax as S
-from dictelab.cli import main
+from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
 from dictelab.parser import parse_program
@@ -463,3 +465,32 @@ def test_ascii_stdout_escapes_what_it_cannot_encode(fmt):
     assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr
     assert b"\\u03b4" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# A closed standard output
+# ---------------------------------------------------------------------------
+
+class _ClosedOnWrite(io.StringIO):
+    """A standard output whose reader has left (`| head`), unbuffered."""
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class _ClosedOnFlush(io.StringIO):
+    """The same, found only when the buffered output is flushed."""
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [_ClosedOnWrite, _ClosedOnFlush])
+@pytest.mark.parametrize("argv", [
+    ["elaborate", "--all", src("P2"), "--stage", "fd"],
+    ["coherence", src("P2")],
+    ["meta", src("P1"), "--format", "json"],
+])
+def test_a_closed_stdout_exits_141_with_no_message(capsys, stdout, argv):
+    with contextlib.redirect_stdout(stdout()):
+        code = main(argv)
+    assert code == EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""

@@ -14,17 +14,20 @@ import tracemalloc
 
 import pytest
 
+from dictelab import harness, syntax as S
 from dictelab.fd_core import FdChecker, FdTypeError, fd_step, is_fd_value
 from dictelab.harness import check_metatheory, generate_fd_term, squares
 from dictelab.parser import parse_program
 from dictelab.source_typer import typecheck_program
 from dictelab.syntax import (
-    DictBind, FdExpr, IApp, IArrow, IBool, IDLam, ILam, ILet, ITrue, ITyLam,
-    IVar, TermBind, TyVarBind,
+    DictBind, FdClassEntry, FdConstraintScheme, FdExpr, FdQ, IApp, IArrow,
+    IBool, IDLam, ILam, ILet, ITrue, ITyLam, ITyVar, IVar, MethodImpl,
+    TermBind, TyVarBind,
 )
 
-from conftest import (POSITIVE, corpus_result, flex_source, tower_source,
-                      wide_source)
+from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
+                      flex_source, tower_source, wide_source)
+from reader import read_fd_expr
 
 
 def rebuild(x):
@@ -179,3 +182,103 @@ def test_trace_checking_keeps_a_bounded_memo():
     assert rep.steps_checked == steps > 1000
     assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
     assert peak < every_step / 3
+
+
+# ---------------------------------------------------------------------------
+# The per-Σ state of a stream of terms
+# ---------------------------------------------------------------------------
+
+def _digest_envs():
+    """The fuzz digest's environments (tests/test_harness.py), typed afresh
+    so that no earlier test has filled their state."""
+    for name in ("P2", "P4"):
+        r = typecheck_program(corpus_program(name))
+        yield r.fd_elabs[0][0], r.fd_class_env
+
+
+def _stream(envs):
+    """The fuzz digest's work, as (sigma, TC, term, report)."""
+    for sigma, TC in envs:
+        for size in (4, 6):
+            for seed in range(100):
+                e = generate_fd_term(seed, size, sigma, TC)
+                yield sigma, TC, e, check_metatheory(sigma, TC, e)
+
+
+def test_the_stream_state_agrees_with_a_fresh_checker_per_term(
+        monkeypatch):
+    shared = list(_stream(list(_digest_envs())))
+    # Nothing shared: a new state, so a new checker, for every call.
+    monkeypatch.setattr(harness, "_environment", harness._Environment)
+    for sigma, TC, e, rep in shared:
+        assert check_metatheory(sigma, TC, e) == rep
+    assert [e for _, _, e, _ in shared] == \
+        [e for _, _, e, _ in _stream(_digest_envs())]
+
+
+_EQ_CLASS = (FdClassEntry("eq", "Eq", "a",
+                          IArrow(ITyVar("a"), IArrow(ITyVar("a"), IBool()))),)
+# An implementation of type Bool -> Bool where Eq Bool wants
+# Bool -> Bool -> Bool.
+_ILL_TYPED_SIGMA = (MethodImpl(
+    "D1_Eq", FdConstraintScheme((), (), FdQ("Eq", IBool())), "eq",
+    read_fd_expr("\\x : Bool. x")),)
+
+
+def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
+        monkeypatch):
+    sigma, TC = _ILL_TYPED_SIGMA, _EQ_CLASS
+    terms = [generate_fd_term(seed, 6, sigma, TC) for seed in (3, 4, 5)]
+    assert all("[D1_Eq]" in S.pretty(e) for e in terms)
+    checks = count_calls(monkeypatch, FdChecker, "_check_impl")
+    reports = [check_metatheory(sigma, TC, e) for e in terms]
+    for e, rep in zip(terms, reports):
+        assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
+                rep.fuel_ok) == (0, False, False, True)
+        assert rep.failing_term == (
+            f"{S.pretty(e)} : Mismatch: implementation of 'D1_Eq' has type "
+            f"Bool -> Bool, expected Bool -> Bool -> Bool")
+    assert len(checks) == len(terms)    # the failure is checked again
+    monkeypatch.setattr(harness, "_environment", harness._Environment)
+    assert reports == [check_metatheory(sigma, TC, e) for e in terms]
+
+
+def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
+    # Work counts over the fuzz digest: one implementation check per
+    # constructor and Σ, one closed_dicts per Σ, and every entry of the
+    # state keeps alive the sigma and TC it is keyed by.
+    checked = []
+    check_impl = FdChecker._check_impl
+
+    def counted(self, index):
+        con = self.sigma[index].con
+        if con not in self._impl_memo:
+            checked.append((id(self._impl_memo), con))
+        return check_impl(self, index)
+
+    monkeypatch.setattr(FdChecker, "_check_impl", counted)
+    derived = count_calls(monkeypatch, harness, "closed_dicts")
+    envs = list(_digest_envs())
+    for _ in _stream(envs):
+        assert 0 < len(harness._ENVIRONMENTS) <= harness._ENVIRONMENTS_KEPT
+        for key, env in harness._ENVIRONMENTS.items():
+            assert key == (id(env.sigma), id(env.TC))
+    assert len(checked) == len(set(checked)) == 5
+    assert sorted(con for _, con in checked) == \
+        sorted(entry.con for sigma, _ in envs for entry in sigma)
+    assert derived == [(sigma,) for sigma, _ in envs]
+
+
+def test_the_stream_state_keeps_a_fixed_number_of_environments():
+    sigma, TC = _ILL_TYPED_SIGMA, _EQ_CLASS
+    kept = harness._ENVIRONMENTS_KEPT
+    TCs = [tuple(list(TC)) for _ in range(kept + 3)]    # distinct objects
+    for tc in TCs:
+        check_metatheory(sigma, tc, ITrue())
+        assert len(harness._ENVIRONMENTS) <= kept
+    assert [env.TC for env in harness._ENVIRONMENTS.values()] == TCs[-kept:]
+    assert all(env.TC is tc for env, tc in
+               zip(harness._ENVIRONMENTS.values(), TCs[-kept:]))
+    # A use moves an environment to the most recent end.
+    check_metatheory(sigma, TCs[-kept], ITrue())
+    assert list(harness._ENVIRONMENTS.values())[-1].TC is TCs[-kept]

@@ -38,6 +38,33 @@ def test_script_succeeds(script, args, last_line):
     assert proc.stdout.splitlines()[-1] == last_line
 
 
+def test_fuzz_safety_checks_a_pinned_number_of_steps():
+    # The trace steps of these 50 terms, recorded before each method
+    # environment kept its state across terms: a speed-up must not come
+    # from checking fewer steps.
+    proc = run_script("fuzz_safety.py", "--count", "50", "--size", "6")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0] == "50 terms, 226 trace steps checked"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("script,args", [
+    ("fuzz_safety.py", ["--count", "3"]), ("run_corpus.py", []),
+])
+def test_scripts_exit_141_when_stdout_is_closed(script, args, unbuffered):
+    # The reader leaves before the first line: every write, or the flush
+    # of buffered output at the end, meets a closed pipe.
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen([sys.executable, str(SCRIPTS / script), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
 def test_run_corpus_reports_exhausted_fuel_as_a_failure():
     proc = run_script("run_corpus.py", "--fuel", "0")
     assert proc.returncode == 1, proc.stdout + proc.stderr
