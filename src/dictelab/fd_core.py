@@ -8,10 +8,14 @@ use instances declared before it), while evaluation of a method projection
 uses the full environment.
 
 This second translation step is deterministic: one term under one typing
-environment always gets the same type and the same target term. The
-enumerator shares subterms between elaborations, so a checker translates
-each shared (node, environment) pair once and reuses the result by object
-identity (hash-consing's idea, applied to results instead of nodes).
+environment always gets the same type and the same target term. So it
+translates a packed forest of derivations (`syntax.unpack`) too: a choice
+becomes the choice of its alternatives' translations, which must all have
+one type, and unpacking the result gives the translation of each
+derivation, in order. Forests share subforests, and derivations unpacked
+from one forest share subtrees, so a checker translates each shared (node,
+environment) pair once and reuses the result by object identity
+(hash-consing's idea, applied to results instead of nodes).
 
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 from .syntax import (
     DCon, DVar, DictBind, FdClassEntry, FdDict, FdExpr, FdQ, FdType,
-    IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall, ILam, ILet,
+    IApp, IArrow, IBool, IChoice, IDApp, IDLam, IFalse, IForall, ILam, ILet,
     IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    TApp, TArrow, TBool, TForall, TLam, TLet, TProj, TRecord, TRecordTy,
-    TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
+    TApp, TArrow, TBool, TChoice, TForall, TLam, TLet, TProj, TRecord,
+    TRecordTy, TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
     alpha_eq, dict_target_name, env_tyvars, rename_apart, subst_fd_dvar,
     subst_fd_var, subst_type,
@@ -306,6 +310,18 @@ class FdChecker:
                 rty, tb2 = self.check_expr(self._extend(env, TermBind(x, ty)),
                                            body)
                 return rty, TLet(x, self._elab(ty), tb, tb2)
+            case IChoice(alts) if alts:
+                check = self.check_dict if isinstance(alts[0], FdDict) \
+                    else self.check_expr
+                out = [check(env, alt) for alt in alts]
+                ty = out[0][0]
+                for other, _ in out[1:]:
+                    if not alpha_eq(other, ty):
+                        raise FdTypeError(
+                            MISMATCH,
+                            f"alternatives of one derivation have types "
+                            f"{S.pretty(ty)} and {S.pretty(other)}")
+                return ty, TChoice(tuple(te for _, te in out))
         raise TypeError(e)
 
     # -- dictionaries -------------------------------------------------------
@@ -357,6 +373,8 @@ class FdChecker:
                 for ta in arg_tes:
                     te = TApp(te, ta)
                 return subst_type(sc.head, inst), te
+            case IChoice():
+                return self.check_expr(env, d)
         raise TypeError(d)
 
     def _check_impl(self, index: int) -> TgtExpr:
@@ -535,6 +553,7 @@ _FD_FRAMES = {
 # Read-back order: types, then dictionaries, then terms. A value read back
 # for one sort has no variable of a later sort, so later passes keep it.
 _FD_SORTS = ("ic", "id", "iv")
+_FD_VALUES = frozenset({ITrue, IFalse, ILam, IDLam, ITyLam})
 
 
 def spend_fuel(fuel: int) -> int:
@@ -587,6 +606,8 @@ def fd_eval(sigma, e: FdExpr, fuel: int) -> FdExpr:
                     raise FdTypeError(STUCK,
                                       f"free dictionary variable {d.name!r}")
                 d, denv = closure
+            if type(d) is not DCon:
+                raise TypeError(d)  # no dictionary, a choice node for one
             fuel = spend_fuel(fuel)
             # Method lookup uses the full environment, unlike constructor
             # typing which sees only the prefix.
@@ -599,6 +620,8 @@ def fd_eval(sigma, e: FdExpr, fuel: int) -> FdExpr:
             stack.extend((IDApp, a, denv) for a in reversed(d.dict_args))
             stack.extend((ITyApp, t, denv) for t in reversed(d.type_args))
             e, env = entry.impl, {}
+        elif kind not in _FD_VALUES:
+            raise TypeError(e)      # no term, a choice node for one
         elif not stack:
             return S.read_back(e, env, _FD_SORTS)
         else:

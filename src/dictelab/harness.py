@@ -1,13 +1,19 @@
 """Executable checks over whole programs.
 
 `squares` yields one commuting square per derivation D and method
-environment Σ, direct(D, Σ) and composed(fd(D, Σ)). It builds both corners
-when the square is read; every check and command reads both translations
-from it. Each Σ's direct translator and `fd_env_wf`-validated checker are
-built once and kept by the `Declarations`, which both reports and every
-coherence context share: the reports take a typed program.
+environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check and
+command reads both translations from it. Both translations are
+homomorphisms over derivations, so each Σ translates the program's packed
+forest of derivations once per side, and the squares unpack the two
+translated forests beside the derivations. Each Σ's direct translator and
+`fd_env_wf`-validated checker are built once and kept by the
+`Declarations`, which both reports and every coherence context share: the
+reports take a typed program.
 Coherence: evaluate every elaboration along both pipelines and require
-Kleene-equal results. Decomposition: direct ≡α composed, square by square.
+Kleene-equal results. Decomposition: direct ≡α composed for every square.
+Equal translated forests unpack to equal squares, so decomposition
+compares the two forests of each Σ; only when they differ does it compare
+square by square, to name the derivations whose squares differ.
 Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
 intermediate typechecker/evaluator with seeded type-directed term
 generation. A stream of terms over one Σ shares that Σ's state: the per-Σ
@@ -92,20 +98,47 @@ method environment: direct(D, Σ) and composed(fd(D, Σ)). variant indexes
 sigma among them; checker is sigma's, which fd_env_wf validated."""
 
 
+def _environments(r):
+    """For each method environment Σ that r.fd_elabs reaches, in order:
+    the number of derivations read under Σ, the direct and composed
+    translations of r's forest (None if translating it raised) and the
+    squares, lazily. The checker and the direct translator of each Σ are
+    r.decls's, built when any result typed against r.decls first reads
+    Σ."""
+    for variant, (sigma, n) in enumerate(r.variants_read):
+        checker = r.decls.once(("checker", id(sigma)),
+                               lambda: fd_env_wf(sigma, r.fd_class_env))
+        direct = r.decls.direct(sigma)
+        try:
+            forests = direct(r.forest), checker.check_expr((), r.forest)[1]
+        except Exception:
+            # Not lost: the squares translate their derivations one at a
+            # time, and the one that holds the failing node raises again.
+            # A failing alternative past the cap is never read, as before.
+            forests = None
+        yield n, forests, _squares(r, variant, sigma, checker, direct, n,
+                                   forests)
+
+
+def _squares(r, variant, sigma, checker, direct, n, forests):
+    """The squares of the first n derivations of r under sigma: their
+    corners unpacked from the translated forests, or translated one
+    derivation at a time."""
+    elabs = r.elaborations[:n]
+    if forests:
+        corners = zip(*(S.unpack(f, n) for f in forests))
+    else:
+        corners = ((direct(ie), checker.check_expr((), ie)[1])
+                   for ie in elabs)
+    for ie, (d, c) in zip(elabs, corners):
+        yield Square(variant, sigma, checker, ie, d, c)
+
+
 def squares(r):
     """The square of each elaboration of r, lazily and in order;
-    consecutive elaborations share their sigma object. The checker and the
-    direct translator of each Σ are r.decls's, built at the first square
-    of Σ that any result typed against r.decls reads."""
-    variant, sigma = -1, None
-    for s, ie in r.fd_elabs:
-        if s is not sigma:
-            variant, sigma = variant + 1, s
-            checker = r.decls.once(("checker", id(sigma)),
-                                   lambda: fd_env_wf(sigma, r.fd_class_env))
-            direct = r.decls.direct(sigma)
-        yield Square(variant, sigma, checker, ie, direct(ie),
-                     checker.check_expr((), ie)[1])
+    consecutive elaborations share their sigma object."""
+    for _, _, sqs in _environments(r):
+        yield from sqs
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +220,28 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
 # ---------------------------------------------------------------------------
 
 def decomposition_report(r, program_name: str = "") -> DecompositionReport:
-    """Decomposition of the typed program r."""
-    sqs = list(squares(r))
-    mismatches = tuple(
-        Mismatch(S.pretty(sq.derivation), sq.variant,
-                 S.pretty(sq.direct), S.pretty(sq.composed))
-        for sq in sqs if not alpha_eq(sq.direct, sq.composed))
+    """Decomposition of the typed program r: per Σ, the two translated
+    forests, and square by square only where they differ."""
+    composed, mismatches = [], []
+    for n, forests, sqs in _environments(r):
+        if forests and S.forest_eq(*forests):
+            composed.extend(S.unpack(forests[1], n))
+            continue
+        for sq in sqs:
+            composed.append(sq.composed)
+            if not alpha_eq(sq.direct, sq.composed):
+                mismatches.append(Mismatch(
+                    S.pretty(sq.derivation), sq.variant,
+                    S.pretty(sq.direct), S.pretty(sq.composed)))
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
-        count_direct=len(sqs),
-        count_composed=len(sqs),
+        count_direct=len(composed),
+        count_composed=len(composed),
         truncated=r.fd_truncated,
         main_type=r.main_type,
-        composed=tuple(sq.composed for sq in sqs),
-        mismatches=mismatches)
+        composed=tuple(composed),
+        mismatches=tuple(mismatches))
 
 
 def check_coherence(p: SrcProgram, limits: Limits = Limits(),

@@ -17,17 +17,25 @@ which shares no code with `fd_core`) and through the intermediate
 language (`fd_core.FdChecker`), so decomposition stays a cross-check.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
-Enumeration order is fixed: local dictionary bindings in environment order
-before global instances in declaration order, context constraints resolved
-left to right, Cartesian products in that order. Every enumeration is lazy
-and pulls at most one alternative past `max_elaborations`, so the cap
-bounds the work, not only the output.
+The elaborating judgments return one packed forest of derivations (see
+`syntax.unpack`): an `IChoice` stands wherever resolution has
+alternatives, local dictionary bindings in environment order before
+global instances in declaration order, and a node whose children hold
+choices stands for their Cartesian product, constraints resolved left to
+right. Each judgment also returns its count of elaborations, capped at
+`max_elaborations`, and whether a cap cut it; the counts are computed from
+the counts of the factors, so no product is materialized. A judgment
+resolves each constraint once, and resolution stops adding alternatives
+once they exceed the cap, so the cap bounds the work, not only the output.
+Unpacking a forest up to the cap yields the capped enumeration in its
+order.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .syntax import (
     ClassDecl, DictBind, InstDecl, SrcConstraint, SrcConstraintScheme,
@@ -35,10 +43,11 @@ from .syntax import (
     SAnn, SApp, SArrow, SBool, SFalse, SHole, SLam, SLet, SMeth, STrue,
     STyVar, SVar,
     FdConstraintScheme, FdClassEntry, FdQ, FdType, MethodImpl,
-    DCon, DVar, IApp, IArrow, IBool, IDApp, IDLam, IForall, ILam, ILet,
-    IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar, FdExpr,
-    TApp, TArrow, TBool, TFalse, TForall, TLam, TLet, TProj, TRecord,
-    TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr,
+    DCon, DVar, IApp, IArrow, IBool, IChoice, IDApp, IDLam, IForall, ILam,
+    ILet, IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar,
+    FdExpr,
+    TApp, TArrow, TBool, TChoice, TFalse, TForall, TLam, TLet, TProj,
+    TRecord, TRecordTy, TTrue, TTyApp, TTyLam, TTyVar, TVar, TgtExpr,
     dict_target_name, env_tyvars, free_type_vars, frozen, rename_apart,
     subst_type,
 )
@@ -195,13 +204,17 @@ def _instantiate(head: FdExpr, types, dicts) -> FdExpr:
 # Constraint entailment
 # ---------------------------------------------------------------------------
 
-def _cap(items, limits: Limits, truncated: bool = False):
-    """The first max_elaborations items of an iterable and whether the
-    enumeration was cut; pulls at most one item more than it keeps."""
-    out = list(itertools.islice(items, limits.max_elaborations + 1))
-    if len(out) > limits.max_elaborations:
-        return out[:limits.max_elaborations], True
-    return out, truncated
+def _cap(count: int, limits: Limits, truncated: bool = False):
+    """A count of elaborations capped at max_elaborations, and whether the
+    enumeration was cut, here or (truncated) in a factor."""
+    if count > limits.max_elaborations:
+        return limits.max_elaborations, True
+    return count, truncated
+
+
+def _choice(alts):
+    """One derivation forest for the alternatives alts."""
+    return alts[0] if len(alts) == 1 else IChoice(tuple(alts))
 
 
 def _unresolved(truncated: bool, message: str) -> SrcTypeError:
@@ -211,16 +224,6 @@ def _unresolved(truncated: bool, message: str) -> SrcTypeError:
         return SrcTypeError("resource",
                             f"{message} (resolution limit reached)")
     return SrcTypeError("unsatisfiable", message)
-
-
-def _dedup(items):
-    """items without repeats, in order. Dictionaries have no binders, so
-    `==` is alpha-equivalence on them."""
-    seen = set()
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            yield x
 
 
 def _instance_matches(P, q: SrcConstraint):
@@ -244,40 +247,56 @@ def _instance_matches(P, q: SrcConstraint):
         yield entry, type_args, ctx
 
 
-def entail(P, env, q: SrcConstraint, limits: Limits, depth: int = 0):
-    """All resolutions of q as dictionaries, in DFS order."""
+def entail(P, env, q: SrcConstraint, limits: Limits, depth: int = 0,
+           memo=None):
+    """The resolutions of q as one dictionary forest, with their capped
+    count and whether a cap cut them; an empty choice if there are none.
+    memo holds the resolutions already made in env, by constraint and
+    depth: a constraint met again is resolved once."""
+    memo = {} if memo is None else memo
+    key = (q, depth)
+    if key not in memo:
+        memo[key] = _resolve(P, env, q, limits, depth, memo)
+    return memo[key]
+
+
+def _resolve(P, env, q, limits, depth, memo):
     if depth >= limits.max_depth:
-        return [], True
-    truncated = False
-
-    def resolutions():
-        nonlocal truncated
-        for bind in env:
-            if isinstance(bind, DictBind) and bind.q == q:
-                yield DVar(bind.name)
-        tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
-        for entry, type_args, ctx in _instance_matches(P, q):
-            arg_lists, t = _entail_all(P, env, ctx, limits, depth + 1)
-            types = tuple(elab_mono(tyvars, ty) for ty in type_args)
-            truncated |= t
-            for ds in arg_lists:
-                yield DCon(entry.con, types, tuple(ds))
-
-    out, cut = _cap(_dedup(resolutions()), limits)
-    return out, cut or truncated
-
-
-def _entail_all(P, env, qs, limits, depth):
-    """Resolve a constraint list left to right; Cartesian product."""
-    lists = []
-    truncated = False
-    for q in qs:
-        alts, t = entail(P, env, q, limits, depth)
+        return IChoice(()), 0, True
+    alts, truncated = [], False
+    for bind in env:
+        # A shadowed binding gives the same derivation as its shadow.
+        if isinstance(bind, DictBind) and bind.q == q \
+                and DVar(bind.name) not in alts:
+            alts.append(DVar(bind.name))
+    count = len(alts)
+    tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
+    for entry, type_args, ctx in _instance_matches(P, q):
+        if count > limits.max_elaborations:
+            break   # later alternatives lie past the cap
+        args, n, t = _entail_all(P, env, ctx, limits, depth + 1, memo)
+        types = tuple(elab_mono(tyvars, ty) for ty in type_args)
         truncated |= t
-        if not alts:
-            return [], truncated
-        lists.append(alts)
-    return _cap(itertools.product(*lists), limits, truncated)
+        if n:
+            alts.append(DCon(entry.con, types, args))
+            count += n
+    count, cut = _cap(count, limits)
+    return _choice(alts), count, cut or truncated
+
+
+def _entail_all(P, env, qs, limits, depth, memo):
+    """Resolve a constraint list left to right: one dictionary forest per
+    constraint, and the capped count of their Cartesian product."""
+    forests, count, truncated = [], 1, False
+    for q in qs:
+        d, n, t = entail(P, env, q, limits, depth, memo)
+        truncated |= t
+        if not n:
+            return (), 0, truncated
+        forests.append(d)
+        count = min(count * n, limits.max_elaborations + 1)
+    count, cut = _cap(count, limits, truncated)
+    return tuple(forests), count, cut
 
 
 # ---------------------------------------------------------------------------
@@ -295,27 +314,24 @@ def _let_dict_vars(name: str, qs) -> tuple[str, ...]:
 
 
 def infer(P, GC, env, e: SrcExpr, limits: Limits):
-    """Returns (type, elaborations, truncated)."""
+    """Returns (type, elaboration forest, count, truncated)."""
     match e:
         case STrue():
-            return SBool(), [ITrue()], False
+            return SBool(), ITrue(), 1, False
         case SFalse():
-            return SBool(), [IFalse()], False
+            return SBool(), IFalse(), 1, False
         case SApp(f, a):
-            fty, falts, t1 = infer(P, GC, env, f, limits)
+            fty, ff, n1, t1 = infer(P, GC, env, f, limits)
             if not isinstance(fty, SArrow):
                 raise SrcTypeError(
                     "mismatch",
                     f"applied a non-function of type {S.pretty(fty)}")
-            aalts, t2 = check(P, GC, env, a, fty.left, limits)
-            alts, trunc = _cap(
-                itertools.starmap(IApp, itertools.product(falts, aalts)),
-                limits, t1 | t2)
-            return fty.right, alts, trunc
+            fa, n2, t2 = check(P, GC, env, a, fty.left, limits)
+            return (fty.right, IApp(ff, fa),
+                    *_cap(n1 * n2, limits, t1 | t2))
         case SAnn(inner, ty):
             elab_mono(env_tyvars(env), ty)  # well-formedness
-            alts, t = check(P, GC, env, inner, ty, limits)
-            return ty, alts, t
+            return (ty, *check(P, GC, env, inner, ty, limits))
         case SLet(x, sch, bound, body):
             _check_no_method_shadow(GC, x)
             if not unambig_scheme(sch):
@@ -329,19 +345,15 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
             env1 = (tuple(env)
                     + tuple(TyVarBind(a) for a in sch.binders)
                     + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            balts, t1 = check(P, GC, env1, bound, sch.head, limits)
+            fb, n1, t1 = check(P, GC, env1, bound, sch.head, limits)
             closed_scheme = SrcScheme(sch.binders, closed, sch.head)
             env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, alts2, t2 = infer(P, GC, env2, body, limits)
+            bty, fbody, n2, t2 = infer(P, GC, env2, body, limits)
             bound_ty = elab_type(GC, env, closed_scheme)
             qtys = [elab_constraint(GC, env_tyvars(env1), q) for q in closed]
-            wrapped = [_abstract(sch.binders, dvars, qtys, e1)
-                       for e1 in balts]
-            out, trunc = _cap(
-                (ILet(x, bound_ty, e1, e2)
-                 for e1, e2 in itertools.product(wrapped, alts2)),
-                limits, t1 | t2)
-            return bty, out, trunc
+            return (bty, ILet(x, bound_ty, _abstract(sch.binders, dvars, qtys,
+                                                     fb), fbody),
+                    *_cap(n1 * n2, limits, t1 | t2))
         case SVar(name) | SMeth(name):
             raise SrcTypeError(
                 "not-inferable",
@@ -355,7 +367,7 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
 
 
 def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
-    """Returns (elaborations, truncated)."""
+    """Returns (elaboration forest, count, truncated)."""
     match e:
         case SVar(name):
             sch = _freshen_scheme(lookup_term(env, name),
@@ -365,17 +377,17 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                 raise SrcTypeError(
                     "mismatch",
                     f"{name!r} cannot be used at type {S.pretty(ty)}")
-            arg_lists, truncated = _entail_all(
-                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0)
-            if not arg_lists:
+            args, n, truncated = _entail_all(
+                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0,
+                {})
+            if not n:
                 raise _unresolved(
                     truncated,
                     f"cannot satisfy the constraints of {name!r} at "
                     f"{S.pretty(ty)}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
             types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
-            return ([_instantiate(IVar(name), types, ds)
-                     for ds in arg_lists], truncated)
+            return _instantiate(IVar(name), types, args), n, truncated
         case SMeth(name):
             entry = lookup_method(GC, name)
             full = SrcScheme((entry.var,) + entry.scheme.binders,
@@ -391,21 +403,22 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"method {name!r} cannot be used at type {S.pretty(ty)}")
             class_q = SrcConstraint(entry.cls, sigma[class_var])
-            d_alts, t0 = entail(P, env, class_q, limits)
-            if not d_alts:
+            memo = {}
+            d, n0, t0 = entail(P, env, class_q, limits, 0, memo)
+            if not n0:
                 raise _unresolved(
                     t0, f"cannot resolve {S.pretty(class_q)} for method "
                         f"{name!r}")
-            arg_lists, t1 = _entail_all(
-                P, env, [subst_type(q, sigma) for q in full.context], limits, 0)
-            if not arg_lists:
+            args, n1, t1 = _entail_all(
+                P, env, [subst_type(q, sigma) for q in full.context], limits,
+                0, memo)
+            if not n1:
                 raise _unresolved(
                     t1, f"cannot satisfy the constraints of method {name!r}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
             types = [elab_mono(tyvars, sigma[a]) for a in meth_binders]
-            return _cap((_instantiate(IMethod(d, name), types, ds)
-                         for d in d_alts for ds in arg_lists),
-                        limits, t0 | t1)
+            return (_instantiate(IMethod(d, name), types, args),
+                    *_cap(n0 * n1, limits, t0 | t1))
         case SLam(x, body):
             _check_no_method_shadow(GC, x)
             if not isinstance(ty, SArrow):
@@ -413,16 +426,16 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"lambda checked against non-function type {S.pretty(ty)}")
             env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            alts, truncated = check(P, GC, env1, body, ty.right, limits)
+            fb, n, truncated = check(P, GC, env1, body, ty.right, limits)
             arg_ty = elab_mono(env_tyvars(env), ty.left)
-            return [ILam(x, arg_ty, e1) for e1 in alts], truncated
+            return ILam(x, arg_ty, fb), n, truncated
         case _:
-            ity, alts, truncated = infer(P, GC, env, e, limits)
+            ity, forest, n, truncated = infer(P, GC, env, e, limits)
             if ity != ty:
                 raise SrcTypeError(
                     "mismatch",
                     f"inferred {S.pretty(ity)} but expected {S.pretty(ty)}")
-            return alts, truncated
+            return forest, n, truncated
 
 
 def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
@@ -519,16 +532,16 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                          for dv, q in zip(meth_dvars, meth_ctx)))
     # Superclass constraints of the class must hold at the instance type.
     for sup in cls.superclasses:
-        alts, truncated = entail(P, local_env, SrcConstraint(sup, d.head),
+        _, n, truncated = entail(P, local_env, SrcConstraint(sup, d.head),
                                  limits)
-        if not alts:
+        if not n:
             raise _unresolved(
                 truncated,
                 f"superclass {sup!r} of {d.cls!r} is not derivable at "
                 f"{S.pretty(d.head)}")
     body = resolve_names(GC, d.body)
-    body_fd, truncated = check(P, GC, local_env, body, meth_head, limits)
-    if not body_fd:
+    forest, n, truncated = check(P, GC, local_env, body, meth_head, limits)
+    if not n:
         raise _unresolved(
             truncated, f"instance body for {con!r} has no elaboration")
     fd_scheme = FdConstraintScheme(
@@ -541,7 +554,8 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                      meth_qtys=tuple(elab_constraint(GC, meth_vars, q)
                                      for q in meth_ctx),
                      meth_dvars=meth_dvars,
-                     body_fd=tuple(body_fd), truncated=truncated)
+                     body_fd=tuple(S.unpack(forest, n)),
+                     truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +661,8 @@ class DirectTranslator:
                 c = self.classes[cls]
                 return TRecordTy(((c.method, subst_type(
                     tr(c.method_type), {c.var: tr(arg)})),))
+            case IChoice(alts):
+                return TChoice(tuple(map(tr, alts)))
         raise TypeError(node)
 
     def _abstract(self, binders, dvars, qtys, body: TgtExpr) -> TgtExpr:
@@ -697,8 +713,8 @@ class ProgramResult:
     main_type: SrcMono
     main: SrcExpr       # with method names resolved
     decls: Declarations
-    # (method environment variant, main elaboration) pairs, variant-major.
-    fd_elabs: tuple
+    forest: FdExpr      # every elaboration of main, packed
+    count: int          # elaborations of main under one Σ, capped
     fd_truncated: bool
 
     GC = property(lambda self: self.decls.GC)
@@ -707,10 +723,37 @@ class ProgramResult:
     tgt_truncated = property(lambda self: self.fd_truncated)
 
     @functools.cached_property
+    def variants_read(self) -> tuple:
+        """(Σ, n) for each method environment that the cap reaches, in
+        order: the pairs of fd_elabs are the first n elaborations of main
+        under each Σ."""
+        out, left = [], self.decls.limits.max_elaborations
+        for sigma, _ in self.decls.variants:
+            n = min(self.count, left)
+            if n <= 0:
+                break
+            out.append((sigma, n))
+            left -= n
+        return tuple(out)
+
+    @functools.cached_property
+    def elaborations(self) -> tuple:
+        """The elaborations of main, unpacked once for every Σ."""
+        return tuple(S.unpack(self.forest, self.count))
+
+    @functools.cached_property
+    def fd_elabs(self) -> tuple:
+        """(method environment, main elaboration) pairs, variant-major."""
+        return tuple((sigma, ie) for sigma, n in self.variants_read
+                     for ie in self.elaborations[:n])
+
+    @functools.cached_property
     def tgt_elabs(self) -> tuple:
-        """The direct target of each pair of fd_elabs, translated once."""
-        return tuple(self.decls.direct(sigma)(ie)
-                     for sigma, ie in self.fd_elabs)
+        """The direct target of each pair of fd_elabs: the forest,
+        translated once per Σ, unpacked."""
+        return tuple(te for sigma, n in self.variants_read
+                     for te in S.unpack(self.decls.direct(sigma)(self.forest),
+                                        n))
 
 
 def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
@@ -722,20 +765,20 @@ def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
         else:
             P = P + (typecheck_instance(P, GC, d, limits),)
     # Method environments differ only in their choice of instance bodies.
-    choices, truncated = _cap(itertools.product(*(e.body_fd for e in P)),
-                              limits, any(e.truncated for e in P))
+    count, truncated = _cap(math.prod(len(e.body_fd) for e in P), limits,
+                            any(e.truncated for e in P))
+    choices = itertools.product(*(e.body_fd for e in P))
     variants = tuple((tuple(map(_method_impl, P, bodies)), bodies)
-                     for bodies in choices)
+                     for bodies in itertools.islice(choices, count))
     return Declarations(GC, P, elab_class_env(GC), variants, truncated, limits)
 
 
 def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:
     main = resolve_names(decls.GC, main)
-    main_type, fd_main, t = infer(decls.P, decls.GC, (), main, decls.limits)
-    pairs, truncated = _cap(((sigma, ie) for sigma, _ in decls.variants
-                             for ie in fd_main),
-                            decls.limits, t | decls.truncated)
-    return ProgramResult(main_type, main, decls, tuple(pairs), truncated)
+    main_type, forest, n, t = infer(decls.P, decls.GC, (), main, decls.limits)
+    _, truncated = _cap(len(decls.variants) * n, decls.limits,
+                        t | decls.truncated)
+    return ProgramResult(main_type, main, decls, forest, n, truncated)
 
 
 def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult:

@@ -9,9 +9,12 @@ short run. One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
-every language. One notation table gives each node class its binding level
-and its printed form over its fields; `pretty` is one walker over it that
-adds the parentheses precedence needs, for all three languages.
+every language; so do the two walks over packed forests of derivations,
+in which choice nodes (`IChoice`, `TChoice`) stand for alternatives:
+`unpack` and `forest_eq`. One notation table gives each node class its
+binding level and its printed form over its fields; `pretty` is one
+walker over it that adds the parentheses precedence needs, for all three
+languages. Choice nodes have no notation: they are never printed.
 """
 
 from __future__ import annotations
@@ -371,6 +374,14 @@ class ILet(FdExpr):
 
 
 @frozen
+class IChoice:
+    """The derivations of one judgment, terms or dictionaries, that the
+    typer found in place of one (an OR node of a packed forest, see
+    `unpack`). Never printed or evaluated."""
+    alts: tuple
+
+
+@frozen
 class MethodImpl:
     """One entry of the global method environment."""
     con: str
@@ -497,6 +508,12 @@ class TLet(TgtExpr):
     body: TgtExpr
 
 
+@frozen
+class TChoice:
+    """The translations of the alternatives of one IChoice, in order."""
+    alts: tuple
+
+
 # ---------------------------------------------------------------------------
 # Typing-environment building blocks (shared shape across languages)
 # ---------------------------------------------------------------------------
@@ -600,6 +617,7 @@ _TYPE_SORT = {
     FdType: "ic", FdQ: "ic", FdConstraintScheme: "ic", FdDict: "ic",
     FdExpr: "ic",
     TgtType: "ta", TgtExpr: "ta",
+    IChoice: "ic", TChoice: "ta",
 }
 
 
@@ -792,6 +810,98 @@ def _alpha_walk(a, b) -> bool:
         return True
 
     return go(a, b, {}, {})
+
+
+# ---------------------------------------------------------------------------
+# Packed forests
+#
+# A forest is a node of the intermediate or the target language in which
+# choice nodes stand where a judgment had alternatives. It stands for the
+# trees made by replacing every occurrence of a choice by one of its
+# alternatives, independently at each occurrence. A subforest may occur
+# many times (the typer resolves a constraint once per judgment), so a
+# forest is a DAG whose trees can outnumber its nodes exponentially. Both
+# walks below visit each shared object once.
+# ---------------------------------------------------------------------------
+
+_TYPES = (FdType, FdQ, TgtType)
+
+
+def unpack(forest, limit: int) -> list:
+    """The first limit trees of forest, in lexicographic order: the choice
+    occurrences in pre-order (fields left to right), the first varying
+    slowest, each over its alternatives in order. So the trees of a
+    forest of enumerated judgments come in the order of their Cartesian
+    products, and its first limit trees are the products of the first
+    limit trees of the factors. Each subforest is unpacked once, to at
+    most limit trees, and a subtree without choices is shared by every
+    tree, as is each tree of a subforest."""
+    memo: dict = {}     # id(subforest) -> its trees, or None if it has none
+
+    def trees(x):
+        if type(x) is str:
+            return None
+        key = id(x)
+        if key not in memo:
+            memo[key] = build(x)
+        return memo[key]
+
+    def build(x):
+        cls = type(x)
+        if cls is IChoice or cls is TChoice:
+            out = []
+            for alt in x.alts:
+                if len(out) >= limit:
+                    break
+                alt_trees = trees(alt)
+                out.extend((alt,) if alt_trees is None else alt_trees)
+            return out[:limit]
+        if cls is tuple:
+            parts = x
+        else:
+            shape = _SHAPES.get(cls)
+            if shape is None or shape.var or issubclass(cls, _TYPES):
+                return None
+            parts = [getattr(x, f) for f in shape.fields]
+        part_trees = [trees(p) for p in parts]
+        if all(t is None for t in part_trees):
+            return None
+        combinations = itertools.islice(itertools.product(*[
+            (p,) if t is None else t for p, t in zip(parts, part_trees)]),
+            limit)
+        if cls is tuple:
+            return list(combinations)
+        return [cls(*c) for c in combinations]
+
+    out = trees(forest)
+    return [forest][:limit] if out is None else out
+
+
+def forest_eq(a, b) -> bool:
+    """a == b on two forests, comparing each pair of shared subforests
+    once: equal forests have equal trees, pairwise in unpacking order."""
+    same = set()
+
+    def go(x, y):
+        if x is y:
+            return True
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is tuple:
+            return len(x) == len(y) and all(map(go, x, y))
+        shape = _SHAPES.get(cls)
+        if shape is None or issubclass(cls, _TYPES):
+            return x == y
+        key = (id(x), id(y))
+        if key not in same:
+            if not all(go(getattr(x, f), getattr(y, f))
+                       for f in shape.fields):
+                return False
+            same.add(key)
+        return True
+
+    return go(a, b)
 
 
 def unify(t1, t2, vars: set[str]):

@@ -108,6 +108,7 @@ _TGT_FRAMES = {
     TProj: (TRecord, None, "stuck projection"),
 }
 _TGT_SORTS = ("ta", "tv")
+_TGT_VALUES = frozenset({TTrue, TFalse, TLam, TTyLam, TRecord})
 
 
 def tgt_eval(e: TgtExpr, fuel: int) -> TgtExpr:
@@ -145,6 +146,8 @@ def tgt_eval(e: TgtExpr, fuel: int) -> TgtExpr:
             fuel = spend_fuel(fuel)
             env = {**env, ("tv", e.name): (e.bound, env)}
             e = e.body
+        elif kind not in _TGT_VALUES:
+            raise TypeError(e)      # no term, a choice node for one
         elif not stack:
             return read_back(e, env, _TGT_SORTS)
         else:

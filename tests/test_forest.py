@@ -1,0 +1,216 @@
+"""The packed derivation forest against the enumeration it replaced.
+
+The typer returns one forest per judgment; `syntax.unpack` reads its trees
+in lexicographic order. What every consumer sees must be what the capped
+Cartesian products produced before: the same elaborations, in the same
+order, with the same truncation flags and errors.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from dictelab import fd_core, harness, source_typer, syntax as S, target_core
+from dictelab.fd_core import FdChecker
+from dictelab.harness import DecompositionReport, Mismatch
+from dictelab.parser import parse_program
+from dictelab.source_typer import DirectTranslator, Limits, typecheck_program
+
+from conftest import (POSITIVE, corpus_text, count_calls, flex_source,
+                      tower_source, wide_source)
+from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT, SELF_SUPPORT_TWICE
+
+# ---------------------------------------------------------------------------
+# Decomposition over forests against decomposition square by square
+# ---------------------------------------------------------------------------
+
+def ladder_programs():
+    """name -> source of the corpus and the ladder rungs the differential
+    and escape checks run on."""
+    out = {name: corpus_text(name) for name in POSITIVE}
+    out.update({f"flex{n}": flex_source(n) for n in range(1, 9)})
+    out.update({f"wide{k}": wide_source(k) for k in (1, 2, 3)})
+    out.update({f"tower{d}": tower_source(d) for d in range(1, 9)})
+    return out
+
+
+LADDERS = ladder_programs()
+
+
+def reference_decomposition(r, program_name=""):
+    """Decomposition as it was checked before forests: each unpacked
+    derivation translated by fresh translators, each square compared by
+    alpha_eq."""
+    variants = r.decls.variants
+    composed, mismatches = [], []
+    for sigma, ie in r.fd_elabs:
+        variant = next(i for i, (s, _) in enumerate(variants) if s is sigma)
+        direct = DirectTranslator(r.fd_class_env, r.P,
+                                  variants[variant][1])(ie)
+        te = FdChecker(sigma, r.fd_class_env).check_expr((), ie)[1]
+        composed.append(te)
+        if not S.alpha_eq(direct, te):
+            mismatches.append(Mismatch(S.pretty(ie), variant,
+                                       S.pretty(direct), S.pretty(te)))
+    return DecompositionReport(program_name, not mismatches, len(composed),
+                               len(composed), r.fd_truncated, r.main_type,
+                               tuple(composed), tuple(mismatches))
+
+
+def fields(rep: DecompositionReport):
+    return (rep.equal, rep.count_direct, rep.count_composed, rep.truncated,
+            [S.pretty(te) for te in rep.composed], rep.mismatches)
+
+
+def assert_matches_reference(src) -> DecompositionReport:
+    r = typecheck_program(parse_program(src))
+    rep = harness.decomposition_report(r)
+    assert fields(rep) == fields(reference_decomposition(r))
+    return rep
+
+
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_decomposition_agrees_with_the_square_by_square_reference(name):
+    assert assert_matches_reference(LADDERS[name]).equal
+
+
+def _drop_type_applications(monkeypatch):
+    translate = DirectTranslator._translate
+
+    def dropping(self, node):
+        if isinstance(node, S.ITyApp):
+            return self(node.fun)
+        return translate(self, node)
+    monkeypatch.setattr(DirectTranslator, "_translate", dropping)
+
+
+def _mislabel_record_fields(monkeypatch):
+    wrap = FdChecker._wrap_record
+
+    def mislabelled(self, entry, te_impl):
+        renamed = S.MethodImpl(entry.con, entry.scheme, entry.method + "'",
+                               entry.impl)
+        return wrap(self, renamed, te_impl)
+    monkeypatch.setattr(FdChecker, "_wrap_record", mislabelled)
+
+
+@pytest.mark.parametrize("fault,broken", [
+    # P1 and P2 instantiate a polymorphic let at Bool; nothing else does.
+    (_drop_type_applications, {"P1", "P2"}),
+    # Every program resolves some constraint through an instance, whose
+    # dictionary is a record.
+    (_mislabel_record_fields, set(LADDERS)),
+])
+def test_a_broken_translation_falls_back_to_naming_each_square(
+        monkeypatch, fault, broken):
+    fault(monkeypatch)
+    failed = {name for name, src in LADDERS.items()
+              if not assert_matches_reference(src).equal}
+    assert failed == broken
+
+
+def test_a_forest_that_fails_to_translate_is_checked_square_by_square(
+        monkeypatch):
+    # A checker that rejects every choice still checks each derivation.
+    infer = FdChecker._infer
+
+    def no_choices(self, env, e):
+        if isinstance(e, S.IChoice):
+            raise fd_core.FdTypeError(fd_core.MISMATCH, "no choices here")
+        return infer(self, env, e)
+    monkeypatch.setattr(FdChecker, "_infer", no_choices)
+    rep = assert_matches_reference(wide_source(2))
+    assert rep.equal and rep.count_composed == 256
+
+
+# ---------------------------------------------------------------------------
+# Work
+# ---------------------------------------------------------------------------
+
+def test_decomposition_work_grows_with_the_program_not_its_squares(
+        monkeypatch):
+    # wide(k) has 16^k elaborations, of which 256 are read from k = 2 on;
+    # both translations see each node of the forest once, so their work
+    # grows by the same few calls per constraint of f.
+    counts = []
+    for k in range(1, 7):
+        r = typecheck_program(parse_program(wide_source(k)))
+        checked = count_calls(monkeypatch, FdChecker, "_infer")
+        translated = count_calls(monkeypatch, DirectTranslator, "_translate")
+        rep = harness.decomposition_report(r)
+        monkeypatch.undo()
+        assert rep.equal and rep.count_composed == min(16 ** k, 256)
+        counts.append((len(checked), len(translated)))
+    steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(counts, counts[1:])}
+    assert len(steps) == 1
+    assert counts[-1][0] < 100 and counts[-1][1] < 250
+
+
+@pytest.mark.parametrize("instance", [SELF_SUPPORT, SELF_SUPPORT_TWICE])
+def test_resolution_work_is_linear_in_the_depth_cap(monkeypatch, instance):
+    # The self-supporting instance resolves Eq Bool through itself until
+    # the depth cap; with a context of two Eq a, unshared resolution would
+    # double its work at every level.
+    calls = count_calls(monkeypatch, source_typer, "_resolve")
+    for depth in (8, 16, 32):
+        calls.clear()
+        r = typecheck_program(parse_program(instance + LOCAL_EQ),
+                              Limits(max_depth=depth))
+        assert r.fd_truncated and r.fd_elabs
+        assert len(calls) == depth + 1
+
+
+# ---------------------------------------------------------------------------
+# Choice nodes stay inside the forest
+# ---------------------------------------------------------------------------
+
+def choices_in(x) -> int:
+    """The number of choice nodes in a tree, or in a tuple of trees."""
+    if type(x) is tuple:
+        return sum(map(choices_in, x))
+    shape = S._SHAPES.get(type(x))
+    if shape is None:
+        return 0
+    return isinstance(x, (S.IChoice, S.TChoice)) + sum(
+        choices_in(getattr(x, f)) for f in shape.fields)
+
+
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_no_choice_node_escapes_a_public_result(name):
+    r = typecheck_program(parse_program(LADDERS[name]))
+    results = [ie for _, ie in r.fd_elabs] + list(r.tgt_elabs)
+    for sq in harness.squares(r):
+        results += [sq.derivation, sq.direct, sq.composed]
+    results += harness.decomposition_report(r).composed
+    results += harness.coherence_report(r).composed
+    results += [body for entry in r.P for body in entry.body_fd]
+    results += [m.impl for sigma, _ in r.decls.variants for m in sigma]
+    assert r.fd_elabs and not any(map(choices_in, results))
+
+
+FOREIGN = S.TermBind("x", S.IBool())    # no node of any language
+
+
+@pytest.mark.parametrize("run,choice,foreign", [
+    (S.pretty, S.IChoice(()), FOREIGN),
+    (S.pretty, S.TChoice(()), FOREIGN),
+    (lambda e: fd_core.fd_eval((), e, 10), S.IChoice((S.ITrue(),)),
+     S.STrue()),
+    (lambda e: fd_core.fd_eval((), S.IApp(e, S.ITrue()), 10),
+     S.IChoice((S.ILam("x", S.IBool(), S.IVar("x")),)), S.STrue()),
+    (lambda d: fd_core.fd_eval((), S.IMethod(d, "eq"), 10),
+     S.IChoice((S.DCon("D1_Eq", (), ()),)), S.STrue()),
+    (lambda e: target_core.tgt_eval(e, 10), S.TChoice((S.TTrue(),)),
+     S.ITrue()),
+    (lambda e: target_core.tgt_eval(S.TProj(e, "eq"), 10),
+     S.TChoice((S.TRecord((("eq", S.TTrue()),)),)), S.ITrue()),
+])
+def test_a_choice_is_rejected_like_any_node_outside_the_language(
+        run, choice, foreign):
+    messages = []
+    for node in (choice, foreign):
+        with pytest.raises(TypeError) as exc:
+            run(node)
+        messages.append(str(exc.value).replace(repr(node), "X")
+                        .replace(type(node).__name__, "X"))
+    assert messages[0] == messages[1]

@@ -29,6 +29,13 @@ from strategies import src_mono
 LIMITS = Limits()
 
 
+def enumerated(forest, count, truncated):
+    """A judgment's forest unpacked up to its count: the list of
+    alternatives and the flag the judgment returned before it packed
+    them."""
+    return S.unpack(forest, count), truncated
+
+
 def _class(name, supers=(), method=None, var="a", head=None):
     head = head or SArrow(STyVar(var), SBool())
     return ClassEntry(method or name.lower(), tuple(supers), name, var,
@@ -240,7 +247,8 @@ def _eq_instances():
 def test_entail_local_before_instance():
     P, _ = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, truncated = entail(P, env, SrcConstraint("Eq", SBool()), LIMITS)
+    out, truncated = enumerated(*entail(P, env, SrcConstraint("Eq", SBool()),
+                                        LIMITS))
     assert not truncated
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
@@ -248,14 +256,15 @@ def test_entail_local_before_instance():
 def test_entail_recursive_instance():
     P, _ = _eq_instances()
     want = SrcConstraint("Eq", SArrow(SBool(), SBool()))
-    out, _ = entail(P, (), want, LIMITS)
+    out, _ = enumerated(*entail(P, (), want, LIMITS))
     assert out == [DCon("D2_Eq", (S.IBool(),), (DCon("D1_Eq", (), ()),))]
 
 
 def test_entail_unsatisfiable_is_empty():
     P, _ = _eq_instances()
     env = (TyVarBind("b"),)
-    out, truncated = entail(P, env, SrcConstraint("Eq", STyVar("b")), LIMITS)
+    out, truncated = enumerated(*entail(
+        P, env, SrcConstraint("Eq", STyVar("b")), LIMITS))
     assert out == [] and not truncated
 
 
@@ -264,7 +273,8 @@ def test_entail_resolves_a_shadowed_dictionary_once():
     # bindings give the same derivation.
     P, _ = _eq_instances()
     bind = DictBind("d", SrcConstraint("Eq", SBool()))
-    out, _ = entail(P, (bind, bind), SrcConstraint("Eq", SBool()), LIMITS)
+    out, _ = enumerated(*entail(P, (bind, bind), SrcConstraint("Eq", SBool()),
+                                LIMITS))
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
 
@@ -315,13 +325,13 @@ def _direct(P, GC):
 def test_entail_tgt_local_uses_reserved_prefix():
     P, GC = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, _ = entail(P, env, SrcConstraint("Eq", SBool()), LIMITS)
+    out, _ = enumerated(*entail(P, env, SrcConstraint("Eq", SBool()), LIMITS))
     assert _direct(P, GC)(out[0]) == S.TVar("$d_d")
 
 
 def test_entail_tgt_zero_arity_instance_is_bare_record():
     P, GC = _eq_instances()
-    out, _ = entail(P, (), SrcConstraint("Eq", SBool()), LIMITS)
+    out, _ = enumerated(*entail(P, (), SrcConstraint("Eq", SBool()), LIMITS))
     (d,) = out
     rec = _direct(P, GC)(d)
     assert isinstance(rec, S.TRecord)
@@ -337,8 +347,8 @@ def test_entail_depth_limit_truncates_self_support():
         "instance Eq a => Eq a where { eq = \\x. \\y. True };\n"
         "True")
     r = typecheck_program(p, Limits(max_depth=8))
-    out, truncated = entail(r.P, (), SrcConstraint("Eq", SBool()),
-                            Limits(max_depth=8))
+    out, truncated = enumerated(*entail(r.P, (), SrcConstraint("Eq", SBool()),
+                                        Limits(max_depth=8)))
     assert out == [] and truncated
 
 
@@ -382,16 +392,17 @@ def test_cap_bounds_the_work_on_a_wide_product():
 # ---------------------------------------------------------------------------
 
 def test_infer_true():
-    ty, alts, truncated = infer((), (), (), S.STrue(), LIMITS)
+    ty, *forest = infer((), (), (), S.STrue(), LIMITS)
+    alts, truncated = enumerated(*forest)
     assert ty == SBool() and alts == [S.ITrue()] and not truncated
 
 
 def test_check_method_against_local_dict():
     P, GC = _eq_instances()
     env = (TyVarBind("a"), DictBind("d", SrcConstraint("Eq", STyVar("a"))))
-    alts, _ = check(P, GC, env, S.SMeth("eq"),
-                    SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())),
-                    LIMITS)
+    alts, _ = enumerated(*check(
+        P, GC, env, S.SMeth("eq"),
+        SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())), LIMITS))
     assert alts == [S.IMethod(DVar("d"), "eq")]
 
 
