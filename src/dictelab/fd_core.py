@@ -1,21 +1,25 @@
 """The intermediate language: System F with first-class dictionaries.
 
-Typechecking doubles as elaboration into the record-based target: every
-typing rule emits the corresponding target term, so one traversal yields
-both the type and the translation. Dictionary constructors are typed
-against the strict prefix of the method environment (an instance may only
-use instances declared before it), while evaluation of a method projection
-uses the full environment.
+Typing is one judgment (`FdChecker.check_expr` and `check_dict`): it
+returns a type and builds nothing else, so walking an evaluation trace
+types each step and never translates it. Dictionary constructors are
+typed against the strict prefix of the method environment (an instance
+may only use instances declared before it), while evaluation of a method
+projection uses the full environment.
 
-This second translation step is deterministic: one term under one typing
-environment always gets the same type and the same target term. So it
+The composed corner of the commuting square is a second, structural walk
+over a typed term (`FdChecker.translate`): each typing rule's
+corresponding target term, with a dictionary constructor becoming its
+implementation's translation closing over a record. It reads no typing
+environment, so one node always gets the same target term, and it
 translates a packed forest of derivations (`syntax.unpack`) too: a choice
-becomes the choice of its alternatives' translations, which must all have
-one type, and unpacking the result gives the translation of each
-derivation, in order. Forests share subforests, and derivations unpacked
-from one forest share subtrees, so a checker translates each shared (node,
-environment) pair once and reuses the result by object identity
-(hash-consing's idea, applied to results instead of nodes).
+becomes the choice of its alternatives' translations, which typing has
+checked to have one type, and unpacking the result gives the translation
+of each derivation, in order. Forests share subforests, and derivations
+unpacked from one forest share subtrees, so a checker types each shared
+(node, environment) pair once and translates each shared node once,
+reusing results by object identity (hash-consing's idea, applied to
+results instead of nodes).
 
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
@@ -66,7 +70,7 @@ class FuelExhausted(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Types: well-formedness and elaboration to target types
+# Types: well-formedness and translation to target types
 # ---------------------------------------------------------------------------
 
 def check_fd_type_wf(TC, tyvars: set[str], t: FdType):
@@ -131,23 +135,30 @@ def elab_fd_q(TC, q: FdQ) -> TgtType:
 
 
 # ---------------------------------------------------------------------------
-# Typechecking with simultaneous target elaboration
+# Typechecking, and the composed translation of typed terms
 # ---------------------------------------------------------------------------
 
 class FdChecker:
-    """Typechecker for one fixed method environment.
+    """Typechecker for one fixed method environment, and the composed
+    translation of the terms it has typed.
 
-    Checking is deterministic, so results are memoized at two levels.
+    `check_expr` and `check_dict` are the typing judgment alone: they
+    return a type and build no target term. `translate` is the second
+    translation step, from a typed term to the target.
+
+    Typing and translation are deterministic, so results are memoized at
+    two levels.
 
     Per Σ, shared by every checker `child` makes, the prefix checkers of
-    implementations among them: each constructor's implementation, checked
-    against the strict prefix of the environment at first use
-    (`_impl_memo`), and type translations, by the type (`_elabs`). Both
-    are bounded by the environment and the types it is used at.
+    implementations among them: the constructors whose implementations
+    are checked, each against the strict prefix of the environment at
+    first use (`_impl_memo`), each constructor's translation (`_records`)
+    and type translations, by the type (`_elabs`). All are bounded by the
+    environment and the types it is used at.
 
     Per checker, one per term of a stream: `check_expr`, through which all
     recursion goes, is memoized on the identities of the node and of the
-    environment (`_memo`), so a shared subterm is translated once; every
+    environment (`_memo`), so a shared subterm is typed once; every
     entry keeps both alive, so an identity is never reused while its entry
     exists. Environments are extended through `_extend`, which returns one
     tuple object per (parent environment, binding), so equal environments
@@ -157,16 +168,20 @@ class FdChecker:
     applications are memoized by the polymorphic type and its argument
     (`_insts`), so a trace instantiates each polymorphic type once; these
     keys are the term's own types, so the memo ends with the checker.
-    Errors are never memoized.
+    Errors are never memoized. Translation is structural and reads no
+    typing environment, so its results are memoized by the identity of
+    the node alone (`_targets`), which keeps the node alive; walking a
+    trace translates nothing, so `collect` leaves them.
     """
 
     def __init__(self, sigma, TC):
         self.sigma = tuple(sigma)
         self.TC = tuple(TC)
-        self._impl_memo: dict[str, TgtExpr] = {}
+        self._impl_memo: set[str] = set()
+        self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
         self._insts: dict = {}      # (IForall, FdType) -> FdType
-        # (id(node), id(env)) -> (node, env, result),
+        # (id(node), id(env)) -> (node, env, type),
         # (id(env), binding) -> (env, extended env) and
         # id(env) -> (env, the type variables env binds); each with the
         # entries used before the last collect() in a second generation.
@@ -174,13 +189,15 @@ class FdChecker:
         self._envs: dict = {}
         self._old_memo: dict = {}
         self._old_envs: dict = {}
+        self._targets: dict = {}    # id(node) -> (node, translation)
 
     def child(self, sigma=None) -> FdChecker:
         """A checker for sigma, by default this one's, that shares this
         checker's per-Σ memos and starts with empty per-term memos. sigma
         must be a prefix of this checker's environment."""
         out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
-        out._impl_memo, out._elabs = self._impl_memo, self._elabs
+        out._impl_memo, out._records, out._elabs = \
+            self._impl_memo, self._records, self._elabs
         return out
 
     def collect(self):
@@ -206,17 +223,9 @@ class FdChecker:
             self._envs[id(env)] = hit
         return hit[1]
 
-    def _elab(self, t) -> TgtType:
-        """The target type of an intermediate type or dictionary type."""
-        out = self._elabs.get(t)
-        if out is None:
-            elab = elab_fd_q if type(t) is FdQ else elab_fd_type
-            out = self._elabs[t] = elab(self.TC, t)
-        return out
-
     # -- expressions --------------------------------------------------------
 
-    def check_expr(self, env, e: FdExpr) -> tuple[FdType, TgtExpr]:
+    def check_expr(self, env, e: FdExpr) -> FdType:
         key = (id(e), id(env))
         hit = self._memo.get(key)
         if hit is None:
@@ -226,60 +235,54 @@ class FdChecker:
             self._memo[key] = hit
         return hit[2]
 
-    def _infer(self, env, e: FdExpr) -> tuple[FdType, TgtExpr]:
+    def _infer(self, env, e: FdExpr) -> FdType:
         match e:
-            case ITrue():
-                return IBool(), TTrue()
-            case IFalse():
-                return IBool(), TFalse()
+            case ITrue() | IFalse():
+                return IBool()
             case IVar(x):
                 for bind in reversed(env):
                     if isinstance(bind, TermBind) and bind.name == x:
-                        return bind.ty, TVar(x)
+                        return bind.ty
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
                 check_fd_type_wf(self.TC, self._tyvars(env), ty)
-                bty, tb = self.check_expr(self._extend(env, TermBind(x, ty)),
-                                          body)
-                return IArrow(ty, bty), TLam(x, self._elab(ty), tb)
+                return IArrow(ty, self.check_expr(
+                    self._extend(env, TermBind(x, ty)), body))
             case IApp(f, a):
-                fty, tf = self.check_expr(env, f)
+                fty = self.check_expr(env, f)
                 if not isinstance(fty, IArrow):
                     raise FdTypeError(
                         MISMATCH, f"applied a non-function of type {S.pretty(fty)}")
-                aty, ta = self.check_expr(env, a)
+                aty = self.check_expr(env, a)
                 if not alpha_eq(aty, fty.left):
                     raise FdTypeError(
                         MISMATCH,
                         f"argument has type {S.pretty(aty)}, "
                         f"expected {S.pretty(fty.left)}")
-                return fty.right, TApp(tf, ta)
+                return fty.right
             case IDLam(dv, q, body):
                 check_fd_q_wf(self.TC, self._tyvars(env), q)
-                bty, tb = self.check_expr(self._extend(env, DictBind(dv, q)),
-                                          body)
-                return IQArrow(q, bty), TLam(dict_target_name(dv),
-                                             self._elab(q), tb)
+                return IQArrow(q, self.check_expr(
+                    self._extend(env, DictBind(dv, q)), body))
             case IDApp(f, d):
-                fty, tf = self.check_expr(env, f)
+                fty = self.check_expr(env, f)
                 if not isinstance(fty, IQArrow):
                     raise FdTypeError(
                         MISMATCH,
                         f"dictionary applied to non-constrained type "
                         f"{S.pretty(fty)}")
-                dq, td = self.check_dict(env, d)
+                dq = self.check_dict(env, d)
                 if not alpha_eq(dq, fty.q):
                     raise FdTypeError(
                         MISMATCH,
                         f"dictionary has type {S.pretty(dq)}, "
                         f"expected {S.pretty(fty.q)}")
-                return fty.result, TApp(tf, td)
+                return fty.result
             case ITyLam(a, body):
-                bty, tb = self.check_expr(self._extend(env, TyVarBind(a)),
-                                          body)
-                return IForall(a, bty), TTyLam(a, tb)
+                return IForall(a, self.check_expr(
+                    self._extend(env, TyVarBind(a)), body))
             case ITyApp(f, ty):
-                fty, tf = self.check_expr(env, f)
+                fty = self.check_expr(env, f)
                 if not isinstance(fty, IForall):
                     raise FdTypeError(
                         MISMATCH,
@@ -289,49 +292,47 @@ class FdChecker:
                 if rty is None:
                     rty = self._insts[fty, ty] = subst_type(fty.body,
                                                             {fty.var: ty})
-                return rty, TTyApp(tf, self._elab(ty))
+                return rty
             case IMethod(d, m):
-                dq, td = self.check_dict(env, d)
+                dq = self.check_dict(env, d)
                 entry = lookup_class_by_method(self.TC, m)
                 if entry.cls != dq.cls:
                     raise FdTypeError(
                         UNKNOWN_METHOD,
                         f"dictionary of class {dq.cls!r} has no method {m!r}")
-                return (subst_type(entry.method_type, {entry.var: dq.arg}),
-                        TProj(td, m))
+                return subst_type(entry.method_type, {entry.var: dq.arg})
             case ILet(x, ty, bound, body):
                 check_fd_type_wf(self.TC, self._tyvars(env), ty)
-                bty, tb = self.check_expr(env, bound)
+                bty = self.check_expr(env, bound)
                 if not alpha_eq(bty, ty):
                     raise FdTypeError(
                         MISMATCH,
                         f"let binding has type {S.pretty(bty)}, "
                         f"annotated {S.pretty(ty)}")
-                rty, tb2 = self.check_expr(self._extend(env, TermBind(x, ty)),
-                                           body)
-                return rty, TLet(x, self._elab(ty), tb, tb2)
+                return self.check_expr(self._extend(env, TermBind(x, ty)),
+                                       body)
             case IChoice(alts) if alts:
                 check = self.check_dict if isinstance(alts[0], FdDict) \
                     else self.check_expr
-                out = [check(env, alt) for alt in alts]
-                ty = out[0][0]
-                for other, _ in out[1:]:
+                types = [check(env, alt) for alt in alts]
+                ty = types[0]
+                for other in types[1:]:
                     if not alpha_eq(other, ty):
                         raise FdTypeError(
                             MISMATCH,
                             f"alternatives of one derivation have types "
                             f"{S.pretty(ty)} and {S.pretty(other)}")
-                return ty, TChoice(tuple(te for _, te in out))
+                return ty
         raise TypeError(e)
 
     # -- dictionaries -------------------------------------------------------
 
-    def check_dict(self, env, d: FdDict) -> tuple[FdQ, TgtExpr]:
+    def check_dict(self, env, d: FdDict) -> FdQ:
         match d:
             case DVar(dv):
                 for bind in reversed(env):
                     if isinstance(bind, DictBind) and bind.name == dv:
-                        return bind.q, TVar(dict_target_name(dv))
+                        return bind.q
                 raise FdTypeError(UNBOUND_DICT,
                                   f"unbound dictionary variable {dv!r}")
             case DCon(name, type_args, dict_args):
@@ -340,8 +341,7 @@ class FdChecker:
                 if index is None:
                     raise FdTypeError(UNKNOWN_CONSTRUCTOR,
                                       f"unknown dictionary constructor {name!r}")
-                entry = self.sigma[index]
-                sc = entry.scheme
+                sc = self.sigma[index].scheme
                 if len(type_args) != len(sc.binders):
                     raise FdTypeError(
                         ARITY_MISMATCH,
@@ -356,36 +356,29 @@ class FdChecker:
                 for ty in type_args:
                     check_fd_type_wf(self.TC, tyvars, ty)
                 inst = dict(zip(sc.binders, type_args))
-                arg_tes = []
                 for want, got in zip(sc.context, dict_args):
                     want_q = subst_type(want, inst)
-                    got_q, ta = self.check_dict(env, got)
+                    got_q = self.check_dict(env, got)
                     if not alpha_eq(got_q, want_q):
                         raise FdTypeError(
                             MISMATCH,
                             f"dictionary argument of {name!r} has type "
                             f"{S.pretty(got_q)}, expected {S.pretty(want_q)}")
-                    arg_tes.append(ta)
-                te_impl = self._check_impl(index)
-                te = self._wrap_record(entry, te_impl)
-                for ty in type_args:
-                    te = TTyApp(te, self._elab(ty))
-                for ta in arg_tes:
-                    te = TApp(te, ta)
-                return subst_type(sc.head, inst), te
+                self._check_impl(index)
+                return subst_type(sc.head, inst)
             case IChoice():
                 return self.check_expr(env, d)
         raise TypeError(d)
 
-    def _check_impl(self, index: int) -> TgtExpr:
+    def _check_impl(self, index: int):
         """Check entry's implementation against the strict prefix of the
-        method environment; returns (memoized) target elaboration."""
+        method environment, once per Σ."""
         entry = self.sigma[index]
         if entry.con in self._impl_memo:
-            return self._impl_memo[entry.con]
+            return
         prefix = self.child(self.sigma[:index])
         try:
-            ity, te = prefix.check_expr((), entry.impl)
+            ity = prefix.check_expr((), entry.impl)
         except FdTypeError as err:
             if err.kind == UNKNOWN_CONSTRUCTOR:
                 raise FdTypeError(
@@ -399,13 +392,77 @@ class FdChecker:
                 MISMATCH,
                 f"implementation of {entry.con!r} has type {S.pretty(ity)}, "
                 f"expected {S.pretty(expected)}")
-        self._impl_memo[entry.con] = te
-        return te
+        self._impl_memo.add(entry.con)
+
+    # -- the composed translation -------------------------------------------
+
+    def translate(self, e):
+        """The target translation of e, a term or dictionary this checker
+        has typed: every typing rule's corresponding target term. A choice
+        becomes the choice of its alternatives' translations."""
+        hit = self._targets.get(id(e))
+        if hit is None:
+            hit = self._targets[id(e)] = (e, self._translate(e))
+        return hit[1]
+
+    def _translate(self, e) -> TgtExpr:
+        tr = self.translate
+        match e:     # the most frequent nodes first
+            case IApp(f, a) | IDApp(f, a):
+                return TApp(tr(f), tr(a))
+            case IDLam(dv, q, body):
+                return TLam(dict_target_name(dv), self._elab(q), tr(body))
+            case ILam(x, ty, body):
+                return TLam(x, self._elab(ty), tr(body))
+            case IVar(x):
+                return TVar(x)
+            case ILet(x, ty, bound, body):
+                return TLet(x, self._elab(ty), tr(bound), tr(body))
+            case ITrue():
+                return TTrue()
+            case IFalse():
+                return TFalse()
+            case ITyLam(a, body):
+                return TTyLam(a, tr(body))
+            case ITyApp(f, ty):
+                return TTyApp(tr(f), self._elab(ty))
+            case IMethod(d, m):
+                return TProj(tr(d), m)
+            case DVar(dv):
+                return TVar(dict_target_name(dv))
+            case DCon(name, type_args, dict_args):
+                te = self._record(name)
+                for ty in type_args:
+                    te = TTyApp(te, self._elab(ty))
+                for d in dict_args:
+                    te = TApp(te, tr(d))
+                return te
+            case IChoice(alts):
+                return TChoice(tuple(map(tr, alts)))
+        raise TypeError(e)
+
+    def _elab(self, t) -> TgtType:
+        """The target type of an intermediate type or dictionary type."""
+        out = self._elabs.get(t)
+        if out is None:
+            elab = elab_fd_q if type(t) is FdQ else elab_fd_type
+            out = self._elabs[t] = elab(self.TC, t)
+        return out
+
+    def _record(self, con: str) -> TgtExpr:
+        """The translation of constructor con, once per Σ: its checked
+        implementation's translation, closing over a record."""
+        out = self._records.get(con)
+        if out is None:
+            entry = next(entry for entry in self.sigma if entry.con == con)
+            out = self._records[con] = self._wrap_record(
+                entry, self.translate(entry.impl))
+        return out
 
     def _wrap_record(self, entry, te_impl: TgtExpr) -> TgtExpr:
         """Rebuild the implementation's outer binder spine around a record.
 
-        The elaborated implementation has shape /\\c... \\xd... body; the
+        The translated implementation has shape /\\c... \\xd... body; the
         dictionary constructor's translation is the same spine closing over
         {method = body} instead. Zero binders yield the bare record.
         """

@@ -5,23 +5,25 @@ environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check and
 command reads both translations from it. Both translations are
 homomorphisms over derivations, so each Σ translates the program's packed
 forest of derivations once per side, and the squares unpack the two
-translated forests beside the derivations. Each Σ's direct translator and
-`fd_env_wf`-validated checker are built once and kept by the
-`Declarations`, which both reports and every coherence context share: the
-reports take a typed program.
+translated forests beside the derivations. The composed side types the
+forest (`FdChecker.check_expr`, the typing judgment alone), then
+translates it (`FdChecker.translate`, a structural walk over the typed
+forest); coherence does the same for each intermediate value. Each Σ's
+direct translator and `fd_env_wf`-validated checker are built once and
+kept by the `Declarations`, which both reports and every coherence
+context share: the reports take a typed program.
 Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
 square by square, to name the derivations whose squares differ.
-Metatheory: walk evaluation traces re-typechecking every step, and fuzz the
-intermediate typechecker/evaluator with seeded type-directed term
-generation. A stream of terms over one Σ shares that Σ's state: the per-Σ
-memos of one base checker (checked implementations and type translations;
-see `FdChecker`) and the generator's closed dictionaries. Each term gets
-its own checker, whose per-term memos (checked nodes, built environments
-and type instantiations) start empty. The few most recent environments
-are kept, by the identity of (sigma, TC).
+Metatheory: walk evaluation traces re-typing every step, by typing alone,
+and fuzz the intermediate typechecker/evaluator with seeded type-directed
+term generation. A stream of terms over one Σ shares that Σ's state: the
+per-Σ memos of one base checker (see `FdChecker`) and the generator's
+closed dictionaries. Each term gets its own checker, whose per-term memos
+(typed nodes, built environments and type instantiations) start empty.
+The few most recent environments are kept, by the identity of (sigma, TC).
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -110,7 +112,7 @@ def _environments(r):
                                lambda: fd_env_wf(sigma, r.fd_class_env))
         direct = r.decls.direct(sigma)
         try:
-            forests = direct(r.forest), checker.check_expr((), r.forest)[1]
+            forests = direct(r.forest), _composed(checker, r.forest)
         except Exception:
             # Not lost: the squares translate their derivations one at a
             # time, and the one that holds the failing node raises again.
@@ -128,10 +130,16 @@ def _squares(r, variant, sigma, checker, direct, n, forests):
     if forests:
         corners = zip(*(S.unpack(f, n) for f in forests))
     else:
-        corners = ((direct(ie), checker.check_expr((), ie)[1])
-                   for ie in elabs)
+        corners = ((direct(ie), _composed(checker, ie)) for ie in elabs)
     for ie, (d, c) in zip(elabs, corners):
         yield Square(variant, sigma, checker, ie, d, c)
+
+
+def _composed(checker, e) -> TgtExpr:
+    """The composed translation of the closed term e: typed, then
+    translated, by checker."""
+    checker.check_expr((), e)
+    return checker.translate(e)
 
 
 def squares(r):
@@ -156,9 +164,8 @@ def _program_values(r, fuel: int):
     for sq in squares(r):
         sqs.append(sq)
         v_fd = fd_eval(sq.sigma, sq.derivation, fuel)
-        _, te_of_value = sq.checker.check_expr((), v_fd)
-        values.append(("fd value of", sq.derivation,
-                       target_core.tgt_eval(te_of_value, fuel)))
+        values.append(("fd value of", sq.derivation, target_core.tgt_eval(
+            _composed(sq.checker, v_fd), fuel)))
         values.append(("composed target of", sq.derivation,
                        target_core.tgt_eval(sq.composed, fuel)))
     for sq in sqs:
@@ -313,7 +320,7 @@ def _environment(sigma, TC) -> _Environment:
 def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
     checker = _environment(sigma, TC).checker.child()
     try:
-        ty0, _ = checker.check_expr((), e)
+        ty0 = checker.check_expr((), e)
     except fd_core.FdTypeError as err:   # a violation before any step
         return MetaReport(0, False, False, True, f"{S.pretty(e)} : {err}")
     steps = 0
@@ -329,7 +336,7 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
             return MetaReport(steps, True, False, True, S.pretty(current))
         checker.collect()
         try:
-            ty, _ = checker.check_expr((), nxt)
+            ty = checker.check_expr((), nxt)
         except fd_core.FdTypeError as err:
             return MetaReport(steps, False, True, True,
                               f"{S.pretty(nxt)} : {err}")

@@ -14,7 +14,8 @@ resolution derivation. A method environment Σ fixes one body per instance
 for the whole program. The typer's output holds derivations only;
 `harness.squares` translates them under Σ directly (`DirectTranslator`,
 which shares no code with `fd_core`) and through the intermediate
-language (`fd_core.FdChecker`), so decomposition stays a cross-check.
+language (`fd_core.FdChecker`, which types them, then translates them), so
+decomposition stays a cross-check.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 The elaborating judgments return one packed forest of derivations (see
@@ -226,13 +227,14 @@ def _unresolved(truncated: bool, message: str) -> SrcTypeError:
     return SrcTypeError("unsatisfiable", message)
 
 
-def _instance_matches(P, q: SrcConstraint):
-    """Instances whose head matches q, with the matched types per binder."""
+def _instance_matches(P, q: SrcConstraint, q_vars: set[str]):
+    """Instances whose head matches q, whose type variables are q_vars,
+    with the matched types per binder."""
     for entry in P:
         sc = entry.scheme
         if sc.head.cls != q.cls:
             continue
-        renaming = rename_apart(sc.binders, set(free_type_vars(q.arg)))
+        renaming = rename_apart(sc.binders, q_vars)
         binders = tuple(renaming.get(b, b) for b in sc.binders)
         mono_renaming = {a: STyVar(b) for a, b in renaming.items()}
         head_arg = subst_type(sc.head.arg, mono_renaming)
@@ -270,8 +272,9 @@ def _resolve(P, env, q, limits, depth, memo):
                 and DVar(bind.name) not in alts:
             alts.append(DVar(bind.name))
     count = len(alts)
-    tyvars = env_tyvars(env) | set(free_type_vars(q.arg))
-    for entry, type_args, ctx in _instance_matches(P, q):
+    q_vars = set(free_type_vars(q.arg))
+    tyvars = env_tyvars(env) | q_vars
+    for entry, type_args, ctx in _instance_matches(P, q, q_vars):
         if count > limits.max_elaborations:
             break   # later alternatives lie past the cap
         args, n, t = _entail_all(P, env, ctx, limits, depth + 1, memo)
@@ -710,12 +713,18 @@ class Declarations:
 
 @frozen
 class ProgramResult:
+    """A main expression typed against its declarations.
+
+    Its forest is a function of decls and main, and a DAG whose shared
+    subforests a walk as a tree would visit once per path, so it takes no
+    part in `==`, hash or `repr`."""
     main_type: SrcMono
     main: SrcExpr       # with method names resolved
     decls: Declarations
     forest: FdExpr      # every elaboration of main, packed
     count: int          # elaborations of main under one Σ, capped
     fd_truncated: bool
+    _derived = ("forest",)
 
     GC = property(lambda self: self.decls.GC)
     P = property(lambda self: self.decls.P)

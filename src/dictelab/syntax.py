@@ -42,22 +42,22 @@ def _frozen_delattr(self, name):
 
 def _frozen_repr(self):
     return self.__class__.__qualname__ + "(" + ", ".join(
-        f"{n}={getattr(self, n)!r}" for n in self.__match_args__) + ")"
+        f"{n}={getattr(self, n)!r}" for n in self._compared) + ")"
 
 
 # The globals of every compiled method, and the code of `__init__`,
-# `__eq__` and `__hash__` for each shape: (field names, whether the class
-# has a `__post_init__`).
+# `__eq__` and `__hash__` for each shape: (field names, the names of the
+# fields compared, whether the class has a `__post_init__`).
 _FROZEN_GLOBALS = {"_setattr": object.__setattr__}
 _FROZEN_CODE = {}
 
 
-def _frozen_code(names, post_init) -> tuple:
+def _frozen_code(names, compared, post_init) -> tuple:
     init = [f"  _setattr(self,{n!r},{n})" for n in names]
     if post_init:
         init.append("  self.__post_init__()")
-    own = "".join(f"self.{n}," for n in names)
-    other = "".join(f"other.{n}," for n in names)
+    own = "".join(f"self.{n}," for n in compared)
+    other = "".join(f"other.{n}," for n in compared)
     ns = {}
     exec(f"def __init__({','.join(('self', *names))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
@@ -78,10 +78,15 @@ def frozen(cls):
     `__match_args__` names them; a value the class body gives one is its
     default. `__init__` (defaults and `__post_init__` included), `__eq__`
     and `__hash__` are the code `dataclass` generates for a frozen class,
-    compiled in one `exec` per shape (field names and `__post_init__`),
-    so classes of one shape share source but not code objects: each
-    class gets copies, because Python specializes attribute access per
-    code object. `__repr__` is one function over `__match_args__`.
+    compiled in one `exec` per shape (field names, the fields compared
+    and `__post_init__`), so classes of one shape share source but not
+    code objects: each class gets copies, because Python specializes
+    attribute access per code object. `__repr__` is one function over
+    the fields compared.
+
+    The fields a class names in `_derived` are functions of the others:
+    like a dataclass field with `compare=False, repr=False`, each takes no
+    part in `==`, hash or `repr`.
     """
     body = vars(cls)
     annotations = body.get("__annotations__", {})
@@ -90,7 +95,8 @@ def frozen(cls):
     if any(n not in body for n in names[len(names) - len(defaults):]):
         raise TypeError(f"{cls.__name__}: field without default after one "
                         f"with a default")
-    shape = names, hasattr(cls, "__post_init__")
+    compared = tuple(n for n in names if n not in body.get("_derived", ()))
+    shape = names, compared, hasattr(cls, "__post_init__")
     if shape not in _FROZEN_CODE:
         _FROZEN_CODE[shape] = _frozen_code(*shape)
     for name, c, dflt in zip(("__init__", "__eq__", "__hash__"),
@@ -101,6 +107,7 @@ def frozen(cls):
         setattr(cls, name, fn)
     cls.__repr__ = _frozen_repr
     cls.__match_args__ = names
+    cls._compared = compared
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     if not cls.__doc__:

@@ -7,6 +7,7 @@ import pytest
 
 from dictelab.parser import parse_context, parse_program
 from dictelab.source_typer import Limits, typecheck_program
+from dictelab.syntax import FdDict
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -79,6 +80,14 @@ def count_calls(monkeypatch, owner, name) -> list:
         return real(*args, **kwargs)
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def type_and_translate(checker, e, env=()):
+    """The type of the term or dictionary e in env, by checker's typing
+    judgment, and then checker's composed translation of e."""
+    check = checker.check_dict if isinstance(e, FdDict) \
+        else checker.check_expr
+    return check(env, e), checker.translate(e)
 
 
 def corpus_contexts():

@@ -25,7 +25,8 @@ from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl, SrcConstraint)
 from dictelab.target_core import tgt_eval
 
-from conftest import POSITIVE, corpus_program, corpus_result, corpus_text
+from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
+                      type_and_translate)
 from reader import read_fixture
 from reference_eval import kleene_eq
 from test_source_typer import _class, closure_oracle, random_class_dag
@@ -106,9 +107,9 @@ def test_criterion_6_semantic_preservation():
         r = corpus_result(name)
         for sigma, ie in r.fd_elabs:
             checker = FdChecker(sigma, r.fd_class_env)
-            _, te = checker.check_expr((), ie)
+            _, te = type_and_translate(checker, ie)
             v = fd_eval(sigma, ie, FUEL)
-            _, te_of_value = checker.check_expr((), v)
+            _, te_of_value = type_and_translate(checker, v)
             assert kleene_eq(te_of_value, te, FUEL), name
     passed(6, "elaborating the evaluated term and evaluating the elaborated "
               "term meet at the same value")
@@ -119,7 +120,7 @@ def test_criterion_7_elaborations_welltyped_at_translated_type():
         r = corpus_result(name)
         expected = elab_type(r.GC, (), r.main_type)
         for sigma, ie in r.fd_elabs:
-            ty, _ = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
+            ty = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
             assert S.alpha_eq(ty, expected), name
     passed(7, "each intermediate elaboration typechecks at the translation "
               "of the program type")

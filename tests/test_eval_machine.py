@@ -28,7 +28,8 @@ from dictelab.source_typer import typecheck_program
 from dictelab.syntax import FdConstraintScheme, FdQ, IBool, MethodImpl
 from dictelab.target_core import TgtTypeError, tgt_eval
 
-from conftest import POSITIVE, corpus_result, flex_source, tower_source
+from conftest import (POSITIVE, corpus_result, flex_source, tower_source,
+                      type_and_translate)
 from reader import read_fd_expr
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 from strategies import fd_term, tgt_let_term
@@ -85,9 +86,9 @@ def test_machines_agree_on_elaborations(name):
     for sigma, ie in r.fd_elabs:
         checker = FdChecker(sigma, r.fd_class_env)
         assert_fd_agrees(sigma, ie)
-        assert_tgt_agrees(checker.check_expr((), ie)[1])
+        assert_tgt_agrees(type_and_translate(checker, ie)[1])
         value = fd_eval(sigma, ie, LIMIT)
-        assert_tgt_agrees(checker.check_expr((), value)[1])
+        assert_tgt_agrees(type_and_translate(checker, value)[1])
     for te in r.tgt_elabs:
         assert_tgt_agrees(te)
 
@@ -105,7 +106,7 @@ def test_machines_agree_on_generated_terms(name, size):
     for seed in range(200):
         e = generate_fd_term(seed, size, sigma, r.fd_class_env)
         assert_fd_agrees(sigma, e)
-        assert_tgt_agrees(checker.check_expr((), e)[1])
+        assert_tgt_agrees(type_and_translate(checker, e)[1])
 
 
 # ---------------------------------------------------------------------------

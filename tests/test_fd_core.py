@@ -14,7 +14,7 @@ from dictelab.syntax import (
     MethodImpl,
 )
 
-from conftest import POSITIVE, corpus_result
+from conftest import POSITIVE, corpus_result, type_and_translate
 from reader import read_fd_dict, read_fd_expr, read_fd_type
 
 TC_EQ = (FdClassEntry("eq", "Eq", "a",
@@ -139,7 +139,7 @@ def test_implementation_may_only_use_earlier_entries():
 
 def test_dropping_a_referenced_entry_breaks_dictionaries():
     d = read_fd_dict("D2_Eq @Bool [D1_Eq]")
-    q, _ = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), d)
+    q = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), d)
     assert q == FdQ("Eq", IArrow(IBool(), IBool()))
     with pytest.raises(FdTypeError) as exc:
         FdChecker(SIGMA_EQ[1:], TC_EQ).check_dict((), d)
@@ -151,28 +151,28 @@ def test_dropping_a_referenced_entry_breaks_dictionaries():
 # ---------------------------------------------------------------------------
 
 def test_method_projection_instantiates_class_variable():
-    ty, _ = FdChecker(SIGMA_EQ, TC_EQ).check_expr(
+    ty = FdChecker(SIGMA_EQ, TC_EQ).check_expr(
         (), read_fd_expr("[D1_Eq].eq"))
     assert S.pretty(ty) == "Bool -> Bool -> Bool"
 
 
 def test_method_projection_through_local_dict():
     tt = (S.TyVarBind("b"), DictBind("d", FdQ("Eq", ITyVar("b"))),)
-    ty, te = FdChecker(SIGMA_EQ, TC_EQ).check_expr(tt,
-                                                   read_fd_expr("[d].eq"))
+    ty, te = type_and_translate(FdChecker(SIGMA_EQ, TC_EQ),
+                                read_fd_expr("[d].eq"), tt)
     assert S.pretty(ty) == "b -> b -> Bool"
     assert te == S.TProj(S.TVar("$d_d"), "eq")
 
 
 def test_dictionary_abstraction_and_application():
     e = read_fd_expr("(\\d : [Eq Bool]. [d].eq) [D1_Eq] True True")
-    ty, _ = FdChecker(SIGMA_EQ, TC_EQ).check_expr((), e)
+    ty = FdChecker(SIGMA_EQ, TC_EQ).check_expr((), e)
     assert ty == IBool()
 
 
 def test_type_application():
     e = read_fd_expr("(/\\a. \\x : a. x) @Bool")
-    ty, _ = FdChecker((), ()).check_expr((), e)
+    ty = FdChecker((), ()).check_expr((), e)
     assert ty == IArrow(IBool(), IBool())
 
 
@@ -206,13 +206,14 @@ def test_argument_type_must_match():
 # ---------------------------------------------------------------------------
 
 def test_ground_dictionary_elaborates_to_record():
-    _, te = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), read_fd_dict("D1_Eq"))
+    _, te = type_and_translate(FdChecker(SIGMA_EQ, TC_EQ),
+                               read_fd_dict("D1_Eq"))
     assert S.pretty(te) == "{eq = \\x : Bool. \\y : Bool. True}"
 
 
 def test_nested_dictionary_applies_wrapper():
-    _, te = FdChecker(SIGMA_EQ, TC_EQ).check_dict(
-        (), read_fd_dict("D2_Eq @Bool [D1_Eq]"))
+    _, te = type_and_translate(FdChecker(SIGMA_EQ, TC_EQ),
+                               read_fd_dict("D2_Eq @Bool [D1_Eq]"))
     # outer record abstraction applied to the type and the inner record
     assert isinstance(te, S.TApp)
     assert isinstance(te.fun, S.TTyApp)
@@ -223,7 +224,7 @@ def test_elaboration_is_deterministic():
     sigma, ie = r.fd_elabs[0]
     outs = set()
     for _ in range(5):
-        _, te = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
+        _, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
         outs.add(S.pretty(te))
     assert len(outs) == 1
 
@@ -280,13 +281,13 @@ def test_fuel_exhaustion():
 def test_evaluation_preserves_types_along_the_trace():
     r = corpus_result("P1")
     sigma, e = r.fd_elabs[0]
-    ty0, _ = FdChecker(sigma, r.fd_class_env).check_expr((), e)
+    ty0 = FdChecker(sigma, r.fd_class_env).check_expr((), e)
     for _ in range(1000):
         nxt = fd_step(sigma, e)
         if nxt is None:
             assert is_fd_value(e)
             break
-        ty, _ = FdChecker(sigma, r.fd_class_env).check_expr((), nxt)
+        ty = FdChecker(sigma, r.fd_class_env).check_expr((), nxt)
         assert S.alpha_eq(ty, ty0)
         e = nxt
     else:

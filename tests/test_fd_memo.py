@@ -1,7 +1,8 @@
-"""The memo of `fd_core.FdChecker` against checking without sharing.
+"""The memos of `fd_core.FdChecker` against checking without sharing.
 
-A checker translates each (node, environment) pair once and reuses the
-result wherever the node object occurs again under the same environment.
+A checker types each (node, environment) pair once and translates each
+node once, and reuses the result wherever the node object occurs again
+(under the same environment, for its type).
 The reference is the same checker on a copy of the term rebuilt node by
 node, so that no two positions share an object and the memo never hits
 across positions: types and targets must be `==`, and an ill-typed term
@@ -26,7 +27,8 @@ from dictelab.syntax import (
 )
 
 from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
-                      flex_source, tower_source, wide_source)
+                      flex_source, tower_source, type_and_translate,
+                      wide_source)
 from reader import read_fd_expr
 
 
@@ -41,7 +43,7 @@ def rebuild(x):
 
 def outcome(checker, e):
     try:
-        return checker.check_expr((), e)
+        return type_and_translate(checker, e)
     except FdTypeError as err:
         return type(err), err.kind, str(err)
 
@@ -92,11 +94,11 @@ def test_a_shared_node_is_checked_per_environment():
     x = IVar("x")
     fun = IArrow(IBool(), IBool())
     checker = FdChecker((), ())
-    assert checker.check_expr((TermBind("x", IBool()),), x)[0] == IBool()
-    assert checker.check_expr((TermBind("x", fun),), x)[0] == fun
-    assert checker.check_expr((), ILam("x", IBool(), x))[0] == \
+    assert checker.check_expr((TermBind("x", IBool()),), x) == IBool()
+    assert checker.check_expr((TermBind("x", fun),), x) == fun
+    assert checker.check_expr((), ILam("x", IBool(), x)) == \
         IArrow(IBool(), IBool())
-    assert checker.check_expr((), ILam("x", fun, x))[0] == IArrow(fun, fun)
+    assert checker.check_expr((), ILam("x", fun, x)) == IArrow(fun, fun)
     with pytest.raises(FdTypeError):
         checker.check_expr((), x)
 

@@ -16,8 +16,9 @@ from dictelab.harness import DecompositionReport, Mismatch
 from dictelab.parser import parse_program
 from dictelab.source_typer import DirectTranslator, Limits, typecheck_program
 
-from conftest import (POSITIVE, corpus_text, count_calls, flex_source,
-                      tower_source, wide_source)
+from conftest import (POSITIVE, corpus_contexts, corpus_text, count_calls,
+                      flex_source, tower_source, type_and_translate,
+                      wide_source)
 from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT, SELF_SUPPORT_TWICE
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ def reference_decomposition(r, program_name=""):
         variant = next(i for i, (s, _) in enumerate(variants) if s is sigma)
         direct = DirectTranslator(r.fd_class_env, r.P,
                                   variants[variant][1])(ie)
-        te = FdChecker(sigma, r.fd_class_env).check_expr((), ie)[1]
+        _, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
         composed.append(te)
         if not S.alpha_eq(direct, te):
             mismatches.append(Mismatch(S.pretty(ie), variant,
@@ -130,20 +131,53 @@ def test_a_forest_that_fails_to_translate_is_checked_square_by_square(
 def test_decomposition_work_grows_with_the_program_not_its_squares(
         monkeypatch):
     # wide(k) has 16^k elaborations, of which 256 are read from k = 2 on;
-    # both translations see each node of the forest once, so their work
-    # grows by the same few calls per constraint of f.
+    # typing and both translations see each node of the forest once, so
+    # their work grows by the same few calls per constraint of f.
     counts = []
     for k in range(1, 7):
         r = typecheck_program(parse_program(wide_source(k)))
         checked = count_calls(monkeypatch, FdChecker, "_infer")
+        composed = count_calls(monkeypatch, FdChecker, "_translate")
         translated = count_calls(monkeypatch, DirectTranslator, "_translate")
         rep = harness.decomposition_report(r)
         monkeypatch.undo()
         assert rep.equal and rep.count_composed == min(16 ** k, 256)
-        counts.append((len(checked), len(translated)))
-    steps = {(b[0] - a[0], b[1] - a[1]) for a, b in zip(counts, counts[1:])}
+        counts.append((len(checked), len(composed), len(translated)))
+    steps = {tuple(y - x for x, y in zip(a, b))
+             for a, b in zip(counts, counts[1:])}
     assert len(steps) == 1
-    assert counts[-1][0] < 100 and counts[-1][1] < 250
+    assert counts[-1][0] < 100 and counts[-1][1] < 100 \
+        and counts[-1][2] < 250
+
+
+def forest_nodes(node, out) -> dict:
+    """id -> node of each term and dictionary node of a forest."""
+    if id(node) in out:
+        return out
+    out[id(node)] = node
+    for f in S._SHAPES[type(node)].fields:
+        value = getattr(node, f)
+        for child in value if type(value) is tuple else (value,):
+            if isinstance(child, (S.FdExpr, S.FdDict, S.IChoice)):
+                forest_nodes(child, out)
+    return out
+
+
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_each_forest_node_is_translated_once_per_sigma(monkeypatch, name):
+    # Work counts: coherence and decomposition, with the corpus contexts,
+    # translate each node of the forest once under each Σ, and no node
+    # twice.
+    r = typecheck_program(parse_program(LADDERS[name]))
+    translated = count_calls(monkeypatch, FdChecker, "_translate")
+    contexts = corpus_contexts() if name in POSITIVE else ()
+    harness.coherence_report(r, contexts=contexts)
+    harness.decomposition_report(r)
+    keys = [(id(checker), id(node)) for checker, node in translated]
+    assert len(keys) == len(set(keys))
+    forest = forest_nodes(r.forest, {}).keys()
+    for checker in {id(sq.checker) for sq in harness.squares(r)}:
+        assert {i for c, i in keys if c == checker} >= forest
 
 
 @pytest.mark.parametrize("instance", [SELF_SUPPORT, SELF_SUPPORT_TWICE])

@@ -29,6 +29,7 @@ from dictelab.cli import main  # noqa: F401  (every module is imported)
 
 import strategies
 from conftest import POSITIVE, corpus_program, corpus_result, corpus_text
+from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT_TWICE
 
 SRC = Path(dictelab.__file__).resolve().parent.parent
 
@@ -48,19 +49,22 @@ def _frozen_classes():
 
 CLASSES = _frozen_classes()
 
-Field = namedtuple("Field", "name type default")
+Field = namedtuple("Field", "name type default compare")
 
 
 def node_fields(cls):
     """What `dataclasses.fields` would list for cls: each field's name,
-    annotation and default (MISSING if none)."""
-    return [Field(n, cls.__annotations__[n], vars(cls).get(n, MISSING))
+    annotation, default (MISSING if none) and whether it is compared (and
+    shown by `repr`)."""
+    return [Field(n, cls.__annotations__[n], vars(cls).get(n, MISSING),
+                  n not in vars(cls).get("_derived", ()))
             for n in cls.__match_args__]
 
 
 def _twin_class(cls):
-    spec = [(f.name, f.type) if f.default is MISSING
-            else (f.name, f.type, dataclasses.field(default=f.default))
+    spec = [(f.name, f.type) if f.default is MISSING and f.compare
+            else (f.name, f.type, dataclasses.field(
+                default=f.default, compare=f.compare, repr=f.compare))
             for f in node_fields(cls)]
     namespace = {"__post_init__": cls.__post_init__} \
         if hasattr(cls, "__post_init__") else {}
@@ -167,8 +171,8 @@ def test_defaults_agree_with_the_twin(cls):
 def test_introspection_agrees_with_the_twin(cls):
     t = TWINS[cls]
     assert not dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(t)
-    assert [(f.name, f.type, f.default) for f in node_fields(cls)] == \
-        [(f.name, f.type, f.default) for f in fields(t)]
+    assert node_fields(cls) == \
+        [(f.name, f.type, f.default, f.compare) for f in fields(t)]
     assert cls.__match_args__ == t.__match_args__
     if cls.__doc__.startswith(cls.__name__ + "("):     # no docstring
         assert cls.__doc__ == t.__doc__
@@ -228,8 +232,26 @@ def test_real_results_agree_with_their_twins(name):
         assert copy.deepcopy(v) == v
 
 
+def test_a_typed_program_is_compared_and_shown_without_its_forest():
+    # The forest is a function of the declarations and main, and a DAG: on
+    # this program its size as a tree quadruples every two levels of the
+    # depth cap. Walking it as a tree, `==`, hash and repr would take
+    # hours at the default depth of 32. Without it they do not grow with
+    # the depth.
+    results = [source_typer.typecheck_program(
+        parser.parse_program(SELF_SUPPORT_TWICE + LOCAL_EQ),
+        source_typer.Limits(max_depth=depth, max_elaborations=3))
+        for depth in (12, 14)]
+    assert [len(repr(r)) for r in results] == [2034, 2034]
+    for r in results:
+        other = source_typer.ProgramResult(
+            r.main_type, r.main, r.decls, S.ITrue(), r.count, r.fd_truncated)
+        assert other == r and hash(other) == hash(r)
+        assert repr(other) == repr(r) and "forest" not in repr(r)
+
+
 def _shape(cls):
-    return cls.__match_args__, hasattr(cls, "__post_init__")
+    return cls.__match_args__, cls._compared, hasattr(cls, "__post_init__")
 
 
 SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
@@ -237,7 +259,7 @@ SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
 
 
 @pytest.mark.parametrize("shape", SHARED_SHAPES,
-                         ids=lambda s: ",".join(s[0]) + "+post" * s[1])
+                         ids=lambda s: ",".join(s[0]) + "+post" * s[2])
 def test_classes_of_one_shape_share_no_code_object(shape):
     # Python specializes attribute access per code object, so classes
     # that shared one would share (and keep undoing) one specialization.
@@ -272,7 +294,8 @@ def test_limits_keep_their_defaults():
 
 # Counts the `exec` calls that compile source text while `dictelab.cli` is
 # imported (module bodies are exec'd as code objects), and the distinct
-# shapes of the classes `frozen` built: field names and `__post_init__`.
+# shapes of the classes `frozen` built: field names, the fields compared
+# and `__post_init__`.
 # `@dataclass(frozen=True)` compiles six strings per class, `frozen` one
 # per shape.
 COUNT_EXECS = """
@@ -291,7 +314,8 @@ classes = {v for name, m in list(sys.modules.items())
            for v in vars(m).values()
            if isinstance(v, type) and v.__module__ == name
            and hasattr(v, "__match_args__") and not issubclass(v, tuple)}
-shapes = {(c.__match_args__, hasattr(c, "__post_init__")) for c in classes}
+shapes = {(c.__match_args__, c._compared, hasattr(c, "__post_init__"))
+          for c in classes}
 print(calls, len(classes), len(shapes))
 """
 

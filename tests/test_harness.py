@@ -16,7 +16,8 @@ from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
 from conftest import (POSITIVE, corpus_contexts, corpus_program,
-                      corpus_result, count_calls)
+                      corpus_result, corpus_text, count_calls, flex_source,
+                      tower_source, type_and_translate, wide_source)
 from reader import read_fd_expr
 from test_golden_cli import programs
 
@@ -131,12 +132,11 @@ def _break_direct_dictionary_variables(monkeypatch):
 
 def test_decomposition_catches_wrong_intermediate_dictionary(monkeypatch):
     # The bug is in FdChecker's translation of a dictionary variable.
-    check_dict = fd_core.FdChecker.check_dict
+    translate = fd_core.FdChecker._translate
 
-    def wrong(self, env, d):
-        q, td = check_dict(self, env, d)
-        return (q, NEVER) if isinstance(d, S.DVar) else (q, td)
-    monkeypatch.setattr(fd_core.FdChecker, "check_dict", wrong)
+    def wrong(self, node):
+        return NEVER if isinstance(node, S.DVar) else translate(self, node)
+    monkeypatch.setattr(fd_core.FdChecker, "_translate", wrong)
     _assert_the_square_breaks_at_the_local_dictionary()
 
 
@@ -194,9 +194,10 @@ def test_decomposition_after_coherence_translates_nothing(monkeypatch):
     nodes = count_calls(monkeypatch, source_typer.DirectTranslator,
                         "_translate")
     checked = count_calls(monkeypatch, fd_core.FdChecker, "_infer")
+    composed = count_calls(monkeypatch, fd_core.FdChecker, "_translate")
     dec = harness.decomposition_report(r)
     assert dec.equal and dec.composed == coh.composed
-    assert nodes == [] and checked == []
+    assert nodes == [] and checked == [] and composed == []
 
 
 def test_a_copy_of_a_typed_program_leaves_the_translators_behind():
@@ -367,6 +368,57 @@ def test_fuzz_work_is_pinned():
     assert steps == 1396
     assert h.hexdigest() == ("7211cb315511aebb2dda291709551f55"
                              "0f9d9987f8fb6bbca51e0d312ee12d94")
+
+
+def test_fuzz_work_builds_no_target_term(monkeypatch):
+    # Work counts: trace checking types every step and translates none.
+    built = [count_calls(monkeypatch, cls, "__init__")
+             for cls in S._SHAPES if issubclass(
+                 cls, (S.TgtExpr, S.TgtType, S.TChoice))]
+    translated = count_calls(monkeypatch, fd_core.FdChecker, "translate")
+    for _ in _fuzz_work():
+        pass
+    assert sum(map(len, built)) == 0 and translated == []
+    # The counters count: one translation builds target nodes.
+    r = corpus_result("P2")
+    sigma, ie = r.fd_elabs[0]
+    fd_core.FdChecker(sigma, r.fd_class_env).translate(ie)
+    assert sum(map(len, built)) > 0 and translated
+
+
+def _translation_pin_programs():
+    """(source, limits) of each program whose squares the translation pin
+    covers."""
+    out = [(corpus_text(name), Limits()) for name in POSITIVE]
+    out += [(flex_source(n), Limits()) for n in range(1, 9)]
+    out += [(wide_source(k), Limits(max_elaborations=cap))
+            for k in (1, 2, 3) for cap in (1, 16, 256)]
+    out += [(tower_source(d), Limits()) for d in range(1, 9)]
+    return out
+
+
+def test_composed_translations_are_pinned():
+    # The composed corner of every square, and the composed translation of
+    # each fuzz-digest term and of its intermediate value, recorded while
+    # typing still built the translation: translating typed terms apart
+    # from typing them must give the same targets.
+    h = hashlib.sha256()
+    for src, limits in _translation_pin_programs():
+        r = source_typer.typecheck_program(parse_program(src), limits)
+        for sq in harness.squares(r):
+            h.update((S.pretty(sq.composed) + "\n").encode())
+    for name in ("P2", "P4"):
+        r = corpus_result(name)
+        sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+        for size in (4, 6):
+            for seed in range(100):
+                e = generate_fd_term(seed, size, sigma, TC)
+                checker = fd_core.FdChecker(sigma, TC)
+                for term in (e, fd_core.fd_eval(sigma, e, 100_000)):
+                    _, te = type_and_translate(checker, term)
+                    h.update((S.pretty(te) + "\n").encode())
+    assert h.hexdigest() == ("b31f05dfdd4f001f7c1785f79f30d600"
+                             "4940811878a6773efa22034eb6cc7101")
 
 
 def test_fuzz_work_walks_each_range_value_once(monkeypatch):

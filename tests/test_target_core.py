@@ -12,7 +12,7 @@ from dictelab.syntax import (
 )
 from dictelab.target_core import TgtTypeError, tgt_eval, tgt_typecheck
 
-from conftest import POSITIVE, corpus_result, corpus_text
+from conftest import POSITIVE, corpus_result, corpus_text, type_and_translate
 from reader import read_fixture, read_tgt_expr, read_tgt_type
 from reference_eval import is_tgt_value, kleene_eq, tgt_step
 from strategies import tgt_term
@@ -177,7 +177,7 @@ def test_analogous_method_environment_is_rejected_upstream():
 def test_translated_elaborations_typecheck_at_translated_type(name):
     r = corpus_result(name)
     for sigma, ie in r.fd_elabs:
-        fd_ty, te = FdChecker(sigma, r.fd_class_env).check_expr((), ie)
+        fd_ty, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
         assert S.alpha_eq(tgt_typecheck((), te),
                           elab_fd_type(r.fd_class_env, fd_ty))
 
