@@ -16,7 +16,11 @@ Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
-square by square, to name the derivations whose squares differ.
+square by square, to name the derivations whose squares differ. Counts
+are read off the forests, never by enumeration: a typed program's
+elaborations and the composed targets of a decomposition report are
+built at the first read of one (see `syntax.Unpacked`), so a report read
+for its verdict and counts unpacks no tree.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
@@ -70,6 +74,10 @@ class Mismatch:
 
 @frozen
 class DecompositionReport:
+    """Whether the two target translations agree on every square read.
+    The counts are read off the translated forests; composed holds the
+    composed targets, as a tuple whose trees are unpacked from the forests
+    at the first read of one (see `syntax.Unpacked`)."""
     program_name: str
     equal: bool
     count_direct: int
@@ -228,26 +236,32 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
 
 def decomposition_report(r, program_name: str = "") -> DecompositionReport:
     """Decomposition of the typed program r: per Σ, the two translated
-    forests, and square by square only where they differ."""
-    composed, mismatches = [], []
+    forests, and square by square only where they differ. The counts are
+    read off the forests; the composed targets of a Σ whose forests are
+    equal are unpacked at the first read of one."""
+    count, parts, mismatches = 0, [], []
     for n, forests, sqs in _environments(r):
+        count += n
         if forests and S.forest_eq(*forests):
-            composed.extend(S.unpack(forests[1], n))
+            parts.append(lambda forest=forests[1], n=n: S.unpack(forest, n))
             continue
+        composed = []
         for sq in sqs:
             composed.append(sq.composed)
             if not alpha_eq(sq.direct, sq.composed):
                 mismatches.append(Mismatch(
                     S.pretty(sq.derivation), sq.variant,
                     S.pretty(sq.direct), S.pretty(sq.composed)))
+        parts.append(lambda composed=composed: composed)
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
-        count_direct=len(composed),
-        count_composed=len(composed),
+        count_direct=count,
+        count_composed=count,
         truncated=r.fd_truncated,
         main_type=r.main_type,
-        composed=tuple(composed),
+        composed=S.Unpacked(count, lambda: [
+            te for part in parts for te in part()]),
         mismatches=tuple(mismatches))
 
 

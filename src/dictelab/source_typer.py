@@ -29,7 +29,8 @@ the counts of the factors, so no product is materialized. A judgment
 resolves each constraint once, and resolution stops adding alternatives
 once they exceed the cap, so the cap bounds the work, not only the output.
 Unpacking a forest up to the cap yields the capped enumeration in its
-order.
+order. A typed program reads its counts off the forest, and unpacks its
+trees only when one is read (`syntax.Unpacked`).
 """
 
 from __future__ import annotations
@@ -746,23 +747,29 @@ class ProgramResult:
         return tuple(out)
 
     @functools.cached_property
-    def elaborations(self) -> tuple:
-        """The elaborations of main, unpacked once for every Σ."""
-        return tuple(S.unpack(self.forest, self.count))
+    def elaborations(self) -> S.Unpacked:
+        """The elaborations of main, the same for every Σ: count of them,
+        unpacked from the forest at the first read of one."""
+        forest, n = self.forest, self.count
+        return S.Unpacked(n, lambda: S.unpack(forest, n))
 
     @functools.cached_property
-    def fd_elabs(self) -> tuple:
-        """(method environment, main elaboration) pairs, variant-major."""
-        return tuple((sigma, ie) for sigma, n in self.variants_read
-                     for ie in self.elaborations[:n])
+    def fd_elabs(self) -> S.Unpacked:
+        """(method environment, main elaboration) pairs, variant-major:
+        counted off variants_read, built from elaborations at the first
+        read of one."""
+        elabs, reads = self.elaborations, self.variants_read
+        return S.Unpacked(sum(n for _, n in reads), lambda: [
+            (sigma, ie) for sigma, n in reads for ie in elabs[:n]])
 
     @functools.cached_property
-    def tgt_elabs(self) -> tuple:
+    def tgt_elabs(self) -> S.Unpacked:
         """The direct target of each pair of fd_elabs: the forest,
-        translated once per Σ, unpacked."""
-        return tuple(te for sigma, n in self.variants_read
-                     for te in S.unpack(self.decls.direct(sigma)(self.forest),
-                                        n))
+        translated once per Σ here, unpacked at the first read of one."""
+        parts = [(self.decls.direct(sigma)(self.forest), n)
+                 for sigma, n in self.variants_read]
+        return S.Unpacked(len(self.fd_elabs), lambda: [
+            te for forest, n in parts for te in S.unpack(forest, n)])
 
 
 def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:

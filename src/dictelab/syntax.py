@@ -11,10 +11,12 @@ capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
 every language; so do the two walks over packed forests of derivations,
 in which choice nodes (`IChoice`, `TChoice`) stand for alternatives:
-`unpack` and `forest_eq`. One notation table gives each node class its
-binding level and its printed form over its fields; `pretty` is one
-walker over it that adds the parentheses precedence needs, for all three
-languages. Choice nodes have no notation: they are never printed.
+`unpack` and `forest_eq`. `Unpacked` holds trees that are counted off a
+forest and unpacked at their first read. One notation table gives each
+node class its binding level and its printed form over its fields;
+`pretty` is one walker over it that adds the parentheses precedence
+needs, for all three languages. Choice nodes have no notation: they are
+never printed.
 """
 
 from __future__ import annotations
@@ -882,6 +884,53 @@ def unpack(forest, limit: int) -> list:
 
     out = trees(forest)
     return [forest][:limit] if out is None else out
+
+
+class Unpacked:
+    """A tuple of n trees, counted off a forest, that build() unpacks at
+    the first read of one and that keeps them: its length and truth need
+    no enumeration. That build() made n trees is checked when it runs,
+    since a miscounted forest would otherwise drop trees unseen. It
+    compares, hashes, prints, copies and pickles as the tuple of its
+    trees."""
+
+    __slots__ = ("_n", "_build", "_trees")
+
+    def __init__(self, n: int, build):
+        self._n, self._build, self._trees = n, build, None
+
+    def _read(self) -> tuple:
+        if self._build is not None:
+            trees = tuple(self._build())
+            if len(trees) != self._n:
+                raise RuntimeError(f"unpacked {len(trees)} trees of a "
+                                   f"forest counted to have {self._n}")
+            self._trees, self._build = trees, None
+        return self._trees
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        if isinstance(other, Unpacked):
+            other = other._read()
+        return self._read() == other if isinstance(other, tuple) \
+            else NotImplemented
+
+    def __hash__(self):
+        return hash(self._read())
+
+    def __repr__(self):
+        return repr(self._read())
+
+    def __reduce__(self):
+        return tuple, (self._read(),)
 
 
 def forest_eq(a, b) -> bool:

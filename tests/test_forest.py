@@ -8,6 +8,9 @@ order, with the same truncation flags and errors.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from dictelab import fd_core, harness, source_typer, syntax as S, target_core
@@ -20,6 +23,7 @@ from conftest import (POSITIVE, corpus_contexts, corpus_text, count_calls,
                       flex_source, tower_source, type_and_translate,
                       wide_source)
 from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT, SELF_SUPPORT_TWICE
+from test_harness import FOUR_SIGMAS
 
 # ---------------------------------------------------------------------------
 # Decomposition over forests against decomposition square by square
@@ -192,6 +196,92 @@ def test_resolution_work_is_linear_in_the_depth_cap(monkeypatch, instance):
                               Limits(max_depth=depth))
         assert r.fd_truncated and r.fd_elabs
         assert len(calls) == depth + 1
+
+
+# ---------------------------------------------------------------------------
+# Counts off the forest, trees at their first read
+# ---------------------------------------------------------------------------
+
+def read_lazily(r):
+    """name -> each sequence of r and of its decomposition report whose
+    trees are unpacked at their first read."""
+    return {"elaborations": r.elaborations, "fd_elabs": r.fd_elabs,
+            "tgt_elabs": r.tgt_elabs,
+            "composed": harness.decomposition_report(r).composed}
+
+
+def read_eagerly(r):
+    """The same sequences, built as they were before any waited: unpacked
+    at once, with the composed targets read off the squares."""
+    elabs = tuple(S.unpack(r.forest, r.count))
+    return {"elaborations": elabs,
+            "fd_elabs": tuple((sigma, ie) for sigma, n in r.variants_read
+                              for ie in elabs[:n]),
+            "tgt_elabs": tuple(
+                te for sigma, n in r.variants_read
+                for te in S.unpack(r.decls.direct(sigma)(r.forest), n)),
+            "composed": tuple(sq.composed for sq in harness.squares(r))}
+
+
+COUNTED = {**LADDERS, "wide5": wide_source(5), "four_sigmas": FOUR_SIGMAS}
+
+
+@pytest.mark.parametrize("name", list(COUNTED))
+def test_counts_and_trees_read_lazily_match_the_eager_reference(name):
+    src = COUNTED[name]
+    for cap in (1, 2, 16, 256):
+        r = typecheck_program(parse_program(src), Limits(max_elaborations=cap))
+        reference = read_eagerly(r)
+        for what, seq in read_lazily(r).items():
+            counted = len(seq)
+            assert seq == reference[what], (cap, what)
+            assert tuple(seq) == reference[what] and \
+                counted == len(seq) == len(reference[what]), (cap, what)
+
+
+def test_a_miscounted_forest_fails_at_its_first_read():
+    r = typecheck_program(parse_program(wide_source(1)))
+    forest = S.IChoice((S.ITrue(), S.IFalse()))
+    wrong = source_typer.ProgramResult(r.main_type, r.main, r.decls, forest,
+                                       3, False)
+    assert len(wrong.elaborations) == len(wrong.fd_elabs) == 3
+    for seq in (wrong.elaborations, wrong.fd_elabs):
+        with pytest.raises(RuntimeError, match=r"\b2\b.*\b3\b"):
+            seq[0]
+    assert S.Unpacked(2, lambda: S.unpack(forest, 2))[1] == S.IFalse()
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_counts_and_report_lines_unpack_nothing(monkeypatch, k):
+    r = typecheck_program(parse_program(wide_source(k)))
+    calls = count_calls(monkeypatch, S, "unpack")
+    assert len(r.fd_elabs) == len(r.tgt_elabs) == 256
+    rep = harness.decomposition_report(r)
+    assert harness.decomposition_lines(rep)[1:] == [
+        "direct elaborations: 256", "composed elaborations: 256",
+        f"truncated: {str(k > 2).lower()}", "equal modulo alpha: true"]
+    assert calls == []
+    first = r.fd_elabs[0]
+    assert len(calls) == 1
+    assert r.fd_elabs[0] is first and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["P2", "wide1"])
+def test_a_report_with_lazy_targets_behaves_as_one_with_a_tuple(name):
+    r = typecheck_program(parse_program(LADDERS[name]))
+    eager = reference_decomposition(r)
+    assert harness.decomposition_report(r).composed == \
+        harness.coherence_report(r).composed
+    # Each check reads a fresh report, whose targets are not unpacked yet.
+    for same in (lambda rep: rep == eager, lambda rep: eager == rep,
+                 lambda rep: hash(rep) == hash(eager),
+                 lambda rep: repr(rep) == repr(eager),
+                 lambda rep: copy.deepcopy(rep) == eager,
+                 lambda rep: pickle.loads(pickle.dumps(rep)) == eager):
+        assert same(harness.decomposition_report(r))
+    composed = harness.decomposition_report(r).composed
+    assert composed != eager.composed + (S.TTrue(),) and \
+        composed != list(eager.composed)
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,12 @@ FOUR_SIGMAS = (
 def test_decomposition_names_the_method_environment_of_a_mismatch(
         monkeypatch):
     _break_direct_dictionary_variables(monkeypatch)
-    rep = check_decomposition(parse_program(FOUR_SIGMAS))
+    r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
+    rep = harness.decomposition_report(r)
     assert rep.count_direct == rep.count_composed == 4
     assert [m.variant for m in rep.mismatches] == [0, 1, 2]
+    # The squares compared and the forest found equal, in variant order.
+    assert rep.composed == tuple(sq.composed for sq in harness.squares(r))
 
 
 def test_each_method_environment_is_validated_once(monkeypatch):
