@@ -11,11 +11,18 @@ truncation, input nested too deeply, or a constraint left unresolved only
 because a cap cut its resolution), 141 (128 + SIGPIPE) standard output
 closed before all of it was written, with no message.
 Setting the environment variable TCC_COLOR=0 disables styling.
+
+`python -m dictelab.cli` and the `dictelab` script both run `entry`, which
+freezes the objects importing made (`gc.freeze`) before it calls `main`:
+they live until the process exits, so no collection, the one at exit
+included, need walk them. `main` itself freezes nothing, since tests call
+it in a process that goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -293,5 +300,12 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
+def entry() -> int:
+    """The process entry: `main` on the command line, after the objects
+    importing made are frozen out of garbage collection."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

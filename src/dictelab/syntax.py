@@ -3,9 +3,10 @@
 Three term languages live here: the surface language with type classes, the
 intermediate language with first-class dictionaries, and the record-based
 System F target. All nodes are immutable record classes built by `frozen`,
-which reads their fields from their annotations and compiles the methods
-of each shape of fields once, since importing the CLI takes much of a
-short run. One binding table, built at import, records each node class's
+which reads their fields from their annotations and compiles their methods
+once per template (field count, fields compared, `__post_init__`), renaming
+a copy for each class, since importing the CLI takes much of a short run.
+One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
@@ -22,14 +23,14 @@ never printed.
 from __future__ import annotations
 
 import itertools
-import string
+from _string import formatter_parser  # what `string.Formatter.parse` calls
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 from types import FunctionType
 
 
 # ---------------------------------------------------------------------------
-# Frozen record classes, compiled once per shape
+# Frozen record classes, compiled once per template
 # ---------------------------------------------------------------------------
 
 def _frozen_setattr(self, name, value):
@@ -47,9 +48,9 @@ def _frozen_repr(self):
         f"{n}={getattr(self, n)!r}" for n in self._compared) + ")"
 
 
-# The globals of every compiled method, and the code of `__init__`,
-# `__eq__` and `__hash__` for each shape: (field names, the names of the
-# fields compared, whether the class has a `__post_init__`).
+# The globals of every compiled method, and the templates by key: field
+# count, the positions of the fields compared and whether the class has a
+# `__post_init__`.
 _FROZEN_GLOBALS = {"_setattr": object.__setattr__}
 _FROZEN_CODE = {}
 
@@ -72,6 +73,38 @@ def _frozen_code(names, compared, post_init) -> tuple:
     return tuple(ns[m].__code__ for m in ("__init__", "__eq__", "__hash__"))
 
 
+def _frozen_template(arity, positions, post_init) -> tuple:
+    """A template: the code of `__init__`, `__eq__` and `__hash__` over the
+    placeholder fields `_0`, `_1`, ...; the placeholders; and the names
+    the code uses besides them (`self`, `other`, `hash`, ...)."""
+    fields = tuple(f"_{i}" for i in range(arity))
+    codes = _frozen_code(fields, tuple(fields[i] for i in positions),
+                         post_init)
+    own = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
+    return codes, fields, own.difference(fields)
+
+
+def _frozen_methods(names, compared, post_init) -> tuple:
+    """The code of `__init__`, `__eq__` and `__hash__` for one shape: its
+    template's with each placeholder renamed to its field, the same code a
+    compilation of the shape's own source gives; or that compilation, when
+    a field is named like a name the template uses itself."""
+    key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
+           post_init)
+    if key not in _FROZEN_CODE:
+        _FROZEN_CODE[key] = _frozen_template(*key)
+    codes, fields, own = _FROZEN_CODE[key]
+    if not own.isdisjoint(names):
+        return _frozen_code(names, compared, post_init)
+    rename = dict(zip(fields, names))
+
+    def renamed(items):
+        return tuple([rename.get(n, n) for n in items])
+    return tuple(c.replace(co_varnames=renamed(c.co_varnames),
+                           co_names=renamed(c.co_names),
+                           co_consts=renamed(c.co_consts)) for c in codes)
+
+
 def frozen(cls):
     """`@dataclass(frozen=True)` for a class that nothing subclasses,
     importing `dataclasses` only to raise its `FrozenInstanceError`.
@@ -79,11 +112,14 @@ def frozen(cls):
     The fields are the class's own annotations, in order, and
     `__match_args__` names them; a value the class body gives one is its
     default. `__init__` (defaults and `__post_init__` included), `__eq__`
-    and `__hash__` are the code `dataclass` generates for a frozen class,
-    compiled in one `exec` per shape (field names, the fields compared
-    and `__post_init__`), so classes of one shape share source but not
-    code objects: each class gets copies, because Python specializes
-    attribute access per code object. `__repr__` is one function over
+    and `__hash__` are the code `dataclass` generates for a frozen class.
+    It is compiled in one `exec` per template (field count, the positions
+    of the fields compared and `__post_init__`) over placeholder fields,
+    and each class gets a copy with the placeholders renamed to its
+    fields: the code its own source compiles to, in its own code object,
+    because Python specializes attribute access per code object. A class
+    with a field named like a name of the template (`other`, `hash`, ...)
+    has its own source compiled instead. `__repr__` is one function over
     the fields compared.
 
     The fields a class names in `_derived` are functions of the others:
@@ -98,13 +134,11 @@ def frozen(cls):
         raise TypeError(f"{cls.__name__}: field without default after one "
                         f"with a default")
     compared = tuple(n for n in names if n not in body.get("_derived", ()))
-    shape = names, compared, hasattr(cls, "__post_init__")
-    if shape not in _FROZEN_CODE:
-        _FROZEN_CODE[shape] = _frozen_code(*shape)
     for name, c, dflt in zip(("__init__", "__eq__", "__hash__"),
-                             _FROZEN_CODE[shape],
+                             _frozen_methods(names, compared,
+                                             hasattr(cls, "__post_init__")),
                              (defaults or None, None, None)):
-        fn = FunctionType(c.replace(), _FROZEN_GLOBALS, name, dflt)
+        fn = FunctionType(c, _FROZEN_GLOBALS, name, dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
     cls.__repr__ = _frozen_repr
@@ -1165,7 +1199,7 @@ def _compile(notation: str) -> tuple:
     comes before the field the getter reads; items is None or, for a tuple
     field, its separator and its items' compiled notation."""
     pieces = []
-    for literal, name, spec, _ in string.Formatter().parse(notation):
+    for literal, name, spec, _ in formatter_parser(notation):
         if name is None:
             pieces.append((literal, None, 0, None))
             continue

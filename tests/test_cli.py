@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
 from dictelab.parser import parse_program
 
-from conftest import CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result
+from conftest import (CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result,
+                      wide_source)
 from test_harness import FOUR_SIGMAS
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
@@ -34,6 +37,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def process_env(*path, **variables):
+    """The environment of a `python -m dictelab.cli` process: dictelab from
+    src/, after the directories in path; no styling; UTF-8 output."""
+    env = {**os.environ, "TCC_COLOR": "0", "PYTHONIOENCODING": "utf-8",
+           **variables}
+    env["PYTHONPATH"] = os.pathsep.join(
+        map(str, [*path, SRC, *filter(None, [env.get("PYTHONPATH")])]))
+    return env
+
+
+def run_process(*argv, env=None):
+    return subprocess.run([sys.executable, "-m", "dictelab.cli", *argv],
+                          env=env or process_env(), capture_output=True,
+                          timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +476,9 @@ def test_stdout_byte_identical_across_runs(capsys, cmd):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_ascii_stdout_escapes_what_it_cannot_encode(fmt):
     # Generated dictionary variables are named with a non-ASCII letter.
-    env = dict(os.environ, PYTHONIOENCODING="ascii", TCC_COLOR="0")
-    source = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(source), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-m", "dictelab.cli", "elaborate", src("P3"),
-         "--stage", "fd", "--format", fmt],
-        env=env, capture_output=True, timeout=120)
+    proc = run_process("elaborate", src("P3"), "--stage", "fd",
+                       "--format", fmt,
+                       env=process_env(PYTHONIOENCODING="ascii"))
     assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr
     assert b"\\u03b4" in proc.stdout
@@ -494,3 +511,101 @@ def test_a_closed_stdout_exits_141_with_no_message(capsys, stdout, argv):
         code = main(argv)
     assert code == EXIT_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# The process entry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("program,flags,code", [
+    ("P2", [], 0),
+    ("N1", [], 1),
+    ("wide3", ["--max-elaborations", "2"], 3),
+])
+def test_a_process_prints_and_exits_as_main_does(capsys, tmp_path, program,
+                                                 flags, code):
+    if program.startswith("wide"):
+        path = tmp_path / f"{program}.src"
+        path.write_text(wide_source(int(program[len("wide"):])))
+        program = str(path)
+    else:
+        program = src(program)
+    argv = ["check", program, *flags]
+    proc = run_process(*argv)
+    assert run_cli(capsys, *argv) == \
+        (code, proc.stdout.decode(), proc.stderr.decode())
+    assert proc.returncode == code
+
+
+FREEZE_PROBE = """import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(),
+                              file=sys.stderr))
+"""
+
+
+def test_a_process_freezes_what_importing_made(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(FREEZE_PROBE)
+    proc = run_process("check", src("P2"), env=process_env(tmp_path))
+    assert proc.returncode == 0
+    word, count = proc.stderr.decode().split()
+    assert word == "frozen" and int(count) > 0
+
+
+def test_main_freezes_nothing(capsys):
+    # Tests and the benchmark's traced runs call `main` in a process that
+    # goes on: frozen objects would never be collected there.
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "check", src("P2"))[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+PIPED = ["elaborate", "--all", src("P2"), "--stage", "fd"]
+
+
+def _spawn_into(pipe_write, **variables):
+    proc = subprocess.Popen([sys.executable, "-m", "dictelab.cli", *PIPED],
+                            stdout=pipe_write, stderr=subprocess.PIPE,
+                            env=process_env(**variables))
+    os.close(pipe_write)
+    return proc
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_pipe_closed_before_the_output_exits_141(unbuffered):
+    # Buffered, the output meets the closed pipe when it is flushed, in one
+    # write; unbuffered, at its first line.
+    read, write = os.pipe()
+    os.close(read)
+    proc = _spawn_into(write, PYTHONUNBUFFERED=unbuffered)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141 and err == b""
+
+
+def test_a_pipe_closed_after_the_first_line_exits_141(capsys):
+    # Unbuffered, each line is written as it is printed. The pipe is filled
+    # so that it has room for the first line and its newline only; once it
+    # holds them, the second line cannot be written until the pipe is
+    # closed, and is then written to no reader.
+    fcntl = pytest.importorskip("fcntl")
+    termios = pytest.importorskip("termios")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("the pipe's capacity cannot be read here")
+    out = run_cli(capsys, *PIPED)[1].encode()
+    room = out.index(b"\n") + 1
+    assert room < len(out)
+    read, write = os.pipe()
+    size = fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+    os.write(write, b"." * (size - room))
+
+    def unread():
+        return int.from_bytes(fcntl.ioctl(read, termios.FIONREAD, bytes(4)),
+                              sys.byteorder)
+    proc = _spawn_into(write, PYTHONUNBUFFERED="1")
+    deadline = time.monotonic() + 120
+    while unread() < size and proc.poll() is None \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert unread() == size
+    os.close(read)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141 and err == b""

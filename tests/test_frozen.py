@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 from collections import namedtuple
 from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -271,9 +273,114 @@ def test_classes_of_one_shape_share_no_code_object(shape):
         assert all(code == codes[0] for code in codes), method
 
 
+def _template(cls):
+    names = cls.__match_args__
+    return (len(names), tuple(i for i, n in enumerate(names)
+                              if n in cls._compared),
+            hasattr(cls, "__post_init__"))
+
+
 def test_shapes_are_compiled_once():
-    assert set(S._FROZEN_CODE) == {_shape(c) for c in CLASSES}
+    # Once per template: shapes that differ only in their field names
+    # share one.
+    assert set(S._FROZEN_CODE) == {_template(c) for c in CLASSES}
     assert _shape(S.SArrow) == _shape(S.IArrow) == _shape(S.TArrow)
+    assert _template(S.SArrow) == _template(S.SApp) == _template(S.TProj)
+
+
+# ---------------------------------------------------------------------------
+# The renamed templates against a compilation of each shape's own source
+# ---------------------------------------------------------------------------
+
+METHODS = ("__init__", "__eq__", "__hash__")
+
+
+def _reference_methods(cls) -> dict:
+    """The methods `frozen` gave cls when it compiled the source of each
+    shape (field names, the fields compared, `__post_init__`) by itself."""
+    names, compared = cls.__match_args__, cls._compared
+    init = [f"  _setattr(self,{n!r},{n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        init.append("  self.__post_init__()")
+    own = "".join(f"self.{n}," for n in compared)
+    other = "".join(f"other.{n}," for n in compared)
+    ns = {}
+    exec(f"def __init__({','.join(('self', *names))}):\n"
+         + ("\n".join(init) or "  pass") + "\n"
+         "def __eq__(self, other):\n"
+         "  if other.__class__ is self.__class__:\n"
+         f"    return ({own})==({other})\n"
+         "  return NotImplemented\n"
+         "def __hash__(self):\n"
+         f"  return hash(({own}))\n", S._FROZEN_GLOBALS, ns)
+    defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    out = {}
+    for method, dflt in zip(METHODS, (defaults or None, None, None)):
+        fn = FunctionType(ns[method].__code__, S._FROZEN_GLOBALS, method,
+                          dflt)
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        out[method] = fn
+    return out
+
+
+def _facts(fn):
+    c = fn.__code__
+    return (c.co_code, c.co_varnames, c.co_names, c.co_consts,
+            c.co_argcount, fn.__defaults__, fn.__qualname__,
+            inspect.signature(fn))
+
+
+def assert_own_shape_code(cls):
+    reference = _reference_methods(cls)
+    for method in METHODS:
+        assert _facts(vars(cls)[method]) == _facts(reference[method]), method
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=_name)
+def test_methods_are_the_code_of_their_own_shape(cls):
+    assert_own_shape_code(cls)
+
+
+def test_fields_named_like_the_template_get_the_code_of_their_own_shape(
+        monkeypatch):
+    # A field may be named like a name the template uses itself, or like
+    # its placeholders at another position. These classes must not add a
+    # template to the package's.
+    monkeypatch.setattr(S, "_FROZEN_CODE", dict(S._FROZEN_CODE))
+
+    class Other:
+        other: object
+
+    class Hash:
+        hash: object
+
+    class Setattr:
+        _setattr: object
+
+    class NotImplementedField:
+        NotImplemented: object
+
+    class Placeholders:
+        _1: object
+        _0: object = None
+
+    class Record:
+        other: object
+        hash: object = None
+        _derived = ("hash",)
+
+        def __post_init__(self):
+            pass
+
+    classes = [S.frozen(c) for c in (Other, Hash, Setattr,
+                                     NotImplementedField, Placeholders,
+                                     Record)]
+    for cls in classes:
+        assert_own_shape_code(cls)
+    assert Hash(1) == Hash(1) != Hash(2) and hash(Hash(1)) == hash((1,))
+    assert Other(1) == Other(1) != Other(2)
+    assert Placeholders(1, 2)._1 == 1 and Placeholders(1)._0 is None
+    assert Record(1, 2) == Record(1, 3) != Record(2, 2)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
@@ -293,11 +400,12 @@ def test_limits_keep_their_defaults():
 
 
 # Counts the `exec` calls that compile source text while `dictelab.cli` is
-# imported (module bodies are exec'd as code objects), and the distinct
-# shapes of the classes `frozen` built: field names, the fields compared
-# and `__post_init__`.
+# imported (module bodies are exec'd as code objects), the distinct shapes
+# of the classes `frozen` built (field names, the fields compared and
+# `__post_init__`) and their templates (field count, the positions of the
+# fields compared and `__post_init__`).
 # `@dataclass(frozen=True)` compiles six strings per class, `frozen` one
-# per shape.
+# per template.
 COUNT_EXECS = """
 import builtins, sys
 calls = 0
@@ -316,7 +424,10 @@ classes = {v for name, m in list(sys.modules.items())
            and hasattr(v, "__match_args__") and not issubclass(v, tuple)}
 shapes = {(c.__match_args__, c._compared, hasattr(c, "__post_init__"))
           for c in classes}
-print(calls, len(classes), len(shapes))
+templates = {(len(names), tuple(i for i, n in enumerate(names)
+                                if n in compared), post_init)
+             for names, compared, post_init in shapes}
+print(calls, len(classes), len(shapes), len(templates))
 """
 
 
@@ -330,16 +441,17 @@ def _run_with_src(*args):
 
 def test_importing_the_cli_makes_few_exec_calls():
     out = _run_with_src("-c", COUNT_EXECS)
-    calls, classes, shapes = map(int, out.split())
+    calls, classes, shapes, templates = map(int, out.split())
     assert classes >= len(CLASSES)
     assert shapes < classes
-    assert calls == shapes, (calls, shapes)
+    assert templates < shapes
+    assert calls == templates, (calls, templates, shapes)
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     # Each costs start-up time in every dictelab process; `-S` keeps
     # site-packages from importing them first.
     out = _run_with_src("-S", "-c", "import sys, dictelab.cli; print(sorted("
-                        "{'dataclasses', 'inspect', 'typing'} & set("
+                        "{'dataclasses', 'inspect', 'string', 'typing'} & set("
                         "sys.modules)))")
     assert out == "[]\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import string
 import sys
 
 import pytest
@@ -68,6 +69,16 @@ def test_every_printable_class_has_a_notation():
                  if isinstance(c, type) and hasattr(c, "__match_args__")
                  and issubclass(c, bases)}
     assert printable == set(S._NOTATION)
+
+
+def test_the_notation_table_is_the_one_string_formatter_reads(monkeypatch):
+    # `syntax` parses its notations with `_string.formatter_parser`, so that
+    # importing it does not import `string`.
+    monkeypatch.setattr(S, "formatter_parser", string.Formatter().parse)
+    table = {cls: (level, S._compile(n) if isinstance(n, str) else n)
+             for cls, (level, n) in S._NOTATION.items()}
+    assert table.keys() == S._TABLE.keys()
+    assert repr(table) == repr(S._TABLE)
 
 
 def test_pretty_rejects_other_values():
