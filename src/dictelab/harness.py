@@ -5,9 +5,12 @@ environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check and
 command reads both translations from it. Both translations are
 homomorphisms over derivations, so each Σ translates the program's packed
 forest of derivations once per side, and the squares unpack the two
-translated forests beside the derivations. The composed side types the
-forest (`FdChecker.check_expr`, the typing judgment alone), then
-translates it (`FdChecker.translate`, a structural walk over the typed
+translated forests beside the derivations. That is the only path: no
+derivation is translated alone, and a forest that fails to type or
+translate raises, even where the failing alternative is used only by
+derivations past the cap, which no square reads. The composed side
+types the forest (`FdChecker.check_expr`, the typing judgment alone),
+then translates it (`FdChecker.translate`, a structural walk over the typed
 forest); coherence does the same for each intermediate value. Each Σ's
 direct translator and `fd_env_wf`-validated checker are built once and
 kept by the `Declarations`, which both reports and every coherence
@@ -110,36 +113,24 @@ sigma among them; checker is sigma's, which fd_env_wf validated."""
 
 def _environments(r):
     """For each method environment Σ that r.fd_elabs reaches, in order:
-    the number of derivations read under Σ, the direct and composed
-    translations of r's forest (None if translating it raised) and the
-    squares, lazily. The checker and the direct translator of each Σ are
-    r.decls's, built when any result typed against r.decls first reads
-    Σ."""
+    its index, Σ, its checker, the number n of derivations read under it,
+    and the direct and composed translations of r's forest. The checker
+    and the direct translator of each Σ are r.decls's, built when any
+    result typed against r.decls first reads Σ."""
     for variant, (sigma, n) in enumerate(r.variants_read):
         checker = r.decls.once(("checker", id(sigma)),
                                lambda: fd_env_wf(sigma, r.fd_class_env))
-        direct = r.decls.direct(sigma)
-        try:
-            forests = direct(r.forest), _composed(checker, r.forest)
-        except Exception:
-            # Not lost: the squares translate their derivations one at a
-            # time, and the one that holds the failing node raises again.
-            # A failing alternative past the cap is never read, as before.
-            forests = None
-        yield n, forests, _squares(r, variant, sigma, checker, direct, n,
-                                   forests)
+        yield (variant, sigma, checker, n, r.decls.direct(sigma)(r.forest),
+               _composed(checker, r.forest))
 
 
-def _squares(r, variant, sigma, checker, direct, n, forests):
-    """The squares of the first n derivations of r under sigma: their
-    corners unpacked from the translated forests, or translated one
-    derivation at a time."""
-    elabs = r.elaborations[:n]
-    if forests:
-        corners = zip(*(S.unpack(f, n) for f in forests))
-    else:
-        corners = ((direct(ie), _composed(checker, ie)) for ie in elabs)
-    for ie, (d, c) in zip(elabs, corners):
+def _squares(r, env):
+    """The squares of the first n derivations of r under the Σ of env, one
+    of _environments(r): the derivations and the corners unpacked from
+    the two translated forests, side by side."""
+    variant, sigma, checker, n, direct, composed = env
+    for ie, d, c in zip(r.elaborations[:n], S.unpack(direct, n),
+                        S.unpack(composed, n)):
         yield Square(variant, sigma, checker, ie, d, c)
 
 
@@ -153,8 +144,8 @@ def _composed(checker, e) -> TgtExpr:
 def squares(r):
     """The square of each elaboration of r, lazily and in order;
     consecutive elaborations share their sigma object."""
-    for _, _, sqs in _environments(r):
-        yield from sqs
+    for env in _environments(r):
+        yield from _squares(r, env)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +228,20 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
 def decomposition_report(r, program_name: str = "") -> DecompositionReport:
     """Decomposition of the typed program r: per Σ, the two translated
     forests, and square by square only where they differ. The counts are
-    read off the forests; the composed targets of a Σ whose forests are
-    equal are unpacked at the first read of one."""
-    count, parts, mismatches = 0, [], []
-    for n, forests, sqs in _environments(r):
+    read off the forests; the composed targets are unpacked from the
+    composed forests at the first read of one, by a second pass over the
+    environments, which the translators' memos let translate nothing."""
+    count, mismatches = 0, []
+    for env in _environments(r):
+        _, _, _, n, direct, composed = env
         count += n
-        if forests and S.forest_eq(*forests):
-            parts.append(lambda forest=forests[1], n=n: S.unpack(forest, n))
+        if S.forest_eq(direct, composed):
             continue
-        composed = []
-        for sq in sqs:
-            composed.append(sq.composed)
+        for sq in _squares(r, env):
             if not alpha_eq(sq.direct, sq.composed):
                 mismatches.append(Mismatch(
                     S.pretty(sq.derivation), sq.variant,
                     S.pretty(sq.direct), S.pretty(sq.composed)))
-        parts.append(lambda composed=composed: composed)
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
@@ -261,7 +250,8 @@ def decomposition_report(r, program_name: str = "") -> DecompositionReport:
         truncated=r.fd_truncated,
         main_type=r.main_type,
         composed=S.Unpacked(count, lambda: [
-            te for part in parts for te in part()]),
+            te for _, _, _, n, _, forest in _environments(r)
+            for te in S.unpack(forest, n)]),
         mismatches=tuple(mismatches))
 
 

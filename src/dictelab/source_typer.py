@@ -596,21 +596,19 @@ class DirectTranslator:
     declaration; a method call becomes a projection and a dictionary
     variable a term variable with a reserved prefix. Translation is
     structural, so each result is memoized by the identity of its node,
-    which the translator keeps alive.
+    which its entry keeps alive, as `FdChecker.translate` does.
     """
 
     def __init__(self, TC, P, bodies):
         self.classes = {entry.cls: entry for entry in TC}
         self.instances = {e.con: (e, body) for e, body in zip(P, bodies)}
-        self._memo: dict = {}       # id(node) -> translation
-        self._nodes: list = []      # the nodes of _memo, kept alive
+        self._memo: dict = {}       # id(node) -> (node, translation)
 
     def __call__(self, node):
-        out = self._memo.get(id(node))
-        if out is None:
-            out = self._memo[id(node)] = self._translate(node)
-            self._nodes.append(node)
-        return out
+        hit = self._memo.get(id(node))
+        if hit is None:
+            hit = self._memo[id(node)] = (node, self._translate(node))
+        return hit[1]
 
     def dict_var(self, dv: str) -> TgtExpr:
         return TVar(dict_target_name(dv))

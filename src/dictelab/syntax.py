@@ -5,7 +5,9 @@ intermediate language with first-class dictionaries, and the record-based
 System F target. All nodes are immutable record classes built by `frozen`,
 which reads their fields from their annotations and compiles their methods
 once per template (field count, fields compared, `__post_init__`), renaming
-a copy for each class, since importing the CLI takes much of a short run.
+a copy for each class, since importing the CLI takes much of a short run;
+that is the only compilation, so a field named like a name the template
+uses is rejected.
 One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
@@ -55,14 +57,18 @@ _FROZEN_GLOBALS = {"_setattr": object.__setattr__}
 _FROZEN_CODE = {}
 
 
-def _frozen_code(names, compared, post_init) -> tuple:
-    init = [f"  _setattr(self,{n!r},{n})" for n in names]
+def _frozen_template(arity, positions, post_init) -> tuple:
+    """A template: the code of `__init__`, `__eq__` and `__hash__` over the
+    placeholder fields `_0`, `_1`, ...; the placeholders; and the names
+    the code uses besides them (`self`, `other`, `hash`, ...)."""
+    fields = tuple(f"_{i}" for i in range(arity))
+    init = [f"  _setattr(self,{n!r},{n})" for n in fields]
     if post_init:
         init.append("  self.__post_init__()")
-    own = "".join(f"self.{n}," for n in compared)
-    other = "".join(f"other.{n}," for n in compared)
+    own = "".join(f"self.{fields[i]}," for i in positions)
+    other = "".join(f"other.{fields[i]}," for i in positions)
     ns = {}
-    exec(f"def __init__({','.join(('self', *names))}):\n"
+    exec(f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
          "  if other.__class__ is self.__class__:\n"
@@ -70,32 +76,26 @@ def _frozen_code(names, compared, post_init) -> tuple:
          "  return NotImplemented\n"
          "def __hash__(self):\n"
          f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
-    return tuple(ns[m].__code__ for m in ("__init__", "__eq__", "__hash__"))
+    codes = tuple(ns[m].__code__ for m in ("__init__", "__eq__", "__hash__"))
+    used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
+    return codes, fields, used.difference(fields)
 
 
-def _frozen_template(arity, positions, post_init) -> tuple:
-    """A template: the code of `__init__`, `__eq__` and `__hash__` over the
-    placeholder fields `_0`, `_1`, ...; the placeholders; and the names
-    the code uses besides them (`self`, `other`, `hash`, ...)."""
-    fields = tuple(f"_{i}" for i in range(arity))
-    codes = _frozen_code(fields, tuple(fields[i] for i in positions),
-                         post_init)
-    own = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
-    return codes, fields, own.difference(fields)
-
-
-def _frozen_methods(names, compared, post_init) -> tuple:
-    """The code of `__init__`, `__eq__` and `__hash__` for one shape: its
-    template's with each placeholder renamed to its field, the same code a
-    compilation of the shape's own source gives; or that compilation, when
-    a field is named like a name the template uses itself."""
+def _frozen_methods(owner, names, compared, post_init) -> tuple:
+    """The code of `__init__`, `__eq__` and `__hash__` for one shape of
+    the class named owner: its template's with each placeholder renamed to
+    its field, the same code a compilation of the shape's own source
+    gives. A field named like a name the template uses itself would
+    change what the code means, so it raises `TypeError`."""
     key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
            post_init)
     if key not in _FROZEN_CODE:
         _FROZEN_CODE[key] = _frozen_template(*key)
-    codes, fields, own = _FROZEN_CODE[key]
-    if not own.isdisjoint(names):
-        return _frozen_code(names, compared, post_init)
+    codes, fields, used = _FROZEN_CODE[key]
+    clash = [n for n in names if n in used]
+    if clash:
+        raise TypeError(f"{owner}: fields named like names its methods use: "
+                        + ", ".join(map(repr, clash)))
     rename = dict(zip(fields, names))
 
     def renamed(items):
@@ -117,10 +117,10 @@ def frozen(cls):
     of the fields compared and `__post_init__`) over placeholder fields,
     and each class gets a copy with the placeholders renamed to its
     fields: the code its own source compiles to, in its own code object,
-    because Python specializes attribute access per code object. A class
-    with a field named like a name of the template (`other`, `hash`, ...)
-    has its own source compiled instead. `__repr__` is one function over
-    the fields compared.
+    because Python specializes attribute access per code object. A field
+    named like a name the template uses (`self`, `other`, `hash`,
+    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`) raises
+    `TypeError`. `__repr__` is one function over the fields compared.
 
     The fields a class names in `_derived` are functions of the others:
     like a dataclass field with `compare=False, repr=False`, each takes no
@@ -135,7 +135,7 @@ def frozen(cls):
                         f"with a default")
     compared = tuple(n for n in names if n not in body.get("_derived", ()))
     for name, c, dflt in zip(("__init__", "__eq__", "__hash__"),
-                             _frozen_methods(names, compared,
+                             _frozen_methods(cls.__name__, names, compared,
                                              hasattr(cls, "__post_init__")),
                              (defaults or None, None, None)):
         fn = FunctionType(c, _FROZEN_GLOBALS, name, dflt)

@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from dictelab import fd_core, harness, source_typer, syntax as S, target_core
+from dictelab.cli import main
 from dictelab.fd_core import FdChecker
 from dictelab.harness import DecompositionReport, Mismatch
 from dictelab.parser import parse_program
@@ -42,24 +43,30 @@ def ladder_programs():
 LADDERS = ladder_programs()
 
 
-def reference_decomposition(r, program_name=""):
-    """Decomposition as it was checked before forests: each unpacked
-    derivation translated by fresh translators, each square compared by
-    alpha_eq."""
+def reference_squares(r):
+    """Each square of r as it was built before forests, as (variant, sigma,
+    derivation, direct, composed): each unpacked derivation translated
+    alone, by fresh translators."""
     variants = r.decls.variants
-    composed, mismatches = [], []
     for sigma, ie in r.fd_elabs:
         variant = next(i for i, (s, _) in enumerate(variants) if s is sigma)
         direct = DirectTranslator(r.fd_class_env, r.P,
                                   variants[variant][1])(ie)
         _, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
-        composed.append(te)
-        if not S.alpha_eq(direct, te):
-            mismatches.append(Mismatch(S.pretty(ie), variant,
-                                       S.pretty(direct), S.pretty(te)))
-    return DecompositionReport(program_name, not mismatches, len(composed),
-                               len(composed), r.fd_truncated, r.main_type,
-                               tuple(composed), tuple(mismatches))
+        yield variant, sigma, ie, direct, te
+
+
+def reference_decomposition(r, program_name=""):
+    """Decomposition as it was checked before forests: each square of
+    reference_squares compared by alpha_eq."""
+    squares = list(reference_squares(r))
+    mismatches = tuple(
+        Mismatch(S.pretty(ie), variant, S.pretty(direct), S.pretty(te))
+        for variant, _, ie, direct, te in squares
+        if not S.alpha_eq(direct, te))
+    return DecompositionReport(program_name, not mismatches, len(squares),
+                               len(squares), r.fd_truncated, r.main_type,
+                               tuple(te for *_, te in squares), mismatches)
 
 
 def fields(rep: DecompositionReport):
@@ -67,16 +74,26 @@ def fields(rep: DecompositionReport):
             [S.pretty(te) for te in rep.composed], rep.mismatches)
 
 
-def assert_matches_reference(src) -> DecompositionReport:
-    r = typecheck_program(parse_program(src))
+def assert_matches_reference(src, limits=Limits()) -> DecompositionReport:
+    r = typecheck_program(parse_program(src), limits)
     rep = harness.decomposition_report(r)
     assert fields(rep) == fields(reference_decomposition(r))
+    assert [(sq.variant, sq.sigma, sq.derivation, sq.direct, sq.composed)
+            for sq in harness.squares(r)] == list(reference_squares(r))
     return rep
 
 
-@pytest.mark.parametrize("name", list(LADDERS))
-def test_decomposition_agrees_with_the_square_by_square_reference(name):
-    assert assert_matches_reference(LADDERS[name]).equal
+# The caps the differential runs at: below, at and past the elaborations of
+# the smaller rungs, and the default. At the default the ids are the names.
+CAPS = (1, 2, 3, 256)
+
+
+@pytest.mark.parametrize("name,cap", [
+    pytest.param(name, cap, id=name if cap == 256 else f"{name}-cap{cap}")
+    for name in LADDERS for cap in CAPS])
+def test_decomposition_agrees_with_the_square_by_square_reference(name, cap):
+    assert assert_matches_reference(
+        LADDERS[name], Limits(max_elaborations=cap)).equal
 
 
 def _drop_type_applications(monkeypatch):
@@ -114,18 +131,45 @@ def test_a_broken_translation_falls_back_to_naming_each_square(
     assert failed == broken
 
 
-def test_a_forest_that_fails_to_translate_is_checked_square_by_square(
-        monkeypatch):
-    # A checker that rejects every choice still checks each derivation.
+def _reject_the_instance_alternative(monkeypatch):
+    """A checker that rejects every choice with an alternative D1_Eq."""
     infer = FdChecker._infer
 
-    def no_choices(self, env, e):
-        if isinstance(e, S.IChoice):
-            raise fd_core.FdTypeError(fd_core.MISMATCH, "no choices here")
+    def rejecting(self, env, e):
+        if isinstance(e, S.IChoice) and any(
+                isinstance(alt, S.DCon) and alt.name == "D1_Eq"
+                for alt in e.alts):
+            raise fd_core.FdTypeError(fd_core.MISMATCH, "no D1_Eq here")
         return infer(self, env, e)
-    monkeypatch.setattr(FdChecker, "_infer", no_choices)
-    rep = assert_matches_reference(wide_source(2))
-    assert rep.equal and rep.count_composed == 256
+    monkeypatch.setattr(FdChecker, "_infer", rejecting)
+
+
+def test_a_checker_fault_past_the_cap_is_not_hidden(
+        monkeypatch, tmp_path, capsys):
+    # wide(2) resolves each of f's two constraints in g to one of g's 15
+    # local dictionaries or to the instance D1_Eq, which comes last. At a
+    # cap of 15 the forest holds the D1_Eq alternative (at caps below 15
+    # resolution stops before it), but only derivations past the cap use
+    # it. The forest's translation is the only one, so the fault shows.
+    _reject_the_instance_alternative(monkeypatch)
+    src = wide_source(2)
+    r = typecheck_program(parse_program(src), Limits(max_elaborations=15))
+    alts = [alt for node in forest_nodes(r.forest, {}).values()
+            if isinstance(node, S.IChoice) for alt in node.alts]
+    assert [alt.name for alt in alts if isinstance(alt, S.DCon)] == ["D1_Eq"]
+    # Each derivation the cap keeps is checked alone without fault.
+    assert reference_decomposition(r).equal
+    assert r.fd_truncated and len(r.fd_elabs) == 15
+    with pytest.raises(fd_core.FdTypeError, match="no D1_Eq here"):
+        harness.decomposition_report(r)
+    with pytest.raises(fd_core.FdTypeError, match="no D1_Eq here"):
+        harness.coherence_report(r)
+    path = tmp_path / "wide2.src"
+    path.write_text(src)
+    capsys.readouterr()
+    assert main(["decompose", str(path), "--max-elaborations", "15"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Mismatch: no D1_Eq here\n"
 
 
 # ---------------------------------------------------------------------------

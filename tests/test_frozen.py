@@ -341,46 +341,49 @@ def test_methods_are_the_code_of_their_own_shape(cls):
     assert_own_shape_code(cls)
 
 
-def test_fields_named_like_the_template_get_the_code_of_their_own_shape(
-        monkeypatch):
-    # A field may be named like a name the template uses itself, or like
-    # its placeholders at another position. These classes must not add a
-    # template to the package's.
+# The names the code of a template uses besides its placeholders; the last
+# only in templates with `__post_init__`.
+RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
+            "__class__", "__post_init__")
+
+
+def test_a_field_named_like_the_template_is_rejected(monkeypatch):
+    # A renamed copy of the template would mean something else for such a
+    # field, and no other code is compiled. These classes have the shapes
+    # of package classes, so they add no template.
     monkeypatch.setattr(S, "_FROZEN_CODE", dict(S._FROZEN_CODE))
+    templates = set(S._FROZEN_CODE)
+    for reserved in RESERVED:
+        namespace = {"__annotations__": {reserved: object}}
+        if reserved == "__post_init__":     # the template of the records
+            namespace["__post_init__"] = lambda self: None
+        with pytest.raises(TypeError, match=f"^Clash: .*: {reserved!r}$"):
+            S.frozen(type("Clash", (), namespace))
 
-    class Other:
+    class Both:
         other: object
+        hash: object = None
+    with pytest.raises(TypeError, match="^Both: .*: 'other', 'hash'$"):
+        S.frozen(Both)
+    assert set(S._FROZEN_CODE) == templates
 
-    class Hash:
-        hash: object
 
-    class Setattr:
-        _setattr: object
+def test_fields_named_like_placeholders_elsewhere_get_the_template(
+        monkeypatch):
+    # Placeholders are renamed all at once, so fields named like them at
+    # other positions keep the template's code.
+    monkeypatch.setattr(S, "_FROZEN_CODE", dict(S._FROZEN_CODE))
+    templates = set(S._FROZEN_CODE)
 
-    class NotImplementedField:
-        NotImplemented: object
-
+    @S.frozen
     class Placeholders:
         _1: object
         _0: object = None
 
-    class Record:
-        other: object
-        hash: object = None
-        _derived = ("hash",)
-
-        def __post_init__(self):
-            pass
-
-    classes = [S.frozen(c) for c in (Other, Hash, Setattr,
-                                     NotImplementedField, Placeholders,
-                                     Record)]
-    for cls in classes:
-        assert_own_shape_code(cls)
-    assert Hash(1) == Hash(1) != Hash(2) and hash(Hash(1)) == hash((1,))
-    assert Other(1) == Other(1) != Other(2)
+    assert_own_shape_code(Placeholders)
+    assert set(S._FROZEN_CODE) == templates
     assert Placeholders(1, 2)._1 == 1 and Placeholders(1)._0 is None
-    assert Record(1, 2) == Record(1, 3) != Record(2, 2)
+    assert Placeholders(1, 2) == Placeholders(1, 2) != Placeholders(2, 1)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
