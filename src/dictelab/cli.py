@@ -150,12 +150,12 @@ def _parse_file(path, parse):
 def _elaborations(ns, result):
     """Pretty-printed elaborations at the chosen stage and mode: all of
     them with --all, else the first."""
+    limit = None if ns.all else 1
     if ns.stage == "fd":
-        terms = (ie for _, ie in result.fd_elabs)
+        terms = itertools.islice((ie for _, ie in result.fd_elabs), limit)
     else:
-        terms = (getattr(sq, ns.mode) for sq in harness.squares(result))
-    return [S.pretty(t)
-            for t in itertools.islice(terms, None if ns.all else 1)]
+        terms = harness.corners(result, ns.mode, limit)
+    return [S.pretty(t) for t in terms]
 
 
 def _resource_exit(truncated: bool) -> int:
@@ -199,7 +199,7 @@ def cmd_run(ns, r) -> int:
         sigma, ie = r.fd_elabs[0]
         value = S.pretty(fd_core.fd_eval(sigma, ie, ns.fuel))
     else:
-        te = getattr(next(harness.squares(r)), ns.mode)
+        te = next(harness.corners(r, ns.mode, 1))
         value = S.pretty(target_core.tgt_eval(te, ns.fuel))
     if ns.format == "json":
         _emit_json(ns, r.main_type, [], [value], True, r.fd_truncated)

@@ -73,7 +73,13 @@ class FuelExhausted(Exception):
 # Types: well-formedness and translation to target types
 # ---------------------------------------------------------------------------
 
-def check_fd_type_wf(TC, tyvars: set[str], t: FdType):
+def check_fd_type_wf(TC, tyvars: set[str], t: FdType, seen=None):
+    """Raises FdTypeError at the first ill-formed part of t, in reading
+    order. seen holds the subtrees already checked under tyvars: a shared
+    one is checked once."""
+    seen = set() if seen is None else seen
+    if t in seen:
+        return
     match t:
         case IBool():
             pass
@@ -81,15 +87,16 @@ def check_fd_type_wf(TC, tyvars: set[str], t: FdType):
             if a not in tyvars:
                 raise FdTypeError(UNBOUND_TYVAR, f"unbound type variable {a!r}")
         case IArrow(l, r):
-            check_fd_type_wf(TC, tyvars, l)
-            check_fd_type_wf(TC, tyvars, r)
+            check_fd_type_wf(TC, tyvars, l, seen)
+            check_fd_type_wf(TC, tyvars, r, seen)
         case IQArrow(q, r):
-            check_fd_q_wf(TC, tyvars, q)
-            check_fd_type_wf(TC, tyvars, r)
+            check_fd_q_wf(TC, tyvars, q, seen)
+            check_fd_type_wf(TC, tyvars, r, seen)
         case IForall(a, body):
             check_fd_type_wf(TC, tyvars | {a}, body)
         case _:
             raise TypeError(t)
+    seen.add(t)
 
 
 def lookup_class_by_name(TC, cls: str) -> FdClassEntry:
@@ -106,24 +113,33 @@ def lookup_class_by_method(TC, method: str) -> FdClassEntry:
     raise FdTypeError(UNKNOWN_METHOD, f"unknown method {method!r}")
 
 
-def check_fd_q_wf(TC, tyvars: set[str], q: FdQ):
+def check_fd_q_wf(TC, tyvars: set[str], q: FdQ, seen=None):
     lookup_class_by_name(TC, q.cls)
-    check_fd_type_wf(TC, tyvars, q.arg)
+    check_fd_type_wf(TC, tyvars, q.arg, seen)
 
 
-def elab_fd_type(TC, t: FdType) -> TgtType:
-    match t:
-        case IBool():
-            return TBool()
-        case ITyVar(a):
-            return TTyVar(a)
-        case IArrow(l, r):
-            return TArrow(elab_fd_type(TC, l), elab_fd_type(TC, r))
-        case IQArrow(q, r):
-            return TArrow(elab_fd_q(TC, q), elab_fd_type(TC, r))
-        case IForall(a, body):
-            return TForall(a, elab_fd_type(TC, body))
-    raise TypeError(t)
+def elab_fd_type(TC, t: FdType, memo=None) -> TgtType:
+    """The target type of t; memo holds the translations made so far in
+    this call, so each subtree t shares is translated once."""
+    memo = {} if memo is None else memo
+    out = memo.get(t)
+    if out is None:
+        match t:
+            case IBool():
+                out = TBool()
+            case ITyVar(a):
+                out = TTyVar(a)
+            case IArrow(l, r):
+                out = TArrow(elab_fd_type(TC, l, memo),
+                             elab_fd_type(TC, r, memo))
+            case IQArrow(q, r):
+                out = TArrow(elab_fd_q(TC, q), elab_fd_type(TC, r, memo))
+            case IForall(a, body):
+                out = TForall(a, elab_fd_type(TC, body, memo))
+            case _:
+                raise TypeError(t)
+        memo[t] = out
+    return out
 
 
 def elab_fd_q(TC, q: FdQ) -> TgtType:

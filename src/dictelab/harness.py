@@ -1,8 +1,9 @@
 """Executable checks over whole programs.
 
 `squares` yields one commuting square per derivation D and method
-environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check and
-command reads both translations from it. Both translations are
+environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check reads
+both translations from it, and a command that prints one corner reads
+that corner alone (`corners`). Both translations are
 homomorphisms over derivations, so each Σ translates the program's packed
 forest of derivations once per side, and the squares unpack the two
 translated forests beside the derivations. That is the only path: no
@@ -148,6 +149,19 @@ def squares(r):
         yield from _squares(r, env)
 
 
+def corners(r, mode: str, limit: int | None = None):
+    """One corner of each square of r, lazily and in order: its direct or
+    its composed target (mode), unpacked from that translated forest
+    alone; the first limit of them if limit is given."""
+    for _, _, _, n, direct, composed in _environments(r):
+        if limit is not None:
+            n = min(n, limit)
+            limit -= n
+        yield from S.unpack(direct if mode == "direct" else composed, n)
+        if limit == 0:      # read no further Σ
+            return
+
+
 # ---------------------------------------------------------------------------
 # Coherence
 # ---------------------------------------------------------------------------
@@ -230,7 +244,8 @@ def decomposition_report(r, program_name: str = "") -> DecompositionReport:
     forests, and square by square only where they differ. The counts are
     read off the forests; the composed targets are unpacked from the
     composed forests at the first read of one, by a second pass over the
-    environments, which the translators' memos let translate nothing."""
+    environments (`corners`), which the translators' memos let translate
+    nothing."""
     count, mismatches = 0, []
     for env in _environments(r):
         _, _, _, n, direct, composed = env
@@ -249,9 +264,7 @@ def decomposition_report(r, program_name: str = "") -> DecompositionReport:
         count_composed=count,
         truncated=r.fd_truncated,
         main_type=r.main_type,
-        composed=S.Unpacked(count, lambda: [
-            te for _, _, _, n, _, forest in _environments(r)
-            for te in S.unpack(forest, n)]),
+        composed=S.Unpacked(count, lambda: corners(r, "composed")),
         mismatches=tuple(mismatches))
 
 

@@ -154,16 +154,31 @@ def unambig_constraint(c: SrcConstraintScheme) -> bool:
 # ---------------------------------------------------------------------------
 
 def elab_mono(tyvars: set[str], t: SrcMono) -> FdType:
-    match t:
-        case SBool():
-            return IBool()
-        case STyVar(a):
-            if a not in tyvars:
-                raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-            return ITyVar(a)
-        case SArrow(l, r):
-            return IArrow(elab_mono(tyvars, l), elab_mono(tyvars, r))
-    raise TypeError(t)
+    """The intermediate type of t, whose free type variables must be in
+    tyvars: the first that is not is reported, in reading order. Each
+    subtree t shares is translated once."""
+    if not isinstance(t, SrcMono):
+        raise TypeError(t)
+    for _, a in t._fv:
+        if a not in tyvars:
+            raise SrcTypeError("unbound", f"unbound type variable {a!r}")
+    return _elab_mono(t, {})
+
+
+def _elab_mono(t: SrcMono, memo: dict) -> FdType:
+    out = memo.get(t)
+    if out is None:
+        match t:
+            case SBool():
+                out = IBool()
+            case STyVar(a):
+                out = ITyVar(a)
+            case SArrow(l, r):
+                out = IArrow(_elab_mono(l, memo), _elab_mono(r, memo))
+            case _:
+                raise TypeError(t)
+        memo[t] = out
+    return out
 
 
 def elab_constraint(GC, tyvars: set[str], q: SrcConstraint) -> FdQ:

@@ -7,7 +7,9 @@ which reads their fields from their annotations and compiles their methods
 once per template (field count, fields compared, `__post_init__`), renaming
 a copy for each class, since importing the CLI takes much of a short run;
 that is the only compilation, so a field named like a name the template
-uses is rejected.
+uses is rejected. The types of the three languages are interned
+(`interned`): an equal type is the same object, which caches its hash and
+its free variables, so the walks below stop at shared subtrees.
 One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
@@ -29,6 +31,8 @@ from _string import formatter_parser  # what `string.Formatter.parse` calls
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 from types import FunctionType
+
+from _weakref import _remove_dead_weakref, ref
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +56,48 @@ def _frozen_repr(self):
 
 # The globals of every compiled method, and the templates by key: field
 # count, the positions of the fields compared and whether the class has a
-# `__post_init__`.
-_FROZEN_GLOBALS = {"_setattr": object.__setattr__}
+# `__post_init__`. An interned class's methods also read its table and
+# the function that enters a new node in it, from globals of their own.
+_setattr = object.__setattr__
+_FROZEN_GLOBALS = {"_setattr": _setattr, "_new": object.__new__}
 _FROZEN_CODE = {}
+
+# The methods of a template, those of a frozen class, then those of an
+# interned one.
+FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
+INTERNED_METHODS = ("__new__", "__hash__")
 
 
 def _frozen_template(arity, positions, post_init) -> tuple:
-    """A template: the code of `__init__`, `__eq__` and `__hash__` over the
-    placeholder fields `_0`, `_1`, ...; the placeholders; and the names
-    the code uses besides them (`self`, `other`, `hash`, ...)."""
+    """A template: the code of `__init__`, `__eq__` and `__hash__`, then of
+    the interned `__new__` and `__hash__`, over the placeholder fields
+    `_0`, `_1`, ...; the placeholders; and the names the code uses besides
+    them (`self`, `other`, `hash`, ...)."""
     fields = tuple(f"_{i}" for i in range(arity))
+    params = ",".join(fields)
     init = [f"  _setattr(self,{n!r},{n})" for n in fields]
     if post_init:
         init.append("  self.__post_init__()")
     own = "".join(f"self.{fields[i]}," for i in positions)
     other = "".join(f"other.{fields[i]}," for i in positions)
+    # An interned `__new__` returns the live node with equal fields, if
+    # there is one. A class with `__post_init__` builds the node first,
+    # since its key is the fields that `__post_init__` leaves.
+    if post_init:
+        new = ["  self=_new(_cls)", *init, f"  _key=({own})",
+               "  _ref=_table.get(_key)",
+               "  if _ref is not None:",
+               "    _old=_ref()",
+               "    if _old is not None:",
+               "      return _old"]
+    else:
+        new = [f"  _key=({''.join(fields[i] + ',' for i in positions)})",
+               "  _ref=_table.get(_key)",
+               "  if _ref is not None:",
+               "    self=_ref()",
+               "    if self is not None:",
+               "      return self",
+               "  self=_new(_cls)", *init]
     ns = {}
     exec(f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
@@ -75,18 +106,26 @@ def _frozen_template(arity, positions, post_init) -> tuple:
          f"    return ({own})==({other})\n"
          "  return NotImplemented\n"
          "def __hash__(self):\n"
-         f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
-    codes = tuple(ns[m].__code__ for m in ("__init__", "__eq__", "__hash__"))
+         f"  return hash(({own}))\n"
+         f"def __new__(_cls{',' * bool(params)}{params}):\n"
+         + "\n".join(new) + "\n"
+         "  return _intern(self,_key)\n"
+         "_frozen_hash=__hash__\n"
+         "def __hash__(self):\n"
+         "  return self._hash\n", _FROZEN_GLOBALS, ns)
+    codes = tuple(ns[m].__code__ for m in (
+        "__init__", "__eq__", "_frozen_hash", "__new__", "__hash__"))
     used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
     return codes, fields, used.difference(fields)
 
 
 def _frozen_methods(owner, names, compared, post_init) -> tuple:
-    """The code of `__init__`, `__eq__` and `__hash__` for one shape of
-    the class named owner: its template's with each placeholder renamed to
-    its field, the same code a compilation of the shape's own source
-    gives. A field named like a name the template uses itself would
-    change what the code means, so it raises `TypeError`."""
+    """The code of `__init__`, `__eq__` and `__hash__`, then of the
+    interned `__new__` and `__hash__`, for one shape of the class named
+    owner: its template's with each placeholder renamed to its field, the
+    same code a compilation of the shape's own source gives. A field
+    named like a name the template uses itself would change what the
+    code means, so it raises `TypeError`."""
     key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
            post_init)
     if key not in _FROZEN_CODE:
@@ -105,7 +144,7 @@ def _frozen_methods(owner, names, compared, post_init) -> tuple:
                            co_consts=renamed(c.co_consts)) for c in codes)
 
 
-def frozen(cls):
+def frozen(cls, interned=False):
     """`@dataclass(frozen=True)` for a class that nothing subclasses,
     importing `dataclasses` only to raise its `FrozenInstanceError`.
 
@@ -119,12 +158,16 @@ def frozen(cls):
     fields: the code its own source compiles to, in its own code object,
     because Python specializes attribute access per code object. A field
     named like a name the template uses (`self`, `other`, `hash`,
-    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`) raises
-    `TypeError`. `__repr__` is one function over the fields compared.
+    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`, `_cls`,
+    `_key`, ...) raises `TypeError`. `__repr__` is one function over the
+    fields compared.
 
     The fields a class names in `_derived` are functions of the others:
     like a dataclass field with `compare=False, repr=False`, each takes no
     part in `==`, hash or `repr`.
+
+    An interned class (see `interned`) gets the template's `__new__` and
+    cached `__hash__` instead of `__init__`, `__eq__` and `__hash__`.
     """
     body = vars(cls)
     annotations = body.get("__annotations__", {})
@@ -134,13 +177,22 @@ def frozen(cls):
         raise TypeError(f"{cls.__name__}: field without default after one "
                         f"with a default")
     compared = tuple(n for n in names if n not in body.get("_derived", ()))
-    for name, c, dflt in zip(("__init__", "__eq__", "__hash__"),
-                             _frozen_methods(cls.__name__, names, compared,
-                                             hasattr(cls, "__post_init__")),
-                             (defaults or None, None, None)):
-        fn = FunctionType(c, _FROZEN_GLOBALS, name, dflt)
+    codes = _frozen_methods(cls.__name__, names, compared,
+                            hasattr(cls, "__post_init__"))
+    if interned:
+        table = _INTERNED[cls] = {}
+        methods = zip(INTERNED_METHODS, codes[3:],
+                      (defaults or None, None),
+                      [{**_FROZEN_GLOBALS, "_table": table,
+                        "_intern": _interner(table)}] * 2)
+        cls.__reduce__ = _interned_reduce
+    else:
+        methods = zip(FROZEN_METHODS, codes[:3],
+                      (defaults or None, None, None), [_FROZEN_GLOBALS] * 3)
+    for name, c, dflt, globals_ in methods:
+        fn = FunctionType(c, globals_, name, dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, fn)
+        setattr(cls, name, staticmethod(fn) if name == "__new__" else fn)
     cls.__repr__ = _frozen_repr
     cls.__match_args__ = names
     cls._compared = compared
@@ -154,6 +206,99 @@ def frozen(cls):
 
 
 # ---------------------------------------------------------------------------
+# Interned (hash-consed) record classes
+#
+# Building a node of an interned class returns the one live node with equal
+# fields, so `==` is `is` and a value shared in a term is one object that
+# walks meet again. Each class keeps its nodes in a weak table: a dict
+# from the tuple of a node's fields to a weak reference that carries that
+# key, whose callback removes the entry when the node dies. A new node
+# caches its hash, that of its field tuple as a frozen class computes it,
+# its free variables of every sort and whether it holds a binder, all read
+# off its children's. Cached facts live in the node's `__dict__` and never
+# reach a copy or a pickle: `__reduce__` rebuilds the node through
+# `__new__`, which finds or enters it in the table of that process.
+# ---------------------------------------------------------------------------
+
+# Every interned class -> its table.
+_INTERNED: dict = {}
+
+
+class _Entry(ref):
+    """A table entry: a weak reference to a node, and the node's key."""
+    __slots__ = ("key",)
+
+
+def _interner(table):
+    """The function that enters a new node under its key in table."""
+    def forget(entry):
+        _remove_dead_weakref(table, entry.key)
+
+    def intern(node, key):
+        _setattr(node, "_hash", hash(key))
+        fv, binds = _facts(node)
+        _setattr(node, "_fv", fv)
+        _setattr(node, "_binds", binds)
+        entry = table[key] = _Entry(node, forget)
+        entry.key = key
+        return node
+    return intern
+
+
+def _interned_reduce(self):
+    return self.__class__, tuple([getattr(self, n)
+                                  for n in self.__match_args__])
+
+
+def interned(cls):
+    """`frozen`, and hash-consed: building a node returns the live node
+    with equal fields if there is one (see `_INTERNED`). Its class keeps
+    `object`'s `__init__` and `__eq__`, which is identity."""
+    return frozen(cls, interned=True)
+
+
+def _facts(node) -> tuple:
+    """The free variables of the new interned node, as (sort, name) pairs
+    in the order of their first occurrence, and whether it holds a
+    binder: read off its children's."""
+    shape = _SHAPES[type(node)]
+    if shape.var is not None:
+        return ((shape.var, node.name),), False
+    binds = shape.binder is not None
+    bound = ()
+    if binds:
+        names = getattr(node, shape.binder)
+        bound = {(shape.bsort, n)
+                 for n in (names if type(names) is tuple else (names,))}
+    out = {}
+    for f in shape.parts:
+        fv, b = _value_facts(getattr(node, f))
+        binds = binds or b
+        for pair in fv:
+            if f not in shape.scope or pair not in bound:
+                out[pair] = None
+    return tuple(out), binds
+
+
+def _value_facts(v) -> tuple:
+    """`_facts` of a field value: a node, a tuple or an atom."""
+    cls = type(v)
+    if cls in _INTERNED:
+        return v._fv, v._binds
+    if cls is tuple:
+        out, binds = {}, False
+        for item in v:
+            fv, b = _value_facts(item)
+            out.update(dict.fromkeys(fv))
+            binds = binds or b
+        return tuple(out), binds
+    if cls in _SHAPES:
+        return tuple((sort, n) for sort, names in _free_by_sort(v).items()
+                     for n in names), True
+    return (), False
+
+
+# ---------------------------------------------------------------------------
 # Source language
 # ---------------------------------------------------------------------------
 
@@ -161,23 +306,23 @@ class SrcMono:
     """Base class for source monotypes."""
 
 
-@frozen
+@interned
 class SBool(SrcMono):
     pass
 
 
-@frozen
+@interned
 class STyVar(SrcMono):
     name: str
 
 
-@frozen
+@interned
 class SArrow(SrcMono):
     left: SrcMono
     right: SrcMono
 
 
-@frozen
+@interned
 class SrcConstraint:
     cls: str
     arg: SrcMono
@@ -288,35 +433,35 @@ class FdType:
     pass
 
 
-@frozen
+@interned
 class IBool(FdType):
     pass
 
 
-@frozen
+@interned
 class ITyVar(FdType):
     name: str
 
 
-@frozen
+@interned
 class IArrow(FdType):
     left: FdType
     right: FdType
 
 
-@frozen
+@interned
 class FdQ:
     cls: str
     arg: FdType
 
 
-@frozen
+@interned
 class IQArrow(FdType):
     q: FdQ
     result: FdType
 
 
-@frozen
+@interned
 class IForall(FdType):
     var: str
     body: FdType
@@ -450,29 +595,29 @@ class TgtType:
     pass
 
 
-@frozen
+@interned
 class TBool(TgtType):
     pass
 
 
-@frozen
+@interned
 class TTyVar(TgtType):
     name: str
 
 
-@frozen
+@interned
 class TArrow(TgtType):
     left: TgtType
     right: TgtType
 
 
-@frozen
+@interned
 class TForall(TgtType):
     var: str
     body: TgtType
 
 
-@frozen
+@interned
 class TRecordTy(TgtType):
     # Label -> type, kept sorted by label: records are label-indexed.
     fields: tuple[tuple[str, TgtType], ...]
@@ -700,11 +845,17 @@ def _free_by_sort(node) -> dict[str, dict[str, None]]:
     out: dict[str, dict[str, None]] = {}
 
     def go(x, bound):
-        if type(x) is tuple:
+        cls = type(x)
+        if cls in _INTERNED:
+            for pair in x._fv:
+                if pair not in bound:
+                    out.setdefault(pair[0], {})[pair[1]] = None
+            return
+        if cls is tuple:
             for item in x:
                 go(item, bound)
             return
-        shape = _SHAPES.get(type(x))
+        shape = _SHAPES.get(cls)
         if shape is None:
             return
         if shape.var is not None:
@@ -728,7 +879,9 @@ def subst(node, sort: str, mapping: dict):
     variable of its own sort in the mapping's range. It then takes its
     smallest primed variant that is free neither in its scope nor in the
     mapping. The range's free variables of every sort are computed in one
-    walk of each range value, when the first binder is met.
+    walk of each range value, when the first binder is met. An interned
+    node that holds no binder and no free variable the mapping replaces is
+    returned as it is.
     """
     if not mapping:
         return node
@@ -739,9 +892,16 @@ def subst(node, sort: str, mapping: dict):
         nonlocal range_fvs, every
         if not m:
             return x
-        if type(x) is tuple:
+        cls = type(x)
+        if cls in _INTERNED and not x._binds:
+            for s, n in x._fv:
+                if s == sort and n in m:
+                    break
+            else:
+                return x
+        if cls is tuple:
             return tuple([go(item, m) for item in x])
-        shape = _SHAPES.get(type(x))
+        shape = _SHAPES.get(cls)
         if shape is None:
             return x
         if shape.var is not None:
@@ -821,6 +981,10 @@ def _alpha_walk(a, b) -> bool:
 
     def go(x, y, env1, env2):
         cls = type(x)
+        if x is y and cls in _INTERNED:
+            # The same node: alpha-equal unless a free variable is bound
+            # apart in the two environments.
+            return all(env1.get(p) == env2.get(p) for p in x._fv)
         if cls is not type(y):
             return False
         if cls is tuple:
@@ -1001,9 +1165,12 @@ def unify(t1, t2, vars: set[str]):
     value may mention variables bound after it), or None when t1 and t2 do
     not unify. Other variables are rigid, and a node with a binder unifies
     only with an alpha-equal one. When t2 shares no variable with vars this
-    is one-way matching, and every value is a subterm of t2.
+    is one-way matching, and every value is a subterm of t2. A node
+    unifies with itself at once, and the occurs check reads an interned
+    binder-free node's cached free variables.
     """
-    var = _VAR_CLASS[_type_sort_of(t1)]
+    sort = _type_sort_of(t1)
+    var = _VAR_CLASS[sort]
     out: dict = {}
 
     def resolve(t):
@@ -1013,16 +1180,23 @@ def unify(t1, t2, vars: set[str]):
 
     def occurs(a: str, t) -> bool:
         t = resolve(t)
-        if type(t) is var:
+        cls = type(t)
+        if cls is var:
             return t.name == a
-        if type(t) is tuple:
+        if cls in _INTERNED and not t._binds:
+            return any(s == sort and (n == a or n in out
+                                      and occurs(a, out[n]))
+                       for s, n in t._fv)
+        if cls is tuple:
             return any(occurs(a, u) for u in t)
-        shape = _SHAPES.get(type(t))
+        shape = _SHAPES.get(cls)
         return shape is not None and any(occurs(a, getattr(t, f))
                                          for f in shape.parts)
 
     def go(x, y) -> bool:
         x, y = resolve(x), resolve(y)
+        if x is y:
+            return True
         if type(x) is var and x.name in vars:
             if x == y:
                 return True

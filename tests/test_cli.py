@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import harness, source_typer, syntax as S
+from dictelab import cli, harness, source_typer, syntax as S
 from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
@@ -365,6 +365,37 @@ def test_commands_that_read_the_first_square_validate_only_its_sigma(
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
     assert code == 0 and len(r.decls.variants) == 4
     assert [sigma for sigma, _ in validated] == [r.decls.variants[0][0]]
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["elaborate", "--all"], "composed"),
+    (["elaborate", "--all", "--mode", "direct"], "direct"),
+    (["elaborate"], "composed"), (["run", "--mode", "direct"], "direct"),
+])
+def test_commands_that_print_one_corner_unpack_that_forest_alone(
+        capsys, monkeypatch, tmp_path, argv, read):
+    # Neither the derivations nor the other corner's forest is unpacked,
+    # and the first elaboration is unpacked alone.
+    path = tmp_path / "four.src"
+    path.write_text(FOUR_SIGMAS)
+    unpacked = count_calls(monkeypatch, S, "unpack")
+    typecheck = cli.typecheck_program
+
+    def typed(*args):       # the unpacking after typing is the reader's
+        out = typecheck(*args)
+        unpacked.clear()
+        return out
+    monkeypatch.setattr(cli, "typecheck_program", typed)
+    code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0 and out
+    unpacked = list(unpacked)
+    r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
+    envs = list(harness._environments(r))
+    forests = [env[4 if read == "direct" else 5] for env in envs]
+    if "--all" in argv:
+        assert unpacked == [(f, env[3]) for f, env in zip(forests, envs)]
+    else:
+        assert unpacked == [(forests[0], 1)]
 
 
 def _nested_applications(depth: int) -> str:

@@ -265,12 +265,17 @@ SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
 def test_classes_of_one_shape_share_no_code_object(shape):
     # Python specializes attribute access per code object, so classes
     # that shared one would share (and keep undoing) one specialization.
+    # Interned classes of a shape have the same code as each other, and
+    # frozen ones too.
     group = [c for c in CLASSES if _shape(c) == shape]
     assert len(group) > 1
-    for method in ("__init__", "__eq__", "__hash__"):
-        codes = [vars(c)[method].__code__ for c in group]
-        assert len({id(code) for code in codes}) == len(group), method
-        assert all(code == codes[0] for code in codes), method
+    codes = [own_method(c, m).__code__ for c in group for m in methods(c)]
+    assert len({id(code) for code in codes}) == len(codes)
+    for kind in (METHODS, INTERNED_METHODS):
+        for method in kind:
+            codes = [own_method(c, method).__code__ for c in group
+                     if methods(c) == kind]
+            assert all(code == codes[0] for code in codes), method
 
 
 def _template(cls):
@@ -293,29 +298,62 @@ def test_shapes_are_compiled_once():
 # ---------------------------------------------------------------------------
 
 METHODS = ("__init__", "__eq__", "__hash__")
+# An interned class keeps `object`'s `__init__` and `__eq__`.
+INTERNED_METHODS = ("__new__", "__hash__")
+
+
+def methods(cls) -> tuple:
+    """The methods `frozen` compiled for cls."""
+    return INTERNED_METHODS if cls in S._INTERNED else METHODS
+
+
+def own_method(cls, method):
+    """The function cls itself defines as method."""
+    fn = vars(cls)[method]
+    return fn.__func__ if isinstance(fn, staticmethod) else fn
 
 
 def _reference_methods(cls) -> dict:
     """The methods `frozen` gave cls when it compiled the source of each
-    shape (field names, the fields compared, `__post_init__`) by itself."""
+    shape (field names, the fields compared, `__post_init__`) by itself,
+    those of an interned class if cls is one."""
     names, compared = cls.__match_args__, cls._compared
     init = [f"  _setattr(self,{n!r},{n})" for n in names]
-    if hasattr(cls, "__post_init__"):
+    post_init = hasattr(cls, "__post_init__")
+    if post_init:
         init.append("  self.__post_init__()")
     own = "".join(f"self.{n}," for n in compared)
     other = "".join(f"other.{n}," for n in compared)
+    if cls not in S._INTERNED:
+        source = (f"def __init__({','.join(('self', *names))}):\n"
+                  + ("\n".join(init) or "  pass") + "\n"
+                  "def __eq__(self, other):\n"
+                  "  if other.__class__ is self.__class__:\n"
+                  f"    return ({own})==({other})\n"
+                  "  return NotImplemented\n"
+                  "def __hash__(self):\n"
+                  f"  return hash(({own}))\n")
+    else:
+        if post_init:   # the key is what __post_init__ leaves
+            new = ["  self=_new(_cls)", *init, f"  _key=({own})",
+                   "  _ref=_table.get(_key)", "  if _ref is not None:",
+                   "    _old=_ref()", "    if _old is not None:",
+                   "      return _old"]
+        else:
+            new = [f"  _key=({''.join(n + ',' for n in compared)})",
+                   "  _ref=_table.get(_key)", "  if _ref is not None:",
+                   "    self=_ref()", "    if self is not None:",
+                   "      return self", "  self=_new(_cls)", *init]
+        source = (f"def __new__({','.join(('_cls', *names))}):\n"
+                  + "\n".join(new) + "\n"
+                  "  return _intern(self,_key)\n"
+                  "def __hash__(self):\n"
+                  "  return self._hash\n")
     ns = {}
-    exec(f"def __init__({','.join(('self', *names))}):\n"
-         + ("\n".join(init) or "  pass") + "\n"
-         "def __eq__(self, other):\n"
-         "  if other.__class__ is self.__class__:\n"
-         f"    return ({own})==({other})\n"
-         "  return NotImplemented\n"
-         "def __hash__(self):\n"
-         f"  return hash(({own}))\n", S._FROZEN_GLOBALS, ns)
+    exec(source, S._FROZEN_GLOBALS, ns)
     defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
     out = {}
-    for method, dflt in zip(METHODS, (defaults or None, None, None)):
+    for method, dflt in zip(methods(cls), (defaults or None, None, None)):
         fn = FunctionType(ns[method].__code__, S._FROZEN_GLOBALS, method,
                           dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{method}"
@@ -332,8 +370,9 @@ def _facts(fn):
 
 def assert_own_shape_code(cls):
     reference = _reference_methods(cls)
-    for method in METHODS:
-        assert _facts(vars(cls)[method]) == _facts(reference[method]), method
+    for method in methods(cls):
+        assert _facts(own_method(cls, method)) == \
+            _facts(reference[method]), method
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
@@ -342,9 +381,10 @@ def test_methods_are_the_code_of_their_own_shape(cls):
 
 
 # The names the code of a template uses besides its placeholders; the last
-# only in templates with `__post_init__`.
+# two only in templates with `__post_init__`.
 RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
-            "__class__", "__post_init__")
+            "__class__", "_cls", "_key", "_ref", "_table", "_new", "_intern",
+            "_hash", "__post_init__", "_old")
 
 
 def test_a_field_named_like_the_template_is_rejected(monkeypatch):
@@ -355,7 +395,7 @@ def test_a_field_named_like_the_template_is_rejected(monkeypatch):
     templates = set(S._FROZEN_CODE)
     for reserved in RESERVED:
         namespace = {"__annotations__": {reserved: object}}
-        if reserved == "__post_init__":     # the template of the records
+        if reserved in RESERVED[-2:]:       # the template of the records
             namespace["__post_init__"] = lambda self: None
         with pytest.raises(TypeError, match=f"^Clash: .*: {reserved!r}$"):
             S.frozen(type("Clash", (), namespace))
@@ -388,10 +428,14 @@ def test_fields_named_like_placeholders_elsewhere_get_the_template(
 
 @pytest.mark.parametrize("cls", CLASSES, ids=_name)
 def test_each_method_names_its_own_class(cls):
-    for method in ("__init__", "__eq__", "__hash__"):
-        fn = vars(cls)[method]
+    for method in methods(cls):
+        fn = own_method(cls, method)
         assert fn.__qualname__ == f"{cls.__qualname__}.{method}"
         assert fn.__name__ == method
+    if cls in S._INTERNED:
+        assert "__init__" not in vars(cls) and "__eq__" not in vars(cls)
+        assert cls.__init__ is object.__init__
+        assert cls.__eq__ is object.__eq__
 
 
 def test_limits_keep_their_defaults():
@@ -399,7 +443,8 @@ def test_limits_keep_their_defaults():
     assert source_typer.Limits(max_elaborations=2) == \
         source_typer.Limits(32, 2)
     assert source_typer.Limits.__init__.__defaults__ == (32, 256)
-    assert S.SArrow.__init__.__defaults__ is None
+    assert S.SApp.__init__.__defaults__ is None
+    assert S.SArrow.__new__.__defaults__ is None
 
 
 # Counts the `exec` calls that compile source text while `dictelab.cli` is

@@ -375,7 +375,9 @@ def test_fuzz_work_is_pinned():
 
 def test_fuzz_work_builds_no_target_term(monkeypatch):
     # Work counts: trace checking types every step and translates none.
-    built = [count_calls(monkeypatch, cls, "__init__")
+    # An interned class builds its nodes in `__new__`.
+    built = [count_calls(monkeypatch, cls,
+                         "__new__" if cls in S._INTERNED else "__init__")
              for cls in S._SHAPES if issubclass(
                  cls, (S.TgtExpr, S.TgtType, S.TChoice))]
     translated = count_calls(monkeypatch, fd_core.FdChecker, "translate")

@@ -313,7 +313,8 @@ def _size(node) -> int:
         return sum(map(_size, node))
     if isinstance(node, str):
         return 0
-    return 1 + sum(map(_size, vars(node).values()))
+    # The fields only: an interned node also caches facts in its __dict__.
+    return 1 + sum(_size(getattr(node, f)) for f in node.__match_args__)
 
 
 def _direct(P, GC):
