@@ -62,76 +62,81 @@ _setattr = object.__setattr__
 _FROZEN_GLOBALS = {"_setattr": _setattr, "_new": object.__new__}
 _FROZEN_CODE = {}
 
-# The methods of a template, those of a frozen class, then those of an
-# interned one.
+# The methods a template compiles for a frozen class, and for an interned
+# one.
 FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
 INTERNED_METHODS = ("__new__", "__hash__")
 
 
-def _frozen_template(arity, positions, post_init) -> tuple:
-    """A template: the code of `__init__`, `__eq__` and `__hash__`, then of
-    the interned `__new__` and `__hash__`, over the placeholder fields
-    `_0`, `_1`, ...; the placeholders; and the names the code uses besides
-    them (`self`, `other`, `hash`, ...)."""
+def _frozen_template(arity, positions, post_init, interned) -> tuple:
+    """A template: the code of the methods of a frozen class
+    (`FROZEN_METHODS`) and, if interned, of an interned one
+    (`INTERNED_METHODS`), by whether the class is interned, over the
+    placeholder fields `_0`, `_1`, ...; and the placeholders."""
     fields = tuple(f"_{i}" for i in range(arity))
-    params = ",".join(fields)
     init = [f"  _setattr(self,{n!r},{n})" for n in fields]
     if post_init:
         init.append("  self.__post_init__()")
     own = "".join(f"self.{fields[i]}," for i in positions)
     other = "".join(f"other.{fields[i]}," for i in positions)
-    # An interned `__new__` returns the live node with equal fields, if
-    # there is one. A class with `__post_init__` builds the node first,
-    # since its key is the fields that `__post_init__` leaves.
-    if post_init:
-        new = ["  self=_new(_cls)", *init, f"  _key=({own})",
-               "  _ref=_table.get(_key)",
-               "  if _ref is not None:",
-               "    _old=_ref()",
-               "    if _old is not None:",
-               "      return _old"]
-    else:
-        new = [f"  _key=({''.join(fields[i] + ',' for i in positions)})",
-               "  _ref=_table.get(_key)",
-               "  if _ref is not None:",
-               "    self=_ref()",
-               "    if self is not None:",
-               "      return self",
-               "  self=_new(_cls)", *init]
+    source = ""
+    if interned:
+        # `__new__` returns the live node with equal fields, if there is
+        # one. A class with `__post_init__` builds the node first, since
+        # its key is the fields that `__post_init__` leaves.
+        if post_init:
+            new = ["  self=_new(_cls)", *init, f"  _key=({own})",
+                   "  _ref=_table.get(_key)",
+                   "  if _ref is not None:",
+                   "    _old=_ref()",
+                   "    if _old is not None:",
+                   "      return _old"]
+        else:
+            new = [f"  _key=({''.join(fields[i] + ',' for i in positions)})",
+                   "  _ref=_table.get(_key)",
+                   "  if _ref is not None:",
+                   "    self=_ref()",
+                   "    if self is not None:",
+                   "      return self",
+                   "  self=_new(_cls)", *init]
+        source = (f"def __new__({','.join(('_cls', *fields))}):\n"
+                  + "\n".join(new) + "\n"
+                  "  return _intern(self,_key)\n"
+                  "def __hash__(self):\n"
+                  "  return self._hash\n"
+                  "_interned_hash=__hash__\n")
     ns = {}
-    exec(f"def __init__({','.join(('self', *fields))}):\n"
+    exec(source + f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
          "  if other.__class__ is self.__class__:\n"
          f"    return ({own})==({other})\n"
          "  return NotImplemented\n"
          "def __hash__(self):\n"
-         f"  return hash(({own}))\n"
-         f"def __new__(_cls{',' * bool(params)}{params}):\n"
-         + "\n".join(new) + "\n"
-         "  return _intern(self,_key)\n"
-         "_frozen_hash=__hash__\n"
-         "def __hash__(self):\n"
-         "  return self._hash\n", _FROZEN_GLOBALS, ns)
-    codes = tuple(ns[m].__code__ for m in (
-        "__init__", "__eq__", "_frozen_hash", "__new__", "__hash__"))
-    used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
-    return codes, fields, used.difference(fields)
+         f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
+    kinds = {False: tuple(ns[m].__code__ for m in FROZEN_METHODS)}
+    if interned:
+        kinds[True] = (ns["__new__"].__code__, ns["_interned_hash"].__code__)
+    return kinds, fields
 
 
-def _frozen_methods(owner, names, compared, post_init) -> tuple:
-    """The code of `__init__`, `__eq__` and `__hash__`, then of the
-    interned `__new__` and `__hash__`, for one shape of the class named
-    owner: its template's with each placeholder renamed to its field, the
-    same code a compilation of the shape's own source gives. A field
-    named like a name the template uses itself would change what the
+def _frozen_methods(owner, names, compared, post_init, interned) -> tuple:
+    """The code of the methods of one shape of the class named owner,
+    `FROZEN_METHODS` or, if interned, `INTERNED_METHODS`: its template's
+    with each placeholder renamed to its field, the same code a
+    compilation of the shape's own source gives. A template compiles the
+    interned methods only once an interned class needs them. A field
+    named like a name the methods use besides it would change what the
     code means, so it raises `TypeError`."""
     key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
            post_init)
-    if key not in _FROZEN_CODE:
-        _FROZEN_CODE[key] = _frozen_template(*key)
-    codes, fields, used = _FROZEN_CODE[key]
-    clash = [n for n in names if n in used]
+    entry = _FROZEN_CODE.get(key)
+    if entry is None or interned not in entry[0]:
+        entry = _FROZEN_CODE[key] = _frozen_template(*key, interned)
+    kinds, fields = entry
+    codes = kinds[interned]
+    used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
+    clash = [n for n in names if n in used and n not in fields]
     if clash:
         raise TypeError(f"{owner}: fields named like names its methods use: "
                         + ", ".join(map(repr, clash)))
@@ -157,9 +162,10 @@ def frozen(cls, interned=False):
     and each class gets a copy with the placeholders renamed to its
     fields: the code its own source compiles to, in its own code object,
     because Python specializes attribute access per code object. A field
-    named like a name the template uses (`self`, `other`, `hash`,
-    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`, `_cls`,
-    `_key`, ...) raises `TypeError`. `__repr__` is one function over the
+    named like a name its methods use (`self`, `other`, `hash`,
+    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`; those of
+    an interned class use `_cls`, `_key`, `_ref`, ... instead of `other`,
+    `hash`, ...) raises `TypeError`. `__repr__` is one function over the
     fields compared.
 
     The fields a class names in `_derived` are functions of the others:
@@ -178,18 +184,14 @@ def frozen(cls, interned=False):
                         f"with a default")
     compared = tuple(n for n in names if n not in body.get("_derived", ()))
     codes = _frozen_methods(cls.__name__, names, compared,
-                            hasattr(cls, "__post_init__"))
+                            hasattr(cls, "__post_init__"), interned)
+    globals_ = _FROZEN_GLOBALS
     if interned:
         table = _INTERNED[cls] = {}
-        methods = zip(INTERNED_METHODS, codes[3:],
-                      (defaults or None, None),
-                      [{**_FROZEN_GLOBALS, "_table": table,
-                        "_intern": _interner(table)}] * 2)
+        globals_ = {**globals_, "_table": table, "_intern": _interner(table)}
         cls.__reduce__ = _interned_reduce
-    else:
-        methods = zip(FROZEN_METHODS, codes[:3],
-                      (defaults or None, None, None), [_FROZEN_GLOBALS] * 3)
-    for name, c, dflt, globals_ in methods:
+    for name, c, dflt in zip(INTERNED_METHODS if interned else FROZEN_METHODS,
+                             codes, (defaults or None, None, None)):
         fn = FunctionType(c, globals_, name, dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, staticmethod(fn) if name == "__new__" else fn)

@@ -287,8 +287,11 @@ def _template(cls):
 
 def test_shapes_are_compiled_once():
     # Once per template: shapes that differ only in their field names
-    # share one.
+    # share one. The methods of interned classes are compiled in the
+    # templates they use only.
     assert set(S._FROZEN_CODE) == {_template(c) for c in CLASSES}
+    assert {key for key, (kinds, _) in S._FROZEN_CODE.items()
+            if True in kinds} == {_template(c) for c in S._INTERNED}
     assert _shape(S.SArrow) == _shape(S.IArrow) == _shape(S.TArrow)
     assert _template(S.SArrow) == _template(S.SApp) == _template(S.TProj)
 
@@ -380,11 +383,12 @@ def test_methods_are_the_code_of_their_own_shape(cls):
     assert_own_shape_code(cls)
 
 
-# The names the code of a template uses besides its placeholders; the last
-# two only in templates with `__post_init__`.
+# The names the methods of a frozen class use besides its fields, and
+# those of an interned class; the last of each only with `__post_init__`.
 RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
-            "__class__", "_cls", "_key", "_ref", "_table", "_new", "_intern",
-            "_hash", "__post_init__", "_old")
+            "__class__", "__post_init__")
+INTERNED_RESERVED = ("self", "_setattr", "_cls", "_key", "_ref", "_table",
+                     "_new", "_intern", "_hash", "__post_init__", "_old")
 
 
 def test_a_field_named_like_the_template_is_rejected(monkeypatch):
@@ -393,12 +397,15 @@ def test_a_field_named_like_the_template_is_rejected(monkeypatch):
     # of package classes, so they add no template.
     monkeypatch.setattr(S, "_FROZEN_CODE", dict(S._FROZEN_CODE))
     templates = set(S._FROZEN_CODE)
-    for reserved in RESERVED:
-        namespace = {"__annotations__": {reserved: object}}
-        if reserved in RESERVED[-2:]:       # the template of the records
-            namespace["__post_init__"] = lambda self: None
-        with pytest.raises(TypeError, match=f"^Clash: .*: {reserved!r}$"):
-            S.frozen(type("Clash", (), namespace))
+    for interned, names in ((False, RESERVED), (True, INTERNED_RESERVED)):
+        for reserved in names:
+            namespace = {"__annotations__": {reserved: object}}
+            if reserved in ("__post_init__", "_old"):   # the records'
+                namespace["__post_init__"] = lambda self: None
+            with pytest.raises(TypeError,
+                               match=f"^Clash: .*: {reserved!r}$"):
+                S.frozen(type("Clash", (), namespace), interned)
+    assert not any(c.__name__ == "Clash" for c in S._INTERNED)
 
     class Both:
         other: object
