@@ -75,28 +75,29 @@ class FuelExhausted(Exception):
 
 def check_fd_type_wf(TC, tyvars: set[str], t: FdType, seen=None):
     """Raises FdTypeError at the first ill-formed part of t, in reading
-    order. seen holds the subtrees already checked under tyvars: a shared
-    one is checked once."""
-    seen = set() if seen is None else seen
-    if t in seen:
-        return
+    order. seen holds the ids of the arrows already checked under tyvars
+    in this call: a shared one is checked once."""
     match t:
         case IBool():
             pass
         case ITyVar(a):
             if a not in tyvars:
                 raise FdTypeError(UNBOUND_TYVAR, f"unbound type variable {a!r}")
-        case IArrow(l, r):
-            check_fd_type_wf(TC, tyvars, l, seen)
+        case IArrow(l, r) | IQArrow(l, r):
+            if seen is None:
+                seen = set()
+            elif id(t) in seen:
+                return
+            if type(l) is FdQ:
+                check_fd_q_wf(TC, tyvars, l, seen)
+            else:
+                check_fd_type_wf(TC, tyvars, l, seen)
             check_fd_type_wf(TC, tyvars, r, seen)
-        case IQArrow(q, r):
-            check_fd_q_wf(TC, tyvars, q, seen)
-            check_fd_type_wf(TC, tyvars, r, seen)
+            seen.add(id(t))
         case IForall(a, body):
             check_fd_type_wf(TC, tyvars | {a}, body)
         case _:
             raise TypeError(t)
-    seen.add(t)
 
 
 def lookup_class_by_name(TC, cls: str) -> FdClassEntry:
