@@ -157,8 +157,6 @@ def elab_mono(tyvars: set[str], t: SrcMono) -> FdType:
     """The intermediate type of t, whose free type variables must be in
     tyvars: the first that is not is reported, in reading order. Each
     subtree t shares is translated once."""
-    if not isinstance(t, SrcMono):
-        raise TypeError(t)
     for _, a in t._fv:
         if a not in tyvars:
             raise SrcTypeError("unbound", f"unbound type variable {a!r}")

@@ -64,15 +64,16 @@ _FROZEN_CODE = {}
 
 # The methods a template compiles for a frozen class, and for an interned
 # one.
-FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
-INTERNED_METHODS = ("__new__", "__hash__")
+_FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
+_INTERNED_METHODS = ("__new__", "__hash__")
 
 
 def _frozen_template(arity, positions, post_init, interned) -> tuple:
-    """A template: the code of the methods of a frozen class
-    (`FROZEN_METHODS`) and, if interned, of an interned one
-    (`INTERNED_METHODS`), by whether the class is interned, over the
-    placeholder fields `_0`, `_1`, ...; and the placeholders."""
+    """A template: by whether the class is interned, the code of the
+    methods of a frozen class (`_FROZEN_METHODS`) and, if interned, of an
+    interned one (`_INTERNED_METHODS`), over the placeholder fields `_0`,
+    `_1`, ..., with the names that code uses besides them; and the
+    placeholders."""
     fields = tuple(f"_{i}" for i in range(arity))
     init = [f"  _setattr(self,{n!r},{n})" for n in fields]
     if post_init:
@@ -114,15 +115,18 @@ def _frozen_template(arity, positions, post_init, interned) -> tuple:
          "  return NotImplemented\n"
          "def __hash__(self):\n"
          f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
-    kinds = {False: tuple(ns[m].__code__ for m in FROZEN_METHODS)}
+    kinds = {False: tuple(ns[m].__code__ for m in _FROZEN_METHODS)}
     if interned:
         kinds[True] = (ns["__new__"].__code__, ns["_interned_hash"].__code__)
+    for kind, codes in kinds.items():
+        used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
+        kinds[kind] = codes, used.difference(fields)
     return kinds, fields
 
 
 def _frozen_methods(owner, names, compared, post_init, interned) -> tuple:
     """The code of the methods of one shape of the class named owner,
-    `FROZEN_METHODS` or, if interned, `INTERNED_METHODS`: its template's
+    `_FROZEN_METHODS` or, if interned, `_INTERNED_METHODS`: its template's
     with each placeholder renamed to its field, the same code a
     compilation of the shape's own source gives. A template compiles the
     interned methods only once an interned class needs them. A field
@@ -134,9 +138,8 @@ def _frozen_methods(owner, names, compared, post_init, interned) -> tuple:
     if entry is None or interned not in entry[0]:
         entry = _FROZEN_CODE[key] = _frozen_template(*key, interned)
     kinds, fields = entry
-    codes = kinds[interned]
-    used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
-    clash = [n for n in names if n in used and n not in fields]
+    codes, used = kinds[interned]
+    clash = [n for n in names if n in used]
     if clash:
         raise TypeError(f"{owner}: fields named like names its methods use: "
                         + ", ".join(map(repr, clash)))
@@ -190,8 +193,8 @@ def frozen(cls, interned=False):
         table = _INTERNED[cls] = {}
         globals_ = {**globals_, "_table": table, "_intern": _interner(table)}
         cls.__reduce__ = _interned_reduce
-    for name, c, dflt in zip(INTERNED_METHODS if interned else FROZEN_METHODS,
-                             codes, (defaults or None, None, None)):
+    methods = _INTERNED_METHODS if interned else _FROZEN_METHODS
+    for name, c, dflt in zip(methods, codes, (defaults or None, None, None)):
         fn = FunctionType(c, globals_, name, dflt)
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, staticmethod(fn) if name == "__new__" else fn)
@@ -272,14 +275,21 @@ def _facts(node) -> tuple:
         names = getattr(node, shape.binder)
         bound = {(shape.bsort, n)
                  for n in (names if type(names) is tuple else (names,))}
-    out = {}
+    out = ()
     for f in shape.parts:
-        fv, b = _value_facts(getattr(node, f))
+        v = getattr(node, f)
+        if type(v) in _INTERNED:
+            fv, b = v._fv, v._binds
+        elif type(v) is str:
+            continue
+        else:
+            fv, b = _value_facts(v)
         binds = binds or b
-        for pair in fv:
-            if f not in shape.scope or pair not in bound:
-                out[pair] = None
-    return tuple(out), binds
+        if bound and fv and f in shape.scope:
+            fv = tuple([pair for pair in fv if pair not in bound])
+        if fv:
+            out = tuple(dict.fromkeys(out + fv)) if out else fv
+    return out, binds
 
 
 def _value_facts(v) -> tuple:

@@ -65,8 +65,7 @@ def test_every_way_of_building_a_type_gives_one_object(t):
     assert _build(t) is t
     assert copy.copy(t) is t and copy.deepcopy(t) is t
     assert pickle.loads(pickle.dumps(t)) is t
-    # Substitution that replaces nothing, and one that replaces a variable
-    # by itself, give the type back.
+    # A substitution that replaces nothing in it gives the type back.
     assert S.subst_type(t, {"zz": S._VAR_CLASS[S._type_sort_of(t)]("y")}) is t
 
 
@@ -78,6 +77,21 @@ def test_parsing_and_elaborating_give_one_object():
     assert source_typer.elab_mono({"a"}, a) is fd
     assert S.subst_type(a, {"a": S.SBool()}) is \
         parser.parse_expr("(x :: (Bool -> Bool) -> Bool -> Bool)").ty
+
+
+def test_subst_returns_an_untouched_type_as_it_is():
+    # A type that holds no binder and no variable the mapping replaces is
+    # returned as the same object, inside a term that is rebuilt.
+    ty = TYPES[2].body
+    term = S.ILam("x", ty, S.IApp(S.IVar("y"), S.ITyApp(S.IVar("x"), ty)))
+    out = S.subst(term, "iv", {"y": S.ITrue()})
+    assert out != term and out.ty is ty and out.body.arg.ty is ty
+    arrow = S.IArrow(S.ITyVar("b"), ty)
+    assert S.subst_type(arrow, {"b": S.IBool()}).right is ty
+    # A binder is renamed even where the mapping replaces nothing in it.
+    assert S.pretty(S.subst_type(S.IForall("a", S.IArrow(
+        S.ITyVar("a"), S.IBool())), {"b": S.ITyVar("a")})) == \
+        "forall a'. a' -> Bool"
 
 
 def test_a_record_type_is_keyed_by_its_sorted_fields():
@@ -169,15 +183,10 @@ def test_the_table_drops_types_nothing_holds():
 # Work counts: walks over types grow with the distinct nodes, not the tree
 # ---------------------------------------------------------------------------
 
-def _annotation(d: int):
-    return parser.parse_program(tower_source(d)).main.ty
-
-
 def test_the_tower_annotation_has_one_node_per_level():
     for d in (1, 4, 10):
-        t = _annotation(d)
         arrows, seen = set(), set()
-        stack = [t]
+        stack = [parser.parse_program(tower_source(d)).main.ty]
         while stack:
             x = stack.pop()
             if id(x) in seen:
