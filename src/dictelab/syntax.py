@@ -59,7 +59,8 @@ def _frozen_repr(self):
 # `__post_init__`. An interned class's methods also read its table and
 # the function that enters a new node in it, from globals of their own.
 _setattr = object.__setattr__
-_FROZEN_GLOBALS = {"_setattr": _setattr, "_new": object.__new__}
+_new = object.__new__
+_FROZEN_GLOBALS = {"_setattr": _setattr}
 _FROZEN_CODE = {}
 
 # The methods a template compiles for a frozen class, and for an interned
@@ -82,27 +83,14 @@ def _frozen_template(arity, positions, post_init, interned) -> tuple:
     other = "".join(f"other.{fields[i]}," for i in positions)
     source = ""
     if interned:
-        # `__new__` returns the live node with equal fields, if there is
-        # one. A class with `__post_init__` builds the node first, since
-        # its key is the fields that `__post_init__` leaves.
-        if post_init:
-            new = ["  self=_new(_cls)", *init, f"  _key=({own})",
-                   "  _ref=_table.get(_key)",
-                   "  if _ref is not None:",
-                   "    _old=_ref()",
-                   "    if _old is not None:",
-                   "      return _old"]
-        else:
-            new = [f"  _key=({''.join(fields[i] + ',' for i in positions)})",
-                   "  _ref=_table.get(_key)",
-                   "  if _ref is not None:",
-                   "    self=_ref()",
-                   "    if self is not None:",
-                   "      return self",
-                   "  self=_new(_cls)", *init]
+        # `__new__` returns the live node with the fields given, if there
+        # is one, or enters a new one (`_interner`). Fields that
+        # `__post_init__` changes are no key before it has run.
+        key = "(" + "".join(fields[i] + "," for i in positions) + ")"
+        new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
         source = (f"def __new__({','.join(('_cls', *fields))}):\n"
-                  + "\n".join(new) + "\n"
-                  "  return _intern(self,_key)\n"
+                  + ("  return " if post_init else new)
+                  + f"_intern(_cls,{key})\n"
                   "def __hash__(self):\n"
                   "  return self._hash\n"
                   "_interned_hash=__hash__\n")
@@ -167,8 +155,8 @@ def frozen(cls, interned=False):
     because Python specializes attribute access per code object. A field
     named like a name its methods use (`self`, `other`, `hash`,
     `_setattr`, `NotImplemented`, `__class__`, `__post_init__`; those of
-    an interned class use `_cls`, `_key`, `_ref`, ... instead of `other`,
-    `hash`, ...) raises `TypeError`. `__repr__` is one function over the
+    an interned class use `self`, `_cls`, `_ref`, `_table`, `_intern` and
+    `_hash`) raises `TypeError`. `__repr__` is one function over the
     fields compared.
 
     The fields a class names in `_derived` are functions of the others:
@@ -186,12 +174,16 @@ def frozen(cls, interned=False):
         raise TypeError(f"{cls.__name__}: field without default after one "
                         f"with a default")
     compared = tuple(n for n in names if n not in body.get("_derived", ()))
+    if interned and compared != names:
+        raise TypeError(f"{cls.__name__}: an interned class compares every "
+                        f"field")
     codes = _frozen_methods(cls.__name__, names, compared,
                             hasattr(cls, "__post_init__"), interned)
     globals_ = _FROZEN_GLOBALS
     if interned:
         table = _INTERNED[cls] = {}
-        globals_ = {**globals_, "_table": table, "_intern": _interner(table)}
+        globals_ = {**globals_, "_table": table, "_intern": _interner(
+            table, names, hasattr(cls, "__post_init__"))}
         cls.__reduce__ = _interned_reduce
     methods = _INTERNED_METHODS if interned else _FROZEN_METHODS
     for name, c, dflt in zip(methods, codes, (defaults or None, None, None)):
@@ -234,12 +226,25 @@ class _Entry(ref):
     __slots__ = ("key",)
 
 
-def _interner(table):
-    """The function that enters a new node under its key in table."""
+def _interner(table, names, post_init):
+    """The function that builds a node of an interned class from its
+    fields, names, and enters it in table, the class's. Where the class
+    has a `__post_init__`, the key is the fields it leaves, and a live
+    node with those is returned instead."""
     def forget(entry):
         _remove_dead_weakref(table, entry.key)
 
-    def intern(node, key):
+    def intern(cls, key):
+        node = _new(cls)
+        for name, value in zip(names, key):
+            _setattr(node, name, value)
+        if post_init:
+            node.__post_init__()
+            key = tuple([getattr(node, name) for name in names])
+            entry = table.get(key)
+            old = entry and entry()
+            if old is not None:
+                return old
         _setattr(node, "_hash", hash(key))
         fv, binds = _facts(node)
         _setattr(node, "_fv", fv)

@@ -337,19 +337,11 @@ def _reference_methods(cls) -> dict:
                   "def __hash__(self):\n"
                   f"  return hash(({own}))\n")
     else:
-        if post_init:   # the key is what __post_init__ leaves
-            new = ["  self=_new(_cls)", *init, f"  _key=({own})",
-                   "  _ref=_table.get(_key)", "  if _ref is not None:",
-                   "    _old=_ref()", "    if _old is not None:",
-                   "      return _old"]
-        else:
-            new = [f"  _key=({''.join(n + ',' for n in compared)})",
-                   "  _ref=_table.get(_key)", "  if _ref is not None:",
-                   "    self=_ref()", "    if self is not None:",
-                   "      return self", "  self=_new(_cls)", *init]
+        key = "(" + "".join(n + "," for n in compared) + ")"
+        new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
         source = (f"def __new__({','.join(('_cls', *names))}):\n"
-                  + "\n".join(new) + "\n"
-                  "  return _intern(self,_key)\n"
+                  + ("  return " if post_init else new)
+                  + f"_intern(_cls,{key})\n"
                   "def __hash__(self):\n"
                   "  return self._hash\n")
     ns = {}
@@ -383,12 +375,11 @@ def test_methods_are_the_code_of_their_own_shape(cls):
     assert_own_shape_code(cls)
 
 
-# The names the methods of a frozen class use besides its fields, and
-# those of an interned class; the last of each only with `__post_init__`.
+# The names the methods of a frozen class use besides its fields, the last
+# only with `__post_init__`, and those of an interned class.
 RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
             "__class__", "__post_init__")
-INTERNED_RESERVED = ("self", "_setattr", "_cls", "_key", "_ref", "_table",
-                     "_new", "_intern", "_hash", "__post_init__", "_old")
+INTERNED_RESERVED = ("self", "_cls", "_ref", "_table", "_intern", "_hash")
 
 
 def test_a_field_named_like_the_template_is_rejected(monkeypatch):
@@ -400,7 +391,7 @@ def test_a_field_named_like_the_template_is_rejected(monkeypatch):
     for interned, names in ((False, RESERVED), (True, INTERNED_RESERVED)):
         for reserved in names:
             namespace = {"__annotations__": {reserved: object}}
-            if reserved in ("__post_init__", "_old"):   # the records'
+            if reserved == "__post_init__":     # the records' template
                 namespace["__post_init__"] = lambda self: None
             with pytest.raises(TypeError,
                                match=f"^Clash: .*: {reserved!r}$"):

@@ -232,3 +232,12 @@ def test_type_walks_on_the_tower_grow_linearly(walk):
             source_typer.typecheck_program(p))))
     assert counts[2] - counts[1] == counts[1] - counts[0]
     assert 0 < counts[2] < 200
+
+
+def test_an_interned_class_compares_every_field():
+    # Its table is keyed by every field, and `==` is `is`.
+    namespace = {"__annotations__": {"a": object, "b": object},
+                 "_derived": ("b",)}
+    with pytest.raises(TypeError, match="^D: an interned class compares"):
+        S.interned(type("D", (), namespace))
+    assert not any(c.__name__ == "D" for c in S._INTERNED)
