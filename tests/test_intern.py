@@ -199,25 +199,22 @@ def test_the_tower_annotation_has_one_node_per_level():
         assert len(arrows) == d + 2
 
 
-def count_visits(fn):
-    """A callable that runs a thunk and returns how many times it entered
-    the functions defined inside fn: the node visits of fn's walk."""
+def count_visits(fn, thunk) -> int:
+    """How many times thunk() enters the functions defined inside fn: the
+    node visits of fn's walk."""
     codes = {c for c in fn.__code__.co_consts if isinstance(c, CodeType)}
+    calls = 0
 
-    def run(thunk) -> int:
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code in codes:
-                calls += 1
-        sys.setprofile(profile)
-        try:
-            thunk()
-        finally:
-            sys.setprofile(None)
-        return calls
-    return run
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 @pytest.mark.parametrize("walk", [S.unify, S._free_by_sort],
@@ -228,7 +225,7 @@ def test_type_walks_on_the_tower_grow_linearly(walk):
     counts = []
     for d in (6, 8, 10):
         p = parser.parse_program(tower_source(d))
-        counts.append(count_visits(walk)(lambda: harness.decomposition_report(
+        counts.append(count_visits(walk, lambda: harness.decomposition_report(
             source_typer.typecheck_program(p))))
     assert counts[2] - counts[1] == counts[1] - counts[0]
     assert 0 < counts[2] < 200
