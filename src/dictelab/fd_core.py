@@ -177,18 +177,16 @@ class FdChecker:
     recursion goes, is memoized on the identities of the node and of the
     environment (`_memo`), so a shared subterm is typed once; every
     entry keeps both alive, so an identity is never reused while its entry
-    exists. Environments are extended through `_extend`, which returns one
-    tuple object per (parent environment, binding), so equal environments
-    built here are the same object and share entries; the type variables
-    each environment binds are kept beside it (`_envs`). `collect` bounds
-    these two while a trace is walked. The result types of type
-    applications are memoized by the polymorphic type and its argument
-    (`_insts`), so a trace instantiates each polymorphic type once; these
-    keys are the term's own types, so the memo ends with the checker.
-    Errors are never memoized. Translation is structural and reads no
-    typing environment, so its results are memoized by the identity of
-    the node alone (`_targets`), which keeps the node alive; walking a
-    trace translates nothing, so `collect` leaves them.
+    exists. The type variables each environment binds are kept beside it,
+    by its identity too (`_envs`). `collect` bounds these two while a
+    trace is walked. The result types of type applications are memoized
+    by the polymorphic type and its argument (`_insts`), so a trace
+    instantiates each polymorphic type once; these keys are the term's own
+    types, so the memo ends with the checker. Errors are never memoized.
+    Translation is structural and reads no typing environment, so its
+    results are memoized by the identity of the node alone (`_targets`),
+    which keeps the node alive; walking a trace translates nothing, so
+    `collect` leaves them.
     """
 
     def __init__(self, sigma, TC):
@@ -198,8 +196,7 @@ class FdChecker:
         self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
         self._insts: dict = {}      # (IForall, FdType) -> FdType
-        # (id(node), id(env)) -> (node, env, type),
-        # (id(env), binding) -> (env, extended env) and
+        # (id(node), id(env)) -> (node, env, type) and
         # id(env) -> (env, the type variables env binds); each with the
         # entries used before the last collect() in a second generation.
         self._memo: dict = {}
@@ -224,14 +221,6 @@ class FdChecker:
         then keeps alive what the last two steps share, not every step."""
         self._old_memo, self._memo = self._memo, {}
         self._old_envs, self._envs = self._envs, {}
-
-    def _extend(self, env, bind):
-        key = (id(env), bind)
-        hit = self._envs.get(key)
-        if hit is None:
-            hit = self._old_envs.pop(key, None) or (env, env + (bind,))
-            self._envs[key] = hit
-        return hit[1]
 
     def _tyvars(self, env) -> set[str]:
         hit = self._envs.get(id(env))
@@ -263,8 +252,8 @@ class FdChecker:
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
                 check_fd_type_wf(self.TC, self._tyvars(env), ty)
-                return IArrow(ty, self.check_expr(
-                    self._extend(env, TermBind(x, ty)), body))
+                return IArrow(ty, self.check_expr(env + (TermBind(x, ty),),
+                                                  body))
             case IApp(f, a):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IArrow):
@@ -279,8 +268,8 @@ class FdChecker:
                 return fty.right
             case IDLam(dv, q, body):
                 check_fd_q_wf(self.TC, self._tyvars(env), q)
-                return IQArrow(q, self.check_expr(
-                    self._extend(env, DictBind(dv, q)), body))
+                return IQArrow(q, self.check_expr(env + (DictBind(dv, q),),
+                                                  body))
             case IDApp(f, d):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IQArrow):
@@ -296,8 +285,7 @@ class FdChecker:
                         f"expected {S.pretty(fty.q)}")
                 return fty.result
             case ITyLam(a, body):
-                return IForall(a, self.check_expr(
-                    self._extend(env, TyVarBind(a)), body))
+                return IForall(a, self.check_expr(env + (TyVarBind(a),), body))
             case ITyApp(f, ty):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IForall):
@@ -326,8 +314,7 @@ class FdChecker:
                         MISMATCH,
                         f"let binding has type {S.pretty(bty)}, "
                         f"annotated {S.pretty(ty)}")
-                return self.check_expr(self._extend(env, TermBind(x, ty)),
-                                       body)
+                return self.check_expr(env + (TermBind(x, ty),), body)
             case IChoice(alts) if alts:
                 check = self.check_dict if isinstance(alts[0], FdDict) \
                     else self.check_expr

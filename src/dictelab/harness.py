@@ -14,8 +14,8 @@ types the forest (`FdChecker.check_expr`, the typing judgment alone),
 then translates it (`FdChecker.translate`, a structural walk over the typed
 forest); coherence does the same for each intermediate value. Each Σ's
 direct translator and `fd_env_wf`-validated checker are built once and
-kept by the `Declarations`, which both reports and every coherence
-context share: the reports take a typed program.
+kept by Σ itself (`source_typer.MethodEnv`), which both reports and every
+coherence context share: the reports take a typed program.
 Coherence: evaluate every elaboration along both pipelines and require
 Kleene-equal results. Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
@@ -29,9 +29,11 @@ Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
 per-Σ memos of one base checker (see `FdChecker`) and the generator's
-closed dictionaries. Each term gets its own checker, whose per-term memos
-(typed nodes, built environments and type instantiations) start empty.
-The few most recent environments are kept, by the identity of (sigma, TC).
+closed dictionaries. A typed Σ keeps that state for as long as it lives;
+any other Σ, or a typed one given a class environment not its own, gets
+new state for each call. Each term gets its own checker, whose per-term
+memos (typed nodes, environments' type variables and type
+instantiations) start empty.
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -44,7 +46,7 @@ from collections import namedtuple
 
 from . import fd_core, syntax as S, target_core
 from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
-from .source_typer import (Limits, SrcTypeError, typecheck_main,
+from .source_typer import (Limits, MethodEnv, SrcTypeError, typecheck_main,
                            typecheck_program)
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
@@ -116,12 +118,11 @@ def _environments(r):
     """For each method environment Σ that r.fd_elabs reaches, in order:
     its index, Σ, its checker, the number n of derivations read under it,
     and the direct and composed translations of r's forest. The checker
-    and the direct translator of each Σ are r.decls's, built when any
-    result typed against r.decls first reads Σ."""
+    and the direct translator are Σ's own, built when any result typed
+    against r.decls first reads Σ."""
     for variant, (sigma, n) in enumerate(r.variants_read):
-        checker = r.decls.once(("checker", id(sigma)),
-                               lambda: fd_env_wf(sigma, r.fd_class_env))
-        yield (variant, sigma, checker, n, r.decls.direct(sigma)(r.forest),
+        checker = sigma.derived(fd_env_wf)
+        yield (variant, sigma, checker, n, sigma.direct(r.forest),
                _composed(checker, r.forest))
 
 
@@ -284,50 +285,27 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
 # Per-Σ state of a stream of terms
 # ---------------------------------------------------------------------------
 
-class _Environment:
-    """What the terms checked or generated over one method environment
-    share: a base checker, never used itself, whose children check the
-    terms, and the closed dictionaries with their method calls, derived at
-    the first term generated."""
-
-    __slots__ = ("sigma", "TC", "checker", "_generators")
-
-    def __init__(self, sigma, TC):
-        self.sigma, self.TC = sigma, TC
-        self.checker = FdChecker(sigma, TC)
-        self._generators = None
-
-    def generators(self):
-        """The closed dictionaries of sigma, and the method call of each
-        with its type."""
-        if self._generators is None:
-            dicts = closed_dicts(self.sigma)
-            calls = []
-            for q, d in dicts:
-                entry = fd_core.lookup_class_by_name(self.TC, q.cls)
-                calls.append((IMethod(d, entry.method),
-                              subst_type(entry.method_type,
-                                         {entry.var: q.arg})))
-            self._generators = dicts, calls
-        return self._generators
+def _generators(sigma, TC):
+    """The closed dictionaries of sigma, and the method call of each with
+    its type."""
+    dicts = closed_dicts(sigma)
+    calls = []
+    for q, d in dicts:
+        entry = fd_core.lookup_class_by_name(TC, q.cls)
+        calls.append((IMethod(d, entry.method),
+                      subst_type(entry.method_type, {entry.var: q.arg})))
+    return dicts, calls
 
 
-# The most recent environments by (id(sigma), id(TC)), least recently used
-# first. Each entry holds its sigma and TC, so neither identity is reused
-# while the entry exists; both are read as immutable.
-_ENVIRONMENTS: dict = {}
-_ENVIRONMENTS_KEPT = 4
-
-
-def _environment(sigma, TC) -> _Environment:
-    key = (id(sigma), id(TC))
-    env = _ENVIRONMENTS.pop(key, None)
-    if env is None:
-        env = _Environment(sigma, TC)
-        if len(_ENVIRONMENTS) >= _ENVIRONMENTS_KEPT:
-            del _ENVIRONMENTS[next(iter(_ENVIRONMENTS))]
-    _ENVIRONMENTS[key] = env
-    return env
+def _stream(build, sigma, TC):
+    """build(sigma, TC), part of the state the terms over sigma share:
+    kept by sigma if it is a typed Σ over TC, else built for this call
+    alone. The parts are a base checker (`FdChecker`), never used itself,
+    whose children check the terms, and the generator's closed
+    dictionaries (`_generators`)."""
+    if isinstance(sigma, MethodEnv) and sigma.TC is TC:
+        return sigma.derived(build)
+    return build(sigma, TC)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +313,7 @@ def _environment(sigma, TC) -> _Environment:
 # ---------------------------------------------------------------------------
 
 def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
-    checker = _environment(sigma, TC).checker.child()
+    checker = _stream(FdChecker, sigma, TC).child()
     try:
         ty0 = checker.check_expr((), e)
     except fd_core.FdTypeError as err:   # a violation before any step
@@ -408,7 +386,7 @@ def closed_dicts(sigma):
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed."""
     rng = random.Random(seed)
-    dicts, calls = _environment(sigma, TC).generators()
+    dicts, calls = _stream(_generators, sigma, TC)
 
     def gen_type(depth: int):
         if depth <= 0:

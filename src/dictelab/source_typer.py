@@ -11,7 +11,8 @@ a context plugged around it, against them. The elaborating judgments
 `infer`, `check` and `entail` emit the intermediate language, whose
 dictionaries are first-order and binder-free: an elaboration is its
 resolution derivation. A method environment Σ fixes one body per instance
-for the whole program. The typer's output holds derivations only;
+for the whole program; a typed program's Σ is a `MethodEnv`, which keeps
+what is derived from it. The typer's output holds derivations only;
 `harness.squares` translates them under Σ directly (`DirectTranslator`,
 which shares no code with `fd_core`) and through the intermediate
 language (`fd_core.FdChecker`, which types them, then translates them), so
@@ -692,35 +693,46 @@ class DirectTranslator:
 # Whole programs
 # ---------------------------------------------------------------------------
 
+class MethodEnv(tuple):
+    """A method environment Σ of a typed program: the tuple of its entries,
+    one per instance of P, from the instance bodies it picks, over the
+    class environment TC. It iterates, slices, compares and hashes as that
+    tuple. What is derived from Σ is a function of Σ and TC alone, so Σ
+    keeps it for as long as it lives: its direct translator, and what
+    `derived` builds, such as its `fd_env_wf`-validated checker and the
+    state its streams of terms share (see `harness`). A copy or a pickle
+    is rebuilt without any of it."""
+
+    def __new__(cls, TC, P, bodies):
+        sigma = super().__new__(cls, map(_method_impl, P, bodies))
+        sigma.TC, sigma.P, sigma.bodies = TC, P, bodies
+        sigma._kept = {}
+        return sigma
+
+    def __reduce__(self):
+        return MethodEnv, (self.TC, self.P, self.bodies)
+
+    def derived(self, build):
+        """build(Σ, TC), built at the first call with build and kept."""
+        if build not in self._kept:
+            self._kept[build] = build(self, self.TC)
+        return self._kept[build]
+
+    direct = functools.cached_property(
+        lambda self: DirectTranslator(self.TC, self.P, self.bodies))
+
+
 @frozen
 class Declarations:
     """A program's typed classes and instances, the class environment TC,
-    and (Σ, the instance bodies it picks) per method environment. They own
-    each Σ's `direct` translator and validated checker (`harness.squares`),
-    built at first use and shared by every result typed against them."""
+    and its method environments (`MethodEnv`), whose state every result
+    typed against them shares."""
     GC: tuple
     P: tuple
     TC: tuple
     variants: tuple
     truncated: bool
     limits: Limits
-
-    def once(self, key, build):
-        """build(), called at the first use of key only. The memo is no
-        field, so equality, hash and repr ignore it, and copies leave it
-        out: the translators' memos are keyed by id()."""
-        memo = self.__dict__.setdefault("_once", {})
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_once"}
-
-    def direct(self, sigma) -> DirectTranslator:
-        """The direct translator of sigma, one of the method environments."""
-        return self.once(("direct", id(sigma)), lambda: DirectTranslator(
-            self.TC, self.P, next(b for s, b in self.variants if s is sigma)))
 
 
 @frozen
@@ -749,7 +761,7 @@ class ProgramResult:
         order: the pairs of fd_elabs are the first n elaborations of main
         under each Σ."""
         out, left = [], self.decls.limits.max_elaborations
-        for sigma, _ in self.decls.variants:
+        for sigma in self.decls.variants:
             n = min(self.count, left)
             if n <= 0:
                 break
@@ -777,7 +789,7 @@ class ProgramResult:
     def tgt_elabs(self) -> S.Unpacked:
         """The direct target of each pair of fd_elabs: the forest,
         translated once per Σ here, unpacked at the first read of one."""
-        parts = [(self.decls.direct(sigma)(self.forest), n)
+        parts = [(sigma.direct(self.forest), n)
                  for sigma, n in self.variants_read]
         return S.Unpacked(len(self.fd_elabs), lambda: [
             te for forest, n in parts for te in S.unpack(forest, n)])
@@ -795,9 +807,10 @@ def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
     count, truncated = _cap(math.prod(len(e.body_fd) for e in P), limits,
                             any(e.truncated for e in P))
     choices = itertools.product(*(e.body_fd for e in P))
-    variants = tuple((tuple(map(_method_impl, P, bodies)), bodies)
+    TC = elab_class_env(GC)
+    variants = tuple(MethodEnv(TC, P, bodies)
                      for bodies in itertools.islice(choices, count))
-    return Declarations(GC, P, elab_class_env(GC), variants, truncated, limits)
+    return Declarations(GC, P, TC, variants, truncated, limits)
 
 
 def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:

@@ -364,7 +364,7 @@ def test_commands_that_read_the_first_square_validate_only_its_sigma(
     code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
     assert code == 0 and len(r.decls.variants) == 4
-    assert [sigma for sigma, _ in validated] == [r.decls.variants[0][0]]
+    assert [sigma for sigma, _ in validated] == [r.decls.variants[0]]
 
 
 @pytest.mark.parametrize("argv,read", [

@@ -71,7 +71,7 @@ def test_enumeration_is_pinned():
         except SrcTypeError as err:
             h.update(f"error {err.kind}\n".encode())
             continue
-        sigmas = [sigma for sigma, _ in r.decls.variants]
+        sigmas = r.decls.variants
         for sigma, ie in r.fd_elabs:
             index = next(i for i, s in enumerate(sigmas) if s is sigma)
             h.update(f"{index} {S.pretty(ie)}\n".encode())

@@ -11,7 +11,9 @@ must raise the same error class, kind and message.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -19,11 +21,10 @@ from dictelab import harness, syntax as S
 from dictelab.fd_core import FdChecker, FdTypeError, fd_step, is_fd_value
 from dictelab.harness import check_metatheory, generate_fd_term, squares
 from dictelab.parser import parse_program
-from dictelab.source_typer import typecheck_program
+from dictelab.source_typer import MethodEnv, typecheck_program
 from dictelab.syntax import (
-    DictBind, FdClassEntry, FdConstraintScheme, FdExpr, FdQ, IApp, IArrow,
-    IBool, IDLam, ILam, ILet, ITrue, ITyLam, ITyVar, IVar, MethodImpl,
-    TermBind, TyVarBind,
+    DictBind, FdExpr, IApp, IArrow, IBool, IDLam, ILam, ILet, ITrue, ITyLam,
+    IVar, TermBind, TyVarBind,
 )
 
 from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
@@ -207,29 +208,31 @@ def _stream(envs):
                 yield sigma, TC, e, check_metatheory(sigma, TC, e)
 
 
-def test_the_stream_state_agrees_with_a_fresh_checker_per_term(
-        monkeypatch):
+def test_the_stream_state_agrees_with_a_fresh_checker_per_term():
     shared = list(_stream(list(_digest_envs())))
-    # Nothing shared: a new state, so a new checker, for every call.
-    monkeypatch.setattr(harness, "_environment", harness._Environment)
+    # Nothing shared: a plain tuple keeps no state, so every call builds a
+    # new one, and so a new checker.
     for sigma, TC, e, rep in shared:
-        assert check_metatheory(sigma, TC, e) == rep
+        assert check_metatheory(tuple(sigma), TC, e) == rep
     assert [e for _, _, e, _ in shared] == \
-        [e for _, _, e, _ in _stream(_digest_envs())]
+        [e for _, _, e, _ in _stream((tuple(sigma), TC)
+                                     for sigma, TC in _digest_envs())]
 
 
-_EQ_CLASS = (FdClassEntry("eq", "Eq", "a",
-                          IArrow(ITyVar("a"), IArrow(ITyVar("a"), IBool()))),)
-# An implementation of type Bool -> Bool where Eq Bool wants
-# Bool -> Bool -> Bool.
-_ILL_TYPED_SIGMA = (MethodImpl(
-    "D1_Eq", FdConstraintScheme((), (), FdQ("Eq", IBool())), "eq",
-    read_fd_expr("\\x : Bool. x")),)
+def _ill_typed_sigma():
+    """A typed Σ whose implementation of Eq Bool has type Bool -> Bool,
+    where Eq Bool wants Bool -> Bool -> Bool."""
+    r = typecheck_program(parse_program(
+        "class Eq a where { eq : a -> a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "True"))
+    return MethodEnv(r.fd_class_env, r.P, (read_fd_expr("\\x : Bool. x"),))
 
 
 def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
         monkeypatch):
-    sigma, TC = _ILL_TYPED_SIGMA, _EQ_CLASS
+    sigma = _ill_typed_sigma()
+    TC = sigma.TC
     terms = [generate_fd_term(seed, 6, sigma, TC) for seed in (3, 4, 5)]
     assert all("[D1_Eq]" in S.pretty(e) for e in terms)
     checks = count_calls(monkeypatch, FdChecker, "_check_impl")
@@ -241,14 +244,16 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
             f"{S.pretty(e)} : Mismatch: implementation of 'D1_Eq' has type "
             f"Bool -> Bool, expected Bool -> Bool -> Bool")
     assert len(checks) == len(terms)    # the failure is checked again
-    monkeypatch.setattr(harness, "_environment", harness._Environment)
-    assert reports == [check_metatheory(sigma, TC, e) for e in terms]
+    # The reports shared Σ's base checker; a plain tuple shares nothing.
+    assert {id(self._impl_memo) for self, _ in checks} == \
+        {id(sigma.derived(FdChecker)._impl_memo)}
+    assert reports == [check_metatheory(tuple(sigma), TC, e) for e in terms]
 
 
 def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
     # Work counts over the fuzz digest: one implementation check per
-    # constructor and Σ, one closed_dicts per Σ, and every entry of the
-    # state keeps alive the sigma and TC it is keyed by.
+    # constructor and Σ, one closed_dicts per Σ, and the state that
+    # saves them is each Σ's own.
     checked = []
     check_impl = FdChecker._check_impl
 
@@ -262,25 +267,54 @@ def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
     derived = count_calls(monkeypatch, harness, "closed_dicts")
     envs = list(_digest_envs())
     for _ in _stream(envs):
-        assert 0 < len(harness._ENVIRONMENTS) <= harness._ENVIRONMENTS_KEPT
-        for key, env in harness._ENVIRONMENTS.items():
-            assert key == (id(env.sigma), id(env.TC))
+        pass
     assert len(checked) == len(set(checked)) == 5
     assert sorted(con for _, con in checked) == \
         sorted(entry.con for sigma, _ in envs for entry in sigma)
     assert derived == [(sigma,) for sigma, _ in envs]
+    assert {memo for memo, _ in checked} == \
+        {id(sigma.derived(FdChecker)._impl_memo) for sigma, _ in envs}
 
 
-def test_the_stream_state_keeps_a_fixed_number_of_environments():
-    sigma, TC = _ILL_TYPED_SIGMA, _EQ_CLASS
-    kept = harness._ENVIRONMENTS_KEPT
-    TCs = [tuple(list(TC)) for _ in range(kept + 3)]    # distinct objects
-    for tc in TCs:
-        check_metatheory(sigma, tc, ITrue())
-        assert len(harness._ENVIRONMENTS) <= kept
-    assert [env.TC for env in harness._ENVIRONMENTS.values()] == TCs[-kept:]
-    assert all(env.TC is tc for env, tc in
-               zip(harness._ENVIRONMENTS.values(), TCs[-kept:]))
-    # A use moves an environment to the most recent end.
-    check_metatheory(sigma, TCs[-kept], ITrue())
-    assert list(harness._ENVIRONMENTS.values())[-1].TC is TCs[-kept]
+def _base_checkers(monkeypatch) -> list:
+    """The base checker of each term checked from here on, in order: the
+    checker whose `child` checks the term (not a prefix checker)."""
+    bases = []
+    child = FdChecker.child
+
+    def recorded(self, sigma=None):
+        if sigma is None:
+            bases.append(self)
+        return child(self, sigma)
+    monkeypatch.setattr(FdChecker, "child", recorded)
+    return bases
+
+
+def test_a_typed_programs_stream_state_is_freed_with_it(monkeypatch):
+    bases = _base_checkers(monkeypatch)
+    r = typecheck_program(corpus_program("P2"))
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    for seed in range(3):
+        check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
+    assert len(bases) == 3 and len(set(map(id, bases))) == 1
+    base = weakref.ref(bases.pop())
+    bases.clear()
+    del r, sigma, TC
+    gc.collect()
+    assert base() is None
+
+
+def test_a_sigma_given_another_class_environment_keeps_nothing(
+        monkeypatch):
+    r = typecheck_program(corpus_program("P2"))
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    other = tuple(list(TC))     # equal, but not Σ's own
+    terms = [generate_fd_term(seed, 4, sigma, other) for seed in range(3)]
+    bases = _base_checkers(monkeypatch)
+    reports = [check_metatheory(sigma, other, e) for e in terms]
+    assert len(set(map(id, bases))) == len(terms)   # one state per call
+    assert not sigma._kept
+    assert terms == [generate_fd_term(seed, 4, sigma, TC) for seed in range(3)]
+    assert reports == [check_metatheory(sigma, TC, e) for e in terms]
+    assert set(map(id, bases[len(terms):])) == \
+        {id(sigma.derived(FdChecker))}

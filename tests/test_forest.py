@@ -49,9 +49,9 @@ def reference_squares(r):
     alone, by fresh translators."""
     variants = r.decls.variants
     for sigma, ie in r.fd_elabs:
-        variant = next(i for i, (s, _) in enumerate(variants) if s is sigma)
+        variant = next(i for i, s in enumerate(variants) if s is sigma)
         direct = DirectTranslator(r.fd_class_env, r.P,
-                                  variants[variant][1])(ie)
+                                  variants[variant].bodies)(ie)
         _, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
         yield variant, sigma, ie, direct, te
 
@@ -263,7 +263,7 @@ def read_eagerly(r):
                               for ie in elabs[:n]),
             "tgt_elabs": tuple(
                 te for sigma, n in r.variants_read
-                for te in S.unpack(r.decls.direct(sigma)(r.forest), n)),
+                for te in S.unpack(sigma.direct(r.forest), n)),
             "composed": tuple(sq.composed for sq in harness.squares(r))}
 
 
@@ -352,7 +352,7 @@ def test_no_choice_node_escapes_a_public_result(name):
     results += harness.decomposition_report(r).composed
     results += harness.coherence_report(r).composed
     results += [body for entry in r.P for body in entry.body_fd]
-    results += [m.impl for sigma, _ in r.decls.variants for m in sigma]
+    results += [m.impl for sigma in r.decls.variants for m in sigma]
     assert r.fd_elabs and not any(map(choices_in, results))
 
 

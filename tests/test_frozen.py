@@ -244,7 +244,7 @@ def test_a_typed_program_is_compared_and_shown_without_its_forest():
         parser.parse_program(SELF_SUPPORT_TWICE + LOCAL_EQ),
         source_typer.Limits(max_depth=depth, max_elaborations=3))
         for depth in (12, 14)]
-    assert [len(repr(r)) for r in results] == [2034, 2034]
+    assert [len(repr(r)) for r in results] == [1934, 1934]
     for r in results:
         other = source_typer.ProgramResult(
             r.main_type, r.main, r.decls, S.ITrue(), r.count, r.fd_truncated)

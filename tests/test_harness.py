@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import pickle
 
 import pytest
 
@@ -187,8 +188,7 @@ def test_both_reports_and_every_context_share_each_checker(monkeypatch):
     r = source_typer.typecheck_program(corpus_program("P2"))
     harness.coherence_report(r, contexts=corpus_contexts())
     harness.decomposition_report(r)
-    assert [sigma for sigma, _ in calls] == \
-        [sigma for sigma, _ in r.decls.variants]
+    assert [sigma for sigma, _ in calls] == list(r.decls.variants)
 
 
 def test_decomposition_after_coherence_translates_nothing(monkeypatch):
@@ -203,19 +203,42 @@ def test_decomposition_after_coherence_translates_nothing(monkeypatch):
     assert nodes == [] and checked == [] and composed == []
 
 
+def _keeps(sigma) -> bool:
+    """Whether the typed Σ sigma keeps a translator or checker."""
+    return "direct" in vars(sigma) or bool(sigma._kept)
+
+
 def test_a_copy_of_a_typed_program_leaves_the_translators_behind():
     # The translators' memos are keyed by id(); a copy starts afresh, and
     # neither equality nor hashing sees them.
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
     fresh = copy.deepcopy(r)
     read = list(harness.squares(r))
-    assert vars(r.decls).keys() - vars(fresh.decls).keys() == {"_once"}
-    assert "_once" not in vars(copy.deepcopy(r).decls)
-    assert "_once" not in vars(copy.copy(r.decls))
+    assert all(map(_keeps, r.decls.variants))
+    assert not any(map(_keeps, fresh.decls.variants))
+    assert not any(map(_keeps, copy.deepcopy(r).decls.variants))
+    assert not any(_keeps(copy.copy(sigma)) for sigma in r.decls.variants)
     assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
     assert [(sq.variant, sq.direct, sq.composed)
             for sq in harness.squares(fresh)] == \
         [(sq.variant, sq.direct, sq.composed) for sq in read]
+
+
+def test_a_copy_or_pickle_of_a_sigma_is_equal_and_keeps_nothing():
+    r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
+    list(harness.squares(r))
+    sigma = r.decls.variants[0]
+    check_metatheory(sigma, r.fd_class_env, generate_fd_term(
+        0, 4, sigma, r.fd_class_env))
+    assert _keeps(sigma) and len(sigma._kept) == 3
+    for other in (copy.copy(sigma), copy.deepcopy(sigma),
+                  pickle.loads(pickle.dumps(sigma))):
+        assert type(other) is source_typer.MethodEnv and other is not sigma
+        assert other == sigma and hash(other) == hash(sigma)
+        assert tuple(other) == tuple(sigma) and repr(other) == repr(sigma)
+        assert (other.TC, other.P, other.bodies) == \
+            (sigma.TC, sigma.P, sigma.bodies)
+        assert not _keeps(other)
 
 
 @pytest.mark.parametrize("name", POSITIVE + ["b0.src", "b2.src"])
@@ -465,8 +488,8 @@ def test_fuzz_work_builds_each_environments_type_variables_once(
         monkeypatch):
     # Work counts: a checker keeps the type variables of each environment
     # it builds beside it, so no binder rebuilds them. An environment that
-    # binds something is built by one checker's `_extend`; the empty one is
-    # the root of every checker.
+    # binds something is built by one checker as it types a binder; the
+    # empty one is the root of every checker.
     built = count_calls(monkeypatch, fd_core, "env_tyvars")  # keeps each
     checkers = count_calls(monkeypatch, fd_core.FdChecker, "__init__")
     for _ in _fuzz_work():
