@@ -3,16 +3,21 @@
 Hand-written recursive-descent parser. Whitespace-insensitive, line comments
 start with "--". The annotation form is "(e :: t)". The hole token "[]" is
 only legal in context files.
+
+A token is a `(kind, text, offset)` tuple, read in one scan of the text;
+the last is `("eof", "", len(text))`. Nothing tracks lines: the line and
+column of an error are looked up from its offset, in a table of line
+starts built at the first error of a text.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .syntax import (SArrow, SBool, SApp, SAnn, SFalse, SHole, SLam, SLet,
                      STrue, STyVar, SVar, SrcConstraint, SrcExpr, SrcMono,
-                     SrcProgram, SrcScheme, ClassDecl, InstDecl, count_holes,
-                     frozen)
+                     SrcProgram, SrcScheme, ClassDecl, InstDecl, count_holes)
 
 
 class ParseError(Exception):
@@ -28,89 +33,89 @@ class ParseError(Exception):
         return s
 
 
-_KEYWORDS = {"class", "instance", "where", "let", "in", "forall"}
-
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|--[^\n]*)
   | (?P<hole>\[\])
   | (?P<sym>::|=>|->|[;{}(),.:=\\])
-  | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
+  | (?P<kw>(?:class|instance|where|let|in|forall)(?![A-Za-z0-9_']))
+  | (?P<conid>[A-Z][A-Za-z0-9_']*)
+  | (?P<varid>[a-z][A-Za-z0-9_']*)
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@frozen
-class Token:
-    kind: str  # 'conid' | 'varid' | 'kw' | 'sym' | 'hole' | 'eof'
-    text: str
-    line: int
-    column: int
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in re.finditer("\n", text))]
 
 
-def tokenize(text: str) -> list[Token]:
+def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
-        lexeme, kind = m.group(0), m.lastgroup
-        if kind == "ident":
-            kind = ("kw" if lexeme in _KEYWORDS
-                    else "conid" if lexeme[0].isupper() else "varid")
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(*_position(_line_starts(text), m.start()),
+                             f"unexpected character {m.group()!r}")
         if kind != "ws":
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, allow_hole: bool):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.allow_hole = allow_hole
+        self.line_starts = None
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, offset, message, expected=()) -> ParseError:
+        if self.line_starts is None:
+            self.line_starts = _line_starts(self.text)
+        return ParseError(*_position(self.line_starts, offset), message,
+                          list(expected))
 
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
+    def advance(self) -> str:
+        text = self.tokens[self.pos][1]
         self.pos += 1
-        return t
+        return text
 
     def fail(self, message, expected=()):
-        t = self.peek()
-        raise ParseError(t.line, t.column, message, list(expected))
+        raise self.error(self.tokens[self.pos][2], message, expected)
 
-    def expect(self, kind, text=None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            self.fail(f"unexpected {t.text!r}" if t.text else "unexpected end of input",
+    def expect(self, kind, text=None) -> str:
+        k, s, _ = self.tokens[self.pos]
+        if k != kind or (text is not None and s != text):
+            self.fail(f"unexpected {s!r}" if s else "unexpected end of input",
                       [text or kind])
         return self.advance()
 
     def at(self, kind, text=None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        k, s, _ = self.tokens[self.pos]
+        return k == kind and (text is None or s == text)
+
+    def accept(self, kind, text=None) -> bool:
+        """Whether the next token is of kind (and text); if so, reads it."""
+        if self.at(kind, text):
+            self.pos += 1
+            return True
+        return False
 
     # -- types ---------------------------------------------------------------
 
     def atype(self) -> SrcMono:
-        if self.at("conid", "Bool"):
-            self.advance()
+        if self.accept("conid", "Bool"):
             return SBool()
         if self.at("varid"):
-            return STyVar(self.advance().text)
-        if self.at("sym", "("):
-            self.advance()
+            return STyVar(self.advance())
+        if self.accept("sym", "("):
             t = self.mono()
             self.expect("sym", ")")
             return t
@@ -118,25 +123,22 @@ class _Parser:
 
     def mono(self) -> SrcMono:
         left = self.atype()
-        if self.at("sym", "->"):
-            self.advance()
+        if self.accept("sym", "->"):
             return SArrow(left, self.mono())
         return left
 
     def constraint(self) -> SrcConstraint:
-        cls = self.expect("conid").text
+        cls = self.expect("conid")
         if cls == "Bool":
             self.fail("Bool is not a class name")
         return SrcConstraint(cls, self.atype())
 
     def item_list(self, item) -> list:
         """One item, or a parenthesized comma list of them."""
-        if not self.at("sym", "("):
+        if not self.accept("sym", "("):
             return [item()]
-        self.advance()
         items = [item()]
-        while self.at("sym", ","):
-            self.advance()
+        while self.accept("sym", ","):
             items.append(item())
         self.expect("sym", ")")
         return items
@@ -144,29 +146,26 @@ class _Parser:
     def constraint_list(self) -> tuple[SrcConstraint, ...]:
         return tuple(self.item_list(self.constraint))
 
-    def _looks_like_context(self, parse) -> bool:
-        # Look ahead for "=>" after what parse reads; consumes nothing.
+    def optional_context(self, parse, default):
+        """parse() and a "=>" after it, else default and no token read."""
         save = self.pos
         try:
-            parse()
-            ok = self.at("sym", "=>")
+            context = parse()
+            if self.accept("sym", "=>"):
+                return context
         except ParseError:
-            ok = False
+            pass
         self.pos = save
-        return ok
+        return default
 
     def scheme(self) -> SrcScheme:
         binders: list[str] = []
-        if self.at("kw", "forall"):
-            self.advance()
-            binders.append(self.expect("varid").text)
+        if self.accept("kw", "forall"):
+            binders.append(self.expect("varid"))
             while self.at("varid"):
-                binders.append(self.advance().text)
+                binders.append(self.advance())
             self.expect("sym", ".")
-        context: tuple[SrcConstraint, ...] = ()
-        if self._looks_like_context(self.constraint_list):
-            context = self.constraint_list()
-            self.expect("sym", "=>")
+        context = self.optional_context(self.constraint_list, ())
         if len(set(binders)) != len(binders):
             self.fail("duplicate scheme binders")
         return SrcScheme(tuple(binders), context, self.mono())
@@ -174,25 +173,20 @@ class _Parser:
     # -- expressions ---------------------------------------------------------
 
     def aexpr(self) -> SrcExpr | None:
-        if self.at("conid", "True"):
-            self.advance()
+        if self.accept("conid", "True"):
             return STrue()
-        if self.at("conid", "False"):
-            self.advance()
+        if self.accept("conid", "False"):
             return SFalse()
         if self.at("varid"):
-            return SVar(self.advance().text)
+            return SVar(self.advance())
         if self.at("hole"):
-            t = self.advance()
             if not self.allow_hole:
-                raise ParseError(t.line, t.column,
-                                 "hole [] is only legal in context files")
-            return SHole()
-        if self.at("sym", "("):
+                self.fail("hole [] is only legal in context files")
             self.advance()
+            return SHole()
+        if self.accept("sym", "("):
             e = self.expr()
-            if self.at("sym", "::"):
-                self.advance()
+            if self.accept("sym", "::"):
                 e = SAnn(e, self.mono())
             self.expect("sym", ")")
             return e
@@ -209,14 +203,12 @@ class _Parser:
             head = SApp(head, nxt)
 
     def expr(self) -> SrcExpr:
-        if self.at("sym", "\\"):
-            self.advance()
-            x = self.expect("varid").text
+        if self.accept("sym", "\\"):
+            x = self.expect("varid")
             self.expect("sym", ".")
             return SLam(x, self.expr())
-        if self.at("kw", "let"):
-            self.advance()
-            x = self.expect("varid").text
+        if self.accept("kw", "let"):
+            x = self.expect("varid")
             self.expect("sym", ":")
             sch = self.scheme()
             self.expect("sym", "=")
@@ -227,31 +219,25 @@ class _Parser:
 
     # -- declarations --------------------------------------------------------
 
-    def super_context(self):
-        # superclass items are bare class names applied to the class variable
-        return self.item_list(self._super_item)
-
-    def _super_item(self):
-        cls = self.expect("conid").text
-        var_tok = self.expect("varid")
-        return (cls, var_tok.text, var_tok)
+    def super_item(self):
+        # a bare class name applied to the class variable, and its offset
+        cls = self.expect("conid")
+        offset = self.tokens[self.pos][2]
+        return (cls, self.expect("varid"), offset)
 
     def class_decl(self) -> ClassDecl:
         self.expect("kw", "class")
-        supers = []
-        if self._looks_like_context(self.super_context):
-            supers = self.super_context()
-            self.expect("sym", "=>")
-        name = self.expect("conid").text
-        var = self.expect("varid").text
-        for (_, svar, tok) in supers:
+        supers = self.optional_context(
+            lambda: self.item_list(self.super_item), [])
+        name = self.expect("conid")
+        var = self.expect("varid")
+        for (_, svar, offset) in supers:
             if svar != var:
-                raise ParseError(tok.line, tok.column,
-                                 f"superclass constraint must be on the class "
-                                 f"variable {var!r}, got {svar!r}")
+                raise self.error(offset, "superclass constraint must be on "
+                                 f"the class variable {var!r}, got {svar!r}")
         self.expect("kw", "where")
         self.expect("sym", "{")
-        method = self.expect("varid").text
+        method = self.expect("varid")
         self.expect("sym", ":")
         sch = self.scheme()
         self.expect("sym", "}")
@@ -259,15 +245,12 @@ class _Parser:
 
     def inst_decl(self) -> InstDecl:
         self.expect("kw", "instance")
-        context: tuple[SrcConstraint, ...] = ()
-        if self._looks_like_context(self.constraint_list):
-            context = self.constraint_list()
-            self.expect("sym", "=>")
-        cls = self.expect("conid").text
+        context = self.optional_context(self.constraint_list, ())
+        cls = self.expect("conid")
         head = self.atype()
         self.expect("kw", "where")
         self.expect("sym", "{")
-        method = self.expect("varid").text
+        method = self.expect("varid")
         self.expect("sym", "=")
         body = self.expr()
         self.expect("sym", "}")
@@ -276,10 +259,8 @@ class _Parser:
     def program(self) -> SrcProgram:
         decls = []
         while self.at("kw", "class") or self.at("kw", "instance"):
-            if self.at("kw", "class"):
-                decls.append(self.class_decl())
-            else:
-                decls.append(self.inst_decl())
+            decls.append(self.class_decl() if self.at("kw", "class")
+                         else self.inst_decl())
             self.expect("sym", ";")
         main = self.expr()
         self.expect("eof")

@@ -90,9 +90,9 @@ def twin(x):
 def test_every_converted_class_is_covered():
     assert set(S._SHAPES) <= set(CLASSES)
     outside = {c.__name__ for c in CLASSES if c.__module__ != S.__name__}
-    assert outside == {"Token", "Limits", "ClassEntry", "InstEntry",
-                       "Declarations", "ProgramResult", "CoherenceReport",
-                       "Mismatch", "DecompositionReport", "MetaReport"}
+    assert outside == {"Limits", "ClassEntry", "InstEntry", "Declarations",
+                       "ProgramResult", "CoherenceReport", "Mismatch",
+                       "DecompositionReport", "MetaReport"}
 
 
 # Field values: names, small atoms, real terms of the three languages from

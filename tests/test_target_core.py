@@ -10,11 +10,12 @@ from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
     TBool, TermBind, TRecord, TRecordTy, TTrue,
 )
-from dictelab.target_core import TgtTypeError, tgt_eval, tgt_typecheck
+from dictelab.target_core import TgtTypeError, tgt_eval
 
 from conftest import POSITIVE, corpus_result, corpus_text, type_and_translate
 from reader import read_fixture, read_tgt_expr, read_tgt_type
 from reference_eval import is_tgt_value, kleene_eq, tgt_step
+from reference_typing import tgt_typecheck
 from strategies import tgt_term
 
 
