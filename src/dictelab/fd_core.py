@@ -19,7 +19,9 @@ of each derivation, in order. Forests share subforests, and derivations
 unpacked from one forest share subtrees, so a checker types each shared
 (node, environment) pair once and translates each shared node once,
 reusing results by object identity (hash-consing's idea, applied to
-results instead of nodes).
+results instead of nodes). Types and dictionaries are hash-consed
+themselves, so comparing two types is an identity test unless both hold
+a binder, and a closed dictionary is typed once per method environment.
 
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
@@ -164,29 +166,44 @@ class FdChecker:
     translation step, from a typed term to the target.
 
     Typing and translation are deterministic, so results are memoized at
-    two levels.
+    two levels. Types and dictionaries are interned (`syntax.interned`),
+    so a memo keyed by them is keyed by identity. Errors are never
+    memoized.
 
     Per Σ, shared by every checker `child` makes, the prefix checkers of
     implementations among them: the constructors whose implementations
     are checked, each against the strict prefix of the environment at
-    first use (`_impl_memo`), each constructor's translation (`_records`)
-    and type translations, by the type (`_elabs`). All are bounded by the
-    environment and the types it is used at.
+    first use (`_impl_memo`), each constructor's translation (`_records`),
+    type translations, by the type (`_elabs`), and the type of each
+    method projection, by the method and the dictionary's type
+    (`_methods`). All are bounded by the environment and the types it is
+    used at.
+
+    Per Σ, shared by every checker `child` makes for the same Σ, but not
+    by a prefix checker, against whose shorter environment a dictionary
+    may not type: the type of each closed dictionary constructor
+    application (`_dicts`). It reads no typing environment, so it is
+    typed once per Σ; like `_elabs`, the memo is bounded by the closed
+    dictionaries the Σ is used with. A dictionary with a free variable
+    is typed at each use.
 
     Per checker, one per term of a stream: `check_expr`, through which all
     recursion goes, is memoized on the identities of the node and of the
     environment (`_memo`), so a shared subterm is typed once; every
     entry keeps both alive, so an identity is never reused while its entry
     exists. The type variables each environment binds are kept beside it,
-    by its identity too (`_envs`). `collect` bounds these two while a
-    trace is walked. The result types of type applications are memoized
-    by the polymorphic type and its argument (`_insts`), so a trace
-    instantiates each polymorphic type once; these keys are the term's own
-    types, so the memo ends with the checker. Errors are never memoized.
-    Translation is structural and reads no typing environment, so its
-    results are memoized by the identity of the node alone (`_targets`),
-    which keeps the node alive; walking a trace translates nothing, so
-    `collect` leaves them.
+    by its identity too: an environment a binder extends inherits its
+    parent's set, with the type variable an `ITyLam` binds (`_envs`), so
+    only an environment a caller gives is scanned (`env_tyvars`), once
+    for the checker's life (`_roots`). `collect` bounds `_memo` and
+    `_envs` while a trace is walked. The result types of type applications
+    are memoized by the polymorphic type and its argument (`_insts`), so a
+    trace instantiates each polymorphic type once; these keys are the
+    term's own types, so the memo ends with the checker. Translation is
+    structural and reads no typing environment, so its results are
+    memoized by the identity of the node alone (`_targets`), which keeps
+    the node alive; walking a trace translates nothing, so `collect`
+    leaves them.
     """
 
     def __init__(self, sigma, TC):
@@ -195,6 +212,8 @@ class FdChecker:
         self._impl_memo: set[str] = set()
         self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
+        self._methods: dict = {}    # (method, FdQ) -> FdType
+        self._dicts: dict = {}      # closed DCon -> FdQ
         self._insts: dict = {}      # (IForall, FdType) -> FdType
         # (id(node), id(env)) -> (node, env, type) and
         # id(env) -> (env, the type variables env binds); each with the
@@ -203,15 +222,19 @@ class FdChecker:
         self._envs: dict = {}
         self._old_memo: dict = {}
         self._old_envs: dict = {}
+        self._roots: dict = {}      # as _envs, for environments given
         self._targets: dict = {}    # id(node) -> (node, translation)
 
     def child(self, sigma=None) -> FdChecker:
         """A checker for sigma, by default this one's, that shares this
         checker's per-Σ memos and starts with empty per-term memos. sigma
-        must be a prefix of this checker's environment."""
+        must be a prefix of this checker's environment; a checker for a
+        sigma given has its own dictionary memo."""
         out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
-        out._impl_memo, out._records, out._elabs = \
-            self._impl_memo, self._records, self._elabs
+        out._impl_memo, out._records, out._elabs, out._methods = \
+            self._impl_memo, self._records, self._elabs, self._methods
+        if sigma is None:
+            out._dicts = self._dicts
         return out
 
     def collect(self):
@@ -223,11 +246,25 @@ class FdChecker:
         self._old_envs, self._envs = self._envs, {}
 
     def _tyvars(self, env) -> set[str]:
-        hit = self._envs.get(id(env))
+        """The type variables env binds: inherited if a binder made env
+        (`_extend`), else scanned once, since a caller gave it."""
+        key = id(env)
+        hit = self._envs.get(key)
         if hit is None:
-            hit = self._old_envs.pop(id(env), None) or (env, env_tyvars(env))
-            self._envs[id(env)] = hit
+            hit = self._old_envs.pop(key, None)
+            if hit is not None:
+                self._envs[key] = hit
+            else:
+                hit = self._roots.get(key)
+                if hit is None:
+                    hit = self._roots[key] = (env, env_tyvars(env))
         return hit[1]
+
+    def _extend(self, env, bind, tyvars: set[str]):
+        """env with bind added, which binds the type variables tyvars."""
+        inner = env + (bind,)
+        self._envs[id(inner)] = (inner, tyvars)
+        return inner
 
     # -- expressions --------------------------------------------------------
 
@@ -251,9 +288,10 @@ class FdChecker:
                         return bind.ty
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
-                check_fd_type_wf(self.TC, self._tyvars(env), ty)
-                return IArrow(ty, self.check_expr(env + (TermBind(x, ty),),
-                                                  body))
+                tyvars = self._tyvars(env)
+                check_fd_type_wf(self.TC, tyvars, ty)
+                return IArrow(ty, self.check_expr(
+                    self._extend(env, TermBind(x, ty), tyvars), body))
             case IApp(f, a):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IArrow):
@@ -267,9 +305,10 @@ class FdChecker:
                         f"expected {S.pretty(fty.left)}")
                 return fty.right
             case IDLam(dv, q, body):
-                check_fd_q_wf(self.TC, self._tyvars(env), q)
-                return IQArrow(q, self.check_expr(env + (DictBind(dv, q),),
-                                                  body))
+                tyvars = self._tyvars(env)
+                check_fd_q_wf(self.TC, tyvars, q)
+                return IQArrow(q, self.check_expr(
+                    self._extend(env, DictBind(dv, q), tyvars), body))
             case IDApp(f, d):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IQArrow):
@@ -285,7 +324,8 @@ class FdChecker:
                         f"expected {S.pretty(fty.q)}")
                 return fty.result
             case ITyLam(a, body):
-                return IForall(a, self.check_expr(env + (TyVarBind(a),), body))
+                return IForall(a, self.check_expr(self._extend(
+                    env, TyVarBind(a), self._tyvars(env) | {a}), body))
             case ITyApp(f, ty):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IForall):
@@ -300,21 +340,28 @@ class FdChecker:
                 return rty
             case IMethod(d, m):
                 dq = self.check_dict(env, d)
-                entry = lookup_class_by_method(self.TC, m)
-                if entry.cls != dq.cls:
-                    raise FdTypeError(
-                        UNKNOWN_METHOD,
-                        f"dictionary of class {dq.cls!r} has no method {m!r}")
-                return subst_type(entry.method_type, {entry.var: dq.arg})
+                mty = self._methods.get((m, dq))
+                if mty is None:
+                    entry = lookup_class_by_method(self.TC, m)
+                    if entry.cls != dq.cls:
+                        raise FdTypeError(
+                            UNKNOWN_METHOD,
+                            f"dictionary of class {dq.cls!r} has no method "
+                            f"{m!r}")
+                    mty = self._methods[m, dq] = subst_type(
+                        entry.method_type, {entry.var: dq.arg})
+                return mty
             case ILet(x, ty, bound, body):
-                check_fd_type_wf(self.TC, self._tyvars(env), ty)
+                tyvars = self._tyvars(env)
+                check_fd_type_wf(self.TC, tyvars, ty)
                 bty = self.check_expr(env, bound)
                 if not alpha_eq(bty, ty):
                     raise FdTypeError(
                         MISMATCH,
                         f"let binding has type {S.pretty(bty)}, "
                         f"annotated {S.pretty(ty)}")
-                return self.check_expr(env + (TermBind(x, ty),), body)
+                return self.check_expr(
+                    self._extend(env, TermBind(x, ty), tyvars), body)
             case IChoice(alts) if alts:
                 check = self.check_dict if isinstance(alts[0], FdDict) \
                     else self.check_expr
@@ -339,40 +386,51 @@ class FdChecker:
                         return bind.q
                 raise FdTypeError(UNBOUND_DICT,
                                   f"unbound dictionary variable {dv!r}")
-            case DCon(name, type_args, dict_args):
-                index = next((i for i, entry in enumerate(self.sigma)
-                              if entry.con == name), None)
-                if index is None:
-                    raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                                      f"unknown dictionary constructor {name!r}")
-                sc = self.sigma[index].scheme
-                if len(type_args) != len(sc.binders):
-                    raise FdTypeError(
-                        ARITY_MISMATCH,
-                        f"{name!r} expects {len(sc.binders)} type arguments, "
-                        f"got {len(type_args)}")
-                if len(dict_args) != len(sc.context):
-                    raise FdTypeError(
-                        ARITY_MISMATCH,
-                        f"{name!r} expects {len(sc.context)} dictionary "
-                        f"arguments, got {len(dict_args)}")
-                tyvars = self._tyvars(env)
-                for ty in type_args:
-                    check_fd_type_wf(self.TC, tyvars, ty)
-                inst = dict(zip(sc.binders, type_args))
-                for want, got in zip(sc.context, dict_args):
-                    want_q = subst_type(want, inst)
-                    got_q = self.check_dict(env, got)
-                    if not alpha_eq(got_q, want_q):
-                        raise FdTypeError(
-                            MISMATCH,
-                            f"dictionary argument of {name!r} has type "
-                            f"{S.pretty(got_q)}, expected {S.pretty(want_q)}")
-                self._check_impl(index)
-                return subst_type(sc.head, inst)
+            case DCon():
+                if d._fv:
+                    return self._check_con(env, d)
+                q = self._dicts.get(d)
+                if q is None:
+                    q = self._dicts[d] = self._check_con(env, d)
+                return q
             case IChoice():
                 return self.check_expr(env, d)
         raise TypeError(d)
+
+    def _check_con(self, env, d: DCon) -> FdQ:
+        """The rule for a dictionary constructor applied to types and
+        dictionaries."""
+        name, type_args, dict_args = d.name, d.type_args, d.dict_args
+        index = next((i for i, entry in enumerate(self.sigma)
+                      if entry.con == name), None)
+        if index is None:
+            raise FdTypeError(UNKNOWN_CONSTRUCTOR,
+                              f"unknown dictionary constructor {name!r}")
+        sc = self.sigma[index].scheme
+        if len(type_args) != len(sc.binders):
+            raise FdTypeError(
+                ARITY_MISMATCH,
+                f"{name!r} expects {len(sc.binders)} type arguments, "
+                f"got {len(type_args)}")
+        if len(dict_args) != len(sc.context):
+            raise FdTypeError(
+                ARITY_MISMATCH,
+                f"{name!r} expects {len(sc.context)} dictionary "
+                f"arguments, got {len(dict_args)}")
+        tyvars = self._tyvars(env)
+        for ty in type_args:
+            check_fd_type_wf(self.TC, tyvars, ty)
+        inst = dict(zip(sc.binders, type_args))
+        for want, got in zip(sc.context, dict_args):
+            want_q = subst_type(want, inst)
+            got_q = self.check_dict(env, got)
+            if not alpha_eq(got_q, want_q):
+                raise FdTypeError(
+                    MISMATCH,
+                    f"dictionary argument of {name!r} has type "
+                    f"{S.pretty(got_q)}, expected {S.pretty(want_q)}")
+        self._check_impl(index)
+        return subst_type(sc.head, inst)
 
     def _check_impl(self, index: int):
         """Check entry's implementation against the strict prefix of the

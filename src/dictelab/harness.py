@@ -28,12 +28,16 @@ for its verdict and counts unpacks no tree.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
-per-Σ memos of one base checker (see `FdChecker`) and the generator's
-closed dictionaries. A typed Σ keeps that state for as long as it lives;
-any other Σ, or a typed one given a class environment not its own, gets
-new state for each call. Each term gets its own checker, whose per-term
-memos (typed nodes, environments' type variables and type
-instantiations) start empty.
+generator's closed dictionaries, and the per-Σ memos of one base checker
+(see `FdChecker`): the implementations checked, the type of each closed
+dictionary, which the stream's terms type once per Σ, and the type of
+each method projection by method and dictionary type. Like the type
+translations, these are bounded by the closed dictionaries and the
+types the Σ is used with. A typed Σ keeps that state for as long as it
+lives; any other Σ, or a typed one given a class environment not its
+own, gets new state for each call. Each term gets its own checker, whose
+per-term memos (typed nodes, environments' type variables and type
+instantiations) start empty; a trace walk bounds them (`collect`).
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.

@@ -283,9 +283,10 @@ def _resolve(P, env, q, limits, depth, memo):
     alts, truncated = [], False
     for bind in env:
         # A shadowed binding gives the same derivation as its shadow.
-        if isinstance(bind, DictBind) and bind.q == q \
-                and DVar(bind.name) not in alts:
-            alts.append(DVar(bind.name))
+        if isinstance(bind, DictBind) and bind.q == q:
+            d = DVar(bind.name)
+            if d not in alts:
+                alts.append(d)
     count = len(alts)
     q_vars = set(free_type_vars(q.arg))
     tyvars = env_tyvars(env) | q_vars
@@ -338,15 +339,24 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
             return SBool(), ITrue(), 1, False
         case SFalse():
             return SBool(), IFalse(), 1, False
-        case SApp(f, a):
-            fty, ff, n1, t1 = infer(P, GC, env, f, limits)
-            if not isinstance(fty, SArrow):
-                raise SrcTypeError(
-                    "mismatch",
-                    f"applied a non-function of type {S.pretty(fty)}")
-            fa, n2, t2 = check(P, GC, env, a, fty.left, limits)
-            return (fty.right, IApp(ff, fa),
-                    *_cap(n1 * n2, limits, t1 | t2))
+        case SApp():
+            # The spine in a loop, its head first and then each argument
+            # from the innermost, as a recursion on the function would.
+            args = []
+            while type(e) is SApp:
+                args.append(e.arg)
+                e = e.fun
+            fty, forest, n, truncated = infer(P, GC, env, e, limits)
+            for a in reversed(args):
+                if not isinstance(fty, SArrow):
+                    raise SrcTypeError(
+                        "mismatch",
+                        f"applied a non-function of type {S.pretty(fty)}")
+                fa, n2, t2 = check(P, GC, env, a, fty.left, limits)
+                forest = IApp(forest, fa)
+                n, truncated = _cap(n * n2, limits, truncated | t2)
+                fty = fty.right
+            return fty, forest, n, truncated
         case SAnn(inner, ty):
             elab_mono(env_tyvars(env), ty)  # well-formedness
             return (ty, *check(P, GC, env, inner, ty, limits))

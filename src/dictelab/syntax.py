@@ -7,9 +7,11 @@ which reads their fields from their annotations and compiles their methods
 once per template (field count, fields compared, `__post_init__`), renaming
 a copy for each class, since importing the CLI takes much of a short run;
 that is the only compilation, so a field named like a name the template
-uses is rejected. The types of the three languages are interned
-(`interned`): an equal type is the same object, which caches its hash and
-its free variables, so the walks below stop at shared subtrees.
+uses is rejected. The types of the three languages and the dictionaries
+of the intermediate one are interned (`interned`): an equal type or
+dictionary is the same object, which caches its hash and its free
+variables, so the walks below stop at shared subtrees, and two distinct
+ones without a binder are not alpha-equivalent.
 One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from _string import formatter_parser  # what `string.Formatter.parse` calls
 from collections import namedtuple
-from operator import attrgetter, itemgetter
+from operator import attrgetter, is_, itemgetter
 from types import FunctionType
 
 from _weakref import _remove_dead_weakref, ref
@@ -69,33 +71,31 @@ _FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
 _INTERNED_METHODS = ("__new__", "__hash__")
 
 
-def _frozen_template(arity, positions, post_init, interned) -> tuple:
+def _frozen_template(arity, positions, post_init) -> tuple:
     """A template: by whether the class is interned, the code of the
-    methods of a frozen class (`_FROZEN_METHODS`) and, if interned, of an
-    interned one (`_INTERNED_METHODS`), over the placeholder fields `_0`,
-    `_1`, ..., with the names that code uses besides them; and the
-    placeholders."""
+    methods of a frozen class (`_FROZEN_METHODS`) and of an interned one
+    (`_INTERNED_METHODS`), both from one `exec`, over the placeholder
+    fields `_0`, `_1`, ..., with the names that code uses besides them;
+    and the placeholders."""
     fields = tuple(f"_{i}" for i in range(arity))
     init = [f"  _setattr(self,{n!r},{n})" for n in fields]
     if post_init:
         init.append("  self.__post_init__()")
     own = "".join(f"self.{fields[i]}," for i in positions)
     other = "".join(f"other.{fields[i]}," for i in positions)
-    source = ""
-    if interned:
-        # `__new__` returns the live node with the fields given, if there
-        # is one, or enters a new one (`_interner`). Fields that
-        # `__post_init__` changes are no key before it has run.
-        key = "(" + "".join(fields[i] + "," for i in positions) + ")"
-        new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
-        source = (f"def __new__({','.join(('_cls', *fields))}):\n"
-                  + ("  return " if post_init else new)
-                  + f"_intern(_cls,{key})\n"
-                  "def __hash__(self):\n"
-                  "  return self._hash\n"
-                  "_interned_hash=__hash__\n")
+    # `__new__` returns the live node with the fields given, if there is
+    # one, or enters a new one (`_interner`). Fields that `__post_init__`
+    # changes are no key before it has run.
+    key = "(" + "".join(fields[i] + "," for i in positions) + ")"
+    new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
     ns = {}
-    exec(source + f"def __init__({','.join(('self', *fields))}):\n"
+    exec(f"def __new__({','.join(('_cls', *fields))}):\n"
+         + ("  return " if post_init else new)
+         + f"_intern(_cls,{key})\n"
+         "def __hash__(self):\n"
+         "  return self._hash\n"
+         "_interned_hash=__hash__\n"
+         f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
          "  if other.__class__ is self.__class__:\n"
@@ -103,9 +103,8 @@ def _frozen_template(arity, positions, post_init, interned) -> tuple:
          "  return NotImplemented\n"
          "def __hash__(self):\n"
          f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
-    kinds = {False: tuple(ns[m].__code__ for m in _FROZEN_METHODS)}
-    if interned:
-        kinds[True] = (ns["__new__"].__code__, ns["_interned_hash"].__code__)
+    kinds = {False: tuple(ns[m].__code__ for m in _FROZEN_METHODS),
+             True: (ns["__new__"].__code__, ns["_interned_hash"].__code__)}
     for kind, codes in kinds.items():
         used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
         kinds[kind] = codes, used.difference(fields)
@@ -116,15 +115,14 @@ def _frozen_methods(owner, names, compared, post_init, interned) -> tuple:
     """The code of the methods of one shape of the class named owner,
     `_FROZEN_METHODS` or, if interned, `_INTERNED_METHODS`: its template's
     with each placeholder renamed to its field, the same code a
-    compilation of the shape's own source gives. A template compiles the
-    interned methods only once an interned class needs them. A field
-    named like a name the methods use besides it would change what the
-    code means, so it raises `TypeError`."""
+    compilation of the shape's own source gives. A field named like a
+    name the methods use besides it would change what the code means, so
+    it raises `TypeError`."""
     key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
            post_init)
     entry = _FROZEN_CODE.get(key)
-    if entry is None or interned not in entry[0]:
-        entry = _FROZEN_CODE[key] = _frozen_template(*key, interned)
+    if entry is None:
+        entry = _FROZEN_CODE[key] = _frozen_template(*key)
     kinds, fields = entry
     codes, used = kinds[interned]
     clash = [n for n in names if n in used]
@@ -164,7 +162,9 @@ def frozen(cls, interned=False):
     part in `==`, hash or `repr`.
 
     An interned class (see `interned`) gets the template's `__new__` and
-    cached `__hash__` instead of `__init__`, `__eq__` and `__hash__`.
+    cached `__hash__` instead of `__init__`, `__eq__` and `__hash__`. Every
+    template compiles those in its one `exec` too, so a template a frozen
+    class made first serves a later interned class without a second one.
     """
     body = vars(cls)
     annotations = body.get("__annotations__", {})
@@ -495,12 +495,12 @@ class FdDict:
     pass
 
 
-@frozen
+@interned
 class DVar(FdDict):
     name: str
 
 
-@frozen
+@interned
 class DCon(FdDict):
     name: str
     type_args: tuple[FdType, ...]
@@ -896,9 +896,10 @@ def subst(node, sort: str, mapping: dict):
     variable of its own sort in the mapping's range. It then takes its
     smallest primed variant that is free neither in its scope nor in the
     mapping. The range's free variables of every sort are computed in one
-    walk of each range value, when the first binder is met. An interned
-    node that holds no binder and no free variable the mapping replaces is
-    returned as it is.
+    walk of each range value, when the first binder is met. A node or
+    tuple none of whose parts changes is returned as it is; an interned
+    node that holds no binder and no free variable the mapping replaces
+    is returned without a walk.
     """
     if not mapping:
         return node
@@ -917,7 +918,8 @@ def subst(node, sort: str, mapping: dict):
             else:
                 return x
         if cls is tuple:
-            return tuple([go(item, m) for item in x])
+            values = [go(item, m) for item in x]
+            return x if all(map(is_, values, x)) else tuple(values)
         shape = _SHAPES.get(cls)
         if shape is None:
             return x
@@ -925,7 +927,9 @@ def subst(node, sort: str, mapping: dict):
             return m.get(x.name, x) if shape.var == sort else x
         bsort = shape.bsort
         if bsort is None:
-            return type(x)(*[go(getattr(x, f), m) for f in shape.fields])
+            olds = [getattr(x, f) for f in shape.fields]
+            values = [go(v, m) for v in olds]
+            return x if all(map(is_, values, olds)) else cls(*values)
         names = _bound_names(x, shape)
         inner = m
         if bsort == sort and any(n in m for n in names):
@@ -943,9 +947,9 @@ def subst(node, sort: str, mapping: dict):
             if any(n in clash for n in names):
                 new_names, renames = _rename_binders(
                     x, shape, clash, inner if bsort == sort else ())
-        values = []
+        values, same = [], renames is None
         for f in shape.fields:
-            v = getattr(x, f)
+            old = v = getattr(x, f)
             if f == shape.binder:
                 v = new_names[0] if isinstance(v, str) else new_names
             elif f in shape.scope:
@@ -954,8 +958,9 @@ def subst(node, sort: str, mapping: dict):
                 v = go(v, inner)
             else:
                 v = go(v, m)
+            same = same and v is old
             values.append(v)
-        return type(x)(*values)
+        return x if same else cls(*values)
 
     return go(node, mapping)
 
@@ -984,11 +989,16 @@ def alpha_eq(a, b) -> bool:
     """Equality up to consistent renaming of bound variables.
 
     Nodes of different classes are never alpha-equal, and equal nodes
-    always are; only the rest take the renaming walk."""
+    always are. Two distinct nodes of one interned class differ in
+    structure, so they are alpha-equal only if both hold a binder; only
+    those and the rest take the renaming walk."""
     if a is b:
         return True
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         return False
+    if cls in _INTERNED:
+        return a._binds and b._binds and _alpha_walk(a, b)
     return a == b or _alpha_walk(a, b)
 
 
@@ -1290,12 +1300,18 @@ def read_back(node, env: dict, sorts: tuple[str, ...]):
 # ---------------------------------------------------------------------------
 
 def count_holes(ctx: SrcExpr) -> int:
+    """The holes of ctx. An application spine is walked in a loop, so a
+    long one does not nest a call per argument."""
+    n = 0
+    while type(ctx) is SApp:
+        n += count_holes(ctx.arg)
+        ctx = ctx.fun
     if type(ctx) is SHole:
-        return 1
+        return n + 1
     shape = _SHAPES.get(type(ctx))
     if shape is None:
-        return 0
-    return sum(count_holes(getattr(ctx, f)) for f in shape.parts)
+        return n
+    return n + sum(count_holes(getattr(ctx, f)) for f in shape.parts)
 
 
 def plug(ctx: SrcExpr, e: SrcExpr) -> SrcExpr:

@@ -197,6 +197,126 @@ def test_let_binds_its_name_in_the_body_only(let, sort, value):
 
 
 # ---------------------------------------------------------------------------
+# The fast paths of alpha_eq and subst against the reference
+# ---------------------------------------------------------------------------
+
+def _rebind_first(x, name: str):
+    """x with its first single binder, in pre-order, named name and every
+    use of it left as it is: a pair that differs only in a binder name."""
+    done = False
+
+    def go(x):
+        nonlocal done
+        if done:
+            return x
+        if type(x) is tuple:
+            return tuple(map(go, x))
+        if type(x) not in S._SHAPES:
+            return x
+        binder = S._SHAPES[type(x)].binder
+        if binder is not None and isinstance(getattr(x, binder), str):
+            done = True
+            return type(x)(**{f: name if f == binder else getattr(x, f)
+                              for f in x.__match_args__})
+        return type(x)(*[go(getattr(x, f)) for f in x.__match_args__])
+    return go(x)
+
+
+# The interned sorts whose distinct nodes alpha_eq answers without a walk
+# unless both hold a binder.
+INTERNED_SORTS = {"fd_type": fd_type, "fd_qual_type": fd_qual_type,
+                  "fd_dict": fd_dict}
+
+
+@pytest.mark.parametrize("name", INTERNED_SORTS)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_alpha_eq_of_interned_nodes_agrees_with_reference(name, data):
+    terms = INTERNED_SORTS[name]
+    t1 = data.draw(terms)
+    t2 = data.draw(st.one_of(
+        terms, st.just(ref.rename_bound(t1)),
+        st.sampled_from(TYVARS).map(lambda a: _rebind_first(t1, a))))
+    assert type(t1) in S._INTERNED
+    assert S.alpha_eq(t1, t2) == ref.alpha_eq(t1, t2)
+    assert S.alpha_eq(t2, t1) == ref.alpha_eq(t2, t1)
+
+
+def test_alpha_eq_tells_a_binder_name_from_its_uses():
+    a, b = S.ITyVar("a"), S.ITyVar("b")
+    pairs = [
+        (S.IForall("a", S.IArrow(a, a)), S.IForall("b", S.IArrow(b, b)),
+         True),
+        (S.IForall("a", S.IArrow(a, a)), S.IForall("b", S.IArrow(a, a)),
+         False),
+        (S.IForall("a", S.IBool()), S.IForall("b", S.IBool()), True),
+        (S.IArrow(a, S.IForall("a", a)), S.IArrow(a, S.IForall("b", b)),
+         True),
+        (S.IArrow(a, S.IForall("a", a)), S.IArrow(b, S.IForall("b", b)),
+         False),
+        (S.IArrow(a, S.IBool()), S.IArrow(S.IForall("a", a), S.IBool()),
+         False),
+        (S.DCon("D", (S.IForall("a", a),), ()),
+         S.DCon("D", (S.IForall("c", S.ITyVar("c")),), ()), True),
+        (S.DCon("D", (a,), (S.DVar("d"),)),
+         S.DCon("D", (a,), (S.DVar("e"),)), False),
+    ]
+    for t1, t2, expected in pairs:
+        assert S.alpha_eq(t1, t2) is S.alpha_eq(t2, t1) is expected
+        assert ref.alpha_eq(t1, t2) is expected
+
+
+def _untouched(t, out, expected, sort: str, mapping) -> list:
+    """The pairs (subtree of t, subtree of out at its position) of each
+    subtree of t that the reference leaves `==` to itself and that holds
+    no free variable of sort that mapping replaces: subst has nothing to
+    change in it."""
+    pairs = []
+
+    def go(x, y, z):
+        if type(x) is tuple:
+            if type(y) is tuple and type(z) is tuple:
+                for parts in zip(x, y, z):
+                    go(*parts)
+            return
+        if type(x) not in S._SHAPES:
+            return
+        if z == x and not set(ref.free_vars(x, sort)) & set(mapping):
+            pairs.append((x, y))
+            return
+        if type(y) is type(x) is type(z) and S._SHAPES[type(x)].var is None:
+            for f in x.__match_args__:
+                go(getattr(x, f), getattr(y, f), getattr(z, f))
+
+    go(t, out, expected)
+    return pairs
+
+
+@pytest.mark.parametrize("lang,sort", SORTS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_subst_returns_each_untouched_subtree_itself(lang, sort, data):
+    t = data.draw(LANGUAGES[lang][0])
+    mapping = data.draw(_mapping(sort, lang))
+    out = S.subst(t, sort, mapping)
+    expected = ref.subst(t, sort, mapping)
+    assert out == expected
+    for x, y in _untouched(t, out, expected, sort, mapping):
+        assert y is x, S.pretty(x)
+
+
+def test_subst_shares_what_a_step_leaves():
+    # (\x : Bool. f x g) True: the body's subterms without x are kept.
+    f, g = read_fd_expr("\\y : Bool. y"), read_fd_expr("\\z : Bool. z")
+    body = S.IApp(S.IApp(f, S.IVar("x")), g)
+    out = S.subst(body, "iv", {"x": S.ITrue()})
+    assert out == S.IApp(S.IApp(f, S.ITrue()), g)
+    assert out.fun.fun is f and out.arg is g
+    assert S.subst(body, "iv", {"w": S.ITrue()}) is body
+    assert S.subst(body, "ic", {"a": S.IBool()}) is body
+
+
+# ---------------------------------------------------------------------------
 # Unification
 # ---------------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from dictelab import cli, harness, source_typer, syntax as S
 from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
-from dictelab.parser import parse_program
+from dictelab.parser import parse_context, parse_program
 
 from conftest import (CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result,
                       wide_source)
@@ -420,6 +420,37 @@ def test_deep_input_is_a_resource_error(capsys, tmp_path, cmd, shape):
     assert code == 3
     assert err.startswith("error:") and "nested too deeply" in err
     assert len(err.splitlines()) == 1
+
+
+FLAT_HEADS = {
+    "unannotated": "head 'g' not inferable - annotate its use",
+    "annotated": "applied a non-function of type Bool",
+}
+
+
+def _flat_application(head: str, n: int) -> str:
+    g = "(g :: Bool -> Bool)" if head == "annotated" else "g"
+    return "let g : Bool -> Bool = \\x. x in " + g + " True" * n
+
+
+@pytest.mark.parametrize("head", sorted(FLAT_HEADS))
+def test_a_flat_application_gets_its_verdict_at_any_length(capsys, tmp_path,
+                                                           head):
+    # The parser reads an application spine in a loop, and the typer
+    # walks it in a loop: a long one is no deeper than a short one.
+    path = tmp_path / "flat.src"
+    outcomes = []
+    for n in (300, 1500):
+        path.write_text(_flat_application(head, n))
+        outcomes.append(run_cli(capsys, "check", str(path)))
+    assert outcomes[0] == outcomes[1] == (
+        1, "", f"error: {FLAT_HEADS[head]}\n")
+
+
+def test_a_flat_context_counts_its_hole():
+    ctx = parse_context(_flat_application("annotated", 2000)
+                        .replace("True", "[]", 1))
+    assert S.count_holes(ctx) == 1
 
 
 @pytest.mark.parametrize("stage", ["fd", "target"])

@@ -17,14 +17,15 @@ import weakref
 
 import pytest
 
-from dictelab import harness, syntax as S
-from dictelab.fd_core import FdChecker, FdTypeError, fd_step, is_fd_value
+from dictelab import fd_core, harness, syntax as S
+from dictelab.fd_core import (PREFIX_VIOLATION, FdChecker, FdTypeError,
+                              fd_step, is_fd_value)
 from dictelab.harness import check_metatheory, generate_fd_term, squares
 from dictelab.parser import parse_program
 from dictelab.source_typer import MethodEnv, typecheck_program
 from dictelab.syntax import (
-    DictBind, FdExpr, IApp, IArrow, IBool, IDLam, ILam, ILet, ITrue, ITyLam,
-    IVar, TermBind, TyVarBind,
+    DCon, DictBind, DVar, FdExpr, FdQ, IApp, IArrow, IBool, IDLam, ILam, ILet,
+    ITrue, ITyLam, IVar, TermBind, TyVarBind,
 )
 
 from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
@@ -276,6 +277,28 @@ def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
         {id(sigma.derived(FdChecker)._impl_memo) for sigma, _ in envs}
 
 
+def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
+    # Deterministic work counts over the fuzz digest, typed afresh, so
+    # that a lost fast path shows as a count and not as a time: the
+    # uncached typing judgments, alpha_eq's renaming walks, the
+    # environments scanned for their type variables (a binder's inherit
+    # its parent's), and the dictionary constructor rule, which runs once
+    # per closed dictionary and Σ.
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
+    walks = count_calls(monkeypatch, S, "_alpha_walk")
+    scanned = count_calls(monkeypatch, fd_core, "env_tyvars")
+    checkers = count_calls(monkeypatch, FdChecker, "__init__")
+    rule = count_calls(monkeypatch, FdChecker, "_check_con")
+    for _ in _stream(list(_digest_envs())):
+        pass
+    assert len(infer) == 23_114
+    assert 0 < len(walks) <= 429
+    assert len(scanned) <= len(checkers)
+    typed = [(id(self._dicts), d) for self, _, d in rule]
+    assert len(typed) == len(set(typed)) == 5
+    assert not any(d._fv for _, d in typed)
+
+
 def _base_checkers(monkeypatch) -> list:
     """The base checker of each term checked from here on, in order: the
     checker whose `child` checks the term (not a prefix checker)."""
@@ -318,3 +341,84 @@ def test_a_sigma_given_another_class_environment_keeps_nothing(
     assert reports == [check_metatheory(sigma, TC, e) for e in terms]
     assert set(map(id, bases[len(terms):])) == \
         {id(sigma.derived(FdChecker))}
+
+
+# ---------------------------------------------------------------------------
+# The dictionary memo: a closed dictionary is typed once per Σ
+# ---------------------------------------------------------------------------
+
+EQ_BOOL = FdQ("Eq", IBool())
+EQ_FUN = FdQ("Eq", IArrow(IBool(), IBool()))
+
+
+def _p4_checker() -> FdChecker:
+    """A checker for P4's Σ: D1_Eq : Eq Bool, and
+    D2_Eq : forall a. Eq a => Eq (a -> a)."""
+    r = typecheck_program(corpus_program("P4"))
+    return FdChecker(r.fd_elabs[0][0], r.fd_class_env)
+
+
+def test_a_dictionary_with_a_variable_is_typed_under_each_environment(
+        monkeypatch):
+    checker = _p4_checker()
+    rule = count_calls(monkeypatch, FdChecker, "_check_con")
+    d = DCon("D2_Eq", (IBool(),), (DVar("d"),))
+    good, bad = (DictBind("d", EQ_BOOL),), (DictBind("d", EQ_FUN),)
+    for _ in range(2):
+        assert checker.check_dict(good, d) is EQ_FUN
+        with pytest.raises(FdTypeError, match="argument of 'D2_Eq' has type"):
+            checker.check_dict(bad, d)
+        with pytest.raises(FdTypeError, match="unbound dictionary variable"):
+            checker.check_dict((), d)
+    assert len(rule) == 6 and not checker._dicts
+    # With a closed argument it is typed once, under any environment and
+    # by every checker child() makes for the same Σ.
+    closed = DCon("D2_Eq", (IBool(),), (DCon("D1_Eq", (), ()),))
+    rule.clear()
+    for env in ((), good, bad):
+        assert checker.check_dict(env, closed) is EQ_FUN
+        assert checker.child().check_dict(env, closed) is EQ_FUN
+    assert [d for _, _, d in rule] == [closed, closed.dict_args[0]]
+
+
+def test_an_ill_typed_dictionary_raises_at_every_call(monkeypatch):
+    checker = _p4_checker()
+    rule = count_calls(monkeypatch, FdChecker, "_check_con")
+    d1 = DCon("D1_Eq", (), ())
+    cases = [
+        (DCon("D2_Eq", (), (d1,)), "expects 1 type arguments, got 0"),
+        (DCon("D2_Eq", (IArrow(IBool(), IBool()),), (d1,)),
+         "argument of 'D2_Eq' has type"),
+        (DCon("D3_Eq", (), ()), "unknown dictionary constructor"),
+    ]
+    for d, message in cases:
+        for typer in (checker, checker.child(), checker):
+            with pytest.raises(FdTypeError, match=message):
+                typer.check_dict((), d)
+        assert [x for _, _, x in rule].count(d) == 3
+        assert d not in checker._dicts
+    assert list(checker._dicts) == [d1]
+
+
+def test_a_prefix_checker_keeps_its_own_dictionary_memo():
+    # Eq Bool's implementation projects Ord Bool's dictionary, declared
+    # after it: the full Σ types that dictionary, the strict prefix that
+    # checks the implementation must not.
+    r = typecheck_program(parse_program(
+        "class Eq a where { eq : a -> a -> Bool };\n"
+        "class Ord a where { cmp : a -> a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "instance Ord Bool where { cmp = \\x. \\y. True };\n"
+        "True"))
+    sigma = MethodEnv(r.fd_class_env, r.P, (
+        read_fd_expr("[D2_Ord].cmp"),
+        read_fd_expr("\\x : Bool. \\y : Bool. True")))
+    checker = FdChecker(sigma, sigma.TC)
+    assert checker.check_dict((), DCon("D2_Ord", (), ())) is \
+        FdQ("Ord", IBool())
+    for typer in (checker, checker.child(), checker):
+        with pytest.raises(FdTypeError) as err:
+            typer.check_dict((), DCon("D1_Eq", (), ()))
+        assert err.value.kind == PREFIX_VIOLATION
+        assert "references a constructor declared later" in str(err.value)
+    assert list(checker._dicts) == [DCon("D2_Ord", (), ())]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import pickle
+import sys
 
 import pytest
 
@@ -486,17 +487,22 @@ def test_fuzz_work_walks_each_range_value_once(monkeypatch):
 
 def test_fuzz_work_builds_each_environments_type_variables_once(
         monkeypatch):
-    # Work counts: a checker keeps the type variables of each environment
-    # it builds beside it, so no binder rebuilds them. An environment that
-    # binds something is built by one checker as it types a binder; the
-    # empty one is the root of every checker.
-    built = count_calls(monkeypatch, fd_core, "env_tyvars")  # keeps each
+    # Work counts: an environment a binder extends inherits its parent's
+    # type variables, so only a root environment, the one a caller gives
+    # a checker, is scanned, and at most once per checker.
+    scanned = []
+    env_tyvars = fd_core.env_tyvars
+
+    def counted(env):
+        scanned.append((sys._getframe(1).f_locals["self"], env))
+        return env_tyvars(env)
+    monkeypatch.setattr(fd_core, "env_tyvars", counted)
     checkers = count_calls(monkeypatch, fd_core.FdChecker, "__init__")
     for _ in _fuzz_work():
         pass
-    bound = [env for (env,) in built if env]
-    assert bound and len({id(env) for env in bound}) == len(bound)
-    assert len(built) - len(bound) <= len(checkers)
+    assert scanned and all(env == () for _, env in scanned)
+    assert len({id(checker) for checker, _ in scanned}) == len(scanned) \
+        <= len(checkers)
 
 
 @pytest.mark.parametrize("seed", range(50))

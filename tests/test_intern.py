@@ -1,11 +1,12 @@
-"""Interned types: one object per type value.
+"""Interned types and dictionaries: one object per value.
 
-The type sorts of the three languages are hash-consed by `syntax.frozen`
-(see `syntax.interned`): however a type is built, an equal one is the same
-object, so `==` is `is`, and walks over types stop at shared nodes. A
-type's hash is that of its dataclass twin, computed once in the process
-that builds it; nothing cached reaches a copy or a pickle. The table is
-weak, so types nothing holds are dropped from it.
+The type and dictionary sorts of the three languages are hash-consed by
+`syntax.frozen` (see `syntax.interned`): however a type or dictionary is
+built, an equal one is the same object, so `==` is `is`, and walks over
+them stop at shared nodes. A node's hash is that of its dataclass twin,
+computed once in the process that builds it; nothing cached reaches a
+copy or a pickle. The table is weak, so nodes nothing holds are dropped
+from it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ SRC = Path(dictelab.__file__).resolve().parent.parent
 
 INTERNED = [S.SBool, S.STyVar, S.SArrow, S.SrcConstraint,
             S.IBool, S.ITyVar, S.IArrow, S.FdQ, S.IQArrow, S.IForall,
+            S.DVar, S.DCon,
             S.TBool, S.TTyVar, S.TArrow, S.TForall, S.TRecordTy]
 
 
