@@ -75,10 +75,14 @@ class FuelExhausted(Exception):
 # Types: well-formedness and translation to target types
 # ---------------------------------------------------------------------------
 
-def check_fd_type_wf(TC, tyvars: set[str], t: FdType, seen=None):
-    """Raises FdTypeError at the first ill-formed part of t, in reading
-    order. seen holds the ids of the arrows already checked under tyvars
-    in this call: a shared one is checked once."""
+_NO_TYVARS = frozenset()
+
+
+def check_fd_type_wf(TC, tyvars: set[str], t: FdType | FdQ, seen=None):
+    """Raises FdTypeError at the first ill-formed part of t, a type or a
+    dictionary type, in reading order. seen holds the ids of the arrows
+    already checked under tyvars in this call: a shared one is checked
+    once."""
     match t:
         case IBool():
             pass
@@ -90,14 +94,14 @@ def check_fd_type_wf(TC, tyvars: set[str], t: FdType, seen=None):
                 seen = set()
             elif id(t) in seen:
                 return
-            if type(l) is FdQ:
-                check_fd_q_wf(TC, tyvars, l, seen)
-            else:
-                check_fd_type_wf(TC, tyvars, l, seen)
+            check_fd_type_wf(TC, tyvars, l, seen)
             check_fd_type_wf(TC, tyvars, r, seen)
             seen.add(id(t))
         case IForall(a, body):
             check_fd_type_wf(TC, tyvars | {a}, body)
+        case FdQ(cls, arg):
+            lookup_class_by_name(TC, cls)
+            check_fd_type_wf(TC, tyvars, arg, seen)
         case _:
             raise TypeError(t)
 
@@ -114,11 +118,6 @@ def lookup_class_by_method(TC, method: str) -> FdClassEntry:
         if entry.method == method:
             return entry
     raise FdTypeError(UNKNOWN_METHOD, f"unknown method {method!r}")
-
-
-def check_fd_q_wf(TC, tyvars: set[str], q: FdQ, seen=None):
-    lookup_class_by_name(TC, q.cls)
-    check_fd_type_wf(TC, tyvars, q.arg, seen)
 
 
 def elab_fd_type(TC, t: FdType, memo=None) -> TgtType:
@@ -191,19 +190,16 @@ class FdChecker:
     recursion goes, is memoized on the identities of the node and of the
     environment (`_memo`), so a shared subterm is typed once; every
     entry keeps both alive, so an identity is never reused while its entry
-    exists. The type variables each environment binds are kept beside it,
-    by its identity too: an environment a binder extends inherits its
-    parent's set, with the type variable an `ITyLam` binds (`_envs`), so
-    only an environment a caller gives is scanned (`env_tyvars`), once
-    for the checker's life (`_roots`). `collect` bounds `_memo` and
-    `_envs` while a trace is walked. The result types of type applications
-    are memoized by the polymorphic type and its argument (`_insts`), so a
-    trace instantiates each polymorphic type once; these keys are the
-    term's own types, so the memo ends with the checker. Translation is
-    structural and reads no typing environment, so its results are
-    memoized by the identity of the node alone (`_targets`), which keeps
-    the node alive; walking a trace translates nothing, so `collect`
-    leaves them.
+    exists. `collect` bounds `_memo` while a trace is walked. A binder
+    extends its environment by one binding, and an annotation reads the
+    type variables of the environment at hand only if it has a free one
+    (`_wf`). The result types of type applications are memoized by the
+    polymorphic type and its argument (`_insts`), so a trace instantiates
+    each polymorphic type once; these keys are the term's own types, so
+    the memo ends with the checker. Translation is structural and reads no
+    typing environment, so its results are memoized by the identity of
+    the node alone (`_targets`), which keeps the node alive; walking a
+    trace translates nothing, so `collect` leaves them.
     """
 
     def __init__(self, sigma, TC):
@@ -215,14 +211,10 @@ class FdChecker:
         self._methods: dict = {}    # (method, FdQ) -> FdType
         self._dicts: dict = {}      # closed DCon -> FdQ
         self._insts: dict = {}      # (IForall, FdType) -> FdType
-        # (id(node), id(env)) -> (node, env, type) and
-        # id(env) -> (env, the type variables env binds); each with the
-        # entries used before the last collect() in a second generation.
+        # (id(node), id(env)) -> (node, env, type), with the entries used
+        # before the last collect() in a second generation.
         self._memo: dict = {}
-        self._envs: dict = {}
         self._old_memo: dict = {}
-        self._old_envs: dict = {}
-        self._roots: dict = {}      # as _envs, for environments given
         self._targets: dict = {}    # id(node) -> (node, translation)
 
     def child(self, sigma=None) -> FdChecker:
@@ -243,28 +235,12 @@ class FdChecker:
         Walking an evaluation trace, collect after each step: the checker
         then keeps alive what the last two steps share, not every step."""
         self._old_memo, self._memo = self._memo, {}
-        self._old_envs, self._envs = self._envs, {}
 
-    def _tyvars(self, env) -> set[str]:
-        """The type variables env binds: inherited if a binder made env
-        (`_extend`), else scanned once, since a caller gave it."""
-        key = id(env)
-        hit = self._envs.get(key)
-        if hit is None:
-            hit = self._old_envs.pop(key, None)
-            if hit is not None:
-                self._envs[key] = hit
-            else:
-                hit = self._roots.get(key)
-                if hit is None:
-                    hit = self._roots[key] = (env, env_tyvars(env))
-        return hit[1]
-
-    def _extend(self, env, bind, tyvars: set[str]):
-        """env with bind added, which binds the type variables tyvars."""
-        inner = env + (bind,)
-        self._envs[id(inner)] = (inner, tyvars)
-        return inner
+    def _wf(self, env, t):
+        """Raises FdTypeError unless t, a type or dictionary type, is well
+        formed under env, whose type variables are read only if t has a
+        free one."""
+        check_fd_type_wf(self.TC, env_tyvars(env) if t._fv else _NO_TYVARS, t)
 
     # -- expressions --------------------------------------------------------
 
@@ -288,10 +264,9 @@ class FdChecker:
                         return bind.ty
                 raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
             case ILam(x, ty, body):
-                tyvars = self._tyvars(env)
-                check_fd_type_wf(self.TC, tyvars, ty)
-                return IArrow(ty, self.check_expr(
-                    self._extend(env, TermBind(x, ty), tyvars), body))
+                self._wf(env, ty)
+                return IArrow(ty, self.check_expr(env + (TermBind(x, ty),),
+                                                  body))
             case IApp(f, a):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IArrow):
@@ -305,10 +280,9 @@ class FdChecker:
                         f"expected {S.pretty(fty.left)}")
                 return fty.right
             case IDLam(dv, q, body):
-                tyvars = self._tyvars(env)
-                check_fd_q_wf(self.TC, tyvars, q)
-                return IQArrow(q, self.check_expr(
-                    self._extend(env, DictBind(dv, q), tyvars), body))
+                self._wf(env, q)
+                return IQArrow(q, self.check_expr(env + (DictBind(dv, q),),
+                                                  body))
             case IDApp(f, d):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IQArrow):
@@ -324,15 +298,15 @@ class FdChecker:
                         f"expected {S.pretty(fty.q)}")
                 return fty.result
             case ITyLam(a, body):
-                return IForall(a, self.check_expr(self._extend(
-                    env, TyVarBind(a), self._tyvars(env) | {a}), body))
+                return IForall(a, self.check_expr(env + (TyVarBind(a),),
+                                                  body))
             case ITyApp(f, ty):
                 fty = self.check_expr(env, f)
                 if not isinstance(fty, IForall):
                     raise FdTypeError(
                         MISMATCH,
                         f"type applied to non-polymorphic type {S.pretty(fty)}")
-                check_fd_type_wf(self.TC, self._tyvars(env), ty)
+                self._wf(env, ty)
                 rty = self._insts.get((fty, ty))
                 if rty is None:
                     rty = self._insts[fty, ty] = subst_type(fty.body,
@@ -352,16 +326,14 @@ class FdChecker:
                         entry.method_type, {entry.var: dq.arg})
                 return mty
             case ILet(x, ty, bound, body):
-                tyvars = self._tyvars(env)
-                check_fd_type_wf(self.TC, tyvars, ty)
+                self._wf(env, ty)
                 bty = self.check_expr(env, bound)
                 if not alpha_eq(bty, ty):
                     raise FdTypeError(
                         MISMATCH,
                         f"let binding has type {S.pretty(bty)}, "
                         f"annotated {S.pretty(ty)}")
-                return self.check_expr(
-                    self._extend(env, TermBind(x, ty), tyvars), body)
+                return self.check_expr(env + (TermBind(x, ty),), body)
             case IChoice(alts) if alts:
                 check = self.check_dict if isinstance(alts[0], FdDict) \
                     else self.check_expr
@@ -417,9 +389,8 @@ class FdChecker:
                 ARITY_MISMATCH,
                 f"{name!r} expects {len(sc.context)} dictionary "
                 f"arguments, got {len(dict_args)}")
-        tyvars = self._tyvars(env)
         for ty in type_args:
-            check_fd_type_wf(self.TC, tyvars, ty)
+            self._wf(env, ty)
         inst = dict(zip(sc.binders, type_args))
         for want, got in zip(sc.context, dict_args):
             want_q = subst_type(want, inst)
@@ -579,9 +550,8 @@ def fd_env_wf(sigma, TC) -> FdChecker:
                 f"{entry.con!r} implements {entry.method!r} but class "
                 f"{sc.head.cls!r} declares {cls.method!r}")
         binder_set = set(sc.binders)
-        check_fd_q_wf(TC, binder_set, sc.head)
-        for q in sc.context:
-            check_fd_q_wf(TC, binder_set, q)
+        for q in (sc.head, *sc.context):
+            check_fd_type_wf(TC, binder_set, q)
         head_fvs = set(S.free_type_vars(sc.head.arg))
         if not binder_set <= head_fvs:
             raise FdTypeError(

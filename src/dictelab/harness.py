@@ -36,8 +36,8 @@ translations, these are bounded by the closed dictionaries and the
 types the Σ is used with. A typed Σ keeps that state for as long as it
 lives; any other Σ, or a typed one given a class environment not its
 own, gets new state for each call. Each term gets its own checker, whose
-per-term memos (typed nodes, environments' type variables and type
-instantiations) start empty; a trace walk bounds them (`collect`).
+per-term memos (typed nodes and type instantiations) start empty; a
+trace walk bounds them (`collect`).
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -62,15 +62,18 @@ from .syntax import (
 
 @frozen
 class CoherenceReport:
+    """Whether every elaboration read gives one value along every
+    pipeline. The pipelines read the same squares, so each count is the
+    number of composed targets."""
     program_name: str
-    elab_count_fd: int
-    elab_count_tgt: int
     truncated: bool
     all_kleene_equal: bool
     witness_value: str
     main_type: SrcMono
     composed: tuple[TgtExpr, ...]   # composed target elaborations of p
     counterexample: tuple[str, str] | None = None
+
+    elab_count_fd = elab_count_tgt = property(lambda self: len(self.composed))
 
 
 @frozen
@@ -85,17 +88,18 @@ class Mismatch:
 @frozen
 class DecompositionReport:
     """Whether the two target translations agree on every square read.
-    The counts are read off the translated forests; composed holds the
-    composed targets, as a tuple whose trees are unpacked from the forests
-    at the first read of one (see `syntax.Unpacked`)."""
+    composed holds the composed targets, as a tuple whose trees are
+    unpacked from the forests at the first read of one (see
+    `syntax.Unpacked`); each side's count is its length, read off the
+    translated forests."""
     program_name: str
     equal: bool
-    count_direct: int
-    count_composed: int
     truncated: bool
     main_type: SrcMono
     composed: tuple[TgtExpr, ...]
     mismatches: tuple[Mismatch, ...] = ()
+
+    count_direct = count_composed = property(lambda self: len(self.composed))
 
 
 @frozen
@@ -230,8 +234,6 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
             break
     return CoherenceReport(
         program_name=program_name,
-        elab_count_fd=len(r.fd_elabs),
-        elab_count_tgt=len(base_composed),
         truncated=truncated,
         all_kleene_equal=counterexample is None,
         witness_value=S.pretty(witness),
@@ -265,8 +267,6 @@ def decomposition_report(r, program_name: str = "") -> DecompositionReport:
     return DecompositionReport(
         program_name=program_name,
         equal=not mismatches,
-        count_direct=count,
-        count_composed=count,
         truncated=r.fd_truncated,
         main_type=r.main_type,
         composed=S.Unpacked(count, lambda: corners(r, "composed")),

@@ -7,7 +7,9 @@ instance head or a scheme against a type is `syntax.unify` with the
 pattern's binders renamed apart from the type.
 
 The declarations of a program are typed once, and its main expression, or
-a context plugged around it, against them. The elaborating judgments
+a context plugged around it, against them. A variable that names a class
+method is typed by the method rule where it is checked: no pass resolves
+names first, since a method name is never rebound. The elaborating judgments
 `infer`, `check` and `entail` emit the intermediate language, whose
 dictionaries are first-order and binder-free: an elaboration is its
 resolution derivation. A method environment Σ fixes one body per instance
@@ -43,8 +45,8 @@ import math
 from .syntax import (
     ClassDecl, DictBind, InstDecl, SrcConstraint, SrcConstraintScheme,
     SrcExpr, SrcMono, SrcProgram, SrcScheme, TermBind, TyVarBind,
-    SAnn, SApp, SArrow, SBool, SFalse, SHole, SLam, SLet, SMeth, STrue,
-    STyVar, SVar,
+    SAnn, SApp, SArrow, SBool, SFalse, SHole, SLam, SLet, STrue, STyVar,
+    SVar,
     FdConstraintScheme, FdClassEntry, FdQ, FdType, MethodImpl,
     DCon, DVar, IApp, IArrow, IBool, IChoice, IDApp, IDLam, IForall, ILam,
     ILet, IMethod, IQArrow, ITrue, IFalse, ITyApp, ITyLam, ITyVar, IVar,
@@ -382,7 +384,7 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
             return (bty, ILet(x, bound_ty, _abstract(sch.binders, dvars, qtys,
                                                      fb), fbody),
                     *_cap(n1 * n2, limits, t1 | t2))
-        case SVar(name) | SMeth(name):
+        case SVar(name):
             raise SrcTypeError(
                 "not-inferable",
                 f"head {name!r} not inferable - annotate its use")
@@ -397,27 +399,8 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
 def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
     """Returns (elaboration forest, count, truncated)."""
     match e:
-        case SVar(name):
-            sch = _freshen_scheme(lookup_term(env, name),
-                                  set(free_type_vars(ty)))
-            sigma = S.unify(sch.head, ty, set(sch.binders))
-            if sigma is None:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"{name!r} cannot be used at type {S.pretty(ty)}")
-            args, n, truncated = _entail_all(
-                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0,
-                {})
-            if not n:
-                raise _unresolved(
-                    truncated,
-                    f"cannot satisfy the constraints of {name!r} at "
-                    f"{S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
-            return _instantiate(IVar(name), types, args), n, truncated
-        case SMeth(name):
-            entry = lookup_method(GC, name)
+        case SVar(name) if (entry := lookup_method(GC, name)) is not None:
+            # A method name is never rebound (_check_no_method_shadow).
             full = SrcScheme((entry.var,) + entry.scheme.binders,
                              entry.scheme.context, entry.scheme.head)
             if not unambig_scheme(full):
@@ -447,6 +430,25 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
             types = [elab_mono(tyvars, sigma[a]) for a in meth_binders]
             return (_instantiate(IMethod(d, name), types, args),
                     *_cap(n0 * n1, limits, t0 | t1))
+        case SVar(name):
+            sch = _freshen_scheme(lookup_term(env, name),
+                                  set(free_type_vars(ty)))
+            sigma = S.unify(sch.head, ty, set(sch.binders))
+            if sigma is None:
+                raise SrcTypeError(
+                    "mismatch",
+                    f"{name!r} cannot be used at type {S.pretty(ty)}")
+            args, n, truncated = _entail_all(
+                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0,
+                {})
+            if not n:
+                raise _unresolved(
+                    truncated,
+                    f"cannot satisfy the constraints of {name!r} at "
+                    f"{S.pretty(ty)}")
+            tyvars = env_tyvars(env) | set(free_type_vars(ty))
+            types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
+            return _instantiate(IVar(name), types, args), n, truncated
         case SLam(x, body):
             _check_no_method_shadow(GC, x)
             if not isinstance(ty, SArrow):
@@ -479,13 +481,6 @@ def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
-
-def resolve_names(GC, e: SrcExpr) -> SrcExpr:
-    """Reclassify free variables naming declared methods as method
-    references."""
-    return S.subst(e, "sv", {entry.method: SMeth(entry.method)
-                             for entry in GC})
-
 
 def typecheck_class(GC, d: ClassDecl) -> ClassEntry:
     if any(entry.cls == d.name for entry in GC):
@@ -567,8 +562,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                 truncated,
                 f"superclass {sup!r} of {d.cls!r} is not derivable at "
                 f"{S.pretty(d.head)}")
-    body = resolve_names(GC, d.body)
-    forest, n, truncated = check(P, GC, local_env, body, meth_head, limits)
+    forest, n, truncated = check(P, GC, local_env, d.body, meth_head, limits)
     if not n:
         raise _unresolved(
             truncated, f"instance body for {con!r} has no elaboration")
@@ -753,7 +747,7 @@ class ProgramResult:
     subforests a walk as a tree would visit once per path, so it takes no
     part in `==`, hash or `repr`."""
     main_type: SrcMono
-    main: SrcExpr       # with method names resolved
+    main: SrcExpr       # as given: a method name is an SVar
     decls: Declarations
     forest: FdExpr      # every elaboration of main, packed
     count: int          # elaborations of main under one Σ, capped
@@ -824,7 +818,6 @@ def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
 
 
 def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:
-    main = resolve_names(decls.GC, main)
     main_type, forest, n, t = infer(decls.P, decls.GC, (), main, decls.limits)
     _, truncated = _cap(len(decls.variants) * n, decls.limits,
                         t | decls.truncated)

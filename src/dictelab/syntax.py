@@ -380,12 +380,6 @@ class SVar(SrcExpr):
 
 
 @frozen
-class SMeth(SrcExpr):
-    # Produced by name resolution; the parser always emits SVar.
-    name: str
-
-
-@frozen
 class SLam(SrcExpr):
     param: str
     body: SrcExpr
@@ -1315,13 +1309,19 @@ def count_holes(ctx: SrcExpr) -> int:
 
 
 def plug(ctx: SrcExpr, e: SrcExpr) -> SrcExpr:
-    """Replace the unique hole by e verbatim; plugging may capture."""
+    """Replace the unique hole by e verbatim; plugging may capture. An
+    application spine is rebuilt in a loop, as count_holes walks it."""
+    args = []
+    while type(ctx) is SApp:
+        args.append(ctx.arg)
+        ctx = ctx.fun
     if type(ctx) is SHole:
-        return e
-    shape = _SHAPES.get(type(ctx))
-    if shape is None:
-        return ctx
-    return type(ctx)(*[plug(getattr(ctx, f), e) for f in shape.fields])
+        ctx = e
+    elif (shape := _SHAPES.get(type(ctx))) is not None:
+        ctx = type(ctx)(*[plug(getattr(ctx, f), e) for f in shape.fields])
+    for a in reversed(args):
+        ctx = SApp(ctx, plug(a, e))
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -1369,7 +1369,7 @@ _NOTATION = {
     **dict.fromkeys((SBool, IBool, TBool), (2, "Bool")),
     **dict.fromkeys((STrue, ITrue, TTrue), (2, "True")),
     **dict.fromkeys((SFalse, IFalse, TFalse), (2, "False")),
-    **dict.fromkeys((STyVar, SVar, SMeth, ITyVar, IVar, DVar, TTyVar, TVar),
+    **dict.fromkeys((STyVar, SVar, ITyVar, IVar, DVar, TTyVar, TVar),
                     (2, "{name}")),
     **dict.fromkeys((SArrow, IArrow, TArrow), (0, "{left:2} -> {right}")),
     **dict.fromkeys((IForall, TForall), (0, "forall {var}. {body}")),

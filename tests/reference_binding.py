@@ -14,10 +14,8 @@ from __future__ import annotations
 import itertools
 
 from dictelab import syntax as S
-from dictelab.source_typer import lookup_method
 from dictelab.syntax import (
-    FdType, IArrow, IBool, ITyVar, SAnn, SApp, SArrow, SBool, SLam, SLet,
-    SMeth, SrcExpr, SrcMono, STyVar, SVar, avoid_name,
+    FdType, IArrow, IBool, ITyVar, SArrow, SBool, SrcMono, STyVar, avoid_name,
 )
 
 _VAR_SORT = S._VAR_SORT
@@ -317,28 +315,3 @@ def unify_heads(q1, q2, vars: set[str]):
     if q1.cls != q2.cls:
         return None
     return unify_fd_types(q1.arg, q2.arg, vars)
-
-
-# ---------------------------------------------------------------------------
-# The hand-written name-resolution walk
-# ---------------------------------------------------------------------------
-
-def resolve_names(GC, e: SrcExpr, bound: frozenset = frozenset()) -> SrcExpr:
-    """Reclassify variables naming declared methods as method references."""
-    match e:
-        case SVar(name):
-            if name not in bound and lookup_method(GC, name) is not None:
-                return SMeth(name)
-            return e
-        case SLam(x, body):
-            return SLam(x, resolve_names(GC, body, bound | {x}))
-        case SLet(x, sch, b1, b2):
-            return SLet(x, sch, resolve_names(GC, b1, bound),
-                        resolve_names(GC, b2, bound | {x}))
-        case SApp(f, a):
-            return SApp(resolve_names(GC, f, bound),
-                        resolve_names(GC, a, bound))
-        case SAnn(inner, ty):
-            return SAnn(resolve_names(GC, inner, bound), ty)
-        case _:
-            return e

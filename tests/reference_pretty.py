@@ -13,7 +13,7 @@ from dictelab.syntax import (
     ClassDecl, DCon, DVar, FdDict, FdExpr, FdQ, FdType, IApp, IArrow,
     IBool, IDApp, IDLam, IFalse, IForall, ILam, ILet, IMethod, IQArrow,
     ITrue, ITyApp, ITyLam, ITyVar, IVar, SAnn, SApp, SArrow, SBool, SFalse,
-    SHole, SLam, SLet, SMeth, SrcConstraint, SrcExpr, SrcMono, SrcProgram,
+    SHole, SLam, SLet, SrcConstraint, SrcExpr, SrcMono, SrcProgram,
     SrcScheme, STrue, STyVar, SVar, TApp, TArrow, TBool, TFalse, TForall,
     TgtExpr, TgtType, TLam, TLet, TProj, TRecord, TRecordTy, TTrue, TTyApp,
     TTyLam, TTyVar, TVar,
@@ -60,7 +60,7 @@ def pretty_src_expr(e: SrcExpr, prec: int = 0) -> str:
             return "True"
         case SFalse():
             return "False"
-        case SVar(name) | SMeth(name):
+        case SVar(name):
             return name
         case SHole():
             return "[]"

@@ -92,10 +92,7 @@ def _src_exprs(leaves):
 
 
 src_expr = _src_exprs(
-    [*_src_leaves, st.sampled_from(METHODS).map(S.SMeth)])
-
-# What the parser yields: names are SVar, never the resolved SMeth.
-parsed_src_expr = _src_exprs(_src_leaves)
+    [*_src_leaves, st.sampled_from(METHODS).map(S.SVar)])
 
 fd_q = st.builds(S.FdQ, st.sampled_from(CLASSES), fd_type)
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import reference_binding as ref
 from dictelab import syntax as S
 from dictelab.parser import parse_context
-from dictelab.source_typer import ClassEntry, resolve_names
 
 from conftest import corpus_result
 from reader import read_fd_expr
@@ -349,20 +348,6 @@ def test_unify_is_matching_when_the_target_shares_no_variable(
     assume(not set(S.free_type_vars(target)) & vars)
     assert S.unify(pattern, target, vars) == ref.match_mono(pattern, vars,
                                                             target)
-
-
-# ---------------------------------------------------------------------------
-# Name resolution
-# ---------------------------------------------------------------------------
-
-GC = tuple(ClassEntry(method, (), cls, "a",
-                      S.SrcScheme((), (), S.SArrow(S.STyVar("a"), S.SBool())))
-           for method, cls in [("eq", "Eq")])
-
-
-@given(src_expr)
-def test_resolve_names_agrees_with_reference(e):
-    assert resolve_names(GC, e) == ref.resolve_names(GC, e)
 
 
 # ---------------------------------------------------------------------------

@@ -447,10 +447,47 @@ def test_a_flat_application_gets_its_verdict_at_any_length(capsys, tmp_path,
         1, "", f"error: {FLAT_HEADS[head]}\n")
 
 
+def test_a_flat_application_after_a_class_gets_its_verdict(capsys,
+                                                          tmp_path):
+    # A method name is typed where it is used: no pass over the main
+    # expression resolves names first, so a class does not make a long
+    # spine deeper.
+    path = tmp_path / "flat.src"
+    outcomes = []
+    for n in (300, 1500):
+        path.write_text("class Eq a where { eq : a -> a -> Bool };\n"
+                        + _flat_application("annotated", n))
+        outcomes.append(run_cli(capsys, "check", str(path)))
+    assert outcomes[0] == outcomes[1] == (
+        1, "", f"error: {FLAT_HEADS['annotated']}\n")
+
+
 def test_a_flat_context_counts_its_hole():
     ctx = parse_context(_flat_application("annotated", 2000)
                         .replace("True", "[]", 1))
     assert S.count_holes(ctx) == 1
+    # plug rebuilds the spine in a loop, argument by argument.
+    plugged, args = S.plug(ctx, S.SFalse()).body, []
+    while type(plugged) is S.SApp:
+        args.append(plugged.arg)
+        plugged = plugged.fun
+    assert type(plugged) is S.SAnn
+    assert args[::-1] == [S.SFalse()] + [S.STrue()] * 1999
+
+
+def test_a_flat_context_gets_its_verdict_at_any_length(capsys, tmp_path):
+    # plug rebuilds an application spine in a loop.
+    outcomes = []
+    for n in (300, 1500):
+        contexts = tmp_path / str(n)
+        contexts.mkdir()
+        (contexts / "flat.ctx").write_text(
+            "(\\x. x :: Bool -> Bool) []" + " True" * n)
+        code, out, err = run_cli(capsys, "coherence", src("P2"),
+                                 "--contexts-dir", str(contexts))
+        outcomes.append((code, out, err.replace(str(contexts), "D")))
+    assert outcomes[0] == outcomes[1] == (
+        1, "", f"error: D/flat.ctx: {FLAT_HEADS['annotated']}\n")
 
 
 @pytest.mark.parametrize("stage", ["fd", "target"])

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from dictelab import syntax as S
+from dictelab import fd_core, syntax as S
 from dictelab.fd_core import (
     FdChecker, FdTypeError, FuelExhausted, MISMATCH, OVERLAP,
     PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
@@ -14,7 +14,8 @@ from dictelab.syntax import (
     MethodImpl,
 )
 
-from conftest import POSITIVE, corpus_result, type_and_translate
+from conftest import (POSITIVE, corpus_result, count_calls,
+                      type_and_translate)
 from reader import read_fd_dict, read_fd_expr, read_fd_type
 
 TC_EQ = (FdClassEntry("eq", "Eq", "a",
@@ -199,6 +200,55 @@ def test_argument_type_must_match():
     with pytest.raises(FdTypeError) as exc:
         FdChecker((), ()).check_expr((), e)
     assert exc.value.kind == MISMATCH
+
+
+# An annotation is checked against the type variables bound where it
+# stands, and only an annotation with a free one reads them.
+
+def test_a_term_without_open_annotations_reads_no_type_variables(
+        monkeypatch):
+    scanned = count_calls(monkeypatch, fd_core, "env_tyvars")
+    e = read_fd_expr(
+        "let g : Bool -> Bool = \\x : Bool. x in "
+        "(/\\a. \\d : [Eq Bool]. \\y : Bool. g ([d].eq y y)) @(Bool -> Bool) "
+        "[D1_Eq] True")
+    assert FdChecker(SIGMA_EQ, TC_EQ).check_expr((), e) == IBool()
+    assert scanned == []
+    FdChecker((), ()).check_expr((), read_fd_expr("/\\a. \\x : a. x"))
+    assert scanned == [((S.TyVarBind("a"),),)]
+
+
+def test_a_shadowed_type_binder_is_the_inner_one():
+    checker = FdChecker((), ())
+    e = read_fd_expr("/\\a. /\\a. \\x : a. x")
+    assert S.pretty(checker.check_expr((), e)) == \
+        "forall a. forall a. a -> a"
+    applied = S.IApp(
+        read_fd_expr("(/\\a. /\\a. \\x : a. x) @Bool @(Bool -> Bool)"),
+        S.ITrue())
+    with pytest.raises(FdTypeError) as exc:
+        checker.check_expr((), applied)
+    assert str(exc.value) == \
+        "Mismatch: argument has type Bool, expected Bool -> Bool"
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("(/\\b. \\x : b. x) @a", "/\\a. (/\\b. \\x : b. x) @a"),
+    ("[D2_Eq @a [d]].eq", "/\\a. \\d : [Eq a]. [D2_Eq @a [d]].eq"),
+    ("\\x : a. x", "/\\a. \\x : a. x"),
+    ("\\d : [Eq a]. True", "/\\a. \\d : [Eq a]. True"),
+    ("let x : a -> a = \\y : a. y in x",
+     "/\\a. let x : a -> a = \\y : a. y in x"),
+], ids=["ITyApp", "DCon", "ILam", "IDLam", "ILet"])
+def test_an_open_annotation_is_checked_where_it_stands(text, bound):
+    checker = FdChecker(SIGMA_EQ, TC_EQ)
+    for e in (read_fd_expr(text), read_fd_expr(f"/\\b. {text}")):
+        with pytest.raises(FdTypeError) as exc:
+            checker.check_expr((), e)
+        assert str(exc.value) == "UnboundTyVar: unbound type variable 'a'"
+    checker.check_expr((), read_fd_expr(bound))
+    env = (S.TyVarBind("a"), DictBind("d", FdQ("Eq", ITyVar("a"))))
+    checker.check_expr(env, read_fd_expr(text))
 
 
 # ---------------------------------------------------------------------------

@@ -281,19 +281,20 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     # Deterministic work counts over the fuzz digest, typed afresh, so
     # that a lost fast path shows as a count and not as a time: the
     # uncached typing judgments, alpha_eq's renaming walks, the
-    # environments scanned for their type variables (a binder's inherit
-    # its parent's), and the dictionary constructor rule, which runs once
-    # per closed dictionary and Σ.
+    # environments scanned for their type variables (only where an
+    # annotation has a free one), and the dictionary constructor rule,
+    # which runs once per closed dictionary and Σ.
     infer = count_calls(monkeypatch, FdChecker, "_infer")
     walks = count_calls(monkeypatch, S, "_alpha_walk")
+    wf = count_calls(monkeypatch, FdChecker, "_wf")
     scanned = count_calls(monkeypatch, fd_core, "env_tyvars")
-    checkers = count_calls(monkeypatch, FdChecker, "__init__")
     rule = count_calls(monkeypatch, FdChecker, "_check_con")
     for _ in _stream(list(_digest_envs())):
         pass
     assert len(infer) == 23_114
     assert 0 < len(walks) <= 429
-    assert len(scanned) <= len(checkers)
+    assert [env for _, env, t in wf if t._fv] == [env for env, in scanned]
+    assert len(scanned) == 1_494
     typed = [(id(self._dicts), d) for self, _, d in rule]
     assert len(typed) == len(set(typed)) == 5
     assert not any(d._fv for _, d in typed)

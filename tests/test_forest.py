@@ -64,9 +64,9 @@ def reference_decomposition(r, program_name=""):
         Mismatch(S.pretty(ie), variant, S.pretty(direct), S.pretty(te))
         for variant, _, ie, direct, te in squares
         if not S.alpha_eq(direct, te))
-    return DecompositionReport(program_name, not mismatches, len(squares),
-                               len(squares), r.fd_truncated, r.main_type,
-                               tuple(te for *_, te in squares), mismatches)
+    return DecompositionReport(program_name, not mismatches, r.fd_truncated,
+                               r.main_type, tuple(te for *_, te in squares),
+                               mismatches)
 
 
 def fields(rep: DecompositionReport):

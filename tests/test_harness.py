@@ -485,24 +485,24 @@ def test_fuzz_work_walks_each_range_value_once(monkeypatch):
     assert all(a is b for a, b in renaming_walks)
 
 
-def test_fuzz_work_builds_each_environments_type_variables_once(
+def test_fuzz_work_reads_type_variables_only_for_an_open_annotation(
         monkeypatch):
-    # Work counts: an environment a binder extends inherits its parent's
-    # type variables, so only a root environment, the one a caller gives
-    # a checker, is scanned, and at most once per checker.
+    # Work counts: a checker reads the type variables of the environment
+    # at hand only to check an annotation with a free type variable, and
+    # each such variable is bound there.
     scanned = []
     env_tyvars = fd_core.env_tyvars
 
     def counted(env):
-        scanned.append((sys._getframe(1).f_locals["self"], env))
-        return env_tyvars(env)
+        t = sys._getframe(1).f_locals["t"]
+        tyvars = env_tyvars(env)
+        scanned.append(({a for _, a in t._fv}, tyvars))
+        return tyvars
     monkeypatch.setattr(fd_core, "env_tyvars", counted)
-    checkers = count_calls(monkeypatch, fd_core.FdChecker, "__init__")
     for _ in _fuzz_work():
         pass
-    assert scanned and all(env == () for _, env in scanned)
-    assert len({id(checker) for checker, _ in scanned}) == len(scanned) \
-        <= len(checkers)
+    assert scanned and all(free and free <= tyvars
+                           for free, tyvars in scanned)
 
 
 @pytest.mark.parametrize("seed", range(50))

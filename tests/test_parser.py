@@ -8,7 +8,7 @@ from dictelab.parser import (ParseError, parse_context, parse_expr,
                              parse_program)
 
 from conftest import NEGATIVE, POSITIVE, corpus_program, corpus_text
-from strategies import parsed_src_expr
+from strategies import src_expr
 
 
 def test_bare_true_program():
@@ -146,7 +146,7 @@ def test_corpus_pretty_reparse_identity(name):
 
 
 @settings(max_examples=300)
-@given(parsed_src_expr)
+@given(src_expr)
 def test_pretty_expression_reparse_identity(e):
     assert parse_expr(S.pretty(e)) == e
 

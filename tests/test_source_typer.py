@@ -415,7 +415,7 @@ def test_check_method_against_local_dict():
     P, GC = _eq_instances()
     env = (TyVarBind("a"), DictBind("d", SrcConstraint("Eq", STyVar("a"))))
     alts, _ = enumerated(*check(
-        P, GC, env, S.SMeth("eq"),
+        P, GC, env, S.SVar("eq"),
         SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())), LIMITS))
     assert alts == [S.IMethod(DVar("d"), "eq")]
 
@@ -423,7 +423,7 @@ def test_check_method_against_local_dict():
 def test_method_not_inferable():
     P, GC = _eq_instances()
     with pytest.raises(SrcTypeError) as exc:
-        infer(P, GC, (), S.SMeth("eq"), LIMITS)
+        infer(P, GC, (), S.SVar("eq"), LIMITS)
     assert exc.value.kind == "not-inferable"
 
 
@@ -444,7 +444,7 @@ def test_unsatisfiable_constraint_at_use_site():
     P, GC = _eq_instances()
     env = (TyVarBind("b"),)
     with pytest.raises(SrcTypeError) as exc:
-        check(P, GC, env, S.SMeth("eq"),
+        check(P, GC, env, S.SVar("eq"),
               SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())), LIMITS)
     assert exc.value.kind == "unsatisfiable"
 
