@@ -2,8 +2,8 @@
 
 A small surface language with type classes is elaborated two ways: directly
 into System F with records, and via an intermediate language with first-class
-dictionaries. The harness enumerates all elaborations of a program and checks
-that they agree observably.
+dictionaries. The harness checks that all elaborations of a program agree
+observably.
 """
 
 __version__ = "0.1.0"

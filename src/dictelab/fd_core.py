@@ -26,7 +26,9 @@ a binder, and a closed dictionary is typed once per method environment.
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
 walks, and `fd_eval` reaches the same value, in the same number of steps,
-with an environment machine.
+with an environment machine. The machine evaluates a packed forest too
+(`fd_leaves`): it forks where evaluation inspects a choice, and `fd_eval`
+is the case of one tree.
 """
 
 from __future__ import annotations
@@ -632,12 +634,13 @@ def fd_step(sigma, e: FdExpr):
 
 
 # A stack frame of the machine, by the application node it stands for: the
-# abstraction it waits for, the sort that abstraction binds, and how a stuck
-# application is reported.
+# abstraction it waits for, the sort that abstraction binds, the index of
+# that abstraction's body among its fields, and how a stuck application is
+# reported.
 _FD_FRAMES = {
-    IApp: (ILam, "iv", "stuck application"),
-    ITyApp: (ITyLam, "ic", "stuck type application"),
-    IDApp: (IDLam, "id", "stuck dictionary application"),
+    IApp: (ILam, "iv", 2, "stuck application"),
+    ITyApp: (ITyLam, "ic", 1, "stuck type application"),
+    IDApp: (IDLam, "id", 2, "stuck dictionary application"),
 }
 # Read-back order: types, then dictionaries, then terms. A value read back
 # for one sort has no variable of a later sort, so later passes keep it.
@@ -654,74 +657,127 @@ def spend_fuel(fuel: int) -> int:
 
 def fd_eval(sigma, e: FdExpr, fuel: int) -> FdExpr:
     """The value e reaches by leftmost call-by-name reduction in at most
-    fuel steps.
+    fuel steps: the one leaf of `fd_leaves` over e's first tree, or the
+    error it raised.
 
     A Krivine-style environment machine. Its state is the current term, an
     environment mapping term, dictionary and type variables to unevaluated
-    closures (term, environment), and a stack of argument frames. Closures
-    are never updated, so the machine takes exactly the reductions `fd_step`
-    takes: beta, type beta, dictionary beta, let and method unfolding each
-    cost one unit of fuel, and a stuck term raises the error `fd_step`
-    raises. The final closure is read back with one substitution per sort;
-    on a closed e every substituted value is closed, so the result is `==`
-    to the small-step value.
+    closures (term, position, environment), and a stack of argument
+    frames. Closures are never updated, so the machine takes exactly the
+    reductions `fd_step` takes: beta, type beta, dictionary beta, let and
+    method unfolding each cost one unit of fuel, and a stuck term raises
+    the error `fd_step` raises. The final closure is read back with one
+    substitution per sort; on a closed e every substituted value is closed,
+    so the result is `==` to the small-step value.
     """
-    env: dict = {}
-    stack = []
-    while True:
-        kind = type(e)
-        if kind is IApp or kind is IDApp:
-            stack.append((kind, e.arg, env))
-            e = e.fun
-        elif kind is ITyApp:
-            stack.append((kind, e.ty, env))
-            e = e.fun
-        elif kind is IVar:
-            closure = env.get(("iv", e.name))
-            if closure is None:
-                spend_fuel(fuel)
-                raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
-            e, env = closure
-        elif kind is ILet:
-            fuel = spend_fuel(fuel)
-            env = {**env, ("iv", e.name): (e.bound, env)}
-            e = e.body
-        elif kind is IMethod:
-            d, denv = e.dict, env
-            while type(d) is DVar:
-                closure = denv.get(("id", d.name))
+    (leaf,) = fd_leaves(sigma, e, fuel, 1)
+    if leaf.error is not None:
+        raise leaf.error
+    return leaf.value
+
+
+def fd_leaves(sigma, forest: FdExpr, fuel: int, limit: int) -> list:
+    """The leaves (`syntax.Leaf`) of evaluating each of the first limit
+    trees of forest under sigma with fuel, which the machine of `fd_eval`
+    evaluates all at once: each closure's position in the forest tells
+    the occurrence of each choice it meets (`syntax.Forks`). The machine
+    forks only where evaluation inspects a choice: at the head of the
+    current term, or as the dictionary of a method projection. Each
+    branch goes on with the fuel left; an occurrence met again takes the
+    alternative already decided. A value read back with an undecided
+    choice in it splits on that choice; a stuck term's message shows an
+    undecided choice at its first alternative, as the first tree of the
+    leaf has it."""
+    forks = S.Forks(forest, limit)
+    return forks.leaves(lambda *state: _fd_run(sigma, forks, *state), fuel)
+
+
+def _fd_run(sigma, forks, e, pos, env, stack, fuel, decisions, low):
+    """The machine from one state (see `syntax.Forks`) to its leaf."""
+    child = forks.child
+
+    def code(node, npos):
+        return forks.tree(node, npos, decisions)
+    try:
+        while True:
+            kind = type(e)
+            if kind is IApp or kind is IDApp:
+                stack.append((kind, e.arg, pos and child(pos, e, 1), env))
+                e, pos = e.fun, pos and child(pos, e, 0)
+            elif kind is ITyApp:
+                stack.append((kind, e.ty, None, env))
+                e, pos = e.fun, pos and child(pos, e, 0)
+            elif kind is IVar:
+                closure = env.get(("iv", e.name))
                 if closure is None:
                     spend_fuel(fuel)
-                    raise FdTypeError(STUCK,
-                                      f"free dictionary variable {d.name!r}")
-                d, denv = closure
-            if type(d) is not DCon:
-                raise TypeError(d)  # no dictionary, a choice node for one
-            fuel = spend_fuel(fuel)
-            # Method lookup uses the full environment, unlike constructor
-            # typing which sees only the prefix.
-            entry = next((x for x in sigma if x.con == d.name), None)
-            if entry is None:
-                raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                                  f"unknown constructor {d.name!r} at runtime")
-            # The implementation applied to the type arguments, then to the
-            # dictionary arguments: the first type argument ends on top.
-            stack.extend((IDApp, a, denv) for a in reversed(d.dict_args))
-            stack.extend((ITyApp, t, denv) for t in reversed(d.type_args))
-            e, env = entry.impl, {}
-        elif kind not in _FD_VALUES:
-            raise TypeError(e)      # no term, a choice node for one
-        elif not stack:
-            return S.read_back(e, env, _FD_SORTS)
-        else:
-            frame, arg, aenv = stack[-1]
-            lam, sort, what = _FD_FRAMES[frame]
-            if kind is not lam:
-                spend_fuel(fuel)
-                stuck = frame(S.read_back(e, env, _FD_SORTS),
-                              S.read_back(arg, aenv, _FD_SORTS))
-                raise FdTypeError(STUCK, f"{what} {S.pretty(stuck)}")
-            fuel = spend_fuel(fuel)
-            stack.pop()
-            env = {**env, (sort, e.param): (arg, aenv)}
-            e = e.body
+                    raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
+                e, pos, env = closure
+            elif kind is ILet:
+                fuel = spend_fuel(fuel)
+                env = {**env, ("iv", e.name): (e.bound,
+                                                pos and child(pos, e, 2), env)}
+                e, pos = e.body, pos and child(pos, e, 3)
+            elif kind is IMethod:
+                d, dpos, denv = e.dict, pos and child(pos, e, 0), env
+                while True:
+                    dkind = type(d)
+                    if dkind is DVar:
+                        closure = denv.get(("id", d.name))
+                        if closure is None:
+                            spend_fuel(fuel)
+                            raise FdTypeError(
+                                STUCK, f"free dictionary variable {d.name!r}")
+                        d, dpos, denv = closure
+                    elif dkind is IChoice and dpos:
+                        j = forks.decide(dpos, d, (e, pos, env, stack, fuel,
+                                                   decisions, low))
+                        d, dpos = d.alts[j], child(dpos, d, j)
+                    else:
+                        break
+                if dkind is not DCon:
+                    raise TypeError(d)  # no dictionary, a choice node for one
+                fuel = spend_fuel(fuel)
+                # Method lookup uses the full environment, unlike constructor
+                # typing which sees only the prefix.
+                entry = next((x for x in sigma if x.con == d.name), None)
+                if entry is None:
+                    raise FdTypeError(UNKNOWN_CONSTRUCTOR,
+                                      f"unknown constructor {d.name!r} at "
+                                      f"runtime")
+                # The implementation applied to the type arguments, then to
+                # the dictionary arguments: the first type argument ends on
+                # top.
+                args, apos = d.dict_args, dpos and child(dpos, d, 2)
+                for k in reversed(range(len(args))):
+                    stack.append((IDApp, args[k],
+                                  apos and child(apos, args, k), denv))
+                stack.extend((ITyApp, t, None, denv)
+                             for t in reversed(d.type_args))
+                e, pos, env = entry.impl, None, {}
+            elif kind is IChoice and pos:
+                j = forks.decide(pos, e, (e, pos, env, stack, fuel, decisions,
+                                          low))
+                e, pos = e.alts[j], child(pos, e, j)
+            elif kind not in _FD_VALUES:
+                raise TypeError(e)      # no term, a choice node for one
+            elif not stack:
+                leaf = forks.value((e, pos, env, stack, fuel, decisions, low),
+                                   _FD_SORTS)
+                if leaf:
+                    return leaf
+            else:
+                frame, arg, apos, aenv = stack[-1]
+                lam, sort, body, what = _FD_FRAMES[frame]
+                if kind is not lam:
+                    spend_fuel(fuel)
+                    stuck = frame(
+                        S.read_back((e, pos, env), _FD_SORTS, code),
+                        S.read_back((arg, apos, aenv), _FD_SORTS, code))
+                    raise FdTypeError(STUCK, f"{what} {S.pretty(stuck)}")
+                fuel = spend_fuel(fuel)
+                stack.pop()
+                env = {**env, (sort, e.param): (arg, apos, aenv)}
+                e, pos = e.body, pos and child(pos, e, body)
+    except (FdTypeError, FuelExhausted) as err:
+        return S.Leaf(low, decisions, None, err)

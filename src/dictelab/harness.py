@@ -16,15 +16,26 @@ forest); coherence does the same for each intermediate value. Each Σ's
 direct translator and `fd_env_wf`-validated checker are built once and
 kept by Σ itself (`source_typer.MethodEnv`), which both reports and every
 coherence context share: the reports take a typed program.
-Coherence: evaluate every elaboration along both pipelines and require
-Kleene-equal results. Decomposition: direct ≡α composed for every square.
+Coherence: every elaboration read gives Kleene-equal results along every
+pipeline. Each Σ evaluates each translated forest once, not each tree:
+the intermediate forest under Σ (each value then translated and evaluated
+in the target), and the composed and the direct target forests. The
+machines fork only where evaluation inspects a choice, and prune a branch
+whose first tree lies past the Σ's cap, so a leaf stands for every tree
+that agrees with the decisions taken on its path (`syntax.Forks`). The
+leaves are ranked by the index of their first tree, as the enumeration
+ordered its values: per Σ, each derivation's intermediate then composed
+value, then the direct values of every Σ. The witness is the least, the
+counterexample the least that differs from it, and the error raised the
+least-ranked one; only a counterexample unpacks a tree, each of the two
+it prints. Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
 square by square, to name the derivations whose squares differ. Counts
 are read off the forests, never by enumeration: a typed program's
-elaborations and the composed targets of a decomposition report are
-built at the first read of one (see `syntax.Unpacked`), so a report read
-for its verdict and counts unpacks no tree.
+elaborations and the composed targets of either report are built at the
+first read of one (see `syntax.Unpacked`), so a report read for its
+verdict and counts unpacks no tree.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
@@ -49,7 +60,8 @@ import random
 from collections import namedtuple
 
 from . import fd_core, syntax as S, target_core
-from .fd_core import FdChecker, fd_env_wf, fd_eval, fd_step, is_fd_value
+from .fd_core import (FdChecker, fd_env_wf, fd_leaves, fd_step,
+                      is_fd_value)
 from .source_typer import (Limits, MethodEnv, SrcTypeError, typecheck_main,
                            typecheck_program)
 from .syntax import (
@@ -63,14 +75,16 @@ from .syntax import (
 @frozen
 class CoherenceReport:
     """Whether every elaboration read gives one value along every
-    pipeline. The pipelines read the same squares, so each count is the
-    number of composed targets."""
+    pipeline. composed holds the composed targets, as a tuple whose trees
+    are unpacked from the forests at the first read of one (see
+    `syntax.Unpacked`); the pipelines read the same squares, so each count
+    is its length, read off the forests."""
     program_name: str
     truncated: bool
     all_kleene_equal: bool
     witness_value: str
     main_type: SrcMono
-    composed: tuple[TgtExpr, ...]   # composed target elaborations of p
+    composed: tuple[TgtExpr, ...]
     counterexample: tuple[str, str] | None = None
 
     elab_count_fd = elab_count_tgt = property(lambda self: len(self.composed))
@@ -175,44 +189,78 @@ def corners(r, mode: str, limit: int | None = None):
 # Coherence
 # ---------------------------------------------------------------------------
 
-def _program_values(r, fuel: int):
-    """All observable values of r: the intermediate-pipeline values
-    (elaborated into the target for comparability) interleaved with the
-    composed target values, then the direct target values. Each value comes
-    as (origin, elaboration, value). Also returns the composed target
-    elaborations."""
-    sqs = []
-    values = []
-    for sq in squares(r):
-        sqs.append(sq)
-        v_fd = fd_eval(sq.sigma, sq.derivation, fuel)
-        values.append(("fd value of", sq.derivation, target_core.tgt_eval(
-            _composed(sq.checker, v_fd), fuel)))
-        values.append(("composed target of", sq.derivation,
-                       target_core.tgt_eval(sq.composed, fuel)))
-    for sq in sqs:
-        values.append(("direct target", sq.direct,
-                       target_core.tgt_eval(sq.direct, fuel)))
-    return values, tuple(sq.composed for sq in sqs)
+Outcome = namedtuple("Outcome", "rank origin forest leaf")
+Outcome.__doc__ = """One leaf (`syntax.Leaf`) of one pipeline of a program:
+the values of the trees of forest, the derivations or the direct targets
+of one Σ, that agree with the leaf's decisions. rank places its first tree
+where the enumeration put that tree's value: per Σ, the intermediate and
+the composed value of each derivation in turn, then the direct values of
+every Σ; in that order, too, the evaluations ran, so the first error
+raised has the least rank. Ranks are distinct, since the leaves of one
+forest have distinct first trees, so outcomes order by rank alone."""
 
 
-def _first_difference(values):
-    """The origins and elaborations, printed, of the first value and of the
-    first value that differs from it, or None. All-against-first suffices:
-    equality at a shared witness value."""
-    first = values[0]
-    for other in values[1:]:
-        if not alpha_eq(other[2], first[2]):
-            return tuple(f"{origin} {S.pretty(elab)}"
-                         for origin, elab, _ in (first, other))
-    return None
+def _raise_first(outcomes):
+    """Raises the error of the least-ranked outcome that has one."""
+    errors = [o for o in outcomes if o.leaf.error is not None]
+    if errors:
+        raise min(errors).leaf.error
+
+
+def _fd_outcomes(r, variant, sigma, checker, n, fuel):
+    """The intermediate pipeline under sigma: each value of the forest,
+    typed and translated by checker, and evaluated in the target."""
+    for leaf in fd_leaves(sigma, r.forest, fuel, n):
+        if leaf.error is None:
+            try:
+                value = target_core.tgt_eval(_composed(checker, leaf.value),
+                                             fuel)
+                leaf = S.Leaf(leaf.low, leaf.decisions, value, None)
+            except (fd_core.FdTypeError, target_core.TgtTypeError,
+                    fd_core.FuelExhausted) as err:
+                leaf = S.Leaf(leaf.low, leaf.decisions, None, err)
+        yield Outcome((0, variant, leaf.low, 0), "fd value of",
+                      r.forest, leaf)
+
+
+def _outcomes(r, fuel: int) -> list:
+    """The outcomes of every pipeline of r, in rank order. Each translated
+    forest is evaluated once per Σ, over the Σ's first n trees, and the
+    first error the enumeration would have raised is raised: after each
+    Σ's intermediate and composed outcomes, and after each Σ's direct
+    ones, the least-ranked error among them."""
+    out, directs = [], []
+    for variant, sigma, checker, n, direct, composed in _environments(r):
+        found = list(_fd_outcomes(r, variant, sigma, checker, n, fuel))
+        found += [Outcome((0, variant, leaf.low, 1), "composed target of",
+                          r.forest, leaf)
+                  for leaf in target_core.tgt_leaves(composed, fuel, n)]
+        _raise_first(found)
+        out += found
+        directs.append((variant, n, direct))
+    for variant, n, direct in directs:
+        found = [Outcome((1, variant, leaf.low), "direct target", direct, leaf)
+                 for leaf in target_core.tgt_leaves(direct, fuel, n)]
+        _raise_first(found)
+        out += found
+    return sorted(out)
+
+
+def _describe(outcome) -> str:
+    """The origin of outcome and the first tree it stands for, printed:
+    the one tree unpacked."""
+    return (f"{outcome.origin} "
+            f"{S.pretty(S.tree_at(outcome.forest, outcome.leaf.low))}")
 
 
 def coherence_report(r, fuel: int = 100_000, contexts=(),
                      program_name: str = "") -> CoherenceReport:
     """Coherence of the typed program r and of its main plugged into each
     of contexts, (name, context) pairs typed against r's declarations one
-    at a time until a counterexample."""
+    at a time until a counterexample: the first outcome, in rank order,
+    whose value is not alpha-equal to the first's. Only a counterexample
+    unpacks a tree, each of the two it prints; the composed targets are
+    unpacked at the first read of one (see `corners`)."""
     def programs():
         yield r
         for name, ctx in contexts:
@@ -222,23 +270,26 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
                 raise SrcTypeError(err.kind, f"{name}: {err}") from err
             yield plugged
 
-    truncated = False
+    truncated, counterexample = False, None
     for i, variant in enumerate(programs()):
         truncated |= variant.fd_truncated
-        values, composed = _program_values(variant, fuel)
+        first, *rest = _outcomes(variant, fuel)
         if i == 0:
-            base_composed, witness = composed, values[0][2]
-        counterexample = _first_difference(values)
-        if counterexample:
-            witness = values[0][2]
+            witness = first
+        other = next((o for o in rest
+                      if not alpha_eq(o.leaf.value, first.leaf.value)), None)
+        if other:
+            witness, counterexample = first, (_describe(first),
+                                              _describe(other))
             break
     return CoherenceReport(
         program_name=program_name,
         truncated=truncated,
         all_kleene_equal=counterexample is None,
-        witness_value=S.pretty(witness),
+        witness_value=S.pretty(witness.leaf.value),
         main_type=r.main_type,
-        composed=base_composed,
+        composed=S.Unpacked(sum(n for _, n in r.variants_read),
+                            lambda: corners(r, "composed")),
         counterexample=counterexample)
 
 

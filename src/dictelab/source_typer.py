@@ -400,12 +400,10 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
     """Returns (elaboration forest, count, truncated)."""
     match e:
         case SVar(name) if (entry := lookup_method(GC, name)) is not None:
-            # A method name is never rebound (_check_no_method_shadow).
+            # A method name is never rebound (_check_no_method_shadow), and
+            # its scheme is unambiguous (typecheck_class).
             full = SrcScheme((entry.var,) + entry.scheme.binders,
                              entry.scheme.context, entry.scheme.head)
-            if not unambig_scheme(full):
-                raise SrcTypeError(
-                    "ambiguous", f"ambiguous method scheme for {name!r}")
             full = _freshen_scheme(full, set(free_type_vars(ty)))
             class_var, meth_binders = full.binders[0], full.binders[1:]
             sigma = S.unify(full.head, ty, set(full.binders))

@@ -18,8 +18,10 @@ capture-avoiding substitution, alpha equivalence, first-order unification
 and context plugging read only that table, for every sort of variable in
 every language; so do the two walks over packed forests of derivations,
 in which choice nodes (`IChoice`, `TChoice`) stand for alternatives:
-`unpack` and `forest_eq`. `Unpacked` holds trees that are counted off a
-forest and unpacked at their first read. One notation table gives each
+`unpack` and `forest_eq`, and the count of a forest's trees that
+`tree_count`, `tree_at` and `Forks` read. `Unpacked` holds trees that are
+counted off a forest and unpacked at their first read; `Forks` holds the
+branches of an evaluation of a whole forest. One notation table gives each
 node class its binding level and its printed form over its fields;
 `pretty` is one walker over it that adds the parentheses precedence
 needs, for all three languages. Choice nodes have no notation: they are
@@ -576,7 +578,8 @@ class ILet(FdExpr):
 class IChoice:
     """The derivations of one judgment, terms or dictionaries, that the
     typer found in place of one (an OR node of a packed forest, see
-    `unpack`). Never printed or evaluated."""
+    `unpack`). Never printed, and evaluated only at a position of a
+    forest (see `Forks`)."""
     alts: tuple
 
 
@@ -1179,6 +1182,219 @@ def forest_eq(a, b) -> bool:
     return go(a, b)
 
 
+_CHOICES = (IChoice, TChoice)
+# The classes whose nodes are one tree whatever their fields hold (names,
+# variables, types and constants), and for every other class the getter of
+# a node's parts as a tuple: a choice's alternatives, another's fields.
+_ONE_TREE = frozenset({str, *(cls for cls, shape in _SHAPES.items()
+                             if shape.var or issubclass(cls, _TYPES)
+                             or not shape.fields)})
+_FIELDS = {cls: attrgetter(*shape.fields) if len(shape.fields) > 1
+           else lambda x, f=shape.fields[0]: (getattr(x, f),)
+           for cls, shape in _SHAPES.items() if cls not in _ONE_TREE}
+_FIELDS.update(dict.fromkeys(_CHOICES, attrgetter("alts")))
+
+
+def _parts(x):
+    """The parts of a forest node whose trees unpacking multiplies, or the
+    alternatives of a choice; none for a node of one tree."""
+    cls = type(x)
+    if cls is tuple:
+        return x
+    getter = _FIELDS.get(cls)
+    return () if getter is None else getter(x)
+
+
+def _count(x, memo: dict) -> int:
+    """The trees of x. memo holds each subforest's count by id, so each
+    shared one is counted once; the forest keeps every key alive."""
+    cls = type(x)
+    if cls in _ONE_TREE:
+        return 1
+    n = memo.get(id(x))
+    if n is None:
+        counts = [1 if type(part) in _ONE_TREE else _count(part, memo)
+                  for part in _parts(x)]
+        if cls in _CHOICES:
+            n = sum(counts)
+        else:
+            n = 1
+            for c in counts:
+                n *= c
+        memo[id(x)] = n
+    return n
+
+
+def tree_count(forest) -> int:
+    """The number of trees of forest, exactly: no cap clamps it."""
+    return _count(forest, {})
+
+
+def tree_at(forest, i: int):
+    """Tree i of forest in `unpack` order, unpacking no other: the index
+    is a mixed-radix number whose digits are the parts' tree indices, the
+    first part's the most significant."""
+    memo: dict = {}
+
+    def go(x, i):
+        if _count(x, memo) == 1:
+            return x
+        parts = _parts(x)
+        if type(x) in _CHOICES:
+            for alt in parts:
+                n = _count(alt, memo)
+                if i < n:
+                    return go(alt, i)
+                i -= n
+        values = []
+        for p in reversed(parts):
+            i, k = divmod(i, _count(p, memo))
+            values.append(go(p, k))
+        values.reverse()
+        return tuple(values) if type(x) is tuple else type(x)(*values)
+
+    return go(forest, i)
+
+
+Leaf = namedtuple("Leaf", "low decisions value error")
+Leaf.__doc__ = """What evaluating a forest gives for every tree that agrees
+with decisions, a map from choice occurrences to the alternatives taken:
+a value, or the error raised (value is then None). low is the index of the
+first of those trees in `unpack` order, whose undecided occurrences take
+their first alternative."""
+
+
+def _one_tree(x, seen: set) -> bool:
+    """Whether x has no choice of two or more alternatives: a tree. seen
+    holds the ids of the subforests found to be trees so far."""
+    cls = type(x)
+    if cls in _ONE_TREE or id(x) in seen:
+        return True
+    if cls in _CHOICES and len(x.alts) > 1:
+        return False
+    if all(_one_tree(part, seen) for part in _parts(x)):
+        seen.add(id(x))
+        return True
+    return False
+
+
+class Forks:
+    """The branches of one evaluation of a forest, over its first limit
+    trees.
+
+    An evaluator walks the forest as the tree its positions unfold: a
+    shared subforest occurs once per path to it, and unpacking chooses at
+    each occurrence of a choice apart. A position is numbered when the
+    evaluator first reaches it, and a tree has none (None), so evaluating
+    a tree numbers nothing. A position's scale is the trees that one step
+    of its own tree index skips in the whole forest's: deciding
+    alternative j of a choice there moves the first tree agreeing with the
+    decisions by the trees of the earlier alternatives times that scale. A
+    branch whose first tree lies at the limit or past it is never taken.
+    Trees are counted only where a fork or a read-back needs it: the
+    alternatives before the one decided, and the parts that follow each
+    part on the path to a choice, which vary faster than it.
+
+    An evaluator state is (node, position, environment, stack, fuel,
+    decisions, low); `decide` queues the branches of a state in `work`."""
+
+    def __init__(self, forest, limit: int):
+        self.forest, self.limit = forest, limit
+        self.work: list = []
+        self._counts: dict = {}
+        self._at: dict = {}         # (position, part index) -> position
+        self._up = [None, None]     # position -> (parent, its node, index)
+        self._scales = {1: 1}       # position -> its scale, once needed
+        self.root = None if _one_tree(forest, set()) else 1
+
+    def count(self, x) -> int:
+        return _count(x, self._counts)
+
+    def child(self, pos, node, i: int):
+        """The position of part i of node, the subforest at pos, or None
+        if pos is None."""
+        if pos is None:
+            return None
+        key = (pos, i)
+        out = self._at.get(key)
+        if out is None:
+            out = self._at[key] = len(self._up)
+            self._up.append((pos, node, i))
+        return out
+
+    def _scale(self, pos: int) -> int:
+        out = self._scales.get(pos)
+        if out is None:
+            parent, node, i = self._up[pos]
+            out = self._scale(parent)
+            if type(node) not in _CHOICES:  # later parts vary faster
+                for part in _parts(node)[i + 1:]:
+                    out *= self.count(part)
+            self._scales[pos] = out
+        return out
+
+    def decide(self, pos: int, choice, state) -> int:
+        """The alternative of the choice at pos that state takes. An
+        undecided one forks state, whose decisions the evaluator owns: a
+        copy of state is queued for each later alternative whose first
+        tree lies under the limit, with that alternative decided, and the
+        first is decided in place."""
+        node, npos, env, stack, fuel, decisions, low = state
+        if pos in decisions:
+            return decisions[pos]
+        scale, forks = self._scale(pos), []
+        for j, alt in enumerate(choice.alts[:-1], 1):
+            low += self.count(alt) * scale
+            if low >= self.limit:
+                break
+            forks.append((node, npos, env, list(stack), fuel,
+                          {**decisions, pos: j}, low))
+        self.work.extend(reversed(forks))
+        decisions[pos] = 0
+        return 0
+
+    def value(self, state, sorts):
+        """The leaf of state, whose node is a value with no frame left: the
+        value read back (see `read_back`); or None, once state is split on
+        an undecided choice the value holds."""
+        node, pos, env, _, _, decisions, low = state
+        undecided = []
+        value = read_back((node, pos, env), sorts, lambda n, p: self.tree(
+            n, p, decisions, undecided))
+        if undecided:
+            self.decide(*undecided[0], state)
+            return None
+        return Leaf(low, decisions, value, None)
+
+    def tree(self, node, pos, decisions, undecided=None):
+        """The subtree at pos, node, with each decided choice replaced by
+        the alternative taken and each other by its first, which is then
+        appended, with its position, to undecided if given."""
+        if pos is None or self.count(node) == 1:
+            return node
+        parts = _parts(node)
+        if type(node) in _CHOICES:
+            j = decisions.get(pos)
+            if j is None:
+                if undecided is not None:
+                    undecided.append((pos, node))
+                j = 0
+            return self.tree(parts[j], self.child(pos, node, j), decisions,
+                             undecided)
+        values = [self.tree(p, self.child(pos, node, i), decisions,
+                            undecided) for i, p in enumerate(parts)]
+        return tuple(values) if type(node) is tuple else type(node)(*values)
+
+    def leaves(self, run, fuel: int) -> list:
+        """The leaves of evaluating the forest with fuel: run takes a state
+        to its leaf (a `Leaf`), queueing the branches it forks on the way."""
+        self.work.append((self.forest, self.root, {}, [], fuel, {}, 0))
+        out = []
+        while self.work:
+            out.append(run(*self.work.pop()))
+        return out
+
+
 def unify(t1, t2, vars: set[str]):
     """Most general unifier of t1 and t2 over the type variables in vars.
 
@@ -1268,15 +1484,18 @@ def subst_fd_dvar(e, name: str, by: FdDict):
     return subst(e, "id", {name: by})
 
 
-def read_back(node, env: dict, sorts: tuple[str, ...]):
-    """The term an evaluator closure stands for.
+def read_back(closure, sorts: tuple[str, ...], code):
+    """The term an evaluator closure (node, position, env) stands for.
 
-    env maps (sort, name) to a closure (node, env) of the variable's
-    unevaluated value. Each free variable the environment binds is replaced
-    by its closure's read-back term, with one subst per sort in the given
-    order; a value read back for one sort must have no variable of a later
-    sort.
+    code(node, position) is the tree at that position of the evaluated
+    forest (see `Forks.tree`). env maps (sort, name) to the closure of the
+    variable's unevaluated value. Each free variable the environment binds
+    is replaced by its closure's read-back term, with one subst per sort in
+    the given order; a value read back for one sort must have no variable
+    of a later sort.
     """
+    node, pos, env = closure
+    node = code(node, pos)
     if not env:
         return node
     for sort in sorts:
@@ -1284,7 +1503,7 @@ def read_back(node, env: dict, sorts: tuple[str, ...]):
         for name in free_vars(node, sort):
             closure = env.get((sort, name))
             if closure is not None:
-                mapping[name] = read_back(*closure, sorts)
+                mapping[name] = read_back(closure, sorts, code)
         node = subst(node, sort, mapping)
     return node
 

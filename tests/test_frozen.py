@@ -25,9 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dictelab
+import dictelab.cli  # so that every module of the package is imported
 from dictelab import harness, parser, source_typer, syntax as S
-from dictelab.cli import main  # noqa: F401  (every module is imported)
 
 import strategies
 from conftest import POSITIVE, corpus_program, corpus_result, corpus_text

@@ -7,7 +7,7 @@ from dictelab import syntax as S
 from dictelab.parser import (ParseError, parse_context, parse_expr,
                              parse_program)
 
-from conftest import NEGATIVE, POSITIVE, corpus_program, corpus_text
+from conftest import NEGATIVE, POSITIVE, corpus_program
 from strategies import src_expr
 
 

@@ -15,7 +15,7 @@ from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
     ClassEntry, DirectTranslator, Limits, SrcTypeError, check, closure,
     elab_class_env, elab_type, entail, infer, typecheck_class,
-    typecheck_instance, typecheck_program, unambig_constraint, unambig_scheme,
+    typecheck_program, unambig_constraint, unambig_scheme,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
@@ -393,12 +393,13 @@ def test_instance_matching_reuses_the_free_variables_of_the_constraint(
     # Work counts: resolution computes the type variables of a constraint
     # once and matches every instance of its class against that set. The
     # tower's rungs, each typed twice as the benchmark does, made 392
-    # calls when each instance recomputed it.
+    # calls when each instance recomputed it, and 216 when the method rule
+    # re-tested the ambiguity of the method's scheme at each use.
     calls = count_calls(monkeypatch, source_typer, "free_type_vars")
     for d in range(1, 9):
         for _ in range(2):
             assert typecheck_program(parse_program(tower_source(d))).count == 1
-    assert len(calls) == 216
+    assert len(calls) == 200
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,15 @@ def test_typecheck_class_rejects_unused_class_var():
     with pytest.raises(SrcTypeError) as exc:
         typecheck_class((), d)
     assert exc.value.kind == "ambiguous"
+
+
+def test_typecheck_class_rejects_a_method_binder_missing_from_the_head():
+    d = parse_program(
+        "class Bad a where { m : forall b. a -> Bool }; True").decls[0]
+    with pytest.raises(SrcTypeError) as exc:
+        typecheck_class((), d)
+    assert exc.value.kind == "ambiguous"
+    assert str(exc.value).endswith("b not in the head of the type")
 
 
 def test_typecheck_class_records_superclasses():

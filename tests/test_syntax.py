@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +7,7 @@ from dictelab import syntax as S
 from dictelab.parser import parse_expr
 
 from reference_eval import subst_tgt_var
-from strategies import TYVARS, fd_type, src_mono, tgt_term, tgt_type, type_mapping
+from strategies import TYVARS, fd_type, src_mono, tgt_term, type_mapping
 
 
 # ---------------------------------------------------------------------------

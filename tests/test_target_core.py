@@ -8,7 +8,7 @@ from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
                               OVERLAP, elab_fd_type, fd_env_wf)
 from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
-    TBool, TermBind, TRecord, TRecordTy, TTrue,
+    TBool, TermBind, TRecord, TTrue,
 )
 from dictelab.target_core import TgtTypeError, tgt_eval
 
