@@ -1070,7 +1070,7 @@ def unpack(forest, limit: int) -> list:
     memo: dict = {}     # id(subforest) -> its trees, or None if it has none
 
     def trees(x):
-        if type(x) is str:
+        if type(x) in _ONE_TREE:
             return None
         key = id(x)
         if key not in memo:
@@ -1078,22 +1078,15 @@ def unpack(forest, limit: int) -> list:
         return memo[key]
 
     def build(x):
-        cls = type(x)
-        if cls is IChoice or cls is TChoice:
+        cls, parts = type(x), _parts(x)
+        if cls in _CHOICES:
             out = []
-            for alt in x.alts:
+            for alt in parts:
                 if len(out) >= limit:
                     break
                 alt_trees = trees(alt)
                 out.extend((alt,) if alt_trees is None else alt_trees)
             return out[:limit]
-        if cls is tuple:
-            parts = x
-        else:
-            shape = _SHAPES.get(cls)
-            if shape is None or shape.var or issubclass(cls, _TYPES):
-                return None
-            parts = [getattr(x, f) for f in shape.fields]
         part_trees = [trees(p) for p in parts]
         if all(t is None for t in part_trees):
             return None
