@@ -5,10 +5,10 @@ either stage), run (evaluate the first elaboration), coherence (enumerate
 and compare all elaborations), decompose (compare direct vs composed
 target elaborations), meta (trace-check type safety, optionally fuzzing).
 
-Exit codes: 0 success, 1 parse/type error or unreadable input, 2 coherence
-or decomposition violation, 3 resource limit reached (fuel, enumeration
-truncation, input nested too deeply, or a constraint left unresolved only
-because a cap cut its resolution), 141 (128 + SIGPIPE) standard output
+Exit codes: 0 success, 1 parse/type error (an instance whose resolution
+might not terminate included) or unreadable input, 2 coherence or
+decomposition violation, 3 resource limit reached (fuel, enumeration
+truncation, input nested too deeply), 141 (128 + SIGPIPE) standard output
 closed before all of it was written, with no message.
 Setting the environment variable TCC_COLOR=0 disables styling.
 
@@ -93,8 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         p.add_argument("file", help="source program")
-        p.add_argument("--max-depth", type=at_least(1), default=32,
-                       help="constraint resolution depth limit")
         p.add_argument("--max-elaborations", type=at_least(1), default=256,
                        help="cap on enumerated elaborations")
         p.add_argument("--fuel", type=at_least(0), default=100_000,
@@ -282,14 +280,12 @@ def main(argv=None) -> int:
         p = _parse_file(ns.file, parse_program)
         ns.contexts = _load_contexts(ns)    # read before the program is typed
         return guard_stdout(ns.func, ns, typecheck_program(
-            p, Limits(ns.max_depth, ns.max_elaborations)))
+            p, Limits(ns.max_elaborations)))
     except _InputError as err:
         print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR
-    except SrcTypeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RESOURCE if err.kind == "resource" else EXIT_TYPE_ERROR
-    except (fd_core.FdTypeError, target_core.TgtTypeError, OSError) as err:
+    except (SrcTypeError, fd_core.FdTypeError, target_core.TgtTypeError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_TYPE_ERROR
     except FuelExhausted:

@@ -22,18 +22,17 @@ decomposition stays a cross-check.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 The elaborating judgments return one packed forest of derivations (see
-`syntax.unpack`): an `IChoice` stands wherever resolution has
-alternatives, local dictionary bindings in environment order before
-global instances in declaration order, and a node whose children hold
-choices stands for their Cartesian product, constraints resolved left to
-right. Each judgment also returns its count of elaborations, capped at
-`max_elaborations`, and whether a cap cut it; the counts are computed from
-the counts of the factors, so no product is materialized. A judgment
-resolves each constraint once, and resolution stops adding alternatives
-once they exceed the cap, so the cap bounds the work, not only the output.
-Unpacking a forest up to the cap yields the capped enumeration in its
-order. A typed program reads its counts off the forest, and unpacks its
-trees only when one is read (`syntax.Unpacked`).
+`syntax.unpack`), and nothing else: an `IChoice` stands wherever
+resolution has alternatives, local dictionary bindings in environment
+order before global instances in declaration order, and a node whose
+children hold choices stands for their Cartesian product, constraints
+resolved left to right. Resolution is total: an instance is admitted only
+if every constraint of its context is below its head in (type size, class
+rank) (`_check_termination`), so no depth bounds the search, and a
+judgment resolves each constraint once. A forest therefore holds every
+elaboration. A typed program reads the number of its trees off each root
+forest (`syntax.tree_count`), unpacks at most `max_elaborations` of them,
+and only when one is read (`syntax.Unpacked`).
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 
 from .syntax import (
     ClassDecl, DictBind, InstDecl, SrcConstraint, SrcConstraintScheme,
@@ -60,8 +60,8 @@ from . import syntax as S
 
 
 class SrcTypeError(Exception):
-    """A rejected program. Kind "resource" marks a constraint left
-    unresolved only because the depth or elaboration cap cut its search."""
+    """A rejected program. Kind "undecidable" marks an instance whose
+    resolution might not terminate (`_check_termination`)."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
@@ -70,7 +70,6 @@ class SrcTypeError(Exception):
 
 @frozen
 class Limits:
-    max_depth: int = 32
     max_elaborations: int = 256
 
 
@@ -222,26 +221,7 @@ def _instantiate(head: FdExpr, types, dicts) -> FdExpr:
 # Constraint entailment
 # ---------------------------------------------------------------------------
 
-def _cap(count: int, limits: Limits, truncated: bool = False):
-    """A count of elaborations capped at max_elaborations, and whether the
-    enumeration was cut, here or (truncated) in a factor."""
-    if count > limits.max_elaborations:
-        return limits.max_elaborations, True
-    return count, truncated
-
-
-def _choice(alts):
-    """One derivation forest for the alternatives alts."""
-    return alts[0] if len(alts) == 1 else IChoice(tuple(alts))
-
-
-def _unresolved(truncated: bool, message: str) -> SrcTypeError:
-    """The error for an empty resolution: a resource error when a cap cut
-    the search, since a larger cap might find one."""
-    if truncated:
-        return SrcTypeError("resource",
-                            f"{message} (resolution limit reached)")
-    return SrcTypeError("unsatisfiable", message)
+_UNRESOLVED = IChoice(())     # the forest of a constraint without resolutions
 
 
 def _instance_matches(P, q: SrcConstraint, q_vars: set[str]):
@@ -266,58 +246,50 @@ def _instance_matches(P, q: SrcConstraint, q_vars: set[str]):
         yield entry, type_args, ctx
 
 
-def entail(P, env, q: SrcConstraint, limits: Limits, depth: int = 0,
-           memo=None):
-    """The resolutions of q as one dictionary forest, with their capped
-    count and whether a cap cut them; an empty choice if there are none.
-    memo holds the resolutions already made in env, by constraint and
-    depth: a constraint met again is resolved once."""
+def entail(P, env, q: SrcConstraint, memo=None):
+    """The resolutions of q as one dictionary forest; `_UNRESOLVED` if
+    there are none. memo holds the resolutions already made in env: a
+    constraint met again is resolved once. Every instance step makes the
+    constraint smaller (`_check_termination`), so none is met again while
+    it is being resolved."""
     memo = {} if memo is None else memo
-    key = (q, depth)
-    if key not in memo:
-        memo[key] = _resolve(P, env, q, limits, depth, memo)
-    return memo[key]
+    if q not in memo:
+        memo[q] = None
+        memo[q] = _resolve(P, env, q, memo)
+    assert memo[q] is not None, f"{S.pretty(q)} met again in its resolution"
+    return memo[q]
 
 
-def _resolve(P, env, q, limits, depth, memo):
-    if depth >= limits.max_depth:
-        return IChoice(()), 0, True
-    alts, truncated = [], False
+def _resolve(P, env, q, memo):
+    alts = []
     for bind in env:
         # A shadowed binding gives the same derivation as its shadow.
         if isinstance(bind, DictBind) and bind.q == q:
             d = DVar(bind.name)
             if d not in alts:
                 alts.append(d)
-    count = len(alts)
     q_vars = set(free_type_vars(q.arg))
     tyvars = env_tyvars(env) | q_vars
     for entry, type_args, ctx in _instance_matches(P, q, q_vars):
-        if count > limits.max_elaborations:
-            break   # later alternatives lie past the cap
-        args, n, t = _entail_all(P, env, ctx, limits, depth + 1, memo)
-        types = tuple(elab_mono(tyvars, ty) for ty in type_args)
-        truncated |= t
-        if n:
+        args = _entail_all(P, env, ctx, memo)
+        if args is not None:
+            types = tuple(elab_mono(tyvars, ty) for ty in type_args)
             alts.append(DCon(entry.con, types, args))
-            count += n
-    count, cut = _cap(count, limits)
-    return _choice(alts), count, cut or truncated
+    if len(alts) == 1:
+        return alts[0]
+    return IChoice(tuple(alts)) if alts else _UNRESOLVED
 
 
-def _entail_all(P, env, qs, limits, depth, memo):
+def _entail_all(P, env, qs, memo):
     """Resolve a constraint list left to right: one dictionary forest per
-    constraint, and the capped count of their Cartesian product."""
-    forests, count, truncated = [], 1, False
+    constraint, or None if one of them has no resolution."""
+    forests = []
     for q in qs:
-        d, n, t = entail(P, env, q, limits, depth, memo)
-        truncated |= t
-        if not n:
-            return (), 0, truncated
+        d = entail(P, env, q, memo)
+        if d is _UNRESOLVED:
+            return None
         forests.append(d)
-        count = min(count * n, limits.max_elaborations + 1)
-    count, cut = _cap(count, limits, truncated)
-    return tuple(forests), count, cut
+    return tuple(forests)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +306,13 @@ def _let_dict_vars(name: str, qs) -> tuple[str, ...]:
     return tuple(f"δ{name}{i}" for i in range(1, len(qs) + 1))
 
 
-def infer(P, GC, env, e: SrcExpr, limits: Limits):
-    """Returns (type, elaboration forest, count, truncated)."""
+def infer(P, GC, env, e: SrcExpr):
+    """Returns (type, elaboration forest)."""
     match e:
         case STrue():
-            return SBool(), ITrue(), 1, False
+            return SBool(), ITrue()
         case SFalse():
-            return SBool(), IFalse(), 1, False
+            return SBool(), IFalse()
         case SApp():
             # The spine in a loop, its head first and then each argument
             # from the innermost, as a recursion on the function would.
@@ -348,20 +320,18 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
             while type(e) is SApp:
                 args.append(e.arg)
                 e = e.fun
-            fty, forest, n, truncated = infer(P, GC, env, e, limits)
+            fty, forest = infer(P, GC, env, e)
             for a in reversed(args):
                 if not isinstance(fty, SArrow):
                     raise SrcTypeError(
                         "mismatch",
                         f"applied a non-function of type {S.pretty(fty)}")
-                fa, n2, t2 = check(P, GC, env, a, fty.left, limits)
-                forest = IApp(forest, fa)
-                n, truncated = _cap(n * n2, limits, truncated | t2)
+                forest = IApp(forest, check(P, GC, env, a, fty.left))
                 fty = fty.right
-            return fty, forest, n, truncated
+            return fty, forest
         case SAnn(inner, ty):
             elab_mono(env_tyvars(env), ty)  # well-formedness
-            return (ty, *check(P, GC, env, inner, ty, limits))
+            return ty, check(P, GC, env, inner, ty)
         case SLet(x, sch, bound, body):
             _check_no_method_shadow(GC, x)
             if not unambig_scheme(sch):
@@ -375,15 +345,14 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
             env1 = (tuple(env)
                     + tuple(TyVarBind(a) for a in sch.binders)
                     + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            fb, n1, t1 = check(P, GC, env1, bound, sch.head, limits)
+            fb = check(P, GC, env1, bound, sch.head)
             closed_scheme = SrcScheme(sch.binders, closed, sch.head)
             env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, fbody, n2, t2 = infer(P, GC, env2, body, limits)
+            bty, fbody = infer(P, GC, env2, body)
             bound_ty = elab_type(GC, env, closed_scheme)
             qtys = [elab_constraint(GC, env_tyvars(env1), q) for q in closed]
-            return (bty, ILet(x, bound_ty, _abstract(sch.binders, dvars, qtys,
-                                                     fb), fbody),
-                    *_cap(n1 * n2, limits, t1 | t2))
+            return bty, ILet(x, bound_ty,
+                             _abstract(sch.binders, dvars, qtys, fb), fbody)
         case SVar(name):
             raise SrcTypeError(
                 "not-inferable",
@@ -396,8 +365,8 @@ def infer(P, GC, env, e: SrcExpr, limits: Limits):
     raise TypeError(e)
 
 
-def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
-    """Returns (elaboration forest, count, truncated)."""
+def check(P, GC, env, e: SrcExpr, ty: SrcMono):
+    """Returns the elaboration forest."""
     match e:
         case SVar(name) if (entry := lookup_method(GC, name)) is not None:
             # A method name is never rebound (_check_no_method_shadow), and
@@ -413,21 +382,20 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     f"method {name!r} cannot be used at type {S.pretty(ty)}")
             class_q = SrcConstraint(entry.cls, sigma[class_var])
             memo = {}
-            d, n0, t0 = entail(P, env, class_q, limits, 0, memo)
-            if not n0:
-                raise _unresolved(
-                    t0, f"cannot resolve {S.pretty(class_q)} for method "
-                        f"{name!r}")
-            args, n1, t1 = _entail_all(
-                P, env, [subst_type(q, sigma) for q in full.context], limits,
-                0, memo)
-            if not n1:
-                raise _unresolved(
-                    t1, f"cannot satisfy the constraints of method {name!r}")
+            d = entail(P, env, class_q, memo)
+            if d is _UNRESOLVED:
+                raise SrcTypeError(
+                    "unsatisfiable", f"cannot resolve {S.pretty(class_q)} "
+                                     f"for method {name!r}")
+            args = _entail_all(
+                P, env, [subst_type(q, sigma) for q in full.context], memo)
+            if args is None:
+                raise SrcTypeError(
+                    "unsatisfiable",
+                    f"cannot satisfy the constraints of method {name!r}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
             types = [elab_mono(tyvars, sigma[a]) for a in meth_binders]
-            return (_instantiate(IMethod(d, name), types, args),
-                    *_cap(n0 * n1, limits, t0 | t1))
+            return _instantiate(IMethod(d, name), types, args)
         case SVar(name):
             sch = _freshen_scheme(lookup_term(env, name),
                                   set(free_type_vars(ty)))
@@ -436,17 +404,15 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                 raise SrcTypeError(
                     "mismatch",
                     f"{name!r} cannot be used at type {S.pretty(ty)}")
-            args, n, truncated = _entail_all(
-                P, env, [subst_type(q, sigma) for q in sch.context], limits, 0,
-                {})
-            if not n:
-                raise _unresolved(
-                    truncated,
-                    f"cannot satisfy the constraints of {name!r} at "
-                    f"{S.pretty(ty)}")
+            args = _entail_all(
+                P, env, [subst_type(q, sigma) for q in sch.context], {})
+            if args is None:
+                raise SrcTypeError(
+                    "unsatisfiable", f"cannot satisfy the constraints of "
+                                     f"{name!r} at {S.pretty(ty)}")
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
             types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
-            return _instantiate(IVar(name), types, args), n, truncated
+            return _instantiate(IVar(name), types, args)
         case SLam(x, body):
             _check_no_method_shadow(GC, x)
             if not isinstance(ty, SArrow):
@@ -454,16 +420,15 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono, limits: Limits):
                     "mismatch",
                     f"lambda checked against non-function type {S.pretty(ty)}")
             env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            fb, n, truncated = check(P, GC, env1, body, ty.right, limits)
-            arg_ty = elab_mono(env_tyvars(env), ty.left)
-            return ILam(x, arg_ty, fb), n, truncated
+            fb = check(P, GC, env1, body, ty.right)
+            return ILam(x, elab_mono(env_tyvars(env), ty.left), fb)
         case _:
-            ity, forest, n, truncated = infer(P, GC, env, e, limits)
+            ity, forest = infer(P, GC, env, e)
             if ity != ty:
                 raise SrcTypeError(
                     "mismatch",
                     f"inferred {S.pretty(ity)} but expected {S.pretty(ty)}")
-            return forest, n, truncated
+            return forest
 
 
 def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
@@ -502,6 +467,46 @@ def typecheck_class(GC, d: ClassDecl) -> ClassEntry:
     return ClassEntry(d.method, d.superclasses, d.name, d.var, d.method_scheme)
 
 
+def _measure(t: SrcMono) -> Counter:
+    """The nodes of t, counted under None, and the uses of each of its type
+    variables, counted under its name."""
+    labels, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        labels.append(None)
+        if type(t) is SArrow:
+            todo += t.left, t.right
+        elif type(t) is STyVar:
+            labels.append(t.name)
+    return Counter(labels)
+
+
+def _check_termination(GC, con: str, closed, head_q: SrcConstraint):
+    """Reject an instance whose resolution might not terminate. Each
+    constraint D t' of its closed context must be no larger than its head
+    C t, use no type variable more often, and, where the sizes are equal,
+    D must be declared before C. A substitution keeps these comparisons,
+    so every instance step lowers (type size, class rank)."""
+    rank = {entry.cls: i for i, entry in enumerate(GC)}
+    head = _measure(head_q.arg)
+    for q in closed:
+        m = _measure(q.arg)
+        if not (m <= head and (m[None] < head[None]
+                               or rank[q.cls] < rank[head_q.cls])):
+            raise SrcTypeError(
+                "undecidable",
+                f"instance {con!r} may not terminate: its context "
+                f"constraint {S.pretty(q)} is not smaller than its head "
+                f"{S.pretty(head_q)}")
+
+
+def _read(forest, limits: Limits):
+    """How many trees of forest a typed program reads, at most
+    max_elaborations, and whether forest has more."""
+    total = S.tree_count(forest)
+    return min(total, limits.max_elaborations), total > limits.max_elaborations
+
+
 def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
     cls = lookup_class(GC, d.cls)
     if d.method != cls.method:
@@ -534,6 +539,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                 "overlap",
                 f"overlapping instances for class {d.cls!r}: "
                 f"{S.pretty(d.head)} overlaps {S.pretty(other.scheme.head.arg)}")
+    _check_termination(GC, con, closed, head_q)
     ctx_dvars = tuple(f"δ{con}_{i}" for i in range(1, len(closed) + 1))
     local_env = tyvar_env + tuple(
         DictBind(dv, q) for dv, q in zip(ctx_dvars, closed))
@@ -553,17 +559,12 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                          for dv, q in zip(meth_dvars, meth_ctx)))
     # Superclass constraints of the class must hold at the instance type.
     for sup in cls.superclasses:
-        _, n, truncated = entail(P, local_env, SrcConstraint(sup, d.head),
-                                 limits)
-        if not n:
-            raise _unresolved(
-                truncated,
-                f"superclass {sup!r} of {d.cls!r} is not derivable at "
-                f"{S.pretty(d.head)}")
-    forest, n, truncated = check(P, GC, local_env, d.body, meth_head, limits)
-    if not n:
-        raise _unresolved(
-            truncated, f"instance body for {con!r} has no elaboration")
+        if entail(P, local_env, SrcConstraint(sup, d.head)) is _UNRESOLVED:
+            raise SrcTypeError(
+                "unsatisfiable", f"superclass {sup!r} of {d.cls!r} is not "
+                                 f"derivable at {S.pretty(d.head)}")
+    forest = check(P, GC, local_env, d.body, meth_head)
+    n, truncated = _read(forest, limits)
     fd_scheme = FdConstraintScheme(
         binders, tuple(elab_constraint(GC, set(binders), q) for q in closed),
         elab_constraint(GC, set(binders), head_q))
@@ -806,19 +807,21 @@ def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
         else:
             P = P + (typecheck_instance(P, GC, d, limits),)
     # Method environments differ only in their choice of instance bodies.
-    count, truncated = _cap(math.prod(len(e.body_fd) for e in P), limits,
-                            any(e.truncated for e in P))
+    cap = limits.max_elaborations
+    truncated = (math.prod(len(e.body_fd) for e in P) > cap
+                 or any(e.truncated for e in P))
     choices = itertools.product(*(e.body_fd for e in P))
     TC = elab_class_env(GC)
     variants = tuple(MethodEnv(TC, P, bodies)
-                     for bodies in itertools.islice(choices, count))
+                     for bodies in itertools.islice(choices, cap))
     return Declarations(GC, P, TC, variants, truncated, limits)
 
 
 def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:
-    main_type, forest, n, t = infer(decls.P, decls.GC, (), main, decls.limits)
-    _, truncated = _cap(len(decls.variants) * n, decls.limits,
-                        t | decls.truncated)
+    main_type, forest = infer(decls.P, decls.GC, (), main)
+    n, truncated = _read(forest, decls.limits)
+    truncated |= (decls.truncated or len(decls.variants) * n
+                  > decls.limits.max_elaborations)
     return ProgramResult(main_type, main, decls, forest, n, truncated)
 
 

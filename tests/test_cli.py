@@ -231,15 +231,35 @@ def test_truncated_enumeration_prints_then_exits_3(capsys, cmd, fmt):
         assert out and full.startswith(out)
 
 
-def test_cap_emptied_resolution_exits_3(capsys):
-    code, out, err = run_cli(capsys, "check", src("P4"), "--max-depth", "1")
-    assert code == 3 and out == ""
-    assert "resolution limit" in err
+def _arrows(n: int) -> str:
+    """Eq at a type of n arrows, resolved through the instance for arrows
+    once per arrow."""
+    t = "Bool -> " * n + "Bool"
+    return ("class Eq a where { eq : a -> a -> Bool };\n"
+            "instance Eq Bool where { eq = \\x. \\y. True };\n"
+            "instance (Eq a, Eq b) => Eq (a -> b) where "
+            "{ eq = \\f. \\g. True };\n"
+            f"(eq :: ({t}) -> ({t}) -> Bool)\n")
+
+
+@pytest.mark.parametrize("n,code", [(40, 0), (400, 3)])
+def test_resolution_goes_as_deep_as_the_type(capsys, tmp_path, n, code):
+    # No depth caps resolution: 40 arrows resolve; 400 are too deep to
+    # process at all, and say so without a traceback.
+    path = tmp_path / "arrows.src"
+    path.write_text(_arrows(n))
+    got, out, err = run_cli(capsys, "check", str(path))
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: input nested too deeply to "
+                                  "process\n")
+    else:
+        assert out.endswith("1 class(es), 2 instance(s), "
+                            "1 elaboration(s)\n") and err == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--max-elaborations", "0"),
                                         ("--max-elaborations", "-1"),
-                                        ("--max-depth", "0"),
                                         ("--fuel", "-1"),
                                         ("--fuel", "x")])
 def test_out_of_range_limits_are_rejected(capsys, flag, value):

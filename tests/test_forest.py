@@ -23,7 +23,6 @@ from dictelab.source_typer import DirectTranslator, Limits, typecheck_program
 from conftest import (POSITIVE, corpus_contexts, corpus_text, count_calls,
                       flex_source, tower_source, type_and_translate,
                       wide_source)
-from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT, SELF_SUPPORT_TWICE
 from test_harness import FOUR_SIGMAS
 
 # ---------------------------------------------------------------------------
@@ -228,18 +227,24 @@ def test_each_forest_node_is_translated_once_per_sigma(monkeypatch, name):
         assert {i for c, i in keys if c == checker} >= forest
 
 
-@pytest.mark.parametrize("instance", [SELF_SUPPORT, SELF_SUPPORT_TWICE])
-def test_resolution_work_is_linear_in_the_depth_cap(monkeypatch, instance):
-    # The self-supporting instance resolves Eq Bool through itself until
-    # the depth cap; with a context of two Eq a, unshared resolution would
-    # double its work at every level.
+CHAIN = ("class Eq a where { eq : a -> a -> Bool };\n"
+         "instance Eq Bool where { eq = \\x. \\y. True };\n"
+         "instance (Eq a, Eq a) => Eq (Bool -> a) where "
+         "{ eq = \\f. \\g. True };\n")
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_resolution_work_is_linear_in_a_terminating_chain(monkeypatch, d):
+    # Eq at d nested Bool -> resolves Eq a twice at every level, down to
+    # Eq Bool: no depth bounds it, and with each constraint resolved once
+    # the work is one resolution per level, where unshared resolution
+    # would double it at every level.
     calls = count_calls(monkeypatch, source_typer, "_resolve")
-    for depth in (8, 16, 32):
-        calls.clear()
-        r = typecheck_program(parse_program(instance + LOCAL_EQ),
-                              Limits(max_depth=depth))
-        assert r.fd_truncated and r.fd_elabs
-        assert len(calls) == depth + 1
+    t = "Bool -> " * d + "Bool"
+    r = typecheck_program(
+        parse_program(CHAIN + f"(eq :: ({t}) -> ({t}) -> Bool)"))
+    assert len(r.fd_elabs) == 1 and not r.fd_truncated
+    assert len(calls) == d + 1
 
 
 # ---------------------------------------------------------------------------

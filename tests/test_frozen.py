@@ -29,8 +29,8 @@ import dictelab.cli  # so that every module of the package is imported
 from dictelab import harness, parser, source_typer, syntax as S
 
 import strategies
-from conftest import POSITIVE, corpus_program, corpus_result, corpus_text
-from test_enumeration_pin import LOCAL_EQ, SELF_SUPPORT_TWICE
+from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
+                      wide_source)
 
 SRC = Path(dictelab.__file__).resolve().parent.parent
 
@@ -235,20 +235,17 @@ def test_real_results_agree_with_their_twins(name):
 
 def test_a_typed_program_is_compared_and_shown_without_its_forest():
     # The forest is a function of the declarations and main, and a DAG: on
-    # this program its size as a tree quadruples every two levels of the
-    # depth cap. Walking it as a tree, `==`, hash and repr would take
-    # hours at the default depth of 32. Without it they do not grow with
-    # the depth.
-    results = [source_typer.typecheck_program(
-        parser.parse_program(SELF_SUPPORT_TWICE + LOCAL_EQ),
-        source_typer.Limits(max_depth=depth, max_elaborations=3))
-        for depth in (12, 14)]
-    assert [len(repr(r)) for r in results] == [1933, 1933]
-    for r in results:
-        other = source_typer.ProgramResult(
-            r.main_type, r.main, r.decls, S.ITrue(), r.count, r.fd_truncated)
-        assert other == r and hash(other) == hash(r)
-        assert repr(other) == repr(r) and "forest" not in repr(r)
+    # wide(8) it stands for 16^8 trees. Walking it as a tree, `==`, hash
+    # and repr would take hours. Without it they take the program's size.
+    r = source_typer.typecheck_program(
+        parser.parse_program(wide_source(8)),
+        source_typer.Limits(max_elaborations=3))
+    assert S.tree_count(r.forest) == 16 ** 8
+    assert len(repr(r)) == 2428
+    other = source_typer.ProgramResult(
+        r.main_type, r.main, r.decls, S.ITrue(), r.count, r.fd_truncated)
+    assert other == r and hash(other) == hash(r)
+    assert repr(other) == repr(r) and "forest" not in repr(r)
 
 
 def _shape(cls):
@@ -437,10 +434,10 @@ def test_each_method_names_its_own_class(cls):
 
 
 def test_limits_keep_their_defaults():
-    assert source_typer.Limits() == source_typer.Limits(32, 256)
+    assert source_typer.Limits() == source_typer.Limits(256)
     assert source_typer.Limits(max_elaborations=2) == \
-        source_typer.Limits(32, 2)
-    assert source_typer.Limits.__init__.__defaults__ == (32, 256)
+        source_typer.Limits(2)
+    assert source_typer.Limits.__init__.__defaults__ == (256,)
     assert S.SApp.__init__.__defaults__ is None
     assert S.SArrow.__new__.__defaults__ is None
 

@@ -49,7 +49,6 @@ def programs() -> dict[str, tuple[str, list[str]]]:
         out[f"flex{i}.src"] = (flex_source(i), [])
         out[f"tower{i}.src"] = (tower_source(i), [])
         out[f"wide{i}.src"] = (wide_source(i), ["--max-elaborations", "2"])
-    out["P4-depth1.src"] = (corpus_text("P4"), ["--max-depth", "1"])
     out["b0.src"] = (ORD + "True", [])
     out["b1.src"] = (ORD + f"{LE} True True", [])
     out["b2.src"] = (ORD + f"{LE} ({LE} True True) True", [])

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dictelab import fd_core, source_typer, syntax as S
+from dictelab.cli import main
 from dictelab.harness import squares
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
@@ -22,18 +23,20 @@ from dictelab.syntax import (
     SrcConstraintScheme, SrcScheme, TyVarBind,
 )
 
-from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
-                      tower_source, wide_source)
+from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
+                      count_calls, flex_source, tower_source, wide_source)
 from strategies import src_mono
+from test_golden_cli import LE, ORD
 
 LIMITS = Limits()
 
 
-def enumerated(forest, count, truncated):
-    """A judgment's forest unpacked up to its count: the list of
-    alternatives and the flag the judgment returned before it packed
-    them."""
-    return S.unpack(forest, count), truncated
+def enumerated(forest):
+    """A judgment's forest unpacked up to the default cap: the list of
+    alternatives, and whether the forest has more, the flag the judgment
+    returned before it packed them."""
+    n = S.tree_count(forest)
+    return S.unpack(forest, n), n > LIMITS.max_elaborations
 
 
 def _class(name, supers=(), method=None, var="a", head=None):
@@ -247,8 +250,7 @@ def _eq_instances():
 def test_entail_local_before_instance():
     P, _ = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, truncated = enumerated(*entail(P, env, SrcConstraint("Eq", SBool()),
-                                        LIMITS))
+    out, truncated = enumerated(entail(P, env, SrcConstraint("Eq", SBool())))
     assert not truncated
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
@@ -256,15 +258,15 @@ def test_entail_local_before_instance():
 def test_entail_recursive_instance():
     P, _ = _eq_instances()
     want = SrcConstraint("Eq", SArrow(SBool(), SBool()))
-    out, _ = enumerated(*entail(P, (), want, LIMITS))
+    out, _ = enumerated(entail(P, (), want))
     assert out == [DCon("D2_Eq", (S.IBool(),), (DCon("D1_Eq", (), ()),))]
 
 
 def test_entail_unsatisfiable_is_empty():
     P, _ = _eq_instances()
     env = (TyVarBind("b"),)
-    out, truncated = enumerated(*entail(
-        P, env, SrcConstraint("Eq", STyVar("b")), LIMITS))
+    out, truncated = enumerated(entail(
+        P, env, SrcConstraint("Eq", STyVar("b"))))
     assert out == [] and not truncated
 
 
@@ -273,8 +275,7 @@ def test_entail_resolves_a_shadowed_dictionary_once():
     # bindings give the same derivation.
     P, _ = _eq_instances()
     bind = DictBind("d", SrcConstraint("Eq", SBool()))
-    out, _ = enumerated(*entail(P, (bind, bind), SrcConstraint("Eq", SBool()),
-                                LIMITS))
+    out, _ = enumerated(entail(P, (bind, bind), SrcConstraint("Eq", SBool())))
     assert out == [DVar("d"), DCon("D1_Eq", (), ())]
 
 
@@ -326,52 +327,103 @@ def _direct(P, GC):
 def test_entail_tgt_local_uses_reserved_prefix():
     P, GC = _eq_instances()
     env = (DictBind("d", SrcConstraint("Eq", SBool())),)
-    out, _ = enumerated(*entail(P, env, SrcConstraint("Eq", SBool()), LIMITS))
+    out, _ = enumerated(entail(P, env, SrcConstraint("Eq", SBool())))
     assert _direct(P, GC)(out[0]) == S.TVar("$d_d")
 
 
 def test_entail_tgt_zero_arity_instance_is_bare_record():
     P, GC = _eq_instances()
-    out, _ = enumerated(*entail(P, (), SrcConstraint("Eq", SBool()), LIMITS))
+    out, _ = enumerated(entail(P, (), SrcConstraint("Eq", SBool())))
     (d,) = out
     rec = _direct(P, GC)(d)
     assert isinstance(rec, S.TRecord)
     assert rec.fields[0][0] == "eq"
 
 
-def test_entail_depth_limit_truncates_self_support():
-    # forall a. Eq a => Eq a  typechecks (its own context feeds the body)
-    # but use-site resolution recurses forever; the depth cap turns the
-    # infinite search into an empty, truncated result.
-    p = parse_program(
-        "class Eq a where { eq : a -> a -> Bool };\n"
-        "instance Eq a => Eq a where { eq = \\x. \\y. True };\n"
-        "True")
-    r = typecheck_program(p, Limits(max_depth=8))
-    out, truncated = enumerated(*entail(r.P, (), SrcConstraint("Eq", SBool()),
-                                        Limits(max_depth=8)))
-    assert out == [] and truncated
+# ---------------------------------------------------------------------------
+# Termination of resolution
+# ---------------------------------------------------------------------------
+
+EQ_CLASS = "class Eq a where { eq : a -> a -> Bool };\n"
+
+# name -> (source, the dictionary constructor of the rejected instance)
+UNDECIDABLE = {
+    "self-support": (
+        EQ_CLASS + "instance Eq a => Eq a where { eq = \\x. \\y. True };\n"
+        "True", "D1_Eq"),
+    "larger-context": (
+        EQ_CLASS
+        + "instance Eq (a -> a) => Eq a where { eq = \\x. \\y. True };\n"
+        "True", "D1_Eq"),
+    "more-variable-uses": (
+        EQ_CLASS + "instance Eq (a -> a) => Eq (a -> b) where "
+        "{ eq = \\x. \\y. True };\nTrue", "D1_Eq"),
+    "two-class-loop": (
+        "class A a where { ma : a -> Bool };\n"
+        "class B a where { mb : a -> Bool };\n"
+        "instance A Bool => B Bool where { mb = \\x. True };\n"
+        "instance B Bool => A Bool where { ma = \\x. True };\nTrue",
+        "D2_A"),
+    "superclass-loop": (
+        "class A a where { ma : a -> Bool };\n"
+        "class A a => B a where { mb : a -> Bool };\n"
+        "instance B Bool => A Bool where { ma = \\x. True };\nTrue",
+        "D1_A"),
+}
 
 
-def test_cap_emptied_resolution_is_a_resource_error():
-    # Eq (Bool -> Bool) needs Eq Bool one level down, past max_depth=1.
+@pytest.mark.parametrize("name", list(UNDECIDABLE))
+def test_an_instance_that_may_not_terminate_is_undecidable(capsys, tmp_path,
+                                                          name):
+    source, con = UNDECIDABLE[name]
     with pytest.raises(SrcTypeError) as exc:
-        typecheck_program(corpus_program("P4"), Limits(max_depth=1))
-    assert exc.value.kind == "resource"
+        typecheck_program(parse_program(source))
+    assert exc.value.kind == "undecidable"
+    assert repr(con) in str(exc.value)
+    path = tmp_path / f"{name}.src"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
-def test_cap_emptied_superclass_is_a_resource_error():
-    p = parse_program(
-        "class Base a where { base : a -> Bool };\n"
-        "class Base a => Sub a where { sub : a -> Bool };\n"
-        "instance Base Bool where { base = \\x. True };\n"
-        "instance Base a => Base (a -> a) where { base = \\f. True };\n"
-        "instance Sub (Bool -> Bool) where { sub = \\f. True };\n"
-        "True")
-    assert len(typecheck_program(p).P) == 3
-    with pytest.raises(SrcTypeError) as exc:
-        typecheck_program(p, Limits(max_depth=1))
-    assert exc.value.kind == "resource"
+SUPERCLASS_THROUGH_INSTANCE = (
+    "class Base a where { base : a -> Bool };\n"
+    "class Base a => Sub a where { sub : a -> Bool };\n"
+    "instance Base Bool where { base = \\x. True };\n"
+    "instance Base a => Base (a -> a) where { base = \\f. True };\n"
+    "instance Sub (Bool -> Bool) where { sub = \\f. True };\n"
+    "True")
+BOTH = ("class Eq a where { eq : a -> a -> Bool };\n"
+        "class Ord a where { le : a -> a -> Bool };\n"
+        "class Both a where { both : a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "instance Ord Bool where { le = \\x. \\y. False };\n"
+        "instance (Eq a, Ord a) => Both (a -> a) where "
+        "{ both = \\f. True };\n"
+        "(both :: (Bool -> Bool) -> Bool) (\\x. x)")
+
+TERMINATING = {
+    **{name: corpus_text(name) for name in POSITIVE},
+    **{f"flex{n}": flex_source(n) for n in (1, 2, 3)},
+    **{f"wide{k}": wide_source(k) for k in (1, 2, 3)},
+    **{f"tower{d}": tower_source(d) for d in (1, 2, 3)},
+    "b0": ORD + "True",
+    "b1": ORD + f"{LE} True True",
+    "b2": ORD + f"{LE} ({LE} True True) True",
+    "superclass": SUPERCLASS_THROUGH_INSTANCE,
+    "both": BOTH,
+}
+
+
+@pytest.mark.parametrize("name", list(TERMINATING))
+def test_an_instance_smaller_than_its_head_is_accepted(name):
+    # Context no larger than the head, no variable used more often, and an
+    # equal size only towards an earlier class: P4's and the tower's
+    # Eq a => Eq (a -> a), Base a => Base (a -> a), the flexible
+    # Eq Bool => Ord Bool of b0-b2, and the two constraints of Both.
+    program = parse_program(TERMINATING[name])
+    assert len(typecheck_program(program).P) == sum(
+        isinstance(d, S.InstDecl) for d in program.decls)
 
 
 def test_cap_bounds_the_work_on_a_wide_product():
@@ -407,37 +459,36 @@ def test_instance_matching_reuses_the_free_variables_of_the_constraint(
 # ---------------------------------------------------------------------------
 
 def test_infer_true():
-    ty, *forest = infer((), (), (), S.STrue(), LIMITS)
-    alts, truncated = enumerated(*forest)
+    ty, forest = infer((), (), (), S.STrue())
+    alts, truncated = enumerated(forest)
     assert ty == SBool() and alts == [S.ITrue()] and not truncated
 
 
 def test_check_method_against_local_dict():
     P, GC = _eq_instances()
     env = (TyVarBind("a"), DictBind("d", SrcConstraint("Eq", STyVar("a"))))
-    alts, _ = enumerated(*check(
+    alts, _ = enumerated(check(
         P, GC, env, S.SVar("eq"),
-        SArrow(STyVar("a"), SArrow(STyVar("a"), SBool())), LIMITS))
+        SArrow(STyVar("a"), SArrow(STyVar("a"), SBool()))))
     assert alts == [S.IMethod(DVar("d"), "eq")]
 
 
 def test_method_not_inferable():
     P, GC = _eq_instances()
     with pytest.raises(SrcTypeError) as exc:
-        infer(P, GC, (), S.SVar("eq"), LIMITS)
+        infer(P, GC, (), S.SVar("eq"))
     assert exc.value.kind == "not-inferable"
 
 
 def test_lambda_not_inferable():
     with pytest.raises(SrcTypeError) as exc:
-        infer((), (), (), S.SLam("x", S.SVar("x")), LIMITS)
+        infer((), (), (), S.SLam("x", S.SVar("x")))
     assert exc.value.kind == "not-inferable"
 
 
 def test_check_inf_requires_syntactic_equality():
     with pytest.raises(SrcTypeError) as exc:
-        check((), (), (), S.STrue(), SArrow(SBool(), SBool()),
-              LIMITS)
+        check((), (), (), S.STrue(), SArrow(SBool(), SBool()))
     assert exc.value.kind == "mismatch"
 
 
@@ -446,7 +497,7 @@ def test_unsatisfiable_constraint_at_use_site():
     env = (TyVarBind("b"),)
     with pytest.raises(SrcTypeError) as exc:
         check(P, GC, env, S.SVar("eq"),
-              SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())), LIMITS)
+              SArrow(STyVar("b"), SArrow(STyVar("b"), SBool())))
     assert exc.value.kind == "unsatisfiable"
 
 
@@ -455,7 +506,7 @@ def test_let_rejects_ambiguous_scheme():
     e = parse_expr("let f : forall a. Eq a => Bool -> Bool = \\x. x "
                    "in (f :: Bool -> Bool) True")
     with pytest.raises(SrcTypeError) as exc:
-        infer(P, GC, (), e, LIMITS)
+        infer(P, GC, (), e)
     assert exc.value.kind == "ambiguous"
 
 
@@ -465,9 +516,8 @@ def test_method_name_cannot_be_rebound():
                 "let eq : Bool = True in (eq :: Bool)"]:
         with pytest.raises(SrcTypeError) as exc:
             e = parse_expr(src)
-            check(P, GC, (), e, SArrow(SBool(), SBool()),
-                  LIMITS) if src.startswith("(\\") \
-                else infer(P, GC, (), e, LIMITS)
+            check(P, GC, (), e, SArrow(SBool(), SBool())) if src.startswith("(\\") \
+                else infer(P, GC, (), e)
         assert exc.value.kind == "shadow"
 
 
