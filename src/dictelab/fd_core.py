@@ -175,8 +175,10 @@ class FdChecker:
     implementations among them: the constructors whose implementations
     are checked, each against the strict prefix of the environment at
     first use (`_impl_memo`), each constructor's translation (`_records`),
-    type translations, by the type (`_elabs`), and the type of each
-    method projection, by the method and the dictionary's type
+    type translations, by the type (`_elabs`), the closed annotations
+    found well formed, which TC alone decides (`_closed`; an ill-formed
+    one is never recorded, so it raises at every check), and the type of
+    each method projection, by the method and the dictionary's type
     (`_methods`). All are bounded by the environment and the types it is
     used at.
 
@@ -195,10 +197,11 @@ class FdChecker:
     exists. `collect` bounds `_memo` while a trace is walked. A binder
     extends its environment by one binding, and an annotation reads the
     type variables of the environment at hand only if it has a free one
-    (`_wf`). The result types of type applications are memoized by the
-    polymorphic type and its argument (`_insts`), so a trace instantiates
-    each polymorphic type once; these keys are the term's own types, so
-    the memo ends with the checker. Translation is structural and reads no
+    (`_wf`); a closed one is checked until it passes once per Σ. The
+    result types of type applications are memoized by the polymorphic
+    type and its argument (`_insts`), so a trace instantiates each
+    polymorphic type once; these keys are the term's own types, so the
+    memo ends with the checker. Translation is structural and reads no
     typing environment, so its results are memoized by the identity of
     the node alone (`_targets`), which keeps the node alive; walking a
     trace translates nothing, so `collect` leaves them.
@@ -210,6 +213,7 @@ class FdChecker:
         self._impl_memo: set[str] = set()
         self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
+        self._closed: set = set()   # closed FdType or FdQ found well formed
         self._methods: dict = {}    # (method, FdQ) -> FdType
         self._dicts: dict = {}      # closed DCon -> FdQ
         self._insts: dict = {}      # (IForall, FdType) -> FdType
@@ -225,8 +229,9 @@ class FdChecker:
         must be a prefix of this checker's environment; a checker for a
         sigma given has its own dictionary memo."""
         out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
-        out._impl_memo, out._records, out._elabs, out._methods = \
-            self._impl_memo, self._records, self._elabs, self._methods
+        out._impl_memo, out._records, out._elabs, out._closed, \
+            out._methods = self._impl_memo, self._records, self._elabs, \
+            self._closed, self._methods
         if sigma is None:
             out._dicts = self._dicts
         return out
@@ -241,8 +246,13 @@ class FdChecker:
     def _wf(self, env, t):
         """Raises FdTypeError unless t, a type or dictionary type, is well
         formed under env, whose type variables are read only if t has a
-        free one."""
-        check_fd_type_wf(self.TC, env_tyvars(env) if t._fv else _NO_TYVARS, t)
+        free one. A closed t is well formed by TC alone: it is checked
+        until it passes once (`_closed`)."""
+        if t._fv:
+            check_fd_type_wf(self.TC, env_tyvars(env), t)
+        elif t not in self._closed:
+            check_fd_type_wf(self.TC, _NO_TYVARS, t)
+            self._closed.add(t)
 
     # -- expressions --------------------------------------------------------
 

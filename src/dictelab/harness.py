@@ -340,24 +340,34 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
 # Per-Σ state of a stream of terms
 # ---------------------------------------------------------------------------
 
-def _generators(sigma, TC):
-    """The closed dictionaries of sigma, and the method call of each with
-    its type."""
-    dicts = closed_dicts(sigma)
-    calls = []
-    for q, d in dicts:
-        entry = fd_core.lookup_class_by_name(TC, q.cls)
-        calls.append((IMethod(d, entry.method),
-                      subst_type(entry.method_type, {entry.var: q.arg})))
-    return dicts, calls
+class _Generators:
+    """The generator's state over one Σ: the closed dictionaries of sigma
+    (`closed_dicts`), the method call of each with its type (`calls`),
+    and the target types of the latest term generated (`kept`). Keeping
+    them keeps them interned while that term is checked, whose types are
+    mostly the same objects, and while the next term is generated; a
+    term's generation replaces the set, so it holds one term's types."""
+
+    def __init__(self, sigma, TC):
+        self.dicts = closed_dicts(sigma)
+        self.calls = []
+        for q, d in self.dicts:
+            entry = fd_core.lookup_class_by_name(TC, q.cls)
+            self.calls.append((IMethod(d, entry.method),
+                               subst_type(entry.method_type,
+                                          {entry.var: q.arg})))
+        self.kept = frozenset()
 
 
 def _stream(build, sigma, TC):
     """build(sigma, TC), part of the state the terms over sigma share:
     kept by sigma if it is a typed Σ over TC, else built for this call
     alone. The parts are a base checker (`FdChecker`), never used itself,
-    whose children check the terms, and the generator's closed
-    dictionaries (`_generators`)."""
+    whose children check the terms and share its per-Σ memos, closed
+    annotations found well formed among them, and the generator's state
+    (`_Generators`): its closed dictionaries and the types of the latest
+    term. Both are bounded: by the types the Σ is used at, and by one
+    term."""
     if isinstance(sigma, MethodEnv) and sigma.TC is TC:
         return sigma.derived(build)
     return build(sigma, TC)
@@ -441,7 +451,8 @@ def closed_dicts(sigma):
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed."""
     rng = random.Random(seed)
-    dicts, calls = _stream(_generators, sigma, TC)
+    state = _stream(_Generators, sigma, TC)
+    dicts, calls, kept = state.dicts, state.calls, set()
 
     def gen_type(depth: int):
         if depth <= 0:
@@ -467,6 +478,7 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
         return f"{prefix}{fresh[0]}"
 
     def gen(env, ty, size) -> FdExpr:
+        kept.add(ty)
         atoms = []
         for bind in env:
             if isinstance(bind, TermBind) and alpha_eq(bind.ty, ty):
@@ -530,7 +542,12 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
             options.append(elim_dapp)
         return rng.choice(options)()
 
-    return gen((), gen_type(2), size_bound)
+    e = gen((), gen_type(2), size_bound)
+    state.kept = kept
+    # gen reaches itself through its closure: a cycle, which would keep
+    # kept alive past the next term, until a garbage collection.
+    del gen
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -1200,21 +1200,47 @@ def _parts(x):
 
 def _count(x, memo: dict) -> int:
     """The trees of x. memo holds each subforest's count by id, so each
-    shared one is counted once; the forest keeps every key alive."""
-    cls = type(x)
-    if cls in _ONE_TREE:
+    shared one is counted once; the forest keeps every key alive. The walk
+    keeps its own stack, so a forest of any depth is counted: a node stays
+    on it, under the parts it has pushed, until every part is counted."""
+    one = _ONE_TREE
+    if type(x) in one:
         return 1
-    n = memo.get(id(x))
-    if n is None:
-        counts = [1 if type(part) in _ONE_TREE else _count(part, memo)
-                  for part in _parts(x)]
+    get = memo.get
+    n = get(id(x))
+    if n is not None:
+        return n
+    stack = [x]
+    while stack:
+        node = stack[-1]
+        cls = type(node)
+        parts = node if cls is tuple else _FIELDS[cls](node)
+        pending = False
         if cls in _CHOICES:
-            n = sum(counts)
+            n = 0
+            for part in parts:
+                if type(part) in one:
+                    n += 1
+                else:
+                    c = get(id(part))
+                    if c is None:
+                        stack.append(part)
+                        pending = True
+                    else:
+                        n += c
         else:
             n = 1
-            for c in counts:
-                n *= c
-        memo[id(x)] = n
+            for part in parts:
+                if type(part) not in one:
+                    c = get(id(part))
+                    if c is None:
+                        stack.append(part)
+                        pending = True
+                    else:
+                        n *= c
+        if not pending:
+            stack.pop()
+            memo[id(node)] = n
     return n
 
 

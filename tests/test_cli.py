@@ -242,10 +242,12 @@ def _arrows(n: int) -> str:
             f"(eq :: ({t}) -> ({t}) -> Bool)\n")
 
 
-@pytest.mark.parametrize("n,code", [(40, 0), (400, 3)])
+@pytest.mark.parametrize("n,code", [(40, 0), (250, 0), (400, 3)])
 def test_resolution_goes_as_deep_as_the_type(capsys, tmp_path, n, code):
-    # No depth caps resolution: 40 arrows resolve; 400 are too deep to
-    # process at all, and say so without a traceback.
+    # No depth caps resolution: 40 arrows resolve, and so do 250, whose
+    # derivation is 250 dictionaries deep, which the count of its trees
+    # walks on a stack of its own; 400 are too deep to process at all,
+    # and say so without a traceback.
     path = tmp_path / "arrows.src"
     path.write_text(_arrows(n))
     got, out, err = run_cli(capsys, "check", str(path))

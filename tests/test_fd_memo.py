@@ -12,11 +12,16 @@ must raise the same error class, kind and message.
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
+import dictelab
 from dictelab import fd_core, harness, syntax as S
 from dictelab.fd_core import (PREFIX_VIOLATION, FdChecker, FdTypeError,
                               fd_step, is_fd_value)
@@ -25,12 +30,12 @@ from dictelab.parser import parse_program
 from dictelab.source_typer import MethodEnv, typecheck_program
 from dictelab.syntax import (
     DCon, DictBind, DVar, FdExpr, FdQ, IApp, IArrow, IBool, IDLam, ILam, ILet,
-    ITrue, ITyLam, IVar, TermBind, TyVarBind,
+    IQArrow, ITrue, ITyApp, ITyLam, IVar, TermBind, TyVarBind, env_tyvars,
 )
 
-from conftest import (POSITIVE, corpus_program, corpus_result, count_calls,
-                      flex_source, tower_source, type_and_translate,
-                      wide_source)
+from conftest import (CORPUS, POSITIVE, corpus_program, corpus_result,
+                      count_calls, flex_source, tower_source,
+                      type_and_translate, wide_source)
 from reader import read_fd_expr
 
 
@@ -300,6 +305,65 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     assert not any(d._fv for _, d in typed)
 
 
+def test_the_fuzz_digest_checks_each_closed_annotation_once_per_sigma(
+        monkeypatch):
+    # check_fd_type_wf's calls over the fuzz digest, typed afresh,
+    # recursion included: an annotation with a free type variable is
+    # checked at each use, a closed one until it passes once per Σ.
+    checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
+    for _ in _stream(list(_digest_envs())):
+        pass
+    assert len(checks) == 1_565
+
+
+# Counts the nodes the fuzz digest interns anew, in all and while its
+# terms are checked, in a process of its own, where nothing but the
+# digest holds a type.
+COUNT_INTERNED = """
+import sys
+from dictelab import harness, syntax as S
+from dictelab.parser import parse_program
+from dictelab.source_typer import typecheck_program
+envs = []
+for path in sys.argv[1:]:
+    with open(path) as f:
+        r = typecheck_program(parse_program(f.read()))
+    envs.append((r, r.fd_elabs[0][0], r.fd_class_env))
+counts = {"all": 0, "checking": 0}
+checking = False
+facts = S._facts
+
+def counted(node):      # called once per node entered in a table
+    counts["all"] += 1
+    counts["checking"] += checking
+    return facts(node)
+
+S._facts = counted
+for _, sigma, TC in envs:
+    for size in (4, 6):
+        for seed in range(100):
+            e = harness.generate_fd_term(seed, size, sigma, TC)
+            checking = True
+            harness.check_metatheory(sigma, TC, e)
+            checking = False
+print(counts["all"], counts["checking"])
+"""
+
+
+def test_the_fuzz_digest_interns_its_types_about_once():
+    # A stream keeps the types of its latest term, so checking a term
+    # finds the types its generation interned, almost all of them.
+    env = dict(os.environ)
+    src = Path(dictelab.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_INTERNED,
+         *(str(CORPUS / f"{name}.src") for name in ("P2", "P4"))],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["2779", "4"]
+
+
 def _base_checkers(monkeypatch) -> list:
     """The base checker of each term checked from here on, in order: the
     checker whose `child` checks the term (not a prefix checker)."""
@@ -321,11 +385,15 @@ def test_a_typed_programs_stream_state_is_freed_with_it(monkeypatch):
     for seed in range(3):
         check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
     assert len(bases) == 3 and len(set(map(id, bases))) == 1
-    base = weakref.ref(bases.pop())
+    base, state = bases.pop(), sigma.derived(harness._Generators)
+    assert base._closed and state.kept
+    # The base checker, its closed annotations found well formed, the
+    # generator's state and the types of the latest term.
+    held = [weakref.ref(x) for x in (base, base._closed, state, state.kept)]
     bases.clear()
-    del r, sigma, TC
+    del r, sigma, TC, base, state
     gc.collect()
-    assert base() is None
+    assert [ref() for ref in held] == [None] * 4
 
 
 def test_a_sigma_given_another_class_environment_keeps_nothing(
@@ -423,3 +491,137 @@ def test_a_prefix_checker_keeps_its_own_dictionary_memo():
         assert err.value.kind == PREFIX_VIOLATION
         assert "references a constructor declared later" in str(err.value)
     assert list(checker._dicts) == [DCon("D2_Ord", (), ())]
+
+
+# ---------------------------------------------------------------------------
+# The closed-annotation memo: a closed type is checked until it passes
+# once per Σ; the latest term's types stay interned
+# ---------------------------------------------------------------------------
+
+# Eq Bool => Bool, closed and well formed under P4's TC; Ord Bool => Bool,
+# closed, but Ord is no class of P4.
+EQ_BOOL_TO_BOOL = IQArrow(EQ_BOOL, IBool())
+ORD_BOOL_TO_BOOL = IQArrow(FdQ("Ord", IBool()), IBool())
+
+
+def _annotated(ty) -> list:
+    """Terms whose typing checks the annotation ty first, well typed if
+    ty is Eq Bool => Bool."""
+    return [ILam("x", ty, IVar("x")),
+            ILet("v", ty, IDLam("d", EQ_BOOL, ITrue()), ITrue()),
+            ITyApp(ITyLam("a", ILam("y", IBool(), ITrue())), ty)]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except FdTypeError as err:
+        return type(err), err.kind, str(err)
+
+
+def test_an_ill_formed_closed_annotation_raises_at_every_check(
+        monkeypatch):
+    base = _p4_checker()
+    checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
+    for e in _annotated(ORD_BOOL_TO_BOOL):
+        got = [_outcome(base.child().check_expr, (), e) for _ in range(3)]
+        assert got == [(FdTypeError, fd_core.UNKNOWN_METHOD,
+                        "UnknownMethod: unknown class 'Ord'")] * 3
+    # Checked anew each time, as a fresh checker would, and never kept.
+    assert sum(args[2] is ORD_BOOL_TO_BOOL for args in checks) == 9
+    assert ORD_BOOL_TO_BOOL not in base._closed
+    # A well-formed one is checked once, whatever child checks it.
+    checks.clear()
+    for e in _annotated(EQ_BOOL_TO_BOOL):
+        for _ in range(3):
+            base.child().check_expr((), e)
+    assert [args[2] for args in checks].count(EQ_BOOL_TO_BOOL) == 1
+    assert EQ_BOOL_TO_BOOL in base._closed
+
+
+def _annotations(e, env, out):
+    """Add each (environment, annotation) pair that typing e under env
+    checks to out: the annotated binders' and lets' types, the type
+    arguments of type applications and of dictionary constructors."""
+    match e:
+        case ILam(_, ty, _) | ILet(_, ty, _, _) | ITyApp(_, ty):
+            out.append((env, ty))
+        case IDLam(_, q, _):
+            out.append((env, q))
+        case DCon(_, type_args, _):
+            out.extend((env, ty) for ty in type_args)
+    bind = _binding(e)
+    for f in e.__match_args__:
+        child = getattr(e, f)
+        for part in child if type(child) is tuple else (child,):
+            if isinstance(part, (FdExpr, S.FdDict)):
+                inner = env + (bind,) if f == "body" and bind else env
+                _annotations(part, inner, out)
+
+
+def _corpus_and_digest_annotations():
+    """The (Σ, TC, pairs) of every elaboration of PROGRAMS and of the fuzz
+    digest's terms."""
+    for r in PROGRAMS.values():
+        for sq in squares(r):
+            pairs = []
+            _annotations(sq.derivation, (), pairs)
+            yield sq.sigma, r.fd_class_env, pairs
+    for sigma, TC in _digest_envs():
+        pairs = []
+        for size in (4, 6):
+            for seed in range(100):
+                _annotations(generate_fd_term(seed, size, sigma, TC), (),
+                             pairs)
+        yield sigma, TC, pairs
+
+
+def test_the_closed_annotation_memo_agrees_with_checking_directly():
+    # Under the environment at the site, under none (where an open
+    # annotation fails), and over a TC without classes (where every
+    # dictionary type fails, a closed one too), each check twice.
+    seen = {"closed": 0, "failed": 0}
+    for sigma, TC, pairs in _corpus_and_digest_annotations():
+        for tc in (TC, ()):
+            checker = FdChecker(sigma, tc)
+            for env, t in pairs:
+                for at in (env, ()):
+                    want = _outcome(fd_core.check_fd_type_wf, tc,
+                                    env_tyvars(at), t)
+                    for typer in (checker, checker.child()):
+                        assert _outcome(typer._wf, at, t) == want
+                    seen["closed"] += not t._fv
+                    seen["failed"] += want is not None
+    assert seen["closed"] and seen["failed"]
+
+
+def test_a_checker_over_another_class_environment_has_its_own_memo():
+    base = _p4_checker()
+    e = ILam("x", EQ_BOOL_TO_BOOL, IVar("x"))
+    assert base.child().check_expr((), e) == \
+        IArrow(EQ_BOOL_TO_BOOL, EQ_BOOL_TO_BOOL)
+    assert EQ_BOOL_TO_BOOL in base._closed
+    # Children share the memo, prefix checkers too: they have the same TC.
+    assert base.child()._closed is base.child(base.sigma[:1])._closed \
+        is base._closed
+    other = FdChecker(base.sigma, ())
+    assert not other._closed
+    with pytest.raises(FdTypeError, match="unknown class 'Eq'"):
+        other.child().check_expr((), e)
+    assert not other._closed
+
+
+def test_a_stream_keeps_the_types_of_its_latest_term_only():
+    r = typecheck_program(corpus_program("P4"))
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    state = sigma.derived(harness._Generators)
+    every = set()
+    for seed in range(500):
+        e = generate_fd_term(seed, 6, sigma, TC)
+        every |= state.kept
+    # The state holds what the last term alone, generated over a Σ
+    # typed afresh, keeps: no type of an earlier term that it lacks.
+    alone = typecheck_program(corpus_program("P4")).fd_elabs[0][0]
+    assert generate_fd_term(499, 6, alone, alone.TC) == e
+    assert state.kept == alone.derived(harness._Generators).kept
+    assert len(state.kept) < len(every) / 10
