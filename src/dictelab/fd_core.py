@@ -26,12 +26,16 @@ a binder, and a closed dictionary is typed once per method environment.
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
 walks, and `fd_eval` reaches the same value, in the same number of steps,
-with an environment machine. The machine evaluates a packed forest too
-(`fd_leaves`): it forks where evaluation inspects a choice, and `fd_eval`
-is the case of one tree.
+with an environment machine (`run_machine`), which evaluates the target
+too, each language read through its table (`Language`). The machine
+evaluates a packed forest too (`fd_leaves`): it forks where evaluation
+inspects a choice, and `fd_eval` is the case of one tree.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import partial
 
 from .syntax import (
     DCon, DVar, DictBind, FdClassEntry, FdDict, FdExpr, FdQ, FdType,
@@ -593,7 +597,18 @@ def fd_env_wf(sigma, TC) -> FdChecker:
 # ---------------------------------------------------------------------------
 
 def is_fd_value(e: FdExpr) -> bool:
-    return isinstance(e, (ITrue, IFalse, ILam, IDLam, ITyLam))
+    return _FD.roles.get(type(e)) == _VALUE
+
+
+def _implementation(sigma, name: str) -> FdExpr:
+    """The implementation of the dictionary constructor name in sigma.
+    Method lookup uses the full environment, unlike constructor typing
+    which sees only the prefix."""
+    for entry in sigma:
+        if entry.con == name:
+            return entry.impl
+    raise FdTypeError(UNKNOWN_CONSTRUCTOR,
+                      f"unknown constructor {name!r} at runtime")
 
 
 def fd_step(sigma, e: FdExpr):
@@ -622,18 +637,12 @@ def fd_step(sigma, e: FdExpr):
                                   f"stuck dictionary application {S.pretty(e)}")
             return IDApp(f2, d)
         case IMethod(DCon(name, type_args, dict_args), _m):
-            # Method lookup uses the full environment, unlike constructor
-            # typing which sees only the prefix.
-            for entry in sigma:
-                if entry.con == name:
-                    out = entry.impl
-                    for ty in type_args:
-                        out = ITyApp(out, ty)
-                    for d in dict_args:
-                        out = IDApp(out, d)
-                    return out
-            raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                              f"unknown constructor {name!r} at runtime")
+            out = _implementation(sigma, name)
+            for ty in type_args:
+                out = ITyApp(out, ty)
+            for d in dict_args:
+                out = IDApp(out, d)
+            return out
         case IMethod(DVar(dv), _):
             raise FdTypeError(STUCK, f"free dictionary variable {dv!r}")
         case ILet(x, _, bound, body):
@@ -641,21 +650,6 @@ def fd_step(sigma, e: FdExpr):
         case _ if is_fd_value(e):
             return None
     raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
-
-
-# A stack frame of the machine, by the application node it stands for: the
-# abstraction it waits for, the sort that abstraction binds, the index of
-# that abstraction's body among its fields, and how a stuck application is
-# reported.
-_FD_FRAMES = {
-    IApp: (ILam, "iv", 2, "stuck application"),
-    ITyApp: (ITyLam, "ic", 1, "stuck type application"),
-    IDApp: (IDLam, "id", 2, "stuck dictionary application"),
-}
-# Read-back order: types, then dictionaries, then terms. A value read back
-# for one sort has no variable of a later sort, so later passes keep it.
-_FD_SORTS = ("ic", "id", "iv")
-_FD_VALUES = frozenset({ITrue, IFalse, ILam, IDLam, ITyLam})
 
 
 def spend_fuel(fuel: int) -> int:
@@ -670,15 +664,11 @@ def fd_eval(sigma, e: FdExpr, fuel: int) -> FdExpr:
     fuel steps: the one leaf of `fd_leaves` over e's first tree, or the
     error it raised.
 
-    A Krivine-style environment machine. Its state is the current term, an
-    environment mapping term, dictionary and type variables to unevaluated
-    closures (term, position, environment), and a stack of argument
-    frames. Closures are never updated, so the machine takes exactly the
-    reductions `fd_step` takes: beta, type beta, dictionary beta, let and
-    method unfolding each cost one unit of fuel, and a stuck term raises
-    the error `fd_step` raises. The final closure is read back with one
-    substitution per sort; on a closed e every substituted value is closed,
-    so the result is `==` to the small-step value.
+    The machine (`run_machine`) at the intermediate language: method
+    unfolding costs one unit of fuel besides the steps every language
+    takes, and a stuck term raises the error `fd_step` raises. On a closed
+    e every substituted value is closed, so the result is `==` to the
+    small-step value.
     """
     (leaf,) = fd_leaves(sigma, e, fuel, 1)
     if leaf.error is not None:
@@ -699,11 +689,81 @@ def fd_leaves(sigma, forest: FdExpr, fuel: int, limit: int) -> list:
     undecided choice at its first alternative, as the first tree of the
     leaf has it."""
     forks = S.Forks(forest, limit)
-    return forks.leaves(lambda *state: _fd_run(sigma, forks, *state), fuel)
+    return forks.leaves(
+        lambda *state: run_machine(_FD, sigma, forks, *state), fuel)
 
 
-def _fd_run(sigma, forks, e, pos, env, stack, fuel, decisions, low):
-    """The machine from one state (see `syntax.Forks`) to its leaf."""
+# ---------------------------------------------------------------------------
+# The machine, for the intermediate language and the target alike
+# ---------------------------------------------------------------------------
+
+def _scope(binder) -> tuple:
+    """The sort a binder class binds and the index of its body among its
+    fields, from the binding table."""
+    _, sort, (body,) = S._BINDERS[binder]
+    return sort, S._SHAPES[binder].fields.index(body)
+
+
+# A stack frame, by the eliminator it stands for: the introduction it
+# waits for, the sort it binds and the index of its body (none for a
+# record), and how a stuck eliminator is reported.
+_FRAMES = {
+    IApp: (ILam, *_scope(ILam), "stuck application"),
+    IDApp: (IDLam, *_scope(IDLam), "stuck dictionary application"),
+    ITyApp: (ITyLam, *_scope(ITyLam), "stuck type application"),
+    TApp: (TLam, *_scope(TLam), "stuck application"),
+    TTyApp: (TTyLam, *_scope(TTyLam), "stuck type application"),
+    TProj: (TRecord, None, None, "stuck projection"),
+}
+# A let's sort, and the indices of its body and its bound term.
+_LETS = {let: (*_scope(let), S._SHAPES[let].fields.index("bound"))
+         for let in (ILet, TLet)}
+
+# What the machine does at a term: push its frame and go to its head,
+# look up a variable, bind a let, unfold a method projection, or fork at
+# a choice. A term with none of these roles is a value.
+_PUSH, _LOOKUP, _LET, _METHOD, _CHOICE, _VALUE = range(6)
+_ROLES = {**dict.fromkeys(_FRAMES, _PUSH), **dict.fromkeys(_LETS, _LET),
+          IVar: _LOOKUP, TVar: _LOOKUP, IMethod: _METHOD,
+          IChoice: _CHOICE, TChoice: _CHOICE}
+
+Language = namedtuple("Language", "roles sorts stuck errors")
+Language.__doc__ = """The machine's table for one language: the role of
+each of its node classes, any other node being foreign to it; the order
+in which a closure is read back, one sort at a time; the error a stuck
+term raises, from its message; and the errors that end a branch in a
+leaf."""
+
+
+def language(terms, choice, sorts, error, *kind) -> Language:
+    """The table of the language whose terms are the subclasses of terms
+    and whose forests choose with choice. A stuck term raises error, of
+    kind if one is given."""
+    return Language({cls: _ROLES.get(cls, _VALUE)
+                     for cls in (*terms.__subclasses__(), choice)},
+                    sorts, partial(error, *kind), (error, FuelExhausted))
+
+
+# Read-back order: types, then dictionaries, then terms. A value read back
+# for one sort has no variable of a later sort, so later passes keep it.
+_FD = language(FdExpr, IChoice, ("ic", "id", "iv"), FdTypeError, STUCK)
+
+
+def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
+    """The machine of lang (see `Language`) under the method environment
+    sigma, from one state (see `syntax.Forks`) to its leaf.
+
+    A Krivine-style environment machine: the state is the current term,
+    an environment mapping (sort, name) to the unevaluated closure (term,
+    position, environment) of each variable, and a stack of frames, each
+    an eliminator's argument as a closure. Closures are never updated, so
+    the machine takes exactly the reductions of the leftmost call-by-name
+    small-step semantics, each for one unit of fuel, and a stuck term
+    raises the error that semantics raises. The final closure is read back
+    with one substitution per sort. A node of no role in lang raises
+    `TypeError`, as does a choice where the forest is one tree.
+    """
+    roles, sorts, stuck, errors = lang
     child = forks.child
 
     def code(node, npos):
@@ -711,33 +771,35 @@ def _fd_run(sigma, forks, e, pos, env, stack, fuel, decisions, low):
     try:
         while True:
             kind = type(e)
-            if kind is IApp or kind is IDApp:
-                stack.append((kind, e.arg, pos and child(pos, e, 1), env))
-                e, pos = e.fun, pos and child(pos, e, 0)
-            elif kind is ITyApp:
-                stack.append((kind, e.ty, None, env))
-                e, pos = e.fun, pos and child(pos, e, 0)
-            elif kind is IVar:
-                closure = env.get(("iv", e.name))
+            role = roles.get(kind)
+            if role == _PUSH:
+                # The argument: a term or dictionary, a type, or a record
+                # label, which reads back as itself.
+                head, arg = S._FIELDS[kind](e)
+                stack.append((kind, arg, pos and child(pos, e, 1), env))
+                e, pos = head, pos and child(pos, e, 0)
+            elif role == _LOOKUP:
+                closure = env.get((S._VAR_SORT[kind], e.name))
                 if closure is None:
                     spend_fuel(fuel)
-                    raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
+                    raise stuck(f"stuck term {S.pretty(e)}")
                 e, pos, env = closure
-            elif kind is ILet:
+            elif role == _LET:
                 fuel = spend_fuel(fuel)
-                env = {**env, ("iv", e.name): (e.bound,
-                                                pos and child(pos, e, 2), env)}
-                e, pos = e.body, pos and child(pos, e, 3)
-            elif kind is IMethod:
+                sort, body, bound = _LETS[kind]
+                env = {**env, (sort, e.name): (
+                    e.bound, pos and child(pos, e, bound), env)}
+                e, pos = e.body, pos and child(pos, e, body)
+            elif role == _METHOD:
                 d, dpos, denv = e.dict, pos and child(pos, e, 0), env
                 while True:
                     dkind = type(d)
                     if dkind is DVar:
-                        closure = denv.get(("id", d.name))
+                        closure = denv.get((S._VAR_SORT[dkind], d.name))
                         if closure is None:
                             spend_fuel(fuel)
-                            raise FdTypeError(
-                                STUCK, f"free dictionary variable {d.name!r}")
+                            raise stuck(
+                                f"free dictionary variable {d.name!r}")
                         d, dpos, denv = closure
                     elif dkind is IChoice and dpos:
                         j = forks.decide(dpos, d, (e, pos, env, stack, fuel,
@@ -748,13 +810,7 @@ def _fd_run(sigma, forks, e, pos, env, stack, fuel, decisions, low):
                 if dkind is not DCon:
                     raise TypeError(d)  # no dictionary, a choice node for one
                 fuel = spend_fuel(fuel)
-                # Method lookup uses the full environment, unlike constructor
-                # typing which sees only the prefix.
-                entry = next((x for x in sigma if x.con == d.name), None)
-                if entry is None:
-                    raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                                      f"unknown constructor {d.name!r} at "
-                                      f"runtime")
+                impl = _implementation(sigma, d.name)
                 # The implementation applied to the type arguments, then to
                 # the dictionary arguments: the first type argument ends on
                 # top.
@@ -764,30 +820,39 @@ def _fd_run(sigma, forks, e, pos, env, stack, fuel, decisions, low):
                                   apos and child(apos, args, k), denv))
                 stack.extend((ITyApp, t, None, denv)
                              for t in reversed(d.type_args))
-                e, pos, env = entry.impl, None, {}
-            elif kind is IChoice and pos:
+                e, pos, env = impl, None, {}
+            elif role == _CHOICE and pos:
                 j = forks.decide(pos, e, (e, pos, env, stack, fuel, decisions,
                                           low))
                 e, pos = e.alts[j], child(pos, e, j)
-            elif kind not in _FD_VALUES:
-                raise TypeError(e)      # no term, a choice node for one
+            elif role != _VALUE:
+                raise TypeError(e)      # a foreign node, or a choice in a tree
             elif not stack:
                 leaf = forks.value((e, pos, env, stack, fuel, decisions, low),
-                                   _FD_SORTS)
+                                   sorts)
                 if leaf:
                     return leaf
             else:
                 frame, arg, apos, aenv = stack[-1]
-                lam, sort, body, what = _FD_FRAMES[frame]
-                if kind is not lam:
+                intro, sort, body, what = _FRAMES[frame]
+                if kind is not intro:
                     spend_fuel(fuel)
-                    stuck = frame(
-                        S.read_back((e, pos, env), _FD_SORTS, code),
-                        S.read_back((arg, apos, aenv), _FD_SORTS, code))
-                    raise FdTypeError(STUCK, f"{what} {S.pretty(stuck)}")
+                    node = frame(S.read_back((e, pos, env), sorts, code),
+                                 S.read_back((arg, apos, aenv), sorts, code))
+                    raise stuck(f"{what} {S.pretty(node)}")
                 fuel = spend_fuel(fuel)
                 stack.pop()
-                env = {**env, (sort, e.param): (arg, apos, aenv)}
-                e, pos = e.body, pos and child(pos, e, body)
-    except (FdTypeError, FuelExhausted) as err:
+                if frame is TProj:
+                    k = next((k for k, (label, _) in enumerate(e.fields)
+                              if label == arg), None)
+                    if k is None:
+                        raise stuck(f"record has no field {arg!r}")
+                    field = e.fields[k]
+                    pos = pos and child(child(child(pos, e, 0), e.fields, k),
+                                        field, 1)
+                    e = field[1]
+                else:
+                    env = {**env, (sort, e.param): (arg, apos, aenv)}
+                    e, pos = e.body, pos and child(pos, e, body)
+    except errors as err:
         return S.Leaf(low, decisions, None, err)

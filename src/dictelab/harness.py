@@ -19,16 +19,17 @@ coherence context share: the reports take a typed program.
 Coherence: every elaboration read gives Kleene-equal results along every
 pipeline. Each Σ evaluates each translated forest once, not each tree:
 the intermediate forest under Σ (each value then translated and evaluated
-in the target), and the composed and the direct target forests. The
-machines fork only where evaluation inspects a choice, and prune a branch
-whose first tree lies past the Σ's cap, so a leaf stands for every tree
-that agrees with the decisions taken on its path (`syntax.Forks`). The
-leaves are ranked by the index of their first tree, as the enumeration
-ordered its values: per Σ, each derivation's intermediate then composed
-value, then the direct values of every Σ. The witness is the least, the
-counterexample the least that differs from it, and the error raised the
-least-ranked one; only a counterexample unpacks a tree, each of the two
-it prints. Decomposition: direct ≡α composed for every square.
+in the target), and the composed and the direct target forests, all
+with one environment machine (`fd_core.run_machine`), read through each
+language's table. It forks only where evaluation inspects a choice, and
+prunes a branch whose first tree lies past the Σ's cap, so a leaf stands
+for every tree that agrees with the decisions taken on its path
+(`syntax.Forks`). The leaves are ranked by the index of their first
+tree, as the enumeration ordered its values: per Σ, each derivation's
+intermediate then composed value, then the direct values of every Σ.
+The witness is the least, the counterexample the least that differs from
+it, and the error raised the least-ranked one; only a counterexample
+unpacks a tree, each of the two it prints. Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
 square by square, to name the derivations whose squares differ. Counts

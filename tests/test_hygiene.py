@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package, its tests or its scripts
-imports a name it never reads, and no function of the package takes a
-parameter it never reads. The scans are syntactic (`ast`): a name counts
-as read if the module, or the function's body, loads it anywhere, and a
-name listed in the module's `__all__` counts as read."""
+imports a name it never reads, no function of the package takes a
+parameter it never reads, and nothing the package defines at top level
+goes unread. The scans are syntactic (`ast`): a name counts as read if
+the module, or the function's body, loads it anywhere, and a name listed
+in the module's `__all__` counts as read."""
 
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(path for folder in ("src", "tests", "scripts")
                  for path in (ROOT / folder).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+# Where a definition of the package may be read: the benchmark too.
+READERS = sorted(path for folder in ("src", "tests", "scripts", "perfbench")
+                 for path in (ROOT / folder).rglob("*.py"))
+# A definition read from outside the sources: the package's version.
+UNREAD_DEFINITIONS = {"__version__"}
 # A parameter that a protocol fixes, by module, function and name:
 # `object.__setattr__` passes the value a frozen class refuses to set.
 PROTOCOL_PARAMETERS = {("syntax.py", "_frozen_setattr", "value")}
@@ -53,6 +59,67 @@ def test_the_scan_sees_an_unused_import():
               "import os, sys as system\nfrom a.b import c, d as e\n"
               "import x.y\nprint(c, system)\n")
     assert unused_imports(source) == ["2: os", "3: e", "4: x"]
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each function, class and name that source defines
+    at top level."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return out
+
+
+def reads(source: str) -> set[str]:
+    """The names source reads: each name it loads, unless only to store
+    into it (`x.doc = ...`, `x[k] = ...`); each attribute it loads; and
+    each part of a string that is a dotted name, as `getattr`,
+    `monkeypatch.setattr` and `__all__` name what they read."""
+    tree = ast.parse(source)
+    stored_into = {id(n.value) for n in ast.walk(tree)
+                   if isinstance(n, (ast.Attribute, ast.Subscript))
+                   and not isinstance(n.ctx, ast.Load)}
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) \
+                and id(n) not in stored_into:
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and all(p.isidentifier() for p in n.value.split(".")):
+            out.update(n.value.split("."))
+    return out
+
+
+def unread_definitions(package: dict[str, str], readers) -> list[str]:
+    """"module:line: name" for each top-level definition of the package,
+    sources by module name, that no source of readers reads."""
+    read = set().union(*map(reads, readers))
+    return [f"{module}:{line}: {name}" for module, source in package.items()
+            for line, name in definitions(source)
+            if name not in read and name not in UNREAD_DEFINITIONS]
+
+
+def test_no_definition_of_the_package_goes_unread():
+    assert unread_definitions({p.name: p.read_text() for p in PACKAGE},
+                              [p.read_text() for p in READERS]) == []
+
+
+def test_the_scan_sees_an_unread_definition():
+    package = {"m.py": ("def f(): return g\ndef g(): pass\nclass C: pass\n"
+                        "T, U = {}, 1\nT[0] = 1\nC.__doc__ = 'x'\n"
+                        "V: int = 2\nW = 3\n__version__ = '0'\n")}
+    readers = [*package.values(), "import m\nm.U\ngetattr(m, 'W')\n"]
+    assert unread_definitions(package, readers) == [
+        "m.py:1: f", "m.py:3: C", "m.py:4: T", "m.py:7: V"]
 
 
 def unused_parameters(source: str) -> list[tuple[str, str]]:
