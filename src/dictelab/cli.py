@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: check (typecheck a program), elaborate (print elaborations at
-either stage), run (evaluate the first elaboration), coherence (enumerate
-and compare all elaborations), decompose (compare direct vs composed
+either stage), run (evaluate the first elaboration), coherence (evaluate
+each translated forest of every method environment once and compare the
+results of all elaborations), decompose (compare direct vs composed
 target elaborations), meta (trace-check type safety, optionally fuzzing).
 
 Exit codes: 0 success, 1 parse/type error (an instance whose resolution
-might not terminate included) or unreadable input, 2 coherence or
-decomposition violation, 3 resource limit reached (fuel, enumeration
-truncation, input nested too deeply), 141 (128 + SIGPIPE) standard output
-closed before all of it was written, with no message.
+might not terminate included) or unreadable input, 2 coherence,
+decomposition or type-safety violation, 3 resource limit reached (fuel,
+enumeration truncation, input nested too deeply), 141 (128 + SIGPIPE)
+standard output closed before all of it was written, with no message.
 Setting the environment variable TCC_COLOR=0 disables styling.
 
 `python -m dictelab.cli` and the `dictelab` script both run `entry`, which

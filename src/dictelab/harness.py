@@ -1,15 +1,16 @@
 """Executable checks over whole programs.
 
-`squares` yields one commuting square per derivation D and method
-environment Σ, direct(D, Σ) and composed(fd(D, Σ)); every check reads
-both translations from it, and a command that prints one corner reads
-that corner alone (`corners`). Both translations are
-homomorphisms over derivations, so each Σ translates the program's packed
-forest of derivations once per side, and the squares unpack the two
-translated forests beside the derivations. That is the only path: no
-derivation is translated alone, and a forest that fails to type or
-translate raises, even where the failing alternative is used only by
-derivations past the cap, which no square reads. The composed side
+Both translations, direct(D, Σ) and composed(fd(D, Σ)), are
+homomorphisms over derivations D, so each method environment Σ
+translates the program's packed forest of derivations once per side
+(`_environments`). Coherence evaluates the two translated forests
+(`fd_leaves`, `tgt_leaves`), decomposition compares them (`forest_eq`),
+and a command that prints one corner unpacks that forest alone
+(`corners`); `squares` unpacks the commuting square of each derivation
+and Σ from the two forests, beside the derivations. That is the only
+path: no derivation is translated alone, and a forest that fails to
+type or translate raises, even where the failing alternative is used
+only by derivations past the cap, which no check reads. The composed side
 types the forest (`FdChecker.check_expr`, the typing judgment alone),
 then translates it (`FdChecker.translate`, a structural walk over the typed
 forest); coherence does the same for each intermediate value. Each Σ's
@@ -29,7 +30,8 @@ tree, as the enumeration ordered its values: per Σ, each derivation's
 intermediate then composed value, then the direct values of every Σ.
 The witness is the least, the counterexample the least that differs from
 it, and the error raised the least-ranked one; only a counterexample
-unpacks a tree, each of the two it prints. Decomposition: direct ≡α composed for every square.
+unpacks a tree, each of the two it prints.
+Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
 square by square, to name the derivations whose squares differ. Counts
@@ -78,8 +80,7 @@ class CoherenceReport:
     """Whether every elaboration read gives one value along every
     pipeline. composed holds the composed targets, as a tuple whose trees
     are unpacked from the forests at the first read of one (see
-    `syntax.Unpacked`); the pipelines read the same squares, so each count
-    is its length, read off the forests."""
+    `syntax.Unpacked`); each count is its length, read off the forests."""
     program_name: str
     truncated: bool
     all_kleene_equal: bool

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -136,6 +137,20 @@ def test_context_file_that_is_not_utf8_is_an_error(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith(f"error: {bad}: not UTF-8 text")
     assert len(err.splitlines()) == 1
+
+
+def test_coherence_reads_utf8_whatever_the_locale(tmp_path):
+    # A comment in the program and in each context is not ASCII; the
+    # locale's encoding is.
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    for path in [corpus / "P1.src", *(corpus / "contexts").glob("*.ctx")]:
+        path.write_text("-- δ λ\n" + path.read_text(encoding="utf-8"),
+                        encoding="utf-8")
+    proc = run_process("coherence", str(corpus / "P1.src"),
+                       "--contexts-dir", str(corpus / "contexts"),
+                       env=process_env(LC_ALL="C", PYTHONUTF8="0"))
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +303,12 @@ def test_coherence_exit_ok(capsys, name):
     code, out, _ = run_cli(capsys, "coherence", src(name))
     assert code == 0
     assert "all results Kleene-equal: True" in out
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_coherence_out_of_fuel_is_a_resource_error(capsys, name):
+    assert run_cli(capsys, "coherence", src(name), "--fuel", "0") == \
+        (3, "", "error: fuel exhausted\n")
 
 
 def test_coherence_with_contexts(capsys):

@@ -397,6 +397,21 @@ def test_fuzz_work_is_pinned():
                              "0f9d9987f8fb6bbca51e0d312ee12d94")
 
 
+def test_a_size_6_stream_checks_a_pinned_number_of_steps():
+    # The trace steps of P2's first 50 terms at size 6, recorded before
+    # each method environment kept its state across terms: a speed-up
+    # must not come from checking fewer steps.
+    r = corpus_result("P2")
+    sigma = r.fd_elabs[0][0]
+    steps = 0
+    for seed in range(50):
+        e = generate_fd_term(seed, 6, sigma, r.fd_class_env)
+        rep = check_metatheory(sigma, r.fd_class_env, e)
+        assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
+        steps += rep.steps_checked
+    assert steps == 226
+
+
 def test_fuzz_work_builds_no_target_term(monkeypatch):
     # Work counts: trace checking types every step and translates none.
     # An interned class builds its nodes in `__new__`.

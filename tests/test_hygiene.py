@@ -1,9 +1,9 @@
-"""Source hygiene: no module of the package, its tests or its scripts
-imports a name it never reads, no function of the package takes a
-parameter it never reads, and nothing the package defines at top level
-goes unread. The scans are syntactic (`ast`): a name counts as read if
-the module, or the function's body, loads it anywhere, and a name listed
-in the module's `__all__` counts as read."""
+"""Source hygiene: no module of the package or its tests imports a name
+it never reads, no function of the package takes a parameter it never
+reads, and nothing the package defines at top level goes unread. The
+scans are syntactic (`ast`): a name counts as read if the module, or the
+function's body, loads it anywhere, and a name listed in the module's
+`__all__` counts as read."""
 
 from __future__ import annotations
 
@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in ("src", "tests", "scripts")
+MODULES = sorted(path for folder in ("src", "tests")
                  for path in (ROOT / folder).rglob("*.py"))
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 # Where a definition of the package may be read: the benchmark too.
-READERS = sorted(path for folder in ("src", "tests", "scripts", "perfbench")
+READERS = sorted(path for folder in ("src", "tests", "perfbench")
                  for path in (ROOT / folder).rglob("*.py"))
 # A definition read from outside the sources: the package's version.
 UNREAD_DEFINITIONS = {"__version__"}
