@@ -158,15 +158,15 @@ def unambig_constraint(c: SrcConstraintScheme) -> bool:
 def elab_mono(tyvars: set[str], t: SrcMono) -> FdType:
     """The intermediate type of t, whose free type variables must be in
     tyvars: the first that is not is reported, in reading order. Each
-    subtree t shares is translated once."""
+    subtree t shares is translated once per node, for the node's life."""
     for _, a in t._fv:
         if a not in tyvars:
             raise SrcTypeError("unbound", f"unbound type variable {a!r}")
-    return _elab_mono(t, {})
+    return _elab_mono(t)
 
 
-def _elab_mono(t: SrcMono, memo: dict) -> FdType:
-    out = memo.get(t)
+def _elab_mono(t: SrcMono) -> FdType:
+    out = getattr(t, "_elab", None)
     if out is None:
         match t:
             case SBool():
@@ -174,10 +174,10 @@ def _elab_mono(t: SrcMono, memo: dict) -> FdType:
             case STyVar(a):
                 out = ITyVar(a)
             case SArrow(l, r):
-                out = IArrow(_elab_mono(l, memo), _elab_mono(r, memo))
+                out = IArrow(_elab_mono(l), _elab_mono(r))
             case _:
                 raise TypeError(t)
-        memo[t] = out
+        object.__setattr__(t, "_elab", out)
     return out
 
 

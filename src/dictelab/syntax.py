@@ -214,9 +214,11 @@ def frozen(cls, interned=False):
 # key, whose callback removes the entry when the node dies. A new node
 # caches its hash, that of its field tuple as a frozen class computes it,
 # its free variables of every sort and whether it holds a binder, all read
-# off its children's. Cached facts live in the node's `__dict__` and never
-# reach a copy or a pickle: `__reduce__` rebuilds the node through
-# `__new__`, which finds or enters it in the table of that process.
+# off its children's. A source type also caches its intermediate
+# translation, built at its first `source_typer.elab_mono`. Cached facts
+# live in the node's `__dict__` and never reach a copy or a pickle:
+# `__reduce__` rebuilds the node through `__new__`, which finds or enters
+# it in the table of that process.
 # ---------------------------------------------------------------------------
 
 # Every interned class -> its table.
@@ -1492,7 +1494,10 @@ def subst_type(node, mapping: dict):
 
 
 def free_type_vars(node) -> list[str]:
-    return free_vars(node, _type_sort_of(node))
+    sort = _type_sort_of(node)
+    if type(node) in _INTERNED:
+        return [n for s, n in node._fv if s == sort]
+    return free_vars(node, sort)
 
 
 def subst_fd_var(e: FdExpr, name: str, by: FdExpr) -> FdExpr:

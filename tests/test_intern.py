@@ -27,8 +27,11 @@ from hypothesis import given, settings
 import dictelab
 from dictelab import harness, parser, source_typer, syntax as S
 
+import reference_binding as ref
 import strategies
-from conftest import tower_source
+from conftest import (NEGATIVE, POSITIVE, corpus_text, flex_source,
+                      tower_source, wide_source)
+from test_golden_cli import LE, ORD
 
 SRC = Path(dictelab.__file__).resolve().parent.parent
 
@@ -124,6 +127,16 @@ def test_hashes_and_equality_are_the_dataclass_twins(t):
     assert hash(t) == hash(_twin(t))
     assert t == _build(t) and not t != _build(t)
     assert hash(t) == hash(tuple(getattr(t, f) for f in t.__match_args__))
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.src_mono | strategies.src_constraint | strategies.src_scheme
+       | strategies.fd_qual_type | strategies.fd_dict | strategies.tgt_type)
+def test_free_type_vars_reads_the_cached_facts_in_order(t):
+    # An interned node answers from its cached facts, which a dictionary
+    # shares between type and dictionary variables; a scheme is walked.
+    sort = S._type_sort_of(t)
+    assert S.free_type_vars(t) == ref.free_vars(t, sort)
 
 
 def test_a_pickle_carries_no_cached_fact():
@@ -224,13 +237,138 @@ def count_visits(fn, thunk) -> int:
 def test_type_walks_on_the_tower_grow_linearly(walk):
     # The tower's types have 2^d leaves and d+2 distinct arrows; a walk
     # that stops at shared nodes visits a fixed number more per level.
+    # Typing reads a type's free variables off its node, so the free
+    # variable walk is counted over the typed forest instead.
     counts = []
     for d in (6, 8, 10):
         p = parser.parse_program(tower_source(d))
-        counts.append(count_visits(walk, lambda: harness.decomposition_report(
-            source_typer.typecheck_program(p))))
+        if walk is S.unify:
+            def thunk():
+                harness.decomposition_report(
+                    source_typer.typecheck_program(p))
+        else:
+            forest = source_typer.typecheck_program(p).forest
+
+            def thunk():
+                S._free_by_sort(forest)
+        counts.append(count_visits(walk, thunk))
     assert counts[2] - counts[1] == counts[1] - counts[0]
     assert 0 < counts[2] < 200
+
+
+# ---------------------------------------------------------------------------
+# A source type's translation: a fact cached on its node
+# ---------------------------------------------------------------------------
+
+def _reference_elab(t):
+    """t's intermediate type, built node by node with no cache."""
+    match t:
+        case S.SBool():
+            return S.IBool()
+        case S.STyVar(a):
+            return S.ITyVar(a)
+        case S.SArrow(l, r):
+            return S.IArrow(_reference_elab(l), _reference_elab(r))
+    raise TypeError(t)
+
+
+def _source_types(x, out: dict) -> dict:
+    """Every source type in x, each once, in the order first met."""
+    if type(x) is tuple:
+        for item in x:
+            _source_types(item, out)
+    elif hasattr(x, "__match_args__"):
+        if isinstance(x, S.SrcMono):
+            out[x] = None
+        for f in x.__match_args__:
+            _source_types(getattr(x, f), out)
+    return out
+
+
+ELAB_PROGRAMS = {
+    **{name: corpus_text(name) for name in POSITIVE + NEGATIVE},
+    **{f"flex{n}": flex_source(n) for n in range(1, 9)},
+    **{f"wide{k}": wide_source(k) for k in (1, 2, 3)},
+    **{f"tower{d}": tower_source(d) for d in range(1, 11)},
+    "b0": ORD + "True",
+    "b1": ORD + f"{LE} True True",
+    "b2": ORD + f"{LE} ({LE} True True) True",
+}
+
+
+@pytest.mark.parametrize("name", list(ELAB_PROGRAMS))
+def test_a_cached_translation_is_the_structural_one(name):
+    program = parser.parse_program(ELAB_PROGRAMS[name])
+    types = list(_source_types(program, {}))
+    assert types
+    for t in types:
+        tyvars = {a for _, a in t._fv}
+        first = source_typer.elab_mono(tyvars, t)
+        assert first is _reference_elab(t)
+        assert source_typer.elab_mono(tyvars, t) is first
+    # Typing reads the same facts.
+    try:
+        source_typer.typecheck_program(program)
+    except source_typer.SrcTypeError:
+        assert name in NEGATIVE
+    for t in types:
+        assert source_typer.elab_mono({a for _, a in t._fv}, t) is \
+            _reference_elab(t)
+
+
+@pytest.mark.parametrize("tyvars", [{"b"}, set()], ids=["b", "none"])
+def test_a_cached_translation_still_reports_the_first_unbound_variable(
+        tyvars):
+    t = parser.parse_expr("(x :: a -> b)").ty
+    assert source_typer.elab_mono({"a", "b"}, t) is _reference_elab(t)
+    assert "_elab" in vars(t)
+    for _ in range(2):
+        with pytest.raises(source_typer.SrcTypeError,
+                           match="^unbound type variable 'a'$") as e:
+            source_typer.elab_mono(tyvars, t)
+        assert e.value.kind == "unbound"
+
+
+COUNT_TYPING = """
+import sys
+from dictelab import syntax as S
+from dictelab.parser import parse_program
+from dictelab.source_typer import typecheck_program
+program = parse_program(sys.argv[1])
+counts = []
+facts = S._facts
+
+def counted(node):      # called once per node entered in a table
+    counts[-1] += 1
+    return facts(node)
+
+S._facts = counted
+kept = []
+for _ in range(2):
+    counts.append(0)
+    kept.append(typecheck_program(program))
+print(*counts)
+"""
+
+
+@pytest.mark.parametrize("source, counts", [
+    (flex_source(5), ["19", "0"]),
+    (tower_source(8), ["41", "11"]),
+], ids=["flex5", "tower8"])
+def test_typing_interns_each_translation_once(source, counts):
+    # Work counts, in a fresh process: the nodes typing a parsed program
+    # enters in the tables, and again on a second typing of it while the
+    # first result is alive. Translating afresh at each use interned 42
+    # and 5 for flex(5), 53 and 14 for tower(8). The tower's second typing
+    # still builds the source types its resolution instantiates, which
+    # its first result does not hold: the Eq constraints of the levels.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", COUNT_TYPING, source],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == counts
 
 
 def test_an_interned_class_compares_every_field():
