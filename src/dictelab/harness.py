@@ -42,7 +42,9 @@ verdict and counts unpacks no tree.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
-generator's closed dictionaries, and the per-Σ memos of one base checker
+generator's closed dictionaries and their method calls, indexed by type
+(`_Generators`), so that a node finds the calls of its type by one lookup
+unless its type holds a binder, and the per-Σ memos of one base checker
 (see `FdChecker`): the implementations checked, the type of each closed
 dictionary, which the stream's terms type once per Σ, and the type of
 each method projection by method and dictionary type. Like the type
@@ -59,6 +61,7 @@ observations plus user-supplied finite context sets.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import namedtuple
 
@@ -70,8 +73,7 @@ from .source_typer import (Limits, MethodEnv, SrcTypeError, typecheck_main,
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    SrcMono, SrcProgram, TermBind, TgtExpr, alpha_eq, frozen, plug,
-    subst_type,
+    SrcMono, SrcProgram, TgtExpr, alpha_eq, frozen, plug, subst_type,
 )
 
 
@@ -344,20 +346,27 @@ def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
 
 class _Generators:
     """The generator's state over one Σ: the closed dictionaries of sigma
-    (`closed_dicts`), the method call of each with its type (`calls`),
-    and the target types of the latest term generated (`kept`). Keeping
-    them keeps them interned while that term is checked, whose types are
+    (`closed_dicts`), the method call of each, indexed by its type, and
+    the target types of the latest term generated (`kept`). A type
+    without binders is alpha-equal only to itself, so `calls` maps each
+    such type to its calls; the calls whose types hold a binder are a
+    list of (call, type) pairs, `bound_calls`, which a type with a binder
+    scans with `alpha_eq`. Both keep the calls' order. Keeping the types
+    keeps them interned while that term is checked, whose types are
     mostly the same objects, and while the next term is generated; a
     term's generation replaces the set, so it holds one term's types."""
 
     def __init__(self, sigma, TC):
         self.dicts = closed_dicts(sigma)
-        self.calls = []
+        self.calls, self.bound_calls = {}, []
         for q, d in self.dicts:
             entry = fd_core.lookup_class_by_name(TC, q.cls)
-            self.calls.append((IMethod(d, entry.method),
-                               subst_type(entry.method_type,
-                                          {entry.var: q.arg})))
+            call = IMethod(d, entry.method)
+            ty = subst_type(entry.method_type, {entry.var: q.arg})
+            if ty._binds:
+                self.bound_calls.append((call, ty))
+            else:
+                self.calls.setdefault(ty, []).append(call)
         self.kept = frozenset()
 
 
@@ -450,101 +459,105 @@ def closed_dicts(sigma):
     return found
 
 
+# The rules of a term of type ty, in the order `generate_fd_term` draws
+# among those that apply: ty's introduction form, an atom of type ty (a
+# variable, a literal or a method call), then the eliminations.
+_INTRO, _ATOM, _APP, _LET, _TYAPP, _DAPP = range(6)
+
+
+def _gen_type(rng, dicts, depth: int):
+    """A random type nested at most depth levels deep, whose constrained
+    arrows take their constraints from dicts."""
+    if depth <= 0:
+        return IBool()
+    match rng.randrange(4):
+        case 0:
+            return IBool()
+        case 1:
+            return IArrow(_gen_type(rng, dicts, depth - 1),
+                          _gen_type(rng, dicts, depth - 1))
+        case 2:
+            a = f"g{rng.randrange(3)}"
+            return IForall(a, IArrow(ITyVar(a),
+                                     _gen_type(rng, dicts, depth - 1)))
+        case _:
+            if dicts:
+                q, _ = rng.choice(dicts)
+                return IQArrow(q, _gen_type(rng, dicts, depth - 1))
+            return IBool()
+
+
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
-    """A closed well-typed term, deterministic per seed."""
+    """A closed well-typed term, deterministic per seed.
+
+    Each node draws one rule among those that apply (`_INTRO` ...), by
+    `rng.choice` over their numbers, and builds it. Its atoms are the
+    variables of its type in scope, the literals at `Bool` and the
+    method calls of its type (`_Generators`): a type without binders
+    meets its own by identity, and only one with a binder compares with
+    `alpha_eq`. An arrow or a constrained type names its binder before
+    the draw, whichever rule it takes."""
     rng = random.Random(seed)
     state = _stream(_Generators, sigma, TC)
-    dicts, calls, kept = state.dicts, state.calls, set()
-
-    def gen_type(depth: int):
-        if depth <= 0:
-            return IBool()
-        match rng.randrange(4):
-            case 0:
-                return IBool()
-            case 1:
-                return IArrow(gen_type(depth - 1), gen_type(depth - 1))
-            case 2:
-                a = f"g{rng.randrange(3)}"
-                return IForall(a, IArrow(ITyVar(a), gen_type(depth - 1)))
-            case _:
-                if dicts:
-                    q, _ = rng.choice(dicts)
-                    return IQArrow(q, gen_type(depth - 1))
-                return IBool()
-
-    fresh = [0]
-
-    def fresh_name(prefix: str) -> str:
-        fresh[0] += 1
-        return f"{prefix}{fresh[0]}"
+    dicts, calls, bound_calls = state.dicts, state.calls, state.bound_calls
+    kept, fresh = set(), itertools.count(1)
+    elims = (_APP, _LET, _TYAPP, _DAPP) if dicts else (_APP, _LET, _TYAPP)
+    # By whether the type has an introduction form, then atoms.
+    rules = ((elims, (_ATOM, *elims)),
+             ((_INTRO, *elims), (_INTRO, _ATOM, *elims)))
 
     def gen(env, ty, size) -> FdExpr:
+        # env: the (name, type) pair of each term variable in scope.
         kept.add(ty)
-        atoms = []
-        for bind in env:
-            if isinstance(bind, TermBind) and alpha_eq(bind.ty, ty):
-                atoms.append(IVar(bind.name))
-        if isinstance(ty, IBool):
-            atoms.append(ITrue())
-            atoms.append(IFalse())
-        for call, call_ty in calls:
-            if alpha_eq(call_ty, ty):
-                atoms.append(call)
-        intro = None
-        match ty:
-            case IArrow(l, r):
-                x = fresh_name("x")
-                intro = lambda s: ILam(x, l, gen(env + (TermBind(x, l),), r, s))
-            case IForall(a, body):
-                intro = lambda s: ITyLam(a, gen(env, body, s))
-            case IQArrow(q, r):
-                dv = fresh_name("dd")
-                intro = lambda s: IDLam(
-                    dv, q, gen(env + (S.DictBind(dv, q),), r, s))
-        if size <= 0:
-            if intro is not None:
-                return intro(0)
-            if atoms:
-                return rng.choice(atoms)
-            # Unreachable for the types gen_type produces, but stay total.
+        cls, binds = ty.__class__, ty._binds
+        atoms = [IVar(x) for x, t in env
+                 if t is ty or binds and alpha_eq(t, ty)]
+        if cls is IBool:
+            atoms += (ITrue(), IFalse())
+        if binds:
+            atoms += [call for call, t in bound_calls if alpha_eq(t, ty)]
+        else:
+            atoms += calls.get(ty, ())
+        if cls is IArrow:
+            x = f"x{next(fresh)}"
+        elif cls is IQArrow:
+            x = f"dd{next(fresh)}"
+        intro = cls is IArrow or cls is IQArrow or cls is IForall
+        if size > 0:
+            rule = rng.choice(rules[intro][bool(atoms)])
+            size -= 1
+        elif intro:
+            rule, size = _INTRO, 0
+        elif atoms:
+            return rng.choice(atoms)
+        else:
+            # Unreachable for the types _gen_type produces, but stay total.
             return ITrue()
-        options = []
-        if intro is not None:
-            options.append(lambda: intro(size - 1))
-        if atoms:
-            options.append(lambda: rng.choice(atoms))
+        if rule == _INTRO:
+            if cls is IArrow:
+                return ILam(x, ty.left,
+                            gen(env + ((x, ty.left),), ty.right, size))
+            if cls is IForall:
+                return ITyLam(ty.var, gen(env, ty.body, size))
+            return IDLam(x, ty.q, gen(env, ty.result, size))
+        if rule == _ATOM:
+            return rng.choice(atoms)
+        if rule == _APP:
+            t1 = _gen_type(rng, dicts, 1)
+            f = gen(env, IArrow(t1, ty), size)
+            return IApp(f, gen(env, t1, size))
+        if rule == _LET:
+            t1 = _gen_type(rng, dicts, 1)
+            x = f"v{next(fresh)}"
+            bound = gen(env, t1, size)
+            return ILet(x, t1, bound, gen(env + ((x, t1),), ty, size))
+        if rule == _TYAPP:
+            f = gen(env, IForall(f"b{next(fresh)}", ty), size)
+            return ITyApp(f, _gen_type(rng, dicts, 1))
+        q, d = rng.choice(dicts)
+        return IDApp(gen(env, IQArrow(q, ty), size), d)
 
-        def elim_app():
-            t1 = gen_type(1)
-            f = gen(env, IArrow(t1, ty), size - 1)
-            a = gen(env, t1, size - 1)
-            return IApp(f, a)
-
-        def elim_tyapp():
-            a = fresh_name("b")
-            f = gen(env, IForall(a, ty), size - 1)
-            return ITyApp(f, gen_type(1))
-
-        def elim_let():
-            t1 = gen_type(1)
-            x = fresh_name("v")
-            bound = gen(env, t1, size - 1)
-            body = gen(env + (TermBind(x, t1),), ty, size - 1)
-            return ILet(x, t1, bound, body)
-
-        options.append(elim_app)
-        options.append(elim_let)
-        options.append(elim_tyapp)
-        if dicts:
-            def elim_dapp():
-                q, d = rng.choice(dicts)
-                f = gen(env, IQArrow(q, ty), size - 1)
-                return IDApp(f, d)
-            options.append(elim_dapp)
-        return rng.choice(options)()
-
-    e = gen((), gen_type(2), size_bound)
+    e = gen((), _gen_type(rng, dicts, 2), size_bound)
     state.kept = kept
     # gen reaches itself through its closure: a cycle, which would keep
     # kept alive past the next term, until a garbage collection.

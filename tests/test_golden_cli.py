@@ -68,6 +68,7 @@ COMMANDS = [
     ["decompose"],
     ["decompose", "--format", "json"],
     ["meta"],
+    ["meta", "--generate", "20", "--seed", "7"],
 ]
 
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import pickle
 import sys
+import weakref
 
 import pytest
 
@@ -13,7 +15,7 @@ from dictelab.harness import (check_coherence, check_decomposition,
                               decomposition_lines, generate_fd_term,
                               meta_lines)
 from dictelab.parser import parse_program
-from dictelab.source_typer import Limits
+from dictelab.source_typer import Limits, MethodEnv, typecheck_program
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
@@ -21,6 +23,7 @@ from conftest import (POSITIVE, corpus_contexts, corpus_program,
                       corpus_result, corpus_text, count_calls, flex_source,
                       tower_source, type_and_translate, wide_source)
 from reader import read_fd_expr
+import reference_generator
 from test_golden_cli import programs
 
 
@@ -410,6 +413,52 @@ def test_a_size_6_stream_checks_a_pinned_number_of_steps():
         assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
         steps += rep.steps_checked
     assert steps == 226
+
+
+def _fresh_sigma(name: str):
+    """The first Σ of the corpus program name, typed afresh, so that its
+    stream state is new; or, for "()", a Σ with no instances over no
+    classes, which has no closed dictionaries."""
+    if name == "()":
+        return MethodEnv((), (), ())
+    return typecheck_program(corpus_program(name)).fd_elabs[0][0]
+
+
+@pytest.mark.parametrize("size", range(9))
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "()"])
+def test_generated_terms_agree_with_the_reference_generator(name, size):
+    # Seed by seed, the same terms as the generator that built a closure
+    # per rule and scanned every call with alpha_eq, and so the same
+    # random draws and fresh names; and the same types kept.
+    sigma = _fresh_sigma(name)
+    state = sigma.derived(harness._Generators)
+    ref = reference_generator.Generators(sigma, sigma.TC)
+    for seed in range(300):
+        e = generate_fd_term(seed, size, sigma, sigma.TC)
+        want = reference_generator.generate_fd_term(seed, size, ref)
+        assert e == want
+        assert S.pretty(e) == S.pretty(want)
+        assert state.kept == ref.kept
+        if name == "()":        # a Σ that is not a typed one
+            assert generate_fd_term(seed, size, (), ()) == e
+
+
+def test_generating_a_term_frees_the_types_the_last_one_kept():
+    # Generation leaves no reference cycle: without a garbage collection,
+    # the next term's generation frees the kept set of the one before.
+    sigma = _fresh_sigma("P2")
+    state = sigma.derived(harness._Generators)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in range(20):
+            generate_fd_term(seed, 6, sigma, sigma.TC)
+            old = weakref.ref(state.kept)
+            generate_fd_term(seed + 1, 6, sigma, sigma.TC)
+            assert old() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fuzz_work_builds_no_target_term(monkeypatch):
