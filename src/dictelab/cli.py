@@ -5,6 +5,10 @@ either stage), run (evaluate the first elaboration), coherence (evaluate
 each translated forest of every method environment once and compare the
 results of all elaborations), decompose (compare direct vs composed
 target elaborations), meta (trace-check type safety, optionally fuzzing).
+The three that evaluate, run, coherence and meta, take --fuel. The reports
+of coherence and decompose are verdicts: each command prints its file name,
+the program's type and, as JSON, the composed targets (`harness.corners`)
+beside them.
 
 Exit codes: 0 success, 1 parse/type error (an instance whose resolution
 might not terminate included) or unreadable input, 2 coherence,
@@ -96,8 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="source program")
         p.add_argument("--max-elaborations", type=at_least(1), default=256,
                        help="cap on enumerated elaborations")
-        p.add_argument("--fuel", type=at_least(0), default=100_000,
-                       help="evaluation step budget")
         p.add_argument("--format", choices=["text", "json"], default="text")
         return p
 
@@ -124,6 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="base seed for generated terms")
     p.add_argument("--generate", type=at_least(0), default=0,
                    help="additionally check this many generated terms")
+    for name in ("run", "coherence", "meta"):   # the commands that evaluate
+        sub.choices[name].add_argument("--fuel", type=at_least(0),
+                                       default=100_000,
+                                       help="evaluation step budget")
     return ap
 
 
@@ -219,15 +225,15 @@ def _load_contexts(ns):
 
 
 def cmd_coherence(ns, r) -> int:
-    rep = harness.coherence_report(r, ns.fuel, ns.contexts, ns.file)
+    rep = harness.coherence_report(r, ns.fuel, ns.contexts)
     if ns.format == "json":
-        elabs = [S.pretty(te) for te in rep.composed]
-        results = [rep.witness_value] * len(elabs) if rep.all_kleene_equal \
+        results = [rep.witness_value] * rep.count if rep.all_kleene_equal \
             else []
-        _emit_json(ns, rep.main_type, elabs, results, rep.all_kleene_equal,
+        elabs = [S.pretty(te) for te in harness.corners(r, "composed")]
+        _emit_json(ns, r.main_type, elabs, results, rep.all_kleene_equal,
                    rep.truncated)
     else:
-        for line in harness.coherence_lines(rep):
+        for line in harness.coherence_lines(rep, ns.file):
             print(_style(line, "31") if "VIOLATION" in line else line)
     if not rep.all_kleene_equal:
         return EXIT_VIOLATION
@@ -235,12 +241,12 @@ def cmd_coherence(ns, r) -> int:
 
 
 def cmd_decompose(ns, r) -> int:
-    rep = harness.decomposition_report(r, ns.file)
+    rep = harness.decomposition_report(r)
     if ns.format == "json":
-        _emit_json(ns, rep.main_type, [S.pretty(te) for te in rep.composed],
-                   [], rep.equal, rep.truncated)
+        elabs = [S.pretty(te) for te in harness.corners(r, "composed")]
+        _emit_json(ns, r.main_type, elabs, [], rep.equal, rep.truncated)
     else:
-        for line in harness.decomposition_lines(rep):
+        for line in harness.decomposition_lines(rep, ns.file):
             print(line)
     if not rep.equal:
         return EXIT_VIOLATION

@@ -44,8 +44,7 @@ from .syntax import (
     TApp, TArrow, TBool, TChoice, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
-    alpha_eq, dict_target_name, env_tyvars, rename_apart, subst_fd_dvar,
-    subst_fd_var, subst_type,
+    alpha_eq, dict_target_name, env_tyvars, rename_apart, subst, subst_type,
 )
 from . import syntax as S
 
@@ -615,7 +614,7 @@ def fd_step(sigma, e: FdExpr):
     """One leftmost call-by-name step, or None when e is a value."""
     match e:
         case IApp(ILam(x, _, body), a):
-            return subst_fd_var(body, x, a)
+            return subst(body, "iv", {x: a})
         case IApp(f, a):
             f2 = fd_step(sigma, f)
             if f2 is None:
@@ -629,7 +628,7 @@ def fd_step(sigma, e: FdExpr):
                 raise FdTypeError(STUCK, f"stuck type application {S.pretty(e)}")
             return ITyApp(f2, ty)
         case IDApp(IDLam(dv, _, body), d):
-            return subst_fd_dvar(body, dv, d)
+            return subst(body, "id", {dv: d})
         case IDApp(f, d):
             f2 = fd_step(sigma, f)
             if f2 is None:
@@ -646,7 +645,7 @@ def fd_step(sigma, e: FdExpr):
         case IMethod(DVar(dv), _):
             raise FdTypeError(STUCK, f"free dictionary variable {dv!r}")
         case ILet(x, _, bound, body):
-            return subst_fd_var(body, x, bound)
+            return subst(body, "iv", {x: bound})
         case _ if is_fd_value(e):
             return None
     raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")

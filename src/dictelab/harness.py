@@ -34,11 +34,11 @@ unpacks a tree, each of the two it prints.
 Decomposition: direct ≡α composed for every square.
 Equal translated forests unpack to equal squares, so decomposition
 compares the two forests of each Σ; only when they differ does it compare
-square by square, to name the derivations whose squares differ. Counts
-are read off the forests, never by enumeration: a typed program's
-elaborations and the composed targets of either report are built at the
-first read of one (see `syntax.Unpacked`), so a report read for its
-verdict and counts unpacks no tree.
+square by square, to name the derivations whose squares differ.
+Both reports are verdicts: what they rule, the count of elaborations read
+(off the forests, never by enumeration) and what a violation prints. The
+CLI prints the program's type and its composed targets from the typed
+program itself (`corners`), so a report unpacks no tree of its own.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
@@ -73,25 +73,21 @@ from .source_typer import (Limits, MethodEnv, SrcTypeError, typecheck_main,
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    SrcMono, SrcProgram, TgtExpr, alpha_eq, frozen, plug, subst_type,
+    SrcProgram, TgtExpr, alpha_eq, frozen, plug, subst_type,
 )
 
 
 @frozen
 class CoherenceReport:
     """Whether every elaboration read gives one value along every
-    pipeline. composed holds the composed targets, as a tuple whose trees
-    are unpacked from the forests at the first read of one (see
-    `syntax.Unpacked`); each count is its length, read off the forests."""
-    program_name: str
+    pipeline; count is the elaborations read of the program itself."""
     truncated: bool
     all_kleene_equal: bool
     witness_value: str
-    main_type: SrcMono
-    composed: tuple[TgtExpr, ...]
+    count: int
     counterexample: tuple[str, str] | None = None
 
-    elab_count_fd = elab_count_tgt = property(lambda self: len(self.composed))
+    elab_count_fd = elab_count_tgt = property(lambda self: self.count)
 
 
 @frozen
@@ -105,19 +101,14 @@ class Mismatch:
 
 @frozen
 class DecompositionReport:
-    """Whether the two target translations agree on every square read.
-    composed holds the composed targets, as a tuple whose trees are
-    unpacked from the forests at the first read of one (see
-    `syntax.Unpacked`); each side's count is its length, read off the
-    translated forests."""
-    program_name: str
+    """Whether the two target translations agree on every square read;
+    count is the squares read, each side's elaborations."""
     equal: bool
     truncated: bool
-    main_type: SrcMono
-    composed: tuple[TgtExpr, ...]
+    count: int
     mismatches: tuple[Mismatch, ...] = ()
 
-    count_direct = count_composed = property(lambda self: len(self.composed))
+    count_direct = count_composed = property(lambda self: self.count)
 
 
 @frozen
@@ -257,14 +248,12 @@ def _describe(outcome) -> str:
             f"{S.pretty(S.tree_at(outcome.forest, outcome.leaf.low))}")
 
 
-def coherence_report(r, fuel: int = 100_000, contexts=(),
-                     program_name: str = "") -> CoherenceReport:
+def coherence_report(r, fuel: int = 100_000, contexts=()) -> CoherenceReport:
     """Coherence of the typed program r and of its main plugged into each
     of contexts, (name, context) pairs typed against r's declarations one
     at a time until a counterexample: the first outcome, in rank order,
     whose value is not alpha-equal to the first's. Only a counterexample
-    unpacks a tree, each of the two it prints; the composed targets are
-    unpacked at the first read of one (see `corners`)."""
+    unpacks a tree, each of the two it prints."""
     def programs():
         yield r
         for name, ctx in contexts:
@@ -287,13 +276,10 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
                                               _describe(other))
             break
     return CoherenceReport(
-        program_name=program_name,
         truncated=truncated,
         all_kleene_equal=counterexample is None,
         witness_value=S.pretty(witness.leaf.value),
-        main_type=r.main_type,
-        composed=S.Unpacked(sum(n for _, n in r.variants_read),
-                            lambda: corners(r, "composed")),
+        count=len(r.fd_elabs),
         counterexample=counterexample)
 
 
@@ -301,13 +287,9 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
 # Decomposition
 # ---------------------------------------------------------------------------
 
-def decomposition_report(r, program_name: str = "") -> DecompositionReport:
+def decomposition_report(r) -> DecompositionReport:
     """Decomposition of the typed program r: per Σ, the two translated
-    forests, and square by square only where they differ. The counts are
-    read off the forests; the composed targets are unpacked from the
-    composed forests at the first read of one, by a second pass over the
-    environments (`corners`), which the translators' memos let translate
-    nothing."""
+    forests, and square by square only where they differ."""
     count, mismatches = 0, []
     for env in _environments(r):
         _, _, _, n, direct, composed = env
@@ -320,24 +302,20 @@ def decomposition_report(r, program_name: str = "") -> DecompositionReport:
                     S.pretty(sq.derivation), sq.variant,
                     S.pretty(sq.direct), S.pretty(sq.composed)))
     return DecompositionReport(
-        program_name=program_name,
         equal=not mismatches,
         truncated=r.fd_truncated,
-        main_type=r.main_type,
-        composed=S.Unpacked(count, lambda: corners(r, "composed")),
+        count=count,
         mismatches=tuple(mismatches))
 
 
 def check_coherence(p: SrcProgram, limits: Limits = Limits(),
-                    fuel: int = 100_000, contexts=(),
-                    program_name: str = "") -> CoherenceReport:
-    return coherence_report(typecheck_program(p, limits), fuel, contexts,
-                            program_name)
+                    fuel: int = 100_000, contexts=()) -> CoherenceReport:
+    return coherence_report(typecheck_program(p, limits), fuel, contexts)
 
 
-def check_decomposition(p: SrcProgram, limits: Limits = Limits(),
-                        program_name: str = "") -> DecompositionReport:
-    return decomposition_report(typecheck_program(p, limits), program_name)
+def check_decomposition(p: SrcProgram,
+                        limits: Limits = Limits()) -> DecompositionReport:
+    return decomposition_report(typecheck_program(p, limits))
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +547,11 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def coherence_lines(rep: CoherenceReport) -> list[str]:
+def coherence_lines(rep: CoherenceReport, name: str) -> list[str]:
     lines = [
-        f"program: {rep.program_name}" if rep.program_name else "program: <stdin>",
-        f"elaborations (intermediate): {rep.elab_count_fd}",
-        f"elaborations (direct target): {rep.elab_count_tgt}",
+        f"program: {name}",
+        f"elaborations (intermediate): {rep.count}",
+        f"elaborations (direct target): {rep.count}",
         f"truncated: {str(rep.truncated).lower()}",
     ]
     if rep.all_kleene_equal:
@@ -585,11 +563,11 @@ def coherence_lines(rep: CoherenceReport) -> list[str]:
     return lines
 
 
-def decomposition_lines(rep: DecompositionReport) -> list[str]:
+def decomposition_lines(rep: DecompositionReport, name: str) -> list[str]:
     lines = [
-        f"program: {rep.program_name}" if rep.program_name else "program: <stdin>",
-        f"direct elaborations: {rep.count_direct}",
-        f"composed elaborations: {rep.count_composed}",
+        f"program: {name}",
+        f"direct elaborations: {rep.count}",
+        f"composed elaborations: {rep.count}",
         f"truncated: {str(rep.truncated).lower()}",
         f"equal modulo alpha: {str(rep.equal).lower()}",
     ]

@@ -885,6 +885,9 @@ def _free_by_sort(node) -> dict[str, dict[str, None]]:
             go(getattr(x, f), inner if f in shape.scope else bound)
 
     go(node, frozenset())
+    # go reaches itself through its closure: a cycle, which would keep it
+    # and what it holds alive until a garbage collection.
+    del go
     return out
 
 
@@ -961,7 +964,9 @@ def subst(node, sort: str, mapping: dict):
             values.append(v)
         return x if same else cls(*values)
 
-    return go(node, mapping)
+    out = go(node, mapping)
+    del go      # a cycle, as in _free_by_sort
+    return out
 
 
 def _rename_binders(node, shape: _Shape, clash: set, avoid):
@@ -1042,7 +1047,9 @@ def _alpha_walk(a, b) -> bool:
                 return False
         return True
 
-    return go(a, b, {}, {})
+    out = go(a, b, {}, {})
+    del go      # a cycle, as in _free_by_sort
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1100,6 +1107,7 @@ def unpack(forest, limit: int) -> list:
         return [cls(*c) for c in combinations]
 
     out = trees(forest)
+    del trees, build    # each reaches the other through its closure
     return [forest][:limit] if out is None else out
 
 
@@ -1108,8 +1116,7 @@ class Unpacked:
     the first read of one and that keeps them: its length and truth need
     no enumeration. That build() made n trees is checked when it runs,
     since a miscounted forest would otherwise drop trees unseen. It
-    compares, hashes, prints, copies and pickles as the tuple of its
-    trees."""
+    compares as the tuple of its trees."""
 
     __slots__ = ("_n", "_build", "_trees")
 
@@ -1140,15 +1147,6 @@ class Unpacked:
         return self._read() == other if isinstance(other, tuple) \
             else NotImplemented
 
-    def __hash__(self):
-        return hash(self._read())
-
-    def __repr__(self):
-        return repr(self._read())
-
-    def __reduce__(self):
-        return tuple, (self._read(),)
-
 
 def forest_eq(a, b) -> bool:
     """a == b on two forests, comparing each pair of shared subforests
@@ -1174,7 +1172,9 @@ def forest_eq(a, b) -> bool:
             same.add(key)
         return True
 
-    return go(a, b)
+    out = go(a, b)
+    del go      # a cycle, as in _free_by_sort
+    return out
 
 
 _CHOICES = (IChoice, TChoice)
@@ -1274,7 +1274,9 @@ def tree_at(forest, i: int):
         values.reverse()
         return tuple(values) if type(x) is tuple else type(x)(*values)
 
-    return go(forest, i)
+    out = go(forest, i)
+    del go      # a cycle, as in _free_by_sort
+    return out
 
 
 Leaf = namedtuple("Leaf", "low decisions value error")
@@ -1475,7 +1477,9 @@ def unify(t1, t2, vars: set[str]):
             return alpha_eq(x, y)
         return all(go(getattr(x, f), getattr(y, f)) for f in shape.parts)
 
-    return out if go(t1, t2) else None
+    unified = go(t1, t2)
+    del go, occurs      # cycles, as in _free_by_sort
+    return out if unified else None
 
 
 # Friendly wrappers -----------------------------------------------------------
@@ -1498,14 +1502,6 @@ def free_type_vars(node) -> list[str]:
     if type(node) in _INTERNED:
         return [n for s, n in node._fv if s == sort]
     return free_vars(node, sort)
-
-
-def subst_fd_var(e: FdExpr, name: str, by: FdExpr) -> FdExpr:
-    return subst(e, "iv", {name: by})
-
-
-def subst_fd_dvar(e, name: str, by: FdDict):
-    return subst(e, "id", {name: by})
 
 
 def read_back(closure, sorts: tuple[str, ...], code):

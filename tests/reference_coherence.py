@@ -50,8 +50,7 @@ def first_difference(values):
     return None
 
 
-def coherence_report(r, fuel: int = 100_000, contexts=(),
-                     program_name: str = "") -> CoherenceReport:
+def coherence_report(r, fuel: int = 100_000, contexts=()) -> CoherenceReport:
     def programs():
         yield r
         for name, ctx in contexts:
@@ -72,10 +71,8 @@ def coherence_report(r, fuel: int = 100_000, contexts=(),
             witness = values[0][2]
             break
     return CoherenceReport(
-        program_name=program_name,
         truncated=truncated,
         all_kleene_equal=counterexample is None,
         witness_value=S.pretty(witness),
-        main_type=r.main_type,
-        composed=base_composed,
+        count=len(base_composed),
         counterexample=counterexample)

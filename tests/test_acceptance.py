@@ -41,8 +41,7 @@ def passed(n: int, text: str) -> None:
 def test_criterion_1_coherence_counts_and_witness():
     expected = {"P1": 1, "P2": 2, "P3": 2}
     for name, count in expected.items():
-        rep = check_coherence(corpus_program(name), fuel=FUEL,
-                              program_name=name)
+        rep = check_coherence(corpus_program(name), fuel=FUEL)
         assert rep.elab_count_fd == count, name
         assert rep.all_kleene_equal and rep.witness_value == "True", name
     passed(1, "P1/P2/P3 yield 1/2/2 elaborations, all Kleene-equal to True")
@@ -50,7 +49,7 @@ def test_criterion_1_coherence_counts_and_witness():
 
 def test_criterion_2_decomposition():
     for name in POSITIVE:
-        rep = check_decomposition(corpus_program(name), program_name=name)
+        rep = check_decomposition(corpus_program(name))
         assert rep.equal, (name, rep.mismatches)
     passed(2, "direct and composed target translations of every "
               "derivation agree modulo alpha on every positive program")

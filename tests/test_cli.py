@@ -281,9 +281,18 @@ def test_resolution_goes_as_deep_as_the_type(capsys, tmp_path, n, code):
                                         ("--fuel", "x")])
 def test_out_of_range_limits_are_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["check", src("P1"), flag, value])
+        main(["run", src("P1"), flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "elaborate", "decompose"])
+def test_fuel_is_an_option_only_of_the_commands_that_evaluate(capsys,
+                                                              command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, src("P1"), "--fuel", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fuel 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-3", "x"])

@@ -3,8 +3,10 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import itertools
 import pickle
 import sys
+import types
 import weakref
 
 import pytest
@@ -34,7 +36,7 @@ from test_golden_cli import programs
 @pytest.mark.parametrize("name,count", [("P1", 1), ("P2", 2), ("P3", 2),
                                         ("P4", 1)])
 def test_corpus_is_coherent(name, count):
-    rep = check_coherence(corpus_program(name), program_name=name)
+    rep = check_coherence(corpus_program(name))
     assert rep.all_kleene_equal
     assert not rep.truncated
     assert rep.elab_count_fd == rep.elab_count_tgt == count
@@ -44,15 +46,14 @@ def test_corpus_is_coherent(name, count):
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_coherence_survives_program_contexts(name):
-    rep = check_coherence(corpus_program(name), contexts=corpus_contexts(),
-                          program_name=name)
+    rep = check_coherence(corpus_program(name), contexts=corpus_contexts())
     assert rep.all_kleene_equal
 
 
 def test_coherence_report_lines_are_stable():
-    rep = check_coherence(corpus_program("P1"), program_name="P1")
-    lines = coherence_lines(rep)
-    assert lines == coherence_lines(rep)
+    rep = check_coherence(corpus_program("P1"))
+    lines = coherence_lines(rep, "P1")
+    assert lines == coherence_lines(rep, "P1")
     assert any("Kleene-equal" in ln for ln in lines)
 
 
@@ -72,7 +73,7 @@ def test_both_reports_read_one_typing(monkeypatch):
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_direct_and_composed_elaborations_coincide(name):
-    rep = check_decomposition(corpus_program(name), program_name=name)
+    rep = check_decomposition(corpus_program(name))
     assert rep.equal
     assert rep.count_direct == rep.count_composed
     assert rep.mismatches == ()
@@ -126,7 +127,7 @@ def _assert_the_square_breaks_at_the_local_dictionary():
     (m,) = rep.mismatches
     assert m.derivation == P3_LOCAL and m.variant == 0
     assert m.direct != m.composed
-    lines = decomposition_lines(rep)
+    lines = decomposition_lines(rep, "P3")
     assert f"  derivation: {P3_LOCAL} (method environment 0)" in lines
 
 
@@ -171,7 +172,8 @@ def test_decomposition_names_the_method_environment_of_a_mismatch(
     assert rep.count_direct == rep.count_composed == 4
     assert [m.variant for m in rep.mismatches] == [0, 1, 2]
     # The squares compared and the forest found equal, in variant order.
-    assert rep.composed == tuple(sq.composed for sq in harness.squares(r))
+    assert tuple(harness.corners(r, "composed")) == \
+        tuple(sq.composed for sq in harness.squares(r))
 
 
 def test_each_method_environment_is_validated_once(monkeypatch):
@@ -203,7 +205,8 @@ def test_decomposition_after_coherence_translates_nothing(monkeypatch):
     checked = count_calls(monkeypatch, fd_core.FdChecker, "_infer")
     composed = count_calls(monkeypatch, fd_core.FdChecker, "_translate")
     dec = harness.decomposition_report(r)
-    assert dec.equal and dec.composed == coh.composed
+    assert dec.equal and dec.count == coh.count == \
+        len(list(harness.corners(r, "composed")))
     assert nodes == [] and checked == [] and composed == []
 
 
@@ -249,14 +252,16 @@ def test_a_copy_or_pickle_of_a_sigma_is_equal_and_keeps_nothing():
 def test_coherence_and_decomposition_share_the_composed_targets(name):
     p = corpus_program(name) if name in POSITIVE \
         else parse_program(programs()[name][0])
-    assert check_coherence(p).composed == check_decomposition(p).composed
+    # Both count the composed targets that the CLI prints beside them.
+    assert check_coherence(p).count == check_decomposition(p).count == \
+        len(list(harness.corners(typecheck_program(p), "composed")))
 
 
 def test_coherence_violation_names_both_elaborations(monkeypatch):
     # A wrong local dictionary in the direct translation makes one direct
     # target evaluate to False; the report names it and the first value.
     _break_direct_dictionary_variables(monkeypatch)
-    rep = check_coherence(corpus_program("P3"), program_name="P3")
+    rep = check_coherence(corpus_program("P3"))
     assert not rep.all_kleene_equal
     assert rep.counterexample == (
         "fd value of let isz : [Eq Bool] -> Bool -> Bool = "
@@ -269,8 +274,8 @@ def test_coherence_violation_names_both_elaborations(monkeypatch):
 
 
 def test_decomposition_report_lines():
-    rep = check_decomposition(corpus_program("P1"), program_name="P1")
-    assert any("equal" in ln for ln in decomposition_lines(rep))
+    rep = check_decomposition(corpus_program("P1"))
+    assert any("equal" in ln for ln in decomposition_lines(rep, "P1"))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +464,30 @@ def test_generating_a_term_frees_the_types_the_last_one_kept():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_the_first_fuzz_terms_leave_no_syntax_closure_as_garbage():
+    # The walks of `syntax` leave no reference cycle through their
+    # closures: with collections off, the first terms of the fuzz work,
+    # typed programs included, leave no function of `syntax` that only a
+    # collection would free.
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in itertools.islice(_fuzz_work(), 20):
+            pass
+        gc.collect()
+        left = [f.__qualname__ for f in gc.garbage
+                if type(f) is types.FunctionType
+                and f.__module__ == "dictelab.syntax"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_fuzz_work_builds_no_target_term(monkeypatch):

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or its tests imports a name
 it never reads, no function of the package takes a parameter it never
-reads, and nothing the package defines at top level goes unread. The
-scans are syntactic (`ast`): a name counts as read if the module, or the
-function's body, loads it anywhere, and a name listed in the module's
+reads, nothing the package defines at top level goes unread, and no
+nested function of the package outlives its call in a reference cycle.
+The scans are syntactic (`ast`): a name counts as read if the module, or
+the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
 
 from __future__ import annotations
@@ -158,3 +159,70 @@ def test_the_scan_sees_an_unused_parameter():
               "    def m(self, z): return 1\n")
     assert unused_parameters(source) == [
         ("f", "b"), ("f", "c"), ("f", "g"), ("m", "z"), ("<lambda>", "y")]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope(function):
+    """The nodes of function's body, each function or lambda it defines
+    included, but none of theirs."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def closure_cycles(source: str) -> list[str]:
+    """"line: name" for each function defined in another that reaches its
+    own name, loaded in its body or in the body of a function defined
+    beside it that it loads: a reference cycle through their closures,
+    which only a garbage collection frees. The enclosing function breaks
+    it by deleting the name (`del`) before it returns."""
+    out = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        own = list(_scope(outer))
+        defs = {n.name: n for n in own if isinstance(n, FUNCTIONS)}
+        deleted = {t.id for n in own if isinstance(n, ast.Delete)
+                   for t in n.targets if isinstance(t, ast.Name)}
+        loads = {name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load) and n.id in defs}
+                 for name, f in defs.items()}
+        for name, f in defs.items():
+            reached, todo = set(), [name]
+            while todo:
+                new = loads[todo.pop()] - reached
+                reached |= new
+                todo += new
+            if name in reached and name not in deleted:
+                out.append((f.lineno, name))
+    return [f"{line}: {name}" for line, name in sorted(out)]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_closure_reaches_itself_past_its_call(path):
+    assert closure_cycles(path.read_text()) == []
+
+
+def test_the_scan_sees_a_closure_cycle():
+    source = ("def f():\n"
+              "    def go(x): return go(x - 1) if x else 0\n"
+              "    def a(): return b()\n"
+              "    def b(): return a()\n"
+              "    def h(): return go(0)\n"
+              "    return go(1) + h()\n"
+              "def g():\n"
+              "    def go(x): return go(x) if x else lambda: go\n"
+              "    out = go(1)\n"
+              "    del go\n"
+              "    return out\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        def up(x): return up(x)\n"
+              "        return up\n")
+    assert closure_cycles(source) == ["2: go", "3: a", "4: b", "14: up"]
