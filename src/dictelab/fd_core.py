@@ -166,8 +166,10 @@ class FdChecker:
     translation of the terms it has typed.
 
     `check_expr` and `check_dict` are the typing judgment alone: they
-    return a type and build no target term. `translate` is the second
-    translation step, from a typed term to the target.
+    return a type and build no target term. A term is typed by the rule
+    of its class, found by one lookup (`_RULES`), as the machine finds a
+    node's role in its `Language`. `translate` is the second translation
+    step, from a typed term to the target.
 
     Typing and translation are deterministic, so results are memoized at
     two levels. Types and dictionaries are interned (`syntax.interned`),
@@ -270,98 +272,126 @@ class FdChecker:
         return hit[2]
 
     def _infer(self, env, e: FdExpr) -> FdType:
-        match e:
-            case ITrue() | IFalse():
-                return IBool()
-            case IVar(x):
-                for bind in reversed(env):
-                    if isinstance(bind, TermBind) and bind.name == x:
-                        return bind.ty
-                raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
-            case ILam(x, ty, body):
-                self._wf(env, ty)
-                return IArrow(ty, self.check_expr(env + (TermBind(x, ty),),
-                                                  body))
-            case IApp(f, a):
-                fty = self.check_expr(env, f)
-                if not isinstance(fty, IArrow):
-                    raise FdTypeError(
-                        MISMATCH, f"applied a non-function of type {S.pretty(fty)}")
-                aty = self.check_expr(env, a)
-                if not alpha_eq(aty, fty.left):
-                    raise FdTypeError(
-                        MISMATCH,
-                        f"argument has type {S.pretty(aty)}, "
-                        f"expected {S.pretty(fty.left)}")
-                return fty.right
-            case IDLam(dv, q, body):
-                self._wf(env, q)
-                return IQArrow(q, self.check_expr(env + (DictBind(dv, q),),
-                                                  body))
-            case IDApp(f, d):
-                fty = self.check_expr(env, f)
-                if not isinstance(fty, IQArrow):
-                    raise FdTypeError(
-                        MISMATCH,
-                        f"dictionary applied to non-constrained type "
-                        f"{S.pretty(fty)}")
-                dq = self.check_dict(env, d)
-                if not alpha_eq(dq, fty.q):
-                    raise FdTypeError(
-                        MISMATCH,
-                        f"dictionary has type {S.pretty(dq)}, "
-                        f"expected {S.pretty(fty.q)}")
-                return fty.result
-            case ITyLam(a, body):
-                return IForall(a, self.check_expr(env + (TyVarBind(a),),
-                                                  body))
-            case ITyApp(f, ty):
-                fty = self.check_expr(env, f)
-                if not isinstance(fty, IForall):
-                    raise FdTypeError(
-                        MISMATCH,
-                        f"type applied to non-polymorphic type {S.pretty(fty)}")
-                self._wf(env, ty)
-                rty = self._insts.get((fty, ty))
-                if rty is None:
-                    rty = self._insts[fty, ty] = subst_type(fty.body,
-                                                            {fty.var: ty})
-                return rty
-            case IMethod(d, m):
-                dq = self.check_dict(env, d)
-                mty = self._methods.get((m, dq))
-                if mty is None:
-                    entry = lookup_class_by_method(self.TC, m)
-                    if entry.cls != dq.cls:
-                        raise FdTypeError(
-                            UNKNOWN_METHOD,
-                            f"dictionary of class {dq.cls!r} has no method "
-                            f"{m!r}")
-                    mty = self._methods[m, dq] = subst_type(
-                        entry.method_type, {entry.var: dq.arg})
-                return mty
-            case ILet(x, ty, bound, body):
-                self._wf(env, ty)
-                bty = self.check_expr(env, bound)
-                if not alpha_eq(bty, ty):
-                    raise FdTypeError(
-                        MISMATCH,
-                        f"let binding has type {S.pretty(bty)}, "
-                        f"annotated {S.pretty(ty)}")
-                return self.check_expr(env + (TermBind(x, ty),), body)
-            case IChoice(alts) if alts:
-                check = self.check_dict if isinstance(alts[0], FdDict) \
-                    else self.check_expr
-                types = [check(env, alt) for alt in alts]
-                ty = types[0]
-                for other in types[1:]:
-                    if not alpha_eq(other, ty):
-                        raise FdTypeError(
-                            MISMATCH,
-                            f"alternatives of one derivation have types "
-                            f"{S.pretty(ty)} and {S.pretty(other)}")
-                return ty
-        raise TypeError(e)
+        """The typing rule of e's class (`_RULES`), applied to e."""
+        rule = self._RULES.get(type(e))
+        if rule is None:
+            raise TypeError(e)
+        return rule(self, env, e)
+
+    def _infer_bool(self, _env, _e) -> FdType:
+        return IBool()
+
+    def _infer_var(self, env, e: IVar) -> FdType:
+        x = e.name
+        for bind in reversed(env):
+            if isinstance(bind, TermBind) and bind.name == x:
+                return bind.ty
+        raise FdTypeError(UNBOUND_VAR, f"unbound variable {x!r}")
+
+    def _infer_lam(self, env, e: ILam) -> FdType:
+        ty = e.ty
+        self._wf(env, ty)
+        return IArrow(ty, self.check_expr(env + (TermBind(e.param, ty),),
+                                          e.body))
+
+    def _infer_app(self, env, e: IApp) -> FdType:
+        fty = self.check_expr(env, e.fun)
+        if not isinstance(fty, IArrow):
+            raise FdTypeError(
+                MISMATCH, f"applied a non-function of type {S.pretty(fty)}")
+        aty = self.check_expr(env, e.arg)
+        if not alpha_eq(aty, fty.left):
+            raise FdTypeError(
+                MISMATCH,
+                f"argument has type {S.pretty(aty)}, "
+                f"expected {S.pretty(fty.left)}")
+        return fty.right
+
+    def _infer_dlam(self, env, e: IDLam) -> FdType:
+        q = e.q
+        self._wf(env, q)
+        return IQArrow(q, self.check_expr(env + (DictBind(e.param, q),),
+                                          e.body))
+
+    def _infer_dapp(self, env, e: IDApp) -> FdType:
+        fty = self.check_expr(env, e.fun)
+        if not isinstance(fty, IQArrow):
+            raise FdTypeError(
+                MISMATCH,
+                f"dictionary applied to non-constrained type "
+                f"{S.pretty(fty)}")
+        dq = self.check_dict(env, e.arg)
+        if not alpha_eq(dq, fty.q):
+            raise FdTypeError(
+                MISMATCH,
+                f"dictionary has type {S.pretty(dq)}, "
+                f"expected {S.pretty(fty.q)}")
+        return fty.result
+
+    def _infer_tylam(self, env, e: ITyLam) -> FdType:
+        a = e.param
+        return IForall(a, self.check_expr(env + (TyVarBind(a),), e.body))
+
+    def _infer_tyapp(self, env, e: ITyApp) -> FdType:
+        fty = self.check_expr(env, e.fun)
+        if not isinstance(fty, IForall):
+            raise FdTypeError(
+                MISMATCH,
+                f"type applied to non-polymorphic type {S.pretty(fty)}")
+        ty = e.ty
+        self._wf(env, ty)
+        rty = self._insts.get((fty, ty))
+        if rty is None:
+            rty = self._insts[fty, ty] = subst_type(fty.body, {fty.var: ty})
+        return rty
+
+    def _infer_method(self, env, e: IMethod) -> FdType:
+        dq, m = self.check_dict(env, e.dict), e.method
+        mty = self._methods.get((m, dq))
+        if mty is None:
+            entry = lookup_class_by_method(self.TC, m)
+            if entry.cls != dq.cls:
+                raise FdTypeError(
+                    UNKNOWN_METHOD,
+                    f"dictionary of class {dq.cls!r} has no method {m!r}")
+            mty = self._methods[m, dq] = subst_type(
+                entry.method_type, {entry.var: dq.arg})
+        return mty
+
+    def _infer_let(self, env, e: ILet) -> FdType:
+        ty = e.ty
+        self._wf(env, ty)
+        bty = self.check_expr(env, e.bound)
+        if not alpha_eq(bty, ty):
+            raise FdTypeError(
+                MISMATCH,
+                f"let binding has type {S.pretty(bty)}, "
+                f"annotated {S.pretty(ty)}")
+        return self.check_expr(env + (TermBind(e.name, ty),), e.body)
+
+    def _infer_choice(self, env, e: IChoice) -> FdType:
+        alts = e.alts
+        if not alts:
+            raise TypeError(e)
+        check = self.check_dict if isinstance(alts[0], FdDict) \
+            else self.check_expr
+        types = [check(env, alt) for alt in alts]
+        ty = types[0]
+        for other in types[1:]:
+            if not alpha_eq(other, ty):
+                raise FdTypeError(
+                    MISMATCH,
+                    f"alternatives of one derivation have types "
+                    f"{S.pretty(ty)} and {S.pretty(other)}")
+        return ty
+
+    # The typing rule of each class of term, found by one lookup, as
+    # `Language` gives the machine the role of a node.
+    _RULES = {ITrue: _infer_bool, IFalse: _infer_bool, IVar: _infer_var,
+              ILam: _infer_lam, IApp: _infer_app, IDLam: _infer_dlam,
+              IDApp: _infer_dapp, ITyLam: _infer_tylam, ITyApp: _infer_tyapp,
+              IMethod: _infer_method, ILet: _infer_let,
+              IChoice: _infer_choice}
 
     # -- dictionaries -------------------------------------------------------
 

@@ -9,9 +9,12 @@ a copy for each class, since importing the CLI takes much of a short run;
 that is the only compilation, so a field named like a name the template
 uses is rejected. The types of the three languages and the dictionaries
 of the intermediate one are interned (`interned`): an equal type or
-dictionary is the same object, which caches its hash and its free
-variables, so the walks below stop at shared subtrees, and two distinct
-ones without a binder are not alpha-equivalent.
+dictionary is the same object, which caches its hash, and two distinct
+ones without a binder are not alpha-equivalent. Every node caches its
+free variables and whether it holds a binder: an interned one when it is
+built, any other at the first query (`_fact_walk`). So the walks below
+stop at shared subtrees, and `subst` leaves a subtree with nothing to
+replace unwalked.
 One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
@@ -186,7 +189,7 @@ def frozen(cls, interned=False):
         table = _INTERNED[cls] = {}
         globals_ = {**globals_, "_table": table, "_intern": _interner(
             table, names, hasattr(cls, "__post_init__"))}
-        cls.__reduce__ = _interned_reduce
+        cls.__reduce__ = _reduce
     methods = _INTERNED_METHODS if interned else _FROZEN_METHODS
     for name, c, dflt in zip(methods, codes, (defaults or None, None, None)):
         fn = FunctionType(c, globals_, name, dflt)
@@ -212,13 +215,15 @@ def frozen(cls, interned=False):
 # walks meet again. Each class keeps its nodes in a weak table: a dict
 # from the tuple of a node's fields to a weak reference that carries that
 # key, whose callback removes the entry when the node dies. A new node
-# caches its hash, that of its field tuple as a frozen class computes it,
-# its free variables of every sort and whether it holds a binder, all read
-# off its children's. A source type also caches its intermediate
-# translation, built at its first `source_typer.elab_mono`. Cached facts
-# live in the node's `__dict__` and never reach a copy or a pickle:
-# `__reduce__` rebuilds the node through `__new__`, which finds or enters
-# it in the table of that process.
+# caches its hash, that of its field tuple as a frozen class computes it.
+# Every node caches its facts, its free variables of every sort and
+# whether it holds a binder, read off its children's: an interned node at
+# construction, any other at the first query, with its uncached subtrees
+# (`_fact_walk`). A source type also caches its intermediate translation,
+# built at its first `source_typer.elab_mono`. Cached facts live in the
+# node's `__dict__` and never reach a copy or a pickle: `__reduce__`
+# rebuilds the node from its fields, through `__new__`, which finds or
+# enters an interned node in the table of that process.
 # ---------------------------------------------------------------------------
 
 # Every interned class -> its table.
@@ -250,16 +255,15 @@ def _interner(table, names, post_init):
             if old is not None:
                 return old
         _setattr(node, "_hash", hash(key))
-        fv, binds = _facts(node)
-        _setattr(node, "_fv", fv)
-        _setattr(node, "_binds", binds)
+        _facts(node)
         entry = table[key] = _Entry(node, forget)
         entry.key = key
         return node
     return intern
 
 
-def _interned_reduce(self):
+def _reduce(self):
+    """A node's `__reduce__`: rebuilt from its fields, with no cached fact."""
     return self.__class__, tuple([getattr(self, n)
                                   for n in self.__match_args__])
 
@@ -271,52 +275,99 @@ def interned(cls):
     return frozen(cls, interned=True)
 
 
-def _facts(node) -> tuple:
-    """The free variables of the new interned node, as (sort, name) pairs
-    in the order of their first occurrence, and whether it holds a
-    binder: read off its children's."""
-    shape = _SHAPES[type(node)]
-    if shape.var is not None:
-        return ((shape.var, node.name),), False
-    binds = shape.binder is not None
-    bound = ()
-    if binds:
-        names = getattr(node, shape.binder)
-        bound = {(shape.bsort, n)
-                 for n in (names if type(names) is tuple else (names,))}
-    out = ()
-    for f in shape.parts:
-        v = getattr(node, f)
-        if type(v) in _INTERNED:
-            fv, b = v._fv, v._binds
-        elif type(v) is str:
+def _facts(node):
+    """Cache the facts of the new interned node, read off its parts'
+    (`_fact_walk`)."""
+    _fact_walk(node)
+
+
+def _fact_walk(root) -> tuple:
+    """Compute and cache the facts of root, a node that has none yet, and
+    of every frozen node under it that has none, each once, its parts
+    first; return root's free variables. A node's facts are its free
+    variables, as (sort, name) pairs in the order of their first
+    occurrence, and whether it holds a binder, read off its parts'. The
+    walk keeps its own stack, so a term of any depth is walked: a node
+    stays on it, under the parts it has pushed, until every part has its
+    facts. A variable part gets them at once."""
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        if x._fv is not None:       # pushed twice, by two parents
+            stack.pop()
             continue
+        var, binder, bsort, parts = _RECIPES[type(x)]
+        out = ((var, x.name),) if var is not None else ()
+        binds, waiting = binder is not None, False
+        for f, scoped in parts:
+            v = getattr(x, f)
+            cls = type(v)
+            if cls in _SHAPES:
+                fv = v._fv
+                if fv is None:
+                    sort = _VAR_SORT.get(cls)
+                    if sort is None:
+                        stack.append(v)
+                        waiting = True
+                        continue
+                    fv = ((sort, v.name),)
+                    _setattr(v, "_fv", fv)
+                    _setattr(v, "_binds", False)
+                elif v._binds:
+                    binds = True
+            elif cls is tuple:
+                facts = _tuple_facts(v, stack)
+                if facts is None:
+                    waiting = True
+                    continue
+                fv, b = facts
+                binds = binds or b
+            else:
+                continue
+            if waiting or not fv:
+                continue
+            if scoped:
+                names = getattr(x, binder)
+                if type(names) is not tuple:
+                    bound = (bsort, names)
+                    fv = tuple([pair for pair in fv if pair != bound])
+                else:
+                    fv = tuple([(s, n) for s, n in fv
+                                if s != bsort or n not in names])
+            if fv:
+                out = tuple(dict.fromkeys(out + fv)) if out else fv
+        if not waiting:
+            stack.pop()
+            _setattr(x, "_fv", out)
+            _setattr(x, "_binds", binds)
+    return root._fv
+
+
+def _tuple_facts(items: tuple, pending) -> tuple | None:
+    """The facts of a tuple field, read off its items' in order; or None
+    if a frozen item has none yet, and each such item is then appended to
+    pending."""
+    out, binds, waiting = {}, False, False
+    for v in items:
+        cls = type(v)
+        if cls is tuple:
+            facts = _tuple_facts(v, pending)
+            if facts is None:
+                waiting = True
+                continue
+            fv, b = facts
+        elif cls in _SHAPES:
+            fv = v._fv
+            if fv is None:
+                pending.append(v)
+                waiting = True
+                continue
+            b = v._binds
         else:
-            fv, b = _value_facts(v)
+            continue
+        out.update(dict.fromkeys(fv))
         binds = binds or b
-        if bound and fv and f in shape.scope:
-            fv = tuple([pair for pair in fv if pair not in bound])
-        if fv:
-            out = tuple(dict.fromkeys(out + fv)) if out else fv
-    return out, binds
-
-
-def _value_facts(v) -> tuple:
-    """`_facts` of a field value: a node, a tuple or an atom."""
-    cls = type(v)
-    if cls in _INTERNED:
-        return v._fv, v._binds
-    if cls is tuple:
-        out, binds = {}, False
-        for item in v:
-            fv, b = _value_facts(item)
-            out.update(dict.fromkeys(fv))
-            binds = binds or b
-        return tuple(out), binds
-    if cls in _SHAPES:
-        return tuple((sort, n) for sort, names in _free_by_sort(v).items()
-                     for n in names), True
-    return (), False
+    return None if waiting else (tuple(out), binds)
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +896,31 @@ _SHAPES = {cls: _shape(cls, tsort)
            for cls in (base, *base.__subclasses__())
            if hasattr(cls, "__match_args__")}
 
+# Every AST class -> what `_fact_walk` reads: its variable sort, binder
+# field and binder sort, and each of its parts, none for a variable, with
+# whether the binder scopes over it.
+_RECIPES = {cls: (shape.var, shape.binder, shape.bsort,
+                  () if shape.var else tuple((f, f in shape.scope)
+                                             for f in shape.parts))
+            for cls, shape in _SHAPES.items()}
+
+# A node has no facts until they are cached: an interned node at once, a
+# frozen one at the first query (`_fact_walk`). A copy or a pickle of a
+# frozen node has none either. A first node of each frozen class that
+# sets its fields and then its facts makes CPython leave room for the
+# facts of every later node beside its fields; a node made before the
+# first of its class cached facts would otherwise keep them in a dict of
+# its own, about 240 bytes more.
+for cls in _SHAPES:
+    cls._fv = cls._binds = None
+    if cls in _INTERNED:
+        continue
+    cls.__reduce__ = _reduce
+    first = _new(cls)
+    for name in (*cls.__match_args__, "_fv", "_binds"):
+        _setattr(first, name, None)
+del cls, first, name
+
 
 def _bound_names(node, shape: _Shape) -> tuple[str, ...]:
     value = getattr(node, shape.binder)
@@ -853,41 +929,28 @@ def _bound_names(node, shape: _Shape) -> tuple[str, ...]:
 
 def free_vars(node, sort: str) -> list[str]:
     """Free variables of the given sort, first occurrence order, no dups."""
-    return list(_free_by_sort(node).get(sort, ()))
+    return [n for s, n in _free_pairs(node) if s == sort]
+
+
+def _free_pairs(x) -> tuple:
+    """The free variables of x, as (sort, name) pairs in the order of
+    their first occurrence: a node's cached facts, computed at the first
+    query of a frozen one (`_fact_walk`), or those of a tuple's items."""
+    cls = type(x)
+    if cls is tuple:
+        return tuple(dict.fromkeys(pair for item in x
+                                   for pair in _free_pairs(item)))
+    if cls not in _SHAPES:
+        return ()
+    fv = x._fv
+    return _fact_walk(x) if fv is None else fv
 
 
 def _free_by_sort(node) -> dict[str, dict[str, None]]:
-    """Free variables of every sort, in one walk: sort -> ordered names."""
+    """Free variables of every sort: sort -> ordered names."""
     out: dict[str, dict[str, None]] = {}
-
-    def go(x, bound):
-        cls = type(x)
-        if cls in _INTERNED:
-            for pair in x._fv:
-                if pair not in bound:
-                    out.setdefault(pair[0], {})[pair[1]] = None
-            return
-        if cls is tuple:
-            for item in x:
-                go(item, bound)
-            return
-        shape = _SHAPES.get(cls)
-        if shape is None:
-            return
-        if shape.var is not None:
-            if (shape.var, x.name) not in bound:
-                out.setdefault(shape.var, {})[x.name] = None
-            return
-        inner = bound
-        if shape.binder is not None:
-            inner = bound | {(shape.bsort, n) for n in _bound_names(x, shape)}
-        for f in shape.parts:
-            go(getattr(x, f), inner if f in shape.scope else bound)
-
-    go(node, frozenset())
-    # go reaches itself through its closure: a cycle, which would keep it
-    # and what it holds alive until a garbage collection.
-    del go
+    for s, n in _free_pairs(node):
+        out.setdefault(s, {})[n] = None
     return out
 
 
@@ -897,28 +960,26 @@ def subst(node, sort: str, mapping: dict):
     A binder, of any sort, is renamed only when it would capture a free
     variable of its own sort in the mapping's range. It then takes its
     smallest primed variant that is free neither in its scope nor in the
-    mapping. The range's free variables of every sort are computed in one
-    walk of each range value, when the first binder is met. A node or
-    tuple none of whose parts changes is returned as it is; an interned
-    node that holds no binder and no free variable the mapping replaces
-    is returned without a walk.
+    mapping. The range's free variables are read off its values' facts.
+    A node or tuple none of whose parts changes is returned as it is; a
+    node in which no variable the mapping replaces is free is returned
+    without a walk if no binder in it can be renamed: every range value
+    is closed, or it holds no binder.
     """
     if not mapping:
         return node
-    # Range key -> sort -> free names, and sort -> all of them.
-    range_fvs = every = None
+    # Range key -> the free (sort, name) pairs of its value, and sort ->
+    # all of their names.
+    range_fvs, every = {}, {}
+    for k, v in mapping.items():
+        fv = range_fvs[k] = _free_pairs(v)
+        for s, n in fv:
+            every.setdefault(s, set()).add(n)
 
     def go(x, m):
-        nonlocal range_fvs, every
         if not m:
             return x
         cls = type(x)
-        if cls in _INTERNED and not x._binds:
-            for s, n in x._fv:
-                if s == sort and n in m:
-                    break
-            else:
-                return x
         if cls is tuple:
             values = [go(item, m) for item in x]
             return x if all(map(is_, values, x)) else tuple(values)
@@ -927,6 +988,15 @@ def subst(node, sort: str, mapping: dict):
             return x
         if shape.var is not None:
             return m.get(x.name, x) if shape.var == sort else x
+        fv = x._fv
+        if fv is None:
+            fv = _fact_walk(x)
+        if not every or not x._binds:
+            for s, n in fv:
+                if s == sort and n in m:
+                    break
+            else:
+                return x
         bsort = shape.bsort
         if bsort is None:
             olds = [getattr(x, f) for f in shape.fields]
@@ -937,15 +1007,9 @@ def subst(node, sort: str, mapping: dict):
         if bsort == sort and any(n in m for n in names):
             inner = {k: v for k, v in m.items() if k not in names}
         new_names, renames = names, None
-        if range_fvs is None:
-            range_fvs = {k: _free_by_sort(v) for k, v in mapping.items()}
-            every = {}
-            for fvs in range_fvs.values():
-                for s, ns in fvs.items():
-                    every.setdefault(s, set()).update(ns)
         some_fv = every.get(bsort)
         if some_fv and any(n in some_fv for n in names):
-            clash = set().union(*(range_fvs[k].get(bsort, ()) for k in inner))
+            clash = {n for k in inner for s, n in range_fvs[k] if s == bsort}
             if any(n in clash for n in names):
                 new_names, renames = _rename_binders(
                     x, shape, clash, inner if bsort == sort else ())
@@ -965,7 +1029,9 @@ def subst(node, sort: str, mapping: dict):
         return x if same else cls(*values)
 
     out = go(node, mapping)
-    del go      # a cycle, as in _free_by_sort
+    # go reaches itself through its closure: a cycle, which would keep it
+    # and what it holds alive until a garbage collection.
+    del go
     return out
 
 
@@ -1048,7 +1114,7 @@ def _alpha_walk(a, b) -> bool:
         return True
 
     out = go(a, b, {}, {})
-    del go      # a cycle, as in _free_by_sort
+    del go      # a cycle, as in subst
     return out
 
 
@@ -1173,7 +1239,7 @@ def forest_eq(a, b) -> bool:
         return True
 
     out = go(a, b)
-    del go      # a cycle, as in _free_by_sort
+    del go      # a cycle, as in subst
     return out
 
 
@@ -1275,7 +1341,7 @@ def tree_at(forest, i: int):
         return tuple(values) if type(x) is tuple else type(x)(*values)
 
     out = go(forest, i)
-    del go      # a cycle, as in _free_by_sort
+    del go      # a cycle, as in subst
     return out
 
 
@@ -1478,7 +1544,7 @@ def unify(t1, t2, vars: set[str]):
         return all(go(getattr(x, f), getattr(y, f)) for f in shape.parts)
 
     unified = go(t1, t2)
-    del go, occurs      # cycles, as in _free_by_sort
+    del go, occurs      # cycles, as in subst
     return out if unified else None
 
 
@@ -1498,10 +1564,7 @@ def subst_type(node, mapping: dict):
 
 
 def free_type_vars(node) -> list[str]:
-    sort = _type_sort_of(node)
-    if type(node) in _INTERNED:
-        return [n for s, n in node._fv if s == sort]
-    return free_vars(node, sort)
+    return free_vars(node, _type_sort_of(node))
 
 
 def read_back(closure, sorts: tuple[str, ...], code):

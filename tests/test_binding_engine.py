@@ -316,6 +316,125 @@ def test_subst_shares_what_a_step_leaves():
 
 
 # ---------------------------------------------------------------------------
+# Cached facts: subst's early stop, cold and warm, and deep terms
+# ---------------------------------------------------------------------------
+
+# Per language, a binder to close a value over a free variable of each
+# sort, in the order the binders are put around it, inner first.
+CLOSERS = {
+    "fd": {"iv": lambda x, e: S.ILam(x, S.IBool(), e),
+           "id": lambda d, e: S.IDLam(d, S.FdQ("Eq", S.IBool()), e),
+           "ic": lambda a, e: (S.IForall if isinstance(e, S.FdType)
+                               else S.ITyLam)(a, e)},
+    "tgt": {"tv": lambda x, e: S.TLam(x, S.TBool(), e),
+            "ta": lambda a, e: (S.TForall if isinstance(e, S.TgtType)
+                                else S.TTyLam)(a, e)},
+}
+
+
+def _close(v, lang: str):
+    """v with a binder put around it for each of its free variables."""
+    for sort, bind in CLOSERS[lang].items():
+        for name in ref.free_vars(v, sort):
+            v = bind(name, v)
+    return v
+
+
+def _warm(x):
+    """Query the free variables of every node of x, its parts first, so
+    that each query caches the facts of one node."""
+    if type(x) is tuple:
+        for item in x:
+            _warm(item)
+    elif type(x) in S._SHAPES:
+        for f in x.__match_args__:
+            _warm(getattr(x, f))
+        S.free_vars(x, "iv")
+
+
+# The sorts whose range values a binder of the language can close.
+CLOSABLE = [(lang, sort) for lang, sort in SORTS
+            if lang in CLOSERS and sort != "id"]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("lang,sort", CLOSABLE)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_subst_agrees_with_the_reference_with_facts_cold_or_warm(
+        lang, sort, closed, warm, data):
+    # subst leaves a subtree with nothing to replace unwalked when no
+    # binder in it can be renamed; its result is the reference's, names
+    # and all, whether the facts it reads are cached yet or not.
+    names, values = LANGUAGES[lang][1][sort]
+    if closed:
+        values = values.map(lambda v: _close(v, lang))
+    else:
+        values = st.one_of(values, OPEN_RANGES.get((lang, sort), values))
+    t = data.draw(LANGUAGES[lang][0])
+    mapping = data.draw(st.dictionaries(st.sampled_from(names), values,
+                                        min_size=1, max_size=2))
+    if closed:
+        assert not any(ref.free_vars(v, s) for v in mapping.values()
+                       for s in CLOSERS[lang])
+    expected = ref.subst(t, sort, mapping)
+    if warm:
+        _warm((t, tuple(mapping.values())))
+    out = S.subst(t, sort, mapping)
+    assert out == expected
+    assert S.pretty(out) == S.pretty(expected)
+
+
+# A binder whose scope does not mention the variable replaced is still
+# renamed apart from the free variables of the range, as the reference
+# renames it.
+CLASH_CASES = [
+    ("\\y : Bool. True", "\\y' : Bool. True"),
+    ("(\\y : Bool. True) x", "(\\y' : Bool. True) (y [d] @a)"),
+    ("/\\a. \\d : [Eq a]. True", "/\\a'. \\d' : [Eq a']. True"),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("body,expected", CLASH_CASES)
+def test_subst_renames_a_clashing_binder_over_no_occurrence(body, expected,
+                                                            warm):
+    e, mapping = read_fd_expr(body), {"x": read_fd_expr("y [d] @a")}
+    if warm:
+        _warm((e, mapping["x"]))
+    out = S.subst(e, "iv", mapping)
+    assert S.pretty(out) == expected
+    assert out == ref.subst(e, "iv", mapping)
+
+
+def _chain(depth: int, var: str):
+    """depth binders \\x{i} : a over the variable named var."""
+    e = S.IVar(var)
+    for i in range(depth):
+        e = S.ILam(f"x{i}", S.ITyVar("a"), e)
+    return e
+
+
+def test_the_free_variables_of_a_deep_term_are_found():
+    # The fact walk keeps its own stack, so no depth overflows it; and
+    # subst returns a term with nothing to replace unwalked.
+    e = _chain(5_000, "z")
+    assert S.free_vars(e, "iv") == ["z"]
+    assert S.free_type_vars(e) == ["a"]
+    assert S.subst(e, "iv", {"y": S.ITrue()}) is e
+
+
+def test_subst_reaches_the_bottom_of_a_deep_term():
+    # subst recurses once per binder on the way to the variable.
+    out = S.subst(_chain(900, "z"), "iv", {"z": S.ITrue()})
+    for i in reversed(range(900)):
+        assert type(out) is S.ILam and out.param == f"x{i}"
+        out = out.body
+    assert out == S.ITrue()
+
+
+# ---------------------------------------------------------------------------
 # Unification
 # ---------------------------------------------------------------------------
 

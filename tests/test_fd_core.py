@@ -195,6 +195,22 @@ def test_unbound_dict_variable():
     assert exc.value.kind == UNBOUND_DICT
 
 
+def test_the_rule_table_covers_exactly_the_terms_and_the_choice():
+    # The checker finds a term's typing rule by one lookup on its class.
+    assert set(FdChecker._RULES) == {*S.FdExpr.__subclasses__(), S.IChoice}
+
+
+@pytest.mark.parametrize("node", [
+    S.DVar("d"), S.DCon("D1_Eq", (), ()), IBool(), S.TTrue(), S.SVar("x"),
+    S.IChoice(()), "x", None,
+], ids=repr)
+def test_a_node_with_no_typing_rule_raises_type_error(node):
+    # A dictionary, a type, a node of another language, an empty choice
+    # or no node at all is no term.
+    with pytest.raises(TypeError):
+        FdChecker(SIGMA_EQ, TC_EQ).check_expr((), node)
+
+
 def test_argument_type_must_match():
     e = read_fd_expr("(\\f : Bool -> Bool. True) True")
     with pytest.raises(FdTypeError) as exc:

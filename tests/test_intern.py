@@ -148,6 +148,26 @@ def test_a_pickle_carries_no_cached_fact():
     assert t.__reduce__() == (S.IForall, ("a", t.body))
 
 
+@settings(max_examples=60, deadline=None)
+@given(strategies.src_expr | strategies.fd_term | strategies.tgt_let_term)
+def test_cached_facts_stay_out_of_a_frozen_node_s_identity(e):
+    # An expression caches its facts at the first query; after that it
+    # still compares, hashes and prints like a twin that has none, and a
+    # copy or a pickle of it carries none.
+    twin = _build(e)
+    assert twin is not e and twin._fv is None
+    S.free_vars(e, "iv")
+    assert vars(e).keys() >= {"_fv", "_binds"}
+    assert e == twin and not e != twin and hash(e) == hash(twin)
+    assert repr(e) == repr(twin) and S.pretty(e) == S.pretty(twin)
+    data = pickle.dumps(e)
+    for fact in (b"_fv", b"_binds"):
+        assert fact not in data
+    for other in (pickle.loads(data), copy.deepcopy(e)):
+        assert other == e and other is not e
+        assert other._fv is None and "_fv" not in vars(other)
+
+
 PICKLE = """
 import pickle, sys
 from dictelab import syntax as S
@@ -232,13 +252,30 @@ def count_visits(fn, thunk) -> int:
     return calls
 
 
+def count_fact_visits(monkeypatch, thunk) -> int:
+    """How many nodes thunk() visits in `_fact_walk` to read their parts'
+    facts: each visit looks the node's class up in `_RECIPES` once."""
+    visits = 0
+
+    class Counted(dict):
+        def __getitem__(self, cls):
+            nonlocal visits
+            visits += 1
+            return dict.__getitem__(self, cls)
+    with monkeypatch.context() as m:
+        m.setattr(S, "_RECIPES", Counted(S._RECIPES))
+        thunk()
+    return visits
+
+
 @pytest.mark.parametrize("walk", [S.unify, S._free_by_sort],
                          ids=lambda f: f.__name__)
-def test_type_walks_on_the_tower_grow_linearly(walk):
+def test_type_walks_on_the_tower_grow_linearly(walk, monkeypatch):
     # The tower's types have 2^d leaves and d+2 distinct arrows; a walk
     # that stops at shared nodes visits a fixed number more per level.
     # Typing reads a type's free variables off its node, so the free
-    # variable walk is counted over the typed forest instead.
+    # variables are counted over the typed forest instead, whose facts no
+    # query has computed yet: the nodes the fact walk visits.
     counts = []
     for d in (6, 8, 10):
         p = parser.parse_program(tower_source(d))
@@ -246,12 +283,14 @@ def test_type_walks_on_the_tower_grow_linearly(walk):
             def thunk():
                 harness.decomposition_report(
                     source_typer.typecheck_program(p))
+            counts.append(count_visits(walk, thunk))
         else:
             forest = source_typer.typecheck_program(p).forest
-
-            def thunk():
-                S._free_by_sort(forest)
-        counts.append(count_visits(walk, thunk))
+            counts.append(count_fact_visits(
+                monkeypatch, lambda: S._free_by_sort(forest)))
+            # Cached: a second query visits nothing.
+            assert count_fact_visits(
+                monkeypatch, lambda: S._free_by_sort(forest)) == 0
     assert counts[2] - counts[1] == counts[1] - counts[0]
     assert 0 < counts[2] < 200
 
