@@ -16,10 +16,11 @@ translates a packed forest of derivations (`syntax.unpack`) too: a choice
 becomes the choice of its alternatives' translations, which typing has
 checked to have one type, and unpacking the result gives the translation
 of each derivation, in order. Forests share subforests, and derivations
-unpacked from one forest share subtrees, so a checker types each shared
-(node, environment) pair once and translates each shared node once,
-reusing results by object identity (hash-consing's idea, applied to
-results instead of nodes). Types and dictionaries are hash-consed
+unpacked from one forest share subtrees, and a trace step shares what it
+leaves in place, so a checker types each shared node once per binding of
+its free variables and translates each shared node once, reusing results
+by object identity (hash-consing's idea, applied to results instead of
+nodes). Types and dictionaries are hash-consed
 themselves, so comparing two types is an identity test unless both hold
 a binder, and a closed dictionary is typed once per method environment.
 
@@ -196,9 +197,17 @@ class FdChecker:
     is typed at each use.
 
     Per checker, one per term of a stream: `check_expr`, through which all
-    recursion goes, is memoized on the identities of the node and of the
-    environment (`_memo`), so a shared subterm is typed once; every
-    entry keeps both alive, so an identity is never reused while its entry
+    recursion goes, is memoized on what typing a node reads (`_memo`).
+    Typing a term reads of its environment only the innermost binding of
+    each of its free variables (strengthening), so a node whose facts are
+    cached (`syntax._fact_walk`) is keyed by its identity and those
+    bindings (`_bindings`), and a closed one by its identity alone: a
+    subterm that a trace step leaves in place is typed once, under
+    whatever binders the step rebuilt above it. A node without cached
+    facts, as every node of a typed forest, is keyed by the identities
+    of the node and of the environment, so typing never walks a node
+    only to key it. Every entry keeps the node and the environment it
+    was typed in alive, so an identity is never reused while its entry
     exists. `collect` bounds `_memo` while a trace is walked. A binder
     extends its environment by one binding, and an annotation reads the
     type variables of the environment at hand only if it has a free one
@@ -262,7 +271,16 @@ class FdChecker:
     # -- expressions --------------------------------------------------------
 
     def check_expr(self, env, e: FdExpr) -> FdType:
-        key = (id(e), id(env))
+        try:
+            fv = e._fv
+        except AttributeError:
+            raise TypeError(e) from None
+        if fv is None:
+            key = (id(e), id(env))
+        elif fv:
+            key = (id(e), *_bindings(env, fv))
+        else:
+            key = id(e)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._old_memo.pop(key, None)
@@ -555,6 +573,27 @@ class FdChecker:
             out = TLam(b.param, b.ty, out) if type(b) is TLam \
                 else TTyLam(b.param, out)
         return out
+
+
+# The class of the binding of each sort of variable a term can have
+# free. A node of another language has none: typing it raises.
+_BIND_CLASS = {"iv": TermBind, "id": DictBind, "ic": TyVarBind}
+
+
+def _bindings(env, fv) -> list:
+    """The innermost binding in env of each free variable in fv, a node's
+    (sort, name) pairs, or None where env has none: all that typing the
+    node reads of env."""
+    out = []
+    for sort, name in fv:
+        cls = _BIND_CLASS.get(sort)
+        for bind in reversed(env):
+            if bind.name == name and bind.__class__ is cls:
+                break
+        else:
+            bind = None
+        out.append(bind)
+    return out
 
 
 def expected_impl_type(TC, entry) -> FdType:

@@ -465,16 +465,24 @@ def _gen_type(rng, dicts, depth: int):
             return IBool()
 
 
+# The literals at `Bool`: the same two nodes in every term, whose facts
+# (no free variable) are cached at once, so that typing keys them by
+# identity from the first term on (`FdChecker.check_expr`).
+_LITERALS = (ITrue(), IFalse())
+S.free_vars(_LITERALS, "iv")
+
+
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed.
 
     Each node draws one rule among those that apply (`_INTRO` ...), by
     `rng.choice` over their numbers, and builds it. Its atoms are the
-    variables of its type in scope, the literals at `Bool` and the
-    method calls of its type (`_Generators`): a type without binders
-    meets its own by identity, and only one with a binder compares with
-    `alpha_eq`. An arrow or a constrained type names its binder before
-    the draw, whichever rule it takes."""
+    variables of its type in scope, the literals at `Bool`, the same two
+    nodes in every term (`_LITERALS`), and the method calls of its type
+    (`_Generators`): a type without binders meets its own by identity,
+    and only one with a binder compares with `alpha_eq`. An arrow or a
+    constrained type names its binder before the draw, whichever rule it
+    takes."""
     rng = random.Random(seed)
     state = _stream(_Generators, sigma, TC)
     dicts, calls, bound_calls = state.dicts, state.calls, state.bound_calls
@@ -491,7 +499,7 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
         atoms = [IVar(x) for x, t in env
                  if t is ty or binds and alpha_eq(t, ty)]
         if cls is IBool:
-            atoms += (ITrue(), IFalse())
+            atoms += _LITERALS
         if binds:
             atoms += [call for call, t in bound_calls if alpha_eq(t, ty)]
         else:

@@ -1,12 +1,13 @@
 """The memos of `fd_core.FdChecker` against checking without sharing.
 
-A checker types each (node, environment) pair once and translates each
-node once, and reuses the result wherever the node object occurs again
-(under the same environment, for its type).
-The reference is the same checker on a copy of the term rebuilt node by
-node, so that no two positions share an object and the memo never hits
-across positions: types and targets must be `==`, and an ill-typed term
-must raise the same error class, kind and message.
+A checker types each node once per binding of its free variables (once
+in all if it has none, or per environment while its facts are not
+cached) and translates each node once, and reuses the result wherever the
+node object occurs again. The reference is the same checker on a copy of
+the term rebuilt node by node, so that no two positions share an object
+and the memo never hits across positions: types and targets must be
+`==`, and an ill-typed term must raise the same error class, kind and
+message.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dictelab
 from dictelab import fd_core, harness, syntax as S
@@ -30,13 +33,15 @@ from dictelab.parser import parse_program
 from dictelab.source_typer import MethodEnv, typecheck_program
 from dictelab.syntax import (
     DCon, DictBind, DVar, FdExpr, FdQ, IApp, IArrow, IBool, IDLam, ILam, ILet,
-    IQArrow, ITrue, ITyApp, ITyLam, IVar, TermBind, TyVarBind, env_tyvars,
+    IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar, TermBind,
+    TyVarBind, env_tyvars,
 )
 
 from conftest import (CORPUS, POSITIVE, corpus_program, corpus_result,
                       count_calls, flex_source, tower_source,
                       type_and_translate, wide_source)
 from reader import read_fd_expr
+from strategies import DVARS, FD_NAMES, TYVARS, fd_q, fd_qual_type, fd_term
 
 
 def rebuild(x):
@@ -48,18 +53,20 @@ def rebuild(x):
     return x
 
 
-def outcome(checker, e):
+def outcome(checker, e, env=()):
     try:
-        return type_and_translate(checker, e)
+        return type_and_translate(checker, e, env)
     except FdTypeError as err:
         return type(err), err.kind, str(err)
 
 
-def assert_same_as_unshared(checker, sigma, TC, e):
+def assert_same_as_unshared(checker, sigma, TC, e, env=()):
     """checker (shared with earlier terms) agrees with a fresh checker on
-    an unshared copy of e."""
+    an unshared copy of e, in env; returns the outcome."""
     fresh = FdChecker(rebuild(sigma), rebuild(TC))
-    assert outcome(checker, e) == outcome(fresh, rebuild(e))
+    got = outcome(checker, e, env)
+    assert got == outcome(fresh, rebuild(e), rebuild(env))
+    return got
 
 
 def _programs():
@@ -158,21 +165,22 @@ def test_each_node_and_environment_is_checked_once(monkeypatch):
     assert own <= len(pairs) < nodes
 
 
-def _doubling_chain(k):
-    """(twice (twice ... (twice id))) True, twice nested k deep, with
-    twice = \\f : Bool -> Bool. \\x : Bool. f (f x): a trace of thousands
-    of steps over small terms."""
+def _doubling_chain(k, arg=None):
+    """(twice (twice ... (twice id))) arg, True by default, twice nested k
+    deep, with twice = \\f : Bool -> Bool. \\x : Bool. f (f x): a trace of
+    thousands of steps over small terms."""
     b = IBool()
     twice = ILam("f", IArrow(b, b),
                  ILam("x", b, IApp(IVar("f"), IApp(IVar("f"), IVar("x")))))
     fun = ILam("b", b, IVar("b"))
     for _ in range(k):
         fun = IApp(twice, fun)
-    return IApp(fun, ITrue())
+    return IApp(fun, ITrue() if arg is None else arg)
 
 
-def test_trace_checking_keeps_a_bounded_memo():
-    e = _doubling_chain(9)
+def _assert_a_bounded_memo(e):
+    """Checking e's trace keeps less than a third of the memory that
+    keeping every step of it takes."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -191,6 +199,28 @@ def test_trace_checking_keeps_a_bounded_memo():
     assert rep.steps_checked == steps > 1000
     assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
     assert peak < every_step / 3
+
+
+def test_trace_checking_keeps_a_bounded_memo():
+    _assert_a_bounded_memo(_doubling_chain(9))
+
+
+def test_a_memo_keyed_mostly_by_identity_stays_bounded(monkeypatch):
+    # A closed argument, (\\b : Bool. True) applied 32 deep to True, that
+    # every step shares: its nodes are keyed by their identity alone.
+    arg = ITrue()
+    for _ in range(32):
+        arg = IApp(ILam("b", IBool(), ITrue()), arg)
+    keys = {"identity": 0, "all": 0}     # counts: a list would be traced
+    collect = FdChecker.collect
+
+    def counted(self):
+        keys["identity"] += sum(type(key) is int for key in self._memo)
+        keys["all"] += len(self._memo)
+        return collect(self)
+    monkeypatch.setattr(FdChecker, "collect", counted)
+    _assert_a_bounded_memo(_doubling_chain(9, arg))
+    assert keys["identity"] > keys["all"] / 2
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +326,10 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     rule = count_calls(monkeypatch, FdChecker, "_check_con")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(infer) == 23_114
+    assert len(infer) == 17_371
     assert 0 < len(walks) <= 429
     assert [env for _, env, t in wf if t._fv] == [env for env, in scanned]
-    assert len(scanned) == 1_494
+    assert len(scanned) == 1_151
     typed = [(id(self._dicts), d) for self, _, d in rule]
     assert len(typed) == len(set(typed)) == 5
     assert not any(d._fv for _, d in typed)
@@ -313,7 +343,7 @@ def test_the_fuzz_digest_checks_each_closed_annotation_once_per_sigma(
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(checks) == 1_565
+    assert len(checks) == 1_222
 
 
 # Counts the nodes the fuzz digest interns anew, in all and while its
@@ -628,3 +658,136 @@ def test_a_stream_keeps_the_types_of_its_latest_term_only():
     assert generate_fd_term(499, 6, alone, alone.TC) == e
     assert state.kept == alone.derived(harness._Generators).kept
     assert len(state.kept) < len(every) / 10
+
+
+# ---------------------------------------------------------------------------
+# The memo key: what typing a node reads of its environment
+# ---------------------------------------------------------------------------
+
+def warm(e):
+    """e, once its facts and those of every node under it are cached."""
+    S.free_vars(e, "iv")
+    return e
+
+
+BOOL_TO_BOOL = IArrow(IBool(), IBool())
+
+
+def _eq_ord():
+    """A Σ with classes Eq and Ord and one instance, Eq Bool, and its TC."""
+    r = typecheck_program(parse_program(
+        "class Eq a where { eq : a -> a -> Bool };\n"
+        "class Ord a where { cmp : a -> a -> Bool };\n"
+        "instance Eq Bool where { eq = \\x. \\y. True };\n"
+        "True"))
+    return r.fd_elabs[0][0], r.fd_class_env
+
+
+EQ_ORD = _eq_ord()
+
+
+def test_a_closed_subterm_is_typed_once_under_any_environment(monkeypatch):
+    closed = warm(ILam("y", IBool(), IVar("y")))
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
+    checker = FdChecker((), ())
+    for env in ((), (TermBind("y", BOOL_TO_BOOL),),
+                (TyVarBind("a"), DictBind("d", EQ_BOOL))):
+        assert assert_same_as_unshared(checker, (), (), closed, env)[0] == \
+            BOOL_TO_BOOL
+    # Shared by two binders' bodies, under two environments of one term.
+    e = ILam("x", IBool(), ILet("z", IBool(), IVar("x"), closed))
+    assert_same_as_unshared(checker, (), (), e)
+    assert sum(args[2] is closed for args in infer) == 1
+    assert sum(args[2] is closed.body for args in infer) == 1
+
+
+def _shadowed():
+    """One IVar x under x : Bool, and under x : Bool -> Bool shadowing it."""
+    x = IVar("x")
+    return ILam("x", IBool(),
+                ILet("y", IBool(), x, ILam("x", BOOL_TO_BOOL, x)))
+
+
+# Terms, built afresh for each test, each typed in turn under each
+# environment given by one checker, and how many distinct outcomes (types
+# or errors) that gives.
+BINDING_CASES = {
+    "variable shadowed at two types": (lambda: IVar("x"), 3, [
+        (TermBind("x", IBool()),),
+        (TermBind("x", IBool()), TermBind("x", BOOL_TO_BOOL)),
+        (TermBind("x", BOOL_TO_BOOL), DictBind("x", EQ_BOOL)),
+        (DictBind("x", EQ_BOOL),), ()]),
+    "variable shadowed within the term": (_shadowed, 1, [
+        (), (TermBind("x", BOOL_TO_BOOL),)]),
+    "dictionary at two classes": (lambda: IMethod(DVar("d"), "eq"), 4, [
+        (DictBind("d", EQ_BOOL),), (DictBind("d", FdQ("Ord", IBool())),),
+        (DictBind("d", EQ_FUN),), (TermBind("d", IBool()),), ()]),
+    "annotation with a free type variable": (
+        lambda: ILam("y", ITyVar("a"), IVar("y")), 2, [
+            (TyVarBind("a"),), (), (TermBind("a", IBool()),),
+            (TyVarBind("a"), TyVarBind("b"))]),
+    "type argument with a free type variable": (
+        lambda: ITyApp(ITyLam("b", ILam("y", ITyVar("b"), IVar("y"))),
+                       ITyVar("a")),
+        2, [(TyVarBind("a"),), (), (TyVarBind("a"),)]),
+}
+
+
+@pytest.mark.parametrize("facts", ["cold", "warm"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+@pytest.mark.parametrize("case", list(BINDING_CASES))
+def test_a_node_under_other_bindings_is_typed_anew(case, order, facts):
+    build, distinct, envs = BINDING_CASES[case]
+    e = warm(build()) if facts == "warm" else build()
+    sigma, TC = EQ_ORD
+    checker = FdChecker(sigma, TC)
+    outcomes = [assert_same_as_unshared(checker, sigma, TC, e, env)
+                for env in envs[::order]]
+    assert len(set(outcomes)) == distinct
+    assert (e._fv is None) == (facts == "cold")
+
+
+def test_an_error_is_never_memoized(monkeypatch):
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
+    checker = FdChecker((), ())
+    for e in (warm(IVar("x")), warm(IApp(ITrue(), ITrue())),
+              warm(ILam("y", ITyVar("a"), IVar("y"))), IApp(ITrue(), ITrue())):
+        for _ in range(3):
+            with pytest.raises(FdTypeError):
+                checker.check_expr((), e)
+        assert sum(args[2] is e for args in infer) == 3
+        assert not any(hit[0] is e for memo in (checker._memo,
+                                                checker._old_memo)
+                       for hit in memo.values())
+
+
+environments = st.lists(st.one_of(
+    st.builds(TermBind, st.sampled_from(FD_NAMES), fd_qual_type),
+    st.builds(DictBind, st.sampled_from(DVARS), fd_q),
+    st.builds(TyVarBind, st.sampled_from(TYVARS))), max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fd_term, environments, environments)
+def test_the_memo_agrees_on_open_terms_cold_and_warm(e, env1, env2):
+    sigma, TC = EQ_ORD
+    checker = FdChecker(sigma, TC)
+    for env in (env1, env2, env1):
+        assert_same_as_unshared(checker, sigma, TC, e, env)
+    warm(e)
+    for env in (env2, env1, (*env1, *env2)):
+        assert_same_as_unshared(checker, sigma, TC, e, env)
+
+
+def test_forest_typing_computes_no_facts(monkeypatch):
+    # Typing and checking a forest keys its nodes, which have no facts,
+    # by environment: no walk computes facts to key them. Every fact
+    # walk here is an interned node's, at construction.
+    walks = count_calls(monkeypatch, S, "_fact_walk")
+    sources = [flex_source(n) for n in range(1, 6)] + \
+        [tower_source(d) for d in range(1, 9)]
+    for source in sources:
+        r = typecheck_program(parse_program(source))
+        for sq in squares(r):
+            sq.checker.check_expr((), sq.derivation)
+    assert walks and all(type(node) in S._INTERNED for node, in walks)

@@ -295,6 +295,24 @@ def test_type_walks_on_the_tower_grow_linearly(walk, monkeypatch):
     assert 0 < counts[2] < 200
 
 
+def test_the_fact_walk_on_the_flex_forest_grows_linearly(monkeypatch):
+    # The tower's typed forest is one method projection, which cannot
+    # show a walk that is not linear. flex(n)'s has a let, its body and a
+    # choice of dictionaries at each of its n levels: a walk that visits
+    # each node a fixed number of times visits a fixed number more per
+    # level.
+    counts = []
+    for n in (6, 8, 10):
+        forest = source_typer.typecheck_program(
+            parser.parse_program(flex_source(n))).forest
+        counts.append(count_fact_visits(
+            monkeypatch, lambda: S._free_by_sort(forest)))
+        assert count_fact_visits(
+            monkeypatch, lambda: S._free_by_sort(forest)) == 0
+    assert counts[2] - counts[1] == counts[1] - counts[0] > 0
+    assert counts[2] < 20 * 10
+
+
 # ---------------------------------------------------------------------------
 # A source type's translation: a fact cached on its node
 # ---------------------------------------------------------------------------
