@@ -37,7 +37,7 @@ from pathlib import Path
 from . import fd_core, harness, syntax as S, target_core
 from .fd_core import FuelExhausted
 from .parser import ParseError, parse_context, parse_program
-from .source_typer import Limits, SrcTypeError, typecheck_program
+from .source_typer import MAX_ELABORATIONS, SrcTypeError, typecheck_program
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
         p.add_argument("file", help="source program")
-        p.add_argument("--max-elaborations", type=at_least(1), default=256,
+        p.add_argument("--max-elaborations", type=at_least(1),
+                       default=MAX_ELABORATIONS,
                        help="cap on enumerated elaborations")
         p.add_argument("--format", choices=["text", "json"], default="text")
         return p
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
         p = _parse_file(ns.file, parse_program)
         ns.contexts = _load_contexts(ns)    # read before the program is typed
         return guard_stdout(ns.func, ns, typecheck_program(
-            p, Limits(ns.max_elaborations)))
+            p, ns.max_elaborations))
     except _InputError as err:
         print(err, file=sys.stderr)
         return EXIT_TYPE_ERROR

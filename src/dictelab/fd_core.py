@@ -15,14 +15,16 @@ environment, so one node always gets the same target term, and it
 translates a packed forest of derivations (`syntax.unpack`) too: a choice
 becomes the choice of its alternatives' translations, which typing has
 checked to have one type, and unpacking the result gives the translation
-of each derivation, in order. Forests share subforests, and derivations
-unpacked from one forest share subtrees, and a trace step shares what it
-leaves in place, so a checker types each shared node once per binding of
-its free variables and translates each shared node once, reusing results
-by object identity (hash-consing's idea, applied to results instead of
-nodes). Types and dictionaries are hash-consed
-themselves, so comparing two types is an identity test unless both hold
-a binder, and a closed dictionary is typed once per method environment.
+of each derivation, in order. Types and dictionary types have one
+translation (`elab_fd_type`), whose memo a checker keeps per Σ. Forests
+share subforests, and derivations unpacked from one forest share
+subtrees, and a trace step shares what it leaves in place, so a checker
+types each shared node once per binding of its free variables and
+translates each shared node once, reusing results by object identity
+(hash-consing's idea, applied to results instead of nodes). Types and
+dictionaries are hash-consed themselves, so comparing two types is an
+identity test unless both hold a binder, and a closed dictionary is
+typed once per method environment.
 
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
@@ -126,9 +128,11 @@ def lookup_class_by_method(TC, method: str) -> FdClassEntry:
     raise FdTypeError(UNKNOWN_METHOD, f"unknown method {method!r}")
 
 
-def elab_fd_type(TC, t: FdType, memo=None) -> TgtType:
-    """The target type of t; memo holds the translations made so far in
-    this call, so each subtree t shares is translated once."""
+def elab_fd_type(TC, t: FdType | FdQ, memo=None) -> TgtType:
+    """The target type of t, a type or a dictionary type, which becomes
+    the single-field record of its class's method; memo holds the
+    translations made so far, so each subtree t shares is translated
+    once."""
     memo = {} if memo is None else memo
     out = memo.get(t)
     if out is None:
@@ -141,21 +145,19 @@ def elab_fd_type(TC, t: FdType, memo=None) -> TgtType:
                 out = TArrow(elab_fd_type(TC, l, memo),
                              elab_fd_type(TC, r, memo))
             case IQArrow(q, r):
-                out = TArrow(elab_fd_q(TC, q), elab_fd_type(TC, r, memo))
+                out = TArrow(elab_fd_type(TC, q, memo),
+                             elab_fd_type(TC, r, memo))
             case IForall(a, body):
                 out = TForall(a, elab_fd_type(TC, body, memo))
+            case FdQ(cls, arg):
+                entry = lookup_class_by_name(TC, cls)
+                out = TRecordTy(((entry.method, subst_type(
+                    elab_fd_type(TC, entry.method_type, memo),
+                    {entry.var: elab_fd_type(TC, arg, memo)})),))
             case _:
                 raise TypeError(t)
         memo[t] = out
     return out
-
-
-def elab_fd_q(TC, q: FdQ) -> TgtType:
-    """A dictionary type becomes the single-field record of its method."""
-    entry = lookup_class_by_name(TC, q.cls)
-    method_tt = elab_fd_type(TC, entry.method_type)
-    return TRecordTy(((entry.method,
-                       subst_type(method_tt, {entry.var: elab_fd_type(TC, q.arg)})),))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,8 @@ class FdChecker:
     implementations among them: the constructors whose implementations
     are checked, each against the strict prefix of the environment at
     first use (`_impl_memo`), each constructor's translation (`_records`),
-    type translations, by the type (`_elabs`), the closed annotations
+    the translation of every type and subtree translated, by the type
+    (`_elabs`, the memo of `elab_fd_type`), the closed annotations
     found well formed, which TC alone decides (`_closed`; an ill-formed
     one is never recorded, so it raises at every check), and the type of
     each method projection, by the method and the dictionary's type
@@ -538,12 +541,9 @@ class FdChecker:
         raise TypeError(e)
 
     def _elab(self, t) -> TgtType:
-        """The target type of an intermediate type or dictionary type."""
-        out = self._elabs.get(t)
-        if out is None:
-            elab = elab_fd_q if type(t) is FdQ else elab_fd_type
-            out = self._elabs[t] = elab(self.TC, t)
-        return out
+        """The target type of an intermediate type or dictionary type,
+        translated once per Σ: `_elabs` is elab_fd_type's memo."""
+        return elab_fd_type(self.TC, t, self._elabs)
 
     def _record(self, con: str) -> TgtExpr:
         """The translation of constructor con, once per Σ: its checked

@@ -15,8 +15,10 @@ types the forest (`FdChecker.check_expr`, the typing judgment alone),
 then translates it (`FdChecker.translate`, a structural walk over the typed
 forest); coherence does the same for each intermediate value. Each Σ's
 direct translator and `fd_env_wf`-validated checker are built once and
-kept by Σ itself (`source_typer.MethodEnv`), which both reports and every
-coherence context share: the reports take a typed program.
+kept by Σ itself (`MethodEnv.derived`), which both reports and every
+coherence context share: the reports take a typed program, which
+`check_coherence` and `check_decomposition` type under a cap whose
+default is `source_typer.MAX_ELABORATIONS`.
 Coherence: every elaboration read gives Kleene-equal results along every
 pipeline. Each Σ evaluates each translated forest once, not each tree:
 the intermediate forest under Σ (each value then translated and evaluated
@@ -68,8 +70,8 @@ from collections import namedtuple
 from . import fd_core, syntax as S, target_core
 from .fd_core import (FdChecker, fd_env_wf, fd_leaves, fd_step,
                       is_fd_value)
-from .source_typer import (Limits, MethodEnv, SrcTypeError, typecheck_main,
-                           typecheck_program)
+from .source_typer import (MAX_ELABORATIONS, DirectTranslator, MethodEnv,
+                           SrcTypeError, typecheck_main, typecheck_program)
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
@@ -139,7 +141,8 @@ def _environments(r):
     against r.decls first reads Σ."""
     for variant, (sigma, n) in enumerate(r.variants_read):
         checker = sigma.derived(fd_env_wf)
-        yield (variant, sigma, checker, n, sigma.direct(r.forest),
+        yield (variant, sigma, checker, n,
+               sigma.derived(DirectTranslator)(r.forest),
                _composed(checker, r.forest))
 
 
@@ -308,14 +311,14 @@ def decomposition_report(r) -> DecompositionReport:
         mismatches=tuple(mismatches))
 
 
-def check_coherence(p: SrcProgram, limits: Limits = Limits(),
+def check_coherence(p: SrcProgram, cap: int = MAX_ELABORATIONS,
                     fuel: int = 100_000, contexts=()) -> CoherenceReport:
-    return coherence_report(typecheck_program(p, limits), fuel, contexts)
+    return coherence_report(typecheck_program(p, cap), fuel, contexts)
 
 
 def check_decomposition(p: SrcProgram,
-                        limits: Limits = Limits()) -> DecompositionReport:
-    return decomposition_report(typecheck_program(p, limits))
+                        cap: int = MAX_ELABORATIONS) -> DecompositionReport:
+    return decomposition_report(typecheck_program(p, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +383,6 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
         try:
             nxt = fd_step(sigma, current)
         except fd_core.FdTypeError:
-            return MetaReport(steps, True, False, True, S.pretty(current))
-        if nxt is None:
             return MetaReport(steps, True, False, True, S.pretty(current))
         checker.collect()
         try:
@@ -514,11 +515,8 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
             size -= 1
         elif intro:
             rule, size = _INTRO, 0
-        elif atoms:
-            return rng.choice(atoms)
         else:
-            # Unreachable for the types _gen_type produces, but stay total.
-            return ITrue()
+            return rng.choice(atoms)
         if rule == _INTRO:
             if cls is IArrow:
                 return ILam(x, ty.left,

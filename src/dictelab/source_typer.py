@@ -14,9 +14,10 @@ names first, since a method name is never rebound. The elaborating judgments
 dictionaries are first-order and binder-free: an elaboration is its
 resolution derivation. A method environment Σ fixes one body per instance
 for the whole program; a typed program's Σ is a `MethodEnv`, which keeps
-what is derived from it. The typer's output holds derivations only;
-`harness.squares` translates them under Σ directly (`DirectTranslator`,
-which shares no code with `fd_core`) and through the intermediate
+what is derived from it, each built as build(Σ, TC) (`MethodEnv.derived`).
+The typer's output holds derivations only; `harness` translates them
+under Σ directly (`DirectTranslator`, Σ's own, derived like its checker,
+and sharing no code with `fd_core`) and through the intermediate
 language (`fd_core.FdChecker`, which types them, then translates them), so
 decomposition stays a cross-check.
 
@@ -31,8 +32,9 @@ if every constraint of its context is below its head in (type size, class
 rank) (`_check_termination`), so no depth bounds the search, and a
 judgment resolves each constraint once. A forest therefore holds every
 elaboration. A typed program reads the number of its trees off each root
-forest (`syntax.tree_count`), unpacks at most `max_elaborations` of them,
-and only when one is read (`syntax.Unpacked`).
+forest (`syntax.tree_count`), unpacks at most a cap of them, an `int`
+whose one default is `MAX_ELABORATIONS`, and only when one is read
+(`syntax.Unpacked`).
 """
 
 from __future__ import annotations
@@ -68,9 +70,8 @@ class SrcTypeError(Exception):
         self.kind = kind
 
 
-@frozen
-class Limits:
-    max_elaborations: int = 256
+# The default cap: how many elaborations a typed program reads.
+MAX_ELABORATIONS = 256
 
 
 @frozen
@@ -141,14 +142,10 @@ def closure(GC, qs) -> tuple[SrcConstraint, ...]:
     return tuple(out)
 
 
-def unambig_scheme(s: SrcScheme) -> bool:
-    head_fvs = set(free_type_vars(s.head))
-    return all(b in head_fvs for b in s.binders)
-
-
-def unambig_constraint(c: SrcConstraintScheme) -> bool:
-    head_fvs = set(free_type_vars(c.head.arg))
-    return all(b in head_fvs for b in c.binders)
+def unambiguous(binders, head) -> bool:
+    """Whether every binder of a scheme occurs in its head."""
+    head_fvs = set(free_type_vars(head))
+    return all(b in head_fvs for b in binders)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +331,7 @@ def infer(P, GC, env, e: SrcExpr):
             return ty, check(P, GC, env, inner, ty)
         case SLet(x, sch, bound, body):
             _check_no_method_shadow(GC, x)
-            if not unambig_scheme(sch):
+            if not unambiguous(sch.binders, sch.head):
                 raise SrcTypeError(
                     "ambiguous",
                     f"ambiguous type scheme for {x!r}: not every bound "
@@ -500,14 +497,14 @@ def _check_termination(GC, con: str, closed, head_q: SrcConstraint):
                 f"{S.pretty(head_q)}")
 
 
-def _read(forest, limits: Limits):
-    """How many trees of forest a typed program reads, at most
-    max_elaborations, and whether forest has more."""
+def _read(forest, cap: int):
+    """How many trees of forest a typed program reads, at most cap, and
+    whether forest has more."""
     total = S.tree_count(forest)
-    return min(total, limits.max_elaborations), total > limits.max_elaborations
+    return min(total, cap), total > cap
 
 
-def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
+def typecheck_instance(P, GC, d: InstDecl, cap: int) -> InstEntry:
     cls = lookup_class(GC, d.cls)
     if d.method != cls.method:
         raise SrcTypeError(
@@ -522,7 +519,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
     con = f"D{len(P) + 1}_{d.cls}"
     head_q = SrcConstraint(d.cls, d.head)
     scheme = SrcConstraintScheme(binders, closed, head_q)
-    if not unambig_constraint(scheme):
+    if not unambiguous(binders, d.head):
         raise SrcTypeError(
             "ambiguous", f"ambiguous instance context for {con!r}")
     # Non-overlap with every earlier instance of the same class.
@@ -564,7 +561,7 @@ def typecheck_instance(P, GC, d: InstDecl, limits: Limits) -> InstEntry:
                 "unsatisfiable", f"superclass {sup!r} of {d.cls!r} is not "
                                  f"derivable at {S.pretty(d.head)}")
     forest = check(P, GC, local_env, d.body, meth_head)
-    n, truncated = _read(forest, limits)
+    n, truncated = _read(forest, cap)
     fd_scheme = FdConstraintScheme(
         binders, tuple(elab_constraint(GC, set(binders), q) for q in closed),
         elab_constraint(GC, set(binders), head_q))
@@ -607,7 +604,8 @@ def _method_impl(entry: InstEntry, body: FdExpr) -> MethodImpl:
 
 class DirectTranslator:
     """The direct translation of derivations to the target, under the
-    method environment that picks `bodies`, one per instance of P.
+    method environment Σ (a `MethodEnv`, whose instance bodies it reads)
+    over the class environment TC.
 
     A dictionary becomes its instance's record, built from the typed
     declaration; a method call becomes a projection and a dictionary
@@ -616,9 +614,10 @@ class DirectTranslator:
     which its entry keeps alive, as `FdChecker.translate` does.
     """
 
-    def __init__(self, TC, P, bodies):
+    def __init__(self, sigma, TC):
         self.classes = {entry.cls: entry for entry in TC}
-        self.instances = {e.con: (e, body) for e, body in zip(P, bodies)}
+        self.instances = {e.con: (e, body)
+                          for e, body in zip(sigma.P, sigma.bodies)}
         self._memo: dict = {}       # id(node) -> (node, translation)
 
     def __call__(self, node):
@@ -701,10 +700,10 @@ class MethodEnv(tuple):
     one per instance of P, from the instance bodies it picks, over the
     class environment TC. It iterates, slices, compares and hashes as that
     tuple. What is derived from Σ is a function of Σ and TC alone, so Σ
-    keeps it for as long as it lives: its direct translator, and what
-    `derived` builds, such as its `fd_env_wf`-validated checker and the
-    state its streams of terms share (see `harness`). A copy or a pickle
-    is rebuilt without any of it."""
+    keeps what `derived` builds for as long as it lives: its direct
+    translator, its `fd_env_wf`-validated checker and the state its
+    streams of terms share (see `harness`). A copy or a pickle is rebuilt
+    without any of it."""
 
     def __new__(cls, TC, P, bodies):
         sigma = super().__new__(cls, map(_method_impl, P, bodies))
@@ -721,9 +720,6 @@ class MethodEnv(tuple):
             self._kept[build] = build(self, self.TC)
         return self._kept[build]
 
-    direct = functools.cached_property(
-        lambda self: DirectTranslator(self.TC, self.P, self.bodies))
-
 
 @frozen
 class Declarations:
@@ -735,7 +731,7 @@ class Declarations:
     TC: tuple
     variants: tuple
     truncated: bool
-    limits: Limits
+    cap: int
 
 
 @frozen
@@ -763,7 +759,7 @@ class ProgramResult:
         """(Σ, n) for each method environment that the cap reaches, in
         order: the pairs of fd_elabs are the first n elaborations of main
         under each Σ."""
-        out, left = [], self.decls.limits.max_elaborations
+        out, left = [], self.decls.cap
         for sigma in self.decls.variants:
             n = min(self.count, left)
             if n <= 0:
@@ -792,38 +788,37 @@ class ProgramResult:
     def tgt_elabs(self) -> S.Unpacked:
         """The direct target of each pair of fd_elabs: the forest,
         translated once per Σ here, unpacked at the first read of one."""
-        parts = [(sigma.direct(self.forest), n)
+        parts = [(sigma.derived(DirectTranslator)(self.forest), n)
                  for sigma, n in self.variants_read]
         return S.Unpacked(len(self.fd_elabs), lambda: [
             te for forest, n in parts for te in S.unpack(forest, n)])
 
 
-def typecheck_declarations(decls, limits: Limits = Limits()) -> Declarations:
+def typecheck_declarations(decls, cap: int = MAX_ELABORATIONS) -> Declarations:
     GC: tuple = ()
     P: tuple = ()
     for d in decls:
         if isinstance(d, ClassDecl):
             GC = GC + (typecheck_class(GC, d),)
         else:
-            P = P + (typecheck_instance(P, GC, d, limits),)
+            P = P + (typecheck_instance(P, GC, d, cap),)
     # Method environments differ only in their choice of instance bodies.
-    cap = limits.max_elaborations
     truncated = (math.prod(len(e.body_fd) for e in P) > cap
                  or any(e.truncated for e in P))
     choices = itertools.product(*(e.body_fd for e in P))
     TC = elab_class_env(GC)
     variants = tuple(MethodEnv(TC, P, bodies)
                      for bodies in itertools.islice(choices, cap))
-    return Declarations(GC, P, TC, variants, truncated, limits)
+    return Declarations(GC, P, TC, variants, truncated, cap)
 
 
 def typecheck_main(decls: Declarations, main: SrcExpr) -> ProgramResult:
     main_type, forest = infer(decls.P, decls.GC, (), main)
-    n, truncated = _read(forest, decls.limits)
-    truncated |= (decls.truncated or len(decls.variants) * n
-                  > decls.limits.max_elaborations)
+    n, truncated = _read(forest, decls.cap)
+    truncated |= decls.truncated or len(decls.variants) * n > decls.cap
     return ProgramResult(main_type, main, decls, forest, n, truncated)
 
 
-def typecheck_program(p: SrcProgram, limits: Limits = Limits()) -> ProgramResult:
-    return typecheck_main(typecheck_declarations(p.decls, limits), p.main)
+def typecheck_program(p: SrcProgram,
+                      cap: int = MAX_ELABORATIONS) -> ProgramResult:
+    return typecheck_main(typecheck_declarations(p.decls, cap), p.main)

@@ -946,14 +946,6 @@ def _free_pairs(x) -> tuple:
     return _fact_walk(x) if fv is None else fv
 
 
-def _free_by_sort(node) -> dict[str, dict[str, None]]:
-    """Free variables of every sort: sort -> ordered names."""
-    out: dict[str, dict[str, None]] = {}
-    for s, n in _free_pairs(node):
-        out.setdefault(s, {})[n] = None
-    return out
-
-
 def subst(node, sort: str, mapping: dict):
     """Simultaneous capture-avoiding substitution of variables of one sort.
 

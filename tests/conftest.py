@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dictelab.parser import parse_context, parse_program
-from dictelab.source_typer import Limits, typecheck_program
+from dictelab.source_typer import typecheck_program
 from dictelab.syntax import FdDict
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -27,7 +27,7 @@ def corpus_program(name: str):
 
 @functools.lru_cache(maxsize=None)
 def corpus_result(name: str):
-    return typecheck_program(corpus_program(name), Limits())
+    return typecheck_program(corpus_program(name))
 
 
 # Ladder programs, as the benchmark builds them (perfbench/workloads.py)

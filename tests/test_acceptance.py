@@ -19,7 +19,7 @@ from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
 from dictelab.harness import (check_coherence, check_decomposition,
                               check_metatheory, generate_fd_term)
 from dictelab.parser import parse_program
-from dictelab.source_typer import (Limits, SrcTypeError, closure, elab_type,
+from dictelab.source_typer import (SrcTypeError, closure, elab_type,
                                    typecheck_program)
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl, SrcConstraint)
@@ -59,7 +59,7 @@ def test_criterion_3_deterministic_elaboration():
     for name in POSITIVE:
         outs = set()
         for _ in range(5):
-            r = typecheck_program(corpus_program(name), Limits())
+            r = typecheck_program(corpus_program(name))
             text = "\n".join([S.pretty(ie) for _, ie in r.fd_elabs]
                              + [S.pretty(te) for te in r.tgt_elabs])
             outs.add(text)

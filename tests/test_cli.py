@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -273,6 +274,19 @@ def test_resolution_goes_as_deep_as_the_type(capsys, tmp_path, n, code):
     else:
         assert out.endswith("1 class(es), 2 instance(s), "
                             "1 elaboration(s)\n") and err == ""
+
+
+def test_every_cap_default_is_max_elaborations():
+    # One default cap: the typer's entry points, the checks that type a
+    # program and every command read source_typer.MAX_ELABORATIONS.
+    for fn in (source_typer.typecheck_program,
+               source_typer.typecheck_declarations,
+               harness.check_coherence, harness.check_decomposition):
+        cap = inspect.signature(fn).parameters["cap"]
+        assert cap.default == source_typer.MAX_ELABORATIONS, fn.__name__
+    for cmd in COMMANDS:
+        ns = cli._build_parser().parse_args([cmd, src("P1")])
+        assert ns.max_elaborations == source_typer.MAX_ELABORATIONS, cmd
 
 
 @pytest.mark.parametrize("flag,value", [("--max-elaborations", "0"),

@@ -14,7 +14,7 @@ import pytest
 from dictelab import fd_core, harness, source_typer, syntax as S, target_core
 from dictelab.fd_core import FdTypeError, FuelExhausted
 from dictelab.parser import parse_program
-from dictelab.source_typer import Limits, SrcTypeError, typecheck_program
+from dictelab.source_typer import SrcTypeError, typecheck_program
 from dictelab.target_core import TgtTypeError
 
 import reference_coherence
@@ -101,24 +101,21 @@ def assert_matches_reference(r, *args, **kwargs):
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("name", list(PROGRAMS))
 def test_coherence_agrees_with_the_enumerated_reference(name, cap):
-    r = typecheck_program(parse_program(PROGRAMS[name]),
-                          Limits(max_elaborations=cap))
+    r = typecheck_program(parse_program(PROGRAMS[name]), cap)
     assert assert_matches_reference(r).all_kleene_equal
 
 
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("name", POSITIVE)
 def test_coherence_under_contexts_agrees_with_the_reference(name, cap):
-    r = typecheck_program(parse_program(corpus_text(name)),
-                          Limits(max_elaborations=cap))
+    r = typecheck_program(parse_program(corpus_text(name)), cap)
     assert assert_matches_reference(
         r, contexts=corpus_contexts()).all_kleene_equal
 
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_a_split_value_agrees_with_the_reference(cap):
-    r = typecheck_program(parse_program(LAMBDA_LET),
-                          Limits(max_elaborations=cap))
+    r = typecheck_program(parse_program(LAMBDA_LET), cap)
     rep = assert_matches_reference(r)
     assert rep.all_kleene_equal == (cap == 1)
 
@@ -160,8 +157,7 @@ def test_a_broken_translation_is_reported_as_the_reference_reports_it(
     mutant(monkeypatch)
     src = PROGRAMS.get(name) or corpus_text(name)
     for cap in CAPS:
-        r = typecheck_program(parse_program(src),
-                              Limits(max_elaborations=cap))
+        r = typecheck_program(parse_program(src), cap)
         assert_matches_reference(r, contexts=corpus_contexts())
 
 
@@ -187,8 +183,7 @@ def test_the_first_error_raised_is_the_reference_s(monkeypatch, name):
     _unbind_each_alternative(monkeypatch)
     src = PROGRAMS.get(name) or corpus_text(name)
     for cap in CAPS:
-        r = typecheck_program(parse_program(src),
-                              Limits(max_elaborations=cap))
+        r = typecheck_program(parse_program(src), cap)
         got = assert_matches_reference(r)
         assert got == (TgtTypeError, "stuck term nowhere0")
 
@@ -250,8 +245,7 @@ def test_coherence_runs_each_machine_once_per_leaf(monkeypatch):
 
 
 def test_a_branch_past_the_cap_is_never_taken(monkeypatch):
-    r = typecheck_program(parse_program(flex_source(8)),
-                          Limits(max_elaborations=1))
+    r = typecheck_program(parse_program(flex_source(8)), 1)
     runs = count_calls(monkeypatch, fd_core, "run_machine")
     assert harness.coherence_report(r).all_kleene_equal
     assert len(runs) == 1
@@ -319,7 +313,8 @@ COUNTED = _count_programs()
 def test_tree_count_and_tree_at_agree_with_unpack(name):
     r = typecheck_program(parse_program(COUNTED[name]))
     sigma = r.decls.variants[0]
-    for forest in (r.forest, sigma.direct(r.forest),
+    direct = sigma.derived(source_typer.DirectTranslator)
+    for forest in (r.forest, direct(r.forest),
                    harness._composed(sigma.derived(fd_core.fd_env_wf),
                                      r.forest)):
         trees = S.unpack(forest, 10 ** 6)

@@ -15,7 +15,8 @@ import hashlib
 
 from dictelab import syntax as S
 from dictelab.parser import parse_program
-from dictelab.source_typer import Limits, SrcTypeError, typecheck_program
+from dictelab.source_typer import (MAX_ELABORATIONS, SrcTypeError,
+                                   typecheck_program)
 
 from conftest import (NEGATIVE, POSITIVE, corpus_text, flex_source,
                       tower_source, wide_source)
@@ -29,26 +30,31 @@ LOCAL_EQ = ("let f : Eq Bool => Bool -> Bool = "
 
 
 def pinned_programs():
-    """(name, source, limits) of every program the enumeration pin covers."""
-    out = [(name, corpus_text(name), Limits()) for name in POSITIVE + NEGATIVE]
-    out += [(f"flex{n}", flex_source(n), Limits()) for n in range(1, 9)]
-    out += [(f"wide{k}@{cap}", wide_source(k), Limits(max_elaborations=cap))
+    """(name, source, cap) of every program the enumeration pin covers."""
+    out = [(name, corpus_text(name), MAX_ELABORATIONS)
+           for name in POSITIVE + NEGATIVE]
+    out += [(f"flex{n}", flex_source(n), MAX_ELABORATIONS)
+            for n in range(1, 9)]
+    out += [(f"wide{k}@{cap}", wide_source(k), cap)
             for k in (1, 2, 3) for cap in (1, 2, 16, 256)]
-    out.append(("wide5", wide_source(5), Limits()))
-    out += [(f"tower{d}", tower_source(d), Limits()) for d in range(1, 9)]
+    out.append(("wide5", wide_source(5), MAX_ELABORATIONS))
+    out += [(f"tower{d}", tower_source(d), MAX_ELABORATIONS)
+            for d in range(1, 9)]
     return out
 
 
 def undecidable_programs():
-    """(name, source, limits) of the self-supporting instances: unused,
+    """(name, source, cap) of the self-supporting instances: unused,
     used by a let's local constraint and by main, and twice in a
     context."""
     return [
-        ("self-support", SELF_SUPPORT + "True", Limits()),
-        ("self-support-let", SELF_SUPPORT + LOCAL_EQ, Limits()),
+        ("self-support", SELF_SUPPORT + "True", MAX_ELABORATIONS),
+        ("self-support-let", SELF_SUPPORT + LOCAL_EQ, MAX_ELABORATIONS),
         ("self-support-use",
-         SELF_SUPPORT + "(eq :: Bool -> Bool -> Bool) True True", Limits()),
-        ("self-support-twice", SELF_SUPPORT_TWICE + LOCAL_EQ, Limits())]
+         SELF_SUPPORT + "(eq :: Bool -> Bool -> Bool) True True",
+         MAX_ELABORATIONS),
+        ("self-support-twice", SELF_SUPPORT_TWICE + LOCAL_EQ,
+         MAX_ELABORATIONS)]
 
 
 def pin(programs):
@@ -57,10 +63,10 @@ def pin(programs):
     and the error kind of each rejected program."""
     h = hashlib.sha256()
     elaborations = 0
-    for name, src, limits in programs:
+    for name, src, cap in programs:
         h.update(f"== {name}\n".encode())
         try:
-            r = typecheck_program(parse_program(src), limits)
+            r = typecheck_program(parse_program(src), cap)
         except SrcTypeError as err:
             h.update(f"error {err.kind}\n".encode())
             continue

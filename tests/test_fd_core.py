@@ -6,7 +6,7 @@ from dictelab import fd_core, syntax as S
 from dictelab.fd_core import (
     FdChecker, FdTypeError, FuelExhausted, MISMATCH, OVERLAP,
     PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
-    elab_fd_q, elab_fd_type, expected_impl_type, fd_env_wf,
+    elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, is_fd_value,
 )
 from dictelab.syntax import (
@@ -77,7 +77,7 @@ def test_elab_fd_type_replaces_constraints_with_records():
 
 
 def test_elab_fd_q_is_single_method_record():
-    out = elab_fd_q(TC_EQ, FdQ("Eq", IBool()))
+    out = elab_fd_type(TC_EQ, FdQ("Eq", IBool()))
     assert S.pretty(out) == "{eq : Bool -> Bool -> Bool}"
 
 

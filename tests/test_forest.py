@@ -15,7 +15,8 @@ from dictelab.cli import main
 from dictelab.fd_core import FdChecker
 from dictelab.harness import DecompositionReport, Mismatch
 from dictelab.parser import parse_program
-from dictelab.source_typer import DirectTranslator, Limits, typecheck_program
+from dictelab.source_typer import (MAX_ELABORATIONS, DirectTranslator,
+                                   MethodEnv, typecheck_program)
 
 from conftest import (POSITIVE, corpus_contexts, corpus_text, count_calls,
                       flex_source, tower_source, type_and_translate,
@@ -46,8 +47,9 @@ def reference_squares(r):
     variants = r.decls.variants
     for sigma, ie in r.fd_elabs:
         variant = next(i for i, s in enumerate(variants) if s is sigma)
-        direct = DirectTranslator(r.fd_class_env, r.P,
-                                  variants[variant].bodies)(ie)
+        direct = DirectTranslator(
+            MethodEnv(r.fd_class_env, r.P, variants[variant].bodies),
+            r.fd_class_env)(ie)
         _, te = type_and_translate(FdChecker(sigma, r.fd_class_env), ie)
         yield variant, sigma, ie, direct, te
 
@@ -71,8 +73,9 @@ def fields(rep: DecompositionReport, composed):
             [S.pretty(te) for te in composed], rep.mismatches)
 
 
-def assert_matches_reference(src, limits=Limits()) -> DecompositionReport:
-    r = typecheck_program(parse_program(src), limits)
+def assert_matches_reference(src,
+                             cap=MAX_ELABORATIONS) -> DecompositionReport:
+    r = typecheck_program(parse_program(src), cap)
     rep = harness.decomposition_report(r)
     assert fields(rep, harness.corners(r, "composed")) == \
         fields(*reference_decomposition(r))
@@ -91,7 +94,7 @@ CAPS = (1, 2, 3, 256)
     for name in LADDERS for cap in CAPS])
 def test_decomposition_agrees_with_the_square_by_square_reference(name, cap):
     assert assert_matches_reference(
-        LADDERS[name], Limits(max_elaborations=cap)).equal
+        LADDERS[name], cap).equal
 
 
 def _drop_type_applications(monkeypatch):
@@ -151,7 +154,7 @@ def test_a_checker_fault_past_the_cap_is_not_hidden(
     # it. The forest's translation is the only one, so the fault shows.
     _reject_the_instance_alternative(monkeypatch)
     src = wide_source(2)
-    r = typecheck_program(parse_program(src), Limits(max_elaborations=15))
+    r = typecheck_program(parse_program(src), 15)
     alts = [alt for node in forest_nodes(r.forest, {}).values()
             if isinstance(node, S.IChoice) for alt in node.alts]
     assert [alt.name for alt in alts if isinstance(alt, S.DCon)] == ["D1_Eq"]
@@ -269,7 +272,8 @@ def read_eagerly(r):
                               for ie in elabs[:n]),
             "tgt_elabs": tuple(
                 te for sigma, n in r.variants_read
-                for te in S.unpack(sigma.direct(r.forest), n)),
+                for te in S.unpack(
+                    sigma.derived(DirectTranslator)(r.forest), n)),
             "composed": tuple(sq.composed for sq in harness.squares(r))}
 
 
@@ -280,7 +284,7 @@ COUNTED = {**LADDERS, "wide5": wide_source(5), "four_sigmas": FOUR_SIGMAS}
 def test_counts_and_trees_read_lazily_match_the_eager_reference(name):
     src = COUNTED[name]
     for cap in (1, 2, 16, 256):
-        r = typecheck_program(parse_program(src), Limits(max_elaborations=cap))
+        r = typecheck_program(parse_program(src), cap)
         reference = read_eagerly(r)
         for what, seq in read_lazily(r).items():
             counted = len(seq)

@@ -89,7 +89,7 @@ def twin(x):
 def test_every_converted_class_is_covered():
     assert set(S._SHAPES) <= set(CLASSES)
     outside = {c.__name__ for c in CLASSES if c.__module__ != S.__name__}
-    assert outside == {"Limits", "ClassEntry", "InstEntry", "Declarations",
+    assert outside == {"ClassEntry", "InstEntry", "Declarations",
                        "ProgramResult", "CoherenceReport", "Mismatch",
                        "DecompositionReport", "MetaReport"}
 
@@ -238,10 +238,9 @@ def test_a_typed_program_is_compared_and_shown_without_its_forest():
     # wide(8) it stands for 16^8 trees. Walking it as a tree, `==`, hash
     # and repr would take hours. Without it they take the program's size.
     r = source_typer.typecheck_program(
-        parser.parse_program(wide_source(8)),
-        source_typer.Limits(max_elaborations=3))
+        parser.parse_program(wide_source(8)), 3)
     assert S.tree_count(r.forest) == 16 ** 8
-    assert len(repr(r)) == 2428
+    assert len(repr(r)) == 2400
     other = source_typer.ProgramResult(
         r.main_type, r.main, r.decls, S.ITrue(), r.count, r.fd_truncated)
     assert other == r and hash(other) == hash(r)
@@ -433,11 +432,12 @@ def test_each_method_names_its_own_class(cls):
         assert cls.__eq__ is object.__eq__
 
 
-def test_limits_keep_their_defaults():
-    assert source_typer.Limits() == source_typer.Limits(256)
-    assert source_typer.Limits(max_elaborations=2) == \
-        source_typer.Limits(2)
-    assert source_typer.Limits.__init__.__defaults__ == (256,)
+def test_a_default_is_kept():
+    assert harness.MetaReport(3, True, True, True) == \
+        harness.MetaReport(3, True, True, True, None)
+    assert harness.MetaReport(3, True, True, True, failing_term="t") == \
+        harness.MetaReport(3, True, True, True, "t")
+    assert harness.MetaReport.__init__.__defaults__ == (None,)
     assert S.SApp.__init__.__defaults__ is None
     assert S.SArrow.__new__.__defaults__ is None
 

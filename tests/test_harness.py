@@ -17,7 +17,8 @@ from dictelab.harness import (check_coherence, check_decomposition,
                               decomposition_lines, generate_fd_term,
                               meta_lines)
 from dictelab.parser import parse_program
-from dictelab.source_typer import Limits, MethodEnv, typecheck_program
+from dictelab.source_typer import (MAX_ELABORATIONS, MethodEnv,
+                                   typecheck_program)
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
@@ -212,7 +213,7 @@ def test_decomposition_after_coherence_translates_nothing(monkeypatch):
 
 def _keeps(sigma) -> bool:
     """Whether the typed Σ sigma keeps a translator or checker."""
-    return "direct" in vars(sigma) or bool(sigma._kept)
+    return bool(sigma._kept)
 
 
 def test_a_copy_of_a_typed_program_leaves_the_translators_behind():
@@ -237,7 +238,7 @@ def test_a_copy_or_pickle_of_a_sigma_is_equal_and_keeps_nothing():
     sigma = r.decls.variants[0]
     check_metatheory(sigma, r.fd_class_env, generate_fd_term(
         0, 4, sigma, r.fd_class_env))
-    assert _keeps(sigma) and len(sigma._kept) == 3
+    assert _keeps(sigma) and len(sigma._kept) == 4
     for other in (copy.copy(sigma), copy.deepcopy(sigma),
                   pickle.loads(pickle.dumps(sigma))):
         assert type(other) is source_typer.MethodEnv and other is not sigma
@@ -509,13 +510,13 @@ def test_fuzz_work_builds_no_target_term(monkeypatch):
 
 
 def _translation_pin_programs():
-    """(source, limits) of each program whose squares the translation pin
+    """(source, cap) of each program whose squares the translation pin
     covers."""
-    out = [(corpus_text(name), Limits()) for name in POSITIVE]
-    out += [(flex_source(n), Limits()) for n in range(1, 9)]
-    out += [(wide_source(k), Limits(max_elaborations=cap))
+    out = [(corpus_text(name), MAX_ELABORATIONS) for name in POSITIVE]
+    out += [(flex_source(n), MAX_ELABORATIONS) for n in range(1, 9)]
+    out += [(wide_source(k), cap)
             for k in (1, 2, 3) for cap in (1, 16, 256)]
-    out += [(tower_source(d), Limits()) for d in range(1, 9)]
+    out += [(tower_source(d), MAX_ELABORATIONS) for d in range(1, 9)]
     return out
 
 
@@ -525,8 +526,8 @@ def test_composed_translations_are_pinned():
     # typing still built the translation: translating typed terms apart
     # from typing them must give the same targets.
     h = hashlib.sha256()
-    for src, limits in _translation_pin_programs():
-        r = source_typer.typecheck_program(parse_program(src), limits)
+    for src, cap in _translation_pin_programs():
+        r = source_typer.typecheck_program(parse_program(src), cap)
         for sq in harness.squares(r):
             h.update((S.pretty(sq.composed) + "\n").encode())
     for name in ("P2", "P4"):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or its tests imports a name
 it never reads, no function of the package takes a parameter it never
-reads, nothing the package defines at top level goes unread, and no
-nested function of the package outlives its call in a reference cycle.
+reads, nothing the package defines at top level goes unread or is read by
+the tests alone, and no nested function of the package outlives its call
+in a reference cycle.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
@@ -20,8 +21,19 @@ PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 # Where a definition of the package may be read: the benchmark too.
 READERS = sorted(path for folder in ("src", "tests", "perfbench")
                  for path in (ROOT / folder).rglob("*.py"))
+# The readers that make a definition worth keeping: a definition that
+# only the tests read checks nothing the program does.
+PROGRAM_READERS = [path for path in READERS
+                   if path.relative_to(ROOT).parts[0] != "tests"]
 # A definition read from outside the sources: the package's version.
 UNREAD_DEFINITIONS = {"__version__"}
+# A definition that only the tests read, by module and name, and why it
+# stays.
+TEST_ONLY_DEFINITIONS = {
+    "harness.squares": "the tests' view of each commuting square, their "
+                       "reference for the forest checks; it goes once no "
+                       "verdict or printer reads a tree (ROADMAP item 10)",
+}
 # A parameter that a protocol fixes, by module, function and name:
 # `object.__setattr__` passes the value a frozen class refuses to set.
 PROTOCOL_PARAMETERS = {("syntax.py", "_frozen_setattr", "value")}
@@ -100,13 +112,16 @@ def reads(source: str) -> set[str]:
     return out
 
 
-def unread_definitions(package: dict[str, str], readers) -> list[str]:
+def unread_definitions(package: dict[str, str], readers,
+                       allowed=()) -> list[str]:
     """"module:line: name" for each top-level definition of the package,
-    sources by module name, that no source of readers reads."""
+    sources by module name, that no source of readers reads, unless
+    allowed names it as "module.name"."""
     read = set().union(*map(reads, readers))
     return [f"{module}:{line}: {name}" for module, source in package.items()
             for line, name in definitions(source)
-            if name not in read and name not in UNREAD_DEFINITIONS]
+            if name not in read and name not in UNREAD_DEFINITIONS
+            and f"{module.removesuffix('.py')}.{name}" not in allowed]
 
 
 def test_no_definition_of_the_package_goes_unread():
@@ -121,6 +136,24 @@ def test_the_scan_sees_an_unread_definition():
     readers = [*package.values(), "import m\nm.U\ngetattr(m, 'W')\n"]
     assert unread_definitions(package, readers) == [
         "m.py:1: f", "m.py:3: C", "m.py:4: T", "m.py:7: V"]
+
+
+def test_no_definition_of_the_package_is_read_by_the_tests_alone():
+    assert unread_definitions({p.name: p.read_text() for p in PACKAGE},
+                              [p.read_text() for p in PROGRAM_READERS],
+                              TEST_ONLY_DEFINITIONS) == []
+
+
+def test_the_scan_sees_a_definition_only_the_tests_read():
+    package = {"m.py": "def f(): pass\ndef g(): pass\n",
+               "harness.py": "def squares(): pass\n"}
+    program = [*package.values(), "import m\nm.g()\n"]
+    tests = "import harness, m\nm.f()\nharness.squares()\n"
+    assert unread_definitions(package, [*program, tests]) == []
+    assert unread_definitions(package, program) == [
+        "m.py:1: f", "harness.py:1: squares"]
+    assert unread_definitions(package, program, TEST_ONLY_DEFINITIONS) == [
+        "m.py:1: f"]
 
 
 def unused_parameters(source: str) -> list[tuple[str, str]]:

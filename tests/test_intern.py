@@ -268,7 +268,7 @@ def count_fact_visits(monkeypatch, thunk) -> int:
     return visits
 
 
-@pytest.mark.parametrize("walk", [S.unify, S._free_by_sort],
+@pytest.mark.parametrize("walk", [S.unify, S._free_pairs],
                          ids=lambda f: f.__name__)
 def test_type_walks_on_the_tower_grow_linearly(walk, monkeypatch):
     # The tower's types have 2^d leaves and d+2 distinct arrows; a walk
@@ -287,10 +287,10 @@ def test_type_walks_on_the_tower_grow_linearly(walk, monkeypatch):
         else:
             forest = source_typer.typecheck_program(p).forest
             counts.append(count_fact_visits(
-                monkeypatch, lambda: S._free_by_sort(forest)))
+                monkeypatch, lambda: S._free_pairs(forest)))
             # Cached: a second query visits nothing.
             assert count_fact_visits(
-                monkeypatch, lambda: S._free_by_sort(forest)) == 0
+                monkeypatch, lambda: S._free_pairs(forest)) == 0
     assert counts[2] - counts[1] == counts[1] - counts[0]
     assert 0 < counts[2] < 200
 
@@ -306,9 +306,9 @@ def test_the_fact_walk_on_the_flex_forest_grows_linearly(monkeypatch):
         forest = source_typer.typecheck_program(
             parser.parse_program(flex_source(n))).forest
         counts.append(count_fact_visits(
-            monkeypatch, lambda: S._free_by_sort(forest)))
+            monkeypatch, lambda: S._free_pairs(forest)))
         assert count_fact_visits(
-            monkeypatch, lambda: S._free_by_sort(forest)) == 0
+            monkeypatch, lambda: S._free_pairs(forest)) == 0
     assert counts[2] - counts[1] == counts[1] - counts[0] > 0
     assert counts[2] < 20 * 10
 

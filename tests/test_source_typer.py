@@ -14,9 +14,9 @@ from dictelab.cli import main
 from dictelab.harness import squares
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
-    ClassEntry, DirectTranslator, Limits, SrcTypeError, check, closure,
-    elab_class_env, elab_type, entail, infer, typecheck_class,
-    typecheck_program, unambig_constraint, unambig_scheme,
+    ClassEntry, DirectTranslator, MAX_ELABORATIONS, MethodEnv, SrcTypeError,
+    check, closure, elab_class_env, elab_type, entail, infer, typecheck_class,
+    typecheck_program, unambiguous,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
@@ -28,15 +28,12 @@ from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
 from strategies import src_mono
 from test_golden_cli import LE, ORD
 
-LIMITS = Limits()
-
-
 def enumerated(forest):
     """A judgment's forest unpacked up to the default cap: the list of
     alternatives, and whether the forest has more, the flag the judgment
     returned before it packed them."""
     n = S.tree_count(forest)
-    return S.unpack(forest, n), n > LIMITS.max_elaborations
+    return S.unpack(forest, n), n > MAX_ELABORATIONS
 
 
 def _class(name, supers=(), method=None, var="a", head=None):
@@ -124,17 +121,18 @@ def test_closure_matches_fixpoint_oracle(seed):
 def test_unambig_scheme_accepts_binder_in_head():
     s = SrcScheme(("a",), (SrcConstraint("Eq", STyVar("a")),),
                   SArrow(STyVar("a"), SBool()))
-    assert unambig_scheme(s)
+    assert unambiguous(s.binders, s.head)
 
 
 def test_unambig_scheme_rejects_missing_binder():
     s = SrcScheme(("a",), (SrcConstraint("Eq", STyVar("a")),),
                   SArrow(SBool(), SBool()))
-    assert not unambig_scheme(s)
+    assert not unambiguous(s.binders, s.head)
 
 
 def test_unambig_scheme_trivial():
-    assert unambig_scheme(SrcScheme((), (), SBool()))
+    s = SrcScheme((), (), SBool())
+    assert unambiguous(s.binders, s.head)
 
 
 def test_unambig_constraint():
@@ -142,12 +140,12 @@ def test_unambig_constraint():
         ("a", "b"),
         (SrcConstraint("Eq", STyVar("a")), SrcConstraint("Eq", STyVar("b"))),
         SrcConstraint("Eq", SArrow(STyVar("a"), STyVar("b"))))
-    assert unambig_constraint(ab)
+    assert unambiguous(ab.binders, ab.head.arg)
     bad = SrcConstraintScheme(("a",), (SrcConstraint("Eq", STyVar("a")),),
                               SrcConstraint("Eq", SBool()))
-    assert not unambig_constraint(bad)
-    assert unambig_constraint(
-        SrcConstraintScheme((), (), SrcConstraint("Eq", SBool())))
+    assert not unambiguous(bad.binders, bad.head.arg)
+    closed = SrcConstraintScheme((), (), SrcConstraint("Eq", SBool()))
+    assert unambiguous(closed.binders, closed.head.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,8 @@ def test_elab_type_fd():
 
 
 def test_elab_type_tgt():
-    out = DirectTranslator(elab_class_env(GC_EQ), (), ())(
+    TC = elab_class_env(GC_EQ)
+    out = DirectTranslator(MethodEnv(TC, (), ()), TC)(
         elab_type(GC_EQ, (), EQ_SCHEME))
     assert S.pretty(out) == "forall a. {eq : a -> a -> Bool} -> a -> Bool"
 
@@ -320,8 +319,9 @@ def _size(node) -> int:
 
 def _direct(P, GC):
     """The direct translator under the first body of every instance."""
-    return DirectTranslator(elab_class_env(GC), P,
-                            tuple(entry.body_fd[0] for entry in P))
+    TC = elab_class_env(GC)
+    return DirectTranslator(
+        MethodEnv(TC, P, tuple(entry.body_fd[0] for entry in P)), TC)
 
 
 def test_entail_tgt_local_uses_reserved_prefix():
