@@ -519,9 +519,6 @@ def typecheck_instance(P, GC, d: InstDecl, cap: int) -> InstEntry:
     con = f"D{len(P) + 1}_{d.cls}"
     head_q = SrcConstraint(d.cls, d.head)
     scheme = SrcConstraintScheme(binders, closed, head_q)
-    if not unambiguous(binders, d.head):
-        raise SrcTypeError(
-            "ambiguous", f"ambiguous instance context for {con!r}")
     # Non-overlap with every earlier instance of the same class.
     for other in P:
         if other.cls != d.cls:

@@ -9,7 +9,7 @@ a copy for each class, since importing the CLI takes much of a short run;
 that is the only compilation, so a field named like a name the template
 uses is rejected. The types of the three languages and the dictionaries
 of the intermediate one are interned (`interned`): an equal type or
-dictionary is the same object, which caches its hash, and two distinct
+dictionary is the same object, hashed by its identity, and two distinct
 ones without a binder are not alpha-equivalent. Every node caches its
 free variables and whether it holds a binder: an interned one when it is
 built, any other at the first query (`_fact_walk`). So the walks below
@@ -73,7 +73,7 @@ _FROZEN_CODE = {}
 # The methods a template compiles for a frozen class, and for an interned
 # one.
 _FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
-_INTERNED_METHODS = ("__new__", "__hash__")
+_INTERNED_METHODS = ("__new__",)
 
 
 def _frozen_template(arity, positions, post_init) -> tuple:
@@ -97,9 +97,6 @@ def _frozen_template(arity, positions, post_init) -> tuple:
     exec(f"def __new__({','.join(('_cls', *fields))}):\n"
          + ("  return " if post_init else new)
          + f"_intern(_cls,{key})\n"
-         "def __hash__(self):\n"
-         "  return self._hash\n"
-         "_interned_hash=__hash__\n"
          f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
@@ -109,7 +106,7 @@ def _frozen_template(arity, positions, post_init) -> tuple:
          "def __hash__(self):\n"
          f"  return hash(({own}))\n", _FROZEN_GLOBALS, ns)
     kinds = {False: tuple(ns[m].__code__ for m in _FROZEN_METHODS),
-             True: (ns["__new__"].__code__, ns["_interned_hash"].__code__)}
+             True: tuple(ns[m].__code__ for m in _INTERNED_METHODS)}
     for kind, codes in kinds.items():
         used = {n for c in codes for n in (*c.co_varnames, *c.co_names)}
         kinds[kind] = codes, used.difference(fields)
@@ -158,17 +155,16 @@ def frozen(cls, interned=False):
     because Python specializes attribute access per code object. A field
     named like a name its methods use (`self`, `other`, `hash`,
     `_setattr`, `NotImplemented`, `__class__`, `__post_init__`; those of
-    an interned class use `self`, `_cls`, `_ref`, `_table`, `_intern` and
-    `_hash`) raises `TypeError`. `__repr__` is one function over the
-    fields compared.
+    an interned class use `_cls`, `_ref`, `_table`, `get` and `_intern`)
+    raises `TypeError`. `__repr__` is one function over the fields compared.
 
     The fields a class names in `_derived` are functions of the others:
     like a dataclass field with `compare=False, repr=False`, each takes no
     part in `==`, hash or `repr`.
 
     An interned class (see `interned`) gets the template's `__new__` and
-    cached `__hash__` instead of `__init__`, `__eq__` and `__hash__`. Every
-    template compiles those in its one `exec` too, so a template a frozen
+    keeps `object`'s `__init__`, `__eq__` and `__hash__`. Every template
+    compiles that `__new__` in its one `exec` too, so a template a frozen
     class made first serves a later interned class without a second one.
     """
     body = vars(cls)
@@ -214,8 +210,9 @@ def frozen(cls, interned=False):
 # fields, so `==` is `is` and a value shared in a term is one object that
 # walks meet again. Each class keeps its nodes in a weak table: a dict
 # from the tuple of a node's fields to a weak reference that carries that
-# key, whose callback removes the entry when the node dies. A new node
-# caches its hash, that of its field tuple as a frozen class computes it.
+# key, whose callback removes the entry when the node dies. Equal nodes
+# being one object, a node keeps `object`'s hash, its identity, so a
+# lookup keyed by one runs no Python code.
 # Every node caches its facts, its free variables of every sort and
 # whether it holds a binder, read off its children's: an interned node at
 # construction, any other at the first query, with its uncached subtrees
@@ -254,7 +251,6 @@ def _interner(table, names, post_init):
             old = entry and entry()
             if old is not None:
                 return old
-        _setattr(node, "_hash", hash(key))
         _facts(node)
         entry = table[key] = _Entry(node, forget)
         entry.key = key
@@ -271,7 +267,7 @@ def _reduce(self):
 def interned(cls):
     """`frozen`, and hash-consed: building a node returns the live node
     with equal fields if there is one (see `_INTERNED`). Its class keeps
-    `object`'s `__init__` and `__eq__`, which is identity."""
+    `object`'s `__init__`, `__eq__` and `__hash__`, which are identity."""
     return frozen(cls, interned=True)
 
 

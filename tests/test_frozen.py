@@ -2,10 +2,13 @@
 
 Every class `frozen` builds is compared with a twin made by
 `dataclasses.make_dataclass(..., frozen=True)` from the same fields: the
-twin runs the code the standard library generates, so equality, hashing,
-`repr`, construction, copying and immutability must agree with it. The
-classes `frozen` builds are no dataclasses: their fields are read from
-`__match_args__`, the annotations and the class body.
+twin runs the code the standard library generates, so equality, `repr`,
+construction, copying and immutability must agree with it. Hashing keeps
+the twin's contract, that equal nodes hash alike, by two rules: a frozen
+node hashes like the tuple of its fields compared, as the twin does, and
+an interned node by its identity, since every equal one is that object.
+The classes `frozen` builds are no dataclasses: their fields are read
+from `__match_args__`, the annotations and the class body.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import copy
 import dataclasses
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from collections import namedtuple
@@ -74,6 +78,20 @@ def _twin_class(cls):
 
 
 TWINS = {cls: _twin_class(cls) for cls in CLASSES}
+
+
+def assert_hash_contract(x):
+    """x hashes by the contract of its class: an interned node by its
+    identity, and each way of building an equal node gives x back; a
+    frozen node like the tuple of its fields compared."""
+    cls = type(x)
+    if cls in S._INTERNED:
+        assert hash(x) == object.__hash__(x)
+        assert cls(*[getattr(x, f) for f in cls.__match_args__]) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    elif cls in TWINS:
+        assert hash(x) == hash(tuple(getattr(x, f) for f in x._compared))
 
 
 def twin(x):
@@ -140,7 +158,7 @@ def test_methods_agree_with_the_twin(cls, data):
     assert (a == b) is (ta == tb)
     assert (a != b) is (ta != tb)
     assert (b == a) is (tb == ta)
-    assert hash(a) == hash(ta)
+    assert_hash_contract(a)
     assert repr(a) == repr(ta)
     # An equal copy is equal and hashes alike; a twin is another class.
     c = cls(*copy.deepcopy(xs))
@@ -161,7 +179,8 @@ def test_defaults_agree_with_the_twin(cls):
     required = [f"v{i}" for i, f in enumerate(node_fields(cls))
                 if f.default is MISSING]
     a, ta = cls(*required), TWINS[cls](*required)
-    assert repr(a) == repr(ta) and hash(a) == hash(ta)
+    assert repr(a) == repr(ta)
+    assert_hash_contract(a)
     for f in cls.__match_args__:
         assert getattr(a, f) == getattr(ta, f)
     names = cls.__match_args__[:len(required)]
@@ -214,8 +233,9 @@ def test_records_sort_their_fields(cls):
 @given(TERMS, TERMS)
 def test_whole_terms_agree_with_their_twins(a, b):
     ta, tb = twin(a), twin(b)
-    assert (a == b) is (ta == tb)
-    assert hash(a) == hash(ta) and repr(a) == repr(ta)
+    assert (a == b) is (ta == tb) and (a != b) is (ta != tb)
+    assert repr(a) == repr(ta)
+    assert_hash_contract(a)
     assert twin(copy.deepcopy(a)) == ta
 
 
@@ -229,7 +249,7 @@ def test_real_results_agree_with_their_twins(name):
               harness.check_metatheory(sigma, r.fd_class_env, ie, 1000)]
     for v in values:
         assert repr(v) == repr(twin(v))
-        assert hash(v) == hash(twin(v))
+        assert_hash_contract(v)
         assert copy.deepcopy(v) == v
 
 
@@ -297,8 +317,8 @@ def test_shapes_are_compiled_once():
 # ---------------------------------------------------------------------------
 
 METHODS = ("__init__", "__eq__", "__hash__")
-# An interned class keeps `object`'s `__init__` and `__eq__`.
-INTERNED_METHODS = ("__new__", "__hash__")
+# An interned class keeps `object`'s `__init__`, `__eq__` and `__hash__`.
+INTERNED_METHODS = ("__new__",)
 
 
 def methods(cls) -> tuple:
@@ -337,9 +357,7 @@ def _reference_methods(cls) -> dict:
         new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
         source = (f"def __new__({','.join(('_cls', *names))}):\n"
                   + ("  return " if post_init else new)
-                  + f"_intern(_cls,{key})\n"
-                  "def __hash__(self):\n"
-                  "  return self._hash\n")
+                  + f"_intern(_cls,{key})\n")
     ns = {}
     exec(source, S._FROZEN_GLOBALS, ns)
     defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
@@ -375,7 +393,7 @@ def test_methods_are_the_code_of_their_own_shape(cls):
 # only with `__post_init__`, and those of an interned class.
 RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
             "__class__", "__post_init__")
-INTERNED_RESERVED = ("self", "_cls", "_ref", "_table", "_intern", "_hash")
+INTERNED_RESERVED = ("_cls", "_ref", "_table", "get", "_intern")
 
 
 def test_a_field_named_like_the_template_is_rejected(monkeypatch):

@@ -8,7 +8,9 @@ whole program in both translations. The corpus programs and b0-b2 are
 also checked for coherence under the corpus contexts. Every program, and
 the contexts directory, is written to a scratch directory under a fixed
 relative name, so the recorded output does not depend on where the
-repository lives.
+repository lives. Types hash by their identity, so a set of them iterates
+in the order of memory addresses: the whole snapshot is also replayed in
+fresh interpreters under two hash seeds, and must come out the same.
 
 Re-record (only when a change of output is intended):
 
@@ -22,6 +24,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -135,6 +139,29 @@ def test_golden_cli(entry, program_dir, monkeypatch, capsys):
     code = main(list(entry["argv"]))
     assert capsys.readouterr().out == entry["stdout"]
     assert code == entry["exit"]
+
+
+REPLAY = """
+import json, sys
+from test_golden_cli import record
+sys.stdout.buffer.write(
+    (json.dumps(record(), indent=1, ensure_ascii=False) + "\\n").encode())
+"""
+
+
+def test_fresh_interpreters_under_two_hash_seeds_replay_the_file():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    runs = []
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), TCC_COLOR="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), str(here), *filter(None, [env.get("PYTHONPATH")])])
+        runs.append(subprocess.Popen([sys.executable, "-c", REPLAY], env=env,
+                                     stdout=subprocess.PIPE))
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outputs == [GOLDEN.read_bytes()] * 2
 
 
 if __name__ == "__main__":

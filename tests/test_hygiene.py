@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or its tests imports a name
 it never reads, no function of the package takes a parameter it never
 reads, nothing the package defines at top level goes unread or is read by
-the tests alone, and no nested function of the package outlives its call
-in a reference cycle.
+the tests alone, no nested function of the package outlives its call in
+a reference cycle, and no loop of the package iterates a set.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
@@ -259,3 +259,71 @@ def test_the_scan_sees_a_closure_cycle():
               "        def up(x): return up(x)\n"
               "        return up\n")
     assert closure_cycles(source) == ["2: go", "3: a", "4: b", "14: up"]
+
+
+# Set algebra: the operators, and the methods that return a new set.
+SET_OPERATORS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+SET_METHODS = {"union", "intersection", "difference", "symmetric_difference",
+               "copy"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def is_set(node) -> bool:
+    """Whether node is a set by its syntax: a set display or comprehension,
+    a call of `set` or `frozenset`, or set algebra over one of these."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, SET_OPERATORS) \
+            and (is_set(node.left) or is_set(node.right))
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id in ("set", "frozenset")
+    return isinstance(f, ast.Attribute) and f.attr in SET_METHODS \
+        and is_set(f.value)
+
+
+def set_iterations(source: str) -> list[str]:
+    """"line: iterable" for each `for` loop or comprehension of source that
+    iterates a set (`is_set`), except a comprehension inside a call of
+    `sorted`. Types and dictionaries hash by their identity, so the order
+    of a set of them is that of memory addresses: output that followed it
+    would change from run to run."""
+    tree = ast.parse(source)
+    in_sorted = {id(n) for call in ast.walk(tree)
+                 if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Name)
+                 and call.func.id == "sorted"
+                 for arg in call.args for n in ast.walk(arg)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iters = [node.iter]
+        elif isinstance(node, COMPREHENSIONS) and id(node) not in in_sorted:
+            iters = [g.iter for g in node.generators]
+        else:
+            continue
+        out += [(it.lineno, ast.unparse(it)) for it in iters if is_set(it)]
+    return [f"{line}: {text}" for line, text in sorted(out)]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_loop_iterates_a_set(path):
+    assert set_iterations(path.read_text()) == []
+
+
+def test_the_scan_sees_a_loop_over_a_set():
+    source = ("for x in {1, 2}: pass\n"
+              "ys = [y for y in set(a) - b]\n"
+              "zs = {k: v for k, v in d.items() for z in frozenset(e)}\n"
+              "ws = (w for w in {v for v in a}.union(b))\n"
+              "ok = sorted(x for x in set(a) | set(b))\n"
+              "for x in sorted({1, 2}): pass\n"
+              "for x in a - b: pass\n"
+              "for x in b.union(set(a)): pass\n")
+    assert set_iterations(source) == [
+        "1: {1, 2}", "2: set(a) - b", "3: frozenset(e)",
+        "4: {v for v in a}.union(b)"]

@@ -445,13 +445,15 @@ def test_instance_matching_reuses_the_free_variables_of_the_constraint(
     # Work counts: resolution computes the type variables of a constraint
     # once and matches every instance of its class against that set. The
     # tower's rungs, each typed twice as the benchmark does, made 392
-    # calls when each instance recomputed it, and 216 when the method rule
-    # re-tested the ambiguity of the method's scheme at each use.
+    # calls when each instance recomputed it, 216 when the method rule
+    # re-tested the ambiguity of the method's scheme at each use, and 200
+    # when each instance declaration tested an ambiguity that its binders,
+    # its head's free variables, rule out.
     calls = count_calls(monkeypatch, source_typer, "free_type_vars")
     for d in range(1, 9):
         for _ in range(2):
             assert typecheck_program(parse_program(tower_source(d))).count == 1
-    assert len(calls) == 200
+    assert len(calls) == 168
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +578,18 @@ def test_duplicate_instance_overlaps():
             "instance Eq Bool where { eq = \\x. \\y. False };\n"
             "True"))
     assert exc.value.kind == "overlap"
+
+
+def test_a_context_variable_missing_from_the_instance_head_is_unbound():
+    # The instance's binders are its head's free variables, so a context
+    # variable outside the head is out of scope: no instance is ambiguous.
+    with pytest.raises(SrcTypeError) as exc:
+        typecheck_program(parse_program(
+            "class Eq a where { eq : a -> a -> Bool };\n"
+            "instance Eq a => Eq Bool where { eq = \\x. \\y. True };\n"
+            "True"))
+    assert exc.value.kind == "unbound"
+    assert str(exc.value) == "unbound type variable 'a'"
 
 
 def test_non_unifiable_heads_do_not_overlap():
