@@ -26,6 +26,15 @@ dictionaries are hash-consed themselves, so comparing two types is an
 identity test unless both hold a binder, and a closed dictionary is
 typed once per method environment.
 
+Every per-node walk finds its rule by the node's exact class, never by
+`match`. Typing and the composed translation look it up in a table
+(`FdChecker._RULES`, `FdChecker._TRANSLATIONS`); the translation does so
+inside its memo entry, so a nesting level costs two frames, as before,
+and deep input keeps its limit. The walks that recurse through
+themselves (`check_dict`, `check_fd_type_wf`, `elab_fd_type`,
+`fd_step`) test `type(x) is C` in a chain, in the order their cases
+always had.
+
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
 walks, and `fd_eval` reaches the same value, in the same number of steps,
@@ -90,28 +99,31 @@ def check_fd_type_wf(TC, tyvars: set[str], t: FdType | FdQ, seen=None):
     """Raises FdTypeError at the first ill-formed part of t, a type or a
     dictionary type, in reading order. seen holds the ids of the arrows
     already checked under tyvars in this call: a shared one is checked
-    once."""
-    match t:
-        case IBool():
-            pass
-        case ITyVar(a):
-            if a not in tyvars:
-                raise FdTypeError(UNBOUND_TYVAR, f"unbound type variable {a!r}")
-        case IArrow(l, r) | IQArrow(l, r):
-            if seen is None:
-                seen = set()
-            elif id(t) in seen:
-                return
-            check_fd_type_wf(TC, tyvars, l, seen)
-            check_fd_type_wf(TC, tyvars, r, seen)
-            seen.add(id(t))
-        case IForall(a, body):
-            check_fd_type_wf(TC, tyvars | {a}, body)
-        case FdQ(cls, arg):
-            lookup_class_by_name(TC, cls)
-            check_fd_type_wf(TC, tyvars, arg, seen)
-        case _:
-            raise TypeError(t)
+    once. The rule is found by t's exact class, in a chain of tests, so a
+    nesting level costs one frame."""
+    kind = type(t)
+    if kind is IBool:
+        pass
+    elif kind is ITyVar:
+        a = t.name
+        if a not in tyvars:
+            raise FdTypeError(UNBOUND_TYVAR, f"unbound type variable {a!r}")
+    elif kind is IArrow or kind is IQArrow:
+        if seen is None:
+            seen = set()
+        elif id(t) in seen:
+            return
+        l, r = (t.left, t.right) if kind is IArrow else (t.q, t.result)
+        check_fd_type_wf(TC, tyvars, l, seen)
+        check_fd_type_wf(TC, tyvars, r, seen)
+        seen.add(id(t))
+    elif kind is IForall:
+        check_fd_type_wf(TC, tyvars | {t.var}, t.body)
+    elif kind is FdQ:
+        lookup_class_by_name(TC, t.cls)
+        check_fd_type_wf(TC, tyvars, t.arg, seen)
+    else:
+        raise TypeError(t)
 
 
 def lookup_class_by_name(TC, cls: str) -> FdClassEntry:
@@ -132,30 +144,31 @@ def elab_fd_type(TC, t: FdType | FdQ, memo=None) -> TgtType:
     """The target type of t, a type or a dictionary type, which becomes
     the single-field record of its class's method; memo holds the
     translations made so far, so each subtree t shares is translated
-    once."""
+    once. Like `check_fd_type_wf`, it finds the rule by t's exact class
+    in a chain of tests."""
     memo = {} if memo is None else memo
     out = memo.get(t)
     if out is None:
-        match t:
-            case IBool():
-                out = TBool()
-            case ITyVar(a):
-                out = TTyVar(a)
-            case IArrow(l, r):
-                out = TArrow(elab_fd_type(TC, l, memo),
-                             elab_fd_type(TC, r, memo))
-            case IQArrow(q, r):
-                out = TArrow(elab_fd_type(TC, q, memo),
-                             elab_fd_type(TC, r, memo))
-            case IForall(a, body):
-                out = TForall(a, elab_fd_type(TC, body, memo))
-            case FdQ(cls, arg):
-                entry = lookup_class_by_name(TC, cls)
-                out = TRecordTy(((entry.method, subst_type(
-                    elab_fd_type(TC, entry.method_type, memo),
-                    {entry.var: elab_fd_type(TC, arg, memo)})),))
-            case _:
-                raise TypeError(t)
+        kind = type(t)
+        if kind is IBool:
+            out = TBool()
+        elif kind is ITyVar:
+            out = TTyVar(t.name)
+        elif kind is IArrow:
+            out = TArrow(elab_fd_type(TC, t.left, memo),
+                         elab_fd_type(TC, t.right, memo))
+        elif kind is IQArrow:
+            out = TArrow(elab_fd_type(TC, t.q, memo),
+                         elab_fd_type(TC, t.result, memo))
+        elif kind is IForall:
+            out = TForall(t.var, elab_fd_type(TC, t.body, memo))
+        elif kind is FdQ:
+            entry = lookup_class_by_name(TC, t.cls)
+            out = TRecordTy(((entry.method, subst_type(
+                elab_fd_type(TC, entry.method_type, memo),
+                {entry.var: elab_fd_type(TC, t.arg, memo)})),))
+        else:
+            raise TypeError(t)
         memo[t] = out
     return out
 
@@ -172,7 +185,9 @@ class FdChecker:
     return a type and build no target term. A term is typed by the rule
     of its class, found by one lookup (`_RULES`), as the machine finds a
     node's role in its `Language`. `translate` is the second translation
-    step, from a typed term to the target.
+    step, from a typed term to the target, by the rule of the node's
+    class (`_TRANSLATIONS`), looked up inside the memo entry so that a
+    nesting level costs no extra frame.
 
     Typing and translation are deterministic, so results are memoized at
     two levels. Types and dictionaries are interned (`syntax.interned`),
@@ -417,22 +432,26 @@ class FdChecker:
     # -- dictionaries -------------------------------------------------------
 
     def check_dict(self, env, d: FdDict) -> FdQ:
-        match d:
-            case DVar(dv):
-                for bind in reversed(env):
-                    if isinstance(bind, DictBind) and bind.name == dv:
-                        return bind.q
-                raise FdTypeError(UNBOUND_DICT,
-                                  f"unbound dictionary variable {dv!r}")
-            case DCon():
-                if d._fv:
-                    return self._check_con(env, d)
-                q = self._dicts.get(d)
-                if q is None:
-                    q = self._dicts[d] = self._check_con(env, d)
-                return q
-            case IChoice():
-                return self.check_expr(env, d)
+        """The type of d, a dictionary or a choice of them: its rule is
+        found by d's exact class, in a chain of tests, since a constructor
+        types its arguments through this judgment again."""
+        kind = type(d)
+        if kind is DVar:
+            dv = d.name
+            for bind in reversed(env):
+                if isinstance(bind, DictBind) and bind.name == dv:
+                    return bind.q
+            raise FdTypeError(UNBOUND_DICT,
+                              f"unbound dictionary variable {dv!r}")
+        if kind is DCon:
+            if d._fv:
+                return self._check_con(env, d)
+            q = self._dicts.get(d)
+            if q is None:
+                q = self._dicts[d] = self._check_con(env, d)
+            return q
+        if kind is IChoice:
+            return self.check_expr(env, d)
         raise TypeError(d)
 
     def _check_con(self, env, d: DCon) -> FdQ:
@@ -497,48 +516,74 @@ class FdChecker:
 
     def translate(self, e):
         """The target translation of e, a term or dictionary this checker
-        has typed: every typing rule's corresponding target term. A choice
-        becomes the choice of its alternatives' translations."""
+        has typed: every typing rule's corresponding target term
+        (`_TRANSLATIONS`). A choice becomes the choice of its
+        alternatives' translations. The rule is looked up inside the memo
+        entry, so a nesting level costs this frame and the rule's."""
         hit = self._targets.get(id(e))
         if hit is None:
-            hit = self._targets[id(e)] = (e, self._translate(e))
+            rule = self._TRANSLATIONS.get(type(e))
+            if rule is None:
+                raise TypeError(e)
+            hit = self._targets[id(e)] = (e, rule(self, e))
         return hit[1]
 
-    def _translate(self, e) -> TgtExpr:
+    def _translate_app(self, e: IApp | IDApp) -> TgtExpr:
         tr = self.translate
-        match e:     # the most frequent nodes first
-            case IApp(f, a) | IDApp(f, a):
-                return TApp(tr(f), tr(a))
-            case IDLam(dv, q, body):
-                return TLam(dict_target_name(dv), self._elab(q), tr(body))
-            case ILam(x, ty, body):
-                return TLam(x, self._elab(ty), tr(body))
-            case IVar(x):
-                return TVar(x)
-            case ILet(x, ty, bound, body):
-                return TLet(x, self._elab(ty), tr(bound), tr(body))
-            case ITrue():
-                return TTrue()
-            case IFalse():
-                return TFalse()
-            case ITyLam(a, body):
-                return TTyLam(a, tr(body))
-            case ITyApp(f, ty):
-                return TTyApp(tr(f), self._elab(ty))
-            case IMethod(d, m):
-                return TProj(tr(d), m)
-            case DVar(dv):
-                return TVar(dict_target_name(dv))
-            case DCon(name, type_args, dict_args):
-                te = self._record(name)
-                for ty in type_args:
-                    te = TTyApp(te, self._elab(ty))
-                for d in dict_args:
-                    te = TApp(te, tr(d))
-                return te
-            case IChoice(alts):
-                return TChoice(tuple(map(tr, alts)))
-        raise TypeError(e)
+        return TApp(tr(e.fun), tr(e.arg))
+
+    def _translate_dlam(self, e: IDLam) -> TgtExpr:
+        return TLam(dict_target_name(e.param), self._elab(e.q),
+                    self.translate(e.body))
+
+    def _translate_lam(self, e: ILam) -> TgtExpr:
+        return TLam(e.param, self._elab(e.ty), self.translate(e.body))
+
+    def _translate_var(self, e: IVar) -> TgtExpr:
+        return TVar(e.name)
+
+    def _translate_let(self, e: ILet) -> TgtExpr:
+        tr = self.translate
+        return TLet(e.name, self._elab(e.ty), tr(e.bound), tr(e.body))
+
+    def _translate_true(self, _e) -> TgtExpr:
+        return TTrue()
+
+    def _translate_false(self, _e) -> TgtExpr:
+        return TFalse()
+
+    def _translate_tylam(self, e: ITyLam) -> TgtExpr:
+        return TTyLam(e.param, self.translate(e.body))
+
+    def _translate_tyapp(self, e: ITyApp) -> TgtExpr:
+        return TTyApp(self.translate(e.fun), self._elab(e.ty))
+
+    def _translate_method(self, e: IMethod) -> TgtExpr:
+        return TProj(self.translate(e.dict), e.method)
+
+    def _translate_dvar(self, d: DVar) -> TgtExpr:
+        return TVar(dict_target_name(d.name))
+
+    def _translate_dcon(self, d: DCon) -> TgtExpr:
+        te = self._record(d.name)
+        for ty in d.type_args:
+            te = TTyApp(te, self._elab(ty))
+        for arg in d.dict_args:
+            te = TApp(te, self.translate(arg))
+        return te
+
+    def _translate_choice(self, e: IChoice) -> TgtExpr:
+        return TChoice(tuple(map(self.translate, e.alts)))
+
+    # The target term of each class of term or dictionary, found by one
+    # lookup, as `_RULES` gives its typing rule.
+    _TRANSLATIONS = {
+        IApp: _translate_app, IDApp: _translate_app, IDLam: _translate_dlam,
+        ILam: _translate_lam, IVar: _translate_var, ILet: _translate_let,
+        ITrue: _translate_true, IFalse: _translate_false,
+        ITyLam: _translate_tylam, ITyApp: _translate_tyapp,
+        IMethod: _translate_method, DVar: _translate_dvar,
+        DCon: _translate_dcon, IChoice: _translate_choice}
 
     def _elab(self, t) -> TgtType:
         """The target type of an intermediate type or dictionary type,
@@ -680,43 +725,50 @@ def _implementation(sigma, name: str) -> FdExpr:
 
 
 def fd_step(sigma, e: FdExpr):
-    """One leftmost call-by-name step, or None when e is a value."""
-    match e:
-        case IApp(ILam(x, _, body), a):
-            return subst(body, "iv", {x: a})
-        case IApp(f, a):
-            f2 = fd_step(sigma, f)
-            if f2 is None:
-                raise FdTypeError(STUCK, f"stuck application {S.pretty(e)}")
-            return IApp(f2, a)
-        case ITyApp(ITyLam(a, body), ty):
-            return subst_type(body, {a: ty})
-        case ITyApp(f, ty):
-            f2 = fd_step(sigma, f)
-            if f2 is None:
-                raise FdTypeError(STUCK, f"stuck type application {S.pretty(e)}")
-            return ITyApp(f2, ty)
-        case IDApp(IDLam(dv, _, body), d):
-            return subst(body, "id", {dv: d})
-        case IDApp(f, d):
-            f2 = fd_step(sigma, f)
-            if f2 is None:
-                raise FdTypeError(STUCK,
-                                  f"stuck dictionary application {S.pretty(e)}")
-            return IDApp(f2, d)
-        case IMethod(DCon(name, type_args, dict_args), _m):
-            out = _implementation(sigma, name)
-            for ty in type_args:
+    """One leftmost call-by-name step, or None when e is a value. The rule
+    is found by the exact classes of e and its head, in a chain of tests:
+    each redex is tried before a value is recognised."""
+    kind = type(e)
+    if kind is IApp:
+        f = e.fun
+        if type(f) is ILam:
+            return subst(f.body, "iv", {f.param: e.arg})
+        f2 = fd_step(sigma, f)
+        if f2 is None:
+            raise FdTypeError(STUCK, f"stuck application {S.pretty(e)}")
+        return IApp(f2, e.arg)
+    if kind is ITyApp:
+        f = e.fun
+        if type(f) is ITyLam:
+            return subst_type(f.body, {f.param: e.ty})
+        f2 = fd_step(sigma, f)
+        if f2 is None:
+            raise FdTypeError(STUCK, f"stuck type application {S.pretty(e)}")
+        return ITyApp(f2, e.ty)
+    if kind is IDApp:
+        f = e.fun
+        if type(f) is IDLam:
+            return subst(f.body, "id", {f.param: e.arg})
+        f2 = fd_step(sigma, f)
+        if f2 is None:
+            raise FdTypeError(STUCK,
+                              f"stuck dictionary application {S.pretty(e)}")
+        return IDApp(f2, e.arg)
+    if kind is IMethod:
+        d = e.dict
+        if type(d) is DCon:
+            out = _implementation(sigma, d.name)
+            for ty in d.type_args:
                 out = ITyApp(out, ty)
-            for d in dict_args:
-                out = IDApp(out, d)
+            for arg in d.dict_args:
+                out = IDApp(out, arg)
             return out
-        case IMethod(DVar(dv), _):
-            raise FdTypeError(STUCK, f"free dictionary variable {dv!r}")
-        case ILet(x, _, bound, body):
-            return subst(body, "iv", {x: bound})
-        case _ if is_fd_value(e):
-            return None
+        if type(d) is DVar:
+            raise FdTypeError(STUCK, f"free dictionary variable {d.name!r}")
+    elif kind is ILet:
+        return subst(e.body, "iv", {e.name: e.bound})
+    if is_fd_value(e):
+        return None
     raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
 
 

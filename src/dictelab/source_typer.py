@@ -21,6 +21,13 @@ and sharing no code with `fd_core`) and through the intermediate
 language (`fd_core.FdChecker`, which types them, then translates them), so
 decomposition stays a cross-check.
 
+Every per-node walk finds its rule by the node's exact class, never by
+`match`: `infer`, `check` and `_elab_mono`, which recurse through
+themselves, test `type(x) is C` in a chain, in the order their cases
+always had (`check` tries the method rule before the variable rule, and
+gives every other expression to `infer`), and the direct translation
+looks its rule up in `DirectTranslator._TRANSLATIONS`.
+
 Typing is type-deterministic; only the elaboration is nondeterministic.
 The elaborating judgments return one packed forest of derivations (see
 `syntax.unpack`), and nothing else: an `IChoice` stands wherever
@@ -165,15 +172,15 @@ def elab_mono(tyvars: set[str], t: SrcMono) -> FdType:
 def _elab_mono(t: SrcMono) -> FdType:
     out = getattr(t, "_elab", None)
     if out is None:
-        match t:
-            case SBool():
-                out = IBool()
-            case STyVar(a):
-                out = ITyVar(a)
-            case SArrow(l, r):
-                out = IArrow(_elab_mono(l), _elab_mono(r))
-            case _:
-                raise TypeError(t)
+        kind = type(t)
+        if kind is SBool:
+            out = IBool()
+        elif kind is STyVar:
+            out = ITyVar(t.name)
+        elif kind is SArrow:
+            out = IArrow(_elab_mono(t.left), _elab_mono(t.right))
+        else:
+            raise TypeError(t)
         object.__setattr__(t, "_elab", out)
     return out
 
@@ -305,67 +312,72 @@ def _let_dict_vars(name: str, qs) -> tuple[str, ...]:
 
 def infer(P, GC, env, e: SrcExpr):
     """Returns (type, elaboration forest)."""
-    match e:
-        case STrue():
-            return SBool(), ITrue()
-        case SFalse():
-            return SBool(), IFalse()
-        case SApp():
-            # The spine in a loop, its head first and then each argument
-            # from the innermost, as a recursion on the function would.
-            args = []
-            while type(e) is SApp:
-                args.append(e.arg)
-                e = e.fun
-            fty, forest = infer(P, GC, env, e)
-            for a in reversed(args):
-                if not isinstance(fty, SArrow):
-                    raise SrcTypeError(
-                        "mismatch",
-                        f"applied a non-function of type {S.pretty(fty)}")
-                forest = IApp(forest, check(P, GC, env, a, fty.left))
-                fty = fty.right
-            return fty, forest
-        case SAnn(inner, ty):
-            elab_mono(env_tyvars(env), ty)  # well-formedness
-            return ty, check(P, GC, env, inner, ty)
-        case SLet(x, sch, bound, body):
-            _check_no_method_shadow(GC, x)
-            if not unambiguous(sch.binders, sch.head):
+    kind = type(e)
+    if kind is STrue:
+        return SBool(), ITrue()
+    if kind is SFalse:
+        return SBool(), IFalse()
+    if kind is SApp:
+        # The spine in a loop, its head first and then each argument from
+        # the innermost, as a recursion on the function would.
+        args = []
+        while type(e) is SApp:
+            args.append(e.arg)
+            e = e.fun
+        fty, forest = infer(P, GC, env, e)
+        for a in reversed(args):
+            if not isinstance(fty, SArrow):
                 raise SrcTypeError(
-                    "ambiguous",
-                    f"ambiguous type scheme for {x!r}: not every bound "
-                    f"variable occurs in the head of the type")
-            elab_type(GC, env, sch)  # well-formedness
-            closed = closure(GC, sch.context)
-            dvars = _let_dict_vars(x, closed)
-            env1 = (tuple(env)
-                    + tuple(TyVarBind(a) for a in sch.binders)
-                    + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
-            fb = check(P, GC, env1, bound, sch.head)
-            closed_scheme = SrcScheme(sch.binders, closed, sch.head)
-            env2 = tuple(env) + (TermBind(x, closed_scheme),)
-            bty, fbody = infer(P, GC, env2, body)
-            bound_ty = elab_type(GC, env, closed_scheme)
-            qtys = [elab_constraint(GC, env_tyvars(env1), q) for q in closed]
-            return bty, ILet(x, bound_ty,
-                             _abstract(sch.binders, dvars, qtys, fb), fbody)
-        case SVar(name):
+                    "mismatch",
+                    f"applied a non-function of type {S.pretty(fty)}")
+            forest = IApp(forest, check(P, GC, env, a, fty.left))
+            fty = fty.right
+        return fty, forest
+    if kind is SAnn:
+        ty = e.ty
+        elab_mono(env_tyvars(env), ty)  # well-formedness
+        return ty, check(P, GC, env, e.expr, ty)
+    if kind is SLet:
+        x, sch = e.name, e.scheme
+        _check_no_method_shadow(GC, x)
+        if not unambiguous(sch.binders, sch.head):
             raise SrcTypeError(
-                "not-inferable",
-                f"head {name!r} not inferable - annotate its use")
-        case SLam():
-            raise SrcTypeError(
-                "not-inferable", "cannot infer a lambda - annotate it")
-        case SHole():
-            raise SrcTypeError("not-inferable", "hole outside a context file")
+                "ambiguous",
+                f"ambiguous type scheme for {x!r}: not every bound "
+                f"variable occurs in the head of the type")
+        elab_type(GC, env, sch)  # well-formedness
+        closed = closure(GC, sch.context)
+        dvars = _let_dict_vars(x, closed)
+        env1 = (tuple(env)
+                + tuple(TyVarBind(a) for a in sch.binders)
+                + tuple(DictBind(dv, q) for dv, q in zip(dvars, closed)))
+        fb = check(P, GC, env1, e.bound, sch.head)
+        closed_scheme = SrcScheme(sch.binders, closed, sch.head)
+        env2 = tuple(env) + (TermBind(x, closed_scheme),)
+        bty, fbody = infer(P, GC, env2, e.body)
+        bound_ty = elab_type(GC, env, closed_scheme)
+        qtys = [elab_constraint(GC, env_tyvars(env1), q) for q in closed]
+        return bty, ILet(x, bound_ty,
+                         _abstract(sch.binders, dvars, qtys, fb), fbody)
+    if kind is SVar:
+        raise SrcTypeError(
+            "not-inferable",
+            f"head {e.name!r} not inferable - annotate its use")
+    if kind is SLam:
+        raise SrcTypeError(
+            "not-inferable", "cannot infer a lambda - annotate it")
+    if kind is SHole:
+        raise SrcTypeError("not-inferable", "hole outside a context file")
     raise TypeError(e)
 
 
 def check(P, GC, env, e: SrcExpr, ty: SrcMono):
     """Returns the elaboration forest."""
-    match e:
-        case SVar(name) if (entry := lookup_method(GC, name)) is not None:
+    kind = type(e)
+    if kind is SVar:
+        name = e.name
+        entry = lookup_method(GC, name)
+        if entry is not None:
             # A method name is never rebound (_check_no_method_shadow), and
             # its scheme is unambiguous (typecheck_class).
             full = SrcScheme((entry.var,) + entry.scheme.binders,
@@ -393,39 +405,36 @@ def check(P, GC, env, e: SrcExpr, ty: SrcMono):
             tyvars = env_tyvars(env) | set(free_type_vars(ty))
             types = [elab_mono(tyvars, sigma[a]) for a in meth_binders]
             return _instantiate(IMethod(d, name), types, args)
-        case SVar(name):
-            sch = _freshen_scheme(lookup_term(env, name),
-                                  set(free_type_vars(ty)))
-            sigma = S.unify(sch.head, ty, set(sch.binders))
-            if sigma is None:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"{name!r} cannot be used at type {S.pretty(ty)}")
-            args = _entail_all(
-                P, env, [subst_type(q, sigma) for q in sch.context], {})
-            if args is None:
-                raise SrcTypeError(
-                    "unsatisfiable", f"cannot satisfy the constraints of "
-                                     f"{name!r} at {S.pretty(ty)}")
-            tyvars = env_tyvars(env) | set(free_type_vars(ty))
-            types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
-            return _instantiate(IVar(name), types, args)
-        case SLam(x, body):
-            _check_no_method_shadow(GC, x)
-            if not isinstance(ty, SArrow):
-                raise SrcTypeError(
-                    "mismatch",
-                    f"lambda checked against non-function type {S.pretty(ty)}")
-            env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
-            fb = check(P, GC, env1, body, ty.right)
-            return ILam(x, elab_mono(env_tyvars(env), ty.left), fb)
-        case _:
-            ity, forest = infer(P, GC, env, e)
-            if ity != ty:
-                raise SrcTypeError(
-                    "mismatch",
-                    f"inferred {S.pretty(ity)} but expected {S.pretty(ty)}")
-            return forest
+        sch = _freshen_scheme(lookup_term(env, name), set(free_type_vars(ty)))
+        sigma = S.unify(sch.head, ty, set(sch.binders))
+        if sigma is None:
+            raise SrcTypeError(
+                "mismatch", f"{name!r} cannot be used at type {S.pretty(ty)}")
+        args = _entail_all(
+            P, env, [subst_type(q, sigma) for q in sch.context], {})
+        if args is None:
+            raise SrcTypeError(
+                "unsatisfiable", f"cannot satisfy the constraints of "
+                                 f"{name!r} at {S.pretty(ty)}")
+        tyvars = env_tyvars(env) | set(free_type_vars(ty))
+        types = [elab_mono(tyvars, sigma[a]) for a in sch.binders]
+        return _instantiate(IVar(name), types, args)
+    if kind is SLam:
+        x = e.param
+        _check_no_method_shadow(GC, x)
+        if not isinstance(ty, SArrow):
+            raise SrcTypeError(
+                "mismatch",
+                f"lambda checked against non-function type {S.pretty(ty)}")
+        env1 = tuple(env) + (TermBind(x, SrcScheme((), (), ty.left)),)
+        fb = check(P, GC, env1, e.body, ty.right)
+        return ILam(x, elab_mono(env_tyvars(env), ty.left), fb)
+    ity, forest = infer(P, GC, env, e)
+    if ity != ty:
+        raise SrcTypeError(
+            "mismatch",
+            f"inferred {S.pretty(ity)} but expected {S.pretty(ty)}")
+    return forest
 
 
 def _freshen_scheme(sch: SrcScheme, avoid: set[str]) -> SrcScheme:
@@ -608,7 +617,10 @@ class DirectTranslator:
     declaration; a method call becomes a projection and a dictionary
     variable a term variable with a reserved prefix. Translation is
     structural, so each result is memoized by the identity of its node,
-    which its entry keeps alive, as `FdChecker.translate` does.
+    which its entry keeps alive, as `FdChecker.translate` does. A node
+    is translated by the rule of its class (`_TRANSLATIONS`), looked up
+    inside the memo entry (`__call__`), so a nesting level costs two
+    frames, this one and the rule's, and deep input keeps its limit.
     """
 
     def __init__(self, sigma, TC):
@@ -620,65 +632,94 @@ class DirectTranslator:
     def __call__(self, node):
         hit = self._memo.get(id(node))
         if hit is None:
-            hit = self._memo[id(node)] = (node, self._translate(node))
+            rule = self._TRANSLATIONS.get(type(node))
+            if rule is None:
+                raise TypeError(node)
+            hit = self._memo[id(node)] = (node, rule(self, node))
         return hit[1]
 
     def dict_var(self, dv: str) -> TgtExpr:
         return TVar(dict_target_name(dv))
 
-    def _translate(self, node):
-        tr = self
-        match node:     # the most frequent nodes first
-            case IDLam(dv, q, body):
-                return TLam(dict_target_name(dv), tr(q), tr(body))
-            case IDApp(f, a) | IApp(f, a):
-                return TApp(tr(f), tr(a))
-            case ILet(x, ty, bound, body):
-                return TLet(x, tr(ty), tr(bound), tr(body))
-            case ILam(x, ty, body):
-                return TLam(x, tr(ty), tr(body))
-            case IVar(x):
-                return TVar(x)
-            case ITrue():
-                return TTrue()
-            case IFalse():
-                return TFalse()
-            case ITyLam(a, body):
-                return TTyLam(a, tr(body))
-            case ITyApp(f, ty):
-                return TTyApp(tr(f), tr(ty))
-            case IMethod(d, m):
-                return TProj(tr(d), m)
-            case DVar(dv):
-                return self.dict_var(dv)
-            case DCon(con, types, dicts):
-                entry, body = self.instances[con]
-                sc = entry.fd_scheme
-                field = self._abstract(entry.meth_binders, entry.meth_dvars,
-                                       entry.meth_qtys, tr(body))
-                out = self._abstract(sc.binders, entry.ctx_dvars, sc.context,
-                                     TRecord(((entry.method, field),)))
-                for ty in types:
-                    out = TTyApp(out, tr(ty))
-                for d in dicts:
-                    out = TApp(out, tr(d))
-                return out
-            case IBool():
-                return TBool()
-            case ITyVar(a):
-                return TTyVar(a)
-            case IArrow(l, r) | IQArrow(l, r):
-                return TArrow(tr(l), tr(r))
-            case IForall(a, body):
-                return TForall(a, tr(body))
-            case FdQ(cls, arg):
-                # The record type of the class's method at arg.
-                c = self.classes[cls]
-                return TRecordTy(((c.method, subst_type(
-                    tr(c.method_type), {c.var: tr(arg)})),))
-            case IChoice(alts):
-                return TChoice(tuple(map(tr, alts)))
-        raise TypeError(node)
+    def _dlam(self, node: IDLam) -> TgtExpr:
+        return TLam(dict_target_name(node.param), self(node.q),
+                    self(node.body))
+
+    def _app(self, node: IDApp | IApp) -> TgtExpr:
+        return TApp(self(node.fun), self(node.arg))
+
+    def _let(self, node: ILet) -> TgtExpr:
+        return TLet(node.name, self(node.ty), self(node.bound),
+                    self(node.body))
+
+    def _lam(self, node: ILam) -> TgtExpr:
+        return TLam(node.param, self(node.ty), self(node.body))
+
+    def _var(self, node: IVar) -> TgtExpr:
+        return TVar(node.name)
+
+    def _true(self, _node) -> TgtExpr:
+        return TTrue()
+
+    def _false(self, _node) -> TgtExpr:
+        return TFalse()
+
+    def _tylam(self, node: ITyLam) -> TgtExpr:
+        return TTyLam(node.param, self(node.body))
+
+    def _tyapp(self, node: ITyApp) -> TgtExpr:
+        return TTyApp(self(node.fun), self(node.ty))
+
+    def _method(self, node: IMethod) -> TgtExpr:
+        return TProj(self(node.dict), node.method)
+
+    def _dvar(self, node: DVar) -> TgtExpr:
+        return self.dict_var(node.name)
+
+    def _dcon(self, node: DCon) -> TgtExpr:
+        entry, body = self.instances[node.name]
+        sc = entry.fd_scheme
+        field = self._abstract(entry.meth_binders, entry.meth_dvars,
+                               entry.meth_qtys, self(body))
+        out = self._abstract(sc.binders, entry.ctx_dvars, sc.context,
+                             TRecord(((entry.method, field),)))
+        for ty in node.type_args:
+            out = TTyApp(out, self(ty))
+        for d in node.dict_args:
+            out = TApp(out, self(d))
+        return out
+
+    def _bool(self, _node) -> TgtType:
+        return TBool()
+
+    def _tyvar(self, node: ITyVar) -> TgtType:
+        return TTyVar(node.name)
+
+    def _arrow(self, node: IArrow) -> TgtType:
+        return TArrow(self(node.left), self(node.right))
+
+    def _qarrow(self, node: IQArrow) -> TgtType:
+        return TArrow(self(node.q), self(node.result))
+
+    def _forall(self, node: IForall) -> TgtType:
+        return TForall(node.var, self(node.body))
+
+    def _constraint(self, node: FdQ) -> TgtType:
+        # The record type of the class's method at the argument.
+        c = self.classes[node.cls]
+        return TRecordTy(((c.method, subst_type(
+            self(c.method_type), {c.var: self(node.arg)})),))
+
+    def _choice(self, node: IChoice) -> TgtExpr:
+        return TChoice(tuple(map(self, node.alts)))
+
+    # The target of each class of node, found by one lookup.
+    _TRANSLATIONS = {
+        IDLam: _dlam, IDApp: _app, IApp: _app, ILet: _let, ILam: _lam,
+        IVar: _var, ITrue: _true, IFalse: _false, ITyLam: _tylam,
+        ITyApp: _tyapp, IMethod: _method, DVar: _dvar, DCon: _dcon,
+        IBool: _bool, ITyVar: _tyvar, IArrow: _arrow, IQArrow: _qarrow,
+        IForall: _forall, FdQ: _constraint, IChoice: _choice}
 
     def _abstract(self, binders, dvars, qtys, body: TgtExpr) -> TgtExpr:
         for dv, qty in zip(reversed(dvars), reversed(qtys)):

@@ -82,6 +82,18 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def count_rules(monkeypatch, table) -> list:
+    """Record the arguments of each call of a rule of table, a walk's
+    rules by node class, which keep working, until the test ends."""
+    calls = []
+    for cls, real in table.items():
+        def counted(*args, _real=real):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setitem(table, cls, counted)
+    return calls
+
+
 def type_and_translate(checker, e, env=()):
     """The type of the term or dictionary e in env, by checker's typing
     judgment, and then checker's composed translation of e."""

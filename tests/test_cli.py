@@ -20,8 +20,8 @@ from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
 from dictelab.parser import parse_context, parse_program
 
-from conftest import (CORPUS, NEGATIVE, POSITIVE, count_calls, corpus_result,
-                      wide_source)
+from conftest import (CORPUS, NEGATIVE, POSITIVE, count_calls, count_rules,
+                      corpus_result, wide_source)
 from test_harness import FOUR_SIGMAS
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
@@ -411,8 +411,8 @@ def test_coherence_types_each_instance_once_whatever_the_contexts(
 ])
 def test_commands_that_read_no_target_translate_nothing_directly(
         capsys, monkeypatch, argv):
-    calls = count_calls(monkeypatch, source_typer.DirectTranslator,
-                        "_translate")
+    calls = count_rules(monkeypatch,
+                        source_typer.DirectTranslator._TRANSLATIONS)
     validated = count_calls(monkeypatch, harness, "fd_env_wf")
     code, _, _ = run_cli(capsys, argv[0], src("P2"), *argv[1:])
     assert code == 0 and calls == [] and validated == []
@@ -563,6 +563,18 @@ def test_deep_input_within_the_limits_is_printed(capsys, tmp_path, stage):
     code, out, err = run_cli(capsys, "elaborate", str(path), "--stage", stage)
     assert code == 0 and err == ""
     assert out.count("(\\x : Bool. x) ") == 250
+
+
+@pytest.mark.parametrize("cmd", ["check", "elaborate", "run", "coherence",
+                                 "decompose", "meta"])
+def test_every_subcommand_takes_deep_input_within_the_limits(capsys, tmp_path,
+                                                             cmd):
+    # Every walk of a nesting level costs the same frames in each
+    # subcommand; one frame more per level in any walk would fail here.
+    path = tmp_path / "deep.src"
+    path.write_text(_nested_applications(280))
+    code, _, err = run_cli(capsys, cmd, str(path))
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("name", POSITIVE)

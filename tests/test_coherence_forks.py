@@ -136,16 +136,15 @@ def test_every_fuel_exhaustion_agrees_with_the_reference(name):
 def _break_the_last_alternative(monkeypatch):
     """A direct translation that takes the last alternative of each
     choice to a record whose method is always False."""
-    translate = source_typer.DirectTranslator._translate
+    rules = source_typer.DirectTranslator._TRANSLATIONS
+    translate = rules[S.IChoice]
 
     def breaking(self, node):
         out = translate(self, node)
-        if isinstance(node, S.IChoice) and isinstance(node.alts[-1],
-                                                      S.FdDict):
+        if isinstance(node.alts[-1], S.FdDict):
             out = S.TChoice(out.alts[:-1] + (NEVER,))
         return out
-    monkeypatch.setattr(source_typer.DirectTranslator, "_translate",
-                        breaking)
+    monkeypatch.setitem(rules, S.IChoice, breaking)
 
 
 @pytest.mark.parametrize("mutant", [_break_direct_dictionary_variables,
@@ -165,17 +164,16 @@ def _unbind_each_alternative(monkeypatch):
     """A direct translation that takes alternative j of each choice of
     dictionaries to an unbound variable named after j: each tree that
     uses one gets stuck, with a message naming the alternative."""
-    translate = source_typer.DirectTranslator._translate
+    rules = source_typer.DirectTranslator._TRANSLATIONS
+    translate = rules[S.IChoice]
 
     def unbinding(self, node):
         out = translate(self, node)
-        if isinstance(node, S.IChoice) and isinstance(node.alts[0],
-                                                      S.FdDict):
+        if isinstance(node.alts[0], S.FdDict):
             out = S.TChoice(tuple(S.TVar(f"nowhere{j}")
                                   for j in range(len(node.alts))))
         return out
-    monkeypatch.setattr(source_typer.DirectTranslator, "_translate",
-                        unbinding)
+    monkeypatch.setitem(rules, S.IChoice, unbinding)
 
 
 @pytest.mark.parametrize("name", ["P3", "flex3", "flex3-rev", "flex8-rev"])
@@ -196,13 +194,14 @@ def test_the_direct_values_of_every_sigma_rank_last(monkeypatch):
     _break_direct_dictionary_variables(monkeypatch)
     r = typecheck_program(parse_program(FOUR_SIGMAS))
     second = tuple(r.decls.variants[1])
-    translate = fd_core.FdChecker._translate
+    rules = fd_core.FdChecker._TRANSLATIONS
+    translate = rules[S.ITrue]
 
     def wrong_true(self, node):
-        if self.sigma == second and isinstance(node, S.ITrue):
+        if self.sigma == second:
             return S.TFalse()
         return translate(self, node)
-    monkeypatch.setattr(fd_core.FdChecker, "_translate", wrong_true)
+    monkeypatch.setitem(rules, S.ITrue, wrong_true)
     rep = assert_matches_reference(r)
     assert rep.counterexample[1].startswith("fd value of ")
 

@@ -18,9 +18,9 @@ from dictelab.parser import parse_program
 from dictelab.source_typer import (MAX_ELABORATIONS, DirectTranslator,
                                    MethodEnv, typecheck_program)
 
-from conftest import (POSITIVE, corpus_contexts, corpus_text, count_calls,
-                      flex_source, tower_source, type_and_translate,
-                      wide_source)
+from conftest import (POSITIVE, corpus_contexts, corpus_result, corpus_text,
+                      count_calls, count_rules, flex_source, tower_source,
+                      type_and_translate, wide_source)
 from test_harness import FOUR_SIGMAS
 
 # ---------------------------------------------------------------------------
@@ -98,13 +98,8 @@ def test_decomposition_agrees_with_the_square_by_square_reference(name, cap):
 
 
 def _drop_type_applications(monkeypatch):
-    translate = DirectTranslator._translate
-
-    def dropping(self, node):
-        if isinstance(node, S.ITyApp):
-            return self(node.fun)
-        return translate(self, node)
-    monkeypatch.setattr(DirectTranslator, "_translate", dropping)
+    monkeypatch.setitem(DirectTranslator._TRANSLATIONS, S.ITyApp,
+                        lambda self, node: self(node.fun))
 
 
 def _mislabel_record_fields(monkeypatch):
@@ -186,8 +181,8 @@ def test_decomposition_work_grows_with_the_program_not_its_squares(
     for k in range(1, 7):
         r = typecheck_program(parse_program(wide_source(k)))
         checked = count_calls(monkeypatch, FdChecker, "_infer")
-        composed = count_calls(monkeypatch, FdChecker, "_translate")
-        translated = count_calls(monkeypatch, DirectTranslator, "_translate")
+        composed = count_rules(monkeypatch, FdChecker._TRANSLATIONS)
+        translated = count_rules(monkeypatch, DirectTranslator._TRANSLATIONS)
         rep = harness.decomposition_report(r)
         monkeypatch.undo()
         assert rep.equal and rep.count_composed == min(16 ** k, 256)
@@ -218,7 +213,7 @@ def test_each_forest_node_is_translated_once_per_sigma(monkeypatch, name):
     # translate each node of the forest once under each Σ, and no node
     # twice.
     r = typecheck_program(parse_program(LADDERS[name]))
-    translated = count_calls(monkeypatch, FdChecker, "_translate")
+    translated = count_rules(monkeypatch, FdChecker._TRANSLATIONS)
     contexts = corpus_contexts() if name in POSITIVE else ()
     harness.coherence_report(r, contexts=contexts)
     harness.decomposition_report(r)
@@ -382,3 +377,63 @@ def test_a_choice_is_rejected_like_any_node_outside_the_language(
         messages.append(str(exc.value).replace(repr(node), "X")
                         .replace(type(node).__name__, "X"))
     assert messages[0] == messages[1]
+
+
+def _translated_directly(node):
+    r = corpus_result("P1")
+    return DirectTranslator(r.decls.variants[0], r.fd_class_env)(node)
+
+
+def _translated_composed(node):
+    r = corpus_result("P1")
+    return FdChecker(r.decls.variants[0], r.fd_class_env).translate(node)
+
+
+# Each walk that finds its rule by a node's class, given a node of another
+# language at its root or below it, with what it raises: the class and
+# message it raised while it chose its rule with `match`.
+FOREIGN_WALKS = {
+    "DirectTranslator": _translated_directly,
+    "FdChecker.translate": _translated_composed,
+    "elab_fd_type": lambda t: fd_core.elab_fd_type((), t),
+    "check_fd_type_wf": lambda t: fd_core.check_fd_type_wf((), set(), t),
+    "check_dict": lambda d: FdChecker((), ()).check_dict((), d),
+    "fd_step": lambda e: fd_core.fd_step((), e),
+    "infer": lambda e: source_typer.infer((), (), (), e),
+    "check": lambda e: source_typer.check((), (), (), e, S.SBool()),
+    "_elab_mono": source_typer._elab_mono,
+}
+STUCK_TRUE = (fd_core.FdTypeError, "Stuck: stuck term True")
+
+
+@pytest.mark.parametrize("walk,node,raised", [
+    *[(walk, FOREIGN, (TypeError, repr(FOREIGN))) for walk in FOREIGN_WALKS
+      if walk != "fd_step"],
+    ("fd_step", FOREIGN, (TypeError, "cannot pretty-print TermBind")),
+    ("DirectTranslator", S.STrue(), (TypeError, "STrue()")),
+    ("DirectTranslator", S.IApp(S.ITrue(), S.STrue()), (TypeError, "STrue()")),
+    ("FdChecker.translate", S.TTrue(), (TypeError, "TTrue()")),
+    ("FdChecker.translate", S.ILam("x", S.IBool(), S.STrue()),
+     (TypeError, "STrue()")),
+    ("elab_fd_type", S.SBool(), (TypeError, "SBool()")),
+    ("elab_fd_type", S.IArrow(S.IBool(), S.SBool()), (TypeError, "SBool()")),
+    ("check_fd_type_wf", S.TBool(), (TypeError, "TBool()")),
+    ("check_fd_type_wf", S.IForall("a", S.SBool()), (TypeError, "SBool()")),
+    ("check_dict", S.STrue(), (TypeError, "STrue()")),
+    ("check_dict", S.IChoice((S.STrue(),)), (TypeError, "STrue()")),
+    ("fd_step", S.STrue(), STUCK_TRUE),
+    ("fd_step", S.TTrue(), STUCK_TRUE),
+    ("fd_step", S.IApp(S.STrue(), S.ITrue()), STUCK_TRUE),
+    ("infer", S.ITrue(), (TypeError, "ITrue()")),
+    ("infer", S.SApp(S.ITrue(), S.STrue()), (TypeError, "ITrue()")),
+    ("check", S.TTrue(), (TypeError, "TTrue()")),
+    ("check", S.SLet("f", S.SrcScheme((), (), S.SBool()), S.STrue(),
+                     S.ITrue()), (TypeError, "ITrue()")),
+    ("_elab_mono", S.IBool(), (TypeError, "IBool()")),
+    ("_elab_mono", S.SArrow(S.SBool(), S.IBool()), (TypeError, "IBool()")),
+])
+def test_a_walk_rejects_a_node_of_another_language_as_it_always_has(
+        walk, node, raised):
+    with pytest.raises(Exception) as exc:
+        FOREIGN_WALKS[walk](node)
+    assert (type(exc.value), str(exc.value)) == raised

@@ -23,8 +23,9 @@ from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
 from conftest import (POSITIVE, corpus_contexts, corpus_program,
-                      corpus_result, corpus_text, count_calls, flex_source,
-                      tower_source, type_and_translate, wide_source)
+                      corpus_result, corpus_text, count_calls, count_rules,
+                      flex_source, tower_source, type_and_translate,
+                      wide_source)
 from reader import read_fd_expr
 import reference_generator
 from test_golden_cli import programs
@@ -139,11 +140,8 @@ def _break_direct_dictionary_variables(monkeypatch):
 
 def test_decomposition_catches_wrong_intermediate_dictionary(monkeypatch):
     # The bug is in FdChecker's translation of a dictionary variable.
-    translate = fd_core.FdChecker._translate
-
-    def wrong(self, node):
-        return NEVER if isinstance(node, S.DVar) else translate(self, node)
-    monkeypatch.setattr(fd_core.FdChecker, "_translate", wrong)
+    monkeypatch.setitem(fd_core.FdChecker._TRANSLATIONS, S.DVar,
+                        lambda self, node: NEVER)
     _assert_the_square_breaks_at_the_local_dictionary()
 
 
@@ -201,10 +199,10 @@ def test_both_reports_and_every_context_share_each_checker(monkeypatch):
 def test_decomposition_after_coherence_translates_nothing(monkeypatch):
     r = source_typer.typecheck_program(corpus_program("P2"))
     coh = harness.coherence_report(r, contexts=corpus_contexts())
-    nodes = count_calls(monkeypatch, source_typer.DirectTranslator,
-                        "_translate")
+    nodes = count_rules(monkeypatch,
+                        source_typer.DirectTranslator._TRANSLATIONS)
     checked = count_calls(monkeypatch, fd_core.FdChecker, "_infer")
-    composed = count_calls(monkeypatch, fd_core.FdChecker, "_translate")
+    composed = count_rules(monkeypatch, fd_core.FdChecker._TRANSLATIONS)
     dec = harness.decomposition_report(r)
     assert dec.equal and dec.count == coh.count == \
         len(list(harness.corners(r, "composed")))

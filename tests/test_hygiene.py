@@ -2,7 +2,8 @@
 it never reads, no function of the package takes a parameter it never
 reads, nothing the package defines at top level goes unread or is read by
 the tests alone, no nested function of the package outlives its call in
-a reference cycle, and no loop of the package iterates a set.
+a reference cycle, no loop of the package iterates a set, and no `match`
+of the package has a class pattern.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
@@ -327,3 +328,34 @@ def test_the_scan_sees_a_loop_over_a_set():
     assert set_iterations(source) == [
         "1: {1, 2}", "2: set(a) - b", "3: frozenset(e)",
         "4: {v for v in a}.union(b)"]
+
+
+def class_patterns(source: str) -> list[str]:
+    """"line: pattern" for each class pattern (`case C(...)`) of source,
+    nested ones too. A per-node walk finds its rule by the node's exact
+    class, in a table or a chain of `type(x) is C` tests: a class pattern
+    is an `isinstance` test, and a match tries its cases one by one."""
+    return [f"{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.MatchClass)]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_match_has_a_class_pattern(path):
+    assert class_patterns(path.read_text()) == []
+
+
+def test_the_scan_sees_a_class_pattern():
+    source = ("match t:\n"
+              "    case A():\n"
+              "        pass\n"
+              "    case B(C(x), y) | D(y=y):\n"
+              "        pass\n"
+              "match n:\n"
+              "    case 0 | 1:\n"
+              "        pass\n"
+              "    case [a, *_]:\n"
+              "        pass\n")
+    assert sorted(class_patterns(source)) == [
+        "2: A()", "4: B(C(x), y)", "4: C(x)", "4: D(y=y)"]

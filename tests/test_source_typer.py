@@ -24,7 +24,8 @@ from dictelab.syntax import (
 )
 
 from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
-                      count_calls, flex_source, tower_source, wide_source)
+                      count_calls, count_rules, flex_source, tower_source,
+                      wide_source)
 from strategies import src_mono
 from test_golden_cli import LE, ORD
 
@@ -279,15 +280,10 @@ def test_entail_resolves_a_shadowed_dictionary_once():
 
 
 def test_direct_translation_translates_each_node_once(monkeypatch):
-    nodes = []
-    translate = DirectTranslator._translate
-
-    def recorded(self, node):
-        nodes.append(node)
-        return translate(self, node)
-    monkeypatch.setattr(DirectTranslator, "_translate", recorded)
+    calls = count_rules(monkeypatch, DirectTranslator._TRANSLATIONS)
     r = typecheck_program(parse_program(wide_source(3)))
     direct = [sq.direct for sq in squares(r)]
+    nodes = [node for _, node in calls]
     assert len(direct) == 256 and nodes
     assert len({id(n) for n in nodes}) == len(nodes)
     # The 256 targets share most of their nodes.
@@ -297,7 +293,7 @@ def test_direct_translation_translates_each_node_once(monkeypatch):
 def test_direct_targets_are_translated_once_per_result(monkeypatch):
     # tgt_elabs translates at its first read only, and nothing before;
     # squares then reads the same translator.
-    nodes = count_calls(monkeypatch, DirectTranslator, "_translate")
+    nodes = count_rules(monkeypatch, DirectTranslator._TRANSLATIONS)
     r = typecheck_program(parse_program(wide_source(3)))
     assert nodes == []
     first = r.tgt_elabs
