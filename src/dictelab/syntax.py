@@ -1725,7 +1725,10 @@ _TABLE = {cls: (level, _compile(n) if isinstance(n, str) else n)
 def _show(x, need: int = 0, note=None) -> str:
     """x printed by its notation (or by note), in parentheses when it binds
     more loosely than level need."""
-    level, pieces = note or _TABLE[type(x)]
+    try:
+        level, pieces = note or _TABLE[type(x)]
+    except KeyError:
+        raise TypeError(f"cannot pretty-print {type(x).__name__}") from None
     if type(pieces) is not tuple:
         text = pieces(x)
     else:
@@ -1747,7 +1750,6 @@ def _show(x, need: int = 0, note=None) -> str:
 
 
 def pretty(x) -> str:
-    """Pretty printer for any node of the three languages."""
-    if type(x) not in _TABLE:
-        raise TypeError(f"cannot pretty-print {type(x).__name__}")
+    """Pretty printer for any node of the three languages; a TypeError if
+    x holds a node with no notation, at any depth."""
     return _show(x)

@@ -488,6 +488,20 @@ def test_deep_input_is_a_resource_error(capsys, tmp_path, cmd, shape):
     assert len(err.splitlines()) == 1
 
 
+def test_a_deeply_parenthesized_type_gets_its_verdict(capsys, tmp_path):
+    # Types parse in a loop, so 3000 parentheses around a type are no
+    # deeper than one: the annotation is Bool -> Bool -> Bool.
+    path = tmp_path / "deep.src"
+    path.write_text("class Eq a where { eq : a -> a -> Bool };\n"
+                    "instance Eq Bool where { eq = \\x. \\y. True };\n"
+                    "(eq :: " + "(" * 3000 + "Bool" + ")" * 3000
+                    + " -> Bool -> Bool)\n")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out == ("main : Bool -> Bool -> Bool\n"
+                   "1 class(es), 1 instance(s), 1 elaboration(s)\n")
+
+
 FLAT_HEADS = {
     "unannotated": "head 'g' not inferable - annotate its use",
     "annotated": "applied a non-function of type Bool",

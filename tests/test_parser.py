@@ -172,3 +172,44 @@ def test_grammar_coverage_over_corpus():
                 "SVar", "STrue", "SArrow", "SBool", "STyVar",
                 "SrcConstraint", "SrcScheme"}
     assert required <= seen
+
+
+def _arrow_depths(t) -> tuple[int, int]:
+    """The number of arrows down the right and down the left spine of t."""
+    right = 0
+    node = t
+    while isinstance(node, S.SArrow):
+        right, node = right + 1, node.right
+    left = 0
+    node = t
+    while isinstance(node, S.SArrow):
+        left, node = left + 1, node.left
+    return right, left
+
+
+@pytest.mark.parametrize("depth", [1, 5000])
+def test_deep_types_parse_in_a_loop(depth):
+    # No nesting of a type recurses in the parser: parentheses, arrows to
+    # the right and arrows nested to the left.
+    def ty(text):
+        return parse_program(f"(x :: {text})").main.ty
+    assert ty("(" * depth + "Bool" + ")" * depth) == S.SBool()
+    assert _arrow_depths(ty("Bool -> " * depth + "Bool")) == (depth, 1)
+    assert _arrow_depths(ty("(" * depth + "a" + " -> a)" * depth)) \
+        == (1, depth)
+    nested = "(" * depth + "a" + ")" * depth
+    scheme = parse_expr(f"let f : Eq {nested} => {nested} -> Bool = x in f"
+                        ).scheme
+    assert scheme.context == (S.SrcConstraint("Eq", S.STyVar("a")),)
+    assert scheme.head == S.SArrow(S.STyVar("a"), S.SBool())
+    scheme = parse_expr(f"let f : {nested} -> Bool = x in f").scheme
+    assert scheme.context == ()
+    assert scheme.head == S.SArrow(S.STyVar("a"), S.SBool())
+
+
+def test_an_unclosed_deep_type_reports_its_parenthesis():
+    with pytest.raises(ParseError) as err:
+        parse_program("(x :: " + "(" * 5000 + "Bool" + ")" * 4999)
+    assert (err.value.line, err.value.column, err.value.message,
+            err.value.expected) == (1, 10010, "unexpected end of input",
+                                    [")"])

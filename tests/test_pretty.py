@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference_pretty as ref
 from dictelab import syntax as S
+from dictelab.fd_core import fd_step
 from dictelab.harness import squares
 
 import strategies
@@ -86,6 +87,25 @@ def test_pretty_rejects_other_values():
               S.TermBind("x", S.TBool()), ("a",), "a"):
         with pytest.raises(TypeError, match="cannot pretty-print"):
             S.pretty(x)
+
+
+BELOW_THE_ROOT = [
+    S.IMethod(S.IChoice((S.DCon("D1_Eq", (), ()),)), "eq"),
+    S.ILam("x", S.IBool(), S.IChoice((S.ITrue(),))),
+]
+
+
+@pytest.mark.parametrize("x", BELOW_THE_ROOT, ids=["dictionary", "body"])
+def test_pretty_rejects_an_unprintable_node_at_any_depth(x):
+    with pytest.raises(TypeError, match="^cannot pretty-print IChoice$"):
+        S.pretty(x)
+
+
+def test_a_stuck_choice_is_reported_as_unprintable():
+    # fd_step's "stuck term" message prints the term, whose dictionary is
+    # a choice: the printer's TypeError, not a KeyError from its table.
+    with pytest.raises(TypeError, match="^cannot pretty-print IChoice$"):
+        fd_step((), BELOW_THE_ROOT[0])
 
 
 # ---------------------------------------------------------------------------
