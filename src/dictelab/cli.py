@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import fd_core, harness, syntax as S, target_core
-from .fd_core import FuelExhausted
+from .fd_core import FUEL, FuelExhausted
 from .parser import ParseError, parse_context, parse_program
 from .source_typer import MAX_ELABORATIONS, SrcTypeError, typecheck_program
 
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="additionally check this many generated terms")
     for name in ("run", "coherence", "meta"):   # the commands that evaluate
         sub.choices[name].add_argument("--fuel", type=at_least(0),
-                                       default=100_000,
+                                       default=FUEL,
                                        help="evaluation step budget")
     return ap
 

@@ -39,9 +39,11 @@ Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`
 walks, and `fd_eval` reaches the same value, in the same number of steps,
 with an environment machine (`run_machine`), which evaluates the target
-too, each language read through its table (`Language`). The machine
-evaluates a packed forest too (`fd_leaves`): it forks where evaluation
-inspects a choice, and `fd_eval` is the case of one tree.
+too, each language read through its table (`Language`): a method
+projection waits for a dictionary constructor, as the record projection
+it translates to waits for a record. The machine evaluates a packed
+forest too (`fd_leaves`): it forks where evaluation inspects a choice,
+and `fd_eval` is the case of one tree.
 """
 
 from __future__ import annotations
@@ -772,6 +774,10 @@ def fd_step(sigma, e: FdExpr):
     raise FdTypeError(STUCK, f"stuck term {S.pretty(e)}")
 
 
+# The default fuel: how many reduction steps one evaluation may take.
+FUEL = 100_000
+
+
 def spend_fuel(fuel: int) -> int:
     """The fuel left after one reduction step."""
     if fuel <= 0:
@@ -802,7 +808,7 @@ def fd_leaves(sigma, forest: FdExpr, fuel: int, limit: int) -> list:
     evaluates all at once: each closure's position in the forest tells
     the occurrence of each choice it meets (`syntax.Forks`). The machine
     forks only where evaluation inspects a choice: at the head of the
-    current term, or as the dictionary of a method projection. Each
+    current term, a method projection's dictionary included. Each
     branch goes on with the fuel left; an occurrence met again takes the
     alternative already decided. A value read back with an undecided
     choice in it splits on that choice; a stuck term's message shows an
@@ -826,11 +832,14 @@ def _scope(binder) -> tuple:
 
 # A stack frame, by the eliminator it stands for: the introduction it
 # waits for, the sort it binds and the index of its body (none for a
-# record), and how a stuck eliminator is reported.
+# method projection or a record), and how a stuck eliminator is reported.
+# They mirror the translation: IApp and IDApp become TApp, ITyApp becomes
+# TTyApp, and IMethod becomes TProj.
 _FRAMES = {
     IApp: (ILam, *_scope(ILam), "stuck application"),
     IDApp: (IDLam, *_scope(IDLam), "stuck dictionary application"),
     ITyApp: (ITyLam, *_scope(ITyLam), "stuck type application"),
+    IMethod: (DCon, None, None, "stuck term"),
     TApp: (TLam, *_scope(TLam), "stuck application"),
     TTyApp: (TTyLam, *_scope(TTyLam), "stuck type application"),
     TProj: (TRecord, None, None, "stuck projection"),
@@ -838,14 +847,17 @@ _FRAMES = {
 # A let's sort, and the indices of its body and its bound term.
 _LETS = {let: (*_scope(let), S._SHAPES[let].fields.index("bound"))
          for let in (ILet, TLet)}
+# How a variable its environment does not bind is reported, by its name.
+_UNBOUND = {IVar: "stuck term {}", TVar: "stuck term {}",
+            DVar: "free dictionary variable {!r}"}
 
-# What the machine does at a term: push its frame and go to its head,
-# look up a variable, bind a let, unfold a method projection, or fork at
-# a choice. A term with none of these roles is a value.
-_PUSH, _LOOKUP, _LET, _METHOD, _CHOICE, _VALUE = range(6)
+# What the machine does at a node: push its frame and go to its head, look
+# up a variable, bind a let, or fork at a choice. A node with none of
+# these roles is a value.
+_PUSH, _LOOKUP, _LET, _CHOICE, _VALUE = range(5)
 _ROLES = {**dict.fromkeys(_FRAMES, _PUSH), **dict.fromkeys(_LETS, _LET),
-          IVar: _LOOKUP, TVar: _LOOKUP, IMethod: _METHOD,
-          IChoice: _CHOICE, TChoice: _CHOICE}
+          **dict.fromkeys(_UNBOUND, _LOOKUP), IChoice: _CHOICE,
+          TChoice: _CHOICE}
 
 Language = namedtuple("Language", "roles sorts stuck errors")
 Language.__doc__ = """The machine's table for one language: the role of
@@ -855,33 +867,38 @@ term raises, from its message; and the errors that end a branch in a
 leaf."""
 
 
-def language(terms, choice, sorts, error, *kind) -> Language:
-    """The table of the language whose terms are the subclasses of terms
+def language(bases, choice, sorts, error, *kind) -> Language:
+    """The table of the language whose nodes are the subclasses of bases
     and whose forests choose with choice. A stuck term raises error, of
     kind if one is given."""
+    classes = [cls for base in bases for cls in base.__subclasses__()]
     return Language({cls: _ROLES.get(cls, _VALUE)
-                     for cls in (*terms.__subclasses__(), choice)},
+                     for cls in (*classes, choice)},
                     sorts, partial(error, *kind), (error, FuelExhausted))
 
 
 # Read-back order: types, then dictionaries, then terms. A value read back
 # for one sort has no variable of a later sort, so later passes keep it.
-_FD = language(FdExpr, IChoice, ("ic", "id", "iv"), FdTypeError, STUCK)
+_FD = language((FdExpr, FdDict), IChoice, ("ic", "id", "iv"), FdTypeError,
+               STUCK)
 
 
 def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
     """The machine of lang (see `Language`) under the method environment
     sigma, from one state (see `syntax.Forks`) to its leaf.
 
-    A Krivine-style environment machine: the state is the current term,
-    an environment mapping (sort, name) to the unevaluated closure (term,
-    position, environment) of each variable, and a stack of frames, each
-    an eliminator's argument as a closure. Closures are never updated, so
-    the machine takes exactly the reductions of the leftmost call-by-name
-    small-step semantics, each for one unit of fuel, and a stuck term
-    raises the error that semantics raises. The final closure is read back
-    with one substitution per sort. A node of no role in lang raises
-    `TypeError`, as does a choice where the forest is one tree.
+    Krivine's call-by-name environment machine: the state is the current
+    node, an environment mapping (sort, name) to the unevaluated closure
+    (node, position, environment) of each variable, and a stack of frames,
+    each an eliminator's argument as a closure. An eliminator pushes its
+    frame, a variable is looked up, and a value pops the frame on top: it
+    binds an abstraction's argument, selects a record's field, or unfolds
+    a dictionary constructor's implementation. Closures are never updated,
+    so the machine takes exactly the reductions of the leftmost
+    call-by-name small-step semantics, each for one unit of fuel, and a
+    stuck term raises the error that semantics raises. The final closure
+    is read back with one substitution per sort. A node of no role in lang
+    raises `TypeError`, as does a choice where the forest is one tree.
     """
     roles, sorts, stuck, errors = lang
     child = forks.child
@@ -893,8 +910,8 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
             kind = type(e)
             role = roles.get(kind)
             if role == _PUSH:
-                # The argument: a term or dictionary, a type, or a record
-                # label, which reads back as itself.
+                # The argument: a term or dictionary, a type, or a method
+                # or record label, which reads back as itself.
                 head, arg = S._FIELDS[kind](e)
                 stack.append((kind, arg, pos and child(pos, e, 1), env))
                 e, pos = head, pos and child(pos, e, 0)
@@ -902,7 +919,7 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
                 closure = env.get((S._VAR_SORT[kind], e.name))
                 if closure is None:
                     spend_fuel(fuel)
-                    raise stuck(f"stuck term {S.pretty(e)}")
+                    raise stuck(_UNBOUND[kind].format(e.name))
                 e, pos, env = closure
             elif role == _LET:
                 fuel = spend_fuel(fuel)
@@ -910,37 +927,6 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
                 env = {**env, (sort, e.name): (
                     e.bound, pos and child(pos, e, bound), env)}
                 e, pos = e.body, pos and child(pos, e, body)
-            elif role == _METHOD:
-                d, dpos, denv = e.dict, pos and child(pos, e, 0), env
-                while True:
-                    dkind = type(d)
-                    if dkind is DVar:
-                        closure = denv.get((S._VAR_SORT[dkind], d.name))
-                        if closure is None:
-                            spend_fuel(fuel)
-                            raise stuck(
-                                f"free dictionary variable {d.name!r}")
-                        d, dpos, denv = closure
-                    elif dkind is IChoice and dpos:
-                        j = forks.decide(dpos, d, (e, pos, env, stack, fuel,
-                                                   decisions, low))
-                        d, dpos = d.alts[j], child(dpos, d, j)
-                    else:
-                        break
-                if dkind is not DCon:
-                    raise TypeError(d)  # no dictionary, a choice node for one
-                fuel = spend_fuel(fuel)
-                impl = _implementation(sigma, d.name)
-                # The implementation applied to the type arguments, then to
-                # the dictionary arguments: the first type argument ends on
-                # top.
-                args, apos = d.dict_args, dpos and child(dpos, d, 2)
-                for k in reversed(range(len(args))):
-                    stack.append((IDApp, args[k],
-                                  apos and child(apos, args, k), denv))
-                stack.extend((ITyApp, t, None, denv)
-                             for t in reversed(d.type_args))
-                e, pos, env = impl, None, {}
             elif role == _CHOICE and pos:
                 j = forks.decide(pos, e, (e, pos, env, stack, fuel, decisions,
                                           low))
@@ -971,6 +957,17 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
                     pos = pos and child(child(child(pos, e, 0), e.fields, k),
                                         field, 1)
                     e = field[1]
+                elif frame is IMethod:
+                    # The implementation applied to the type arguments, then
+                    # to the dictionary arguments: the first type argument
+                    # ends on top.
+                    args, apos = e.dict_args, pos and child(pos, e, 2)
+                    for k in reversed(range(len(args))):
+                        stack.append((IDApp, args[k],
+                                      apos and child(apos, args, k), env))
+                    stack.extend((ITyApp, t, None, env)
+                                 for t in reversed(e.type_args))
+                    e, pos, env = _implementation(sigma, e.name), None, {}
                 else:
                     env = {**env, (sort, e.param): (arg, apos, aenv)}
                     e, pos = e.body, pos and child(pos, e, body)

@@ -68,7 +68,7 @@ import random
 from collections import namedtuple
 
 from . import fd_core, syntax as S, target_core
-from .fd_core import (FdChecker, fd_env_wf, fd_leaves, fd_step,
+from .fd_core import (FUEL, FdChecker, fd_env_wf, fd_leaves, fd_step,
                       is_fd_value)
 from .source_typer import (MAX_ELABORATIONS, DirectTranslator, MethodEnv,
                            SrcTypeError, typecheck_main, typecheck_program)
@@ -251,7 +251,7 @@ def _describe(outcome) -> str:
             f"{S.pretty(S.tree_at(outcome.forest, outcome.leaf.low))}")
 
 
-def coherence_report(r, fuel: int = 100_000, contexts=()) -> CoherenceReport:
+def coherence_report(r, fuel: int = FUEL, contexts=()) -> CoherenceReport:
     """Coherence of the typed program r and of its main plugged into each
     of contexts, (name, context) pairs typed against r's declarations one
     at a time until a counterexample: the first outcome, in rank order,
@@ -312,7 +312,7 @@ def decomposition_report(r) -> DecompositionReport:
 
 
 def check_coherence(p: SrcProgram, cap: int = MAX_ELABORATIONS,
-                    fuel: int = 100_000, contexts=()) -> CoherenceReport:
+                    fuel: int = FUEL, contexts=()) -> CoherenceReport:
     return coherence_report(typecheck_program(p, cap), fuel, contexts)
 
 
@@ -369,7 +369,7 @@ def _stream(build, sigma, TC):
 # Metatheory: trace walking
 # ---------------------------------------------------------------------------
 
-def check_metatheory(sigma, TC, e: FdExpr, fuel: int = 100_000) -> MetaReport:
+def check_metatheory(sigma, TC, e: FdExpr, fuel: int = FUEL) -> MetaReport:
     checker = _stream(FdChecker, sigma, TC).child()
     try:
         ty0 = checker.check_expr((), e)

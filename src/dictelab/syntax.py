@@ -1388,10 +1388,7 @@ class Forks:
         return _count(x, self._counts)
 
     def child(self, pos, node, i: int):
-        """The position of part i of node, the subforest at pos, or None
-        if pos is None."""
-        if pos is None:
-            return None
+        """The position of part i of node, the subforest at pos."""
         key = (pos, i)
         out = self._at.get(key)
         if out is None:

@@ -27,7 +27,7 @@ class TgtTypeError(Exception):
         return self.detail
 
 
-_TGT = language(TgtExpr, TChoice, ("ta", "tv"), TgtTypeError)
+_TGT = language((TgtExpr,), TChoice, ("ta", "tv"), TgtTypeError)
 
 
 def tgt_eval(e: TgtExpr, fuel: int) -> TgtExpr:

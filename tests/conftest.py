@@ -69,6 +69,35 @@ def tower_source(d: int) -> str:
             + f"(eq :: {t} -> {t} -> Bool)")
 
 
+# Programs whose methods are reached through an instance context's
+# dictionary variable.
+
+def sigma_source(k: int) -> str:
+    """k classes, each with one instance whose body calls eq through its
+    context or through the global instance: 2^k method environments."""
+    decls = "".join(
+        f"class C{i} a where {{ c{i} : a -> Bool }};\n"
+        f"instance Eq Bool => C{i} Bool where "
+        f"{{ c{i} = \\x. (eq :: Bool -> Bool -> Bool) x x }};\n"
+        for i in range(k))
+    main_ = "True"
+    for i in range(k):
+        main_ = f"(c{i} :: Bool -> Bool) ({main_})"
+    return EQ + decls + main_
+
+
+# A choice among the dictionary arguments of a constructor, which its
+# implementation's own method call inspects.
+PICK = ("class Pick a where { pick : a -> a -> a };\n"
+        "instance Pick Bool where { pick = \\x. \\y. x };\n"
+        "instance Pick a => Pick (a -> a) where { pick = \\f. \\g. "
+        "\\x. (pick :: a -> a -> a) ((f :: a -> a) x) "
+        "((g :: a -> a) x) };\n"
+        "let k : Pick Bool => Bool -> Bool = \\n. "
+        "(pick :: (Bool -> Bool) -> (Bool -> Bool) -> Bool -> Bool) "
+        "(\\m. m) (\\m. m) n in\n(k :: Bool -> Bool) True")
+
+
 def count_calls(monkeypatch, owner, name) -> list:
     """Record the arguments of each call of owner.name, which keeps
     working, until the test ends."""

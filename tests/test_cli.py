@@ -14,15 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import cli, harness, source_typer, syntax as S
+from dictelab import cli, fd_core, harness, source_typer, syntax as S
 from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
 from dictelab.parser import parse_context, parse_program
 
-from conftest import (CORPUS, NEGATIVE, POSITIVE, count_calls, count_rules,
-                      corpus_result, wide_source)
-from test_harness import FOUR_SIGMAS
+from conftest import (CORPUS, EQ, NEGATIVE, POSITIVE, count_calls,
+                      count_rules, corpus_result, wide_source)
+from test_harness import FOUR_SIGMAS, NEVER, P3_LOCAL
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
 
@@ -287,6 +287,36 @@ def test_every_cap_default_is_max_elaborations():
     for cmd in COMMANDS:
         ns = cli._build_parser().parse_args([cmd, src("P1")])
         assert ns.max_elaborations == source_typer.MAX_ELABORATIONS, cmd
+
+
+def test_the_cap_can_end_between_method_environments(capsys, tmp_path):
+    # Two method environments of two elaborations each: a cap of 2 reads
+    # the first environment's and none of the second's.
+    path = tmp_path / "two.src"
+    path.write_text(
+        EQ + "class C a where { c : a -> Bool };\n"
+        "instance Eq Bool => C Bool where "
+        "{ c = \\x. (eq :: Bool -> Bool -> Bool) x x };\n"
+        "let f : Eq Bool => Bool -> Bool = "
+        "\\n. (eq :: Bool -> Bool -> Bool) n n in\n"
+        "(f :: Bool -> Bool) ((c :: Bool -> Bool) True)")
+    r = source_typer.typecheck_program(parse_program(path.read_text()), 2)
+    assert (r.count, len(r.decls.variants), len(r.variants_read)) == (2, 2, 1)
+    code, out, _ = run_cli(capsys, "check", str(path),
+                           "--max-elaborations", "2")
+    assert code == 3 and out.endswith(", 2 elaboration(s)\n")
+
+
+def test_every_fuel_default_is_fuel():
+    # One default fuel: the checks that evaluate and every command that
+    # takes --fuel read fd_core.FUEL.
+    for fn in (harness.coherence_report, harness.check_coherence,
+               harness.check_metatheory):
+        fuel = inspect.signature(fn).parameters["fuel"]
+        assert fuel.default == fd_core.FUEL, fn.__name__
+    for cmd in ("run", "coherence", "meta"):
+        ns = cli._build_parser().parse_args([cmd, src("P1")])
+        assert ns.fuel == fd_core.FUEL, cmd
 
 
 @pytest.mark.parametrize("flag,value", [("--max-elaborations", "0"),
@@ -620,6 +650,81 @@ def test_meta_exits_2_on_an_ill_typed_start_term(capsys, monkeypatch):
     assert code == 2
     assert "preservation: FAILED" in out
     assert "EXHAUSTED" not in out
+
+
+def _stuck_step(sigma, e):
+    raise fd_core.FdTypeError(fd_core.STUCK, "stuck")
+
+
+def _retyping_step(sigma, e):
+    return S.ILam("x", S.IBool(), S.IVar("x"))
+
+
+def _ill_typed_step(sigma, e):
+    return S.IApp(S.ITrue(), S.ITrue())
+
+
+@pytest.mark.parametrize("step,verdicts,failing", [
+    # Progress: the small step raises on a term that is not a value.
+    (_stuck_step, ["preservation: ok", "progress: FAILED"], None),
+    # Preservation: the term a step gives is well typed, at another type,
+    # or ill typed.
+    (_retyping_step, ["preservation: FAILED", "progress: ok"],
+     "\\x : Bool. x"),
+    (_ill_typed_step, ["preservation: FAILED", "progress: ok"],
+     "True True : Mismatch: applied a non-function of type Bool"),
+])
+def test_meta_exits_2_on_a_failed_step(capsys, monkeypatch, step, verdicts,
+                                       failing):
+    monkeypatch.setattr(harness, "fd_step", step)
+    code, out, err = run_cli(capsys, "meta", src("P1"))
+    (_, ie), = corpus_result("P1").fd_elabs
+    assert code == 2 and err == ""
+    assert out.splitlines() == [
+        "-- elaboration 0", "steps checked: 0", *verdicts, "fuel: ok",
+        f"failing term: {failing or S.pretty(ie)}"]
+    code, out, _ = run_cli(capsys, "meta", src("P1"), "--format", "json")
+    assert code == 2 and json.loads(out)["coherent"] is False
+
+
+def _break_composed_dictionary_variables(monkeypatch):
+    """A composed translation that takes each dictionary variable to a
+    record whose method is always False."""
+    monkeypatch.setitem(fd_core.FdChecker._TRANSLATIONS, S.DVar,
+                        lambda self, node: NEVER)
+
+
+def test_coherence_exits_2_on_a_violation(capsys, monkeypatch):
+    _break_composed_dictionary_variables(monkeypatch)
+    code, out, err = run_cli(capsys, "coherence", src("P3"))
+    assert code == 2 and err == ""
+    assert out.splitlines()[3:] == [
+        "truncated: false", "COHERENCE VIOLATION",
+        f"  first:  fd value of {P3_LOCAL}",
+        f"  differs: composed target of {P3_LOCAL}"]
+
+
+def test_decompose_exits_2_on_a_mismatch(capsys, monkeypatch):
+    _break_composed_dictionary_variables(monkeypatch)
+    code, out, err = run_cli(capsys, "decompose", src("P3"))
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[3:6] == [
+        "truncated: false", "equal modulo alpha: false",
+        f"  derivation: {P3_LOCAL} (method environment 0)"]
+    direct, composed = lines[6:]
+    assert direct.startswith("    direct:   let isz ")
+    assert composed.startswith("    composed: let isz ")
+    assert "False" in composed and "False" not in direct
+
+
+@pytest.mark.parametrize("cmd", ["coherence", "decompose"])
+def test_a_violation_is_not_coherent_in_json(capsys, monkeypatch, cmd):
+    _break_composed_dictionary_variables(monkeypatch)
+    code, out, _ = run_cli(capsys, cmd, src("P3"), "--format", "json")
+    doc = json.loads(out)
+    assert code == 2
+    assert doc["coherent"] is False and doc["results"] == []
 
 
 # ---------------------------------------------------------------------------

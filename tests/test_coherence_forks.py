@@ -18,8 +18,9 @@ from dictelab.source_typer import SrcTypeError, typecheck_program
 from dictelab.target_core import TgtTypeError
 
 import reference_coherence
-from conftest import (EQ, POSITIVE, corpus_contexts, corpus_text, count_calls,
-                      flex_source, tower_source, wide_source)
+from conftest import (EQ, PICK, POSITIVE, corpus_contexts, corpus_text,
+                      count_calls, flex_source, sigma_source, tower_source,
+                      wide_source)
 from test_forest import LADDERS
 from test_golden_cli import programs
 from test_harness import (FOUR_SIGMAS, NEVER,
@@ -37,20 +38,6 @@ def flex_reversed(n: int) -> str:
     return flex_source(n).rsplit("\n", 1)[0] + "\n" + main_
 
 
-def sigma_source(k: int) -> str:
-    """k classes, each with one instance whose body calls eq through its
-    context or through the global instance: 2^k method environments."""
-    decls = "".join(
-        f"class C{i} a where {{ c{i} : a -> Bool }};\n"
-        f"instance Eq Bool => C{i} Bool where "
-        f"{{ c{i} = \\x. (eq :: Bool -> Bool -> Bool) x x }};\n"
-        for i in range(k))
-    main_ = "True"
-    for i in range(k):
-        main_ = f"(c{i} :: Bool -> Bool) ({main_})"
-    return EQ + decls + main_
-
-
 PROGRAMS = {
     **LADDERS,
     **{f"sigma{k}": sigma_source(k) for k in range(1, 5)},
@@ -60,16 +47,7 @@ PROGRAMS = {
     "flex3-fun": flex_source(3).rsplit("\n", 1)[0] + "\n(f2 :: Bool -> Bool)",
     "flex3-rev": flex_reversed(3),
     "flex8-rev": flex_reversed(8),
-    # A choice among the dictionary arguments of a constructor, which its
-    # implementation's own method call inspects.
-    "pick": ("class Pick a where { pick : a -> a -> a };\n"
-             "instance Pick Bool where { pick = \\x. \\y. x };\n"
-             "instance Pick a => Pick (a -> a) where { pick = \\f. \\g. "
-             "\\x. (pick :: a -> a -> a) ((f :: a -> a) x) "
-             "((g :: a -> a) x) };\n"
-             "let k : Pick Bool => Bool -> Bool = \\n. "
-             "(pick :: (Bool -> Bool) -> (Bool -> Bool) -> Bool -> Bool) "
-             "(\\m. m) (\\m. m) n in\n(k :: Bool -> Bool) True"),
+    "pick": PICK,
 }
 # A function value whose body holds a dictionary abstraction: its trees
 # differ in the dictionary a body uses, so their values differ as terms.

@@ -28,8 +28,8 @@ from dictelab.source_typer import typecheck_program
 from dictelab.syntax import FdConstraintScheme, FdQ, IBool, MethodImpl
 from dictelab.target_core import TgtTypeError, tgt_eval
 
-from conftest import (POSITIVE, corpus_result, flex_source, tower_source,
-                      type_and_translate)
+from conftest import (PICK, POSITIVE, corpus_result, flex_source,
+                      sigma_source, tower_source, type_and_translate)
 from reader import read_fd_expr
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 from strategies import fd_term, tgt_let_term
@@ -77,6 +77,10 @@ def _programs():
         out[f"flex{n}"] = typecheck_program(parse_program(flex_source(n)))
     for d in range(1, 9):
         out[f"tower{d}"] = typecheck_program(parse_program(tower_source(d)))
+    # Methods reached through an instance context's dictionary variable.
+    for k in range(1, 5):
+        out[f"sigma{k}"] = typecheck_program(parse_program(sigma_source(k)))
+    out["pick"] = typecheck_program(parse_program(PICK))
     return out
 
 
@@ -176,6 +180,19 @@ def test_tgt_machine_agrees_on_open_terms(e):
 ])
 def test_fd_machine_agrees_on_edge_cases(text):
     assert_fd_agrees(SIGMA, read_fd_expr(text))
+
+
+@pytest.mark.parametrize("e", [
+    S.IMethod(S.ITrue(), "eq"),
+    S.IApp(S.ILam("x", IBool(), S.IMethod(S.IVar("x"), "eq")), S.ITrue()),
+])
+def test_a_projection_from_no_dictionary_is_a_stuck_term(e):
+    # A method projection is an eliminator that waits for a dictionary
+    # constructor: any other value leaves it stuck, as the small step has
+    # it, not foreign to the machine.
+    assert_fd_agrees(SIGMA, e)
+    with pytest.raises(FdTypeError, match="stuck term "):
+        fd_eval(SIGMA, e, LIMIT)
 
 
 @pytest.mark.parametrize("e", [

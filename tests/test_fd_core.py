@@ -4,8 +4,9 @@ import pytest
 
 from dictelab import fd_core, syntax as S
 from dictelab.fd_core import (
-    FdChecker, FdTypeError, FuelExhausted, MISMATCH, OVERLAP,
-    PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR, UNKNOWN_CONSTRUCTOR,
+    AMBIGUITY, ARITY_MISMATCH, FdChecker, FdTypeError, FuelExhausted,
+    MISMATCH, OVERLAP, PREFIX_VIOLATION, UNBOUND_DICT, UNBOUND_VAR,
+    UNKNOWN_CONSTRUCTOR, UNKNOWN_METHOD,
     elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, is_fd_value,
 )
@@ -216,6 +217,49 @@ def test_argument_type_must_match():
     with pytest.raises(FdTypeError) as exc:
         FdChecker((), ()).check_expr((), e)
     assert exc.value.kind == MISMATCH
+
+
+@pytest.mark.parametrize("e, kind, detail", [
+    (read_fd_expr("(\\d : [Eq Bool]. True) [D2_Eq @Bool [D1_Eq]]"), MISMATCH,
+     "dictionary has type [Eq (Bool -> Bool)], expected [Eq Bool]"),
+    (read_fd_expr("let x : Bool = \\y : Bool. y in x"), MISMATCH,
+     "let binding has type Bool -> Bool, annotated Bool"),
+    (S.IChoice((S.ITrue(), read_fd_expr("\\y : Bool. y"))), MISMATCH,
+     "alternatives of one derivation have types Bool and Bool -> Bool"),
+    (read_fd_expr("[D2_Eq @Bool].eq"), ARITY_MISMATCH,
+     "'D2_Eq' expects 1 dictionary arguments, got 0"),
+    (read_fd_expr("[D1_Eq].ne"), UNKNOWN_METHOD, "unknown method 'ne'"),
+], ids=["dictionary", "let", "choice", "arity", "method"])
+def test_an_ill_typed_term_is_rejected(e, kind, detail):
+    with pytest.raises(FdTypeError) as exc:
+        FdChecker(SIGMA_EQ, TC_EQ).check_expr((), e)
+    assert (exc.value.kind, exc.value.detail) == (kind, detail)
+
+
+TC_ORD = TC_EQ + (FdClassEntry("le", "Ord", "a",
+                               IArrow(ITyVar("a"), IBool())),)
+
+
+@pytest.mark.parametrize("sigma, tc, kind, detail", [
+    (SIGMA_EQ, TC_EQ + TC_EQ, AMBIGUITY, "duplicate class or method name"),
+    (SIGMA_EQ, TC_EQ + (FdClassEntry("eq", "Ord", "a", ITyVar("a")),),
+     AMBIGUITY, "duplicate class or method name"),
+    (SIGMA_EQ[:1] * 2, TC_EQ, AMBIGUITY, "duplicate dictionary constructor"),
+    ((MethodImpl("D1_Eq", SIGMA_EQ[0].scheme, "le", SIGMA_EQ[0].impl),),
+     TC_ORD, UNKNOWN_METHOD,
+     "'D1_Eq' implements 'le' but class 'Eq' declares 'eq'"),
+    ((MethodImpl("D1_Eq", FdConstraintScheme(("a",), (), FdQ("Eq", IBool())),
+                 "eq", SIGMA_EQ[0].impl),), TC_EQ, AMBIGUITY,
+     "constraint scheme of 'D1_Eq' is ambiguous"),
+    ((MethodImpl("D1_Eq", SIGMA_EQ[0].scheme, "eq",
+                 read_fd_expr("True True")),), TC_EQ, MISMATCH,
+     "applied a non-function of type Bool"),
+], ids=["class", "method", "constructor", "foreign-method", "ambiguous",
+        "implementation"])
+def test_an_ill_formed_environment_is_rejected(sigma, tc, kind, detail):
+    with pytest.raises(FdTypeError) as exc:
+        fd_env_wf(sigma, tc)
+    assert (exc.value.kind, exc.value.detail) == (kind, detail)
 
 
 # An annotation is checked against the type variables bound where it

@@ -23,9 +23,9 @@ from dictelab.syntax import (
     SrcConstraintScheme, SrcScheme, TyVarBind,
 )
 
-from conftest import (POSITIVE, corpus_program, corpus_result, corpus_text,
-                      count_calls, count_rules, flex_source, tower_source,
-                      wide_source)
+from conftest import (EQ, POSITIVE, corpus_program, corpus_result,
+                      corpus_text, count_calls, count_rules, flex_source,
+                      tower_source, wide_source)
 from strategies import src_mono
 from test_golden_cli import LE, ORD
 
@@ -523,6 +523,53 @@ def test_both_backends_infer_same_type():
     for name in POSITIVE:
         r = corpus_result(name)
         assert r.main_type == SBool()
+
+
+# ---------------------------------------------------------------------------
+# Rejected programs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, kind, message", [
+    ("(x :: Bool)", "unbound", "unbound variable 'x'"),
+    (EQ + "(eq :: Bool)", "mismatch",
+     "method 'eq' cannot be used at type Bool"),
+    ("let f : Bool -> Bool = \\x. x in (f :: Bool)", "mismatch",
+     "'f' cannot be used at type Bool"),
+    ("(\\x. x :: Bool)", "mismatch",
+     "lambda checked against non-function type Bool"),
+    ("class Eq a where { eq : a -> a -> Bool };\n"
+     "class Eq a where { ne : a -> a -> Bool };\nTrue", "duplicate",
+     "duplicate class 'Eq'"),
+    ("class Eq a where { eq : a -> a -> Bool };\n"
+     "class Ord a where { eq : a -> a -> Bool };\nTrue", "duplicate",
+     "duplicate method 'eq'"),
+    ("class C a where { c : forall a. a -> Bool };\nTrue", "duplicate",
+     "method scheme rebinds the class variable 'a'"),
+    ("class Eq a where { eq : a -> a -> Bool };\n"
+     "instance Eq Bool where { ne = \\x. \\y. True };\nTrue",
+     "unknown-method",
+     "class 'Eq' declares method 'eq', instance defines 'ne'"),
+    (EQ + "class Show a where "
+     "{ sh : forall b. Eq b => a -> b -> Bool };\n"
+     "instance Show Bool where { sh = \\x. \\y. True };\n"
+     "(sh :: Bool -> (Bool -> Bool) -> Bool)", "unsatisfiable",
+     "cannot satisfy the constraints of method 'sh'"),
+    (EQ + "let f : forall a. Eq a => a -> Bool = \\x. True in "
+     "(f :: (Bool -> Bool) -> Bool)", "unsatisfiable",
+     "cannot satisfy the constraints of 'f' at (Bool -> Bool) -> Bool"),
+    # An instance whose own context has no resolution is no alternative.
+    ("class Ord a where { le : a -> a -> Bool };\n" + EQ
+     + "instance Ord a => Eq (a -> a) where { eq = \\f. \\g. True };\n"
+     "(eq :: (Bool -> Bool) -> (Bool -> Bool) -> Bool)", "unsatisfiable",
+     "cannot resolve Eq (Bool -> Bool) for method 'eq'"),
+], ids=["unbound", "method-type", "variable-type", "lambda-type",
+        "duplicate-class", "duplicate-method", "rebound-class-variable",
+        "instance-method", "method-context", "variable-context",
+        "instance-context"])
+def test_an_ill_typed_program_is_rejected(text, kind, message):
+    with pytest.raises(SrcTypeError) as exc:
+        typecheck_program(parse_program(text))
+    assert (exc.value.kind, str(exc.value)) == (kind, message)
 
 
 # ---------------------------------------------------------------------------
