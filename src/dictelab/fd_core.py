@@ -220,25 +220,25 @@ class FdChecker:
     recursion goes, is memoized on what typing a node reads (`_memo`).
     Typing a term reads of its environment only the innermost binding of
     each of its free variables (strengthening), so a node whose facts are
-    cached (`syntax._fact_walk`) is keyed by its identity and those
-    bindings (`_bindings`), and a closed one by its identity alone: a
-    subterm that a trace step leaves in place is typed once, under
-    whatever binders the step rebuilt above it. A node without cached
-    facts, as every node of a typed forest, is keyed by the identities
-    of the node and of the environment, so typing never walks a node
-    only to key it. Every entry keeps the node and the environment it
+    cached, as every generated node's are (`syntax.with_facts`), is keyed by
+    its identity and those bindings (`_bindings`), and a closed one by its
+    identity alone: a subterm that a trace step leaves in place is typed
+    once, under whatever binders the step rebuilt above it. A node without
+    cached facts, as every node of a typed forest, is keyed by the
+    identities of the node and of the environment, so typing never walks a
+    node only to key it. Every entry keeps the node and the environment it
     was typed in alive, so an identity is never reused while its entry
     exists. `collect` bounds `_memo` while a trace is walked. A binder
-    extends its environment by one binding, and an annotation reads the
-    type variables of the environment at hand only if it has a free one
-    (`_wf`); a closed one is checked until it passes once per Σ. The
-    result types of type applications are memoized by the polymorphic
-    type and its argument (`_insts`), so a trace instantiates each
-    polymorphic type once; these keys are the term's own types, so the
-    memo ends with the checker. Translation is structural and reads no
-    typing environment, so its results are memoized by the identity of
-    the node alone (`_targets`), which keeps the node alive; walking a
-    trace translates nothing, so `collect` leaves them.
+    extends its environment by one binding, and an annotation reads the type
+    variables of the environment at hand only if it has a free one (`_wf`);
+    a closed one is checked until it passes once per Σ. The result types of
+    type applications are memoized by the polymorphic type and its argument
+    (`_insts`), so a trace instantiates each polymorphic type once; these
+    keys are the term's own types, so the memo ends with the checker.
+    Translation is structural and reads no typing environment, so its
+    results are memoized by the identity of the node alone (`_targets`),
+    which keeps the node alive; walking a trace translates nothing, so
+    `collect` leaves them.
     """
 
     def __init__(self, sigma, TC):

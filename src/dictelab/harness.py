@@ -44,18 +44,18 @@ program itself (`corners`), so a report unpacks no tree of its own.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
-generator's closed dictionaries and their method calls, indexed by type
-(`_Generators`), so that a node finds the calls of its type by one lookup
-unless its type holds a binder, and the per-Σ memos of one base checker
-(see `FdChecker`): the implementations checked, the type of each closed
-dictionary, which the stream's terms type once per Σ, and the type of
-each method projection by method and dictionary type. Like the type
-translations, these are bounded by the closed dictionaries and the
+generator's closed dictionaries, their method calls, indexed by type, and
+the types it draws (`_Generators`), so that a node finds the calls of its
+type by one lookup unless its type holds a binder, and the per-Σ memos of
+one base checker (see `FdChecker`): the implementations checked, the type
+of each closed dictionary, which the stream's terms type once per Σ, and
+the type of each method projection by method and dictionary type. Like the
+type translations, these are bounded by the closed dictionaries and the
 types the Σ is used with. A typed Σ keeps that state for as long as it
-lives; any other Σ, or a typed one given a class environment not its
-own, gets new state for each call. Each term gets its own checker, whose
-per-term memos (typed nodes and type instantiations) start empty; a
-trace walk bounds them (`collect`).
+lives; any other Σ, or a typed one given a class environment not its own,
+gets new state for each call. Each term gets its own checker, whose
+per-term memos (typed nodes and type instantiations) start empty; a trace
+walk bounds them (`collect`).
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -75,7 +75,7 @@ from .source_typer import (MAX_ELABORATIONS, DirectTranslator, MethodEnv,
 from .syntax import (
     DCon, FdExpr, FdQ, IApp, IArrow, IBool, IDApp, IDLam, IFalse, IForall,
     ILam, ILet, IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
-    SrcProgram, TgtExpr, alpha_eq, frozen, plug, subst_type,
+    SrcProgram, TgtExpr, alpha_eq, frozen, plug, subst_type, with_facts,
 )
 
 
@@ -327,27 +327,36 @@ def check_decomposition(p: SrcProgram,
 
 class _Generators:
     """The generator's state over one Σ: the closed dictionaries of sigma
-    (`closed_dicts`), the method call of each, indexed by its type, and
-    the target types of the latest term generated (`kept`). A type
-    without binders is alpha-equal only to itself, so `calls` maps each
-    such type to its calls; the calls whose types hold a binder are a
-    list of (call, type) pairs, `bound_calls`, which a type with a binder
-    scans with `alpha_eq`. Both keep the calls' order. Keeping the types
-    keeps them interned while that term is checked, whose types are
-    mostly the same objects, and while the next term is generated; a
-    term's generation replaces the set, so it holds one term's types."""
+    (`closed_dicts`), the method call of each, indexed by its type, the
+    types of depth at most 1 (`types`), and the target types of the
+    latest term generated (`kept`). A type without binders is alpha-equal
+    only to itself, so `calls` maps each such type to its calls; the
+    calls whose types hold a binder are a list of (call, type) pairs,
+    `bound_calls`, which a type with a binder scans with `alpha_eq`. Both
+    keep the calls' order, and each call has its facts. `types` holds
+    `Bool`, `Bool -> Bool`, then as tuples, from which a second draw
+    picks (`_draw_type`), `∀gi. gi -> Bool` for i < 3 and `q => Bool` for
+    each closed dictionary's q (or `Bool`). Keeping the types keeps them
+    interned while that term is checked, whose types are mostly the same
+    objects, and while the next term is generated; a term's generation
+    replaces the set, so it holds one term's types."""
 
     def __init__(self, sigma, TC):
         self.dicts = closed_dicts(sigma)
         self.calls, self.bound_calls = {}, []
         for q, d in self.dicts:
             entry = fd_core.lookup_class_by_name(TC, q.cls)
-            call = IMethod(d, entry.method)
+            call = with_facts(IMethod(d, entry.method))
             ty = subst_type(entry.method_type, {entry.var: q.arg})
             if ty._binds:
                 self.bound_calls.append((call, ty))
             else:
                 self.calls.setdefault(ty, []).append(call)
+        self.types = (IBool(), IArrow(IBool(), IBool()),
+                      tuple([IForall(a, IArrow(ITyVar(a), IBool()))
+                             for a in ("g0", "g1", "g2")]),
+                      tuple([IQArrow(q, IBool()) for q, _ in self.dicts])
+                      or IBool())
         self.kept = frozenset()
 
 
@@ -444,49 +453,47 @@ def closed_dicts(sigma):
 _INTRO, _ATOM, _APP, _LET, _TYAPP, _DAPP = range(6)
 
 
-def _gen_type(rng, dicts, depth: int):
-    """A random type nested at most depth levels deep, whose constrained
-    arrows take their constraints from dicts."""
-    if depth <= 0:
-        return IBool()
-    match rng.randrange(4):
-        case 0:
-            return IBool()
-        case 1:
-            return IArrow(_gen_type(rng, dicts, depth - 1),
-                          _gen_type(rng, dicts, depth - 1))
-        case 2:
-            a = f"g{rng.randrange(3)}"
-            return IForall(a, IArrow(ITyVar(a),
-                                     _gen_type(rng, dicts, depth - 1)))
-        case _:
-            if dicts:
-                q, _ = rng.choice(dicts)
-                return IQArrow(q, _gen_type(rng, dicts, depth - 1))
-            return IBool()
+def _below(bits, n: int) -> int:
+    """A draw below n > 0 from bits, a `Random`'s `getrandbits`: the draw
+    `Random._randbelow` makes, and so `choice` and `randrange`."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _draw_type(bits, types):
+    """A random type of depth at most 1 from types, a Σ's table
+    (`_Generators`): one draw of its entry, and one more into a tuple."""
+    t = types[_below(bits, 4)]
+    return t[_below(bits, len(t))] if t.__class__ is tuple else t
 
 
 # The literals at `Bool`: the same two nodes in every term, whose facts
 # (no free variable) are cached at once, so that typing keys them by
 # identity from the first term on (`FdChecker.check_expr`).
-_LITERALS = (ITrue(), IFalse())
-S.free_vars(_LITERALS, "iv")
+_LITERALS = (with_facts(ITrue()), with_facts(IFalse()))
 
 
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed.
 
-    Each node draws one rule among those that apply (`_INTRO` ...), by
-    `rng.choice` over their numbers, and builds it. Its atoms are the
-    variables of its type in scope, the literals at `Bool`, the same two
-    nodes in every term (`_LITERALS`), and the method calls of its type
-    (`_Generators`): a type without binders meets its own by identity,
-    and only one with a binder compares with `alpha_eq`. An arrow or a
-    constrained type names its binder before the draw, whichever rule it
-    takes."""
-    rng = random.Random(seed)
+    Its type is drawn from the Σ's types (`_Generators`), then each part
+    of it in turn. Each node draws one rule among those that apply
+    (`_INTRO` ...), every draw `_below` over the seed's random bits, and
+    builds it with its facts (`syntax.with_facts`), so typing keys every
+    node by what it reads from the first check on. Its atoms are the
+    variables of its type in scope, by name until one is drawn, the
+    literals at `Bool`, the same two nodes in every term (`_LITERALS`),
+    and the method calls of its type: a type without binders meets its
+    own by identity, and only one with a binder compares with
+    `alpha_eq`. An arrow or a constrained type numbers its binder before
+    the draw, whichever rule it takes."""
+    bits = random.Random(seed).getrandbits
     state = _stream(_Generators, sigma, TC)
     dicts, calls, bound_calls = state.dicts, state.calls, state.bound_calls
+    types = state.types
     kept, fresh = set(), itertools.count(1)
     elims = (_APP, _LET, _TYAPP, _DAPP) if dicts else (_APP, _LET, _TYAPP)
     # By whether the type has an introduction form, then atoms.
@@ -497,51 +504,57 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
         # env: the (name, type) pair of each term variable in scope.
         kept.add(ty)
         cls, binds = ty.__class__, ty._binds
-        atoms = [IVar(x) for x, t in env
-                 if t is ty or binds and alpha_eq(t, ty)]
+        atoms = [x for x, t in env if t is ty or binds and alpha_eq(t, ty)]
         if cls is IBool:
             atoms += _LITERALS
         if binds:
             atoms += [call for call, t in bound_calls if alpha_eq(t, ty)]
         else:
             atoms += calls.get(ty, ())
-        if cls is IArrow:
-            x = f"x{next(fresh)}"
-        elif cls is IQArrow:
-            x = f"dd{next(fresh)}"
+        if cls is IArrow or cls is IQArrow:
+            n = next(fresh)
         intro = cls is IArrow or cls is IQArrow or cls is IForall
         if size > 0:
-            rule = rng.choice(rules[intro][bool(atoms)])
+            options = rules[intro][bool(atoms)]
+            rule = options[_below(bits, len(options))]
             size -= 1
-        elif intro:
-            rule, size = _INTRO, 0
         else:
-            return rng.choice(atoms)
+            rule = _INTRO if intro else _ATOM
         if rule == _INTRO:
             if cls is IArrow:
-                return ILam(x, ty.left,
-                            gen(env + ((x, ty.left),), ty.right, size))
+                x = f"x{n}"
+                return with_facts(ILam(x, ty.left, gen(
+                    env + ((x, ty.left),), ty.right, size)))
             if cls is IForall:
-                return ITyLam(ty.var, gen(env, ty.body, size))
-            return IDLam(x, ty.q, gen(env, ty.result, size))
+                return with_facts(ITyLam(ty.var, gen(env, ty.body, size)))
+            return with_facts(IDLam(f"dd{n}", ty.q,
+                                    gen(env, ty.result, size)))
         if rule == _ATOM:
-            return rng.choice(atoms)
+            atom = atoms[_below(bits, len(atoms))]
+            return with_facts(IVar(atom)) if atom.__class__ is str else atom
         if rule == _APP:
-            t1 = _gen_type(rng, dicts, 1)
+            t1 = _draw_type(bits, types)
             f = gen(env, IArrow(t1, ty), size)
-            return IApp(f, gen(env, t1, size))
+            return with_facts(IApp(f, gen(env, t1, size)))
         if rule == _LET:
-            t1 = _gen_type(rng, dicts, 1)
-            x = f"v{next(fresh)}"
-            bound = gen(env, t1, size)
-            return ILet(x, t1, bound, gen(env + ((x, t1),), ty, size))
+            t1 = _draw_type(bits, types)
+            x, bound = f"v{next(fresh)}", gen(env, t1, size)
+            return with_facts(ILet(x, t1, bound,
+                                   gen(env + ((x, t1),), ty, size)))
         if rule == _TYAPP:
             f = gen(env, IForall(f"b{next(fresh)}", ty), size)
-            return ITyApp(f, _gen_type(rng, dicts, 1))
-        q, d = rng.choice(dicts)
-        return IDApp(gen(env, IQArrow(q, ty), size), d)
+            return with_facts(ITyApp(f, _draw_type(bits, types)))
+        q, d = dicts[_below(bits, len(dicts))]
+        return with_facts(IDApp(gen(env, IQArrow(q, ty), size), d))
 
-    e = gen((), _gen_type(rng, dicts, 2), size_bound)
+    ty = _draw_type(bits, types)        # its shape, then its parts
+    if ty.__class__ is IArrow:
+        ty = IArrow(_draw_type(bits, types), _draw_type(bits, types))
+    elif ty.__class__ is IForall:
+        ty = IForall(ty.var, IArrow(ty.body.left, _draw_type(bits, types)))
+    elif ty.__class__ is IQArrow:
+        ty = IQArrow(ty.q, _draw_type(bits, types))
+    e = gen((), ty, size_bound)
     state.kept = kept
     # gen reaches itself through its closure: a cycle, which would keep
     # kept alive past the next term, until a garbage collection.

@@ -12,9 +12,9 @@ of the intermediate one are interned (`interned`): an equal type or
 dictionary is the same object, hashed by its identity, and two distinct
 ones without a binder are not alpha-equivalent. Every node caches its
 free variables and whether it holds a binder: an interned one when it is
-built, any other at the first query (`_fact_walk`). So the walks below
-stop at shared subtrees, and `subst` leaves a subtree with nothing to
-replace unwalked.
+built, as does one `with_facts` wraps, any other at the first query
+(`_fact_walk`). So the walks below stop at shared subtrees, and `subst`
+leaves a subtree with nothing to replace unwalked.
 One binding table, built at import, records each node class's
 fields, variable sort, binder and binder scope. Free variables,
 capture-avoiding substitution, alpha equivalence, first-order unification
@@ -215,12 +215,12 @@ def frozen(cls, interned=False):
 # lookup keyed by one runs no Python code.
 # Every node caches its facts, its free variables of every sort and
 # whether it holds a binder, read off its children's: an interned node at
-# construction, any other at the first query, with its uncached subtrees
-# (`_fact_walk`). A source type also caches its intermediate translation,
-# built at its first `source_typer.elab_mono`. Cached facts live in the
-# node's `__dict__` and never reach a copy or a pickle: `__reduce__`
-# rebuilds the node from its fields, through `__new__`, which finds or
-# enters an interned node in the table of that process.
+# construction, a generated one too (`with_facts`), any other at the first
+# query, with its uncached subtrees (`_fact_walk`). A source type caches
+# its intermediate translation, built at its first `elab_mono`. Cached
+# facts live in the node's `__dict__` and never reach a copy or a pickle:
+# `__reduce__` rebuilds the node from its fields, through `__new__`,
+# which finds or enters an interned node in the table of that process.
 # ---------------------------------------------------------------------------
 
 # Every interned class -> its table.
@@ -337,6 +337,33 @@ def _fact_walk(root) -> tuple:
             _setattr(x, "_fv", out)
             _setattr(x, "_binds", binds)
     return root._fv
+
+
+def with_facts(node):
+    """node, its facts cached and read off its parts': `_fact_walk`'s
+    one-level case, for a new node over parts that have theirs, as the
+    term generator builds. Other parts, or a tuple of parts, are walked."""
+    var, binder, bsort, parts = _RECIPES[type(node)]
+    out, binds = ((var, node.name),) if var else (), binder is not None
+    for f, scoped in parts:
+        v = getattr(node, f)
+        try:
+            fv = v._fv
+        except AttributeError:          # a name, or a tuple of parts
+            if type(v) is tuple:
+                _fact_walk(node)
+                return node
+            continue
+        if fv is None:
+            fv = _fact_walk(v)
+        binds = binds or v._binds
+        if scoped and (bound := (bsort, getattr(node, binder))) in fv:
+            fv = tuple([pair for pair in fv if pair != bound])
+        if fv:
+            out = tuple(dict.fromkeys(out + fv)) if out else fv
+    _setattr(node, "_fv", out)
+    _setattr(node, "_binds", binds)
+    return node
 
 
 def _tuple_facts(items: tuple, pending) -> tuple | None:

@@ -98,6 +98,13 @@ PICK = ("class Pick a where { pick : a -> a -> a };\n"
         "(\\m. m) (\\m. m) n in\n(k :: Bool -> Bool) True")
 
 
+# A method type that binds a type variable of its own, so that the term
+# generator finds its calls by `alpha_eq` (`harness._Generators`).
+PICK_ANY = ("class Pick a where { pick : forall b. b -> a -> a };\n"
+            "instance Pick Bool where { pick = \\y. \\x. x };\n"
+            "True")
+
+
 def count_calls(monkeypatch, owner, name) -> list:
     """Record the arguments of each call of owner.name, which keeps
     working, until the test ends."""

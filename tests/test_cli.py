@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from dictelab import cli, fd_core, harness, source_typer, syntax as S
+from dictelab import (cli, fd_core, harness, source_typer, syntax as S,
+                      target_core)
 from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
 from dictelab.harness import squares
@@ -702,6 +703,30 @@ def test_coherence_exits_2_on_a_violation(capsys, monkeypatch):
         "truncated: false", "COHERENCE VIOLATION",
         f"  first:  fd value of {P3_LOCAL}",
         f"  differs: composed target of {P3_LOCAL}"]
+
+
+def test_coherence_exits_1_when_an_intermediate_value_fails_in_the_target(
+        capsys, monkeypatch):
+    # A composed translation that takes True to a stuck target term: the
+    # target evaluation of P1's intermediate value, True, raises, the
+    # intermediate pipeline records the error as its outcome, and it is
+    # the least-ranked error, which coherence raises.
+    monkeypatch.setitem(fd_core.FdChecker._TRANSLATIONS, S.ITrue,
+                        lambda self, node: S.TApp(S.TTrue(), S.TTrue()))
+    # Typed afresh: a checker shared with earlier tests has translated
+    # P1's nodes already.
+    r = source_typer.typecheck_program(parse_program(
+        (CORPUS / "P1.src").read_text()))
+    variant, sigma, checker, n, _, _ = next(harness._environments(r))
+    (outcome,) = harness._fd_outcomes(r, variant, sigma, checker, n,
+                                      fd_core.FUEL)
+    assert outcome.leaf.value is None
+    assert str(outcome.leaf.error) == "stuck application True True"
+    with pytest.raises(target_core.TgtTypeError,
+                       match="^stuck application True True$"):
+        harness.coherence_report(r)
+    assert run_cli(capsys, "coherence", src("P1")) == \
+        (1, "", "error: stuck application True True\n")
 
 
 def test_decompose_exits_2_on_a_mismatch(capsys, monkeypatch):

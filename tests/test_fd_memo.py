@@ -326,10 +326,10 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     rule = count_calls(monkeypatch, FdChecker, "_check_con")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(infer) == 17_371
+    assert len(infer) == 15_191
     assert 0 < len(walks) <= 429
     assert [env for _, env, t in wf if t._fv] == [env for env, in scanned]
-    assert len(scanned) == 1_151
+    assert len(scanned) == 977
     typed = [(id(self._dicts), d) for self, _, d in rule]
     assert len(typed) == len(set(typed)) == 5
     assert not any(d._fv for _, d in typed)
@@ -343,7 +343,27 @@ def test_the_fuzz_digest_checks_each_closed_annotation_once_per_sigma(
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(checks) == 1_222
+    assert len(checks) == 1_048
+
+
+def test_the_fuzz_digest_checks_terms_whose_nodes_have_their_facts(
+        monkeypatch):
+    # The generator gives every node it builds its facts, so checking the
+    # digest walks for facts only the nodes a trace step builds: 795
+    # walks of expression nodes when generated nodes had none, 72 now.
+    # Interned nodes, walked when a process first builds them, are left
+    # out, so the count does not depend on what an earlier test keeps.
+    walks = count_calls(monkeypatch, S, "_fact_walk")
+    checking = 0
+    for sigma, TC in _digest_envs():
+        for size in (4, 6):
+            for seed in range(100):
+                e = generate_fd_term(seed, size, sigma, TC)
+                start = len(walks)
+                check_metatheory(sigma, TC, e)
+                checking += sum(type(node) not in S._INTERNED
+                                for node, in walks[start:])
+    assert checking == 72
 
 
 # Counts the nodes the fuzz digest interns anew, in all and while its
@@ -394,7 +414,7 @@ def test_the_fuzz_digest_interns_its_types_about_once():
         [sys.executable, "-c", COUNT_INTERNED,
          *(str(CORPUS / f"{name}.src") for name in ("P2", "P4"))],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["2755", "4"]
+    assert out.split() == ["2752", "4"]
 
 
 def _base_checkers(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import pickle
+import random
 import sys
 import types
 import weakref
@@ -22,7 +23,7 @@ from dictelab.source_typer import (MAX_ELABORATIONS, MethodEnv,
 from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
                              IBool, ITyVar, MethodImpl)
 
-from conftest import (POSITIVE, corpus_contexts, corpus_program,
+from conftest import (PICK_ANY, POSITIVE, corpus_contexts, corpus_program,
                       corpus_result, corpus_text, count_calls, count_rules,
                       flex_source, tower_source, type_and_translate,
                       wide_source)
@@ -445,6 +446,120 @@ def test_generated_terms_agree_with_the_reference_generator(name, size):
         assert state.kept == ref.kept
         if name == "()":        # a Σ that is not a typed one
             assert generate_fd_term(seed, size, (), ()) == e
+
+
+@pytest.mark.parametrize("size", (2, 4, 6))
+def test_a_method_type_that_binds_is_generated_as_the_reference_does(size):
+    # A call whose type holds a binder is found by alpha_eq
+    # (`bound_calls`): the same terms and types kept as the reference,
+    # and every term safe.
+    sigma = typecheck_program(parse_program(PICK_ANY)).fd_elabs[0][0]
+    state = sigma.derived(harness._Generators)
+    assert [S.pretty(call) for call, _ in state.bound_calls] == \
+        ["[D1_Pick].pick"] and not state.calls
+    ref = reference_generator.Generators(sigma, sigma.TC)
+    picks = 0
+    for seed in range(500):
+        e = generate_fd_term(seed, size, sigma, sigma.TC)
+        want = reference_generator.generate_fd_term(seed, size, ref)
+        assert e == want and S.pretty(e) == S.pretty(want)
+        assert state.kept == ref.kept
+        rep = check_metatheory(sigma, sigma.TC, e)
+        assert rep.preservation_ok and rep.progress_ok and rep.fuel_ok
+        picks += ".pick" in S.pretty(e)
+    assert picks == {2: 5, 4: 6, 6: 5}[size]
+
+
+def _nodes(x):
+    """Every node of x, a node or a tuple of them, in a fixed order."""
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if type(x) is tuple:
+            stack.extend(x)
+        elif type(x) in S._SHAPES:
+            yield x
+            stack.extend(getattr(x, f) for f in x.__match_args__)
+
+
+def assert_facts_as_walked(e):
+    """Every node of e has its facts cached, and they are those that
+    `_fact_walk` computes on a fact-free copy of e (a pickle keeps no
+    fact)."""
+    fresh = pickle.loads(pickle.dumps(e))
+    S._fact_walk(fresh)
+    for node, walked in zip(_nodes(e), _nodes(fresh), strict=True):
+        assert node._fv is not None, S.pretty(node)
+        assert (node._fv, node._binds) == (walked._fv, walked._binds)
+
+
+@pytest.mark.parametrize("name", ["P2", "P4"])
+def test_generated_nodes_have_the_facts_a_walk_gives(name):
+    # The fuzz digest's programs, at every size: the generator gives each
+    # node it builds its facts, and they are the walk's.
+    sigma = corpus_result(name).fd_elabs[0][0]
+    for size in range(9):
+        for seed in range(100):
+            assert_facts_as_walked(generate_fd_term(seed, size, sigma,
+                                                    sigma.TC))
+
+
+def _built(x):
+    """x rebuilt bottom up as the generator builds: each new node given
+    its facts at once (`with_facts`)."""
+    if type(x) not in S._SHAPES or type(x) in S._INTERNED:
+        return x
+    return S.with_facts(type(x)(*[_built(getattr(x, f))
+                                  for f in x.__match_args__]))
+
+
+BOOL, EQ_BOOL = IBool(), FdQ("Eq", IBool())
+FACT_CASES = [
+    # A shadowed binder: the inner one binds.
+    S.ILam("x", BOOL, S.ILam("x", BOOL, S.IApp(S.IVar("x"), S.IVar("y")))),
+    # A let binds its name in its body only.
+    S.ILet("x", BOOL, S.IVar("x"),
+           S.ILet("x", BOOL, S.IVar("y"), S.IVar("x"))),
+    # A type abstraction over a free and over its own type variable.
+    S.ITyLam("a", S.ILam("y", ITyVar("b"), S.IVar("y"))),
+    S.ITyLam("a", S.ILam("y", ITyVar("a"), S.IVar("z"))),
+    # A type application at a type that binds, and at a free variable.
+    S.ITyApp(S.IVar("f"), S.IForall("c", IArrow(ITyVar("c"), BOOL))),
+    S.ITyApp(S.ITrue(), ITyVar("a")),
+    # Dictionaries: a bound and a free variable, and a closed constructor.
+    S.IDLam("d", EQ_BOOL, S.IApp(S.IMethod(S.DVar("d"), "eq"),
+                                 S.IMethod(S.DVar("e"), "eq"))),
+    S.IDApp(S.IVar("f"), S.DCon("D1_Eq", (), ())),
+]
+
+
+@pytest.mark.parametrize("e", FACT_CASES, ids=S.pretty)
+def test_with_facts_gives_a_node_the_facts_a_walk_gives(e):
+    built = _built(e)
+    assert built == e
+    assert_facts_as_walked(built)
+
+
+def test_with_facts_walks_what_has_no_facts():
+    # A part without facts, and a node with a tuple of parts, which the
+    # generator never builds, are walked.
+    body = S.IApp(S.IVar("x"), S.IVar("y"))
+    assert S.with_facts(S.ILam("x", BOOL, body))._fv == (("iv", "y"),)
+    assert body._fv == (("iv", "x"), ("iv", "y"))
+    choice = S.with_facts(S.IChoice((S.IVar("z"), S.ITrue())))
+    assert choice._fv == (("iv", "z"),) and not choice._binds
+
+
+def test_below_draws_as_choice_and_randrange():
+    # The generator's draws are `_below` over a Random's bits; `choice`
+    # and `randrange` draw the same, on this Python.
+    for seed in range(200):
+        for n in range(1, 21):
+            below, choice, randrange = (random.Random(seed)
+                                        for _ in range(3))
+            drawn = [harness._below(below.getrandbits, n) for _ in range(8)]
+            assert drawn == [choice.choice(range(n)) for _ in range(8)]
+            assert drawn == [randrange.randrange(n) for _ in range(8)]
 
 
 def test_generating_a_term_frees_the_types_the_last_one_kept():
