@@ -29,11 +29,10 @@ typed once per method environment.
 Every per-node walk finds its rule by the node's exact class, never by
 `match`. Typing and the composed translation look it up in a table
 (`FdChecker._RULES`, `FdChecker._TRANSLATIONS`); the translation does so
-inside its memo entry, so a nesting level costs two frames, as before,
-and deep input keeps its limit. The walks that recurse through
-themselves (`check_dict`, `check_fd_type_wf`, `elab_fd_type`,
-`fd_step`) test `type(x) is C` in a chain, in the order their cases
-always had.
+inside its memo entry, so a nesting level costs two frames and deep
+input keeps its limit. The walks that recurse through themselves
+(`check_dict`, `check_fd_type_wf`, `elab_fd_type`, `fd_step`) test
+`type(x) is C` in a chain.
 
 Evaluation is call-by-name and metered by fuel: `fd_step` is the
 substitution-based small-step semantics, whose traces `check_metatheory`

@@ -6,19 +6,17 @@ translates the program's packed forest of derivations once per side
 (`_environments`). Coherence evaluates the two translated forests
 (`fd_leaves`, `tgt_leaves`), decomposition compares them (`forest_eq`),
 and a command that prints one corner unpacks that forest alone
-(`corners`); `squares` unpacks the commuting square of each derivation
-and Σ from the two forests, beside the derivations. That is the only
-path: no derivation is translated alone, and a forest that fails to
-type or translate raises, even where the failing alternative is used
-only by derivations past the cap, which no check reads. The composed side
-types the forest (`FdChecker.check_expr`, the typing judgment alone),
-then translates it (`FdChecker.translate`, a structural walk over the typed
-forest); coherence does the same for each intermediate value. Each Σ's
-direct translator and `fd_env_wf`-validated checker are built once and
-kept by Σ itself (`MethodEnv.derived`), which both reports and every
-coherence context share: the reports take a typed program, which
-`check_coherence` and `check_decomposition` type under a cap whose
-default is `source_typer.MAX_ELABORATIONS`.
+(`corners`). That is the only path: no derivation is translated alone,
+and a forest that fails to type or translate raises, even where the
+failing alternative is used only by derivations past the cap, which no
+check reads. The composed side types the forest (`FdChecker.check_expr`,
+the typing judgment alone), then translates it (`FdChecker.translate`, a
+structural walk over the typed forest); coherence does the same for each
+intermediate value. Each Σ's direct translator and `fd_env_wf`-validated
+checker are built once and kept by Σ itself (`MethodEnv.derived`), which
+both reports and every coherence context share: the reports take a typed
+program, which `check_coherence` and `check_decomposition` type under a
+cap whose default is `source_typer.MAX_ELABORATIONS`.
 Coherence: every elaboration read gives Kleene-equal results along every
 pipeline. Each Σ evaluates each translated forest once, not each tree:
 the intermediate forest under Σ (each value then translated and evaluated
@@ -33,10 +31,11 @@ intermediate then composed value, then the direct values of every Σ.
 The witness is the least, the counterexample the least that differs from
 it, and the error raised the least-ranked one; only a counterexample
 unpacks a tree, each of the two it prints.
-Decomposition: direct ≡α composed for every square.
-Equal translated forests unpack to equal squares, so decomposition
-compares the two forests of each Σ; only when they differ does it compare
-square by square, to name the derivations whose squares differ.
+Decomposition: direct ≡α composed for every derivation and Σ.
+Equal translated forests unpack to equal trees, so decomposition
+compares the two forests of each Σ; only when they differ does it unpack
+the derivations and both forests side by side, to name the derivations
+whose two targets differ.
 Both reports are verdicts: what they rule, the count of elaborations read
 (off the forests, never by enumeration) and what a violation prints. The
 CLI prints the program's type and its composed targets from the typed
@@ -103,8 +102,8 @@ class Mismatch:
 
 @frozen
 class DecompositionReport:
-    """Whether the two target translations agree on every square read;
-    count is the squares read, each side's elaborations."""
+    """Whether the two target translations agree on every elaboration
+    read; count is the elaborations read, each side's."""
     equal: bool
     truncated: bool
     count: int
@@ -123,15 +122,8 @@ class MetaReport:
 
 
 # ---------------------------------------------------------------------------
-# The commuting square
+# The translated forests
 # ---------------------------------------------------------------------------
-
-Square = namedtuple("Square",
-                    "variant sigma checker derivation direct composed")
-Square.__doc__ = """Both target translations of one derivation under one
-method environment: direct(D, Σ) and composed(fd(D, Σ)). variant indexes
-sigma among them; checker is sigma's, which fd_env_wf validated."""
-
 
 def _environments(r):
     """For each method environment Σ that r.fd_elabs reaches, in order:
@@ -146,16 +138,6 @@ def _environments(r):
                _composed(checker, r.forest))
 
 
-def _squares(r, env):
-    """The squares of the first n derivations of r under the Σ of env, one
-    of _environments(r): the derivations and the corners unpacked from
-    the two translated forests, side by side."""
-    variant, sigma, checker, n, direct, composed = env
-    for ie, d, c in zip(r.elaborations[:n], S.unpack(direct, n),
-                        S.unpack(composed, n)):
-        yield Square(variant, sigma, checker, ie, d, c)
-
-
 def _composed(checker, e) -> TgtExpr:
     """The composed translation of the closed term e: typed, then
     translated, by checker."""
@@ -163,17 +145,10 @@ def _composed(checker, e) -> TgtExpr:
     return checker.translate(e)
 
 
-def squares(r):
-    """The square of each elaboration of r, lazily and in order;
-    consecutive elaborations share their sigma object."""
-    for env in _environments(r):
-        yield from _squares(r, env)
-
-
 def corners(r, mode: str, limit: int | None = None):
-    """One corner of each square of r, lazily and in order: its direct or
-    its composed target (mode), unpacked from that translated forest
-    alone; the first limit of them if limit is given."""
+    """One target of each elaboration of r, lazily and in order: its
+    direct or its composed target (mode), unpacked from that translated
+    forest alone; the first limit of them if limit is given."""
     for _, _, _, n, direct, composed in _environments(r):
         if limit is not None:
             n = min(n, limit)
@@ -292,18 +267,18 @@ def coherence_report(r, fuel: int = FUEL, contexts=()) -> CoherenceReport:
 
 def decomposition_report(r) -> DecompositionReport:
     """Decomposition of the typed program r: per Σ, the two translated
-    forests, and square by square only where they differ."""
+    forests, and only where they differ, the derivations unpacked beside
+    the targets of each, to name those whose targets differ."""
     count, mismatches = 0, []
-    for env in _environments(r):
-        _, _, _, n, direct, composed = env
+    for variant, _, _, n, direct, composed in _environments(r):
         count += n
         if S.forest_eq(direct, composed):
             continue
-        for sq in _squares(r, env):
-            if not alpha_eq(sq.direct, sq.composed):
-                mismatches.append(Mismatch(
-                    S.pretty(sq.derivation), sq.variant,
-                    S.pretty(sq.direct), S.pretty(sq.composed)))
+        for ie, d, c in zip(S.unpack(r.forest, n), S.unpack(direct, n),
+                            S.unpack(composed, n)):
+            if not alpha_eq(d, c):
+                mismatches.append(Mismatch(S.pretty(ie), variant,
+                                           S.pretty(d), S.pretty(c)))
     return DecompositionReport(
         equal=not mismatches,
         truncated=r.fd_truncated,

@@ -23,10 +23,10 @@ decomposition stays a cross-check.
 
 Every per-node walk finds its rule by the node's exact class, never by
 `match`: `infer`, `check` and `_elab_mono`, which recurse through
-themselves, test `type(x) is C` in a chain, in the order their cases
-always had (`check` tries the method rule before the variable rule, and
-gives every other expression to `infer`), and the direct translation
-looks its rule up in `DirectTranslator._TRANSLATIONS`.
+themselves, test `type(x) is C` in a chain (`check` tries the method rule
+before the variable rule, and gives every other expression to `infer`),
+and the direct translation looks its rule up in
+`DirectTranslator._TRANSLATIONS`.
 
 Typing is type-deterministic; only the elaboration is nondeterministic.
 The elaborating judgments return one packed forest of derivations (see
@@ -41,7 +41,9 @@ judgment resolves each constraint once. A forest therefore holds every
 elaboration. A typed program reads the number of its trees off each root
 forest (`syntax.tree_count`), unpacks at most a cap of them, an `int`
 whose one default is `MAX_ELABORATIONS`, and only when one is read
-(`syntax.Unpacked`).
+(`syntax.Unpacked`): its elaborations under each Σ (`fd_elabs`), and
+their direct targets (`tgt_elabs`), for which the forest is translated
+once per Σ, by Σ's own translator, at that first read.
 """
 
 from __future__ import annotations
@@ -807,29 +809,26 @@ class ProgramResult:
         return tuple(out)
 
     @functools.cached_property
-    def elaborations(self) -> S.Unpacked:
-        """The elaborations of main, the same for every Σ: count of them,
-        unpacked from the forest at the first read of one."""
-        forest, n = self.forest, self.count
-        return S.Unpacked(n, lambda: S.unpack(forest, n))
-
-    @functools.cached_property
     def fd_elabs(self) -> S.Unpacked:
         """(method environment, main elaboration) pairs, variant-major:
-        counted off variants_read, built from elaborations at the first
-        read of one."""
-        elabs, reads = self.elaborations, self.variants_read
-        return S.Unpacked(sum(n for _, n in reads), lambda: [
-            (sigma, ie) for sigma, n in reads for ie in elabs[:n]])
+        counted off variants_read; at the first read of one, the forest
+        unpacked once, its trees the same for every Σ."""
+        forest, n, reads = self.forest, self.count, self.variants_read
+
+        def build():
+            elabs = S.unpack(forest, n)
+            return [(sigma, ie) for sigma, k in reads for ie in elabs[:k]]
+        return S.Unpacked(sum(k for _, k in reads), build)
 
     @functools.cached_property
     def tgt_elabs(self) -> S.Unpacked:
-        """The direct target of each pair of fd_elabs: the forest,
-        translated once per Σ here, unpacked at the first read of one."""
-        parts = [(sigma.derived(DirectTranslator)(self.forest), n)
-                 for sigma, n in self.variants_read]
+        """The direct target of each pair of fd_elabs, counted off it: at
+        the first read of one, the forest translated once per Σ, by Σ's
+        own translator, and unpacked."""
+        forest, reads = self.forest, self.variants_read
         return S.Unpacked(len(self.fd_elabs), lambda: [
-            te for forest, n in parts for te in S.unpack(forest, n)])
+            te for sigma, n in reads
+            for te in S.unpack(sigma.derived(DirectTranslator)(forest), n)])
 
 
 def typecheck_declarations(decls, cap: int = MAX_ELABORATIONS) -> Declarations:

@@ -1503,9 +1503,9 @@ def unify(t1, t2, vars: set[str]):
     value may mention variables bound after it), or None when t1 and t2 do
     not unify. Other variables are rigid, and a node with a binder unifies
     only with an alpha-equal one. When t2 shares no variable with vars this
-    is one-way matching, and every value is a subterm of t2. A node
-    unifies with itself at once, and the occurs check reads an interned
-    binder-free node's cached free variables.
+    is one-way matching, and every value is a subterm of t2. Both are
+    interned types: a node unifies with itself at once, and the occurs
+    check reads a node's cached free variables.
     """
     sort = _type_sort_of(t1)
     var = _VAR_CLASS[sort]
@@ -1518,26 +1518,16 @@ def unify(t1, t2, vars: set[str]):
 
     def occurs(a: str, t) -> bool:
         t = resolve(t)
-        cls = type(t)
-        if cls is var:
+        if type(t) is var:
             return t.name == a
-        if cls in _INTERNED and not t._binds:
-            return any(s == sort and (n == a or n in out
-                                      and occurs(a, out[n]))
-                       for s, n in t._fv)
-        if cls is tuple:
-            return any(occurs(a, u) for u in t)
-        shape = _SHAPES.get(cls)
-        return shape is not None and any(occurs(a, getattr(t, f))
-                                         for f in shape.parts)
+        return any(s == sort and (n == a or n in out and occurs(a, out[n]))
+                   for s, n in t._fv)
 
     def go(x, y) -> bool:
         x, y = resolve(x), resolve(y)
         if x is y:
             return True
         if type(x) is var and x.name in vars:
-            if x == y:
-                return True
             if occurs(x.name, y):
                 return False
             out[x.name] = y
@@ -1546,8 +1536,6 @@ def unify(t1, t2, vars: set[str]):
             return go(y, x)
         if type(x) is not type(y):
             return False
-        if type(x) is tuple:
-            return len(x) == len(y) and all(map(go, x, y))
         shape = _SHAPES.get(type(x))
         if shape is None or shape.var is not None:
             return x == y

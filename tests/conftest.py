@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
+from dictelab import harness, syntax as S
 from dictelab.parser import parse_context, parse_program
 from dictelab.source_typer import typecheck_program
 from dictelab.syntax import FdDict
@@ -136,6 +138,25 @@ def type_and_translate(checker, e, env=()):
     check = checker.check_dict if isinstance(e, FdDict) \
         else checker.check_expr
     return check(env, e), checker.translate(e)
+
+
+Square = namedtuple("Square",
+                    "variant sigma checker derivation direct composed")
+Square.__doc__ = """Both target translations of one derivation under one
+method environment: direct(D, Σ) and composed(fd(D, Σ)). variant indexes
+sigma among them; checker is sigma's, which fd_env_wf validated."""
+
+
+def squares(r):
+    """The commuting square of each elaboration of r, lazily and in order:
+    per Σ, the derivations and the two translated forests of
+    `harness._environments`, the translators the reports use, unpacked
+    side by side. Consecutive squares share their sigma object."""
+    for variant, sigma, checker, n, direct, composed in \
+            harness._environments(r):
+        for trees in zip(S.unpack(r.forest, n), S.unpack(direct, n),
+                         S.unpack(composed, n)):
+            yield Square(variant, sigma, checker, *trees)
 
 
 def corpus_contexts():

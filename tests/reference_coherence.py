@@ -3,17 +3,20 @@
 `harness.coherence_report` evaluates each translated forest once per method
 environment, and its machines fork only where evaluation inspects a
 choice. `coherence_report` here is the check that replaced: every square
-of the program unpacked, and each tree run through the machines alone,
-four runs per square. Both must give equal reports, and where this one
+of the program unpacked (`conftest.squares`, over the translators the
+reports use, so that a broken translator shows in both), and each tree run
+through the machines alone, four runs per square. Both must give equal reports, and where this one
 raises, the same error.
 """
 
 from __future__ import annotations
 
-from dictelab import harness, syntax as S, target_core
+from dictelab import syntax as S, target_core
 from dictelab.fd_core import fd_eval
 from dictelab.harness import CoherenceReport
 from dictelab.source_typer import SrcTypeError, typecheck_main
+
+from conftest import squares
 
 
 def program_values(r, fuel: int):
@@ -24,7 +27,7 @@ def program_values(r, fuel: int):
     elaborations."""
     sqs = []
     values = []
-    for sq in harness.squares(r):
+    for sq in squares(r):
         sqs.append(sq)
         v_fd = fd_eval(sq.sigma, sq.derivation, fuel)
         sq.checker.check_expr((), v_fd)

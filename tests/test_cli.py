@@ -18,11 +18,10 @@ from dictelab import (cli, fd_core, harness, source_typer, syntax as S,
                       target_core)
 from dictelab.cli import EXIT_PIPE, main
 from dictelab.fd_core import fd_step, is_fd_value
-from dictelab.harness import squares
 from dictelab.parser import parse_context, parse_program
 
 from conftest import (CORPUS, EQ, NEGATIVE, POSITIVE, count_calls,
-                      count_rules, corpus_result, wide_source)
+                      count_rules, corpus_result, squares, wide_source)
 from test_harness import FOUR_SIGMAS, NEVER, P3_LOCAL
 from reference_eval import is_tgt_value, run_small_step, tgt_step
 
@@ -519,6 +518,27 @@ def test_deep_input_is_a_resource_error(capsys, tmp_path, cmd, shape):
     assert len(err.splitlines()) == 1
 
 
+def _too_deep(*_):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("raised", [False, True])
+def test_input_too_deep_for_the_interpreter_exits_3_in_process(
+        capsys, monkeypatch, tmp_path, raised):
+    # main's own handler, past the interpreter's recursion limit: one line,
+    # no traceback. Python drops a line tracer (tests/line_trace.py) when
+    # the limit is reached in the tracer's own call, so deep input runs the
+    # handler unseen by one; raised at once, the handler is seen.
+    path = tmp_path / "deep.src"
+    if raised:
+        path.write_text("True")
+        monkeypatch.setattr(cli, "typecheck_program", _too_deep)
+    else:
+        path.write_text("(" * 1000 + "True" + ")" * 1000)
+    assert run_cli(capsys, "check", str(path)) == (
+        3, "", "error: input nested too deeply to process\n")
+
+
 def test_a_deeply_parenthesized_type_gets_its_verdict(capsys, tmp_path):
     # Types parse in a loop, so 3000 parentheses around a type are no
     # deeper than one: the annotation is Bool -> Bool -> Bool.
@@ -832,6 +852,35 @@ def test_a_closed_stdout_exits_141_with_no_message(capsys, stdout, argv):
         code = main(argv)
     assert code == EXIT_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+def test_a_closed_pipe_on_stdout_is_pointed_at_the_null_device():
+    # Python flushes standard output once more at exit; after the closed
+    # pipe, its descriptor writes to the null device, and no error follows.
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out, contextlib.redirect_stdout(out):
+        assert cli.guard_stdout(print, "lost") == EXIT_PIPE
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        print("also lost", flush=True)
+
+
+class _Terminal(io.StringIO):
+    """A standard output that is a terminal."""
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("color,styled", [
+    (None, "\x1b[31mCOHERENCE VIOLATION\x1b[0m"),
+    ("0", "COHERENCE VIOLATION"),
+])
+def test_a_terminal_is_styled_unless_tcc_color_is_0(monkeypatch, color,
+                                                    styled):
+    if color is None:
+        monkeypatch.delenv("TCC_COLOR")
+    monkeypatch.setattr(sys, "stdout", _Terminal())
+    assert cli._style("COHERENCE VIOLATION", "31") == styled
 
 
 # ---------------------------------------------------------------------------

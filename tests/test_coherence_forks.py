@@ -19,8 +19,8 @@ from dictelab.target_core import TgtTypeError
 
 import reference_coherence
 from conftest import (EQ, PICK, POSITIVE, corpus_contexts, corpus_text,
-                      count_calls, flex_source, sigma_source, tower_source,
-                      wide_source)
+                      count_calls, flex_source, sigma_source, squares,
+                      tower_source, wide_source)
 from test_forest import LADDERS
 from test_golden_cli import programs
 from test_harness import (FOUR_SIGMAS, NEVER,
@@ -72,7 +72,7 @@ def assert_matches_reference(r, *args, **kwargs):
     if isinstance(got, harness.CoherenceReport):
         # The composed targets the CLI prints beside the report.
         assert tuple(harness.corners(r, "composed")) == \
-            tuple(sq.composed for sq in harness.squares(r))
+            tuple(sq.composed for sq in squares(r))
     return got
 
 

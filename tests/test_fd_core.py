@@ -11,8 +11,8 @@ from dictelab.fd_core import (
     fd_eval, fd_step, is_fd_value,
 )
 from dictelab.syntax import (
-    DictBind, FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar,
-    MethodImpl,
+    DictBind, FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, IForall,
+    ITyVar, MethodImpl,
 )
 
 from conftest import (POSITIVE, corpus_result, count_calls,
@@ -65,6 +65,36 @@ def test_unify_heads_different_classes():
 def test_unify_types_occurs_check():
     assert S.unify(ITyVar("a"), IArrow(ITyVar("a"), IBool()),
                    {"a"}) is None
+
+
+def test_unify_occurs_check_through_a_bound_variable():
+    # b := a -> Bool, then a against b -> Bool: a occurs in b's value.
+    a, b = ITyVar("a"), ITyVar("b")
+    assert S.unify(IArrow(b, a), IArrow(IArrow(a, IBool()),
+                                        IArrow(b, IBool())),
+                   {"a", "b"}) is None
+
+
+def test_unify_occurs_check_reads_a_binder_types_free_variables():
+    a = ITyVar("a")
+    assert S.unify(a, IForall("c", IArrow(a, ITyVar("c"))), {"a"}) is None
+    # A name bound inside the type is another variable.
+    t = IForall("a", IArrow(a, a))
+    assert S.unify(a, t, {"a"}) == {"a": t}
+
+
+def test_unify_takes_binder_types_up_to_renaming():
+    def poly(x, y):
+        return IForall(x, IArrow(ITyVar(x), ITyVar(y)))
+    assert S.unify(IArrow(poly("c", "e"), ITyVar("a")),
+                   IArrow(poly("d", "e"), IBool()), {"a"}) == {"a": IBool()}
+    assert S.unify(poly("c", "c"), poly("d", "e"), set()) is None
+    assert S.unify(poly("c", "e"), poly("c", "a"), {"a"}) is None
+
+
+def test_unify_refuses_a_node_with_no_type_variable_sort():
+    with pytest.raises(TypeError, match="no type-variable sort for str"):
+        S.unify("a", "a", {"a"})
 
 
 # ---------------------------------------------------------------------------

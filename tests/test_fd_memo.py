@@ -28,7 +28,7 @@ import dictelab
 from dictelab import fd_core, harness, syntax as S
 from dictelab.fd_core import (PREFIX_VIOLATION, FdChecker, FdTypeError,
                               fd_step, is_fd_value)
-from dictelab.harness import check_metatheory, generate_fd_term, squares
+from dictelab.harness import check_metatheory, generate_fd_term
 from dictelab.parser import parse_program
 from dictelab.source_typer import MethodEnv, typecheck_program
 from dictelab.syntax import (
@@ -38,7 +38,7 @@ from dictelab.syntax import (
 )
 
 from conftest import (CORPUS, POSITIVE, corpus_program, corpus_result,
-                      count_calls, flex_source, tower_source,
+                      count_calls, flex_source, squares, tower_source,
                       type_and_translate, wide_source)
 from reader import read_fd_expr
 from strategies import DVARS, FD_NAMES, TYVARS, fd_q, fd_qual_type, fd_term

@@ -19,8 +19,8 @@ from dictelab.source_typer import (MAX_ELABORATIONS, DirectTranslator,
                                    MethodEnv, typecheck_program)
 
 from conftest import (POSITIVE, corpus_contexts, corpus_result, corpus_text,
-                      count_calls, count_rules, flex_source, tower_source,
-                      type_and_translate, wide_source)
+                      count_calls, count_rules, flex_source, squares,
+                      tower_source, type_and_translate, wide_source)
 from test_harness import FOUR_SIGMAS
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def assert_matches_reference(src,
     assert fields(rep, harness.corners(r, "composed")) == \
         fields(*reference_decomposition(r))
     assert [(sq.variant, sq.sigma, sq.derivation, sq.direct, sq.composed)
-            for sq in harness.squares(r)] == list(reference_squares(r))
+            for sq in squares(r)] == list(reference_squares(r))
     return rep
 
 
@@ -220,7 +220,7 @@ def test_each_forest_node_is_translated_once_per_sigma(monkeypatch, name):
     keys = [(id(checker), id(node)) for checker, node in translated]
     assert len(keys) == len(set(keys))
     forest = forest_nodes(r.forest, {}).keys()
-    for checker in {id(sq.checker) for sq in harness.squares(r)}:
+    for checker in {id(sq.checker) for sq in squares(r)}:
         assert {i for c, i in keys if c == checker} >= forest
 
 
@@ -252,8 +252,7 @@ def read_lazily(r):
     """name -> each sequence of r whose trees are unpacked at their first
     read; and the composed targets, counted by r's decomposition report
     and unpacked by `corners` at their first read."""
-    return {"elaborations": r.elaborations, "fd_elabs": r.fd_elabs,
-            "tgt_elabs": r.tgt_elabs,
+    return {"fd_elabs": r.fd_elabs, "tgt_elabs": r.tgt_elabs,
             "composed": S.Unpacked(harness.decomposition_report(r).count,
                                    lambda: harness.corners(r, "composed"))}
 
@@ -262,14 +261,13 @@ def read_eagerly(r):
     """The same sequences, built as they were before any waited: unpacked
     at once, with the composed targets read off the squares."""
     elabs = tuple(S.unpack(r.forest, r.count))
-    return {"elaborations": elabs,
-            "fd_elabs": tuple((sigma, ie) for sigma, n in r.variants_read
+    return {"fd_elabs": tuple((sigma, ie) for sigma, n in r.variants_read
                               for ie in elabs[:n]),
             "tgt_elabs": tuple(
                 te for sigma, n in r.variants_read
                 for te in S.unpack(
                     sigma.derived(DirectTranslator)(r.forest), n)),
-            "composed": tuple(sq.composed for sq in harness.squares(r))}
+            "composed": tuple(sq.composed for sq in squares(r))}
 
 
 COUNTED = {**LADDERS, "wide5": wide_source(5), "four_sigmas": FOUR_SIGMAS}
@@ -293,11 +291,22 @@ def test_a_miscounted_forest_fails_at_its_first_read():
     forest = S.IChoice((S.ITrue(), S.IFalse()))
     wrong = source_typer.ProgramResult(r.main_type, r.main, r.decls, forest,
                                        3, False)
-    assert len(wrong.elaborations) == len(wrong.fd_elabs) == 3
-    for seq in (wrong.elaborations, wrong.fd_elabs):
+    assert len(wrong.fd_elabs) == len(wrong.tgt_elabs) == 3
+    for seq in (wrong.fd_elabs, wrong.tgt_elabs):
         with pytest.raises(RuntimeError, match=r"\b2\b.*\b3\b"):
             seq[0]
     assert S.Unpacked(2, lambda: S.unpack(forest, 2))[1] == S.IFalse()
+
+
+def test_unpacked_trees_compare_as_their_tuple():
+    forest = S.IChoice((S.ITrue(), S.IFalse()))
+
+    def trees():
+        return S.Unpacked(2, lambda: S.unpack(forest, 2))
+    assert trees() == trees() == (S.ITrue(), S.IFalse())
+    assert trees() != trees()[:1]
+    assert trees().__eq__([S.ITrue(), S.IFalse()]) is NotImplemented
+    assert trees() != [S.ITrue(), S.IFalse()]
 
 
 @pytest.mark.parametrize("k", [2, 5])
@@ -334,7 +343,7 @@ def choices_in(x) -> int:
 def test_no_choice_node_escapes_a_public_result(name):
     r = typecheck_program(parse_program(LADDERS[name]))
     results = [ie for _, ie in r.fd_elabs] + list(r.tgt_elabs)
-    for sq in harness.squares(r):
+    for sq in squares(r):
         results += [sq.derivation, sq.direct, sq.composed]
     results += harness.corners(r, "composed")
     results += [body for entry in r.P for body in entry.body_fd]

@@ -450,6 +450,16 @@ def test_each_method_names_its_own_class(cls):
         assert cls.__eq__ is object.__eq__
 
 
+def test_a_field_without_a_default_after_one_with_a_default_is_rejected():
+    # As in a dataclass: the positional order of __init__ would drop it.
+    class Order:
+        first: object = None
+        second: object
+    with pytest.raises(TypeError, match="^Order: field without default "
+                                        "after one with a default$"):
+        S.frozen(Order)
+
+
 def test_a_default_is_kept():
     assert harness.MetaReport(3, True, True, True) == \
         harness.MetaReport(3, True, True, True, None)

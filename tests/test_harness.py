@@ -25,8 +25,8 @@ from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
 
 from conftest import (PICK_ANY, POSITIVE, corpus_contexts, corpus_program,
                       corpus_result, corpus_text, count_calls, count_rules,
-                      flex_source, tower_source, type_and_translate,
-                      wide_source)
+                      flex_source, squares, tower_source,
+                      type_and_translate, wide_source)
 from reader import read_fd_expr
 import reference_generator
 from test_golden_cli import programs
@@ -173,7 +173,7 @@ def test_decomposition_names_the_method_environment_of_a_mismatch(
     assert [m.variant for m in rep.mismatches] == [0, 1, 2]
     # The squares compared and the forest found equal, in variant order.
     assert tuple(harness.corners(r, "composed")) == \
-        tuple(sq.composed for sq in harness.squares(r))
+        tuple(sq.composed for sq in squares(r))
 
 
 def test_each_method_environment_is_validated_once(monkeypatch):
@@ -220,20 +220,20 @@ def test_a_copy_of_a_typed_program_leaves_the_translators_behind():
     # neither equality nor hashing sees them.
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
     fresh = copy.deepcopy(r)
-    read = list(harness.squares(r))
+    read = list(squares(r))
     assert all(map(_keeps, r.decls.variants))
     assert not any(map(_keeps, fresh.decls.variants))
     assert not any(map(_keeps, copy.deepcopy(r).decls.variants))
     assert not any(_keeps(copy.copy(sigma)) for sigma in r.decls.variants)
     assert r == fresh and hash(r) == hash(fresh) and repr(r) == repr(fresh)
     assert [(sq.variant, sq.direct, sq.composed)
-            for sq in harness.squares(fresh)] == \
+            for sq in squares(fresh)] == \
         [(sq.variant, sq.direct, sq.composed) for sq in read]
 
 
 def test_a_copy_or_pickle_of_a_sigma_is_equal_and_keeps_nothing():
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
-    list(harness.squares(r))
+    list(squares(r))
     sigma = r.decls.variants[0]
     check_metatheory(sigma, r.fd_class_env, generate_fd_term(
         0, 4, sigma, r.fd_class_env))
@@ -641,7 +641,7 @@ def test_composed_translations_are_pinned():
     h = hashlib.sha256()
     for src, cap in _translation_pin_programs():
         r = source_typer.typecheck_program(parse_program(src), cap)
-        for sq in harness.squares(r):
+        for sq in squares(r):
             h.update((S.pretty(sq.composed) + "\n").encode())
     for name in ("P2", "P4"):
         r = corpus_result(name)

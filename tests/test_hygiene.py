@@ -28,13 +28,6 @@ PROGRAM_READERS = [path for path in READERS
                    if path.relative_to(ROOT).parts[0] != "tests"]
 # A definition read from outside the sources: the package's version.
 UNREAD_DEFINITIONS = {"__version__"}
-# A definition that only the tests read, by module and name, and why it
-# stays.
-TEST_ONLY_DEFINITIONS = {
-    "harness.squares": "the tests' view of each commuting square, their "
-                       "reference for the forest checks; it goes once no "
-                       "verdict or printer reads a tree (ROADMAP item 10)",
-}
 # A parameter that a protocol fixes, by module, function and name:
 # `object.__setattr__` passes the value a frozen class refuses to set.
 PROTOCOL_PARAMETERS = {("syntax.py", "_frozen_setattr", "value")}
@@ -113,16 +106,13 @@ def reads(source: str) -> set[str]:
     return out
 
 
-def unread_definitions(package: dict[str, str], readers,
-                       allowed=()) -> list[str]:
+def unread_definitions(package: dict[str, str], readers) -> list[str]:
     """"module:line: name" for each top-level definition of the package,
-    sources by module name, that no source of readers reads, unless
-    allowed names it as "module.name"."""
+    sources by module name, that no source of readers reads."""
     read = set().union(*map(reads, readers))
     return [f"{module}:{line}: {name}" for module, source in package.items()
             for line, name in definitions(source)
-            if name not in read and name not in UNREAD_DEFINITIONS
-            and f"{module.removesuffix('.py')}.{name}" not in allowed]
+            if name not in read and name not in UNREAD_DEFINITIONS]
 
 
 def test_no_definition_of_the_package_goes_unread():
@@ -141,20 +131,15 @@ def test_the_scan_sees_an_unread_definition():
 
 def test_no_definition_of_the_package_is_read_by_the_tests_alone():
     assert unread_definitions({p.name: p.read_text() for p in PACKAGE},
-                              [p.read_text() for p in PROGRAM_READERS],
-                              TEST_ONLY_DEFINITIONS) == []
+                              [p.read_text() for p in PROGRAM_READERS]) == []
 
 
 def test_the_scan_sees_a_definition_only_the_tests_read():
-    package = {"m.py": "def f(): pass\ndef g(): pass\n",
-               "harness.py": "def squares(): pass\n"}
+    package = {"m.py": "def f(): pass\ndef g(): pass\n"}
     program = [*package.values(), "import m\nm.g()\n"]
-    tests = "import harness, m\nm.f()\nharness.squares()\n"
+    tests = "import m\nm.f()\n"
     assert unread_definitions(package, [*program, tests]) == []
-    assert unread_definitions(package, program) == [
-        "m.py:1: f", "harness.py:1: squares"]
-    assert unread_definitions(package, program, TEST_ONLY_DEFINITIONS) == [
-        "m.py:1: f"]
+    assert unread_definitions(package, program) == ["m.py:1: f"]
 
 
 def unused_parameters(source: str) -> list[tuple[str, str]]:

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import reference_pretty as ref
 from dictelab import syntax as S
 from dictelab.fd_core import fd_step
-from dictelab.harness import squares
 
 import strategies
-from conftest import NEGATIVE, POSITIVE, corpus_program, corpus_result
+from conftest import (NEGATIVE, POSITIVE, corpus_program, corpus_result,
+                      squares)
 
 STRATEGIES = ["src_expr", "src_scheme", "src_mono", "src_constraint",
               "fd_term", "fd_qual_type", "fd_dict", "fd_q", "tgt_let_term",

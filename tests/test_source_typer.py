@@ -11,21 +11,20 @@ from hypothesis import strategies as st
 
 from dictelab import fd_core, source_typer, syntax as S
 from dictelab.cli import main
-from dictelab.harness import squares
 from dictelab.parser import parse_expr, parse_program
 from dictelab.source_typer import (
     ClassEntry, DirectTranslator, MAX_ELABORATIONS, MethodEnv, SrcTypeError,
     check, closure, elab_class_env, elab_type, entail, infer, typecheck_class,
-    typecheck_program, unambiguous,
+    typecheck_main, typecheck_program, unambiguous,
 )
 from dictelab.syntax import (
     DCon, DVar, DictBind, SArrow, SBool, STyVar, SrcConstraint,
     SrcConstraintScheme, SrcScheme, TyVarBind,
 )
 
-from conftest import (EQ, POSITIVE, corpus_program, corpus_result,
-                      corpus_text, count_calls, count_rules, flex_source,
-                      tower_source, wide_source)
+from conftest import (EQ, POSITIVE, corpus_contexts, corpus_program,
+                      corpus_result, corpus_text, count_calls, count_rules,
+                      flex_source, squares, tower_source, wide_source)
 from strategies import src_mono
 from test_golden_cli import LE, ORD
 
@@ -291,14 +290,19 @@ def test_direct_translation_translates_each_node_once(monkeypatch):
 
 
 def test_direct_targets_are_translated_once_per_result(monkeypatch):
-    # tgt_elabs translates at its first read only, and nothing before;
-    # squares then reads the same translator.
+    # tgt_elabs and its length translate nothing; its first tree read
+    # translates each Σ's forest once, and squares then reads the same
+    # translator, as the reports do.
     nodes = count_rules(monkeypatch, DirectTranslator._TRANSLATIONS)
     r = typecheck_program(parse_program(wide_source(3)))
-    assert nodes == []
     first = r.tgt_elabs
+    assert r.tgt_elabs is first and len(first) == 256 and nodes == []
+    first[0]
     translated = len(nodes)
-    assert r.tgt_elabs is first and len(nodes) == translated > 0
+    assert translated > 0
+    assert len({(id(t), id(node)) for t, node in nodes}) == translated
+    assert {id(t) for t, _ in nodes} == {
+        id(sigma.derived(DirectTranslator)) for sigma, _ in r.variants_read}
     assert list(first) == [sq.direct for sq in squares(r)]
     assert len(nodes) == translated
 
@@ -481,6 +485,16 @@ def test_method_not_inferable():
 def test_lambda_not_inferable():
     with pytest.raises(SrcTypeError) as exc:
         infer((), (), (), S.SLam("x", S.SVar("x")))
+    assert exc.value.kind == "not-inferable"
+
+
+@pytest.mark.parametrize("name,ctx", corpus_contexts())
+def test_an_unplugged_hole_is_not_inferable(name, ctx):
+    # Text cannot reach this: the parser rejects a hole outside a context
+    # file, and a context is typed only once plugged.
+    with pytest.raises(SrcTypeError, match="^hole outside a context file$") \
+            as exc:
+        typecheck_main(corpus_result("P2").decls, ctx)
     assert exc.value.kind == "not-inferable"
 
 
