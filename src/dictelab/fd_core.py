@@ -18,10 +18,11 @@ checked to have one type, and unpacking the result gives the translation
 of each derivation, in order. Types and dictionary types have one
 translation (`elab_fd_type`), whose memo a checker keeps per Σ. Forests
 share subforests, and derivations unpacked from one forest share
-subtrees, and a trace step shares what it leaves in place, so a checker
-types each shared node once per binding of its free variables and
-translates each shared node once, reusing results by object identity
-(hash-consing's idea, applied to results instead of nodes). Types and
+subtrees, and a trace step shares what it leaves in place, so the
+checkers of one Σ type each shared node once per binding of its free
+variables, keeping the type on the node, and a checker translates each
+shared node once, reusing results by object identity (hash-consing's
+idea, applied to results instead of nodes). Types and
 dictionaries are hash-consed themselves, so comparing two types is an
 identity test unless both hold a binder, and a closed dictionary is
 typed once per method environment.
@@ -215,29 +216,31 @@ class FdChecker:
     dictionaries the Σ is used with. A dictionary with a free variable
     is typed at each use.
 
-    Per checker, one per term of a stream: `check_expr`, through which all
-    recursion goes, is memoized on what typing a node reads (`_memo`).
-    Typing a term reads of its environment only the innermost binding of
-    each of its free variables (strengthening), so a node whose facts are
-    cached, as every generated node's are (`syntax.with_facts`), is keyed by
-    its identity and those bindings (`_bindings`), and a closed one by its
-    identity alone: a subterm that a trace step leaves in place is typed
-    once, under whatever binders the step rebuilt above it. A node without
-    cached facts, as every node of a typed forest, is keyed by the
-    identities of the node and of the environment, so typing never walks a
-    node only to key it. Every entry keeps the node and the environment it
-    was typed in alive, so an identity is never reused while its entry
-    exists. `collect` bounds `_memo` while a trace is walked. A binder
-    extends its environment by one binding, and an annotation reads the type
-    variables of the environment at hand only if it has a free one (`_wf`);
-    a closed one is checked until it passes once per Σ. The result types of
-    type applications are memoized by the polymorphic type and its argument
+    Per node, for every checker of one Σ: each type `check_expr`, through
+    which all recursion goes, finds, kept on the node (`_types`, cached
+    like its facts) and keyed by a token that the checkers `child` makes
+    for the same Σ share (`_token`); a prefix checker has its own. Typing
+    a term reads of its environment only the innermost binding of each of
+    its free variables (strengthening), so a node whose facts are cached,
+    as every generated node's are (`syntax.with_facts`), is keyed by the
+    token and those bindings (`_bindings`), and a closed one by the token
+    alone: a subterm that a trace step leaves in place stays typed, under
+    whatever binders the step rebuilt above it. A node without cached
+    facts, as every node of a typed forest, is keyed by the token and the
+    identity of the environment, which its entry alone keeps alive, so
+    typing never walks a node only to key it. A typing lives as long as
+    its node; an error is never kept. A binder extends its environment by
+    one binding, and an annotation reads the type variables of the
+    environment at hand only if it has a free one (`_wf`); a closed one
+    is checked until it passes once per Σ.
+
+    Per checker, one per term of a stream: the result types of type
+    applications, memoized by the polymorphic type and its argument
     (`_insts`), so a trace instantiates each polymorphic type once; these
     keys are the term's own types, so the memo ends with the checker.
     Translation is structural and reads no typing environment, so its
     results are memoized by the identity of the node alone (`_targets`),
-    which keeps the node alive; walking a trace translates nothing, so
-    `collect` leaves them.
+    which keeps the node alive.
     """
 
     def __init__(self, sigma, TC):
@@ -250,31 +253,22 @@ class FdChecker:
         self._methods: dict = {}    # (method, FdQ) -> FdType
         self._dicts: dict = {}      # closed DCon -> FdQ
         self._insts: dict = {}      # (IForall, FdType) -> FdType
-        # (id(node), id(env)) -> (node, env, type), with the entries used
-        # before the last collect() in a second generation.
-        self._memo: dict = {}
-        self._old_memo: dict = {}
+        self._token = object()      # keys this family's typings on nodes
         self._targets: dict = {}    # id(node) -> (node, translation)
 
     def child(self, sigma=None) -> FdChecker:
         """A checker for sigma, by default this one's, that shares this
         checker's per-Σ memos and starts with empty per-term memos. sigma
         must be a prefix of this checker's environment; a checker for a
-        sigma given has its own dictionary memo."""
+        sigma given has its own dictionary memo and its own token, so it
+        reads no typing this one keeps on a node."""
         out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
         out._impl_memo, out._records, out._elabs, out._closed, \
             out._methods = self._impl_memo, self._records, self._elabs, \
             self._closed, self._methods
         if sigma is None:
-            out._dicts = self._dicts
+            out._dicts, out._token = self._dicts, self._token
         return out
-
-    def collect(self):
-        """Forget every memo entry not used since the previous collect().
-
-        Walking an evaluation trace, collect after each step: the checker
-        then keeps alive what the last two steps share, not every step."""
-        self._old_memo, self._memo = self._memo, {}
 
     def _wf(self, env, t):
         """Raises FdTypeError unless t, a type or dictionary type, is well
@@ -294,19 +288,22 @@ class FdChecker:
             fv = e._fv
         except AttributeError:
             raise TypeError(e) from None
+        token = self._token
         if fv is None:
-            key = (id(e), id(env))
+            key = (token, id(env))
         elif fv:
-            key = (id(e), *_bindings(env, fv))
+            key = (token, *_bindings(env, fv))
         else:
-            key = id(e)
-        hit = self._memo.get(key)
+            key = token
+        types = e._types
+        hit = None if types is None else types.get(key)
         if hit is None:
-            hit = self._old_memo.pop(key, None)
-            if hit is None:
-                hit = (e, env, self._infer(env, e))
-            self._memo[key] = hit
-        return hit[2]
+            hit = (env if fv is None else None, self._infer(env, e))
+            if types is None:
+                S._setattr(e, "_types", {key: hit})
+            else:
+                types[key] = hit
+        return hit[1]
 
     def _infer(self, env, e: FdExpr) -> FdType:
         """The typing rule of e's class (`_RULES`), applied to e."""

@@ -43,18 +43,20 @@ program itself (`corners`), so a report unpacks no tree of its own.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
 term generation. A stream of terms over one Σ shares that Σ's state: the
-generator's closed dictionaries, their method calls, indexed by type, and
-the types it draws (`_Generators`), so that a node finds the calls of its
-type by one lookup unless its type holds a binder, and the per-Σ memos of
-one base checker (see `FdChecker`): the implementations checked, the type
-of each closed dictionary, which the stream's terms type once per Σ, and
-the type of each method projection by method and dictionary type. Like the
-type translations, these are bounded by the closed dictionaries and the
-types the Σ is used with. A typed Σ keeps that state for as long as it
-lives; any other Σ, or a typed one given a class environment not its own,
-gets new state for each call. Each term gets its own checker, whose
-per-term memos (typed nodes and type instantiations) start empty; a trace
-walk bounds them (`collect`).
+generator's closed dictionaries, their method calls, indexed by type, its
+literals and the types it draws (`_Generators`), so that a node finds the
+calls of its type by one lookup unless its type holds a binder, and the
+per-Σ memos of one base checker (see `FdChecker`): the implementations
+checked, the type of each closed dictionary, which the stream's terms
+type once per Σ, and the type of each method projection by method and
+dictionary type. Like the type translations, these are bounded by the
+closed dictionaries and the types the Σ is used with. A typed Σ keeps
+that state for as long as it lives; any other Σ, or a typed one given a
+class environment not its own, gets new state for each call. Each term
+gets its own checker, a child of the base, whose type instantiations
+start empty; the types it finds stay on the nodes, and the nodes the
+stream shares (method calls, literals) are the Σ's own, so no node that
+outlives the Σ keeps its typings.
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -308,7 +310,9 @@ class _Generators:
     only to itself, so `calls` maps each such type to its calls; the
     calls whose types hold a binder are a list of (call, type) pairs,
     `bound_calls`, which a type with a binder scans with `alpha_eq`. Both
-    keep the calls' order, and each call has its facts. `types` holds
+    keep the calls' order, and each call has its facts, as do the two
+    literals at `Bool` (`literals`), so that typing keys each shared node
+    by the base checker's token alone from the first term on. `types` holds
     `Bool`, `Bool -> Bool`, then as tuples, from which a second draw
     picks (`_draw_type`), `∀gi. gi -> Bool` for i < 3 and `q => Bool` for
     each closed dictionary's q (or `Bool`). Keeping the types keeps them
@@ -332,6 +336,7 @@ class _Generators:
                              for a in ("g0", "g1", "g2")]),
                       tuple([IQArrow(q, IBool()) for q, _ in self.dicts])
                       or IBool())
+        self.literals = (with_facts(ITrue()), with_facts(IFalse()))
         self.kept = frozenset()
 
 
@@ -368,7 +373,6 @@ def check_metatheory(sigma, TC, e: FdExpr, fuel: int = FUEL) -> MetaReport:
             nxt = fd_step(sigma, current)
         except fd_core.FdTypeError:
             return MetaReport(steps, True, False, True, S.pretty(current))
-        checker.collect()
         try:
             ty = checker.check_expr((), nxt)
         except fd_core.FdTypeError as err:
@@ -445,12 +449,6 @@ def _draw_type(bits, types):
     return t[_below(bits, len(t))] if t.__class__ is tuple else t
 
 
-# The literals at `Bool`: the same two nodes in every term, whose facts
-# (no free variable) are cached at once, so that typing keys them by
-# identity from the first term on (`FdChecker.check_expr`).
-_LITERALS = (with_facts(ITrue()), with_facts(IFalse()))
-
-
 def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     """A closed well-typed term, deterministic per seed.
 
@@ -460,7 +458,7 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     builds it with its facts (`syntax.with_facts`), so typing keys every
     node by what it reads from the first check on. Its atoms are the
     variables of its type in scope, by name until one is drawn, the
-    literals at `Bool`, the same two nodes in every term (`_LITERALS`),
+    literals at `Bool`, the same two nodes in every term over the Σ,
     and the method calls of its type: a type without binders meets its
     own by identity, and only one with a binder compares with
     `alpha_eq`. An arrow or a constrained type numbers its binder before
@@ -468,7 +466,7 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
     bits = random.Random(seed).getrandbits
     state = _stream(_Generators, sigma, TC)
     dicts, calls, bound_calls = state.dicts, state.calls, state.bound_calls
-    types = state.types
+    types, literals = state.types, state.literals
     kept, fresh = set(), itertools.count(1)
     elims = (_APP, _LET, _TYAPP, _DAPP) if dicts else (_APP, _LET, _TYAPP)
     # By whether the type has an introduction form, then atoms.
@@ -481,7 +479,7 @@ def generate_fd_term(seed: int, size_bound: int, sigma, TC) -> FdExpr:
         cls, binds = ty.__class__, ty._binds
         atoms = [x for x, t in env if t is ty or binds and alpha_eq(t, ty)]
         if cls is IBool:
-            atoms += _LITERALS
+            atoms += literals
         if binds:
             atoms += [call for call, t in bound_calls if alpha_eq(t, ty)]
         else:

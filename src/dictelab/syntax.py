@@ -217,8 +217,9 @@ def frozen(cls, interned=False):
 # whether it holds a binder, read off its children's: an interned node at
 # construction, a generated one too (`with_facts`), any other at the first
 # query, with its uncached subtrees (`_fact_walk`). A source type caches
-# its intermediate translation, built at its first `elab_mono`. Cached
-# facts live in the node's `__dict__` and never reach a copy or a pickle:
+# its intermediate translation, built at its first `elab_mono`, and a
+# term its types (`_types`, see `fd_core.FdChecker`). Cached facts live
+# in the node's `__dict__` and never reach a copy or a pickle:
 # `__reduce__` rebuilds the node from its fields, through `__new__`,
 # which finds or enters an interned node in the table of that process.
 # ---------------------------------------------------------------------------
@@ -928,14 +929,15 @@ _RECIPES = {cls: (shape.var, shape.binder, shape.bsort,
             for cls, shape in _SHAPES.items()}
 
 # A node has no facts until they are cached: an interned node at once, a
-# frozen one at the first query (`_fact_walk`). A copy or a pickle of a
-# frozen node has none either. A first node of each frozen class that
-# sets its fields and then its facts makes CPython leave room for the
-# facts of every later node beside its fields; a node made before the
-# first of its class cached facts would otherwise keep them in a dict of
-# its own, about 240 bytes more.
+# frozen one at the first query (`_fact_walk`), and no types until it is
+# typed. A copy or a pickle of a frozen node has none either. A first
+# node of each frozen class that sets its fields and then its facts
+# makes CPython leave room for the facts of every later node beside its
+# fields; a node made before the first of its class cached facts would
+# otherwise keep them in a dict of its own, about 240 bytes more. Room
+# for types would cost every node 8-24 bytes and save a typed one none.
 for cls in _SHAPES:
-    cls._fv = cls._binds = None
+    cls._fv = cls._binds = cls._types = None
     if cls in _INTERNED:
         continue
     cls.__reduce__ = _reduce

@@ -1,9 +1,10 @@
 """The memos of `fd_core.FdChecker` against checking without sharing.
 
-A checker types each node once per binding of its free variables (once
-in all if it has none, or per environment while its facts are not
-cached) and translates each node once, and reuses the result wherever the
-node object occurs again. The reference is the same checker on a copy of
+The checkers of one Σ type each node once per binding of its free
+variables (once in all if it has none, or per environment while its facts
+are not cached), keeping the type on the node, a checker translates each
+node once, and both reuse the result wherever the node object occurs
+again. The reference is the same checker on a copy of
 the term rebuilt node by node, so that no two positions share an object
 and the memo never hits across positions: types and targets must be
 `==`, and an ill-typed term must raise the same error class, kind and
@@ -12,8 +13,11 @@ message.
 
 from __future__ import annotations
 
+import copy
 import gc
+import importlib
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dictelab
-from dictelab import fd_core, harness, syntax as S
+from dictelab import fd_core, harness, source_typer, syntax as S
 from dictelab.fd_core import (PREFIX_VIOLATION, FdChecker, FdTypeError,
                               fd_step, is_fd_value)
 from dictelab.harness import check_metatheory, generate_fd_term
@@ -205,22 +209,37 @@ def test_trace_checking_keeps_a_bounded_memo():
     _assert_a_bounded_memo(_doubling_chain(9))
 
 
+def _count_typings(e, keys):
+    """Add the typings kept on e's distinct nodes to keys: in all, and
+    those keyed by a checker's token alone."""
+    seen, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        for key in x._types or ():
+            keys["token"] += type(key) is not tuple
+            keys["all"] += 1
+        todo.extend(part for f in x.__match_args__
+                    if isinstance(part := getattr(x, f), FdExpr))
+
+
 def test_a_memo_keyed_mostly_by_identity_stays_bounded(monkeypatch):
     # A closed argument, (\\b : Bool. True) applied 32 deep to True, that
-    # every step shares: its nodes are keyed by their identity alone.
+    # every step shares: its nodes are keyed by the checker's token alone.
     arg = ITrue()
     for _ in range(32):
         arg = IApp(ILam("b", IBool(), ITrue()), arg)
-    keys = {"identity": 0, "all": 0}     # counts: a list would be traced
-    collect = FdChecker.collect
+    keys = {"token": 0, "all": 0}     # counts: a list would be traced
+    step = harness.fd_step
 
-    def counted(self):
-        keys["identity"] += sum(type(key) is int for key in self._memo)
-        keys["all"] += len(self._memo)
-        return collect(self)
-    monkeypatch.setattr(FdChecker, "collect", counted)
+    def counted(sigma, e):      # e, the trace's latest term, is typed
+        _count_typings(e, keys)
+        return step(sigma, e)
+    monkeypatch.setattr(harness, "fd_step", counted)
     _assert_a_bounded_memo(_doubling_chain(9, arg))
-    assert keys["identity"] > keys["all"] / 2
+    assert keys["token"] > keys["all"] / 2
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +345,10 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     rule = count_calls(monkeypatch, FdChecker, "_check_con")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(infer) == 15_191
+    assert len(infer) == 11_318
     assert 0 < len(walks) <= 429
     assert [env for _, env, t in wf if t._fv] == [env for env, in scanned]
-    assert len(scanned) == 977
+    assert len(scanned) == 672
     typed = [(id(self._dicts), d) for self, _, d in rule]
     assert len(typed) == len(set(typed)) == 5
     assert not any(d._fv for _, d in typed)
@@ -343,7 +362,7 @@ def test_the_fuzz_digest_checks_each_closed_annotation_once_per_sigma(
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(checks) == 1_048
+    assert len(checks) == 743
 
 
 def test_the_fuzz_digest_checks_terms_whose_nodes_have_their_facts(
@@ -522,19 +541,23 @@ def test_an_ill_typed_dictionary_raises_at_every_call(monkeypatch):
     assert list(checker._dicts) == [d1]
 
 
-def test_a_prefix_checker_keeps_its_own_dictionary_memo():
-    # Eq Bool's implementation projects Ord Bool's dictionary, declared
-    # after it: the full Σ types that dictionary, the strict prefix that
-    # checks the implementation must not.
+def _late_ord_sigma():
+    """A Σ whose implementation of Eq Bool projects Ord Bool's dictionary,
+    declared after it: the full Σ types that dictionary, the strict prefix
+    that checks the implementation must not."""
     r = typecheck_program(parse_program(
         "class Eq a where { eq : a -> a -> Bool };\n"
         "class Ord a where { cmp : a -> a -> Bool };\n"
         "instance Eq Bool where { eq = \\x. \\y. True };\n"
         "instance Ord Bool where { cmp = \\x. \\y. True };\n"
         "True"))
-    sigma = MethodEnv(r.fd_class_env, r.P, (
+    return MethodEnv(r.fd_class_env, r.P, (
         read_fd_expr("[D2_Ord].cmp"),
         read_fd_expr("\\x : Bool. \\y : Bool. True")))
+
+
+def test_a_prefix_checker_keeps_its_own_dictionary_memo():
+    sigma = _late_ord_sigma()
     checker = FdChecker(sigma, sigma.TC)
     assert checker.check_dict((), DCon("D2_Ord", (), ())) is \
         FdQ("Ord", IBool())
@@ -776,9 +799,141 @@ def test_an_error_is_never_memoized(monkeypatch):
             with pytest.raises(FdTypeError):
                 checker.check_expr((), e)
         assert sum(args[2] is e for args in infer) == 3
-        assert not any(hit[0] is e for memo in (checker._memo,
-                                                checker._old_memo)
-                       for hit in memo.values())
+        assert e._types is None
+    # A node typed under one environment keeps that typing alone.
+    x = warm(IVar("x"))
+    env = (TermBind("x", IBool()),)
+    assert checker.check_expr(env, x) is IBool()
+    with pytest.raises(FdTypeError, match="unbound variable"):
+        checker.check_expr((), x)
+    assert [ty for _, ty in x._types.values()] == [IBool()]
+
+
+# ---------------------------------------------------------------------------
+# Typings kept on nodes: a checker family's answer for its own Σ alone,
+# and live as long as their nodes
+# ---------------------------------------------------------------------------
+
+def _typed_sigma(p):
+    """The first Σ of the program p, typed afresh, and its TC."""
+    r = typecheck_program(p)
+    return r.fd_elabs[0][0], r.fd_class_env
+
+
+# Two Σs whose D1_Eq builds Eq Bool, whose method has a type of its own in
+# each.
+EQ_BINARY = _typed_sigma(parse_program(
+    "class Eq a where { eq : a -> a -> Bool };\n"
+    "instance Eq Bool where { eq = \\x. \\y. True };\nTrue"))
+EQ_UNARY = _typed_sigma(parse_program(
+    "class Eq a where { eq : a -> Bool };\n"
+    "instance Eq Bool where { eq = \\x. True };\nTrue"))
+
+
+@pytest.mark.parametrize("facts", ["cold", "warm"])
+def test_a_node_typed_under_two_sigmas_gets_each_sigmas_type(facts):
+    cases = [(IMethod(DCon("D1_Eq", (), ()), "eq"), (),
+              IArrow(IBool(), BOOL_TO_BOOL), BOOL_TO_BOOL),
+             (IApp(IMethod(DCon("D1_Eq", (), ()), "eq"), IVar("x")),
+              (TermBind("x", IBool()),), BOOL_TO_BOOL, IBool())]
+    for e, env, binary, unary in cases:
+        e = warm(e) if facts == "warm" else e
+        typers = [(FdChecker(*EQ_BINARY), EQ_BINARY, binary),
+                  (FdChecker(*EQ_UNARY), EQ_UNARY, unary)]
+        for typer, (sigma, TC), want in typers * 2:
+            assert assert_same_as_unshared(typer, sigma, TC, e, env)[0] \
+                is want
+            assert typer.child().check_expr(env, e) is want
+        assert len(e._types) == 2
+
+
+def test_a_prefix_checkers_typing_never_answers_for_the_full_sigma(
+        monkeypatch):
+    sigma = _late_ord_sigma()
+    full = FdChecker(sigma, sigma.TC)
+    # Eq Bool's implementation, typed under the full Σ, which has Ord
+    # Bool; its strict prefix, which checks it, has not.
+    assert full.check_expr((), sigma[0].impl) is \
+        IArrow(IBool(), BOOL_TO_BOOL)
+    for typer in (full, full.child()):
+        with pytest.raises(FdTypeError) as err:
+            typer.check_expr((), IMethod(DCon("D1_Eq", (), ()), "eq"))
+        assert err.value.kind == PREFIX_VIOLATION
+    # Each prefix checker types a node anew; a child of the full Σ reads
+    # the full Σ's typing.
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
+    e = warm(ILam("y", IBool(), IVar("y")))
+    prefix = full.sigma[:1]
+    for typer in (full.child(prefix), full.child(prefix), full,
+                  full.child()):
+        assert typer.check_expr((), e) is BOOL_TO_BOOL
+    assert sum(args[2] is e for args in infer) == 3
+    assert len(e._types) == 3
+
+
+@pytest.mark.parametrize("facts", ["cold", "warm"])
+def test_a_typing_keeps_its_environment_only_if_keyed_by_it(facts):
+    # A node without facts is keyed by the environment's identity, which
+    # its entry keeps alive; a node with facts, as a literal a stream
+    # shares, keeps no environment of the term it was first typed in.
+    e = ITrue() if facts == "cold" else warm(ITrue())
+    env = (TermBind("x", IBool()),)
+    held = weakref.ref(env[0])
+    checker = FdChecker((), ())
+    assert checker.check_expr(env, e) is IBool()
+    del env
+    gc.collect()
+    assert (held() is None) == (facts == "warm")
+    assert checker.check_expr((), e) is IBool()
+
+
+def test_a_copy_or_pickle_of_a_typed_node_carries_no_typing():
+    e = warm(ILam("y", IBool(), IVar("y")))
+    assert FdChecker((), ()).check_expr((), e) == BOOL_TO_BOOL
+    assert e._types and e.body._types
+    data = pickle.dumps(e)
+    assert b"_types" not in data
+    for other in (pickle.loads(data), copy.copy(e), copy.deepcopy(e)):
+        assert other == e and other is not e and other._types is None
+
+
+def _package_nodes() -> list:
+    """Every node that a module of the package holds at top level, in a
+    container or as a part of another, the interned nodes included."""
+    package = Path(dictelab.__file__).resolve().parent
+    todo = [vars(importlib.import_module(f"dictelab.{path.stem}"))
+            for path in package.glob("*.py")]
+    out, seen = [], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if type(x) in S._SHAPES:
+            out.append(x)
+            todo.extend(getattr(x, f) for f in x.__match_args__)
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.keys())
+            todo.extend(x.values())
+        elif isinstance(x, S._Entry):
+            todo.append(x())
+    return out
+
+
+def test_no_node_of_the_package_keeps_a_typing():
+    # A stream over each of 50 Σs typed afresh, then dropped: every node
+    # the stream shared is the Σ's own, so none left keeps a typing.
+    for k in range(50):
+        sigma, TC = _typed_sigma(corpus_program(("P2", "P4")[k % 2]))
+        for seed in range(2):
+            check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
+    del sigma, TC
+    gc.collect()
+    nodes = _package_nodes()
+    assert any(node is source_typer._UNRESOLVED for node in nodes)
+    assert [node for node in nodes if node._types is not None] == []
 
 
 environments = st.lists(st.one_of(
