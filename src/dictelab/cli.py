@@ -273,10 +273,9 @@ def cmd_meta(ns, r) -> int:
             print(f"-- elaboration {i}")
             for line in harness.meta_lines(m):
                 print(line)
-    if not all_ok:
-        return EXIT_RESOURCE if any(not m.fuel_ok for m in reports) \
-            else EXIT_VIOLATION
-    return _resource_exit(r.fd_truncated)
+    if not all(m.preservation_ok and m.progress_ok for m in reports):
+        return EXIT_VIOLATION
+    return _resource_exit(not all_ok or r.fd_truncated)
 
 
 def main(argv=None) -> int:

@@ -18,14 +18,13 @@ checked to have one type, and unpacking the result gives the translation
 of each derivation, in order. Types and dictionary types have one
 translation (`elab_fd_type`), whose memo a checker keeps per Σ. Forests
 share subforests, and derivations unpacked from one forest share
-subtrees, and a trace step shares what it leaves in place, so the
-checkers of one Σ type each shared node once per binding of its free
-variables, keeping the type on the node, and a checker translates each
-shared node once, reusing results by object identity (hash-consing's
-idea, applied to results instead of nodes). Types and
-dictionaries are hash-consed themselves, so comparing two types is an
-identity test unless both hold a binder, and a closed dictionary is
-typed once per method environment.
+subtrees, and a trace step shares what it leaves in place, so the one
+checker of a Σ types each shared node once per binding of its free
+variables, keeping the type on the node, and translates each shared node
+once, reusing results by object identity (hash-consing's idea, applied to
+results instead of nodes). Types and dictionaries are hash-consed
+themselves, so comparing two types is an identity test unless both hold
+a binder, and a closed dictionary is typed once per method environment.
 
 Every per-node walk finds its rule by the node's exact class, never by
 `match`. Typing and the composed translation look it up in a table
@@ -97,12 +96,10 @@ class FuelExhausted(Exception):
 _NO_TYVARS = frozenset()
 
 
-def check_fd_type_wf(TC, tyvars: set[str], t: FdType | FdQ, seen=None):
+def check_fd_type_wf(TC, tyvars: set[str], t: FdType | FdQ):
     """Raises FdTypeError at the first ill-formed part of t, a type or a
-    dictionary type, in reading order. seen holds the ids of the arrows
-    already checked under tyvars in this call: a shared one is checked
-    once. The rule is found by t's exact class, in a chain of tests, so a
-    nesting level costs one frame."""
+    dictionary type, in reading order. The rule is found by t's exact
+    class, in a chain of tests, so a nesting level costs one frame."""
     kind = type(t)
     if kind is IBool:
         pass
@@ -110,20 +107,17 @@ def check_fd_type_wf(TC, tyvars: set[str], t: FdType | FdQ, seen=None):
         a = t.name
         if a not in tyvars:
             raise FdTypeError(UNBOUND_TYVAR, f"unbound type variable {a!r}")
-    elif kind is IArrow or kind is IQArrow:
-        if seen is None:
-            seen = set()
-        elif id(t) in seen:
-            return
-        l, r = (t.left, t.right) if kind is IArrow else (t.q, t.result)
-        check_fd_type_wf(TC, tyvars, l, seen)
-        check_fd_type_wf(TC, tyvars, r, seen)
-        seen.add(id(t))
+    elif kind is IArrow:
+        check_fd_type_wf(TC, tyvars, t.left)
+        check_fd_type_wf(TC, tyvars, t.right)
+    elif kind is IQArrow:
+        check_fd_type_wf(TC, tyvars, t.q)
+        check_fd_type_wf(TC, tyvars, t.result)
     elif kind is IForall:
         check_fd_type_wf(TC, tyvars | {t.var}, t.body)
     elif kind is FdQ:
         lookup_class_by_name(TC, t.cls)
-        check_fd_type_wf(TC, tyvars, t.arg, seen)
+        check_fd_type_wf(TC, tyvars, t.arg)
     else:
         raise TypeError(t)
 
@@ -196,48 +190,50 @@ class FdChecker:
     so a memo keyed by them is keyed by identity. Errors are never
     memoized.
 
-    Per Σ, shared by every checker `child` makes, the prefix checkers of
-    implementations among them: the constructors whose implementations
-    are checked, each against the strict prefix of the environment at
-    first use (`_impl_memo`), each constructor's translation (`_records`),
-    the translation of every type and subtree translated, by the type
-    (`_elabs`, the memo of `elab_fd_type`), the closed annotations
-    found well formed, which TC alone decides (`_closed`; an ill-formed
-    one is never recorded, so it raises at every check), and the type of
-    each method projection, by the method and the dictionary's type
-    (`_methods`). All are bounded by the environment and the types it is
-    used at.
+    One checker types every term over its Σ: `fd_env_wf` builds it, and
+    a typed Σ keeps it (`source_typer.MethodEnv.derived`) for the reports'
+    forests and values and for every stream's terms and trace steps. Its
+    memos are per Σ, bounded by the environment and the types and closed
+    dictionaries it is used with, and each one pays on a perfbench
+    workload (the `wall_s` that removing it cost, in alternating pairs):
 
-    Per Σ, shared by every checker `child` makes for the same Σ, but not
-    by a prefix checker, against whose shorter environment a dictionary
-    may not type: the type of each closed dictionary constructor
-    application (`_dicts`). It reads no typing environment, so it is
-    typed once per Σ; like `_elabs`, the memo is bounded by the closed
-    dictionaries the Σ is used with. A dictionary with a free variable
-    is typed at each use.
+    - the type of each closed dictionary constructor application
+      (`_dicts`), which reads no typing environment (fuzz +9.1%); a
+      dictionary with a free variable is typed at each use;
+    - the closed annotations found well formed, which TC alone decides
+      (`_closed`; fuzz +4.8%, flex +5.6%); an ill-formed one is never
+      recorded, so it raises at every check;
+    - the type of each method projection, by the method and the
+      dictionary's type (`_methods`; flex +2.2%);
+    - the translation of every type and subtree translated, by the type
+      (`_elabs`, the memo of `elab_fd_type`; flex +4.5%, wide +6.7%);
+    - each constructor's translation (`_records`; wide +4.5%);
+    - the constructors whose implementations are checked, each against
+      the strict prefix of the environment at first use (`_impl_memo`),
+      so that Σ's validation checks each implementation once.
 
-    Per node, for every checker of one Σ: each type `check_expr`, through
-    which all recursion goes, finds, kept on the node (`_types`, cached
-    like its facts) and keyed by a token that the checkers `child` makes
-    for the same Σ share (`_token`); a prefix checker has its own. Typing
-    a term reads of its environment only the innermost binding of each of
-    its free variables (strengthening), so a node whose facts are cached,
-    as every generated node's are (`syntax.with_facts`), is keyed by the
-    token and those bindings (`_bindings`), and a closed one by the token
-    alone: a subterm that a trace step leaves in place stays typed, under
-    whatever binders the step rebuilt above it. A node without cached
-    facts, as every node of a typed forest, is keyed by the token and the
-    identity of the environment, which its entry alone keeps alive, so
-    typing never walks a node only to key it. A typing lives as long as
-    its node; an error is never kept. A binder extends its environment by
-    one binding, and an annotation reads the type variables of the
-    environment at hand only if it has a free one (`_wf`); a closed one
-    is checked until it passes once per Σ.
+    A prefix checker (`_prefix`) checks an implementation, sharing the
+    memos its typing reads that a shorter environment cannot change
+    (`_impl_memo`, `_closed`, `_methods`) and keeping its own `_dicts`,
+    since against its shorter environment a dictionary may not type.
 
-    Per checker, one per term of a stream: the result types of type
-    applications, memoized by the polymorphic type and its argument
-    (`_insts`), so a trace instantiates each polymorphic type once; these
-    keys are the term's own types, so the memo ends with the checker.
+    Per node: each type `check_expr`, through which all recursion goes,
+    finds, kept on the node (`_types`, cached like its facts) and keyed
+    by the checker's token (`_token`), which a prefix checker has its
+    own of. Typing a term reads of its environment only the innermost
+    binding of each of its free variables (strengthening), so a node
+    whose facts are cached, as every generated node's are
+    (`syntax.with_facts`), is keyed by the token and those bindings
+    (`_bindings`), and a closed one by the token alone: a subterm that a
+    trace step leaves in place stays typed, under whatever binders the
+    step rebuilt above it. A node without cached facts, as every node of
+    a typed forest, is keyed by the token and the identity of the
+    environment, which its entry alone keeps alive, so typing never
+    walks a node only to key it. A typing lives as long as its node; an
+    error is never kept. A binder extends its environment by one
+    binding, and an annotation reads the type variables of the
+    environment at hand only if it has a free one (`_wf`).
+
     Translation is structural and reads no typing environment, so its
     results are memoized by the identity of the node alone (`_targets`),
     which keeps the node alive.
@@ -252,22 +248,17 @@ class FdChecker:
         self._closed: set = set()   # closed FdType or FdQ found well formed
         self._methods: dict = {}    # (method, FdQ) -> FdType
         self._dicts: dict = {}      # closed DCon -> FdQ
-        self._insts: dict = {}      # (IForall, FdType) -> FdType
-        self._token = object()      # keys this family's typings on nodes
+        self._token = object()      # keys this checker's typings on nodes
         self._targets: dict = {}    # id(node) -> (node, translation)
 
-    def child(self, sigma=None) -> FdChecker:
-        """A checker for sigma, by default this one's, that shares this
-        checker's per-Σ memos and starts with empty per-term memos. sigma
-        must be a prefix of this checker's environment; a checker for a
-        sigma given has its own dictionary memo and its own token, so it
-        reads no typing this one keeps on a node."""
-        out = FdChecker(self.sigma if sigma is None else sigma, self.TC)
-        out._impl_memo, out._records, out._elabs, out._closed, \
-            out._methods = self._impl_memo, self._records, self._elabs, \
-            self._closed, self._methods
-        if sigma is None:
-            out._dicts, out._token = self._dicts, self._token
+    def _prefix(self, index: int) -> FdChecker:
+        """A checker for the strict prefix of this checker's Σ before entry
+        index, sharing the memos it reads that do not depend on the
+        environment's length; its own dictionary memo and token keep it
+        from reading what this checker found."""
+        out = FdChecker(self.sigma[:index], self.TC)
+        out._impl_memo, out._closed, out._methods = \
+            self._impl_memo, self._closed, self._methods
         return out
 
     def _wf(self, env, t):
@@ -374,10 +365,7 @@ class FdChecker:
                 f"type applied to non-polymorphic type {S.pretty(fty)}")
         ty = e.ty
         self._wf(env, ty)
-        rty = self._insts.get((fty, ty))
-        if rty is None:
-            rty = self._insts[fty, ty] = subst_type(fty.body, {fty.var: ty})
-        return rty
+        return subst_type(fty.body, {fty.var: ty})
 
     def _infer_method(self, env, e: IMethod) -> FdType:
         dq, m = self.check_dict(env, e.dict), e.method
@@ -492,9 +480,8 @@ class FdChecker:
         entry = self.sigma[index]
         if entry.con in self._impl_memo:
             return
-        prefix = self.child(self.sigma[:index])
         try:
-            ity = prefix.check_expr((), entry.impl)
+            ity = self._prefix(index).check_expr((), entry.impl)
         except FdTypeError as err:
             if err.kind == UNKNOWN_CONSTRUCTOR:
                 raise FdTypeError(

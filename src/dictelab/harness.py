@@ -42,21 +42,15 @@ CLI prints the program's type and its composed targets from the typed
 program itself (`corners`), so a report unpacks no tree of its own.
 Metatheory: walk evaluation traces re-typing every step, by typing alone,
 and fuzz the intermediate typechecker/evaluator with seeded type-directed
-term generation. A stream of terms over one Σ shares that Σ's state: the
-generator's closed dictionaries, their method calls, indexed by type, its
-literals and the types it draws (`_Generators`), so that a node finds the
-calls of its type by one lookup unless its type holds a binder, and the
-per-Σ memos of one base checker (see `FdChecker`): the implementations
-checked, the type of each closed dictionary, which the stream's terms
-type once per Σ, and the type of each method projection by method and
-dictionary type. Like the type translations, these are bounded by the
-closed dictionaries and the types the Σ is used with. A typed Σ keeps
-that state for as long as it lives; any other Σ, or a typed one given a
-class environment not its own, gets new state for each call. Each term
-gets its own checker, a child of the base, whose type instantiations
-start empty; the types it finds stay on the nodes, and the nodes the
-stream shares (method calls, literals) are the Σ's own, so no node that
-outlives the Σ keeps its typings.
+term generation. A stream of terms over one Σ types them with Σ's one
+checker, the one the reports use (`fd_env_wf`, see `FdChecker`), and
+shares the generator's state (`_Generators`): the closed dictionaries,
+their method calls, indexed by type, its literals and the types it draws.
+A typed Σ keeps both for as long as it lives; any other Σ, or a typed one
+given a class environment not its own, gets new ones for each call. The
+types a checker finds stay on the nodes, and the nodes the stream shares
+(method calls, literals) are the Σ's own, so no node that outlives the Σ
+keeps its typings.
 
 Contextual equivalence is probed, never decided: whole-program boolean
 observations plus user-supplied finite context sets.
@@ -69,8 +63,7 @@ import random
 from collections import namedtuple
 
 from . import fd_core, syntax as S, target_core
-from .fd_core import (FUEL, FdChecker, fd_env_wf, fd_leaves, fd_step,
-                      is_fd_value)
+from .fd_core import FUEL, fd_env_wf, fd_leaves, fd_step, is_fd_value
 from .source_typer import (MAX_ELABORATIONS, DirectTranslator, MethodEnv,
                            SrcTypeError, typecheck_main, typecheck_program)
 from .syntax import (
@@ -305,20 +298,22 @@ def check_decomposition(p: SrcProgram,
 class _Generators:
     """The generator's state over one Σ: the closed dictionaries of sigma
     (`closed_dicts`), the method call of each, indexed by its type, the
-    types of depth at most 1 (`types`), and the target types of the
-    latest term generated (`kept`). A type without binders is alpha-equal
-    only to itself, so `calls` maps each such type to its calls; the
+    types of depth at most 1 (`types`), and the types of the latest term
+    generated (`kept`). A type without binders is alpha-equal only to
+    itself, so `calls` maps each such type to its calls (without the
+    index, fuzz `wall_s` +4.2% in alternating perfbench pairs); the
     calls whose types hold a binder are a list of (call, type) pairs,
     `bound_calls`, which a type with a binder scans with `alpha_eq`. Both
     keep the calls' order, and each call has its facts, as do the two
     literals at `Bool` (`literals`), so that typing keys each shared node
-    by the base checker's token alone from the first term on. `types` holds
+    by the checker's token alone from the first term on. `types` holds
     `Bool`, `Bool -> Bool`, then as tuples, from which a second draw
     picks (`_draw_type`), `∀gi. gi -> Bool` for i < 3 and `q => Bool` for
     each closed dictionary's q (or `Bool`). Keeping the types keeps them
     interned while that term is checked, whose types are mostly the same
-    objects, and while the next term is generated; a term's generation
-    replaces the set, so it holds one term's types."""
+    objects, and while the next term is generated (without `kept`, fuzz
+    +8.3%); a term's generation replaces the set, so it holds one term's
+    types."""
 
     def __init__(self, sigma, TC):
         self.dicts = closed_dicts(sigma)
@@ -341,14 +336,10 @@ class _Generators:
 
 
 def _stream(build, sigma, TC):
-    """build(sigma, TC), part of the state the terms over sigma share:
-    kept by sigma if it is a typed Σ over TC, else built for this call
-    alone. The parts are a base checker (`FdChecker`), never used itself,
-    whose children check the terms and share its per-Σ memos, closed
-    annotations found well formed among them, and the generator's state
-    (`_Generators`): its closed dictionaries and the types of the latest
-    term. Both are bounded: by the types the Σ is used at, and by one
-    term."""
+    """build(sigma, TC), the part of the state the terms over sigma share
+    that build makes: Σ's checker (`fd_env_wf`) or the generator's state
+    (`_Generators`). It is kept by sigma if it is a typed Σ over TC, else
+    built for this call alone."""
     if isinstance(sigma, MethodEnv) and sigma.TC is TC:
         return sigma.derived(build)
     return build(sigma, TC)
@@ -359,8 +350,8 @@ def _stream(build, sigma, TC):
 # ---------------------------------------------------------------------------
 
 def check_metatheory(sigma, TC, e: FdExpr, fuel: int = FUEL) -> MetaReport:
-    checker = _stream(FdChecker, sigma, TC).child()
     try:
+        checker = _stream(fd_env_wf, sigma, TC)
         ty0 = checker.check_expr((), e)
     except fd_core.FdTypeError as err:   # a violation before any step
         return MetaReport(0, False, False, True, f"{S.pretty(e)} : {err}")
@@ -393,11 +384,11 @@ def closed_dicts(sigma):
     """Closed dictionary values derivable from the method environment.
 
     Polymorphic instance binders are instantiated at Bool; contexts are
-    resolved against dictionaries found in earlier rounds, of which there
-    are at most three.
+    resolved against dictionaries found in earlier rounds, until a round
+    finds none: at most one round per entry.
     """
     found: list[tuple[FdQ, DCon]] = []
-    for _ in range(3):
+    while True:
         new = []
         for entry in sigma:
             sc = entry.scheme
@@ -421,9 +412,8 @@ def closed_dicts(sigma):
                 continue
             new.append((head, DCon(entry.con, type_args, tuple(args))))
         if not new:
-            break
+            return found
         found.extend(new)
-    return found
 
 
 # The rules of a term of type ty, in the order `generate_fd_term` draws

@@ -36,8 +36,8 @@ ran: dict[str, set[int] | None] = {}
 # `python -m dictelab.cli` and the `dictelab` script run, and the
 # `__main__` guard's call of it. A line whose text differs is not excused.
 CHILD_ONLY = {
-    "src/dictelab/cli.py": {310: "gc.freeze()", 311: "return main()",
-                            315: "sys.exit(entry())"},
+    "src/dictelab/cli.py": {309: "gc.freeze()", 310: "return main()",
+                            314: "sys.exit(entry())"},
 }
 
 

@@ -445,7 +445,11 @@ def test_commands_that_read_no_target_translate_nothing_directly(
                         source_typer.DirectTranslator._TRANSLATIONS)
     validated = count_calls(monkeypatch, harness, "fd_env_wf")
     code, _, _ = run_cli(capsys, argv[0], src("P2"), *argv[1:])
-    assert code == 0 and calls == [] and validated == []
+    assert code == 0 and calls == []
+    # meta types its traces with each Σ's one checker, validated once.
+    r = corpus_result("P2")
+    assert validated == ([(sigma, r.fd_class_env) for sigma in
+                          r.decls.variants] if argv[0] == "meta" else [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -671,6 +675,18 @@ def test_meta_exits_2_on_an_ill_typed_start_term(capsys, monkeypatch):
     assert code == 2
     assert "preservation: FAILED" in out
     assert "EXHAUSTED" not in out
+
+
+def test_meta_exits_2_when_a_violation_meets_fuel_exhaustion(capsys,
+                                                            monkeypatch):
+    # The program's own trace runs out of fuel, the generated term fails
+    # preservation: the violation wins, as in coherence and decompose.
+    monkeypatch.setattr(harness, "generate_fd_term",
+                        lambda *_: S.IApp(S.ITrue(), S.ITrue()))
+    code, out, _ = run_cli(capsys, "meta", src("P1"), "--generate", "1",
+                           "--fuel", "0")
+    assert code == 2
+    assert "fuel: EXHAUSTED" in out and "preservation: FAILED" in out
 
 
 def _stuck_step(sigma, e):

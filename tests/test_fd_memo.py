@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import dictelab
 from dictelab import fd_core, harness, source_typer, syntax as S
 from dictelab.fd_core import (PREFIX_VIOLATION, FdChecker, FdTypeError,
-                              fd_step, is_fd_value)
+                              fd_env_wf, fd_step, is_fd_value)
 from dictelab.harness import check_metatheory, generate_fd_term
 from dictelab.parser import parse_program
 from dictelab.source_typer import MethodEnv, typecheck_program
@@ -299,9 +299,10 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
             f"{S.pretty(e)} : Mismatch: implementation of 'D1_Eq' has type "
             f"Bool -> Bool, expected Bool -> Bool -> Bool")
     assert len(checks) == len(terms)    # the failure is checked again
-    # The reports shared Σ's base checker; a plain tuple shares nothing.
-    assert {id(self._impl_memo) for self, _ in checks} == \
-        {id(sigma.derived(FdChecker)._impl_memo)}
+    # Σ keeps no checker that failed to validate, so each report builds
+    # its own, as a plain tuple's does.
+    assert len({id(self._impl_memo) for self, _ in checks}) == len(terms)
+    assert fd_env_wf not in sigma._kept
     assert reports == [check_metatheory(tuple(sigma), TC, e) for e in terms]
 
 
@@ -328,7 +329,7 @@ def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
         sorted(entry.con for sigma, _ in envs for entry in sigma)
     assert derived == [(sigma,) for sigma, _ in envs]
     assert {memo for memo, _ in checked} == \
-        {id(sigma.derived(FdChecker)._impl_memo) for sigma, _ in envs}
+        {id(sigma.derived(fd_env_wf)._impl_memo) for sigma, _ in envs}
 
 
 def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
@@ -358,11 +359,13 @@ def test_the_fuzz_digest_checks_each_closed_annotation_once_per_sigma(
         monkeypatch):
     # check_fd_type_wf's calls over the fuzz digest, typed afresh,
     # recursion included: an annotation with a free type variable is
-    # checked at each use, a closed one until it passes once per Σ.
+    # checked at each use, a closed one until it passes once per Σ. An
+    # arrow that a type shares is checked at each occurrence (743 calls
+    # when one call checked it once).
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(checks) == 743
+    assert len(checks) == 771
 
 
 def test_the_fuzz_digest_checks_terms_whose_nodes_have_their_facts(
@@ -437,16 +440,17 @@ def test_the_fuzz_digest_interns_its_types_about_once():
 
 
 def _base_checkers(monkeypatch) -> list:
-    """The base checker of each term checked from here on, in order: the
-    checker whose `child` checks the term (not a prefix checker)."""
+    """The checker of each term checked from here on, in order: the one
+    that `check_metatheory` gets from its Σ (not a prefix checker)."""
     bases = []
-    child = FdChecker.child
+    stream = harness._stream
 
-    def recorded(self, sigma=None):
-        if sigma is None:
-            bases.append(self)
-        return child(self, sigma)
-    monkeypatch.setattr(FdChecker, "child", recorded)
+    def recorded(build, sigma, TC):
+        out = stream(build, sigma, TC)
+        if build is fd_env_wf:
+            bases.append(out)
+        return out
+    monkeypatch.setattr(harness, "_stream", recorded)
     return bases
 
 
@@ -459,7 +463,7 @@ def test_a_typed_programs_stream_state_is_freed_with_it(monkeypatch):
     assert len(bases) == 3 and len(set(map(id, bases))) == 1
     base, state = bases.pop(), sigma.derived(harness._Generators)
     assert base._closed and state.kept
-    # The base checker, its closed annotations found well formed, the
+    # Σ's checker, its closed annotations found well formed, the
     # generator's state and the types of the latest term.
     held = [weakref.ref(x) for x in (base, base._closed, state, state.kept)]
     bases.clear()
@@ -481,7 +485,7 @@ def test_a_sigma_given_another_class_environment_keeps_nothing(
     assert terms == [generate_fd_term(seed, 4, sigma, TC) for seed in range(3)]
     assert reports == [check_metatheory(sigma, TC, e) for e in terms]
     assert set(map(id, bases[len(terms):])) == \
-        {id(sigma.derived(FdChecker))}
+        {id(sigma.derived(fd_env_wf))}
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +516,11 @@ def test_a_dictionary_with_a_variable_is_typed_under_each_environment(
         with pytest.raises(FdTypeError, match="unbound dictionary variable"):
             checker.check_dict((), d)
     assert len(rule) == 6 and not checker._dicts
-    # With a closed argument it is typed once, under any environment and
-    # by every checker child() makes for the same Σ.
+    # With a closed argument it is typed once, under any environment.
     closed = DCon("D2_Eq", (IBool(),), (DCon("D1_Eq", (), ()),))
     rule.clear()
-    for env in ((), good, bad):
+    for env in ((), good, bad, ()):
         assert checker.check_dict(env, closed) is EQ_FUN
-        assert checker.child().check_dict(env, closed) is EQ_FUN
     assert [d for _, _, d in rule] == [closed, closed.dict_args[0]]
 
 
@@ -533,9 +535,9 @@ def test_an_ill_typed_dictionary_raises_at_every_call(monkeypatch):
         (DCon("D3_Eq", (), ()), "unknown dictionary constructor"),
     ]
     for d, message in cases:
-        for typer in (checker, checker.child(), checker):
+        for _ in range(3):
             with pytest.raises(FdTypeError, match=message):
-                typer.check_dict((), d)
+                checker.check_dict((), d)
         assert [x for _, _, x in rule].count(d) == 3
         assert d not in checker._dicts
     assert list(checker._dicts) == [d1]
@@ -561,9 +563,9 @@ def test_a_prefix_checker_keeps_its_own_dictionary_memo():
     checker = FdChecker(sigma, sigma.TC)
     assert checker.check_dict((), DCon("D2_Ord", (), ())) is \
         FdQ("Ord", IBool())
-    for typer in (checker, checker.child(), checker):
+    for _ in range(3):
         with pytest.raises(FdTypeError) as err:
-            typer.check_dict((), DCon("D1_Eq", (), ()))
+            checker.check_dict((), DCon("D1_Eq", (), ()))
         assert err.value.kind == PREFIX_VIOLATION
         assert "references a constructor declared later" in str(err.value)
     assert list(checker._dicts) == [DCon("D2_Ord", (), ())]
@@ -598,19 +600,22 @@ def _outcome(check, *args):
 def test_an_ill_formed_closed_annotation_raises_at_every_check(
         monkeypatch):
     base = _p4_checker()
+    full = len(base.sigma)
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for e in _annotated(ORD_BOOL_TO_BOOL):
-        got = [_outcome(base.child().check_expr, (), e) for _ in range(3)]
+        got = [_outcome(base._prefix(full).check_expr, (), e)
+               for _ in range(3)]
         assert got == [(FdTypeError, fd_core.UNKNOWN_METHOD,
                         "UnknownMethod: unknown class 'Ord'")] * 3
     # Checked anew each time, as a fresh checker would, and never kept.
     assert sum(args[2] is ORD_BOOL_TO_BOOL for args in checks) == 9
     assert ORD_BOOL_TO_BOOL not in base._closed
-    # A well-formed one is checked once, whatever child checks it.
+    # A well-formed one is checked once, by whichever checker shares the
+    # memo, though each prefix checker has its own token and types e anew.
     checks.clear()
     for e in _annotated(EQ_BOOL_TO_BOOL):
         for _ in range(3):
-            base.child().check_expr((), e)
+            base._prefix(full).check_expr((), e)
     assert [args[2] for args in checks].count(EQ_BOOL_TO_BOOL) == 1
     assert EQ_BOOL_TO_BOOL in base._closed
 
@@ -664,7 +669,7 @@ def test_the_closed_annotation_memo_agrees_with_checking_directly():
                 for at in (env, ()):
                     want = _outcome(fd_core.check_fd_type_wf, tc,
                                     env_tyvars(at), t)
-                    for typer in (checker, checker.child()):
+                    for typer in (checker, checker._prefix(0)):
                         assert _outcome(typer._wf, at, t) == want
                     seen["closed"] += not t._fv
                     seen["failed"] += want is not None
@@ -674,16 +679,15 @@ def test_the_closed_annotation_memo_agrees_with_checking_directly():
 def test_a_checker_over_another_class_environment_has_its_own_memo():
     base = _p4_checker()
     e = ILam("x", EQ_BOOL_TO_BOOL, IVar("x"))
-    assert base.child().check_expr((), e) == \
-        IArrow(EQ_BOOL_TO_BOOL, EQ_BOOL_TO_BOOL)
+    assert base.check_expr((), e) == IArrow(EQ_BOOL_TO_BOOL, EQ_BOOL_TO_BOOL)
     assert EQ_BOOL_TO_BOOL in base._closed
-    # Children share the memo, prefix checkers too: they have the same TC.
-    assert base.child()._closed is base.child(base.sigma[:1])._closed \
+    # Prefix checkers share the memo: they have the same TC.
+    assert base._prefix(1)._closed is base._prefix(0)._closed \
         is base._closed
     other = FdChecker(base.sigma, ())
     assert not other._closed
     with pytest.raises(FdTypeError, match="unknown class 'Eq'"):
-        other.child().check_expr((), e)
+        other.check_expr((), e)
     assert not other._closed
 
 
@@ -843,7 +847,7 @@ def test_a_node_typed_under_two_sigmas_gets_each_sigmas_type(facts):
         for typer, (sigma, TC), want in typers * 2:
             assert assert_same_as_unshared(typer, sigma, TC, e, env)[0] \
                 is want
-            assert typer.child().check_expr(env, e) is want
+            assert typer.check_expr(env, e) is want
         assert len(e._types) == 2
 
 
@@ -855,17 +859,15 @@ def test_a_prefix_checkers_typing_never_answers_for_the_full_sigma(
     # Bool; its strict prefix, which checks it, has not.
     assert full.check_expr((), sigma[0].impl) is \
         IArrow(IBool(), BOOL_TO_BOOL)
-    for typer in (full, full.child()):
+    for _ in range(2):
         with pytest.raises(FdTypeError) as err:
-            typer.check_expr((), IMethod(DCon("D1_Eq", (), ()), "eq"))
+            full.check_expr((), IMethod(DCon("D1_Eq", (), ()), "eq"))
         assert err.value.kind == PREFIX_VIOLATION
-    # Each prefix checker types a node anew; a child of the full Σ reads
-    # the full Σ's typing.
+    # Each prefix checker types a node anew; the full Σ's checker reads
+    # its own typing.
     infer = count_calls(monkeypatch, FdChecker, "_infer")
     e = warm(ILam("y", IBool(), IVar("y")))
-    prefix = full.sigma[:1]
-    for typer in (full.child(prefix), full.child(prefix), full,
-                  full.child()):
+    for typer in (full._prefix(1), full._prefix(1), full, full):
         assert typer.check_expr((), e) is BOOL_TO_BOOL
     assert sum(args[2] is e for args in infer) == 3
     assert len(e._types) == 3
@@ -920,6 +922,23 @@ def _package_nodes() -> list:
         elif isinstance(x, S._Entry):
             todo.append(x())
     return out
+
+
+def test_a_sigmas_reports_and_stream_share_its_one_checker():
+    # Σ keeps its direct translator, its checker and its generator's
+    # state, and nothing else; its implementations keep the typings of
+    # that checker's prefix checkers and of the checker itself alone (17
+    # when the stream had a second checker family).
+    r = typecheck_program(corpus_program("P4"))
+    harness.coherence_report(r)
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    for seed in range(50):
+        check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
+    assert len(sigma._kept) == 3
+    keys = {"token": 0, "all": 0}
+    for entry in sigma:
+        _count_typings(entry.impl, keys)
+    assert keys["all"] == 9
 
 
 def test_no_node_of_the_package_keeps_a_typing():

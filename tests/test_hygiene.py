@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or its tests imports a name
 it never reads, no function of the package takes a parameter it never
 reads, nothing the package defines at top level goes unread or is read by
-the tests alone, no nested function of the package outlives its call in
-a reference cycle, no loop of the package iterates a set, and no `match`
+the tests alone, no attribute the package stores goes unread by the
+program, no nested function of the package outlives its call in a
+reference cycle, no loop of the package iterates a set, and no `match`
 of the package has a class pattern.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
@@ -31,6 +32,15 @@ UNREAD_DEFINITIONS = {"__version__"}
 # A parameter that a protocol fixes, by module, function and name:
 # `object.__setattr__` passes the value a frozen class refuses to set.
 PROTOCOL_PARAMETERS = {("syntax.py", "_frozen_setattr", "value")}
+# An attribute that the package stores and no program reader loads, by
+# module and name, with what reads it or why it is kept.
+UNREAD_ATTRIBUTES = {
+    ("harness.py", "kept"): "keeps the latest term's types interned while "
+                            "its trace is checked and the next term drawn",
+    ("syntax.py", "__repr__"): "`frozen` installs it; repr() reads it",
+    ("syntax.py", "__delattr__"): "`frozen` installs it; `del` reads it",
+    ("syntax.py", "__reduce__"): "copy and pickle read it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -140,6 +150,72 @@ def test_the_scan_sees_a_definition_only_the_tests_read():
     tests = "import m\nm.f()\n"
     assert unread_definitions(package, [*program, tests]) == []
     assert unread_definitions(package, program) == ["m.py:1: f"]
+
+
+def _setattr_names(tree) -> list:
+    """The string that names the attribute in each call of a `setattr`
+    in tree, as `object.__setattr__(x, "name", value)`."""
+    return [n.args[1] for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and ast.unparse(n.func).strip("_").endswith("setattr")
+            and len(n.args) > 1
+            and isinstance(n.args[1], ast.Constant)
+            and isinstance(n.args[1].value, str)]
+
+
+def stored_attributes(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each attribute source stores, in line order:
+    `x.name = ...`, and a call of a `setattr` that names it by a string."""
+    tree = ast.parse(source)
+    out = [(n.lineno, n.value) for n in _setattr_names(tree)]
+    out += [(n.lineno, n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)]
+    return sorted(out)
+
+
+def attribute_reads(source: str) -> set[str]:
+    """The attribute names source loads (`x.name`), and each part of a
+    string that is a dotted name, as `getattr` names what it reads, but
+    not the name a `setattr` stores. A plain name loaded reads none."""
+    tree = ast.parse(source)
+    stored = set(map(id, _setattr_names(tree)))
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and id(n) not in stored \
+                and all(p.isidentifier() for p in n.value.split(".")):
+            out.update(n.value.split("."))
+    return out
+
+
+def unread_attributes(package: dict[str, str], readers) -> list[str]:
+    """"module:line: name" for each attribute the package, sources by
+    module name, stores and no source of readers loads: state that costs
+    a store and pays nothing, unless `UNREAD_ATTRIBUTES` gives a reason."""
+    read = set().union(*map(attribute_reads, readers))
+    return [f"{module}:{line}: {name}" for module, source in package.items()
+            for line, name in stored_attributes(source)
+            if name not in read and (module, name) not in UNREAD_ATTRIBUTES]
+
+
+def test_no_attribute_of_the_package_goes_unread():
+    assert unread_attributes({p.name: p.read_text() for p in PACKAGE},
+                             [p.read_text() for p in PROGRAM_READERS]) == []
+
+
+def test_the_scan_sees_an_unread_attribute():
+    package = {"m.py": ("class C:\n"
+                        "    def __init__(self):\n"
+                        "        self.a, self.b = 1, 2\n"
+                        "        self.c = 3\n"
+                        "        object.__setattr__(self, 'd', 4)\n"
+                        "        setattr(self, 'e', 5)\n"
+                        "    def f(self): return self.a\n")}
+    readers = [*package.values(), "import m\nc = 1\nprint(c)\n"
+                                  "getattr(m.C(), 'e')\n"]
+    assert unread_attributes(package, readers) == [
+        "m.py:3: b", "m.py:4: c", "m.py:5: d"]
 
 
 def unused_parameters(source: str) -> list[tuple[str, str]]:
