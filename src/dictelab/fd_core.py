@@ -77,9 +77,12 @@ STUCK = "Stuck"
 
 
 class FdTypeError(Exception):
-    def __init__(self, kind: str, detail: str):
+    """A typing error of kind, with detail; con is the constructor an
+    `UnknownConstructor` error names."""
+
+    def __init__(self, kind: str, detail: str, con: str | None = None):
         super().__init__(kind, detail)
-        self.kind, self.detail = kind, detail
+        self.kind, self.detail, self.con = kind, detail, con
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
@@ -160,9 +163,9 @@ def elab_fd_type(TC, t: FdType | FdQ, memo=None) -> TgtType:
             out = TForall(t.var, elab_fd_type(TC, t.body, memo))
         elif kind is FdQ:
             entry = lookup_class_by_name(TC, t.cls)
-            out = TRecordTy(((entry.method, subst_type(
+            out = TRecordTy(entry.method, subst_type(
                 elab_fd_type(TC, entry.method_type, memo),
-                {entry.var: elab_fd_type(TC, t.arg, memo)})),))
+                {entry.var: elab_fd_type(TC, t.arg, memo)}))
         else:
             raise TypeError(t)
         memo[t] = out
@@ -242,6 +245,7 @@ class FdChecker:
     def __init__(self, sigma, TC):
         self.sigma = tuple(sigma)
         self.TC = tuple(TC)
+        self._whole = self.sigma    # the Σ whose prefix this checker types
         self._impl_memo: set[str] = set()
         self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
@@ -257,8 +261,8 @@ class FdChecker:
         environment's length; its own dictionary memo and token keep it
         from reading what this checker found."""
         out = FdChecker(self.sigma[:index], self.TC)
-        out._impl_memo, out._closed, out._methods = \
-            self._impl_memo, self._closed, self._methods
+        out._whole, out._impl_memo, out._closed, out._methods = \
+            self._whole, self._impl_memo, self._closed, self._methods
         return out
 
     def _wf(self, env, t):
@@ -448,7 +452,8 @@ class FdChecker:
                       if entry.con == name), None)
         if index is None:
             raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                              f"unknown dictionary constructor {name!r}")
+                              f"unknown dictionary constructor {name!r}",
+                              name)
         sc = self.sigma[index].scheme
         if len(type_args) != len(sc.binders):
             raise FdTypeError(
@@ -476,14 +481,17 @@ class FdChecker:
 
     def _check_impl(self, index: int):
         """Check entry's implementation against the strict prefix of the
-        method environment, once per Σ."""
+        method environment, once per Σ. A constructor it names that the
+        prefix lacks and the whole Σ declares, so at or after entry, is a
+        `PrefixViolation`."""
         entry = self.sigma[index]
         if entry.con in self._impl_memo:
             return
         try:
             ity = self._prefix(index).check_expr((), entry.impl)
         except FdTypeError as err:
-            if err.kind == UNKNOWN_CONSTRUCTOR:
+            if err.kind == UNKNOWN_CONSTRUCTOR and any(
+                    other.con == err.con for other in self._whole):
                 raise FdTypeError(
                     PREFIX_VIOLATION,
                     f"implementation of {entry.con!r} references a "
@@ -598,7 +606,7 @@ class FdChecker:
             assert type(te_impl) is kind
             spine.append(te_impl)
             te_impl = te_impl.body
-        out: TgtExpr = TRecord(((entry.method, te_impl),))
+        out: TgtExpr = TRecord(entry.method, te_impl)
         for b in reversed(spine):
             out = TLam(b.param, b.ty, out) if type(b) is TLam \
                 else TTyLam(b.param, out)
@@ -932,14 +940,9 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
                 fuel = spend_fuel(fuel)
                 stack.pop()
                 if frame is TProj:
-                    k = next((k for k, (label, _) in enumerate(e.fields)
-                              if label == arg), None)
-                    if k is None:
+                    if e.label != arg:
                         raise stuck(f"record has no field {arg!r}")
-                    field = e.fields[k]
-                    pos = pos and child(child(child(pos, e, 0), e.fields, k),
-                                        field, 1)
-                    e = field[1]
+                    e, pos = e.expr, pos and child(pos, e, 1)
                 elif frame is IMethod:
                     # The implementation applied to the type arguments, then
                     # to the dictionary arguments: the first type argument

@@ -3,20 +3,22 @@
 Both translations, direct(D, Σ) and composed(fd(D, Σ)), are
 homomorphisms over derivations D, so each method environment Σ
 translates the program's packed forest of derivations once per side
-(`_environments`). Coherence evaluates the two translated forests
-(`fd_leaves`, `tgt_leaves`), decomposition compares them (`forest_eq`),
-and a command that prints one corner unpacks that forest alone
-(`corners`). That is the only path: no derivation is translated alone,
-and a forest that fails to type or translate raises, even where the
-failing alternative is used only by derivations past the cap, which no
-check reads. The composed side types the forest (`FdChecker.check_expr`,
-the typing judgment alone), then translates it (`FdChecker.translate`, a
-structural walk over the typed forest); coherence does the same for each
-intermediate value. Each Σ's direct translator and `fd_env_wf`-validated
-checker are built once and kept by Σ itself (`MethodEnv.derived`), which
-both reports and every coherence context share: the reports take a typed
-program, which `check_coherence` and `check_decomposition` type under a
-cap whose default is `source_typer.MAX_ELABORATIONS`.
+(`DirectTranslator`, `_composed`). Coherence evaluates the two translated
+forests (`fd_leaves`, `tgt_leaves`), decomposition compares them
+(`forest_eq`), and a command that prints one corner translates and
+unpacks that forest alone (`corners`). That is the only path: no
+derivation is translated alone, and a forest that fails to type or
+translate raises, even where the failing alternative is used only by
+derivations past the cap, which no check reads. The composed side types
+the forest (`FdChecker.check_expr`, the typing judgment alone), then
+translates it (`FdChecker.translate`, a structural walk over the typed
+forest); coherence does the same for each intermediate value. Each Σ's
+direct translator and `fd_env_wf`-validated checker are built once, when
+a command first reads that side, and kept by Σ itself
+(`MethodEnv.derived`), which both reports and every coherence context
+share: the reports take a typed program, which `check_coherence` and
+`check_decomposition` type under a cap whose default is
+`source_typer.MAX_ELABORATIONS`.
 Coherence: every elaboration read gives Kleene-equal results along every
 pipeline. Each Σ evaluates each translated forest once, not each tree:
 the intermediate forest under Σ (each value then translated and evaluated
@@ -47,7 +49,7 @@ checker, the one the reports use (`fd_env_wf`, see `FdChecker`), and
 shares the generator's state (`_Generators`): the closed dictionaries,
 their method calls, indexed by type, its literals and the types it draws.
 A typed Σ keeps both for as long as it lives; any other Σ, or a typed one
-given a class environment not its own, gets new ones for each call. The
+given a class environment not its own, is refused (`TypeError`). The
 types a checker finds stay on the nodes, and the nodes the stream shares
 (method calls, literals) are the Σ's own, so no node that outlives the Σ
 keeps its typings.
@@ -120,19 +122,6 @@ class MetaReport:
 # The translated forests
 # ---------------------------------------------------------------------------
 
-def _environments(r):
-    """For each method environment Σ that r.fd_elabs reaches, in order:
-    its index, Σ, its checker, the number n of derivations read under it,
-    and the direct and composed translations of r's forest. The checker
-    and the direct translator are Σ's own, built when any result typed
-    against r.decls first reads Σ."""
-    for variant, (sigma, n) in enumerate(r.variants_read):
-        checker = sigma.derived(fd_env_wf)
-        yield (variant, sigma, checker, n,
-               sigma.derived(DirectTranslator)(r.forest),
-               _composed(checker, r.forest))
-
-
 def _composed(checker, e) -> TgtExpr:
     """The composed translation of the closed term e: typed, then
     translated, by checker."""
@@ -142,13 +131,15 @@ def _composed(checker, e) -> TgtExpr:
 
 def corners(r, mode: str, limit: int | None = None):
     """One target of each elaboration of r, lazily and in order: its
-    direct or its composed target (mode), unpacked from that translated
-    forest alone; the first limit of them if limit is given."""
-    for _, _, _, n, direct, composed in _environments(r):
+    direct or its composed target (mode), translated and unpacked from
+    that forest alone; the first limit of them if limit is given."""
+    for sigma, n in r.variants_read:
         if limit is not None:
             n = min(n, limit)
             limit -= n
-        yield from S.unpack(direct if mode == "direct" else composed, n)
+        yield from S.unpack(
+            sigma.derived(DirectTranslator)(r.forest) if mode == "direct"
+            else _composed(sigma.derived(fd_env_wf), r.forest), n)
         if limit == 0:      # read no further Σ
             return
 
@@ -198,7 +189,10 @@ def _outcomes(r, fuel: int) -> list:
     Σ's intermediate and composed outcomes, and after each Σ's direct
     ones, the least-ranked error among them."""
     out, directs = [], []
-    for variant, sigma, checker, n, direct, composed in _environments(r):
+    for variant, (sigma, n) in enumerate(r.variants_read):
+        checker = sigma.derived(fd_env_wf)
+        direct = sigma.derived(DirectTranslator)(r.forest)
+        composed = _composed(checker, r.forest)
         found = list(_fd_outcomes(r, variant, sigma, checker, n, fuel))
         found += [Outcome((0, variant, leaf.low, 1), "composed target of",
                           r.forest, leaf)
@@ -265,8 +259,10 @@ def decomposition_report(r) -> DecompositionReport:
     forests, and only where they differ, the derivations unpacked beside
     the targets of each, to name those whose targets differ."""
     count, mismatches = 0, []
-    for variant, _, _, n, direct, composed in _environments(r):
+    for variant, (sigma, n) in enumerate(r.variants_read):
         count += n
+        direct = sigma.derived(DirectTranslator)(r.forest)
+        composed = _composed(sigma.derived(fd_env_wf), r.forest)
         if S.forest_eq(direct, composed):
             continue
         for ie, d, c in zip(S.unpack(r.forest, n), S.unpack(direct, n),
@@ -338,11 +334,12 @@ class _Generators:
 def _stream(build, sigma, TC):
     """build(sigma, TC), the part of the state the terms over sigma share
     that build makes: Σ's checker (`fd_env_wf`) or the generator's state
-    (`_Generators`). It is kept by sigma if it is a typed Σ over TC, else
-    built for this call alone."""
-    if isinstance(sigma, MethodEnv) and sigma.TC is TC:
-        return sigma.derived(build)
-    return build(sigma, TC)
+    (`_Generators`), kept by sigma, a typed Σ (`MethodEnv.derived`). Any
+    other sigma, or a TC not sigma's own, raises `TypeError`."""
+    if not isinstance(sigma, MethodEnv) or sigma.TC is not TC:
+        raise TypeError("a stream of terms runs over a typed Σ and its own "
+                        "class environment")
+    return sigma.derived(build)
 
 
 # ---------------------------------------------------------------------------

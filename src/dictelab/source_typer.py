@@ -685,7 +685,7 @@ class DirectTranslator:
         field = self._abstract(entry.meth_binders, entry.meth_dvars,
                                entry.meth_qtys, self(body))
         out = self._abstract(sc.binders, entry.ctx_dvars, sc.context,
-                             TRecord(((entry.method, field),)))
+                             TRecord(entry.method, field))
         for ty in node.type_args:
             out = TTyApp(out, self(ty))
         for d in node.dict_args:
@@ -710,8 +710,8 @@ class DirectTranslator:
     def _constraint(self, node: FdQ) -> TgtType:
         # The record type of the class's method at the argument.
         c = self.classes[node.cls]
-        return TRecordTy(((c.method, subst_type(
-            self(c.method_type), {c.var: self(node.arg)})),))
+        return TRecordTy(c.method, subst_type(
+            self(c.method_type), {c.var: self(node.arg)}))
 
     def _choice(self, node: IChoice) -> TgtExpr:
         return TChoice(tuple(map(self, node.alts)))

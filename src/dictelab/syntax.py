@@ -1,13 +1,14 @@
 """Abstract syntax for the three languages of the elaboration pipeline.
 
 Three term languages live here: the surface language with type classes, the
-intermediate language with first-class dictionaries, and the record-based
-System F target. All nodes are immutable record classes built by `frozen`,
-which reads their fields from their annotations and compiles their methods
-once per template (field count, fields compared, `__post_init__`), renaming
-a copy for each class, since importing the CLI takes much of a short run;
-that is the only compilation, so a field named like a name the template
-uses is rejected. The types of the three languages and the dictionaries
+intermediate language with first-class dictionaries, and the System F
+target, where a dictionary is a record of one field, its class's method.
+All nodes are immutable record classes built by `frozen`, which reads
+their fields from their annotations and compiles their methods once per
+template (field count and fields compared), renaming a copy for each
+class, since importing the CLI takes much of a short run; that is the
+only compilation, so a field named like a name the template uses is
+rejected. The types of the three languages and the dictionaries
 of the intermediate one are interned (`interned`): an equal type or
 dictionary is the same object, hashed by its identity, and two distinct
 ones without a binder are not alpha-equivalent. Every node caches its
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 from _string import formatter_parser  # what `string.Formatter.parse` calls
 from collections import namedtuple
-from operator import attrgetter, is_, itemgetter
+from operator import attrgetter, is_
 from types import FunctionType
 
 from _weakref import _remove_dead_weakref, ref
@@ -62,9 +63,9 @@ def _frozen_repr(self):
 
 
 # The globals of every compiled method, and the templates by key: field
-# count, the positions of the fields compared and whether the class has a
-# `__post_init__`. An interned class's methods also read its table and
-# the function that enters a new node in it, from globals of their own.
+# count and the positions of the fields compared. An interned class's
+# methods also read its table and the function that enters a new node in
+# it, from globals of their own.
 _setattr = object.__setattr__
 _new = object.__new__
 _FROZEN_GLOBALS = {"_setattr": _setattr}
@@ -76,7 +77,7 @@ _FROZEN_METHODS = ("__init__", "__eq__", "__hash__")
 _INTERNED_METHODS = ("__new__",)
 
 
-def _frozen_template(arity, positions, post_init) -> tuple:
+def _frozen_template(arity, positions) -> tuple:
     """A template: by whether the class is interned, the code of the
     methods of a frozen class (`_FROZEN_METHODS`) and of an interned one
     (`_INTERNED_METHODS`), both from one `exec`, over the placeholder
@@ -84,19 +85,15 @@ def _frozen_template(arity, positions, post_init) -> tuple:
     and the placeholders."""
     fields = tuple(f"_{i}" for i in range(arity))
     init = [f"  _setattr(self,{n!r},{n})" for n in fields]
-    if post_init:
-        init.append("  self.__post_init__()")
     own = "".join(f"self.{fields[i]}," for i in positions)
     other = "".join(f"other.{fields[i]}," for i in positions)
     # `__new__` returns the live node with the fields given, if there is
-    # one, or enters a new one (`_interner`). Fields that `__post_init__`
-    # changes are no key before it has run.
+    # one, or enters a new one (`_interner`).
     key = "(" + "".join(fields[i] + "," for i in positions) + ")"
-    new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
     ns = {}
     exec(f"def __new__({','.join(('_cls', *fields))}):\n"
-         + ("  return " if post_init else new)
-         + f"_intern(_cls,{key})\n"
+         f"  _ref=_table.get({key})\n"
+         f"  return _ref and _ref() or _intern(_cls,{key})\n"
          f"def __init__({','.join(('self', *fields))}):\n"
          + ("\n".join(init) or "  pass") + "\n"
          "def __eq__(self, other):\n"
@@ -113,15 +110,14 @@ def _frozen_template(arity, positions, post_init) -> tuple:
     return kinds, fields
 
 
-def _frozen_methods(owner, names, compared, post_init, interned) -> tuple:
+def _frozen_methods(owner, names, compared, interned) -> tuple:
     """The code of the methods of one shape of the class named owner,
     `_FROZEN_METHODS` or, if interned, `_INTERNED_METHODS`: its template's
     with each placeholder renamed to its field, the same code a
     compilation of the shape's own source gives. A field named like a
     name the methods use besides it would change what the code means, so
     it raises `TypeError`."""
-    key = (len(names), tuple(i for i, n in enumerate(names) if n in compared),
-           post_init)
+    key = (len(names), tuple(i for i, n in enumerate(names) if n in compared))
     entry = _FROZEN_CODE.get(key)
     if entry is None:
         entry = _FROZEN_CODE[key] = _frozen_template(*key)
@@ -146,17 +142,18 @@ def frozen(cls, interned=False):
 
     The fields are the class's own annotations, in order, and
     `__match_args__` names them; a value the class body gives one is its
-    default. `__init__` (defaults and `__post_init__` included), `__eq__`
-    and `__hash__` are the code `dataclass` generates for a frozen class.
-    It is compiled in one `exec` per template (field count, the positions
-    of the fields compared and `__post_init__`) over placeholder fields,
-    and each class gets a copy with the placeholders renamed to its
-    fields: the code its own source compiles to, in its own code object,
-    because Python specializes attribute access per code object. A field
-    named like a name its methods use (`self`, `other`, `hash`,
-    `_setattr`, `NotImplemented`, `__class__`, `__post_init__`; those of
-    an interned class use `_cls`, `_ref`, `_table`, `get` and `_intern`)
-    raises `TypeError`. `__repr__` is one function over the fields compared.
+    default. `__init__` (defaults included), `__eq__` and `__hash__` are
+    the code `dataclass` generates for a frozen class with no
+    `__post_init__`; `frozen` never calls one. It is compiled in one
+    `exec` per template (field count and the positions of the fields
+    compared) over placeholder fields, and each class gets a copy with
+    the placeholders renamed to its fields: the code its own source
+    compiles to, in its own code object, because Python specializes
+    attribute access per code object. A field named like a name its
+    methods use (`self`, `other`, `hash`, `_setattr`, `NotImplemented`,
+    `__class__`; those of an interned class use `_cls`, `_ref`, `_table`,
+    `get` and `_intern`) raises `TypeError`. `__repr__` is one function
+    over the fields compared.
 
     The fields a class names in `_derived` are functions of the others:
     like a dataclass field with `compare=False, repr=False`, each takes no
@@ -178,13 +175,12 @@ def frozen(cls, interned=False):
     if interned and compared != names:
         raise TypeError(f"{cls.__name__}: an interned class compares every "
                         f"field")
-    codes = _frozen_methods(cls.__name__, names, compared,
-                            hasattr(cls, "__post_init__"), interned)
+    codes = _frozen_methods(cls.__name__, names, compared, interned)
     globals_ = _FROZEN_GLOBALS
     if interned:
         table = _INTERNED[cls] = {}
-        globals_ = {**globals_, "_table": table, "_intern": _interner(
-            table, names, hasattr(cls, "__post_init__"))}
+        globals_ = {**globals_, "_table": table,
+                    "_intern": _interner(table, names)}
         cls.__reduce__ = _reduce
     methods = _INTERNED_METHODS if interned else _FROZEN_METHODS
     for name, c, dflt in zip(methods, codes, (defaults or None, None, None)):
@@ -233,11 +229,10 @@ class _Entry(ref):
     __slots__ = ("key",)
 
 
-def _interner(table, names, post_init):
+def _interner(table, names):
     """The function that builds a node of an interned class from its
-    fields, names, and enters it in table, the class's. Where the class
-    has a `__post_init__`, the key is the fields it leaves, and a live
-    node with those is returned instead."""
+    fields, names, and enters it in table, the class's: `__new__` calls it
+    only when table holds no live node with those fields."""
     def forget(entry):
         _remove_dead_weakref(table, entry.key)
 
@@ -245,13 +240,6 @@ def _interner(table, names, post_init):
         node = _new(cls)
         for name, value in zip(names, key):
             _setattr(node, name, value)
-        if post_init:
-            node.__post_init__()
-            key = tuple([getattr(node, name) for name in names])
-            entry = table.get(key)
-            old = entry and entry()
-            if old is not None:
-                return old
         _facts(node)
         entry = table[key] = _Entry(node, forget)
         entry.key = key
@@ -374,24 +362,15 @@ def _tuple_facts(items: tuple, pending) -> tuple | None:
     pending."""
     out, binds, waiting = {}, False, False
     for v in items:
-        cls = type(v)
-        if cls is tuple:
-            facts = _tuple_facts(v, pending)
-            if facts is None:
-                waiting = True
-                continue
-            fv, b = facts
-        elif cls in _SHAPES:
-            fv = v._fv
-            if fv is None:
-                pending.append(v)
-                waiting = True
-                continue
-            b = v._binds
-        else:
+        if type(v) not in _SHAPES:
+            continue
+        fv = v._fv
+        if fv is None:
+            pending.append(v)
+            waiting = True
             continue
         out.update(dict.fromkeys(fv))
-        binds = binds or b
+        binds = binds or v._binds
     return None if waiting else (tuple(out), binds)
 
 
@@ -711,13 +690,9 @@ class TForall(TgtType):
 
 @interned
 class TRecordTy(TgtType):
-    # Label -> type, kept sorted by label: records are label-indexed.
-    fields: tuple[tuple[str, TgtType], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fields",
-            tuple(sorted(self.fields, key=lambda kv: kv[0])))
+    # A dictionary's type: the record of its class's one method.
+    label: str
+    ty: TgtType
 
 
 class TgtExpr:
@@ -766,12 +741,8 @@ class TTyApp(TgtExpr):
 
 @frozen
 class TRecord(TgtExpr):
-    fields: tuple[tuple[str, TgtExpr], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fields",
-            tuple(sorted(self.fields, key=lambda kv: kv[0])))
+    label: str
+    expr: TgtExpr
 
 
 @frozen
@@ -1628,8 +1599,8 @@ def plug(ctx: SrcExpr, e: SrcExpr) -> SrcExpr:
 # fields: "{f}" prints field f at level 0, "{f:L}" at least at level L, so
 # the walker parenthesises a child that binds more loosely; a name field
 # prints verbatim. "{f:NOTE*SEP}" prints the items of tuple field f, each by
-# the notation NOTE ("{}" is the item, "{0}" its first part), separated by
-# SEP. Schemes and programs keep functions: their layout is conditional.
+# the notation NOTE ("{}" is the item), separated by SEP. Schemes and
+# programs keep functions: their layout is conditional.
 # ---------------------------------------------------------------------------
 
 def _context(items: list[str]) -> str:
@@ -1691,8 +1662,8 @@ _NOTATION = {
     IDApp: (1, "{fun:1} [{arg}]"),
     IMethod: (2, "[{dict}].{method}"),
     # Target
-    TRecordTy: (2, "{{{fields:{0} : {1}*, }}}"),
-    TRecord: (2, "{{{fields:{0} = {1}*, }}}"),
+    TRecordTy: (2, "{{{label} : {ty}}}"),
+    TRecord: (2, "{{{label} = {expr}}}"),
     TProj: (2, "{expr:2}.{label}"),
 }
 
@@ -1706,12 +1677,7 @@ def _compile(notation: str) -> tuple:
         if name is None:
             pieces.append((literal, None, 0, None))
             continue
-        if not name:
-            get = _itself
-        elif name.isdigit():
-            get = itemgetter(int(name))
-        else:
-            get = attrgetter(name)
+        get = attrgetter(name) if name else _itself
         if "*" in spec:
             note, sep = spec.rsplit("*", 1)
             pieces.append((literal, get, 0, (sep, (2, _compile(note)))))

@@ -5,10 +5,10 @@ language (`fd_core.run_machine`), read through the target's table: it
 reaches the value of the leftmost call-by-name small-step semantics in
 the same number of steps, raises the error that semantics raises on a
 stuck term, and evaluates a packed forest too, forking where it inspects
-a choice (`tgt_leaves`). Record literals are values regardless of their
-field expressions; projection extracts the (unevaluated) field once the
-literal is exposed. The small-step reference and the target typechecker
-are kept in the tests.
+a choice (`tgt_leaves`). A record literal has one field and is a value
+regardless of its expression; projection extracts the (unevaluated)
+field once the literal is exposed. The small-step reference and the
+target typechecker are kept in the tests.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ import pytest
 
 from dictelab import harness, syntax as S
 from dictelab.parser import parse_context, parse_program
-from dictelab.source_typer import typecheck_program
+from dictelab.fd_core import fd_env_wf
+from dictelab.source_typer import DirectTranslator, typecheck_program
 from dictelab.syntax import FdDict
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -149,11 +150,13 @@ sigma among them; checker is sigma's, which fd_env_wf validated."""
 
 def squares(r):
     """The commuting square of each elaboration of r, lazily and in order:
-    per Σ, the derivations and the two translated forests of
-    `harness._environments`, the translators the reports use, unpacked
-    side by side. Consecutive squares share their sigma object."""
-    for variant, sigma, checker, n, direct, composed in \
-            harness._environments(r):
+    per Σ, the derivations and the two translated forests, by the
+    translators the reports use, unpacked side by side. Consecutive
+    squares share their sigma object."""
+    for variant, (sigma, n) in enumerate(r.variants_read):
+        checker = sigma.derived(fd_env_wf)
+        direct = sigma.derived(DirectTranslator)(r.forest)
+        composed = harness._composed(checker, r.forest)
         for trees in zip(S.unpack(r.forest, n), S.unpack(direct, n),
                          S.unpack(composed, n)):
             yield Square(variant, sigma, checker, *trees)

@@ -269,17 +269,11 @@ class _TgtReader(_Reader):
             return TTyVar(self.advance()[1])
         if self.at("sym", "{"):
             self.advance()
-            fields = []
-            if not self.at("sym", "}"):
-                while True:
-                    label = self.expect("ident")
-                    self.expect("sym", ":")
-                    fields.append((label, self.type_()))
-                    if not self.at("sym", ","):
-                        break
-                    self.advance()
+            label = self.expect("ident")
+            self.expect("sym", ":")
+            t = TRecordTy(label, self.type_())
             self.expect("sym", "}")
-            return TRecordTy(tuple(fields))
+            return t
         if self.at("sym", "("):
             self.advance()
             t = self.type_()
@@ -310,17 +304,10 @@ class _TgtReader(_Reader):
             e = TVar(self.advance()[1])
         elif self.at("sym", "{"):
             self.advance()
-            fields = []
-            if not self.at("sym", "}"):
-                while True:
-                    label = self.expect("ident")
-                    self.expect("sym", "=")
-                    fields.append((label, self.expr()))
-                    if not self.at("sym", ","):
-                        break
-                    self.advance()
+            label = self.expect("ident")
+            self.expect("sym", "=")
+            e = TRecord(label, self.expr())
             self.expect("sym", "}")
-            e = TRecord(tuple(fields))
         elif self.at("sym", "("):
             self.advance()
             e = self.expr()

@@ -51,11 +51,10 @@ def tgt_step(e):
             if f2 is None:
                 raise TgtTypeError(f"stuck type application {S.pretty(e)}")
             return TTyApp(f2, ty)
-        case TProj(TRecord(fields), label):
-            for l, x in fields:
-                if l == label:
-                    return x
-            raise TgtTypeError(f"record has no field {label!r}")
+        case TProj(TRecord(l, x), label):
+            if l != label:
+                raise TgtTypeError(f"record has no field {label!r}")
+            return x
         case TProj(inner, label):
             i2 = tgt_step(inner)
             if i2 is None:

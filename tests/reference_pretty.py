@@ -180,9 +180,8 @@ def pretty_tgt_type(t: TgtType, atom: bool = False) -> str:
                            atom)
         case TForall(a, body):
             return _parens(f"forall {a}. {pretty_tgt_type(body)}", atom)
-        case TRecordTy(fs):
-            inner = ", ".join(f"{l} : {pretty_tgt_type(ty)}" for l, ty in fs)
-            return "{" + inner + "}"
+        case TRecordTy(l, ty):
+            return "{" + f"{l} : {pretty_tgt_type(ty)}" + "}"
     raise TypeError(t)
 
 
@@ -209,9 +208,8 @@ def pretty_tgt_expr(e: TgtExpr, prec: int = 0) -> str:
         case TTyApp(f, ty):
             return _parens(f"{pretty_tgt_expr(f, 1)} @{pretty_tgt_type(ty, atom=True)}",
                            prec > 1)
-        case TRecord(fs):
-            inner = ", ".join(f"{l} = {pretty_tgt_expr(x)}" for l, x in fs)
-            return "{" + inner + "}"
+        case TRecord(l, x):
+            return "{" + f"{l} = {pretty_tgt_expr(x)}" + "}"
         case TProj(inner, label):
             return f"{pretty_tgt_expr(inner, 2)}.{label}"
     raise TypeError(e)

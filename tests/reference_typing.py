@@ -58,21 +58,16 @@ def tgt_typecheck(env, e: TgtExpr) -> TgtType:
                     f"type applied to non-polymorphic type {S.pretty(fty)}")
             check_tgt_type_wf(env_tyvars(env), ty)
             return subst_type(fty.body, {fty.var: ty})
-        case TRecord(fields):
-            labels = [l for l, _ in fields]
-            if len(set(labels)) != len(labels):
-                raise TgtTypeError("duplicate label in record literal")
-            return TRecordTy(tuple((l, tgt_typecheck(env, x))
-                                   for l, x in fields))
+        case TRecord(l, x):
+            return TRecordTy(l, tgt_typecheck(env, x))
         case TProj(inner, label):
             ity = tgt_typecheck(env, inner)
             if not isinstance(ity, TRecordTy):
                 raise TgtTypeError(
                     f"projection from non-record type {S.pretty(ity)}")
-            for l, ty in ity.fields:
-                if l == label:
-                    return ty
-            raise TgtTypeError(f"record has no field {label!r}")
+            if ity.label != label:
+                raise TgtTypeError(f"record has no field {label!r}")
+            return ity.ty
         case TLet(x, ty, bound, body):
             check_tgt_type_wf(env_tyvars(env), ty)
             bty = tgt_typecheck(env, bound)

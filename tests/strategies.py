@@ -28,9 +28,7 @@ tgt_type = st.deferred(lambda: st.one_of(
     st.sampled_from(TYVARS).map(S.TTyVar),
     st.builds(S.TArrow, tgt_type, tgt_type),
     st.builds(S.TForall, st.sampled_from(TYVARS), tgt_type),
-    st.lists(st.tuples(st.sampled_from(["f", "g"]), tgt_type),
-             max_size=2, unique_by=lambda kv: kv[0])
-      .map(lambda fs: S.TRecordTy(tuple(fs))),
+    st.builds(S.TRecordTy, st.sampled_from(["f", "g"]), tgt_type),
 ))
 
 # Untyped-shape target terms: enough structure for binding-related
@@ -137,9 +135,7 @@ tgt_let_term = st.deferred(lambda: st.one_of(
     tgt_term,
     st.builds(S.TLet, st.sampled_from(TMVARS), tgt_type, tgt_let_term,
               tgt_let_term),
-    st.lists(st.tuples(st.sampled_from(["f", "g"]), tgt_let_term),
-             max_size=2, unique_by=lambda kv: kv[0])
-      .map(lambda fs: S.TRecord(tuple(fs))),
+    st.builds(S.TRecord, st.sampled_from(["f", "g"]), tgt_let_term),
 ))
 
 # Range values free in every variable sort of their language, so that a

@@ -464,7 +464,9 @@ def test_commands_that_read_the_first_square_validate_only_its_sigma(
     code, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
     assert code == 0 and len(r.decls.variants) == 4
-    assert [sigma for sigma, _ in validated] == [r.decls.variants[0]]
+    # The direct corner reads no checker, so it validates no Σ.
+    assert [sigma for sigma, _ in validated] == \
+        ([] if "direct" in argv else [r.decls.variants[0]])
 
 
 @pytest.mark.parametrize("argv,read", [
@@ -490,10 +492,14 @@ def test_commands_that_print_one_corner_unpack_that_forest_alone(
     assert code == 0 and out
     unpacked = list(unpacked)
     r = source_typer.typecheck_program(parse_program(FOUR_SIGMAS))
-    envs = list(harness._environments(r))
-    forests = [env[4 if read == "direct" else 5] for env in envs]
+    envs = r.variants_read
+    forests = [sigma.derived(source_typer.DirectTranslator)(r.forest)
+               if read == "direct"
+               else harness._composed(sigma.derived(fd_core.fd_env_wf),
+                                      r.forest)
+               for sigma, _ in envs]
     if "--all" in argv:
-        assert unpacked == [(f, env[3]) for f, env in zip(forests, envs)]
+        assert unpacked == [(f, n) for f, (_, n) in zip(forests, envs)]
     else:
         assert unpacked == [(forests[0], 1)]
 
@@ -753,8 +759,9 @@ def test_coherence_exits_1_when_an_intermediate_value_fails_in_the_target(
     # P1's nodes already.
     r = source_typer.typecheck_program(parse_program(
         (CORPUS / "P1.src").read_text()))
-    variant, sigma, checker, n, _, _ = next(harness._environments(r))
-    (outcome,) = harness._fd_outcomes(r, variant, sigma, checker, n,
+    sigma, n = r.variants_read[0]
+    checker = sigma.derived(fd_core.fd_env_wf)
+    (outcome,) = harness._fd_outcomes(r, 0, sigma, checker, n,
                                       fd_core.FUEL)
     assert outcome.leaf.value is None
     assert str(outcome.leaf.error) == "stuck application True True"

@@ -251,8 +251,10 @@ def test_each_leaf_is_the_value_of_its_first_tree(name, fuel):
     # tree, evaluated alone, gives the leaf's value or error; the leaves
     # are at most the trees read.
     r = typecheck_program(parse_program(PROGRAMS[name]))
-    for env in harness._environments(r):
-        _, sigma, _, n, direct, composed = env
+    for sigma, n in r.variants_read:
+        direct = sigma.derived(source_typer.DirectTranslator)(r.forest)
+        composed = harness._composed(sigma.derived(fd_core.fd_env_wf),
+                                     r.forest)
         leaves = fd_core.fd_leaves(sigma, r.forest, fuel, n)
         assert len({leaf.low for leaf in leaves}) == len(leaves) <= n
         assert 0 in {leaf.low for leaf in leaves}
@@ -330,7 +332,7 @@ def _apply(f, *args):
                                              S.TFalse()), S.TFalse())),
             S.TChoice((KFST, KSND))), [S.TTrue(), S.TFalse()]),
     # A choice in a record field, reached by projection.
-    (S.TProj(S.TRecord((("eq", BOTH),)), "eq"), [S.TTrue(), S.TFalse()]),
+    (S.TProj(S.TRecord("eq", BOTH), "eq"), [S.TTrue(), S.TFalse()]),
     # A let-bound choice that nothing inspects.
     (S.TLet("y", S.TBool(), BOTH, S.TTrue()), [S.TTrue()]),
     # One argument inspected, the other dropped: the dropped one's

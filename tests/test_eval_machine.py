@@ -161,7 +161,7 @@ def test_tgt_machine_agrees_on_open_terms(e):
 
 # ---------------------------------------------------------------------------
 # Edge cases: every error the machines raise, the argument order of a
-# method's implementation, a record with a repeated label, and closures
+# method's implementation, a record's one field, and closures
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("text", [
@@ -200,14 +200,15 @@ def test_a_projection_from_no_dictionary_is_a_stuck_term(e):
     S.TApp(S.TTrue(), S.TFalse()),
     S.TTyApp(S.TLam("x", S.TBool(), S.TVar("x")), S.TBool()),
     S.TProj(S.TLam("x", S.TBool(), S.TVar("x")), "l"),
-    S.TProj(S.TRecord((("l", S.TTrue()),)), "m"),
-    S.TLet("r", S.TBool(), S.TRecord((("l", S.TVar("z")),)),
+    S.TProj(S.TRecord("l", S.TTrue()), "m"),
+    S.TLet("r", S.TBool(), S.TRecord("l", S.TVar("z")),
            S.TApp(S.TProj(S.TVar("r"), "l"), S.TTrue())),
-    S.TProj(S.TRecord((("l", S.TTrue()), ("l", S.TFalse()))), "l"),
     # The argument x is closed over its own environment, not the callee's.
     S.TLet("f", S.TBool(), S.TLam("y", S.TBool(), S.TVar("y")),
            S.TLet("x", S.TBool(), S.TTrue(),
                   S.TApp(S.TVar("f"), S.TVar("x")))),
+    # A projection moves to its record's one field, here another record.
+    S.TProj(S.TProj(S.TRecord("l", S.TRecord("m", S.TFalse())), "l"), "m"),
 ])
 def test_tgt_machine_agrees_on_edge_cases(e):
     assert_tgt_agrees(e)

@@ -169,6 +169,46 @@ def test_implementation_may_only_use_earlier_entries():
     assert exc.value.kind == PREFIX_VIOLATION
 
 
+@pytest.mark.parametrize("impl, kind, detail", [
+    ("[D1_Eq].eq", PREFIX_VIOLATION,
+     "implementation of 'D1_Eq' references a constructor declared later: "
+     "unknown dictionary constructor 'D1_Eq'"),
+    ("[DNope_Eq].eq", UNKNOWN_CONSTRUCTOR,
+     "unknown dictionary constructor 'DNope_Eq'"),
+], ids=["own", "undeclared"])
+def test_only_a_constructor_declared_later_violates_the_prefix(
+        impl, kind, detail):
+    # P1's Σ, its one implementation replaced: a constructor that an
+    # entry at or after the implementation's own declares is out of the
+    # prefix, and one that no entry declares is unknown.
+    (entry,) = corpus_result("P1").fd_elabs[0][0]
+    sigma = (MethodImpl(entry.con, entry.scheme, entry.method,
+                        read_fd_expr(impl)),)
+    with pytest.raises(FdTypeError) as exc:
+        fd_env_wf(sigma, corpus_result("P1").fd_class_env)
+    assert (exc.value.kind, exc.value.detail) == (kind, detail)
+
+
+def test_a_prefix_violation_names_the_implementation_that_makes_it():
+    # D2_Ord's implementation uses D1_Eq, whose own implementation uses
+    # D3_Ord, declared after both: checked from D2_Ord's prefix, the
+    # violation is still D1_Eq's.
+    scheme = FdConstraintScheme((), (), FdQ("Ord", IArrow(IBool(), IBool())))
+    sigma = (
+        MethodImpl("D1_Eq", SIGMA_EQ[0].scheme, "eq", read_fd_expr(
+            "\\x : Bool. \\y : Bool. [D3_Ord].le (\\z : Bool. z)")),
+        MethodImpl("D2_Ord", FdConstraintScheme((), (), FdQ("Ord", IBool())),
+                   "le", read_fd_expr("\\x : Bool. [D1_Eq].eq x x")),
+        MethodImpl("D3_Ord", scheme, "le",
+                   read_fd_expr("\\f : Bool -> Bool. True")))
+    with pytest.raises(FdTypeError) as exc:
+        FdChecker(sigma, TC_ORD).check_expr((), read_fd_expr("[D2_Ord].le"))
+    assert (exc.value.kind, exc.value.detail) == (
+        PREFIX_VIOLATION,
+        "implementation of 'D1_Eq' references a constructor declared "
+        "later: unknown dictionary constructor 'D3_Ord'")
+
+
 def test_dropping_a_referenced_entry_breaks_dictionaries():
     d = read_fd_dict("D2_Eq @Bool [D1_Eq]")
     q = FdChecker(SIGMA_EQ, TC_EQ).check_dict((), d)

@@ -185,6 +185,7 @@ def _doubling_chain(k, arg=None):
 def _assert_a_bounded_memo(e):
     """Checking e's trace keeps less than a third of the memory that
     keeping every step of it takes."""
+    empty = MethodEnv((), (), ())   # no instances over no classes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -196,7 +197,7 @@ def _assert_a_bounded_memo(e):
         del trace
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        rep = check_metatheory((), (), e)
+        rep = check_metatheory(empty, empty.TC, e)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -265,13 +266,14 @@ def _stream(envs):
 
 def test_the_stream_state_agrees_with_a_fresh_checker_per_term():
     shared = list(_stream(list(_digest_envs())))
-    # Nothing shared: a plain tuple keeps no state, so every call builds a
-    # new one, and so a new checker.
+    # Nothing shared: a copy of a typed Σ is rebuilt without its state,
+    # so each call on a new copy builds a new one, and so a new checker.
     for sigma, TC, e, rep in shared:
-        assert check_metatheory(tuple(sigma), TC, e) == rep
+        assert check_metatheory(copy.copy(sigma), TC, e) == rep
     assert [e for _, _, e, _ in shared] == \
-        [e for _, _, e, _ in _stream((tuple(sigma), TC)
-                                     for sigma, TC in _digest_envs())]
+        [generate_fd_term(seed, size, copy.copy(sigma), TC)
+         for sigma, TC in _digest_envs()
+         for size in (4, 6) for seed in range(100)]
 
 
 def _ill_typed_sigma():
@@ -300,10 +302,11 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
             f"Bool -> Bool, expected Bool -> Bool -> Bool")
     assert len(checks) == len(terms)    # the failure is checked again
     # Σ keeps no checker that failed to validate, so each report builds
-    # its own, as a plain tuple's does.
+    # its own, as a new copy of Σ does.
     assert len({id(self._impl_memo) for self, _ in checks}) == len(terms)
     assert fd_env_wf not in sigma._kept
-    assert reports == [check_metatheory(tuple(sigma), TC, e) for e in terms]
+    assert reports == [check_metatheory(copy.copy(sigma), TC, e)
+                       for e in terms]
 
 
 def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
@@ -472,20 +475,52 @@ def test_a_typed_programs_stream_state_is_freed_with_it(monkeypatch):
     assert [ref() for ref in held] == [None] * 4
 
 
-def test_a_sigma_given_another_class_environment_keeps_nothing(
-        monkeypatch):
+def test_a_sigma_given_another_class_environment_keeps_nothing():
+    # A stream runs over a typed Σ and its own TC only: any other pair is
+    # refused before it builds any state.
     r = typecheck_program(corpus_program("P2"))
     sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    e = generate_fd_term(0, 4, copy.copy(sigma), TC)
     other = tuple(list(TC))     # equal, but not Σ's own
-    terms = [generate_fd_term(seed, 4, sigma, other) for seed in range(3)]
-    bases = _base_checkers(monkeypatch)
-    reports = [check_metatheory(sigma, other, e) for e in terms]
-    assert len(set(map(id, bases))) == len(terms)   # one state per call
+    for s, tc in ((sigma, other), (tuple(sigma), TC), ((), ())):
+        with pytest.raises(TypeError, match="^a stream of terms runs over"):
+            generate_fd_term(0, 4, s, tc)
+        with pytest.raises(TypeError, match="^a stream of terms runs over"):
+            check_metatheory(s, tc, e)
     assert not sigma._kept
-    assert terms == [generate_fd_term(seed, 4, sigma, TC) for seed in range(3)]
-    assert reports == [check_metatheory(sigma, TC, e) for e in terms]
-    assert set(map(id, bases[len(terms):])) == \
-        {id(sigma.derived(fd_env_wf))}
+
+
+def _implementation_typings(sigma) -> tuple:
+    """The distinct nodes of sigma's implementations, and the typings
+    they keep."""
+    nodes, typings, todo = set(), 0, [entry.impl for entry in sigma]
+    while todo:
+        x = todo.pop()
+        if id(x) not in nodes:
+            nodes.add(id(x))
+            typings += len(x._types or ())
+            todo.extend(part for f in x.__match_args__
+                        if isinstance(part := getattr(x, f), FdExpr))
+    return len(nodes), typings
+
+
+def test_a_long_stream_keeps_a_bounded_number_of_typings():
+    # Over P4's typed Σ, the implementations are typed by Σ's validation
+    # and then by Σ's one checker, which keys a node by its environment
+    # until its facts are cached and by its bindings after: at most three
+    # typings per node, however long the stream. A stream over a plain
+    # tuple, which built a checker per call, grew them by 8 a term (800
+    # after 100 terms, 1 600 after 200).
+    r = typecheck_program(corpus_program("P4"))
+    sigma, TC = r.fd_elabs[0][0], r.fd_class_env
+    counts = []
+    for seed in range(1000):
+        check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
+        if seed + 1 in (100, 400, 1000):
+            nodes, typings = _implementation_typings(sigma)
+            counts.append(typings)
+    assert nodes == 8
+    assert counts == sorted(counts) and counts[-1] <= 3 * nodes
 
 
 # ---------------------------------------------------------------------------

@@ -366,12 +366,12 @@ FOREIGN = S.TermBind("x", S.IBool())    # no node of any language
     (lambda e: target_core.tgt_eval(e, 10), S.TChoice((S.TTrue(),)),
      S.ITrue()),
     (lambda e: target_core.tgt_eval(S.TProj(e, "eq"), 10),
-     S.TChoice((S.TRecord((("eq", S.TTrue()),)),)), S.ITrue()),
+     S.TChoice((S.TRecord("eq", S.TTrue()),)), S.ITrue()),
     # One machine runs both languages: each still rejects the other's.
     (lambda e: fd_core.fd_eval((), e, 10), S.IChoice((S.ITrue(),)),
      S.TTrue()),
     (lambda e: fd_core.fd_eval((), e, 10), S.IChoice((S.ITrue(),)),
-     S.TProj(S.TRecord((("eq", S.TTrue()),)), "eq")),
+     S.TProj(S.TRecord("eq", S.TTrue()), "eq")),
     (lambda e: target_core.tgt_eval(e, 10), S.TChoice((S.TTrue(),)),
      S.IMethod(S.DCon("D1_Eq", (), ()), "eq")),
     (lambda e: target_core.tgt_eval(e, 10), S.TChoice((S.TTrue(),)),

@@ -71,10 +71,7 @@ def _twin_class(cls):
             else (f.name, f.type, dataclasses.field(
                 default=f.default, compare=f.compare, repr=f.compare))
             for f in node_fields(cls)]
-    namespace = {"__post_init__": cls.__post_init__} \
-        if hasattr(cls, "__post_init__") else {}
-    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
-                                      namespace=namespace)
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
 TWINS = {cls: _twin_class(cls) for cls in CLASSES}
@@ -125,20 +122,15 @@ ATOMS = st.one_of(st.sampled_from(["a", "b"]), st.integers(0, 1),
                   st.booleans(), st.none())
 VALUES = st.one_of(ATOMS, TERMS,
                    st.lists(st.one_of(ATOMS, TERMS), max_size=2).map(tuple))
-RECORD_FIELDS = st.lists(st.tuples(st.sampled_from(["g", "f", "h"]), VALUES),
-                         max_size=3).map(tuple)
 
 
 def _field_values(cls):
-    if hasattr(cls, "__post_init__"):      # the records sort (label, value)
-        return st.tuples(RECORD_FIELDS)
     return st.tuples(*[VALUES] * len(cls.__match_args__))
 
 
 def _same_arity(cls):
     n = len(cls.__match_args__)
-    return [c for c in CLASSES if c is not cls and len(c.__match_args__) == n
-            and not hasattr(c, "__post_init__")]
+    return [c for c in CLASSES if c is not cls and len(c.__match_args__) == n]
 
 
 def _name(cls):
@@ -219,16 +211,6 @@ def test_instances_are_frozen_and_copy(cls, data):
     assert type(d) is cls and copy.copy(a) == a
 
 
-@pytest.mark.parametrize("cls", [S.TRecord, S.TRecordTy], ids=_name)
-def test_records_sort_their_fields(cls):
-    r = cls((("g", S.TTrue()), ("f", S.TBool()), ("a", S.TVar("x"))))
-    assert [label for label, _ in r.fields] == ["a", "f", "g"]
-    assert r == cls((("a", S.TVar("x")), ("g", S.TTrue()),
-                     ("f", S.TBool())))
-    assert copy.deepcopy(r).fields == r.fields
-    assert cls(fields=r.fields[::-1]) == r
-
-
 @settings(max_examples=100, deadline=None)
 @given(TERMS, TERMS)
 def test_whole_terms_agree_with_their_twins(a, b):
@@ -268,7 +250,7 @@ def test_a_typed_program_is_compared_and_shown_without_its_forest():
 
 
 def _shape(cls):
-    return cls.__match_args__, cls._compared, hasattr(cls, "__post_init__")
+    return cls.__match_args__, cls._compared
 
 
 SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
@@ -276,7 +258,7 @@ SHARED_SHAPES = sorted({_shape(c) for c in CLASSES
 
 
 @pytest.mark.parametrize("shape", SHARED_SHAPES,
-                         ids=lambda s: ",".join(s[0]) + "+post" * s[2])
+                         ids=lambda s: ",".join(s[0]))
 def test_classes_of_one_shape_share_no_code_object(shape):
     # Python specializes attribute access per code object, so classes
     # that shared one would share (and keep undoing) one specialization.
@@ -296,8 +278,7 @@ def test_classes_of_one_shape_share_no_code_object(shape):
 def _template(cls):
     names = cls.__match_args__
     return (len(names), tuple(i for i, n in enumerate(names)
-                              if n in cls._compared),
-            hasattr(cls, "__post_init__"))
+                              if n in cls._compared))
 
 
 def test_shapes_are_compiled_once():
@@ -334,13 +315,10 @@ def own_method(cls, method):
 
 def _reference_methods(cls) -> dict:
     """The methods `frozen` gave cls when it compiled the source of each
-    shape (field names, the fields compared, `__post_init__`) by itself,
-    those of an interned class if cls is one."""
+    shape (field names and the fields compared) by itself, those of an
+    interned class if cls is one."""
     names, compared = cls.__match_args__, cls._compared
     init = [f"  _setattr(self,{n!r},{n})" for n in names]
-    post_init = hasattr(cls, "__post_init__")
-    if post_init:
-        init.append("  self.__post_init__()")
     own = "".join(f"self.{n}," for n in compared)
     other = "".join(f"other.{n}," for n in compared)
     if cls not in S._INTERNED:
@@ -354,10 +332,9 @@ def _reference_methods(cls) -> dict:
                   f"  return hash(({own}))\n")
     else:
         key = "(" + "".join(n + "," for n in compared) + ")"
-        new = f"  _ref=_table.get({key})\n  return _ref and _ref() or "
         source = (f"def __new__({','.join(('_cls', *names))}):\n"
-                  + ("  return " if post_init else new)
-                  + f"_intern(_cls,{key})\n")
+                  f"  _ref=_table.get({key})\n"
+                  f"  return _ref and _ref() or _intern(_cls,{key})\n")
     ns = {}
     exec(source, S._FROZEN_GLOBALS, ns)
     defaults = tuple(vars(cls)[n] for n in names if n in vars(cls))
@@ -389,10 +366,10 @@ def test_methods_are_the_code_of_their_own_shape(cls):
     assert_own_shape_code(cls)
 
 
-# The names the methods of a frozen class use besides its fields, the last
-# only with `__post_init__`, and those of an interned class.
+# The names the methods of a frozen class use besides its fields, and
+# those of an interned class.
 RESERVED = ("self", "other", "hash", "_setattr", "NotImplemented",
-            "__class__", "__post_init__")
+            "__class__")
 INTERNED_RESERVED = ("_cls", "_ref", "_table", "get", "_intern")
 
 
@@ -405,8 +382,6 @@ def test_a_field_named_like_the_template_is_rejected(monkeypatch):
     for interned, names in ((False, RESERVED), (True, INTERNED_RESERVED)):
         for reserved in names:
             namespace = {"__annotations__": {reserved: object}}
-            if reserved == "__post_init__":     # the records' template
-                namespace["__post_init__"] = lambda self: None
             with pytest.raises(TypeError,
                                match=f"^Clash: .*: {reserved!r}$"):
                 S.frozen(type("Clash", (), namespace), interned)
@@ -472,9 +447,8 @@ def test_a_default_is_kept():
 
 # Counts the `exec` calls that compile source text while `dictelab.cli` is
 # imported (module bodies are exec'd as code objects), the distinct shapes
-# of the classes `frozen` built (field names, the fields compared and
-# `__post_init__`) and their templates (field count, the positions of the
-# fields compared and `__post_init__`).
+# of the classes `frozen` built (field names and the fields compared) and
+# their templates (field count and the positions of the fields compared).
 # `@dataclass(frozen=True)` compiles six strings per class, `frozen` one
 # per template.
 COUNT_EXECS = """
@@ -493,11 +467,10 @@ classes = {v for name, m in list(sys.modules.items())
            for v in vars(m).values()
            if isinstance(v, type) and v.__module__ == name
            and hasattr(v, "__match_args__") and not issubclass(v, tuple)}
-shapes = {(c.__match_args__, c._compared, hasattr(c, "__post_init__"))
-          for c in classes}
+shapes = {(c.__match_args__, c._compared) for c in classes}
 templates = {(len(names), tuple(i for i, n in enumerate(names)
-                                if n in compared), post_init)
-             for names, compared, post_init in shapes}
+                                if n in compared))
+             for names, compared in shapes}
 print(calls, len(classes), len(shapes), len(templates))
 """
 

@@ -20,8 +20,7 @@ from dictelab.harness import (check_coherence, check_decomposition,
 from dictelab.parser import parse_program
 from dictelab.source_typer import (MAX_ELABORATIONS, MethodEnv,
                                    typecheck_program)
-from dictelab.syntax import (FdClassEntry, FdConstraintScheme, FdQ, IArrow,
-                             IBool, ITyVar, MethodImpl)
+from dictelab.syntax import FdQ, IArrow, IBool, ITyVar
 
 from conftest import (PICK_ANY, POSITIVE, corpus_contexts, corpus_program,
                       corpus_result, corpus_text, count_calls, count_rules,
@@ -117,8 +116,8 @@ def test_decomposition_abstracts_a_record_over_its_context_in_order():
 # In P3 the let body resolves Eq Bool through its local dictionary or
 # through the global instance.
 
-NEVER = S.TRecord((("eq", S.TLam("x", S.TBool(),
-                                  S.TLam("y", S.TBool(), S.TFalse()))),))
+NEVER = S.TRecord("eq", S.TLam("x", S.TBool(),
+                               S.TLam("y", S.TBool(), S.TFalse())))
 P3_LOCAL = ("let isz : [Eq Bool] -> Bool -> Bool = "
             "\\δisz1 : [Eq Bool]. \\n : Bool. [δisz1].eq n n "
             "in isz [D1_Eq] True")
@@ -210,6 +209,21 @@ def test_decomposition_after_coherence_translates_nothing(monkeypatch):
     assert nodes == [] and checked == [] and composed == []
 
 
+@pytest.mark.parametrize("mode", ["direct", "composed"])
+def test_corners_translate_only_the_side_they_print(monkeypatch, mode):
+    # Typed afresh, so that no Σ keeps a translator or checker: the
+    # direct corner neither validates Σ nor types the forest, and the
+    # composed corner builds no direct translator.
+    r = typecheck_program(corpus_program("P3"))
+    checked = count_calls(monkeypatch, fd_core.FdChecker, "check_expr")
+    direct = count_calls(monkeypatch, source_typer.DirectTranslator,
+                         "__init__")
+    trees = list(harness.corners(r, mode))
+    assert len(trees) == 2
+    assert (checked == []) is (mode == "direct")
+    assert (direct == []) is (mode == "composed")
+
+
 def _keeps(sigma) -> bool:
     """Whether the typed Σ sigma keeps a translator or checker."""
     return bool(sigma._kept)
@@ -292,19 +306,23 @@ def test_corpus_traces_are_safe(name):
         assert rep.steps_checked > 0
 
 
+# A typed Σ with no instances over no classes.
+EMPTY = MethodEnv((), (), ())
+
+
 def test_metatheory_reports_fuel_exhaustion():
     # Well-typed terms terminate, so only a fuel of 0 runs out.
     e = S.IApp(S.ILam("x", IBool(), S.IVar("x")), S.ITrue())
-    rep = check_metatheory((), (), e, fuel=0)
+    rep = check_metatheory(EMPTY, EMPTY.TC, e, fuel=0)
     assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
             rep.fuel_ok) == (0, True, True, False)
-    assert check_metatheory((), (), e, fuel=1).fuel_ok
+    assert check_metatheory(EMPTY, EMPTY.TC, e, fuel=1).fuel_ok
 
 
 def test_metatheory_reports_an_ill_typed_start_term_as_a_violation():
     # No step is taken, so no fuel is spent: the verdict is a violation,
     # not a resource limit.
-    rep = check_metatheory((), (), S.IApp(S.ITrue(), S.ITrue()))
+    rep = check_metatheory(EMPTY, EMPTY.TC, S.IApp(S.ITrue(), S.ITrue()))
     assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
             rep.fuel_ok) == (0, False, False, True)
     assert "fuel: ok" in meta_lines(rep)
@@ -313,13 +331,12 @@ def test_metatheory_reports_an_ill_typed_start_term_as_a_violation():
 
 def test_metatheory_catches_a_type_breaking_implementation():
     # Bypass the typechecker and install an implementation whose result
-    # type lies: invoking the method steps to a term of a different type.
-    tc = (FdClassEntry("eq", "Eq", "a",
-                       IArrow(ITyVar("a"), IArrow(ITyVar("a"), IBool()))),)
-    bad = (MethodImpl("D1_Eq", FdConstraintScheme((), (), FdQ("Eq", IBool())),
-                      "eq", read_fd_expr("\\x : Bool. x")),)
+    # type lies: invoking the method would step to a term of another type,
+    # so validating Σ fails before any step.
+    r = corpus_result("P1")
+    bad = MethodEnv(r.fd_class_env, r.P, (read_fd_expr("\\x : Bool. x"),))
     e = read_fd_expr("[D1_Eq].eq True False")
-    rep = check_metatheory(bad, tc, e)
+    rep = check_metatheory(bad, bad.TC, e)
     assert not rep.preservation_ok
     assert rep.failing_term is not None
 
@@ -402,9 +419,11 @@ def test_generated_terms_are_pinned():
 
 
 def _fuzz_work():
-    """The benchmark's fuzz work: each generated term with its report."""
+    """The benchmark's fuzz work: each generated term with its report,
+    over P2 and P4 typed afresh, so that no earlier test has filled their
+    state and the work counted does not depend on test order."""
     for name in ("P2", "P4"):
-        r = corpus_result(name)
+        r = typecheck_program(corpus_program(name))
         sigma = r.fd_elabs[0][0]
         for size in (4, 6):
             for seed in range(100):
@@ -466,8 +485,9 @@ def test_generated_terms_agree_with_the_reference_generator(name, size):
         assert e == want
         assert S.pretty(e) == S.pretty(want)
         assert state.kept == ref.kept
-        if name == "()":        # a Σ that is not a typed one
-            assert generate_fd_term(seed, size, (), ()) == e
+        if name == "()":        # a copy, which keeps none of Σ's state
+            assert generate_fd_term(seed, size, copy.copy(sigma),
+                                    sigma.TC) == e
 
 
 @pytest.mark.parametrize("size", (2, 4, 6))
@@ -728,8 +748,9 @@ def test_fuzz_work_substitutes_without_walking_what_it_leaves():
     # every range value in a trace is closed. The calls of the functions
     # subst defines, its walk and its comprehensions: 18 083 when every
     # substitution walked its whole body, 3 142 with its facts cached,
-    # 3 716 in a process of its own since each type application is
-    # instantiated where it is typed, with no memo per term.
+    # 3 716 since each type application is instantiated where it is
+    # typed, with no memo per term; `_fuzz_work` types its programs
+    # afresh, so the count is the same whatever ran before.
     codes = {c for c in S.subst.__code__.co_consts
              if isinstance(c, types.CodeType)}
     visits = 0

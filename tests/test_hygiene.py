@@ -3,8 +3,9 @@ it never reads, no function of the package takes a parameter it never
 reads, nothing the package defines at top level goes unread or is read by
 the tests alone, no attribute the package stores goes unread by the
 program, no nested function of the package outlives its call in a
-reference cycle, no loop of the package iterates a set, and no `match`
-of the package has a class pattern.
+reference cycle, no loop of the package iterates a set, no `match` of
+the package has a class pattern, and no frozen class of the package
+defines a `__post_init__`, which `frozen` never calls.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
@@ -420,3 +421,48 @@ def test_the_scan_sees_a_class_pattern():
               "        pass\n")
     assert sorted(class_patterns(source)) == [
         "2: A()", "4: B(C(x), y)", "4: C(x)", "4: D(y=y)"]
+
+
+# The decorators that build a frozen class (`syntax.frozen`).
+FROZEN_DECORATORS = {"frozen", "interned"}
+
+
+def frozen_post_inits(source: str) -> list[str]:
+    """"line: class" for each class of source that a `frozen` or
+    `interned` decorator builds and that defines `__post_init__`: the
+    methods `frozen` compiles never call it, so it would never run."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {d.id if isinstance(d, ast.Name) else d.attr
+                 for d in node.decorator_list
+                 if isinstance(d, (ast.Name, ast.Attribute))}
+        if names & FROZEN_DECORATORS and any(
+                isinstance(item, ast.FunctionDef)
+                and item.name == "__post_init__" for item in node.body):
+            out.append(f"{node.lineno}: {node.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_frozen_class_defines_a_post_init(path):
+    assert frozen_post_inits(path.read_text()) == []
+
+
+def test_the_scan_sees_a_frozen_post_init():
+    source = ("@frozen\n"
+              "class A:\n"
+              "    x: int\n"
+              "    def __post_init__(self): pass\n"
+              "@S.interned\n"
+              "class B:\n"
+              "    def __post_init__(self): pass\n"
+              "@dataclass\n"
+              "class C:\n"
+              "    def __post_init__(self): pass\n"
+              "@frozen\n"
+              "class D:\n"
+              "    def post(self): pass\n")
+    assert frozen_post_inits(source) == ["2: A", "6: B"]

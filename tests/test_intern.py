@@ -66,8 +66,7 @@ TYPES = [
     S.SrcConstraint("Eq", S.SArrow(S.SBool(), S.SBool())),
     S.IForall("a", S.IQArrow(S.FdQ("Eq", S.ITyVar("a")),
                              S.IArrow(S.ITyVar("a"), S.IBool()))),
-    S.TForall("a", S.TArrow(S.TRecordTy((("eq", S.TTyVar("a")),)),
-                            S.TBool())),
+    S.TForall("a", S.TArrow(S.TRecordTy("eq", S.TTyVar("a")), S.TBool())),
 ]
 
 
@@ -106,10 +105,22 @@ def test_subst_returns_an_untouched_type_as_it_is():
         "forall a'. a' -> Bool"
 
 
-def test_a_record_type_is_keyed_by_its_sorted_fields():
-    r = S.TRecordTy((("g", S.TBool()), ("f", S.TTyVar("a"))))
-    assert S.TRecordTy([("f", S.TTyVar("a")), ("g", S.TBool())]) is r
-    assert r.fields == (("f", S.TTyVar("a")), ("g", S.TBool()))
+def test_building_an_existing_record_type_enters_nothing(monkeypatch):
+    # A record type takes the path of every interned class: `__new__`
+    # looks its fields up and enters a node only when none is live.
+    entered = []
+    facts = S._facts
+
+    def counted(node):      # called once per node entered in a table
+        entered.append(node)
+        return facts(node)
+    ty = S.TArrow(S.TTyVar("a"), S.TBool())
+    monkeypatch.setattr(S, "_facts", counted)
+    r = S.TRecordTy("entered_once", ty)
+    assert entered == [r]
+    assert S.TRecordTy("entered_once", ty) is r
+    assert S.TRecordTy(label="entered_once", ty=ty) is r
+    assert entered == [r]
 
 
 def _twin(x):

@@ -60,12 +60,26 @@ def test_read_fd_expr_lambda_over_a_dictionary_arrow():
 
 def test_read_tgt_expr_record_and_projection():
     e = read_tgt_expr("({eq = True}).eq")
-    assert e == S.TProj(S.TRecord((("eq", S.TTrue()),)), "eq")
+    assert e == S.TProj(S.TRecord("eq", S.TTrue()), "eq")
 
 
 def test_read_tgt_type_record():
     t = read_tgt_type("{eq : Bool -> Bool}")
-    assert t == S.TRecordTy((("eq", S.TArrow(S.TBool(), S.TBool())),))
+    assert t == S.TRecordTy("eq", S.TArrow(S.TBool(), S.TBool()))
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (read_tgt_expr, "{}", "1:2: unexpected '}' (expected ident)"),
+    (read_tgt_expr, "{eq = True, ne = False}",
+     "1:11: unexpected ',' (expected })"),
+    (read_tgt_type, "{}", "1:2: unexpected '}' (expected ident)"),
+    (read_tgt_type, "{eq : Bool, ne : Bool}",
+     "1:11: unexpected ',' (expected })"),
+])
+def test_a_record_has_one_field(read, text, error):
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert str(exc.value) == error
 
 
 def test_read_reserved_dollar_names():

@@ -337,7 +337,7 @@ def test_entail_tgt_zero_arity_instance_is_bare_record():
     (d,) = out
     rec = _direct(P, GC)(d)
     assert isinstance(rec, S.TRecord)
-    assert rec.fields[0][0] == "eq"
+    assert rec.label == "eq"
 
 
 # ---------------------------------------------------------------------------

@@ -146,22 +146,6 @@ def test_alpha_eq_invariant_under_renaming(e, fresh):
 
 
 # ---------------------------------------------------------------------------
-# Records are label-indexed
-# ---------------------------------------------------------------------------
-
-def test_record_field_order_is_canonical():
-    r1 = S.TRecord((("b", S.TTrue()), ("a", S.TFalse())))
-    r2 = S.TRecord((("a", S.TFalse()), ("b", S.TTrue())))
-    assert r1 == r2
-
-
-def test_record_type_order_is_canonical():
-    t1 = S.TRecordTy((("b", S.TBool()), ("a", S.TBool())))
-    t2 = S.TRecordTy((("a", S.TBool()), ("b", S.TBool())))
-    assert t1 == t2
-
-
-# ---------------------------------------------------------------------------
 # Contexts
 # ---------------------------------------------------------------------------
 
@@ -219,7 +203,7 @@ def test_pretty_forall():
 
 
 def test_pretty_record():
-    e = S.TRecord((("eq", S.TTrue()),))
+    e = S.TRecord("eq", S.TTrue())
     assert S.pretty(e) == "{eq = True}"
 
 

@@ -8,7 +8,7 @@ from dictelab.fd_core import (FdChecker, FdTypeError, FuelExhausted,
                               OVERLAP, elab_fd_type, fd_env_wf)
 from dictelab.syntax import (
     FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, ITyVar, MethodImpl,
-    TBool, TermBind, TRecord, TTrue,
+    TBool, TermBind, TTrue,
 )
 from dictelab.target_core import TgtTypeError, tgt_eval
 
@@ -48,12 +48,6 @@ def test_projection_of_missing_label_rejected():
 def test_projection_of_non_record_rejected():
     with pytest.raises(TgtTypeError):
         tgt_typecheck((), read_tgt_expr("True.l"))
-
-
-def test_duplicate_labels_rejected():
-    e = TRecord((("l", TTrue()), ("l", S.TFalse())))
-    with pytest.raises(TgtTypeError):
-        tgt_typecheck((), e)
 
 
 def test_let_annotation_must_match():
