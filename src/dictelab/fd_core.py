@@ -2,10 +2,11 @@
 
 Typing is one judgment (`FdChecker.check_expr` and `check_dict`): it
 returns a type and builds nothing else, so walking an evaluation trace
-types each step and never translates it. Dictionary constructors are
-typed against the strict prefix of the method environment (an instance
-may only use instances declared before it), while evaluation of a method
-projection uses the full environment.
+types each step and never translates it. Every term is typed under the
+whole method environment Σ: typing reads of Σ only the schemes of the
+constructors a term names, so `fd_env_wf` checks the prefix rule (an
+implementation names only constructors declared before it) by a scan.
+Evaluation of a method projection uses the whole Σ too.
 
 The composed corner of the commuting square is a second, structural walk
 over a typed term (`FdChecker.translate`): each typing rule's
@@ -53,7 +54,7 @@ from functools import partial
 from .syntax import (
     DCon, DVar, DictBind, FdClassEntry, FdDict, FdExpr, FdQ, FdType,
     IApp, IArrow, IBool, IChoice, IDApp, IDLam, IFalse, IForall, ILam, ILet,
-    IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar,
+    IMethod, IQArrow, ITrue, ITyApp, ITyLam, ITyVar, IVar, MethodImpl,
     TApp, TArrow, TBool, TChoice, TForall, TLam, TLet, TProj, TRecord,
     TRecordTy, TTrue, TFalse, TTyApp, TTyLam, TTyVar, TVar, TgtExpr, TgtType,
     TermBind, TyVarBind,
@@ -77,12 +78,11 @@ STUCK = "Stuck"
 
 
 class FdTypeError(Exception):
-    """A typing error of kind, with detail; con is the constructor an
-    `UnknownConstructor` error names."""
+    """A typing error of kind, with detail."""
 
-    def __init__(self, kind: str, detail: str, con: str | None = None):
+    def __init__(self, kind: str, detail: str):
         super().__init__(kind, detail)
-        self.kind, self.detail, self.con = kind, detail, con
+        self.kind, self.detail = kind, detail
 
     def __str__(self):
         return f"{self.kind}: {self.detail}"
@@ -193,12 +193,13 @@ class FdChecker:
     so a memo keyed by them is keyed by identity. Errors are never
     memoized.
 
-    One checker types every term over its Σ: `fd_env_wf` builds it, and
-    a typed Σ keeps it (`source_typer.MethodEnv.derived`) for the reports'
-    forests and values and for every stream's terms and trace steps. Its
-    memos are per Σ, bounded by the environment and the types and closed
-    dictionaries it is used with, and each one pays on a perfbench
-    workload (the `wall_s` that removing it cost, in alternating pairs):
+    It is the typing judgment under a Σ that `fd_env_wf`, which alone builds
+    one, has found well formed. A typed Σ keeps its one checker
+    (`source_typer.MethodEnv.derived`) for the reports' forests and values
+    and for every stream's terms and trace steps. Its memos are per Σ,
+    bounded by the environment and the types and closed dictionaries it is
+    used with, and each one pays on a perfbench workload (the `wall_s` that
+    removing it cost, in alternating pairs):
 
     - the type of each closed dictionary constructor application
       (`_dicts`), which reads no typing environment (fuzz +9.1%); a
@@ -210,32 +211,23 @@ class FdChecker:
       dictionary's type (`_methods`; flex +2.2%);
     - the translation of every type and subtree translated, by the type
       (`_elabs`, the memo of `elab_fd_type`; flex +4.5%, wide +6.7%);
-    - each constructor's translation (`_records`; wide +4.5%);
-    - the constructors whose implementations are checked, each against
-      the strict prefix of the environment at first use (`_impl_memo`),
-      so that Σ's validation checks each implementation once.
-
-    A prefix checker (`_prefix`) checks an implementation, sharing the
-    memos its typing reads that a shorter environment cannot change
-    (`_impl_memo`, `_closed`, `_methods`) and keeping its own `_dicts`,
-    since against its shorter environment a dictionary may not type.
+    - each constructor's translation (`_records`; wide +4.5%).
 
     Per node: each type `check_expr`, through which all recursion goes,
-    finds, kept on the node (`_types`, cached like its facts) and keyed
-    by the checker's token (`_token`), which a prefix checker has its
-    own of. Typing a term reads of its environment only the innermost
-    binding of each of its free variables (strengthening), so a node
-    whose facts are cached, as every generated node's are
-    (`syntax.with_facts`), is keyed by the token and those bindings
-    (`_bindings`), and a closed one by the token alone: a subterm that a
-    trace step leaves in place stays typed, under whatever binders the
-    step rebuilt above it. A node without cached facts, as every node of
+    finds, kept on the node (`_types`, cached like its facts) and keyed by
+    the checker's token (`_token`). Typing a term reads of its environment
+    only the innermost binding of each of its free variables
+    (strengthening), so a node whose facts are cached, as every generated
+    node's are (`syntax.with_facts`), is keyed by the token and those
+    bindings (`_bindings`), and a closed one by the token alone: a subterm
+    that a trace step leaves in place stays typed, under whatever binders
+    the step rebuilt above it. A node without cached facts, as every node of
     a typed forest, is keyed by the token and the identity of the
-    environment, which its entry alone keeps alive, so typing never
-    walks a node only to key it. A typing lives as long as its node; an
-    error is never kept. A binder extends its environment by one
-    binding, and an annotation reads the type variables of the
-    environment at hand only if it has a free one (`_wf`).
+    environment, which its entry alone keeps alive, so typing never walks a
+    node only to key it. A typing lives as long as its node; an error is
+    never kept. A binder extends its environment by one binding, and an
+    annotation reads the type variables of the environment at hand only if
+    it has a free one (`_wf`).
 
     Translation is structural and reads no typing environment, so its
     results are memoized by the identity of the node alone (`_targets`),
@@ -245,8 +237,6 @@ class FdChecker:
     def __init__(self, sigma, TC):
         self.sigma = tuple(sigma)
         self.TC = tuple(TC)
-        self._whole = self.sigma    # the Σ whose prefix this checker types
-        self._impl_memo: set[str] = set()
         self._records: dict[str, TgtExpr] = {}
         self._elabs: dict = {}      # FdType or FdQ -> TgtType
         self._closed: set = set()   # closed FdType or FdQ found well formed
@@ -254,16 +244,6 @@ class FdChecker:
         self._dicts: dict = {}      # closed DCon -> FdQ
         self._token = object()      # keys this checker's typings on nodes
         self._targets: dict = {}    # id(node) -> (node, translation)
-
-    def _prefix(self, index: int) -> FdChecker:
-        """A checker for the strict prefix of this checker's Σ before entry
-        index, sharing the memos it reads that do not depend on the
-        environment's length; its own dictionary memo and token keep it
-        from reading what this checker found."""
-        out = FdChecker(self.sigma[:index], self.TC)
-        out._whole, out._impl_memo, out._closed, out._methods = \
-            self._whole, self._impl_memo, self._closed, self._methods
-        return out
 
     def _wf(self, env, t):
         """Raises FdTypeError unless t, a type or dictionary type, is well
@@ -448,13 +428,12 @@ class FdChecker:
         """The rule for a dictionary constructor applied to types and
         dictionaries."""
         name, type_args, dict_args = d.name, d.type_args, d.dict_args
-        index = next((i for i, entry in enumerate(self.sigma)
-                      if entry.con == name), None)
-        if index is None:
+        entry = next((entry for entry in self.sigma if entry.con == name),
+                     None)
+        if entry is None:
             raise FdTypeError(UNKNOWN_CONSTRUCTOR,
-                              f"unknown dictionary constructor {name!r}",
-                              name)
-        sc = self.sigma[index].scheme
+                              f"unknown dictionary constructor {name!r}")
+        sc = entry.scheme
         if len(type_args) != len(sc.binders):
             raise FdTypeError(
                 ARITY_MISMATCH,
@@ -476,34 +455,7 @@ class FdChecker:
                     MISMATCH,
                     f"dictionary argument of {name!r} has type "
                     f"{S.pretty(got_q)}, expected {S.pretty(want_q)}")
-        self._check_impl(index)
         return subst_type(sc.head, inst)
-
-    def _check_impl(self, index: int):
-        """Check entry's implementation against the strict prefix of the
-        method environment, once per Σ. A constructor it names that the
-        prefix lacks and the whole Σ declares, so at or after entry, is a
-        `PrefixViolation`."""
-        entry = self.sigma[index]
-        if entry.con in self._impl_memo:
-            return
-        try:
-            ity = self._prefix(index).check_expr((), entry.impl)
-        except FdTypeError as err:
-            if err.kind == UNKNOWN_CONSTRUCTOR and any(
-                    other.con == err.con for other in self._whole):
-                raise FdTypeError(
-                    PREFIX_VIOLATION,
-                    f"implementation of {entry.con!r} references a "
-                    f"constructor declared later: {err.detail}") from err
-            raise
-        expected = expected_impl_type(self.TC, entry)
-        if not alpha_eq(ity, expected):
-            raise FdTypeError(
-                MISMATCH,
-                f"implementation of {entry.con!r} has type {S.pretty(ity)}, "
-                f"expected {S.pretty(expected)}")
-        self._impl_memo.add(entry.con)
 
     # -- the composed translation -------------------------------------------
 
@@ -651,8 +603,13 @@ def expected_impl_type(TC, entry) -> FdType:
 # ---------------------------------------------------------------------------
 
 def fd_env_wf(sigma, TC) -> FdChecker:
-    """Raises FdTypeError when the environments are ill-formed; otherwise
-    returns a checker for sigma that has checked every implementation."""
+    """Raises FdTypeError at the first ill-formed entry of the environments;
+    otherwise returns Σ's checker, which has typed every implementation.
+    An implementation types under the strict prefix of Σ before it: typing
+    reads of Σ only the schemes of the constructors a term names, so a scan
+    finds any that the prefix lacks and Σ declares (`PrefixViolation`), and
+    the checker types the rest under Σ. A name no entry declares is left to
+    typing, which finds it unknown."""
     methods = [entry.method for entry in TC]
     classes = [entry.cls for entry in TC]
     if len(set(methods)) != len(methods) or len(set(classes)) != len(classes):
@@ -662,7 +619,7 @@ def fd_env_wf(sigma, TC) -> FdChecker:
     cons = [entry.con for entry in sigma]
     if len(set(cons)) != len(cons):
         raise FdTypeError(AMBIGUITY, "duplicate dictionary constructor")
-    checker = FdChecker(sigma, TC)
+    checker, later = FdChecker(sigma, TC), set(cons)
     for i, entry in enumerate(sigma):
         sc = entry.scheme
         cls = lookup_class_by_name(TC, sc.head.cls)
@@ -693,8 +650,25 @@ def fd_env_wf(sigma, TC) -> FdChecker:
                     OVERLAP,
                     f"overlapping instances {other.con!r} and {entry.con!r} "
                     f"for class {sc.head.cls!r}")
-        # Implementation typechecks in the strict prefix.
-        checker._check_impl(i)
+        # No constructor at or after the entry (`later`), in typing's order.
+        todo = [entry.impl]
+        while todo:
+            x = todo.pop()
+            if type(x) is DCon and x.name in later:
+                raise FdTypeError(
+                    PREFIX_VIOLATION,
+                    f"implementation of {entry.con!r} references a "
+                    f"constructor declared later: unknown dictionary "
+                    f"constructor {x.name!r}")
+            todo.extend(reversed(S._parts(x)))
+        later.remove(entry.con)
+        ity = checker.check_expr((), entry.impl)
+        expected = expected_impl_type(TC, entry)
+        if not alpha_eq(ity, expected):
+            raise FdTypeError(
+                MISMATCH,
+                f"implementation of {entry.con!r} has type {S.pretty(ity)}, "
+                f"expected {S.pretty(expected)}")
     return checker
 
 
@@ -706,13 +680,13 @@ def is_fd_value(e: FdExpr) -> bool:
     return _FD.roles.get(type(e)) == _VALUE
 
 
-def _implementation(sigma, name: str) -> FdExpr:
-    """The implementation of the dictionary constructor name in sigma.
-    Method lookup uses the full environment, unlike constructor typing
-    which sees only the prefix."""
+def _implementation(sigma, name: str) -> MethodImpl:
+    """The entry of the dictionary constructor name in sigma, whose
+    implementation a projection of its method unfolds to: a projection of
+    another method is stuck."""
     for entry in sigma:
         if entry.con == name:
-            return entry.impl
+            return entry
     raise FdTypeError(UNKNOWN_CONSTRUCTOR,
                       f"unknown constructor {name!r} at runtime")
 
@@ -749,8 +723,9 @@ def fd_step(sigma, e: FdExpr):
         return IDApp(f2, e.arg)
     if kind is IMethod:
         d = e.dict
-        if type(d) is DCon:
-            out = _implementation(sigma, d.name)
+        if type(d) is DCon and \
+                (entry := _implementation(sigma, d.name)).method == e.method:
+            out = entry.impl
             for ty in d.type_args:
                 out = ITyApp(out, ty)
             for arg in d.dict_args:
@@ -932,12 +907,12 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
             else:
                 frame, arg, apos, aenv = stack[-1]
                 intro, sort, body, what = _FRAMES[frame]
-                if kind is not intro:
-                    spend_fuel(fuel)
+                fuel = spend_fuel(fuel)
+                if kind is not intro or frame is IMethod and (
+                        entry := _implementation(sigma, e.name)).method != arg:
                     node = frame(S.read_back((e, pos, env), sorts, code),
                                  S.read_back((arg, apos, aenv), sorts, code))
                     raise stuck(f"{what} {S.pretty(node)}")
-                fuel = spend_fuel(fuel)
                 stack.pop()
                 if frame is TProj:
                     if e.label != arg:
@@ -953,7 +928,7 @@ def run_machine(lang, sigma, forks, e, pos, env, stack, fuel, decisions, low):
                                       apos and child(apos, args, k), env))
                     stack.extend((ITyApp, t, None, env)
                                  for t in reversed(e.type_args))
-                    e, pos, env = _implementation(sigma, e.name), None, {}
+                    e, pos, env = entry.impl, None, {}
                 else:
                     env = {**env, (sort, e.param): (arg, apos, aenv)}
                     e, pos = e.body, pos and child(pos, e, body)

@@ -182,17 +182,26 @@ def test_fd_machine_agrees_on_edge_cases(text):
     assert_fd_agrees(SIGMA, read_fd_expr(text))
 
 
-@pytest.mark.parametrize("e", [
-    S.IMethod(S.ITrue(), "eq"),
-    S.IApp(S.ILam("x", IBool(), S.IMethod(S.IVar("x"), "eq")), S.ITrue()),
-])
-def test_a_projection_from_no_dictionary_is_a_stuck_term(e):
+# P2's Σ, whose D1_Base implements base and no other method.
+P2_SIGMA = corpus_result("P2").fd_elabs[0][0]
+
+
+@pytest.mark.parametrize("sigma, e, stuck", [
+    (SIGMA, S.IMethod(S.ITrue(), "eq"), "[True].eq"),
+    (SIGMA, S.IApp(S.ILam("x", IBool(), S.IMethod(S.IVar("x"), "eq")),
+                   S.ITrue()), "[True].eq"),
+    (P2_SIGMA, S.IMethod(S.DCon("D1_Base", (), ()), "sub1"),
+     "[D1_Base].sub1"),
+], ids=["e0", "e1", "another_method"])
+def test_a_projection_from_no_dictionary_is_a_stuck_term(sigma, e, stuck):
     # A method projection is an eliminator that waits for a dictionary
-    # constructor: any other value leaves it stuck, as the small step has
-    # it, not foreign to the machine.
-    assert_fd_agrees(SIGMA, e)
-    with pytest.raises(FdTypeError, match="stuck term "):
-        fd_eval(SIGMA, e, LIMIT)
+    # constructor of its method: any other value leaves it stuck, as the
+    # small step has it, not foreign to the machine. A constructor of
+    # another method has no implementation of this one to unfold to.
+    assert_fd_agrees(sigma, e)
+    with pytest.raises(FdTypeError) as exc:
+        fd_eval(sigma, e, LIMIT)
+    assert str(exc.value) == f"Stuck: stuck term {stuck}"
 
 
 @pytest.mark.parametrize("e", [

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from dictelab import fd_core, syntax as S
@@ -10,13 +12,16 @@ from dictelab.fd_core import (
     elab_fd_type, expected_impl_type, fd_env_wf,
     fd_eval, fd_step, is_fd_value,
 )
+from dictelab.parser import parse_program
+from dictelab.source_typer import typecheck_program
 from dictelab.syntax import (
     DictBind, FdClassEntry, FdConstraintScheme, FdQ, IArrow, IBool, IForall,
     ITyVar, MethodImpl,
 )
 
-from conftest import (POSITIVE, corpus_result, count_calls,
-                      type_and_translate)
+from conftest import (PICK, POSITIVE, corpus_result, count_calls,
+                      flex_source, sigma_source, tower_source,
+                      type_and_translate, wide_source)
 from reader import read_fd_dict, read_fd_expr, read_fd_type
 
 TC_EQ = (FdClassEntry("eq", "Eq", "a",
@@ -175,12 +180,17 @@ def test_implementation_may_only_use_earlier_entries():
      "unknown dictionary constructor 'D1_Eq'"),
     ("[DNope_Eq].eq", UNKNOWN_CONSTRUCTOR,
      "unknown dictionary constructor 'DNope_Eq'"),
-], ids=["own", "undeclared"])
+    ("[DNope_Eq [D1_Eq]].eq", PREFIX_VIOLATION,
+     "implementation of 'D1_Eq' references a constructor declared later: "
+     "unknown dictionary constructor 'D1_Eq'"),
+], ids=["own", "undeclared", "undeclared_around_own"])
 def test_only_a_constructor_declared_later_violates_the_prefix(
         impl, kind, detail):
     # P1's Σ, its one implementation replaced: a constructor that an
     # entry at or after the implementation's own declares is out of the
-    # prefix, and one that no entry declares is unknown.
+    # prefix, and one that no entry declares is unknown. The prefix is
+    # checked before typing, so a constructor out of it is reported even
+    # where typing would first find another error.
     (entry,) = corpus_result("P1").fd_elabs[0][0]
     sigma = (MethodImpl(entry.con, entry.scheme, entry.method,
                         read_fd_expr(impl)),)
@@ -189,20 +199,24 @@ def test_only_a_constructor_declared_later_violates_the_prefix(
     assert (exc.value.kind, exc.value.detail) == (kind, detail)
 
 
-def test_a_prefix_violation_names_the_implementation_that_makes_it():
-    # D2_Ord's implementation uses D1_Eq, whose own implementation uses
-    # D3_Ord, declared after both: checked from D2_Ord's prefix, the
-    # violation is still D1_Eq's.
+def _nested_violation_sigma() -> tuple:
+    """D2_Ord's implementation uses D1_Eq, whose own implementation uses
+    D3_Ord, declared after both."""
     scheme = FdConstraintScheme((), (), FdQ("Ord", IArrow(IBool(), IBool())))
-    sigma = (
+    return (
         MethodImpl("D1_Eq", SIGMA_EQ[0].scheme, "eq", read_fd_expr(
             "\\x : Bool. \\y : Bool. [D3_Ord].le (\\z : Bool. z)")),
         MethodImpl("D2_Ord", FdConstraintScheme((), (), FdQ("Ord", IBool())),
                    "le", read_fd_expr("\\x : Bool. [D1_Eq].eq x x")),
         MethodImpl("D3_Ord", scheme, "le",
                    read_fd_expr("\\f : Bool -> Bool. True")))
+
+
+def test_a_prefix_violation_names_the_implementation_that_makes_it():
+    # The violation is D1_Eq's, found before D2_Ord's implementation,
+    # which reaches D3_Ord only through D1_Eq, is typed.
     with pytest.raises(FdTypeError) as exc:
-        FdChecker(sigma, TC_ORD).check_expr((), read_fd_expr("[D2_Ord].le"))
+        fd_env_wf(_nested_violation_sigma(), TC_ORD)
     assert (exc.value.kind, exc.value.detail) == (
         PREFIX_VIOLATION,
         "implementation of 'D1_Eq' references a constructor declared "
@@ -216,6 +230,94 @@ def test_dropping_a_referenced_entry_breaks_dictionaries():
     with pytest.raises(FdTypeError) as exc:
         FdChecker(SIGMA_EQ[1:], TC_EQ).check_dict((), d)
     assert exc.value.kind == UNKNOWN_CONSTRUCTOR
+
+
+def prefix_typing_verdict(sigma, TC):
+    """The paper's rule, as the reference for `fd_env_wf` over environments
+    whose schemes are well formed: each implementation, in order, types
+    under the strict prefix of sigma before it, at its expected type. A
+    constructor unknown to the prefix that sigma declares is out of the
+    prefix. None, or the (kind, detail) of the first failing entry."""
+    declared = {entry.con for entry in sigma}
+    for i, entry in enumerate(sigma):
+        try:
+            ty = FdChecker(sigma[:i], TC).check_expr((), entry.impl)
+        except FdTypeError as err:
+            unknown = re.fullmatch("unknown dictionary constructor '(.*)'",
+                                   err.detail)
+            if err.kind == UNKNOWN_CONSTRUCTOR and unknown[1] in declared:
+                return PREFIX_VIOLATION, (
+                    f"implementation of {entry.con!r} references a "
+                    f"constructor declared later: {err.detail}")
+            return err.kind, err.detail
+        want = expected_impl_type(TC, entry)
+        if not S.alpha_eq(ty, want):
+            return MISMATCH, (f"implementation of {entry.con!r} has type "
+                              f"{S.pretty(ty)}, expected {S.pretty(want)}")
+    return None
+
+
+def prefix_mutants(sigma):
+    """sigma, and sigma with entry i's implementation replaced by a
+    projection of each constructor, or of an undeclared one, alone or as
+    an application's argument; by a projection of a later constructor
+    applied to one of entry i's own, and the other way round; and by a
+    projection of each earlier entry's constructor with a context, whose
+    dictionary arguments are the constructor at or after entry i, or the
+    undeclared one."""
+    yield sigma
+    cons = [(entry.con, entry.method) for entry in sigma]
+    for i, entry in enumerate(sigma):
+        impls, own = [], S.IMethod(S.DCon(entry.con, (), ()), entry.method)
+        for j, (con, method) in enumerate([*cons, ("DNope", entry.method)]):
+            proj = S.IMethod(S.DCon(con, (), ()), method)
+            impls += [proj, S.IApp(S.ILam("x", IBool(), S.IVar("x")), proj)]
+            if j < i:
+                continue
+            if i < j < len(cons):
+                impls += [S.IApp(proj, own), S.IApp(own, proj)]
+            for other in sigma[:i]:
+                sc = other.scheme
+                if sc.context:
+                    impls.append(S.IMethod(S.DCon(
+                        other.con, (IBool(),) * len(sc.binders),
+                        (S.DCon(con, (), ()),) * len(sc.context)),
+                        other.method))
+        for impl in impls:
+            yield (*sigma[:i], MethodImpl(entry.con, entry.scheme,
+                                          entry.method, impl), *sigma[i + 1:])
+
+
+# The programs whose environments the differential mutates, besides the
+# corpus, by name. Each is typed in its own test, so that no typed forest
+# outlives it.
+PREFIX_SOURCES = {**{f"flex{n}": flex_source(n) for n in range(1, 6)},
+                  **{f"wide{k}": wide_source(k) for k in range(1, 4)},
+                  **{f"tower{d}": tower_source(d) for d in range(1, 9)},
+                  **{f"sigma{k}": sigma_source(k) for k in range(1, 5)},
+                  "PICK": PICK}
+
+
+@pytest.mark.parametrize("name", [*POSITIVE, *PREFIX_SOURCES, "nested"])
+def test_the_prefix_scan_agrees_with_typing_under_each_prefix(name):
+    if name == "nested":
+        sigmas, TC = [_nested_violation_sigma()], TC_ORD
+    else:
+        r = corpus_result(name) if name in POSITIVE else \
+            typecheck_program(parse_program(PREFIX_SOURCES[name]))
+        sigmas, TC = r.decls.variants, r.fd_class_env
+    verdicts = set()
+    for base in sigmas:
+        for sigma in prefix_mutants(base):
+            want = prefix_typing_verdict(sigma, TC)
+            try:
+                fd_env_wf(sigma, TC)
+                got = None
+            except FdTypeError as err:
+                got = err.kind, err.detail
+            assert got == want, [entry.impl for entry in sigma]
+            verdicts.add(want and want[0])
+    assert PREFIX_VIOLATION in verdicts
 
 
 # ---------------------------------------------------------------------------

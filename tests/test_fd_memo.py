@@ -1,14 +1,13 @@
 """The memos of `fd_core.FdChecker` against checking without sharing.
 
-The checkers of one Σ type each node once per binding of its free
+The checker of one Σ types each node once per binding of its free
 variables (once in all if it has none, or per environment while its facts
-are not cached), keeping the type on the node, a checker translates each
-node once, and both reuse the result wherever the node object occurs
-again. The reference is the same checker on a copy of
-the term rebuilt node by node, so that no two positions share an object
-and the memo never hits across positions: types and targets must be
-`==`, and an ill-typed term must raise the same error class, kind and
-message.
+are not cached), keeping the type on the node, translates each node
+once, and reuses both results wherever the node object occurs again. The
+reference is the same checker on a copy of the term rebuilt node by node,
+so that no two positions share an object and the memo never hits across
+positions: types and targets must be `==`, and an ill-typed term must
+raise the same error class, kind and message.
 """
 
 from __future__ import annotations
@@ -164,7 +163,8 @@ def test_each_node_and_environment_is_checked_once(monkeypatch):
         nodes += _check_sites(sq.derivation, (), sites)
         pairs |= {(id(sq.checker), *site) for site in sites}
         checkers.append(sq.checker)
-    # Implementations are checked by prefix checkers; leave those out.
+    # Σ's checker also types Σ's implementations, whose nodes are not the
+    # derivations': own counts those typings too.
     own = sum(1 for c in bodies if any(c is k for k in checkers))
     assert own <= len(pairs) < nodes
 
@@ -292,7 +292,7 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
     TC = sigma.TC
     terms = [generate_fd_term(seed, 6, sigma, TC) for seed in (3, 4, 5)]
     assert all("[D1_Eq]" in S.pretty(e) for e in terms)
-    checks = count_calls(monkeypatch, FdChecker, "_check_impl")
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
     reports = [check_metatheory(sigma, TC, e) for e in terms]
     for e, rep in zip(terms, reports):
         assert (rep.steps_checked, rep.preservation_ok, rep.progress_ok,
@@ -300,10 +300,11 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
         assert rep.failing_term == (
             f"{S.pretty(e)} : Mismatch: implementation of 'D1_Eq' has type "
             f"Bool -> Bool, expected Bool -> Bool -> Bool")
-    assert len(checks) == len(terms)    # the failure is checked again
+    typers = [self for self, _, e in infer if e is sigma[0].impl]
+    assert len(typers) == len(terms)    # the failure is checked again
     # Σ keeps no checker that failed to validate, so each report builds
     # its own, as a new copy of Σ does.
-    assert len({id(self._impl_memo) for self, _ in checks}) == len(terms)
+    assert len(set(map(id, typers))) == len(terms)
     assert fd_env_wf not in sigma._kept
     assert reports == [check_metatheory(copy.copy(sigma), TC, e)
                        for e in terms]
@@ -311,28 +312,22 @@ def test_an_ill_typed_implementation_fails_every_term_of_a_stream(
 
 def test_a_stream_checks_each_implementation_once_per_sigma(monkeypatch):
     # Work counts over the fuzz digest: one implementation check per
-    # constructor and Σ, one closed_dicts per Σ, and the state that
-    # saves them is each Σ's own.
-    checked = []
-    check_impl = FdChecker._check_impl
-
-    def counted(self, index):
-        con = self.sigma[index].con
-        if con not in self._impl_memo:
-            checked.append((id(self._impl_memo), con))
-        return check_impl(self, index)
-
-    monkeypatch.setattr(FdChecker, "_check_impl", counted)
+    # constructor and Σ, one closed_dicts per Σ, and every typing of an
+    # implementation is by its Σ's one checker.
+    checked = count_calls(monkeypatch, fd_core, "expected_impl_type")
+    infer = count_calls(monkeypatch, FdChecker, "_infer")
     derived = count_calls(monkeypatch, harness, "closed_dicts")
     envs = list(_digest_envs())
     for _ in _stream(envs):
         pass
-    assert len(checked) == len(set(checked)) == 5
-    assert sorted(con for _, con in checked) == \
+    assert len(checked) == len({id(entry) for _, entry in checked}) == 5
+    assert sorted(entry.con for _, entry in checked) == \
         sorted(entry.con for sigma, _ in envs for entry in sigma)
     assert derived == [(sigma,) for sigma, _ in envs]
-    assert {memo for memo, _ in checked} == \
-        {id(sigma.derived(fd_env_wf)._impl_memo) for sigma, _ in envs}
+    owner = {id(entry.impl): sigma for sigma, _ in envs for entry in sigma}
+    typers = [(self, owner[id(e)]) for self, _, e in infer if id(e) in owner]
+    assert len(typers) >= 5
+    assert all(self is sigma.derived(fd_env_wf) for self, sigma in typers)
 
 
 def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
@@ -341,7 +336,9 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     # uncached typing judgments, alpha_eq's renaming walks, the
     # environments scanned for their type variables (only where an
     # annotation has a free one), and the dictionary constructor rule,
-    # which runs once per closed dictionary and Σ.
+    # which runs once per closed dictionary and Σ. Σ's one checker types
+    # the implementations too (11 318 judgments when a prefix checker of
+    # each entry typed them).
     infer = count_calls(monkeypatch, FdChecker, "_infer")
     walks = count_calls(monkeypatch, S, "_alpha_walk")
     wf = count_calls(monkeypatch, FdChecker, "_wf")
@@ -349,7 +346,7 @@ def test_the_fuzz_digest_work_counts_are_pinned(monkeypatch):
     rule = count_calls(monkeypatch, FdChecker, "_check_con")
     for _ in _stream(list(_digest_envs())):
         pass
-    assert len(infer) == 11_318
+    assert len(infer) == 11_316
     assert 0 < len(walks) <= 429
     assert [env for _, env, t in wf if t._fv] == [env for env, in scanned]
     assert len(scanned) == 672
@@ -444,7 +441,7 @@ def test_the_fuzz_digest_interns_its_types_about_once():
 
 def _base_checkers(monkeypatch) -> list:
     """The checker of each term checked from here on, in order: the one
-    that `check_metatheory` gets from its Σ (not a prefix checker)."""
+    that `check_metatheory` gets from its Σ."""
     bases = []
     stream = harness._stream
 
@@ -491,36 +488,37 @@ def test_a_sigma_given_another_class_environment_keeps_nothing():
 
 
 def _implementation_typings(sigma) -> tuple:
-    """The distinct nodes of sigma's implementations, and the typings
-    they keep."""
-    nodes, typings, todo = set(), 0, [entry.impl for entry in sigma]
+    """The number of distinct nodes of sigma's implementations, and the
+    key of each typing they keep."""
+    nodes, keys, todo = set(), [], [entry.impl for entry in sigma]
     while todo:
         x = todo.pop()
         if id(x) not in nodes:
             nodes.add(id(x))
-            typings += len(x._types or ())
+            keys.extend(x._types or ())
             todo.extend(part for f in x.__match_args__
                         if isinstance(part := getattr(x, f), FdExpr))
-    return len(nodes), typings
+    return len(nodes), keys
 
 
 def test_a_long_stream_keeps_a_bounded_number_of_typings():
-    # Over P4's typed Σ, the implementations are typed by Σ's validation
-    # and then by Σ's one checker, which keys a node by its environment
-    # until its facts are cached and by its bindings after: at most three
-    # typings per node, however long the stream. A stream over a plain
-    # tuple, which built a checker per call, grew them by 8 a term (800
-    # after 100 terms, 1 600 after 200).
+    # Over P4's typed Σ, the implementations are typed by Σ's one checker,
+    # when it validates Σ and in the stream, and it keys a node by its
+    # environment until its facts are cached and by its bindings after:
+    # at most two typings per node, however long the stream (8, 14 and 17
+    # when a prefix checker typed each implementation at validation). A
+    # stream over a plain tuple, which built a checker per call, grew
+    # them by 8 a term (800 after 100 terms, 1 600 after 200).
     r = typecheck_program(corpus_program("P4"))
     sigma, TC = r.fd_elabs[0][0], r.fd_class_env
     counts = []
     for seed in range(1000):
         check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
         if seed + 1 in (100, 400, 1000):
-            nodes, typings = _implementation_typings(sigma)
-            counts.append(typings)
+            nodes, keys = _implementation_typings(sigma)
+            counts.append(len(keys))
     assert nodes == 8
-    assert counts == sorted(counts) and counts[-1] <= 3 * nodes
+    assert counts == [8, 9, 9] and counts[-1] <= 2 * nodes
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +578,8 @@ def test_an_ill_typed_dictionary_raises_at_every_call(monkeypatch):
 
 def _late_ord_sigma():
     """A Σ whose implementation of Eq Bool projects Ord Bool's dictionary,
-    declared after it: the full Σ types that dictionary, the strict prefix
-    that checks the implementation must not."""
+    declared after it: the full Σ types that dictionary, but validating Σ
+    checks the implementation against its strict prefix, which lacks it."""
     r = typecheck_program(parse_program(
         "class Eq a where { eq : a -> a -> Bool };\n"
         "class Ord a where { cmp : a -> a -> Bool };\n"
@@ -594,16 +592,25 @@ def _late_ord_sigma():
 
 
 def test_a_prefix_checker_keeps_its_own_dictionary_memo():
+    # A checker over the full Σ types D2_Ord's dictionary and keeps it;
+    # validating Σ reads none of that, and finds D2_Ord outside D1_Eq's
+    # prefix at every call. A checker over a Σ that is not validated
+    # checks no implementation: D1_Eq's dictionary types by its scheme.
     sigma = _late_ord_sigma()
     checker = FdChecker(sigma, sigma.TC)
     assert checker.check_dict((), DCon("D2_Ord", (), ())) is \
         FdQ("Ord", IBool())
     for _ in range(3):
         with pytest.raises(FdTypeError) as err:
-            checker.check_dict((), DCon("D1_Eq", (), ()))
-        assert err.value.kind == PREFIX_VIOLATION
-        assert "references a constructor declared later" in str(err.value)
-    assert list(checker._dicts) == [DCon("D2_Ord", (), ())]
+            fd_env_wf(sigma, sigma.TC)
+        assert (err.value.kind, err.value.detail) == (
+            PREFIX_VIOLATION,
+            "implementation of 'D1_Eq' references a constructor declared "
+            "later: unknown dictionary constructor 'D2_Ord'")
+    assert checker.check_dict((), DCon("D1_Eq", (), ())) is \
+        FdQ("Eq", IBool())
+    assert list(checker._dicts) == [DCon("D2_Ord", (), ()),
+                                    DCon("D1_Eq", (), ())]
 
 
 # ---------------------------------------------------------------------------
@@ -635,22 +642,21 @@ def _outcome(check, *args):
 def test_an_ill_formed_closed_annotation_raises_at_every_check(
         monkeypatch):
     base = _p4_checker()
-    full = len(base.sigma)
     checks = count_calls(monkeypatch, fd_core, "check_fd_type_wf")
     for e in _annotated(ORD_BOOL_TO_BOOL):
-        got = [_outcome(base._prefix(full).check_expr, (), e)
+        got = [_outcome(base.check_expr, (), copy.copy(e))
                for _ in range(3)]
         assert got == [(FdTypeError, fd_core.UNKNOWN_METHOD,
                         "UnknownMethod: unknown class 'Ord'")] * 3
     # Checked anew each time, as a fresh checker would, and never kept.
     assert sum(args[2] is ORD_BOOL_TO_BOOL for args in checks) == 9
     assert ORD_BOOL_TO_BOOL not in base._closed
-    # A well-formed one is checked once, by whichever checker shares the
-    # memo, though each prefix checker has its own token and types e anew.
+    # A well-formed one is checked once, though each fresh copy of e is
+    # typed anew.
     checks.clear()
     for e in _annotated(EQ_BOOL_TO_BOOL):
         for _ in range(3):
-            base._prefix(full).check_expr((), e)
+            base.check_expr((), copy.copy(e))
     assert [args[2] for args in checks].count(EQ_BOOL_TO_BOOL) == 1
     assert EQ_BOOL_TO_BOOL in base._closed
 
@@ -704,8 +710,7 @@ def test_the_closed_annotation_memo_agrees_with_checking_directly():
                 for at in (env, ()):
                     want = _outcome(fd_core.check_fd_type_wf, tc,
                                     env_tyvars(at), t)
-                    for typer in (checker, checker._prefix(0)):
-                        assert _outcome(typer._wf, at, t) == want
+                    assert _outcome(checker._wf, at, t) == want
                     seen["closed"] += not t._fv
                     seen["failed"] += want is not None
     assert seen["closed"] and seen["failed"]
@@ -716,9 +721,6 @@ def test_a_checker_over_another_class_environment_has_its_own_memo():
     e = ILam("x", EQ_BOOL_TO_BOOL, IVar("x"))
     assert base.check_expr((), e) == IArrow(EQ_BOOL_TO_BOOL, EQ_BOOL_TO_BOOL)
     assert EQ_BOOL_TO_BOOL in base._closed
-    # Prefix checkers share the memo: they have the same TC.
-    assert base._prefix(1)._closed is base._prefix(0)._closed \
-        is base._closed
     other = FdChecker(base.sigma, ())
     assert not other._closed
     with pytest.raises(FdTypeError, match="unknown class 'Eq'"):
@@ -849,7 +851,7 @@ def test_an_error_is_never_memoized(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Typings kept on nodes: a checker family's answer for its own Σ alone,
+# Typings kept on nodes: a checker's answer for its own Σ alone,
 # and live as long as their nodes
 # ---------------------------------------------------------------------------
 
@@ -891,21 +893,25 @@ def test_a_prefix_checkers_typing_never_answers_for_the_full_sigma(
     sigma = _late_ord_sigma()
     full = FdChecker(sigma, sigma.TC)
     # Eq Bool's implementation, typed under the full Σ, which has Ord
-    # Bool; its strict prefix, which checks it, has not.
+    # Bool; its strict prefix, which validating Σ checks it against, has
+    # not. Validation fails before it types the implementation, so the
+    # implementation keeps the full Σ's typing alone.
     assert full.check_expr((), sigma[0].impl) is \
         IArrow(IBool(), BOOL_TO_BOOL)
     for _ in range(2):
         with pytest.raises(FdTypeError) as err:
-            full.check_expr((), IMethod(DCon("D1_Eq", (), ()), "eq"))
+            fd_env_wf(sigma, sigma.TC)
         assert err.value.kind == PREFIX_VIOLATION
-    # Each prefix checker types a node anew; the full Σ's checker reads
-    # its own typing.
+    assert len(sigma[0].impl._types) == 1
+    # A fresh node is typed anew; a checker reads its own typing.
     infer = count_calls(monkeypatch, FdChecker, "_infer")
     e = warm(ILam("y", IBool(), IVar("y")))
-    for typer in (full._prefix(1), full._prefix(1), full, full):
-        assert typer.check_expr((), e) is BOOL_TO_BOOL
-    assert sum(args[2] is e for args in infer) == 3
-    assert len(e._types) == 3
+    nodes = [copy.copy(e), copy.copy(e), e, e]
+    for node in nodes:
+        assert full.check_expr((), node) is BOOL_TO_BOOL
+    assert [sum(args[2] is node for args in infer) for node in nodes] == \
+        [1, 1, 1, 1]
+    assert len(e._types) == 1
 
 
 @pytest.mark.parametrize("facts", ["cold", "warm"])
@@ -962,18 +968,17 @@ def _package_nodes() -> list:
 def test_a_sigmas_reports_and_stream_share_its_one_checker():
     # Σ keeps its direct translator, its checker and its generator's
     # state, and nothing else; its implementations keep the typings of
-    # that checker's prefix checkers and of the checker itself alone (17
-    # when the stream had a second checker family).
+    # that checker alone (17 when the stream had a second checker family,
+    # 1 of 9 that checker's when prefix checkers typed them).
     r = typecheck_program(corpus_program("P4"))
     harness.coherence_report(r)
     sigma, TC = r.fd_elabs[0][0], r.fd_class_env
     for seed in range(50):
         check_metatheory(sigma, TC, generate_fd_term(seed, 4, sigma, TC))
     assert len(sigma._kept) == 3
-    keys = {"token": 0, "all": 0}
-    for entry in sigma:
-        _count_typings(entry.impl, keys)
-    assert keys["all"] == 9
+    token = sigma.derived(fd_env_wf)._token
+    _, keys = _implementation_typings(sigma)
+    assert [key if key is token else key[0] for key in keys] == [token] * 9
 
 
 def test_no_node_of_the_package_keeps_a_typing():

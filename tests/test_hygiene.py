@@ -4,8 +4,9 @@ reads, nothing the package defines at top level goes unread or is read by
 the tests alone, no attribute the package stores goes unread by the
 program, no nested function of the package outlives its call in a
 reference cycle, no loop of the package iterates a set, no `match` of
-the package has a class pattern, and no frozen class of the package
-defines a `__post_init__`, which `frozen` never calls.
+the package has a class pattern, no frozen class of the package
+defines a `__post_init__`, which `frozen` never calls, and no function
+but `fd_env_wf` builds an `FdChecker`.
 The scans are syntactic (`ast`): a name counts as read if the module, or
 the function's body, loads it anywhere, and a name listed in the module's
 `__all__` counts as read."""
@@ -466,3 +467,40 @@ def test_the_scan_sees_a_frozen_post_init():
               "class D:\n"
               "    def post(self): pass\n")
     assert frozen_post_inits(source) == ["2: A", "6: B"]
+
+
+def checker_constructions(source: str) -> list[str]:
+    """"line: callee" for each call of `FdChecker` in source outside the
+    top-level function `fd_env_wf`. A checker types under the Σ it was
+    built for, and checks none of Σ's implementations: only the one that
+    `fd_env_wf` builds, after it has validated Σ, types a well-formed
+    Σ's terms."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in tree.body
+               if isinstance(f, FUNCTIONS) and f.name == "fd_env_wf"
+               for n in ast.walk(f)}
+    calls = sorted((n.lineno, ast.unparse(n.func)) for n in ast.walk(tree)
+                   if isinstance(n, ast.Call) and id(n) not in allowed)
+    return [f"{line}: {callee}" for line, callee in calls
+            if callee.rpartition(".")[2] == "FdChecker"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_only_fd_env_wf_builds_a_checker(path):
+    assert checker_constructions(path.read_text()) == []
+
+
+def test_the_scan_sees_a_checker_built_outside_fd_env_wf():
+    source = ("def fd_env_wf(sigma, TC):\n"
+              "    return FdChecker(sigma, TC)\n"
+              "def other(sigma):\n"
+              "    return fd_core.FdChecker(sigma, ())\n"
+              "class C:\n"
+              "    def fd_env_wf(self):\n"
+              "        return FdChecker((), ())\n"
+              "CHECKER = FdChecker((), ())\n"
+              "KIND = FdChecker\n"
+              "other(MyFdChecker((), ()))\n")
+    assert checker_constructions(source) == [
+        "4: fd_core.FdChecker", "7: FdChecker", "8: FdChecker"]
